@@ -50,7 +50,7 @@ from .errors import (
     ParseError,
     UnknownKey,
 )
-from .operators import decay_operator, mass_operator
+from .operators import decay_operator
 
 __all__ = ["RunSpec", "load_config", "main", "run", "compare_routes"]
 
@@ -64,7 +64,7 @@ _SCHEMA_KEYS = {
 _COMMANDS = ("analytic", "master", "ensemble", "compare", "estimate", "bounds")
 _EQUATIONS = ("family", "flavor_decay", "imaginary", "stratonovich", "nonlinear", "enlarged")
 
-_MASTER_RESIDUAL_TOL = 1e-8
+_MASTER_RESIDUAL_TOL = 1e-12
 _ENSEMBLE_RATIO_TOL = 4.0
 
 
@@ -404,7 +404,7 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
         # Noise-free Wigner-Weisskopf limit of the flavor-decay equation.
         return sde.SdeSpec(
             equation=sde.SdeEquation.FLAVOR_DECAY,
-            hamiltonian=mass_operator(meson),
+            hamiltonian=lindblad.reduced_mass_operator(meson),
             collapse_ops=(np.eye(2),),
             rate=0.0,
             decay_quadratic=decay_operator(meson),
@@ -551,8 +551,9 @@ def compare_routes(
         res_m = master_probs[col] - analytic_probs[col]
         res_e = ensemble_means[col] - analytic_probs[col]
         ratio = np.abs(res_e) / np.maximum(ensemble_errs[col], floor)
-        master_max = max(master_max, float(np.abs(res_m).max()))
-        ratio_max = max(ratio_max, float(ratio.max()))
+        # np.maximum propagates NaN, so a non-finite residual fails the gate.
+        master_max = float(np.maximum(master_max, np.abs(res_m).max()))
+        ratio_max = float(np.maximum(ratio_max, ratio.max()))
         columns += [f"res_master_{col}", f"res_ensemble_{col}", f"ratio_ensemble_{col}"]
         rows_data += [res_m, res_e, ratio]
     rows = [list(row) for row in zip(*rows_data)]

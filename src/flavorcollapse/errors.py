@@ -51,10 +51,6 @@ class DimensionMismatch(FlavorCollapseError, ValueError):
     """Operator/state dimensions disagree."""
 
 
-class StepTooLarge(FlavorCollapseError):
-    """Integrator step produced Hermiticity drift above tolerance."""
-
-
 class ZeroNorm(FlavorCollapseError):
     """State norm underflowed; normalized expectation values undefined."""
 

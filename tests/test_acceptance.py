@@ -111,7 +111,7 @@ def test_c1_triple_route_agreement_csl():
             np.abs(p_flip_m - p_flip_a).max(),
             np.abs(asym_m - asym_a).max(),
         )
-    assert worst < 1e-8, f"max residual {worst:.3e}"
+    assert worst < 1e-12, f"max residual {worst:.3e}"
     _report(f"1 triple-route CSL (max residual {worst:.2e})", start, 10.0)
 
 
@@ -244,9 +244,9 @@ def test_c5_enlarged_space_consistency():
     traces = np.einsum("tii->t", enlarged).real
     assert eigs.min() >= -1e-9
     assert np.abs(traces - 1.0).max() <= 1e-9
-    # Different step size on the direct route so the agreement is physical,
-    # not a bit-identical recomputation.
-    direct = integrate_master(imdecay_master_spec(meson, collapse), _RHO_M0, grid, dt_max=7e-4)
+    # The 16x16 enlarged and 4x4 direct superoperators are exponentiated
+    # separately, so their agreement checks the physics, not one computation twice.
+    direct = integrate_master(imdecay_master_spec(meson, collapse), _RHO_M0, grid)
     gap = np.abs(project_enlarged_to_flavor(enlarged) - direct).max()
     assert gap < 1e-9
     _report(

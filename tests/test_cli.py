@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +217,45 @@ def test_compare_catalog_scale_kaon(tmp_path):
         assert np.abs(column(out, name)).max() < 1e-8
 
 
+def test_compare_catalog_qm_kaon_finite(tmp_path):
+    # The QM ensemble runs on the gauged mass operator diag(0, delta_m);
+    # with the absolute K0 mass (~7.6e23 1/s) the Euler step overflowed.
+    cfg = write_config(
+        tmp_path, command="compare", meson="K0", model="QM",
+        n_points=9, n_trajectories=16, seed=3, dt=2.5e-13,
+    )
+    out = str(tmp_path / "k0_qm.csv")
+    assert cli.main([cfg, "--output", out]) == 0
+    _, rows = read_csv(out)
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+@pytest.mark.parametrize("meson", ["K0", "D0", "B0", "Bs0"])
+def test_master_matches_analytic_catalog_full_window(tmp_path, meson):
+    # Default window 10 / gamma_bar at 400 points, physical-scale inputs.
+    spec = cli.load_config(write_config(
+        tmp_path, command="master", meson=meson, model="CSL",
+        rate=2.2e-10, r_C=1e-7, beta=0.8, m0_MeV=938.272, alpha=1e-14, d=3,
+    ))
+    times = spec.grid
+    master = cli._master_probs(spec, times)
+    analytic = cli._analytic_probs(spec, times)
+    for name in cli._PROB_COLUMNS:
+        assert np.abs(master[name] - analytic[name]).max() < 1e-12, name
+
+
+def test_compare_routes_nan_residual_fails():
+    times = np.linspace(0.0, 1.0, 3)
+    probs = {name: np.full_like(times, 0.5) for name in cli._PROB_COLUMNS}
+    broken = dict(probs, P_L_L=np.array([0.5, np.nan, 0.5]))
+    errs = {name: np.full_like(times, 1e-3) for name in probs}
+    floor = np.full_like(times, 1e-12)
+    _, master_max, ratio_max = cli.compare_routes(times, probs, broken, broken, errs, floor)
+    assert np.isnan(master_max) and np.isnan(ratio_max)
+    assert not master_max < cli._MASTER_RESIDUAL_TOL
+    assert not ratio_max < cli._ENSEMBLE_RATIO_TOL
+
+
 def test_compare_routes_negative_control():
     # Deliberately mismatched beta between routes trips the ratio gate.
     meson = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0)
@@ -378,3 +421,15 @@ def test_domain_error_exit_code(tmp_path):
 
 def test_missing_config_exit_code(tmp_path):
     assert cli.main([str(tmp_path / "absent.json")]) == 1
+
+
+def test_python_m_runs_cli_without_warnings(tmp_path):
+    cfg = write_config(tmp_path, command="analytic", t_max=1.0, n_points=3, **_EXPLICIT_QM)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flavorcollapse", cfg], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "command=analytic" in proc.stdout

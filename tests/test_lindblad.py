@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from flavorcollapse.analytic import (
     prob_flavor_csl,
@@ -14,7 +15,7 @@ from flavorcollapse.core import (
     Model,
     QuantumState,
 )
-from flavorcollapse.errors import InvalidParams, StepTooLarge
+from flavorcollapse.errors import InvalidParams
 from flavorcollapse.lindblad import (
     KernelElement,
     MasterSpec,
@@ -81,7 +82,7 @@ def test_master_spec_rejects_non_hermitian_h():
 def test_unitary_evolution_preserves_trace(meson_stable):
     spec = MasterSpec(hamiltonian=mass_operator(meson_stable))
     grid = np.linspace(0.0, 10.0, 51)
-    rhos = integrate_master(spec, _RHO_M0, grid, dt_max=1e-3)
+    rhos = integrate_master(spec, _RHO_M0, grid)
     traces = np.einsum("tii->t", rhos).real
     np.testing.assert_allclose(traces, 1.0, atol=1e-10)
 
@@ -89,7 +90,7 @@ def test_unitary_evolution_preserves_trace(meson_stable):
 def test_family_symmetric_noise_preserves_trace(meson_stable):
     spec = family_master_spec(meson_stable, make_csl(beta=0.5))
     grid = np.linspace(0.0, 10.0, 51)
-    rhos = integrate_master(spec, _RHO_M0, grid, dt_max=1e-3)
+    rhos = integrate_master(spec, _RHO_M0, grid)
     np.testing.assert_allclose(np.einsum("tii->t", rhos).real, 1.0, atol=1e-10)
 
 
@@ -99,17 +100,58 @@ def test_family_trace_matches_width_sum(meson_stable):
     gamma_bar = 0.5 * (g_l + g_h)
     grid = np.array([0.0, 1.0 / gamma_bar])
     spec = family_master_spec(meson_stable, collapse)
-    rhos = integrate_master(spec, _RHO_M0, grid, dt_max=5e-4 / gamma_bar)
+    rhos = integrate_master(spec, _RHO_M0, grid)
     expected = 0.5 * (np.exp(-g_l * grid[-1]) + np.exp(-g_h * grid[-1]))
     assert rhos[-1].trace().real == pytest.approx(expected, abs=1e-8)
 
 
-def test_step_too_large_raises(meson_stable):
+def test_stiff_propagation_stays_physical():
+    # Splitting 1e6 against a grid step of 0.3125: one interval spans
+    # ~5e4 oscillation periods, all taken by the exact propagator at once.
     big = MesonParams(m_L=1.0, m_H=1e6, gamma_L=0.0, gamma_H=0.0)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     spec = MasterSpec(hamiltonian=mass_operator(big), lindblads=(flip,))
-    with pytest.raises(StepTooLarge):
-        integrate_master(spec, _RHO_M0, np.linspace(0.0, 10.0, 33), dt_max=10.0)
+    rhos = integrate_master(spec, _RHO_M0, np.linspace(0.0, 10.0, 33))
+    np.testing.assert_array_equal(rhos, rhos.conj().transpose(0, 2, 1))
+    traces = np.einsum("tii->t", rhos).real
+    assert np.abs(traces - 1.0).max() <= 1e-9
+    # Round-off in the ~20 squarings of exp(h S) moves the trace by about
+    # 4e-12 per grid step here; an increase beyond that is not round-off.
+    assert np.all(np.diff(traces) <= 1e-11)
+    assert np.linalg.eigvalsh(rhos).min() >= -1e-9
+
+
+@pytest.mark.parametrize("field", ["hamiltonian", "lindblads", "anticommutator"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_master_spec_rejects_non_finite_generators(field, bad):
+    mat = np.diag([0.0, 1.0]).astype(complex)
+    mat[1, 1] = bad
+    kwargs = {"hamiltonian": np.diag([0.0, 1.0])}
+    kwargs[field] = (mat,) if field == "lindblads" else mat
+    with pytest.raises(InvalidParams):
+        MasterSpec(**kwargs)
+
+
+def test_integrate_master_rejects_non_finite_inputs(meson_stable):
+    spec = MasterSpec(hamiltonian=mass_operator(meson_stable))
+    rho0 = _RHO_M0.copy()
+    rho0[0, 1] = np.nan
+    with pytest.raises(InvalidParams):
+        integrate_master(spec, rho0, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(InvalidParams):
+        integrate_master(spec, _RHO_M0, np.array([0.0, np.inf]))
+
+
+def test_propagator_matches_reference_expm(meson, csl):
+    spec = enlarged_master_spec(meson, csl)
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[:2, :2] = _RHO_M0
+    grid = np.array([0.0, 0.3, 1.0, 7.5, 40.0])
+    rhos = integrate_master(spec, rho0, grid)
+    sup = build_superoperator(spec)
+    for t, rho in zip(grid, rhos):
+        want = (expm(t * sup) @ rho0.reshape(-1)).reshape(4, 4)
+        np.testing.assert_allclose(rho, want, rtol=0.0, atol=1e-13)
 
 
 def test_project_enlarged_block(meson, csl):
@@ -129,8 +171,8 @@ def test_enlarged_projection_equals_direct_flavor_route():
     grid = np.linspace(0.0, 10.0 / meson.gamma_bar, 41)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[:2, :2] = _RHO_M0
-    enlarged = integrate_master(enlarged_master_spec(meson, collapse), rho0, grid, dt_max=2e-3)
-    direct = integrate_master(imdecay_master_spec(meson, collapse), _RHO_M0, grid, dt_max=2e-3)
+    enlarged = integrate_master(enlarged_master_spec(meson, collapse), rho0, grid)
+    direct = integrate_master(imdecay_master_spec(meson, collapse), _RHO_M0, grid)
     residual = np.abs(project_enlarged_to_flavor(enlarged) - direct).max()
     assert residual < 1e-9
 
@@ -145,7 +187,7 @@ def test_enlarged_evolution_stays_completely_positive():
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())
         grid = np.linspace(0.0, 5.0, 21)
-        rhos = integrate_master(spec, rho0, grid, dt_max=1e-3)
+        rhos = integrate_master(spec, rho0, grid)
         eigs = np.linalg.eigvalsh(rhos)
         assert eigs.min() >= -1e-9
         np.testing.assert_allclose(np.einsum("tii->t", rhos).real, 1.0, atol=1e-9)
@@ -157,7 +199,7 @@ def test_trace_law_finite_difference(meson_stable):
     h = 1e-5
     t_mid = 0.8
     grid = np.array([0.0, t_mid - h, t_mid, t_mid + h])
-    rhos = integrate_master(spec, _RHO_M0, grid, dt_max=1e-4)
+    rhos = integrate_master(spec, _RHO_M0, grid)
     fd = (rhos[3].trace().real - rhos[1].trace().real) / (2.0 * h)
     expected = -(spec.anticommutator @ rhos[2]).trace().real
     assert fd == pytest.approx(expected, rel=1e-6)
@@ -308,7 +350,7 @@ def test_triple_route_csl_small(meson_stable):
     kernel_p = probs_from_kernels(
         Model.CSL, meson_stable, collapse, QuantumState.m0(), QuantumState.m0(), grid
     )
-    rhos = integrate_master(family_master_spec(meson_stable, collapse), _RHO_M0, grid, dt_max=1e-3)
+    rhos = integrate_master(family_master_spec(meson_stable, collapse), _RHO_M0, grid)
     master_p, _ = _m0_probs(rhos)
     np.testing.assert_allclose(kernel_p, analytic_p, atol=1e-12)
     np.testing.assert_allclose(master_p, analytic_p, atol=1e-8)
