@@ -395,7 +395,7 @@ def _normalized_expectations(psi: np.ndarray, ops) -> tuple[np.ndarray, list[np.
     """Squared norms and Re<op>/norm^2 per state row for each operator."""
     n2 = np.einsum("bi,bi->b", psi.conj(), psi).real
     if not np.all(n2 >= _NORM_FLOOR):
-        raise ZeroNorm("state norm underflowed; normalized expectation undefined")
+        raise ZeroNorm("state norm underflowed or is not finite; normalized expectation undefined")
     return n2, [np.einsum("bi,ij,bj->b", psi.conj(), op, psi).real / n2 for op in ops]
 
 
