@@ -442,13 +442,10 @@ def _ensemble_stats(spec: RunSpec, times: np.ndarray):
         "L": lift(np.array([1.0, 0.0], dtype=complex)),
         "H": lift(np.array([0.0, 1.0], dtype=complex)),
     }
-    stats = {
-        name: sde.ensemble_evolve(
-            eq_spec, config, state, times, spec.n_trajectories, n_threads=spec.threads
-        )
-        for name, state in initial.items()
-    }
-    return stats, dt
+    runs = sde.ensemble_evolve(
+        eq_spec, config, tuple(initial.values()), times, spec.n_trajectories, n_threads=spec.threads
+    )
+    return dict(zip(initial, runs)), dt
 
 
 def _discretization_floor(spec: RunSpec, times: np.ndarray, dt: float) -> np.ndarray:

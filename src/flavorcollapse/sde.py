@@ -361,12 +361,26 @@ def wiener_increments(config: NoiseConfig, n_steps: int, trajectory_id: int) -> 
     """
     if n_steps < 1:
         raise InvalidParams("n_steps must be at least 1")
-    gen = _trajectory_generator(config.seed, trajectory_id)
+    gen = Generator(Philox(0))
+    _rekey(gen, config.seed, trajectory_id)
     return gen.standard_normal((n_steps, config.n_channels)) * math.sqrt(config.dt)
 
 
-def _trajectory_generator(seed: int, trajectory_id: int) -> Generator:
-    return Generator(Philox(key=[int(seed), int(trajectory_id)]))
+def _rekey(gen: Generator, seed: int, trajectory_id: int) -> None:
+    """Point ``gen`` at the start of the (seed, trajectory_id) Philox stream.
+
+    Gives the stream of ``Philox(key=[seed, trajectory_id])`` without the
+    SeedSequence (and its OS-entropy read) that construction runs, so one
+    generator serves a whole batch of trajectories.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, trajectory_id], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _as_batch(state, dim: int) -> tuple[np.ndarray, bool]:
@@ -626,14 +640,18 @@ def _batch_bounds(n_trajectories: int, n_steps: int, n_channels: int) -> list[tu
 def ensemble_evolve(
     spec: SdeSpec,
     config: NoiseConfig,
-    initial_state: QuantumState,
+    initial_states,
     t_grid,
     n_trajectories: int,
     n_threads: int = 1,
     method: str = "heun",
-) -> EnsembleStats:
-    """Ensemble mean of |psi><psi| and derived probabilities on a grid.
+) -> tuple[EnsembleStats, ...]:
+    """Ensemble means of |psi><psi| and derived probabilities on a grid.
 
+    Returns one ``EnsembleStats`` per entry of ``initial_states``, in
+    order.  All initial states are driven by the same noise realization:
+    trajectory k of every state reads the (seed, k) Philox substream, and
+    the states are stepped together as stacked rows of one array.
     The mean is over raw (unnormalized) projectors: the linear equations
     carry decay in the norm.  Results are bit-identical for a fixed
     (seed, n_trajectories, dt) whatever ``n_threads``: each trajectory
@@ -647,11 +665,12 @@ def ensemble_evolve(
         raise InvalidParams(
             f"config.n_channels = {config.n_channels}, equation needs {spec.n_channels}"
         )
-    state0 = initial_state
-    if state0.basis is Basis.FLAVOR:
-        state0 = to_mass(state0)
-    if state0.dim != spec.dim:
+    states = [to_mass(s) if s.basis is Basis.FLAVOR else s for s in initial_states]
+    if not states:
+        raise InvalidParams("at least one initial state required")
+    if any(s.dim != spec.dim for s in states):
         raise DimensionMismatch("initial state dimension does not match the equation")
+    amps0 = np.array([s.amplitudes for s in states], dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
     substeps = _grid_substeps(t_grid, config.dt)
     n_steps_total = int(sum(substeps))
@@ -663,42 +682,50 @@ def ensemble_evolve(
     else:
         advance = _make_stepper(spec)
 
-    n_grid, n_obs, dim = len(t_grid), len(labels), spec.dim
+    n_states, n_grid, n_obs, dim = len(states), len(t_grid), len(labels), spec.dim
+    n_channels = config.n_channels
 
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
         b = hi - lo
-        noise = np.empty((b, max(n_steps_total, 1), config.n_channels))
+        gen = Generator(Philox(0))
+        noise = np.empty((b, n_steps_total, n_channels))
         for k in range(b):
-            gen = _trajectory_generator(config.seed, lo + k)
-            noise[k] = gen.standard_normal((max(n_steps_total, 1), config.n_channels))
+            _rekey(gen, config.seed, lo + k)
+            gen.standard_normal(out=noise[k])
         noise *= math.sqrt(config.dt)
 
-        psi = np.tile(state0.amplitudes, (b, 1))
-        sums = np.zeros((n_grid, n_obs))
-        sums_sq = np.zeros((n_grid, n_obs))
-        sums_cross = np.zeros((n_grid, n_obs, n_obs))
-        sums_mat = np.zeros((n_grid, dim, dim), dtype=complex)
+        # Rows s*b .. s*b + b - 1 hold initial state s; w repeats one
+        # step's noise for every state.
+        psi = np.repeat(amps0, b, axis=0)
+        w = np.empty((n_states, b, n_channels))
+        sums = np.zeros((n_states, n_grid, n_obs))
+        sums_sq = np.zeros((n_states, n_grid, n_obs))
+        sums_cross = np.zeros((n_states, n_grid, n_obs, n_obs))
+        sums_mat = np.zeros((n_states, n_grid, dim, dim), dtype=complex)
 
         def record(g: int) -> None:
-            amps = psi @ proj.T
-            obs = amps.real**2 + amps.imag**2
-            sums[g] = obs.sum(axis=0)
-            sums_sq[g] = (obs**2).sum(axis=0)
-            sums_cross[g] = obs.T @ obs
-            sums_mat[g] = np.einsum("bi,bj->ij", psi, psi.conj())
+            for s in range(n_states):
+                rows = psi[s * b : (s + 1) * b]
+                amps = rows @ proj.T
+                obs = amps.real**2 + amps.imag**2
+                sums[s, g] = obs.sum(axis=0)
+                sums_sq[s, g] = (obs**2).sum(axis=0)
+                sums_cross[s, g] = obs.T @ obs
+                sums_mat[s, g] = np.einsum("bi,bj->ij", rows, rows.conj())
 
         record(0)
         pos = 0
         for g, n_sub in enumerate(substeps, start=1):
             h = (t_grid[g] - t_grid[g - 1]) / n_sub
             for _ in range(n_sub):
-                psi = advance(psi, noise[:, pos, :], h)
+                w[:] = noise[:, pos, :]
+                psi = advance(psi, w.reshape(n_states * b, n_channels), h)
                 pos += 1
             record(g)
         return sums, sums_sq, sums_cross, sums_mat
 
-    batches = _batch_bounds(n_trajectories, n_steps_total, config.n_channels)
+    batches = _batch_bounds(n_trajectories, n_steps_total, n_channels)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             partials = list(pool.map(run_batch, batches))
@@ -711,20 +738,23 @@ def ensemble_evolve(
     sums_mat = sum(p[3] for p in partials)
 
     n = float(n_trajectories)
-    means = sums / n
-    var = np.maximum(sums_sq - n * means**2, 0.0) / (n - 1.0)
-    stderrs = np.sqrt(var / n)
-    cov = (sums_cross - n * np.einsum("ti,tj->tij", means, means)) / (n - 1.0)
-    return EnsembleStats(
-        times=t_grid,
-        means=means,
-        stderrs=stderrs,
-        labels=labels,
-        n_trajectories=n_trajectories,
-        seed=int(config.seed),
-        mean_matrices=sums_mat / n,
-        covariances=cov,
-    )
+    results = []
+    for s in range(n_states):
+        means = sums[s] / n
+        var = np.maximum(sums_sq[s] - n * means**2, 0.0) / (n - 1.0)
+        stderrs = np.sqrt(var / n)
+        cov = (sums_cross[s] - n * np.einsum("ti,tj->tij", means, means)) / (n - 1.0)
+        results.append(EnsembleStats(
+            times=t_grid,
+            means=means,
+            stderrs=stderrs,
+            labels=labels,
+            n_trajectories=n_trajectories,
+            seed=int(config.seed),
+            mean_matrices=sums_mat[s] / n,
+            covariances=cov,
+        ))
+    return tuple(results)
 
 
 def associated_master_spec(spec: SdeSpec) -> MasterSpec:

@@ -138,8 +138,8 @@ def test_c2_monte_carlo_closure():
             alpha=1.0, d=params["d"], r_C=params["r_C"], ratio_convention=params["conv"],
         )
         spec = family_spec(meson, collapse)
-        stats = ensemble_evolve(
-            spec, NoiseConfig(seed=5000 + k, dt=dt), QuantumState.m0(), grid, n_steps
+        (stats,) = ensemble_evolve(
+            spec, NoiseConfig(seed=5000 + k, dt=dt), (QuantumState.m0(),), grid, n_steps
         )
         rhos = integrate_master(family_master_spec(meson, collapse), _RHO_M0, grid)
         lam = collapse.effective_rate
@@ -207,15 +207,15 @@ def test_c4_formalism_equivalence():
         collapse = CollapseParams(
             model=Model.CSL, rate=0.3, beta=beta, m0=1.0, alpha=1.0, d=2, r_C=0.5
         )
-        ito_stats = ensemble_evolve(
+        (ito_stats,) = ensemble_evolve(
             family_spec(meson, collapse),
             NoiseConfig(seed=900 + k, dt=dt),
-            QuantumState.m0(), grid, n_traj,
+            (QuantumState.m0(),), grid, n_traj,
         )
-        strat_stats = ensemble_evolve(
+        (strat_stats,) = ensemble_evolve(
             stratonovich_family_spec(meson, collapse),
             NoiseConfig(seed=950 + k, dt=dt),
-            QuantumState.m0(), grid, n_traj, method="heun",
+            (QuantumState.m0(),), grid, n_traj, method="heun",
         )
         lam = collapse.effective_rate
         rate_obs = max(meson.m_H, meson.delta_m, lam * 4.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
 from flavorcollapse.analytic import prob_flavor_qm
@@ -58,6 +59,21 @@ def test_wiener_determinism():
     assert np.array_equal(a, b)
     c = wiener_increments(config, 500, trajectory_id=8)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**63 - 1])
+def test_wiener_stream_is_philox_keyed_by_seed_and_trajectory(seed):
+    config = NoiseConfig(seed=seed, dt=0.25, n_channels=2)
+    for trajectory_id in (0, 7, 2**20):
+        reference = Generator(Philox(key=[seed, trajectory_id])).standard_normal((300, 2)) * 0.5
+        assert np.array_equal(wiener_increments(config, 300, trajectory_id), reference)
+
+
+def test_wiener_keys_distinguish_high_seeds():
+    # Seeds above 2**63 are keyed exactly, not through a float conversion.
+    a = wiener_increments(NoiseConfig(seed=2**63, dt=1.0), 50, trajectory_id=0)
+    b = wiener_increments(NoiseConfig(seed=2**63 + 1, dt=1.0), 50, trajectory_id=0)
+    assert not np.array_equal(a, b)
 
 
 def test_noise_config_validation():
@@ -236,7 +252,7 @@ def test_ensemble_unitary_limit_matches_oscillation():
     t_grid = _grid(3.0, 16)
     dt = 3.0 / 3000
     config = NoiseConfig(seed=5, dt=dt)
-    stats = ensemble_evolve(spec, config, QuantumState.m0(), t_grid, 10**4)
+    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 10**4)
     mean, stderr = stats.column("P_M0")
     expected = prob_flavor_qm(meson, FlavorTarget.M0, t_grid)
     budget = 2.0 * dt * t_grid * max(meson.m_H, meson.delta_m) ** 2
@@ -250,7 +266,7 @@ def test_ensemble_matches_family_master():
     t_grid = _grid(4.0, 21)
     dt = 4.0 / 2000
     config = NoiseConfig(seed=77, dt=dt)
-    stats = ensemble_evolve(spec, config, QuantumState.m0(), t_grid, 4000)
+    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 4000)
     master = associated_master_spec(spec)
     rho0 = np.outer(_M0_MASS, _M0_MASS.conj())
     rhos = integrate_master(master, rho0, t_grid)
@@ -273,7 +289,7 @@ def test_ensemble_mean_matrix_consistent_with_columns():
     spec = family_spec(meson, make_csl(beta=0.9, rate=0.2))
     t_grid = _grid(2.0, 5)
     config = NoiseConfig(seed=3, dt=2.0 / 500)
-    stats = ensemble_evolve(spec, config, QuantumState.m0(), t_grid, 300)
+    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 300)
     mean, _ = stats.column("P_L")
     np.testing.assert_allclose(stats.mean_matrices[:, 0, 0].real, mean, atol=1e-12)
 
@@ -284,7 +300,7 @@ def test_ensemble_determinism_across_threads_and_runs():
     t_grid = _grid(1.0, 6)
     config = NoiseConfig(seed=99, dt=1.0 / 400)
     runs = [
-        ensemble_evolve(spec, config, QuantumState.m0(), t_grid, 600, n_threads=k)
+        ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 600, n_threads=k)[0]
         for k in (1, 4, 1)
     ]
     for other in runs[1:]:
@@ -300,7 +316,7 @@ def test_ensemble_noise_matches_wiener_contract():
     spec = family_spec(meson, make_csl(beta=1.0, rate=0.5))
     t_grid = np.array([0.0, 0.01])
     config = NoiseConfig(seed=31, dt=0.01)
-    stats = ensemble_evolve(spec, config, QuantumState.m0(), t_grid, 2)
+    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 2)
     manual = np.zeros((2, 2), dtype=complex)
     for traj in range(2):
         w = wiener_increments(config, 1, traj)
@@ -314,8 +330,8 @@ def test_stderr_scales_with_trajectories():
     spec = family_spec(meson, make_csl(beta=0.8, rate=0.4))
     t_grid = _grid(2.0, 3)
     config = NoiseConfig(seed=13, dt=2.0 / 200)
-    small = ensemble_evolve(spec, config, QuantumState.m0(), t_grid, 2000)
-    large = ensemble_evolve(spec, config, QuantumState.m0(), t_grid, 4000)
+    (small,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 2000)
+    (large,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 4000)
     ratio = small.column("P_M0")[1][-1] / large.column("P_M0")[1][-1]
     assert ratio == pytest.approx(np.sqrt(2.0), rel=0.1)
 
@@ -325,13 +341,13 @@ def test_formalism_equivalence_small():
     collapse = make_csl(beta=0.75, rate=0.3)
     t_grid = _grid(2.0, 9)
     dt = 2.0 / 1000
-    ito_stats = ensemble_evolve(
-        family_spec(meson, collapse), NoiseConfig(seed=1, dt=dt), QuantumState.m0(), t_grid, 3000
+    (ito_stats,) = ensemble_evolve(
+        family_spec(meson, collapse), NoiseConfig(seed=1, dt=dt), (QuantumState.m0(),), t_grid, 3000
     )
-    strat_stats = ensemble_evolve(
+    (strat_stats,) = ensemble_evolve(
         stratonovich_family_spec(meson, collapse),
         NoiseConfig(seed=2, dt=dt),
-        QuantumState.m0(),
+        (QuantumState.m0(),),
         t_grid,
         3000,
     )
@@ -371,8 +387,8 @@ def test_phase_family_shares_ensemble_mean():
     stats = {}
     for k, phi in enumerate((0.0, np.pi / 4.0, np.pi / 2.0)):
         spec = phase_transform_spec(base, phi)
-        stats[phi] = ensemble_evolve(
-            spec, NoiseConfig(seed=100 + k, dt=dt), QuantumState.m0(), t_grid, 3000
+        (stats[phi],) = ensemble_evolve(
+            spec, NoiseConfig(seed=100 + k, dt=dt), (QuantumState.m0(),), t_grid, 3000
         )
     budget = 2.0 * dt * t_grid * max(meson.m_H, 1.0) ** 2
     pairs = [(0.0, np.pi / 4.0), (0.0, np.pi / 2.0)]
@@ -488,7 +504,7 @@ def test_family_trajectory_norm_matches_induced_widths():
     spec = family_spec(meson, collapse)
     t_grid = _grid(2.0, 5)
     config = NoiseConfig(seed=55, dt=2.0 / 2000)
-    stats = ensemble_evolve(spec, config, QuantumState.mass_eigenstate(0), t_grid, 2000)
+    (stats,) = ensemble_evolve(spec, config, (QuantumState.mass_eigenstate(0),), t_grid, 2000)
     mean, stderr = stats.column("P_L")
     expected = np.exp(-g_l * t_grid)
     budget = 2.0 * config.dt * t_grid * max(meson.m_H, 1.0) ** 2
