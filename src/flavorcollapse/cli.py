@@ -421,7 +421,12 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
 
 
 def _ensemble_stats(spec: RunSpec, times: np.ndarray):
-    """Three ensembles (initial M0, M_L, M_H) sharing the seeded noise."""
+    """Ensembles from the initial states M0, M_L and M_H, in one pass.
+
+    One ``ensemble_evolve`` call steps the three states together: trajectory
+    k of each state is driven by the same (seed, k) noise stream, and each
+    grid point is reduced to centred moments once for all three.
+    """
     eq_spec = _sde_spec(spec)
     interval = times[1] - times[0]
     n_sub = max(1, round(interval / spec.dt))
@@ -449,13 +454,15 @@ def _ensemble_stats(spec: RunSpec, times: np.ndarray):
 
 
 def _discretization_floor(spec: RunSpec, times: np.ndarray, dt: float) -> np.ndarray:
-    """Tolerance allowance for the O(dt) weak bias of the trajectory schemes.
+    """Tolerance allowance 4 dt t r^2 for the O(dt) weak bias of the schemes.
 
-    The rate scale includes the absolute masses: the Euler phase
-    multiplier inflates amplitudes at m^2 dt per unit time.
+    r is the fastest rate of the generator the trajectories are stepped
+    with.  Every equation runs on the gauged mass operator diag(0, delta_m),
+    so r is the splitting, a width or the collapse rate at the largest mass
+    ratio; the absolute masses do not enter.
     """
     meson, collapse = spec.meson, spec.collapse
-    rate = max(meson.m_H, meson.delta_m, meson.gamma_L, meson.gamma_H)
+    rate = max(meson.delta_m, meson.gamma_L, meson.gamma_H)
     if collapse is not None:
         lam = collapse.effective_rate
         rate = max(rate, lam * float(np.max(mass_ratios(meson, collapse)) ** 2))

@@ -25,6 +25,7 @@ enlarged space:
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
 for a fixed (seed, N, dt) regardless of scheduling or worker count.
+Several initial states evolved in one call share that noise.
 Expectation values in the nonlinear equations always use the normalized
 state; trajectories themselves are stored unnormalized, and observables
 are extracted from the raw ensemble mean E[|psi><psi|].
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -640,7 +642,7 @@ def _batch_bounds(n_trajectories: int, n_steps: int, n_channels: int) -> list[tu
 def ensemble_evolve(
     spec: SdeSpec,
     config: NoiseConfig,
-    initial_states,
+    initial_states: Sequence[QuantumState],
     t_grid,
     n_trajectories: int,
     n_threads: int = 1,
@@ -649,15 +651,18 @@ def ensemble_evolve(
     """Ensemble means of |psi><psi| and derived probabilities on a grid.
 
     Returns one ``EnsembleStats`` per entry of ``initial_states``, in
-    order.  All initial states are driven by the same noise realization:
-    trajectory k of every state reads the (seed, k) Philox substream, and
-    the states are stepped together as stacked rows of one array.
+    order.  One pass serves all states: each trajectory's noise is drawn
+    once per batch from its (seed, trajectory) Philox substream, and the
+    states are stepped together as stacked rows of one array, so state s
+    of a stacked call equals a single-state call bit for bit.
     The mean is over raw (unnormalized) projectors: the linear equations
-    carry decay in the norm.  Results are bit-identical for a fixed
-    (seed, n_trajectories, dt) whatever ``n_threads``: each trajectory
-    owns its Philox substream, within-batch reduction is numpy pairwise
-    summation, and batch partials are combined in index order.
-    ``method`` selects the stepping of a Stratonovich-form spec.
+    carry decay in the norm.  Variances and covariances come from centred
+    second moments per batch, folded across batches with the pairwise
+    update; the spread is exactly zero while all trajectories agree.
+    Results are bit-identical for a fixed (seed, n_trajectories, dt)
+    whatever ``n_threads``: the batch partition is fixed and partials are
+    folded in index order.  ``method`` selects the stepping of a
+    Stratonovich-form spec.
     """
     if n_trajectories < 2:
         raise InvalidParams("n_trajectories must be at least 2")
@@ -688,73 +693,74 @@ def ensemble_evolve(
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
         b = hi - lo
-        gen = Generator(Philox(0))
+        gen = Generator(Philox(0))  # re-keyed per trajectory below
         noise = np.empty((b, n_steps_total, n_channels))
         for k in range(b):
             _rekey(gen, config.seed, lo + k)
             gen.standard_normal(out=noise[k])
         noise *= math.sqrt(config.dt)
 
-        # Rows s*b .. s*b + b - 1 hold initial state s; w repeats one
-        # step's noise for every state.
+        # Rows s*b .. s*b + b - 1 hold initial state s; every state reads
+        # the same noise row k.
         psi = np.repeat(amps0, b, axis=0)
-        w = np.empty((n_states, b, n_channels))
-        sums = np.zeros((n_states, n_grid, n_obs))
-        sums_sq = np.zeros((n_states, n_grid, n_obs))
-        sums_cross = np.zeros((n_states, n_grid, n_obs, n_obs))
-        sums_mat = np.zeros((n_states, n_grid, dim, dim), dtype=complex)
+        means = np.empty((n_grid, n_states, n_obs))
+        m2 = np.empty((n_grid, n_states, n_obs, n_obs))
+        mat_sums = np.empty((n_grid, n_states, dim, dim), dtype=complex)
 
         def record(g: int) -> None:
-            for s in range(n_states):
-                rows = psi[s * b : (s + 1) * b]
-                amps = rows @ proj.T
-                obs = amps.real**2 + amps.imag**2
-                sums[s, g] = obs.sum(axis=0)
-                sums_sq[s, g] = (obs**2).sum(axis=0)
-                sums_cross[s, g] = obs.T @ obs
-                sums_mat[s, g] = np.einsum("bi,bj->ij", rows, rows.conj())
+            rows = psi.reshape(n_states, b, dim)
+            amps = proj @ rows.transpose(0, 2, 1)  # (state, observable, trajectory)
+            obs = amps.real**2 + amps.imag**2
+            # Centre on the first trajectory, then on the batch mean: equal
+            # trajectories (t = 0) give exactly zero spread.
+            shifted = obs - obs[:, :, :1]
+            shift = shifted.mean(axis=2)
+            centred = shifted - shift[:, :, None]
+            means[g] = obs[:, :, 0] + shift
+            m2[g] = centred @ centred.transpose(0, 2, 1)
+            mat_sums[g] = rows.transpose(0, 2, 1) @ rows.conj()
 
         record(0)
         pos = 0
         for g, n_sub in enumerate(substeps, start=1):
             h = (t_grid[g] - t_grid[g - 1]) / n_sub
             for _ in range(n_sub):
-                w[:] = noise[:, pos, :]
+                w = np.broadcast_to(noise[:, pos, :], (n_states, b, n_channels))
                 psi = advance(psi, w.reshape(n_states * b, n_channels), h)
                 pos += 1
             record(g)
-        return sums, sums_sq, sums_cross, sums_mat
+        return b, means, m2, mat_sums
 
+    # Batch partials are folded in index order as they arrive, with the
+    # pairwise update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242).
     batches = _batch_bounds(n_trajectories, n_steps_total, n_channels)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            partials = list(pool.map(run_batch, batches))
-    else:
-        partials = [run_batch(bounds) for bounds in batches]
-
-    sums = sum(p[0] for p in partials)
-    sums_sq = sum(p[1] for p in partials)
-    sums_cross = sum(p[2] for p in partials)
-    sums_mat = sum(p[3] for p in partials)
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        partials = pool.map(run_batch, batches) if n_threads > 1 else map(run_batch, batches)
+        n_a, means, m2, mat_sums = next(partials)
+        for n_b, means_b, m2_b, mat_sums_b in partials:
+            n_ab = n_a + n_b
+            delta = means_b - means
+            means = means + delta * (n_b / n_ab)
+            m2 = m2 + m2_b + delta[..., :, None] * delta[..., None, :] * (n_a * n_b / n_ab)
+            mat_sums = mat_sums + mat_sums_b
+            n_a = n_ab
 
     n = float(n_trajectories)
-    results = []
-    for s in range(n_states):
-        means = sums[s] / n
-        var = np.maximum(sums_sq[s] - n * means**2, 0.0) / (n - 1.0)
-        stderrs = np.sqrt(var / n)
-        cov = (sums_cross[s] - n * np.einsum("ti,tj->tij", means, means)) / (n - 1.0)
-        results.append(EnsembleStats(
+    cov = m2 / (n - 1.0)
+    stderrs = np.sqrt(np.diagonal(cov, axis1=2, axis2=3) / n)
+    return tuple(
+        EnsembleStats(
             times=t_grid,
-            means=means,
-            stderrs=stderrs,
+            means=means[:, s],
+            stderrs=stderrs[:, s],
             labels=labels,
             n_trajectories=n_trajectories,
             seed=int(config.seed),
-            mean_matrices=sums_mat[s] / n,
-            covariances=cov,
-        ))
-    return tuple(results)
+            mean_matrices=mat_sums[:, s] / n,
+            covariances=cov[:, s],
+        )
+        for s in range(n_states)
+    )
 
 
 def associated_master_spec(spec: SdeSpec) -> MasterSpec:

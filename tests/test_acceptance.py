@@ -143,11 +143,9 @@ def test_c2_monte_carlo_closure():
         )
         rhos = integrate_master(family_master_spec(meson, collapse), _RHO_M0, grid)
         lam = collapse.effective_rate
-        # Fastest generator rate: the Euler scheme inflates amplitudes at
-        # m^2 dt per unit time, so the absolute mass scale belongs here.
-        rate_obs = max(
-            meson.m_H, meson.delta_m, lam * float(np.max(mass_ratios(meson, collapse)) ** 2)
-        )
+        # Fastest rate of the gauged generator diag(0, delta_m): the
+        # absolute masses do not enter the stepping.
+        rate_obs = max(meson.delta_m, lam * float(np.max(mass_ratios(meson, collapse)) ** 2))
         budget = 2.0 * dt * grid * rate_obs**2 + 1e-12
         for label, vec in (
             ("P_M0", _M0),
@@ -218,7 +216,7 @@ def test_c4_formalism_equivalence():
             (QuantumState.m0(),), grid, n_traj, method="heun",
         )
         lam = collapse.effective_rate
-        rate_obs = max(meson.m_H, meson.delta_m, lam * 4.0)
+        rate_obs = max(meson.delta_m, lam * 4.0)
         budget = 2.0 * dt * grid * rate_obs**2 + 1e-12
         for label in ("P_M0", "P_M0bar", "P_L", "P_H"):
             mean_i, err_i = ito_stats.column(label)

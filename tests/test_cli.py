@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -34,6 +35,10 @@ def column(path, name):
     return np.array([float(row[idx]) for row in rows])
 
 
+_README_CSL = dict(
+    m_L=0.5, m_H=1.5, gamma_L=0.0, gamma_H=0.0, model="CSL",
+    rate=0.3, r_C=0.5, beta=0.8, m0=1.0, alpha=1.0, d=2,
+)
 _EXPLICIT_QM = dict(m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0, model="QM")
 _EXPLICIT_CSL = dict(
     m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0, model="CSL",
@@ -215,6 +220,48 @@ def test_compare_catalog_scale_kaon(tmp_path):
     assert cli.main([cfg, "--output", out]) == 0
     for name in ("res_master_P_M0_M0", "res_master_P_L_L"):
         assert np.abs(column(out, name)).max() < 1e-8
+
+
+def test_compare_catalog_scale_kaon_ensemble_gate_can_fail(tmp_path, monkeypatch):
+    # The floor uses the gauged generator's rates, not the absolute mass, so
+    # at catalog scale it stays below the size of a probability and a
+    # shifted ensemble fails the gate.
+    cfg = write_config(
+        tmp_path, command="compare", meson="K0", model="CSL",
+        rate=2.2e-10, r_C=1e-7, beta=0.8, m0_MeV=938.272, alpha=1e-14, d=3,
+        n_points=9, n_trajectories=64, seed=3, dt=2.5e-13,
+    )
+    spec = cli.load_config(cfg)
+    times = spec.grid
+    _, dt = cli._ensemble_stats(spec, times)
+    assert cli._discretization_floor(spec, times, dt).max() < 0.3
+    true_stats = cli._ensemble_stats
+
+    def shifted(spec, times):
+        stats, dt = true_stats(spec, times)
+        moved = {}
+        for name, s in stats.items():
+            means = s.means.copy()
+            means[1:] += 0.2
+            moved[name] = dataclasses.replace(s, means=means)
+        return moved, dt
+
+    monkeypatch.setattr(cli, "_ensemble_stats", shifted)
+    assert cli.main([cfg, "--output", str(tmp_path / "k0.csv")]) == 3
+
+
+def test_compare_wide_bytes_independent_of_threads(tmp_path):
+    # The benchmark's wide Heun compare: 10^4 trajectories in five batches.
+    cfg = write_config(
+        tmp_path, command="compare", **_README_CSL, equation="stratonovich",
+        t_max=6.0, n_points=401, n_trajectories=10000, seed=11, dt=0.015,
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"wide{threads}.csv"
+        assert cli.main([cfg, "--output", str(out), "--threads", threads]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_compare_catalog_qm_kaon_finite(tmp_path):

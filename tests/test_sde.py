@@ -4,7 +4,7 @@ from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
 from flavorcollapse.analytic import prob_flavor_qm
-from flavorcollapse.core import FlavorTarget, MesonParams, QuantumState
+from flavorcollapse.core import FlavorTarget, MesonParams, QuantumState, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
 from flavorcollapse.lindblad import integrate_master, master_rhs
 from flavorcollapse.operators import collapse_operator_A, induced_decay_widths
@@ -20,6 +20,7 @@ from flavorcollapse.sde import (
     imaginary_linear_spec,
     ito_stratonovich_drift,
     nonlinear_general_spec,
+    observable_vectors,
     phase_transform_spec,
     step,
     stratonovich_family_spec,
@@ -307,6 +308,49 @@ def test_ensemble_determinism_across_threads_and_runs():
         assert np.array_equal(runs[0].means, other.means)
         assert np.array_equal(runs[0].stderrs, other.stderrs)
         assert np.array_equal(runs[0].mean_matrices, other.mean_matrices)
+
+
+_STACKED = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
+
+
+@pytest.mark.parametrize("factory", [family_spec, stratonovich_family_spec, collapse_flavor_spec])
+def test_stacked_states_equal_single_state_runs(factory):
+    # Two batches (2048 + 52): one stacked call reproduces three separate
+    # calls bit for bit, since the states share each trajectory's noise.
+    spec = factory(_decaying() if factory is collapse_flavor_spec else _bare(), make_csl(beta=0.8, rate=0.3))
+    t_grid = _grid(1.0, 5)
+    config = NoiseConfig(seed=21, dt=1.0 / 40)
+    stacked = ensemble_evolve(spec, config, _STACKED, t_grid, 2100)
+    assert len(stacked) == 3
+    for state, together in zip(_STACKED, stacked):
+        (alone,) = ensemble_evolve(spec, config, (state,), t_grid, 2100)
+        for field in ("means", "stderrs", "covariances", "mean_matrices"):
+            assert np.array_equal(getattr(together, field), getattr(alone, field)), field
+
+
+def test_ensemble_moments_match_two_pass_over_manual_trajectories():
+    spec = family_spec(_bare(), make_csl(beta=0.8, rate=0.3))
+    t_grid = _grid(1.0, 5)
+    config = NoiseConfig(seed=17, dt=1.0 / 40)
+    n_traj, n_sub = 2100, 10
+    stats = ensemble_evolve(spec, config, _STACKED, t_grid, n_traj)
+    noise = np.array([wiener_increments(config, 40, k) for k in range(n_traj)])
+    proj = observable_vectors(2)[0].conj()
+    for state, result in zip(_STACKED, stats):
+        psi = np.tile(to_mass(state).amplitudes, (n_traj, 1))
+        for g in range(1, len(t_grid)):
+            h = (t_grid[g] - t_grid[g - 1]) / n_sub
+            for pos in range((g - 1) * n_sub, g * n_sub):
+                psi = step(spec, psi, noise[:, pos, :], h)
+            obs = np.abs(psi @ proj.T) ** 2
+            np.testing.assert_allclose(result.means[g], obs.mean(axis=0), rtol=1e-13)
+            np.testing.assert_allclose(
+                result.stderrs[g], np.sqrt(np.var(obs, axis=0, ddof=1) / n_traj), rtol=1e-12
+            )
+            np.testing.assert_allclose(result.covariances[g], np.cov(obs.T), rtol=1e-12)
+        # Every trajectory starts in the same state: no spread at t = 0.
+        assert np.all(result.stderrs[0] == 0.0)
+        assert np.all(result.covariances[0] == 0.0)
 
 
 def test_ensemble_noise_matches_wiener_contract():
