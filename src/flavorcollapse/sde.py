@@ -693,6 +693,11 @@ def ensemble_evolve(
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
         b = hi - lo
+        # The partials outlive the batch; allocated before the noise block,
+        # they leave its memory free for the next batch's noise.
+        means = np.empty((n_grid, n_states, n_obs))
+        m2 = np.empty((n_grid, n_states, n_obs, n_obs))
+        mat_sums = np.empty((n_grid, n_states, dim, dim), dtype=complex)
         gen = Generator(Philox(0))  # re-keyed per trajectory below
         noise = np.empty((b, n_steps_total, n_channels))
         for k in range(b):
@@ -703,9 +708,6 @@ def ensemble_evolve(
         # Rows s*b .. s*b + b - 1 hold initial state s; every state reads
         # the same noise row k.
         psi = np.repeat(amps0, b, axis=0)
-        means = np.empty((n_grid, n_states, n_obs))
-        m2 = np.empty((n_grid, n_states, n_obs, n_obs))
-        mat_sums = np.empty((n_grid, n_states, dim, dim), dtype=complex)
 
         def record(g: int) -> None:
             rows = psi.reshape(n_states, b, dim)
@@ -740,9 +742,10 @@ def ensemble_evolve(
         for n_b, means_b, m2_b, mat_sums_b in partials:
             n_ab = n_a + n_b
             delta = means_b - means
-            means = means + delta * (n_b / n_ab)
-            m2 = m2 + m2_b + delta[..., :, None] * delta[..., None, :] * (n_a * n_b / n_ab)
-            mat_sums = mat_sums + mat_sums_b
+            means += delta * (n_b / n_ab)
+            m2 += m2_b
+            m2 += delta[..., :, None] * delta[..., None, :] * (n_a * n_b / n_ab)
+            mat_sums += mat_sums_b
             n_a = n_ab
 
     n = float(n_trajectories)
