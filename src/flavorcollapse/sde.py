@@ -386,7 +386,8 @@ def _rekey(gen: Generator, seed: int, trajectory_id: int) -> None:
 
 
 def _as_batch(state, dim: int) -> tuple[np.ndarray, bool]:
-    psi = np.asarray(state, dtype=complex)
+    """A complex copy of ``state`` as rows, and whether it was one vector."""
+    psi = np.array(state, dtype=complex)
     single = psi.ndim == 1
     psi = np.atleast_2d(psi)
     if psi.shape[-1] != dim:
@@ -433,55 +434,68 @@ def _linear_matrices(spec: SdeSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     return drift, diffusions
 
 
-def _make_stepper(spec: SdeSpec, method: str = "euler"):
-    """Batch update closure psi, w, h -> psi' with matrices built once."""
+def _linear_stepper(spec: SdeSpec, n_rows: int, method: str):
+    """In-place update of the linear equations through work arrays allocated once.
+
+    Each update applies the operations of the expression in its comment,
+    in the same order, so its results are bit for bit those of that
+    expression; a loop of steps allocates nothing.
+    """
+    drift, diffusions = _linear_matrices(spec)
+    stratonovich = spec.equation is SdeEquation.STRATONOVICH_LINEAR
+    if stratonovich and method == "ito_drift":
+        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
+    elif stratonovich and method != "heun":
+        raise InvalidParams("method must be 'heun' or 'ito_drift'")
+    drift_t = drift.T.copy()
+    diff_t = [g.T.copy() for g in diffusions]
+    acc, term, mid = (np.empty((n_rows, spec.dim), dtype=complex) for _ in range(3))
+
+    def increment(base, out, w, h):
+        # out = h * (base @ drift_t) + sum_c w[:, c] * (base @ diff_t[c])
+        np.matmul(base, drift_t, out=out)
+        np.multiply(h, out, out=out)
+        for c, g_t in enumerate(diff_t):
+            np.matmul(base, g_t, out=term)
+            np.multiply(w[:, c : c + 1], term, out=term)
+            out += term
+
+    def heun(psi, w, h):
+        # psi + 0.5 * increment(psi + (psi + increment(psi)))
+        increment(psi, acc, w, h)
+        np.add(psi, acc, out=mid)
+        np.add(psi, mid, out=mid)
+        increment(mid, acc, w, h)
+        np.multiply(0.5, acc, out=acc)
+        psi += acc
+
+    def euler(psi, w, h):
+        # psi + h * (psi @ drift_t) + sum_c w[:, c] * (psi @ diff_t[c])
+        np.matmul(psi, drift_t, out=acc)
+        np.multiply(h, acc, out=acc)
+        np.add(psi, acc, out=acc)
+        for c, g_t in enumerate(diff_t):
+            np.matmul(psi, g_t, out=term)
+            np.multiply(w[:, c : c + 1], term, out=term)
+            np.add(acc, term, out=acc)
+        psi[...] = acc
+
+    return heun if stratonovich and method == "heun" else euler
+
+
+def _make_stepper(spec: SdeSpec, n_rows: int, method: str = "euler"):
+    """Batch update closure psi, w, h that advances the (n_rows, dim) psi in place.
+
+    Matrices are built once.  ``method`` selects the stepping of a
+    Stratonovich-form spec; the Ito equations take Euler-Maruyama.
+    """
+    if spec.equation in _LINEAR:
+        return _linear_stepper(spec, n_rows, method)
     lam = spec.rate
     sqlam = math.sqrt(lam)
     h_t = (-1j * spec.hamiltonian).T.copy()
 
-    if spec.equation is SdeEquation.STRATONOVICH_LINEAR:
-        drift, diffusions = _linear_matrices(spec)
-        if method == "heun":
-            drift_t = drift.T.copy()
-            diff_t = [g.T.copy() for g in diffusions]
-
-            def advance(psi, w, h):
-                def incr(base):
-                    out = h * (base @ drift_t)
-                    for c, g_t in enumerate(diff_t):
-                        out += w[:, c : c + 1] * (base @ g_t)
-                    return out
-
-                predictor = psi + incr(psi)
-                return psi + 0.5 * incr(psi + predictor)
-
-            return advance
-        if method == "ito_drift":
-            drift_t = (drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)).T.copy()
-            diff_t = [g.T.copy() for g in diffusions]
-
-            def advance(psi, w, h):
-                out = psi + h * (psi @ drift_t)
-                for c, g_t in enumerate(diff_t):
-                    out = out + w[:, c : c + 1] * (psi @ g_t)
-                return out
-
-            return advance
-        raise InvalidParams("method must be 'heun' or 'ito_drift'")
-
-    if spec.equation in _LINEAR:
-        drift, diffusions = _linear_matrices(spec)
-        drift_t = drift.T.copy()
-        diff_t = [g.T.copy() for g in diffusions]
-
-        def advance(psi, w, h):
-            out = psi + h * (psi @ drift_t)
-            for c, g_t in enumerate(diff_t):
-                out = out + w[:, c : c + 1] * (psi @ g_t)
-            return out
-
-        return advance
-
+    # The nonlinear updates add drift * h, then noise, to psi in place.
     if spec.equation is SdeEquation.NONLINEAR_REAL:
         phase = complex(np.exp(1j * spec.phi))
         cphi = math.cos(spec.phi)
@@ -499,7 +513,8 @@ def _make_stepper(spec: SdeSpec, method: str = "euler"):
                     op_psi @ op_t - 2.0 * phase * cphi * a_col * op_psi + (cphi * a_col) ** 2 * psi
                 )
                 noise = noise + w[:, c : c + 1] * sqlam * (phase * op_psi - cphi * a_col * psi)
-            return psi + drift * h + noise
+            psi += drift * h
+            psi += noise
 
         return advance
 
@@ -518,7 +533,8 @@ def _make_stepper(spec: SdeSpec, method: str = "euler"):
                 r_col = r_c[:, None]
                 drift = drift - 0.5 * lam * (psi @ gram_t - 2.0 * r_col * op_psi + r_col**2 * psi)
                 noise = noise + w[:, c : c + 1] * sqlam * (op_psi - r_col * psi)
-            return psi + drift * h + noise
+            psi += drift * h
+            psi += noise
 
         return advance
 
@@ -540,7 +556,8 @@ def _make_stepper(spec: SdeSpec, method: str = "euler"):
                 + psi @ b_gram_t - 2.0 * r_col * b_psi + r_col**2 * psi
             )
             noise = w[:, 0:1] * sqlam * (a_psi - a_col * psi) + w[:, 1:2] * sqlam * (b_psi - r_col * psi)
-            return psi + drift * h + noise
+            psi += drift * h
+            psi += noise
 
         return advance
 
@@ -556,7 +573,8 @@ def _make_stepper(spec: SdeSpec, method: str = "euler"):
             drift = psi @ h_t - 0.5 * lam * (a_psi @ a_t - 2.0 * a_col * a_psi + a_col**2 * psi)
             drift = drift - 0.5 * (psi @ decay_t)
             noise = w[:, 0:1] * sqlam * (a_psi - a_col * psi)
-            return psi + drift * h + noise
+            psi += drift * h
+            psi += noise
 
         return advance
 
@@ -573,8 +591,8 @@ def step(spec: SdeSpec, state, dW, dt: float):
         raise UnsupportedEquation("Stratonovich-form equation: use stratonovich_step")
     psi, single = _as_batch(state, spec.dim)
     w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    out = _make_stepper(spec)(psi, w, dt)
-    return out[0] if single else out
+    _make_stepper(spec, psi.shape[0])(psi, w, dt)
+    return psi[0] if single else psi
 
 
 def stratonovich_step(spec: SdeSpec, state, dW, dt: float, method: str = "heun"):
@@ -589,8 +607,8 @@ def stratonovich_step(spec: SdeSpec, state, dW, dt: float, method: str = "heun")
         raise UnsupportedEquation("stratonovich_step applies to the Stratonovich-form linear equation")
     psi, single = _as_batch(state, spec.dim)
     w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    out = _make_stepper(spec, method)(psi, w, dt)
-    return out[0] if single else out
+    _make_stepper(spec, psi.shape[0], method)(psi, w, dt)
+    return psi[0] if single else psi
 
 
 def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -682,11 +700,6 @@ def ensemble_evolve(
     vecs, labels = observable_vectors(spec.dim)
     proj = vecs.conj()
 
-    if spec.equation is SdeEquation.STRATONOVICH_LINEAR:
-        advance = _make_stepper(spec, method)
-    else:
-        advance = _make_stepper(spec)
-
     n_states, n_grid, n_obs, dim = len(states), len(t_grid), len(labels), spec.dim
     n_channels = config.n_channels
 
@@ -706,29 +719,43 @@ def ensemble_evolve(
         noise *= math.sqrt(config.dt)
 
         # Rows s*b .. s*b + b - 1 hold initial state s; every state reads
-        # the same noise row k.
+        # the same noise row k.  The step and the reduction run in place on
+        # arrays allocated here, so the loop allocates nothing of the batch's
+        # size: no memory is returned to the system and faulted back in.
         psi = np.repeat(amps0, b, axis=0)
+        advance = _make_stepper(spec, n_states * b, method)
+        w = np.empty((n_states * b, n_channels))
+        w_rows = w.reshape(n_states, b, n_channels)
+        rows = psi.reshape(n_states, b, dim)
+        rows_t = rows.transpose(0, 2, 1)
+        rows_conj = np.empty_like(rows)
+        amps = np.empty((n_states, n_obs, b), dtype=complex)
+        obs = np.empty((n_states, n_obs, b))  # (state, observable, trajectory)
+        imag_sq = np.empty_like(obs)
 
         def record(g: int) -> None:
-            rows = psi.reshape(n_states, b, dim)
-            amps = proj @ rows.transpose(0, 2, 1)  # (state, observable, trajectory)
-            obs = amps.real**2 + amps.imag**2
+            np.matmul(proj, rows_t, out=amps)
+            np.square(amps.real, out=obs)
+            np.square(amps.imag, out=imag_sq)
+            np.add(obs, imag_sq, out=obs)
             # Centre on the first trajectory, then on the batch mean: equal
             # trajectories (t = 0) give exactly zero spread.
-            shifted = obs - obs[:, :, :1]
-            shift = shifted.mean(axis=2)
-            centred = shifted - shift[:, :, None]
-            means[g] = obs[:, :, 0] + shift
-            m2[g] = centred @ centred.transpose(0, 2, 1)
-            mat_sums[g] = rows.transpose(0, 2, 1) @ rows.conj()
+            first = obs[:, :, 0].copy()
+            np.subtract(obs, first[:, :, None], out=obs)
+            shift = obs.mean(axis=2)
+            np.subtract(obs, shift[:, :, None], out=obs)
+            means[g] = first + shift
+            np.matmul(obs, obs.transpose(0, 2, 1), out=m2[g])
+            np.conjugate(rows, out=rows_conj)
+            np.matmul(rows_t, rows_conj, out=mat_sums[g])
 
         record(0)
         pos = 0
         for g, n_sub in enumerate(substeps, start=1):
             h = (t_grid[g] - t_grid[g - 1]) / n_sub
             for _ in range(n_sub):
-                w = np.broadcast_to(noise[:, pos, :], (n_states, b, n_channels))
-                psi = advance(psi, w.reshape(n_states * b, n_channels), h)
+                w_rows[...] = noise[:, pos, :]
+                advance(psi, w, h)
                 pos += 1
             record(g)
         return b, means, m2, mat_sums

@@ -7,6 +7,7 @@ from flavorcollapse.analytic import prob_flavor_qm
 from flavorcollapse.core import FlavorTarget, MesonParams, QuantumState, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
 from flavorcollapse.lindblad import integrate_master, master_rhs
+from flavorcollapse import sde
 from flavorcollapse.operators import collapse_operator_A, induced_decay_widths
 from flavorcollapse.sde import (
     NoiseConfig,
@@ -206,6 +207,52 @@ def test_heun_step_norm_conservation_scale():
         out = stratonovich_step(strat, psi, np.sqrt(dt), dt, method="heun")
         defects.append(abs(np.linalg.norm(out) - 1.0))
     assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.5)
+
+
+@pytest.mark.parametrize("method", ["euler", "heun", "ito_drift"])
+def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
+    # The linear updates run in place on preallocated work arrays; they must
+    # give the bits of the plain expressions and leave the caller's rows alone.
+    meson, csl = _decaying(), make_csl(beta=0.7, rate=0.4)
+    if method == "euler":
+        spec = family_spec(meson, csl)
+    else:
+        spec = stratonovich_family_spec(meson, csl)
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    before = psi.copy()
+    w = 0.05 * rng.standard_normal((7, 1))
+    h = 2e-3
+    drift, diffusions = sde._linear_matrices(spec)
+    if method == "ito_drift":
+        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
+    drift_t, diff_t = drift.T.copy(), [g.T.copy() for g in diffusions]
+
+    def increment(base):
+        out = h * (base @ drift_t)
+        for c, g_t in enumerate(diff_t):
+            out += w[:, c : c + 1] * (base @ g_t)
+        return out
+
+    if method == "heun":
+        expected = psi + 0.5 * increment(psi + (psi + increment(psi)))
+        got = stratonovich_step(spec, psi, w, h, method=method)
+    else:
+        expected = psi + h * (psi @ drift_t)
+        for c, g_t in enumerate(diff_t):
+            expected = expected + w[:, c : c + 1] * (psi @ g_t)
+        got = step(spec, psi, w, h) if method == "euler" else stratonovich_step(spec, psi, w, h, method=method)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(psi, before)
+
+
+def test_nonlinear_step_leaves_input_rows():
+    spec = collapse_flavor_spec(_bare(), make_csl(rate=0.4))
+    psi = np.tile(_M0_MASS, (3, 1))
+    before = psi.copy()
+    out = step(spec, psi, np.array([[0.1], [0.0], [-0.2]]), 1e-3)
+    assert np.array_equal(psi, before)
+    assert not np.array_equal(out[0], out[2])
 
 
 def test_ito_stratonovich_drift_properties():
