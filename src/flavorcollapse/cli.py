@@ -278,6 +278,8 @@ def load_config(path: str) -> RunSpec:
     if fmt not in ("csv", "json"):
         raise InvalidParams("format must be 'csv' or 'json'")
     spec.fmt = fmt
+    if command == "compare":
+        _require_route_physics(spec)
     return spec
 
 
@@ -357,6 +359,33 @@ def _analytic_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+def _route_master_spec(spec: RunSpec) -> lindblad.MasterSpec:
+    """Master equation of the QM and CSL routes: measured or collapse-induced widths."""
+    if spec.model is DynamicsModel.QM:
+        return lindblad.wigner_weisskopf_spec(spec.meson)
+    return lindblad.family_master_spec(spec.meson, spec.collapse)
+
+
+def _require_route_physics(spec: RunSpec) -> None:
+    """Reject an equation whose ensemble mean follows another master equation.
+
+    The superoperator of the equation's associated master equation,
+    restricted to the flavor block (closed for the enlarged equation), must
+    equal the route's to 1e-12 of the route's largest entry; otherwise the
+    ensemble and the other two routes describe different physics.
+    """
+    route = lindblad.build_superoperator(_route_master_spec(spec))
+    eq_spec = _sde_spec(spec)
+    own = lindblad.build_superoperator(sde.associated_master_spec(eq_spec))
+    flavor = [i * eq_spec.dim + j for i in range(2) for j in range(2)]
+    gap = float(np.abs(own[np.ix_(flavor, flavor)] - route).max() / np.abs(route).max())
+    if not gap <= 1e-12:
+        raise InvalidParams(
+            f"equation '{spec.equation}' follows a different master equation than the "
+            f"{spec.model.value} routes (relative superoperator gap {_fmt(gap)})"
+        )
+
+
 def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     meson, collapse = spec.meson, spec.collapse
     if spec.model is DynamicsModel.QMUPL:
@@ -373,10 +402,7 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
                 Model.QMUPL, meson, collapse, QuantumState.mass_eigenstate(1), QuantumState.mass_eigenstate(1), times
             ),
         }
-    if spec.model is DynamicsModel.QM:
-        master = lindblad.wigner_weisskopf_spec(meson)
-    else:
-        master = lindblad.family_master_spec(meson, collapse)
+    master = _route_master_spec(spec)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     m0_vec = np.array([inv_sqrt2, inv_sqrt2], dtype=complex)
     m0bar_vec = np.array([inv_sqrt2, -inv_sqrt2], dtype=complex)
@@ -403,7 +429,7 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
     if spec.model is DynamicsModel.QM:
         # Noise-free Wigner-Weisskopf limit of the flavor-decay equation.
         return sde.SdeSpec(
-            equation=sde.SdeEquation.FLAVOR_DECAY,
+            equation=sde.SdeEquation.NONLINEAR_REAL,
             hamiltonian=lindblad.reduced_mass_operator(meson),
             collapse_ops=(np.eye(2),),
             rate=0.0,

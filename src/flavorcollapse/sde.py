@@ -2,19 +2,29 @@
 
 Each supported equation is an Ito (or Stratonovich) SDE for an
 unnormalized state vector on the 2-dim flavor space or the 4-dim
-enlarged space:
+enlarged space, stepped by one of two kernels.
 
-* ``NONLINEAR_REAL``: self-adjoint collapse operators, real noise and the
-  nonlinear expectation-value drift; carries the phase-family angle phi,
-  phi = 0 being the plain equation and phi = pi/2 the imaginary-noise one.
-* ``NONLINEAR_GENERAL``: arbitrary collapse operators with the
-  R = <(A + A^dag)/2> coupling.
-* ``ENLARGED_NONLINEAR``: enlarged-space equation with the extra decay
-  channel and its own independent Wiener process.
-* ``FLAVOR_DECAY``: flavor projection of the enlarged equation; the decay
-  drift enters as a fixed -(1/2) Gamma term.
-* ``IMAGINARY_LINEAR``: linear equation with purely imaginary noise and
-  the -(lambda/2) A^2 drift (plus optional decay term).
+The nonlinear kernel takes a list of operators L_c, one per Wiener
+channel, and an optional drift operator K.  With R_c = Re<L_c> on the
+normalized state it applies
+
+    dpsi = [-i H - (lambda/2) sum_c (L_c^dag L_c - 2 R_c L_c + R_c^2)
+            - K/2] psi dt + sqrt(lambda) sum_c (L_c - R_c) psi dW_c.
+
+Its two labels differ only in what the operators may be:
+
+* ``NONLINEAR_REAL``: self-adjoint operators.  The collapse equation
+  with a non-Hermitian H, and its flavor projection with the decay
+  drift K = Gamma (the CLI's QM equation is its noise-free limit).
+* ``NONLINEAR_GENERAL``: arbitrary operators.  The enlarged-space
+  equation with L = (A, B), B the decay channel, and the members
+  e^{i phi} A of the phase-transformation family.
+
+All of these share one master equation per physical system.  The linear
+kernel steps ``psi`` with constant drift and diffusion matrices:
+
+* ``IMAGINARY_LINEAR``: purely imaginary noise and the -(lambda/2) A^2
+  drift (plus optional decay term).
 * ``IMAGINARY_LINEAR_FAMILY``: the time-asymmetric family with drift
   -lambda beta A^2; beta = theta(0) of the underlying noise field.
 * ``STRATONOVICH_LINEAR``: the family equation written in the
@@ -94,8 +104,6 @@ _BATCH_CAP = 2048
 class SdeEquation(enum.Enum):
     NONLINEAR_REAL = "nonlinear_real"
     NONLINEAR_GENERAL = "nonlinear_general"
-    ENLARGED_NONLINEAR = "enlarged_nonlinear"
-    FLAVOR_DECAY = "flavor_decay"
     IMAGINARY_LINEAR = "imaginary_linear"
     IMAGINARY_LINEAR_FAMILY = "imaginary_linear_family"
     STRATONOVICH_LINEAR = "stratonovich_linear"
@@ -106,14 +114,7 @@ _LINEAR = (
     SdeEquation.IMAGINARY_LINEAR_FAMILY,
     SdeEquation.STRATONOVICH_LINEAR,
 )
-_HERMITIAN_OPS_REQUIRED = (
-    SdeEquation.NONLINEAR_REAL,
-    SdeEquation.ENLARGED_NONLINEAR,
-    SdeEquation.FLAVOR_DECAY,
-    SdeEquation.IMAGINARY_LINEAR,
-    SdeEquation.IMAGINARY_LINEAR_FAMILY,
-    SdeEquation.STRATONOVICH_LINEAR,
-)
+_HERMITIAN_OPS_REQUIRED = (SdeEquation.NONLINEAR_REAL, *_LINEAR)
 
 
 @dataclass(frozen=True)
@@ -147,11 +148,10 @@ class SdeSpec:
     """One quantum-state equation, fully parameterized by operator data.
 
     ``hamiltonian`` is the generator of the -i H dt term (complex and
-    possibly non-Hermitian for the nonlinear equations).  ``rate`` is the
-    collapse coupling lambda.  ``decay_quadratic`` is the operator
-    lambda B^dag B (equal to the decay operator) entering the drift as
-    -(1/2){.}; ``decay_channel`` is the enlarged-space operator B with its
-    own Wiener process.
+    possibly non-Hermitian for the nonlinear equations).  ``collapse_ops``
+    holds one operator per Wiener channel.  ``rate`` is the collapse
+    coupling lambda.  ``decay_quadratic`` is the operator K = lambda B^dag B
+    (equal to the decay operator) entering the drift as -(1/2) K.
     """
 
     equation: SdeEquation
@@ -160,8 +160,6 @@ class SdeSpec:
     rate: float
     beta: float | None = None
     decay_quadratic: np.ndarray | None = None
-    decay_channel: np.ndarray | None = None
-    phi: float = 0.0
 
     def __post_init__(self) -> None:
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -184,17 +182,6 @@ class SdeSpec:
         if self.equation in (SdeEquation.IMAGINARY_LINEAR_FAMILY, SdeEquation.STRATONOVICH_LINEAR):
             if self.beta is None or not 0.0 <= self.beta <= 1.0:
                 raise InvalidParams("family equations require beta in [0,1]")
-        if self.equation is SdeEquation.ENLARGED_NONLINEAR:
-            if self.decay_channel is None:
-                raise InvalidParams("enlarged equation requires the decay channel operator")
-            b = np.asarray(self.decay_channel, dtype=complex)
-            object.__setattr__(self, "decay_channel", b)
-            if b.shape != h.shape:
-                raise DimensionMismatch("decay channel must match the hamiltonian dimension")
-        elif self.decay_channel is not None:
-            raise InvalidParams("decay_channel is only meaningful for the enlarged equation")
-        if self.equation is SdeEquation.FLAVOR_DECAY and self.decay_quadratic is None:
-            raise InvalidParams("flavor decay equation requires the decay drift operator")
         if self.decay_quadratic is not None:
             k = np.asarray(self.decay_quadratic, dtype=complex)
             object.__setattr__(self, "decay_quadratic", k)
@@ -207,8 +194,7 @@ class SdeSpec:
 
     @property
     def n_channels(self) -> int:
-        extra = 1 if self.equation is SdeEquation.ENLARGED_NONLINEAR else 0
-        return len(self.collapse_ops) + extra
+        return len(self.collapse_ops)
 
 
 def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -238,17 +224,11 @@ def nonlinear_general_spec(hamiltonian: np.ndarray, ops: tuple[np.ndarray, ...],
 
 
 def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Enlarged-space nonlinear equation with the decay Wiener channel."""
+    """Enlarged-space nonlinear equation; the decay channel B has its own Wiener process."""
     ops = enlarged_operators(meson, collapse)
     hamiltonian = ops.hamiltonian.copy()
     hamiltonian[:2, :2] = reduced_mass_operator(meson)
-    return SdeSpec(
-        equation=SdeEquation.ENLARGED_NONLINEAR,
-        hamiltonian=hamiltonian,
-        collapse_ops=(ops.collapse_a,),
-        decay_channel=ops.collapse_b,
-        rate=collapse.effective_rate,
-    )
+    return nonlinear_general_spec(hamiltonian, (ops.collapse_a, ops.collapse_b), collapse.effective_rate)
 
 
 def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -258,7 +238,7 @@ def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     collapse rate, so the spec stores the decay operator itself.
     """
     return SdeSpec(
-        equation=SdeEquation.FLAVOR_DECAY,
+        equation=SdeEquation.NONLINEAR_REAL,
         hamiltonian=reduced_mass_operator(meson),
         collapse_ops=(collapse_operator_A(meson, collapse),),
         decay_quadratic=decay_operator(meson),
@@ -304,13 +284,22 @@ def stratonovich_family_spec(meson: MesonParams, collapse: CollapseParams) -> Sd
 def phase_transform_spec(spec: SdeSpec, phi: float) -> SdeSpec:
     """Member of the phase-transformation family of the nonlinear equation.
 
+    Each collapse operator A becomes e^{i phi} A, a general operator.
     phi = 0 returns the equation unchanged; phi = pi/2 turns the noise
     purely imaginary and reduces the drift to the linear -(lambda/2) A^2
-    form.  All members share one master equation.
+    form.  All members share one master equation: L rho L^dag and L^dag L
+    do not see the phase.
     """
     if spec.equation is not SdeEquation.NONLINEAR_REAL:
         raise UnsupportedEquation("phase transformation applies to the nonlinear self-adjoint equation")
-    return replace(spec, phi=float(phi))
+    if phi == 0.0:
+        return spec
+    phase = complex(np.exp(1j * phi))
+    return replace(
+        spec,
+        equation=SdeEquation.NONLINEAR_GENERAL,
+        collapse_ops=tuple(phase * op for op in spec.collapse_ops),
+    )
 
 
 def ito_stratonovich_drift(diffusion_operator: np.ndarray, beta: float, beta_prime: float) -> np.ndarray:
@@ -487,98 +476,37 @@ def _make_stepper(spec: SdeSpec, n_rows: int, method: str = "euler"):
     """Batch update closure psi, w, h that advances the (n_rows, dim) psi in place.
 
     Matrices are built once.  ``method`` selects the stepping of a
-    Stratonovich-form spec; the Ito equations take Euler-Maruyama.
+    Stratonovich-form spec; the Ito equations take Euler-Maruyama.  The
+    nonlinear kernel runs channel c on L_c = ``collapse_ops[c]`` with
+    R_c = Re<L_c> (the real part of <L> is <(L + L^dag)/2> for any L).
     """
     if spec.equation in _LINEAR:
         return _linear_stepper(spec, n_rows, method)
     lam = spec.rate
     sqlam = math.sqrt(lam)
     h_t = (-1j * spec.hamiltonian).T.copy()
+    ops = spec.collapse_ops
+    ops_t = [op.T.copy() for op in ops]
+    # Rows apply L^dag L as (psi L^T) conj(L); for self-adjoint L, conj(L)
+    # holds the values of L^T, so this is the square of the operator.
+    ops_conj = [op.conj() for op in ops]
+    k_t = None if spec.decay_quadratic is None else spec.decay_quadratic.T.copy()
 
-    # The nonlinear updates add drift * h, then noise, to psi in place.
-    if spec.equation is SdeEquation.NONLINEAR_REAL:
-        phase = complex(np.exp(1j * spec.phi))
-        cphi = math.cos(spec.phi)
-        ops = spec.collapse_ops
-        ops_t = [op.T.copy() for op in ops]
+    def advance(psi, w, h):
+        _, expects = _normalized_expectations(psi, ops)
+        drift = psi @ h_t
+        noise = np.zeros_like(psi)
+        for c, (op_t, op_conj, r_c) in enumerate(zip(ops_t, ops_conj, expects)):
+            op_psi = psi @ op_t
+            r_col = r_c[:, None]
+            drift = drift - 0.5 * lam * (op_psi @ op_conj - 2.0 * r_col * op_psi + r_col**2 * psi)
+            noise = noise + w[:, c : c + 1] * sqlam * (op_psi - r_col * psi)
+        if k_t is not None:
+            drift = drift - 0.5 * (psi @ k_t)
+        psi += drift * h
+        psi += noise
 
-        def advance(psi, w, h):
-            _, expects = _normalized_expectations(psi, ops)
-            drift = psi @ h_t
-            noise = np.zeros_like(psi)
-            for c, (op_t, a_c) in enumerate(zip(ops_t, expects)):
-                op_psi = psi @ op_t
-                a_col = a_c[:, None]
-                drift = drift - 0.5 * lam * (
-                    op_psi @ op_t - 2.0 * phase * cphi * a_col * op_psi + (cphi * a_col) ** 2 * psi
-                )
-                noise = noise + w[:, c : c + 1] * sqlam * (phase * op_psi - cphi * a_col * psi)
-            psi += drift * h
-            psi += noise
-
-        return advance
-
-    if spec.equation is SdeEquation.NONLINEAR_GENERAL:
-        # R = <(A + A^dag)/2> is the real part of <A> for any operator.
-        ops = spec.collapse_ops
-        ops_t = [op.T.copy() for op in ops]
-        grams_t = [(op.conj().T @ op).T.copy() for op in ops]
-
-        def advance(psi, w, h):
-            _, expects = _normalized_expectations(psi, ops)
-            drift = psi @ h_t
-            noise = np.zeros_like(psi)
-            for c, (op_t, gram_t, r_c) in enumerate(zip(ops_t, grams_t, expects)):
-                op_psi = psi @ op_t
-                r_col = r_c[:, None]
-                drift = drift - 0.5 * lam * (psi @ gram_t - 2.0 * r_col * op_psi + r_col**2 * psi)
-                noise = noise + w[:, c : c + 1] * sqlam * (op_psi - r_col * psi)
-            psi += drift * h
-            psi += noise
-
-        return advance
-
-    if spec.equation is SdeEquation.ENLARGED_NONLINEAR:
-        a_op = spec.collapse_ops[0]
-        b_op = spec.decay_channel
-        a_t = a_op.T.copy()
-        b_t = b_op.T.copy()
-        b_gram_t = (b_op.conj().T @ b_op).T.copy()
-
-        def advance(psi, w, h):
-            _, expects = _normalized_expectations(psi, (a_op, b_op))
-            a_col = expects[0][:, None]
-            r_col = expects[1][:, None]
-            a_psi = psi @ a_t
-            b_psi = psi @ b_t
-            drift = psi @ h_t - 0.5 * lam * (
-                a_psi @ a_t - 2.0 * a_col * a_psi + a_col**2 * psi
-                + psi @ b_gram_t - 2.0 * r_col * b_psi + r_col**2 * psi
-            )
-            noise = w[:, 0:1] * sqlam * (a_psi - a_col * psi) + w[:, 1:2] * sqlam * (b_psi - r_col * psi)
-            psi += drift * h
-            psi += noise
-
-        return advance
-
-    if spec.equation is SdeEquation.FLAVOR_DECAY:
-        a_op = spec.collapse_ops[0]
-        a_t = a_op.T.copy()
-        decay_t = spec.decay_quadratic.T.copy()
-
-        def advance(psi, w, h):
-            _, expects = _normalized_expectations(psi, (a_op,))
-            a_col = expects[0][:, None]
-            a_psi = psi @ a_t
-            drift = psi @ h_t - 0.5 * lam * (a_psi @ a_t - 2.0 * a_col * a_psi + a_col**2 * psi)
-            drift = drift - 0.5 * (psi @ decay_t)
-            noise = w[:, 0:1] * sqlam * (a_psi - a_col * psi)
-            psi += drift * h
-            psi += noise
-
-        return advance
-
-    raise UnsupportedEquation(f"{spec.equation.value} has no Ito-Euler step")
+    return advance
 
 
 def step(spec: SdeSpec, state, dW, dt: float):
@@ -810,8 +738,6 @@ def associated_master_spec(spec: SdeSpec) -> MasterSpec:
         a_sq = sum(op @ op for op in spec.collapse_ops)
         k = k + lam * (2.0 * spec.beta - 1.0) * a_sq
     lindblads = [math.sqrt(lam) * op for op in spec.collapse_ops]
-    if spec.equation is SdeEquation.ENLARGED_NONLINEAR:
-        lindblads.append(math.sqrt(lam) * spec.decay_channel)
     k_norm = np.linalg.norm(k)
     return MasterSpec(
         hamiltonian=h_herm,

@@ -208,6 +208,22 @@ def test_ensemble_equation_variants_run(tmp_path, equation):
     assert column(out, "P_M0_M0")[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "equation, code",
+    [("family", 0), ("stratonovich", 0), ("nonlinear", 1), ("flavor_decay", 1), ("imaginary", 1), ("enlarged", 1)],
+)
+def test_compare_rejects_equation_with_other_master(tmp_path, equation, code):
+    # Under CSL the nonlinear, flavor-decay, imaginary and enlarged equations
+    # decay with the measured widths, not the collapse-induced ones of the
+    # other two routes.  That is a configuration error, found before any
+    # trajectory runs: a small enough N could hide it inside 4 stderrs.
+    cfg = write_config(
+        tmp_path, command="compare", **_README_CSL, equation=equation,
+        t_max=2.0, n_points=21, n_trajectories=300, seed=7, dt=0.005,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == code
+
+
 def test_compare_catalog_scale_kaon(tmp_path):
     # Physical-magnitude inputs (PDG kaon constants) stay tractable thanks
     # to the diag(0, delta_m) gauge of the mass operator.
@@ -349,6 +365,7 @@ def test_schema_file_matches_loader_keys():
         schema = json.load(fh)
     assert set(schema["properties"]) == cli._SCHEMA_KEYS
     assert schema["additionalProperties"] is False
+    assert schema["properties"]["equation"]["enum"] == list(cli._EQUATIONS)
 
 
 def test_estimate_roundtrip(tmp_path):

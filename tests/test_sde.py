@@ -3,8 +3,9 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
-from flavorcollapse.analytic import prob_flavor_qm
-from flavorcollapse.core import FlavorTarget, MesonParams, QuantumState, to_mass
+from flavorcollapse import cli
+from flavorcollapse.analytic import DynamicsModel, prob_flavor_qm
+from flavorcollapse.core import FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
 from flavorcollapse.lindblad import integrate_master, master_rhs
 from flavorcollapse import sde
@@ -42,6 +43,12 @@ def _bare(m_l=1.0, m_h=2.0):
 
 def _decaying():
     return MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.2, gamma_H=0.08)
+
+
+def _gauged_rate(meson, collapse):
+    # Fastest rate of the generator on the gauged mass operator diag(0, delta_m).
+    ratio = float(np.max(mass_ratios(meson, collapse)))
+    return max(meson.delta_m, meson.gamma_L, meson.gamma_H, collapse.effective_rate * ratio**2)
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +146,8 @@ def test_flavor_decay_norm_law():
 
 
 def test_general_equation_reduces_to_self_adjoint_form():
-    # For Hermitian operators R = <A> and A^dag A = A^2, so the general
-    # equation coincides with the self-adjoint one at phi = 0.
+    # For Hermitian operators R = <A> and A^dag A = A^2: one kernel steps
+    # both labels, so the general equation gives the self-adjoint bits.
     meson = _decaying()
     collapse = make_csl(beta=0.8, rate=0.3)
     self_adjoint = collapse_flavor_spec(meson, collapse)
@@ -151,9 +158,7 @@ def test_general_equation_reduces_to_self_adjoint_form():
     for _ in range(8):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         w = rng.normal(size=(1,)) * 0.02
-        np.testing.assert_allclose(
-            step(general, psi, w, 1e-3), step(self_adjoint, psi, w, 1e-3), atol=1e-15
-        )
+        np.testing.assert_array_equal(step(general, psi, w, 1e-3), step(self_adjoint, psi, w, 1e-3))
 
 
 def test_zero_norm_raises():
@@ -255,6 +260,58 @@ def test_nonlinear_step_leaves_input_rows():
     assert not np.array_equal(out[0], out[2])
 
 
+def _qm_cli_spec(meson):
+    run = cli.RunSpec(command="ensemble", meson=meson, model=DynamicsModel.QM)
+    return cli._sde_spec(run)
+
+
+# Mass ratios that are not powers of two, so that products by A round.
+_GENERIC = MesonParams(m_L=1.3, m_H=2.1, gamma_L=0.2, gamma_H=0.08)
+_GENERIC_CSL = dict(beta=0.8, rate=0.3, m0=0.7)
+
+
+@pytest.mark.parametrize(
+    "build, form",
+    [
+        (lambda: collapse_flavor_spec(_GENERIC, make_csl(**_GENERIC_CSL)), "phase"),
+        (lambda: flavor_decay_spec(_GENERIC, make_csl(**_GENERIC_CSL)), "decay"),
+        (lambda: _qm_cli_spec(_GENERIC), "decay"),
+    ],
+    ids=["collapse", "flavor_decay", "cli_qm"],
+)
+def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build, form):
+    # The one nonlinear kernel must give the bits of the separate updates it
+    # replaced: the phase-family form at phi = 0, and the flavor-decay form
+    # with its fixed -(1/2) Gamma drift.
+    spec = build()
+    rng = np.random.default_rng(9)
+    psi = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    # An O(1) step, so that a rounding change in the drift reaches psi.
+    w = rng.standard_normal((64, 1))
+    h = 0.7
+    lam, sqlam = spec.rate, np.sqrt(spec.rate)
+    h_t = (-1j * spec.hamiltonian).T.copy()
+    a_op = spec.collapse_ops[0]
+    a_t = a_op.T.copy()
+    n2 = np.einsum("bi,bi->b", psi.conj(), psi).real
+    a_col = (np.einsum("bi,ij,bj->b", psi.conj(), a_op, psi).real / n2)[:, None]
+    a_psi = psi @ a_t
+    if form == "phase":
+        phase, cphi = complex(np.exp(1j * 0.0)), np.cos(0.0)
+        drift = psi @ h_t
+        drift = drift - 0.5 * lam * (
+            a_psi @ a_t - 2.0 * phase * cphi * a_col * a_psi + (cphi * a_col) ** 2 * psi
+        )
+        noise = np.zeros_like(psi) + w[:, 0:1] * sqlam * (phase * a_psi - cphi * a_col * psi)
+    else:
+        drift = psi @ h_t - 0.5 * lam * (a_psi @ a_t - 2.0 * a_col * a_psi + a_col**2 * psi)
+        drift = drift - 0.5 * (psi @ spec.decay_quadratic.T.copy())
+        noise = w[:, 0:1] * sqlam * (a_psi - a_col * psi)
+    expected = psi + drift * h
+    expected += noise
+    assert np.array_equal(step(spec, psi, w, h), expected)
+
+
 def test_ito_stratonovich_drift_properties():
     a_op = np.diag([1.0, 2.0]).astype(complex)
     lam = 0.3
@@ -296,14 +353,15 @@ def _grid(t_max, n):
 
 def test_ensemble_unitary_limit_matches_oscillation():
     meson = _bare()
-    spec = family_spec(meson, make_csl(rate=0.0, beta=0.5))
+    collapse = make_csl(rate=0.0, beta=0.5)
+    spec = family_spec(meson, collapse)
     t_grid = _grid(3.0, 16)
     dt = 3.0 / 3000
     config = NoiseConfig(seed=5, dt=dt)
     (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 10**4)
     mean, stderr = stats.column("P_M0")
     expected = prob_flavor_qm(meson, FlavorTarget.M0, t_grid)
-    budget = 2.0 * dt * t_grid * max(meson.m_H, meson.delta_m) ** 2
+    budget = 2.0 * dt * t_grid * _gauged_rate(meson, collapse) ** 2
     np.testing.assert_array_less(np.abs(mean - expected), 3 * stderr + budget + 1e-12)
 
 
@@ -318,9 +376,7 @@ def test_ensemble_matches_family_master():
     master = associated_master_spec(spec)
     rho0 = np.outer(_M0_MASS, _M0_MASS.conj())
     rhos = integrate_master(master, rho0, t_grid)
-    lam = collapse.effective_rate
-    rate_scale = max(meson.m_H, lam * 4.0)
-    budget = 2.0 * dt * t_grid * rate_scale**2
+    budget = 2.0 * dt * t_grid * _gauged_rate(meson, collapse) ** 2
     for label, vec in (
         ("P_M0", _M0_MASS),
         ("P_M0bar", np.array([_INV_SQRT2, -_INV_SQRT2])),
@@ -442,7 +498,7 @@ def test_formalism_equivalence_small():
         t_grid,
         3000,
     )
-    budget = 2.0 * dt * t_grid * max(meson.m_H, 1.0) ** 2
+    budget = 2.0 * dt * t_grid * _gauged_rate(meson, collapse) ** 2
     for label in ("P_M0", "P_M0bar", "P_L", "P_H"):
         mean_i, err_i = ito_stats.column(label)
         mean_s, err_s = strat_stats.column(label)
@@ -481,7 +537,7 @@ def test_phase_family_shares_ensemble_mean():
         (stats[phi],) = ensemble_evolve(
             spec, NoiseConfig(seed=100 + k, dt=dt), (QuantumState.m0(),), t_grid, 3000
         )
-    budget = 2.0 * dt * t_grid * max(meson.m_H, 1.0) ** 2
+    budget = 2.0 * dt * t_grid * _gauged_rate(meson, collapse) ** 2
     pairs = [(0.0, np.pi / 4.0), (0.0, np.pi / 2.0)]
     for phi_a, phi_b in pairs:
         for label in ("P_M0", "P_M0bar"):
@@ -598,5 +654,5 @@ def test_family_trajectory_norm_matches_induced_widths():
     (stats,) = ensemble_evolve(spec, config, (QuantumState.mass_eigenstate(0),), t_grid, 2000)
     mean, stderr = stats.column("P_L")
     expected = np.exp(-g_l * t_grid)
-    budget = 2.0 * config.dt * t_grid * max(meson.m_H, 1.0) ** 2
+    budget = 2.0 * config.dt * t_grid * _gauged_rate(meson, collapse) ** 2
     np.testing.assert_array_less(np.abs(mean - expected), 4 * stderr + budget + 1e-12)
