@@ -2,11 +2,12 @@
 
 One positional argument names a flat JSON configuration (schema shipped
 as ``data/run_config.schema.json``); ``--output``, ``--seed``,
-``--threads`` and ``--format`` override the corresponding keys.  Every
-command is a pure function of the configuration bytes and the bundled
-meson catalog: floats are rendered with 17 significant digits, so
-re-parsing and re-rendering an output reproduces it byte for byte, and
-``--threads`` never changes output bytes.
+``--threads`` and ``--format`` override the corresponding keys and are
+validated exactly like them.  Every command is a pure function of the
+configuration bytes and the bundled meson catalog: floats are rendered
+with 17 significant digits, so re-parsing and re-rendering an output
+reproduces it byte for byte, and ``--threads`` never changes output
+bytes.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 domain error,
 3 comparison failure.
@@ -42,7 +43,6 @@ from .core import (
 from .core import mass_ratios
 from .errors import (
     CatalogMiss,
-    ComparisonFailure,
     DegenerateDenominator,
     FlavorCollapseError,
     InvalidParams,
@@ -122,23 +122,33 @@ class RunSpec:
         return np.linspace(0.0, t_max, self.n_points)
 
 
-def _get(cfg: dict, key: str, typ, required: bool = False, default=None):
+def _get(cfg: dict, key: str, typ, required: bool = False, default=None, minimum=None):
+    """``cfg[key]`` checked for its type, finiteness (floats) and an inclusive minimum."""
     if key not in cfg:
         if required:
             raise InvalidParams(f"config key '{key}' is required for this command")
         return default
     value = cfg[key]
-    if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if typ is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if typ is str and isinstance(value, str):
-        return value
-    raise InvalidParams(f"config key '{key}' must be of type {typ.__name__}")
+    if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
+        raise InvalidParams(f"config key '{key}' must be of type {typ.__name__}")
+    if typ is float:
+        try:  # json.load accepts NaN, Infinity and integers beyond the float range
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise InvalidParams(f"config key '{key}' must be a finite number")
+    if minimum is not None and value < minimum:
+        raise InvalidParams(f"{key} must be at least {minimum}")
+    return value
 
 
-def load_config(path: str) -> RunSpec:
-    """Parse and validate a run configuration against the published schema."""
+def load_config(path: str, overrides: dict | None = None) -> RunSpec:
+    """Parse and validate a run configuration against the published schema.
+
+    ``overrides`` (the CLI flags) replace config keys before validation, so
+    a flag is checked exactly as the key it overrides; None values are skipped.
+    """
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -148,6 +158,7 @@ def load_config(path: str) -> RunSpec:
         raise ParseError(f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ParseError("config must be a flat JSON object")
+    cfg.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     for key in cfg:
         if key not in _SCHEMA_KEYS:
             raise UnknownKey(f"unknown config key '{key}'")
@@ -235,9 +246,7 @@ def load_config(path: str) -> RunSpec:
             raise InvalidParams(
                 "the ensemble route is undefined for QMUPL: its flavor-space reduction is not closed"
             )
-        spec.n_trajectories = _get(cfg, "n_trajectories", int, required=True)
-        if spec.n_trajectories < 2:
-            raise InvalidParams("n_trajectories must be at least 2")
+        spec.n_trajectories = _get(cfg, "n_trajectories", int, required=True, minimum=2)
         spec.dt = _get(cfg, "dt", float, required=True)
         if not spec.dt > 0.0:
             raise InvalidParams("dt must be positive")
@@ -262,17 +271,15 @@ def load_config(path: str) -> RunSpec:
     spec.t_max = _get(cfg, "t_max", float, default=None)
     if spec.t_max is not None and not spec.t_max > 0.0:
         raise InvalidParams("t_max must be positive")
-    spec.n_points = _get(cfg, "n_points", int, default=400)
-    if spec.n_points < 2:
-        raise InvalidParams("n_points must be at least 2")
+    spec.n_points = _get(cfg, "n_points", int, default=400, minimum=2)
     spec.seed = _get(cfg, "seed", int, default=0)
+    if not 0 <= spec.seed < 2**64:
+        raise InvalidParams("seed must fit in 64 bits")
     equation = _get(cfg, "equation", str, default="family")
     if equation not in _EQUATIONS:
         raise InvalidParams(f"equation must be one of {', '.join(_EQUATIONS)}")
     spec.equation = equation
-    spec.threads = _get(cfg, "threads", int, default=1)
-    if spec.threads < 1:
-        raise InvalidParams("threads must be at least 1")
+    spec.threads = _get(cfg, "threads", int, default=1, minimum=1)
     spec.output = _get(cfg, "output", str, default=None)
     fmt = _get(cfg, "format", str, default="csv")
     if fmt not in ("csv", "json"):
@@ -311,15 +318,6 @@ class Table:
         return "\n".join(lines) + "\n"
 
 
-def _write(table: Table, spec: RunSpec) -> None:
-    text = table.render(spec.fmt)
-    if spec.output:
-        with open(spec.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _safe_asymmetry(p_same: np.ndarray, p_flip: np.ndarray, times: np.ndarray) -> np.ndarray:
     denom = p_same + p_flip
     bad = ~np.isfinite(denom) | (denom <= 0.0)
@@ -330,33 +328,42 @@ def _safe_asymmetry(p_same: np.ndarray, p_flip: np.ndarray, times: np.ndarray) -
 
 
 # ----------------------------------------------------------------------
-# probability engines per route
+# the probability table shared by every route
 
-_PROB_COLUMNS = ("P_M0_M0", "P_M0_M0bar", "P_L_L", "P_H_H")
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Mass-basis (L, H) amplitudes of the initial and final states.
+_STATES = {
+    "M0": np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex),
+    "M0bar": np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex),
+    "L": np.array([1.0, 0.0], dtype=complex),
+    "H": np.array([0.0, 1.0], dtype=complex),
+}
+# Output column -> (initial state, final state).  The ensemble observable
+# of final state X is "P_X".
+_PROBS = {
+    "P_M0_M0": ("M0", "M0"),
+    "P_M0_M0bar": ("M0", "M0bar"),
+    "P_L_L": ("L", "L"),
+    "P_H_H": ("H", "H"),
+}
+_PROB_COLUMNS = tuple(_PROBS)
 
 
 def _analytic_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
-    meson, collapse = spec.meson, spec.collapse
-    if spec.model is DynamicsModel.QM:
-        return {
-            "P_M0_M0": analytic.prob_flavor_qm(meson, FlavorTarget.M0, times),
-            "P_M0_M0bar": analytic.prob_flavor_qm(meson, FlavorTarget.M0BAR, times),
-            "P_L_L": analytic.prob_lifetime_qm(meson, 0, 0, times),
-            "P_H_H": analytic.prob_lifetime_qm(meson, 1, 1, times),
-        }
-    if spec.model is DynamicsModel.QMUPL:
-        return {
-            "P_M0_M0": analytic.prob_flavor_qmupl(meson, collapse, FlavorTarget.M0, times),
-            "P_M0_M0bar": analytic.prob_flavor_qmupl(meson, collapse, FlavorTarget.M0BAR, times),
-            "P_L_L": analytic.prob_lifetime_qmupl(meson, collapse, 0, 0, times),
-            "P_H_H": analytic.prob_lifetime_qmupl(meson, collapse, 1, 1, times),
-        }
-    return {
-        "P_M0_M0": analytic.prob_flavor_csl(meson, collapse, FlavorTarget.M0, times),
-        "P_M0_M0bar": analytic.prob_flavor_csl(meson, collapse, FlavorTarget.M0BAR, times),
-        "P_L_L": analytic.prob_lifetime_csl(meson, collapse, 0, 0, times),
-        "P_H_H": analytic.prob_lifetime_csl(meson, collapse, 1, 1, times),
-    }
+    # Resolved per call, so wrappers installed on the analytic module apply.
+    flavor, lifetime = {
+        DynamicsModel.QM: (analytic.prob_flavor_qm, analytic.prob_lifetime_qm),
+        DynamicsModel.QMUPL: (analytic.prob_flavor_qmupl, analytic.prob_lifetime_qmupl),
+        DynamicsModel.CSL: (analytic.prob_flavor_csl, analytic.prob_lifetime_csl),
+    }[spec.model]
+    params = (spec.meson,) if spec.model is DynamicsModel.QM else (spec.meson, spec.collapse)
+    out = {}
+    for col, (initial, final) in _PROBS.items():
+        if initial == "M0":
+            out[col] = flavor(*params, FlavorTarget(final), times)
+        else:  # lifetime index: L = 0, H = 1
+            out[col] = lifetime(*params, "LH".index(initial), "LH".index(final), times)
+    return out
 
 
 def _route_master_spec(spec: RunSpec) -> lindblad.MasterSpec:
@@ -387,41 +394,25 @@ def _require_route_physics(spec: RunSpec) -> None:
 
 
 def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
-    meson, collapse = spec.meson, spec.collapse
+    """QMUPL from the exact kernel partial traces; QM and CSL by propagating
+    each initial state once and projecting on the final state."""
     if spec.model is DynamicsModel.QMUPL:
-        m0_state = QuantumState.m0()
-        return {
-            "P_M0_M0": lindblad.probs_from_kernels(Model.QMUPL, meson, collapse, m0_state, m0_state, times),
-            "P_M0_M0bar": lindblad.probs_from_kernels(
-                Model.QMUPL, meson, collapse, m0_state, QuantumState.m0bar(), times
-            ),
-            "P_L_L": lindblad.probs_from_kernels(
-                Model.QMUPL, meson, collapse, QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(0), times
-            ),
-            "P_H_H": lindblad.probs_from_kernels(
-                Model.QMUPL, meson, collapse, QuantumState.mass_eigenstate(1), QuantumState.mass_eigenstate(1), times
-            ),
-        }
-    master = _route_master_spec(spec)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    m0_vec = np.array([inv_sqrt2, inv_sqrt2], dtype=complex)
-    m0bar_vec = np.array([inv_sqrt2, -inv_sqrt2], dtype=complex)
-    out: dict[str, np.ndarray] = {}
-    runs = {
-        "M0": np.outer(m0_vec, m0_vec.conj()),
-        "L": np.diag([1.0, 0.0]).astype(complex),
-        "H": np.diag([0.0, 1.0]).astype(complex),
-    }
-    for name, rho0 in runs.items():
-        rhos = lindblad.integrate_master(master, rho0, times)
-        if name == "M0":
-            out["P_M0_M0"] = np.einsum("i,tij,j->t", m0_vec.conj(), rhos, m0_vec).real
-            out["P_M0_M0bar"] = np.einsum("i,tij,j->t", m0bar_vec.conj(), rhos, m0bar_vec).real
-        elif name == "L":
-            out["P_L_L"] = rhos[:, 0, 0].real
-        else:
-            out["P_H_H"] = rhos[:, 1, 1].real
-    return out
+        def prob(initial: str, final: str) -> np.ndarray:
+            return lindblad.probs_from_kernels(
+                Model.QMUPL, spec.meson, spec.collapse,
+                QuantumState(_STATES[initial], Basis.MASS), QuantumState(_STATES[final], Basis.MASS), times,
+            )
+    else:
+        master = _route_master_spec(spec)
+        rhos: dict[str, np.ndarray] = {}
+
+        def prob(initial: str, final: str) -> np.ndarray:
+            if initial not in rhos:
+                amps = _STATES[initial]
+                rhos[initial] = lindblad.integrate_master(master, np.outer(amps, amps.conj()), times)
+            amps = _STATES[final]
+            return np.einsum("i,tij,j->t", amps.conj(), rhos[initial], amps).real
+    return {col: prob(initial, final) for col, (initial, final) in _PROBS.items()}
 
 
 def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
@@ -447,36 +438,28 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
 
 
 def _ensemble_stats(spec: RunSpec, times: np.ndarray):
-    """Ensembles from the initial states M0, M_L and M_H, in one pass.
+    """Ensembles from each initial state of the table, in one pass.
 
-    One ``ensemble_evolve`` call steps the three states together: trajectory
-    k of each state is driven by the same (seed, k) noise stream, and each
-    grid point is reduced to centred moments once for all three.
+    One ``ensemble_evolve`` call steps the states together: trajectory k of
+    each state is driven by the same (seed, k) noise stream, and each grid
+    point is reduced to centred moments once for all of them.
     """
     eq_spec = _sde_spec(spec)
     interval = times[1] - times[0]
     n_sub = max(1, round(interval / spec.dt))
     dt = interval / n_sub
     config = sde.NoiseConfig(seed=spec.seed, dt=dt, n_channels=eq_spec.n_channels)
-    dim = eq_spec.dim
-
-    def lift(mass_amps: np.ndarray) -> QuantumState:
-        if dim == 2:
-            return QuantumState(mass_amps, Basis.MASS)
-        amps = np.zeros(4, dtype=complex)
-        amps[:2] = mass_amps
-        return QuantumState(amps, Basis.ENLARGED)
-
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    initial = {
-        "M0": lift(np.array([inv_sqrt2, inv_sqrt2], dtype=complex)),
-        "L": lift(np.array([1.0, 0.0], dtype=complex)),
-        "H": lift(np.array([0.0, 1.0], dtype=complex)),
-    }
-    runs = sde.ensemble_evolve(
-        eq_spec, config, tuple(initial.values()), times, spec.n_trajectories, n_threads=spec.threads
-    )
+    basis = Basis.MASS if eq_spec.dim == 2 else Basis.ENLARGED
+    initial = dict.fromkeys(state for state, _ in _PROBS.values())
+    states = tuple(QuantumState(np.pad(_STATES[name], (0, eq_spec.dim - 2)), basis) for name in initial)
+    runs = sde.ensemble_evolve(eq_spec, config, states, times, spec.n_trajectories, n_threads=spec.threads)
     return dict(zip(initial, runs)), dt
+
+
+def _ensemble_probs(stats) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Means and standard errors per column, read off the initial state's ensemble."""
+    pairs = {col: stats[initial].column(f"P_{final}") for col, (initial, final) in _PROBS.items()}
+    return {col: mean for col, (mean, _) in pairs.items()}, {col: err for col, (_, err) in pairs.items()}
 
 
 def _discretization_floor(spec: RunSpec, times: np.ndarray, dt: float) -> np.ndarray:
@@ -498,42 +481,33 @@ def _discretization_floor(spec: RunSpec, times: np.ndarray, dt: float) -> np.nda
 # ----------------------------------------------------------------------
 # commands
 
-def cmd_analytic(spec: RunSpec) -> Table:
-    times = spec.grid
-    probs = _analytic_probs(spec, times)
+def _prob_table(spec: RunSpec, times: np.ndarray, probs: dict[str, np.ndarray], meta_tail: str = "") -> Table:
+    """Time, the four probability columns and the flavor asymmetry, one row per grid point."""
     asym = _safe_asymmetry(probs["P_M0_M0"], probs["P_M0_M0bar"], times)
-    meta = spec.header_notes + [f"command=analytic model={spec.model.value} meson={spec.meson_label}"]
-    columns = ["time", *_PROB_COLUMNS, "asymmetry"]
-    rows = [
-        [times[k], *(probs[c][k] for c in _PROB_COLUMNS), asym[k]]
-        for k in range(len(times))
+    meta = spec.header_notes + [
+        f"command={spec.command} model={spec.model.value} meson={spec.meson_label}{meta_tail}"
     ]
-    return Table(meta, columns, rows)
+    columns = ["time", *_PROB_COLUMNS, "asymmetry"]
+    return Table(meta, columns, [list(row) for row in zip(times, *(probs[c] for c in _PROB_COLUMNS), asym)])
 
 
-def cmd_master(spec: RunSpec) -> Table:
+def cmd_route(spec: RunSpec) -> Table:
+    """The analytic or the master route's probability table."""
     times = spec.grid
-    probs = _master_probs(spec, times)
-    asym = _safe_asymmetry(probs["P_M0_M0"], probs["P_M0_M0bar"], times)
-    meta = spec.header_notes + [f"command=master model={spec.model.value} meson={spec.meson_label}"]
-    columns = ["time", *_PROB_COLUMNS, "asymmetry"]
-    rows = [
-        [times[k], *(probs[c][k] for c in _PROB_COLUMNS), asym[k]]
-        for k in range(len(times))
-    ]
-    return Table(meta, columns, rows)
+    route = {"analytic": _analytic_probs, "master": _master_probs}[spec.command]
+    return _prob_table(spec, times, route(spec, times))
 
 
 def cmd_ensemble(spec: RunSpec) -> Table:
     times = spec.grid
     stats, dt = _ensemble_stats(spec, times)
-    m0_mean, m0_err = stats["M0"].column("P_M0")
-    m0bar_mean, m0bar_err = stats["M0"].column("P_M0bar")
-    l_mean, l_err = stats["L"].column("P_L")
-    h_mean, h_err = stats["H"].column("P_H")
-    asym = _safe_asymmetry(m0_mean, m0bar_mean, times)
+    means, errs = _ensemble_probs(stats)
+    table = _prob_table(
+        spec, times, means, f" equation={spec.equation} N={spec.n_trajectories} seed={spec.seed} dt={_fmt(dt)}"
+    )
 
     # Delta-method error on the asymmetry from the (P_M0, P_M0bar) covariance.
+    m0_mean, m0bar_mean = means["P_M0_M0"], means["P_M0_M0bar"]
     cov = stats["M0"].covariances
     labels = stats["M0"].labels
     i0, i1 = labels.index("P_M0"), labels.index("P_M0bar")
@@ -546,22 +520,10 @@ def cmd_ensemble(spec: RunSpec) -> Table:
     ) / n
     asym_err = np.sqrt(np.maximum(asym_var, 0.0))
 
-    meta = spec.header_notes + [
-        f"command=ensemble model={spec.model.value} meson={spec.meson_label} "
-        f"equation={spec.equation} N={spec.n_trajectories} seed={spec.seed} dt={_fmt(dt)}"
-    ]
-    columns = [
-        "time", *_PROB_COLUMNS, "asymmetry",
-        "stderr_P_M0_M0", "stderr_P_M0_M0bar", "stderr_P_L_L", "stderr_P_H_H", "stderr_asymmetry",
-    ]
-    rows = [
-        [
-            times[k], m0_mean[k], m0bar_mean[k], l_mean[k], h_mean[k], asym[k],
-            m0_err[k], m0bar_err[k], l_err[k], h_err[k], asym_err[k],
-        ]
-        for k in range(len(times))
-    ]
-    return Table(meta, columns, rows)
+    table.columns += [f"stderr_{c}" for c in _PROB_COLUMNS] + ["stderr_asymmetry"]
+    for row, *extra in zip(table.rows, *(errs[c] for c in _PROB_COLUMNS), asym_err):
+        row.extend(extra)
+    return table
 
 
 def compare_routes(
@@ -594,23 +556,24 @@ def compare_routes(
     return Table(meta, columns, rows), master_max, ratio_max
 
 
+def _worst_cell(table: Table, prefix: str) -> tuple[str, float, float]:
+    """Probability column, time and size of the largest |cell| in the columns named prefix + column.
+
+    A NaN cell counts as the largest, as it does for the gate; ties go to the
+    earliest time, then to the first column.
+    """
+    index = [i for i, name in enumerate(table.columns) if name.startswith(prefix)]
+    block = np.abs(np.array(table.rows, dtype=float)[:, index])
+    k, j = np.unravel_index(np.argmax(block), block.shape)
+    return table.columns[index[j]][len(prefix):], table.rows[k][0], block[k, j]
+
+
 def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     times = spec.grid
     analytic_probs = _analytic_probs(spec, times)
     master_probs = _master_probs(spec, times)
     stats, dt = _ensemble_stats(spec, times)
-    means = {
-        "P_M0_M0": stats["M0"].column("P_M0")[0],
-        "P_M0_M0bar": stats["M0"].column("P_M0bar")[0],
-        "P_L_L": stats["L"].column("P_L")[0],
-        "P_H_H": stats["H"].column("P_H")[0],
-    }
-    errs = {
-        "P_M0_M0": stats["M0"].column("P_M0")[1],
-        "P_M0_M0bar": stats["M0"].column("P_M0bar")[1],
-        "P_L_L": stats["L"].column("P_L")[1],
-        "P_H_H": stats["H"].column("P_H")[1],
-    }
+    means, errs = _ensemble_probs(stats)
     floor = _discretization_floor(spec, times, dt)
     table, master_max, ratio_max = compare_routes(times, analytic_probs, master_probs, means, errs, floor)
     table.meta = spec.header_notes + [
@@ -624,6 +587,13 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     )
     table.meta.append(summary)
     print(summary, file=sys.stderr)
+    m_col, m_time, _ = _worst_cell(table, "res_master_")
+    e_col, e_time, e_ratio = _worst_cell(table, "ratio_ensemble_")
+    print(
+        f"compare: worst master residual in {m_col} at time={_fmt(m_time)}; "
+        f"worst ensemble ratio in {e_col} at time={_fmt(e_time)} ratio={_fmt(e_ratio)}",
+        file=sys.stderr,
+    )
     return table, 0 if ok else 3
 
 
@@ -642,11 +612,9 @@ def cmd_estimate(spec: RunSpec) -> Table:
             solutions = analytic.solve_absolute_masses(
                 meson.delta_gamma, meson.gamma_bar, meson.delta_m, convention
             )
-        except NoRealRoot:
-            rows.append([convention.value, "no_real_root", "", "", "", "", ""])
-            continue
-        except DegenerateDenominator:
-            rows.append([convention.value, "degenerate_denominator", "", "", "", "", ""])
+        except (NoRealRoot, DegenerateDenominator) as exc:
+            status = "no_real_root" if isinstance(exc, NoRealRoot) else "degenerate_denominator"
+            rows.append([convention.value, status, "", "", "", "", ""])
             continue
         for root in solutions.roots:
             physical = root > 0.0
@@ -687,20 +655,25 @@ def cmd_bounds(spec: RunSpec) -> Table:
 
 def run(spec: RunSpec) -> int:
     """Execute one resolved run; returns the process exit code."""
+    code = 0
     if spec.command == "compare":
         table, code = cmd_compare(spec)
-        _write(table, spec)
-        return code
-    dispatch = {
-        "analytic": cmd_analytic,
-        "master": cmd_master,
-        "ensemble": cmd_ensemble,
-        "estimate": cmd_estimate,
-        "bounds": cmd_bounds,
-    }
-    table = dispatch[spec.command](spec)
-    _write(table, spec)
-    return 0
+    else:
+        commands = {
+            "analytic": cmd_route,
+            "master": cmd_route,
+            "ensemble": cmd_ensemble,
+            "estimate": cmd_estimate,
+            "bounds": cmd_bounds,
+        }
+        table = commands[spec.command](spec)
+    text = table.render(spec.fmt)
+    if spec.output:
+        with open(spec.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def main(argv=None) -> int:
@@ -717,28 +690,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    overrides = vars(args)  # every flag but the path is named after the config key it overrides
     try:
-        spec = load_config(args.config)
-        if args.output is not None:
-            spec.output = args.output
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise InvalidParams("seed must fit in 64 bits")
-            spec.seed = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise InvalidParams("threads must be at least 1")
-            spec.threads = args.threads
-        if args.format is not None:
-            spec.fmt = args.format
+        spec = load_config(overrides.pop("config"), overrides)
     except (ParseError, UnknownKey, CatalogMiss, InvalidParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         return run(spec)
-    except ComparisonFailure as exc:
-        print(f"comparison failed: {exc}", file=sys.stderr)
-        return 3
     except FlavorCollapseError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,6 @@ __all__ = [
     "to_mass",
     "to_flavor",
     "to_flavor_matrix",
-    "to_mass_matrix",
 ]
 
 # Eigenstate indices, fixed project-wide.
@@ -285,11 +284,6 @@ def to_flavor(state: QuantumState) -> QuantumState:
 def to_flavor_matrix(matrix_mass: np.ndarray) -> np.ndarray:
     """Conjugate a mass-basis 2x2 operator into the flavor basis."""
     return _U @ matrix_mass @ _U
-
-
-def to_mass_matrix(matrix_flavor: np.ndarray) -> np.ndarray:
-    """Conjugate a flavor-basis 2x2 operator into the mass basis."""
-    return _U @ matrix_flavor @ _U
 
 
 _HERM_TOL = 1e-12

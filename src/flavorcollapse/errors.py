@@ -69,7 +69,3 @@ class UnknownKey(FlavorCollapseError, ValueError):
 
 class CatalogMiss(FlavorCollapseError, KeyError):
     """Requested meson is not in the bundled catalog."""
-
-
-class ComparisonFailure(FlavorCollapseError):
-    """Cross-route comparison exceeded its tolerance (CLI exit code 3)."""

@@ -119,24 +119,15 @@ _HERMITIAN_OPS_REQUIRED = (SdeEquation.NONLINEAR_REAL, *_LINEAR)
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Noise discretization: seed, step, Heaviside-at-zero value, channels.
-
-    ``theta0`` records the stochastic-formalism convention of the noise
-    field (0 Ito, 1/2 Stratonovich); the stepping schemes fix their own
-    formalism, so theta0 is carried as metadata and used by the
-    formalism-switch helpers.
-    """
+    """Noise discretization: seed, step and number of Wiener channels."""
 
     seed: int
     dt: float
-    theta0: float = 0.0
     n_channels: int = 1
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidParams("dt must be positive")
-        if not 0.0 <= self.theta0 <= 1.0:
-            raise InvalidParams("theta0 out of [0,1]")
         if self.n_channels < 1:
             raise InvalidParams("n_channels must be at least 1")
         if not 0 <= int(self.seed) < 2**64:

@@ -11,7 +11,7 @@ import pytest
 from flavorcollapse import cli
 from flavorcollapse.analytic import prob_flavor_csl, prob_flavor_qmupl
 from flavorcollapse.core import Convention, FlavorTarget, MesonParams
-from flavorcollapse.errors import CatalogMiss, ParseError, UnknownKey
+from flavorcollapse.errors import CatalogMiss, InvalidParams, ParseError, UnknownKey
 
 from conftest import make_csl
 
@@ -122,6 +122,12 @@ def test_master_qmupl_uses_kernel_route(tmp_path):
         prob_flavor_qmupl(meson, collapse, FlavorTarget.M0BAR, times),
         atol=1e-12,
     )
+    # All four columns of the kernel route against the analytic command.
+    analytic_out = str(tmp_path / "qmupl_analytic.csv")
+    cfg = write_config(tmp_path, "analytic.json", **dict(json.loads(Path(cfg).read_text()), command="analytic"))
+    assert cli.main([cfg, "--output", analytic_out]) == 0
+    for name in cli._PROB_COLUMNS:
+        np.testing.assert_allclose(column(out, name), column(analytic_out, name), rtol=0.0, atol=1e-12)
 
 
 def test_ensemble_bytes_deterministic(tmp_path):
@@ -319,12 +325,10 @@ def test_compare_routes_nan_residual_fails():
     assert not ratio_max < cli._ENSEMBLE_RATIO_TOL
 
 
-def test_compare_routes_negative_control():
-    # Deliberately mismatched beta between routes trips the ratio gate.
+def _beta_mismatch():
+    """Times, CSL probabilities at beta 0.9 and 0.6, and ensemble errors."""
     meson = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0)
     times = np.linspace(0.0, 4.0, 9)
-    good = make_csl(beta=0.9, rate=0.3)
-    bad = make_csl(beta=0.6, rate=0.3)
 
     def probs(collapse):
         return {
@@ -334,12 +338,81 @@ def test_compare_routes_negative_control():
             "P_H_H": np.ones_like(times),
         }
 
-    errs = {name: np.full_like(times, 1e-4) for name in probs(good)}
+    good = probs(make_csl(beta=0.9, rate=0.3))
+    bad = probs(make_csl(beta=0.6, rate=0.3))
+    errs = {name: np.full_like(times, 1e-4) for name in good}
+    return times, good, bad, errs
+
+
+def test_compare_routes_negative_control():
+    # Deliberately mismatched beta between routes trips the ratio gate.
+    times, good, bad, errs = _beta_mismatch()
     _, master_max, ratio_max = cli.compare_routes(
-        times, probs(good), probs(good), probs(bad), errs, np.full_like(times, 1e-12)
+        times, good, good, bad, errs, np.full_like(times, 1e-12)
     )
     assert master_max < 1e-12
     assert ratio_max > cli._ENSEMBLE_RATIO_TOL
+
+
+def test_compare_locates_worst_cells():
+    # The reported column and time are those of an independent argmax over
+    # the residuals laid out as (time, column).
+    times, good, bad, errs = _beta_mismatch()
+    floor = np.full_like(times, 1e-12)
+    names = list(cli._PROB_COLUMNS)
+    shifted = dict(good, P_L_L=good["P_L_L"] - 0.01 * times)
+    table, master_max, ratio_max = cli.compare_routes(times, good, shifted, bad, errs, floor)
+
+    ratios = np.column_stack([np.abs(bad[c] - good[c]) / np.maximum(errs[c], floor) for c in names])
+    k, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+    assert cli._worst_cell(table, "ratio_ensemble_") == (names[j], times[k], ratio_max)
+    assert names[j] in ("P_M0_M0", "P_M0_M0bar") and 0.0 < times[k]
+
+    residuals = np.column_stack([np.abs(shifted[c] - good[c]) for c in names])
+    k, j = np.unravel_index(np.argmax(residuals), residuals.shape)
+    assert cli._worst_cell(table, "res_master_") == (names[j], times[k], master_max)
+    assert (names[j], times[k]) == ("P_L_L", 4.0)
+
+
+def test_compare_location_line_follows_summary(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, command="compare", t_max=3.0, n_points=7, n_trajectories=48,
+        seed=5, dt=0.005, **_EXPLICIT_CSL,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("compare: master_max_residual=") and lines[0].endswith("status=OK")
+    assert lines[1].startswith("compare: worst master residual in P_")
+    assert "worst ensemble ratio in P_" in lines[1]
+    assert "worst" not in (tmp_path / "cmp.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(_README_CSL, t_max=6.0, n_points=121, dt=0.0015),
+        dict(m_L=1.0, m_H=2.0, gamma_L=0.2, gamma_H=0.08, model="QM", t_max=4.0, n_points=9, dt=0.002),
+    ],
+    ids=["readme_csl", "qm_widths"],
+)
+def test_one_probability_table_across_commands(tmp_path, config):
+    # compare's residual columns are exactly the differences of the outputs
+    # of the analytic, master and ensemble commands on the same config.
+    run = dict(config, n_trajectories=40, seed=7)
+    outputs = {}
+    for command in ("analytic", "master", "ensemble", "compare"):
+        cfg = write_config(tmp_path, f"{command}.json", command=command, **run)
+        outputs[command] = str(tmp_path / f"{command}.csv")
+        assert cli.main([cfg, "--output", outputs[command]]) == 0
+    for name in cli._PROB_COLUMNS:
+        analytic = column(outputs["analytic"], name)
+        assert np.all(
+            column(outputs["compare"], f"res_master_{name}") == column(outputs["master"], name) - analytic
+        ), name
+        assert np.all(
+            column(outputs["compare"], f"res_ensemble_{name}") == column(outputs["ensemble"], name) - analytic
+        ), name
 
 
 def test_compare_exit_code_three_on_route_mismatch(tmp_path, monkeypatch):
@@ -358,7 +431,7 @@ def test_compare_exit_code_three_on_route_mismatch(tmp_path, monkeypatch):
     assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == 3
 
 
-def test_schema_file_matches_loader_keys():
+def test_schema_file_matches_loader_keys(tmp_path):
     from importlib import resources
 
     with resources.files("flavorcollapse.data").joinpath("run_config.schema.json").open() as fh:
@@ -366,6 +439,51 @@ def test_schema_file_matches_loader_keys():
     assert set(schema["properties"]) == cli._SCHEMA_KEYS
     assert schema["additionalProperties"] is False
     assert schema["properties"]["equation"]["enum"] == list(cli._EQUATIONS)
+    assert schema["properties"]["seed"]["maximum"] == 2**64 - 1
+
+    # Every numeric bound of the schema is the loader's: the bound itself
+    # (or the next float above an exclusive one) loads, the next value
+    # beyond it is rejected.
+    base = dict(command="ensemble", **_README_CSL, t_max=1.0, n_points=3, n_trajectories=2, dt=0.1)
+    checked = set()
+    for key, prop in schema["properties"].items():
+        for bound, direction in (("minimum", -1), ("maximum", 1), ("exclusiveMinimum", -1)):
+            if bound not in prop:
+                continue
+            edge = prop[bound]
+            if bound == "exclusiveMinimum":
+                inside, outside = float(np.nextafter(edge, np.inf)), edge
+            elif prop.get("type") == "integer":
+                inside, outside = edge, edge + direction
+            else:
+                inside, outside = edge, float(np.nextafter(edge, direction * np.inf))
+            assert cli.load_config(write_config(tmp_path, **dict(base, **{key: inside}))) is not None
+            with pytest.raises(InvalidParams):
+                cli.load_config(write_config(tmp_path, **dict(base, **{key: outside})))
+            checked.add(key)
+    assert checked == {"beta", "t_max", "n_points", "n_trajectories", "seed", "dt", "threads"}
+
+
+@pytest.mark.parametrize("flag, key, value", [("--seed", "seed", -1), ("--seed", "seed", 2**64), ("--threads", "threads", 0)])
+def test_flag_and_config_key_validated_alike(tmp_path, capsys, flag, key, value):
+    # A bad seed in the config used to reach NoiseConfig and exit 2.
+    run = dict(command="ensemble", **_EXPLICIT_CSL, t_max=1.0, n_points=3, n_trajectories=4, dt=0.1)
+    assert cli.main([write_config(tmp_path, "flag.json", **run), flag, str(value)]) == 1
+    by_flag = capsys.readouterr().err
+    assert cli.main([write_config(tmp_path, "key.json", **run, **{key: value})]) == 1
+    assert capsys.readouterr().err == by_flag
+    assert by_flag.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["t_max", "dt", "m0"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
+def test_non_finite_config_number_rejected(tmp_path, capsys, key, value):
+    # json.load reads Infinity and NaN; an infinite dt used to pass compare
+    # with status=OK, stepping at the grid interval.
+    run = dict(command="compare", **_EXPLICIT_CSL, t_max=1.0, n_points=3, n_trajectories=4, dt=0.1, seed=1)
+    run[key] = value
+    assert cli.main([write_config(tmp_path, **run), "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: config key '{key}' must be a finite number\n"
 
 
 def test_estimate_roundtrip(tmp_path):

@@ -89,8 +89,6 @@ def test_noise_config_validation():
     with pytest.raises(InvalidParams):
         NoiseConfig(seed=1, dt=0.0)
     with pytest.raises(InvalidParams):
-        NoiseConfig(seed=1, dt=0.1, theta0=1.5)
-    with pytest.raises(InvalidParams):
         NoiseConfig(seed=-1, dt=0.1)
 
 
