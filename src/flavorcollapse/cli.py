@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -281,6 +282,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
     spec.equation = equation
     spec.threads = _get(cfg, "threads", int, default=1, minimum=1)
     spec.output = _get(cfg, "output", str, default=None)
+    if spec.output:
+        # Checked before the run, so a long computation never ends unwritten.
+        directory = os.path.dirname(os.path.abspath(spec.output))
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise InvalidParams(f"output directory {directory} does not exist or is not writable")
     fmt = _get(cfg, "format", str, default="csv")
     if fmt not in ("csv", "json"):
         raise InvalidParams("format must be 'csv' or 'json'")
@@ -669,8 +675,12 @@ def run(spec: RunSpec) -> int:
         table = commands[spec.command](spec)
     text = table.render(spec.fmt)
     if spec.output:
-        with open(spec.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(spec.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -192,6 +192,26 @@ def build_superoperator(spec: MasterSpec) -> np.ndarray:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a), one decoupled block at a time.
+
+    Indices linked through nonzero entries of a form blocks that the
+    exponential never mixes; each block is exponentiated on its own scale,
+    so a fast block forces no squarings on a slow one.  A 1x1 block is a
+    scalar exponential.
+    """
+    linked = (a != 0) | (a != 0).T | np.eye(len(a), dtype=bool)
+    for _ in range(len(a).bit_length()):  # close the links transitively
+        linked = (linked.astype(int) @ linked.astype(int)) > 0
+    out = np.zeros_like(a)
+    single = linked.sum(axis=1) == 1
+    out[single, single] = np.exp(a[single, single])
+    for block in {tuple(np.flatnonzero(row)) for row in linked[~single]}:
+        idx = np.ix_(block, block)
+        out[idx] = _expm_taylor(a[idx])
+    return out
+
+
+def _expm_taylor(a: np.ndarray) -> np.ndarray:
     """exp(a) by scaling and squaring of the degree-14 Taylor polynomial.
 
     a is scaled by 2^-s until its 1-norm is at most 1/4, where the

@@ -21,7 +21,7 @@ Its two labels differ only in what the operators may be:
   e^{i phi} A of the phase-transformation family.
 
 All of these share one master equation per physical system.  The linear
-kernel steps ``psi`` with constant drift and diffusion matrices:
+kernel covers three labels with constant drift d and diffusions g_c:
 
 * ``IMAGINARY_LINEAR``: purely imaginary noise and the -(lambda/2) A^2
   drift (plus optional decay term).
@@ -31,6 +31,14 @@ kernel steps ``psi`` with constant drift and diffusion matrices:
   Stratonovich formalism, drift +(lambda/2)(1 - 2 beta) A^2, to be stepped
   with the midpoint scheme or with Euler-Maruyama after the conversion
   drift.
+
+Their generators (H = diag(0, delta_m), A = diag(m~_L, m~_H), Gamma) are
+diagonal in the mass basis, and ``SdeSpec`` requires that.  A step then
+multiplies each mass component by one scalar, f = 1 + m (Euler) or
+f = 1 + m + m^2/2 (Heun), with m = h d_i + sum_c g_ci dW_c, and the
+trajectory from initial state a is a * c componentwise, where c is the
+product of the factors.  The ensemble steps one c per trajectory, shared
+by every initial state.
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
@@ -109,11 +117,7 @@ class SdeEquation(enum.Enum):
     STRATONOVICH_LINEAR = "stratonovich_linear"
 
 
-_LINEAR = (
-    SdeEquation.IMAGINARY_LINEAR,
-    SdeEquation.IMAGINARY_LINEAR_FAMILY,
-    SdeEquation.STRATONOVICH_LINEAR,
-)
+_LINEAR = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.IMAGINARY_LINEAR_FAMILY, SdeEquation.STRATONOVICH_LINEAR)
 _HERMITIAN_OPS_REQUIRED = (SdeEquation.NONLINEAR_REAL, *_LINEAR)
 
 
@@ -142,7 +146,8 @@ class SdeSpec:
     possibly non-Hermitian for the nonlinear equations).  ``collapse_ops``
     holds one operator per Wiener channel.  ``rate`` is the collapse
     coupling lambda.  ``decay_quadratic`` is the operator K = lambda B^dag B
-    (equal to the decay operator) entering the drift as -(1/2) K.
+    (equal to the decay operator) entering the drift as -(1/2) K.  The
+    linear labels require all three diagonal (in the mass basis).
     """
 
     equation: SdeEquation
@@ -178,6 +183,11 @@ class SdeSpec:
             object.__setattr__(self, "decay_quadratic", k)
             if k.shape != h.shape:
                 raise DimensionMismatch("decay_quadratic must match the hamiltonian dimension")
+        if self.equation in _LINEAR:
+            off_diagonal = ~np.eye(len(h), dtype=bool)
+            generators = (h, *ops) + (() if self.decay_quadratic is None else (self.decay_quadratic,))
+            if any(np.any(m[off_diagonal] != 0.0) for m in generators):
+                raise InvalidParams(f"{self.equation.value} requires operators diagonal in the mass basis")
 
     @property
     def dim(self) -> int:
@@ -188,30 +198,27 @@ class SdeSpec:
         return len(self.collapse_ops)
 
 
-def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Nonlinear collapse equation on the flavor space, non-Hermitian H.
+def _flavor_spec(equation: SdeEquation, meson: MesonParams, collapse: CollapseParams, **fields) -> SdeSpec:
+    """Flavor-space spec with the gauged mass operator and the one collapse channel A.
 
     All factories here gauge the mass operator to diag(0, delta_m): the
     removed global phase is unobservable and keeps step sizes tied to the
     splitting rather than the absolute masses.
     """
+    fields.setdefault("hamiltonian", reduced_mass_operator(meson))
+    ops = (collapse_operator_A(meson, collapse),)
+    return SdeSpec(equation=equation, collapse_ops=ops, rate=collapse.effective_rate, **fields)
+
+
+def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
+    """Nonlinear collapse equation on the flavor space, non-Hermitian H."""
     hamiltonian = reduced_mass_operator(meson).astype(complex) - 0.5j * decay_operator(meson)
-    return SdeSpec(
-        equation=SdeEquation.NONLINEAR_REAL,
-        hamiltonian=hamiltonian,
-        collapse_ops=(collapse_operator_A(meson, collapse),),
-        rate=collapse.effective_rate,
-    )
+    return _flavor_spec(SdeEquation.NONLINEAR_REAL, meson, collapse, hamiltonian=hamiltonian)
 
 
 def nonlinear_general_spec(hamiltonian: np.ndarray, ops: tuple[np.ndarray, ...], rate: float) -> SdeSpec:
     """General nonlinear collapse equation with arbitrary operators."""
-    return SdeSpec(
-        equation=SdeEquation.NONLINEAR_GENERAL,
-        hamiltonian=hamiltonian,
-        collapse_ops=tuple(ops),
-        rate=rate,
-    )
+    return SdeSpec(equation=SdeEquation.NONLINEAR_GENERAL, hamiltonian=hamiltonian, collapse_ops=tuple(ops), rate=rate)
 
 
 def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -228,48 +235,25 @@ def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     The decay drift is lambda B^dag B = Gamma and does not scale with the
     collapse rate, so the spec stores the decay operator itself.
     """
-    return SdeSpec(
-        equation=SdeEquation.NONLINEAR_REAL,
-        hamiltonian=reduced_mass_operator(meson),
-        collapse_ops=(collapse_operator_A(meson, collapse),),
-        decay_quadratic=decay_operator(meson),
-        rate=collapse.effective_rate,
-    )
+    return _flavor_spec(SdeEquation.NONLINEAR_REAL, meson, collapse, decay_quadratic=decay_operator(meson))
 
 
 def imaginary_linear_spec(
     meson: MesonParams, collapse: CollapseParams, include_decay: bool = True
 ) -> SdeSpec:
     """Linear imaginary-noise equation, optionally with the decay drift."""
-    return SdeSpec(
-        equation=SdeEquation.IMAGINARY_LINEAR,
-        hamiltonian=reduced_mass_operator(meson),
-        collapse_ops=(collapse_operator_A(meson, collapse),),
-        decay_quadratic=decay_operator(meson) if include_decay else None,
-        rate=collapse.effective_rate,
-    )
+    decay = decay_operator(meson) if include_decay else None
+    return _flavor_spec(SdeEquation.IMAGINARY_LINEAR, meson, collapse, decay_quadratic=decay)
 
 
 def family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Time-asymmetric linear family in Ito form, drift -lambda beta A^2."""
-    return SdeSpec(
-        equation=SdeEquation.IMAGINARY_LINEAR_FAMILY,
-        hamiltonian=reduced_mass_operator(meson),
-        collapse_ops=(collapse_operator_A(meson, collapse),),
-        rate=collapse.effective_rate,
-        beta=collapse.beta,
-    )
+    return _flavor_spec(SdeEquation.IMAGINARY_LINEAR_FAMILY, meson, collapse, beta=collapse.beta)
 
 
 def stratonovich_family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """The family equation in Stratonovich form, drift +(lambda/2)(1-2beta) A^2."""
-    return SdeSpec(
-        equation=SdeEquation.STRATONOVICH_LINEAR,
-        hamiltonian=reduced_mass_operator(meson),
-        collapse_ops=(collapse_operator_A(meson, collapse),),
-        rate=collapse.effective_rate,
-        beta=collapse.beta,
-    )
+    return _flavor_spec(SdeEquation.STRATONOVICH_LINEAR, meson, collapse, beta=collapse.beta)
 
 
 def phase_transform_spec(spec: SdeSpec, phi: float) -> SdeSpec:
@@ -414,12 +398,17 @@ def _linear_matrices(spec: SdeSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     return drift, diffusions
 
 
-def _linear_stepper(spec: SdeSpec, n_rows: int, method: str):
-    """In-place update of the linear equations through work arrays allocated once.
+def _linear_stepper(spec: SdeSpec, n_cols: int, method: str):
+    """In-place update c, w, h of the (dim, n_cols) mass-basis columns of the linear equations.
 
-    Each update applies the operations of the expression in its comment,
-    in the same order, so its results are bit for bit those of that
-    expression; a loop of steps allocates nothing.
+    The generators are diagonal, so a step multiplies mass component i of
+    column k by f = 1 + m (Euler-Maruyama, also on the Ito-converted
+    Stratonovich drift) or f = 1 + m (1 + m/2) (Heun midpoint), with
+    m = h d_i + sum_c g_ci w_ck and d, g_c the diagonals of
+    ``_linear_matrices``.  It is applied as c += c (f - 1): rounding 1 + m
+    would repeat one rounding of the real part of h d at every step, a
+    bias linear in the number of steps.  The two work arrays are allocated
+    once, so a loop of steps allocates nothing of the columns' size.
     """
     drift, diffusions = _linear_matrices(spec)
     stratonovich = spec.equation is SdeEquation.STRATONOVICH_LINEAR
@@ -427,52 +416,33 @@ def _linear_stepper(spec: SdeSpec, n_rows: int, method: str):
         drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
     elif stratonovich and method != "heun":
         raise InvalidParams("method must be 'heun' or 'ito_drift'")
-    drift_t = drift.T.copy()
-    diff_t = [g.T.copy() for g in diffusions]
-    acc, term, mid = (np.empty((n_rows, spec.dim), dtype=complex) for _ in range(3))
+    heun = stratonovich and method == "heun"
+    d = np.diagonal(drift)[:, None]
+    gs = [np.diagonal(g)[:, None] for g in diffusions]
+    m, f = (np.empty((spec.dim, n_cols), dtype=complex) for _ in range(2))
 
-    def increment(base, out, w, h):
-        # out = h * (base @ drift_t) + sum_c w[:, c] * (base @ diff_t[c])
-        np.matmul(base, drift_t, out=out)
-        np.multiply(h, out, out=out)
-        for c, g_t in enumerate(diff_t):
-            np.matmul(base, g_t, out=term)
-            np.multiply(w[:, c : c + 1], term, out=term)
-            out += term
+    def advance(c, w, h):
+        np.multiply(gs[0], w[0], out=m)
+        for g, w_c in zip(gs[1:], w[1:]):
+            np.multiply(g, w_c, out=f)
+            np.add(m, f, out=m)
+        np.add(m, h * d, out=m)
+        if heun:
+            np.multiply(0.5, m, out=f)
+            np.add(1.0, f, out=f)
+            np.multiply(f, m, out=m)
+        np.multiply(m, c, out=m)
+        np.add(c, m, out=c)
 
-    def heun(psi, w, h):
-        # psi + 0.5 * increment(psi + (psi + increment(psi)))
-        increment(psi, acc, w, h)
-        np.add(psi, acc, out=mid)
-        np.add(psi, mid, out=mid)
-        increment(mid, acc, w, h)
-        np.multiply(0.5, acc, out=acc)
-        psi += acc
-
-    def euler(psi, w, h):
-        # psi + h * (psi @ drift_t) + sum_c w[:, c] * (psi @ diff_t[c])
-        np.matmul(psi, drift_t, out=acc)
-        np.multiply(h, acc, out=acc)
-        np.add(psi, acc, out=acc)
-        for c, g_t in enumerate(diff_t):
-            np.matmul(psi, g_t, out=term)
-            np.multiply(w[:, c : c + 1], term, out=term)
-            np.add(acc, term, out=acc)
-        psi[...] = acc
-
-    return heun if stratonovich and method == "heun" else euler
+    return advance
 
 
-def _make_stepper(spec: SdeSpec, n_rows: int, method: str = "euler"):
+def _nonlinear_stepper(spec: SdeSpec):
     """Batch update closure psi, w, h that advances the (n_rows, dim) psi in place.
 
-    Matrices are built once.  ``method`` selects the stepping of a
-    Stratonovich-form spec; the Ito equations take Euler-Maruyama.  The
-    nonlinear kernel runs channel c on L_c = ``collapse_ops[c]`` with
-    R_c = Re<L_c> (the real part of <L> is <(L + L^dag)/2> for any L).
+    Matrices are built once.  Channel c runs on L_c = ``collapse_ops[c]``
+    with R_c = Re<L_c> (the real part of <L> is <(L + L^dag)/2> for any L).
     """
-    if spec.equation in _LINEAR:
-        return _linear_stepper(spec, n_rows, method)
     lam = spec.rate
     sqlam = math.sqrt(lam)
     h_t = (-1j * spec.hamiltonian).T.copy()
@@ -500,6 +470,16 @@ def _make_stepper(spec: SdeSpec, n_rows: int, method: str = "euler"):
     return advance
 
 
+def _step_rows(spec: SdeSpec, state, dW, dt: float, method: str):
+    psi, single = _as_batch(state, spec.dim)
+    w = _as_noise(dW, spec.n_channels, psi.shape[0])
+    if spec.equation in _LINEAR:
+        _linear_stepper(spec, psi.shape[0], method)(psi.T, w.T, dt)
+    else:
+        _nonlinear_stepper(spec)(psi, w, dt)
+    return psi[0] if single else psi
+
+
 def step(spec: SdeSpec, state, dW, dt: float):
     """One Euler-Maruyama step of the selected Ito equation.
 
@@ -508,10 +488,7 @@ def step(spec: SdeSpec, state, dW, dt: float):
     """
     if spec.equation is SdeEquation.STRATONOVICH_LINEAR:
         raise UnsupportedEquation("Stratonovich-form equation: use stratonovich_step")
-    psi, single = _as_batch(state, spec.dim)
-    w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    _make_stepper(spec, psi.shape[0])(psi, w, dt)
-    return psi[0] if single else psi
+    return _step_rows(spec, state, dW, dt, "euler")
 
 
 def stratonovich_step(spec: SdeSpec, state, dW, dt: float, method: str = "heun"):
@@ -524,33 +501,22 @@ def stratonovich_step(spec: SdeSpec, state, dW, dt: float, method: str = "heun")
     """
     if spec.equation is not SdeEquation.STRATONOVICH_LINEAR:
         raise UnsupportedEquation("stratonovich_step applies to the Stratonovich-form linear equation")
-    psi, single = _as_batch(state, spec.dim)
-    w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    _make_stepper(spec, psi.shape[0], method)(psi, w, dt)
-    return psi[0] if single else psi
+    return _step_rows(spec, state, dW, dt, method)
 
 
 def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Projection vectors (rows, in mass coordinates) and their labels."""
+    """Projection vectors (rows, in mass coordinates) and their labels.
+
+    M0, M0bar and the mass eigenstates; on the enlarged space also the two
+    decay-product states f_L and f_H.
+    """
+    if dim not in (2, 4):
+        raise DimensionMismatch("observables defined on dimensions 2 and 4 only")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if dim == 2:
-        vecs = np.array([
-            [inv_sqrt2, inv_sqrt2],
-            [inv_sqrt2, -inv_sqrt2],
-            [1.0, 0.0],
-            [0.0, 1.0],
-        ])
-        return vecs, ("P_M0", "P_M0bar", "P_L", "P_H")
-    if dim == 4:
-        vecs = np.zeros((6, 4))
-        vecs[0, :2] = inv_sqrt2
-        vecs[1, 0], vecs[1, 1] = inv_sqrt2, -inv_sqrt2
-        vecs[2, 0] = 1.0
-        vecs[3, 1] = 1.0
-        vecs[4, 2] = 1.0
-        vecs[5, 3] = 1.0
-        return vecs, ("P_M0", "P_M0bar", "P_L", "P_H", "P_fL", "P_fH")
-    raise DimensionMismatch("observables defined on dimensions 2 and 4 only")
+    flavor = np.zeros((2, dim))
+    flavor[:, :2] = [[inv_sqrt2, inv_sqrt2], [inv_sqrt2, -inv_sqrt2]]
+    labels = ("P_M0", "P_M0bar", "P_L", "P_H", "P_fL", "P_fH")[: dim + 2]
+    return np.vstack([flavor, np.eye(dim)]), labels
 
 
 def _grid_substeps(t_grid: np.ndarray, dt: float) -> list[int]:
@@ -589,9 +555,14 @@ def ensemble_evolve(
 
     Returns one ``EnsembleStats`` per entry of ``initial_states``, in
     order.  One pass serves all states: each trajectory's noise is drawn
-    once per batch from its (seed, trajectory) Philox substream, and the
-    states are stepped together as stacked rows of one array, so state s
-    of a stacked call equals a single-state call bit for bit.
+    once per batch from its (seed, trajectory) Philox substream and drives
+    every state.  The linear equations step one (dim, batch) block of
+    mass-basis factors c, so trajectory k from state a is a * c_k; every
+    (state, observable) amplitude comes from one product of the weights
+    proj * a with c, and the mean of |psi><psi| is (a a^dag) * mean(c c^dag).
+    The nonlinear equations step the states as stacked rows of one array.
+    Either way state s of a stacked call equals a single-state call bit
+    for bit.
     The mean is over raw (unnormalized) projectors: the linear equations
     carry decay in the norm.  Variances and covariances come from centred
     second moments per batch, folded across batches with the pairwise
@@ -621,6 +592,16 @@ def ensemble_evolve(
 
     n_states, n_grid, n_obs, dim = len(states), len(t_grid), len(labels), spec.dim
     n_channels = config.n_channels
+    linear = spec.equation in _LINEAR
+    if linear:
+        # Trajectory k from state s is a_s * c_k componentwise: row (s, o) of
+        # the weights takes observable o of state s off the factor column c_k,
+        # and a_s a_s^dag scales the mean of c c^dag.
+        weights = (proj * amps0[:, None, :]).reshape(n_states * n_obs, dim)
+        mat_scale = amps0[:, :, None] * amps0[:, None, :].conj()
+    else:
+        weights, mat_scale = proj, 1.0
+    n_groups = 1 if linear else n_states
 
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
@@ -629,7 +610,7 @@ def ensemble_evolve(
         # they leave its memory free for the next batch's noise.
         means = np.empty((n_grid, n_states, n_obs))
         m2 = np.empty((n_grid, n_states, n_obs, n_obs))
-        mat_sums = np.empty((n_grid, n_states, dim, dim), dtype=complex)
+        mat_sums = np.empty((n_grid, n_groups, dim, dim), dtype=complex)
         gen = Generator(Philox(0))  # re-keyed per trajectory below
         noise = np.empty((b, n_steps_total, n_channels))
         for k in range(b):
@@ -637,23 +618,39 @@ def ensemble_evolve(
             gen.standard_normal(out=noise[k])
         noise *= math.sqrt(config.dt)
 
-        # Rows s*b .. s*b + b - 1 hold initial state s; every state reads
-        # the same noise row k.  The step and the reduction run in place on
-        # arrays allocated here, so the loop allocates nothing of the batch's
-        # size: no memory is returned to the system and faulted back in.
-        psi = np.repeat(amps0, b, axis=0)
-        advance = _make_stepper(spec, n_states * b, method)
-        w = np.empty((n_states * b, n_channels))
-        w_rows = w.reshape(n_states, b, n_channels)
-        rows = psi.reshape(n_states, b, dim)
-        rows_t = rows.transpose(0, 2, 1)
-        rows_conj = np.empty_like(rows)
+        # The step and the reduction run in place on arrays allocated here,
+        # so the loop allocates nothing of the batch's size: no memory is
+        # returned to the system and faulted back in.
         amps = np.empty((n_states, n_obs, b), dtype=complex)
+        if linear:
+            # One (dim, b) block of mass-basis factors serves every state;
+            # step pos reads its noise as strided columns, without a copy.
+            cols = np.ones((dim, b), dtype=complex)
+            advance = _linear_stepper(spec, b, method)
+            rows_t, amps_out = cols[None], amps.reshape(1, n_states * n_obs, b)
+
+            def step_once(pos: int, h: float) -> None:
+                advance(cols, noise[:, pos, :].T, h)
+        else:
+            # Rows s*b .. s*b + b - 1 hold initial state s; every state reads
+            # the same noise row k.
+            psi = np.repeat(amps0, b, axis=0)
+            advance = _nonlinear_stepper(spec)
+            w = np.empty((n_states * b, n_channels))
+            w_rows = w.reshape(n_states, b, n_channels)
+            rows_t, amps_out = psi.reshape(n_states, b, dim).transpose(0, 2, 1), amps
+
+            def step_once(pos: int, h: float) -> None:
+                w_rows[...] = noise[:, pos, :]
+                advance(psi, w, h)
+
+        rows = rows_t.transpose(0, 2, 1)
+        rows_conj = np.empty_like(rows)
         obs = np.empty((n_states, n_obs, b))  # (state, observable, trajectory)
         imag_sq = np.empty_like(obs)
 
         def record(g: int) -> None:
-            np.matmul(proj, rows_t, out=amps)
+            np.matmul(weights, rows_t, out=amps_out)
             np.square(amps.real, out=obs)
             np.square(amps.imag, out=imag_sq)
             np.add(obs, imag_sq, out=obs)
@@ -673,8 +670,7 @@ def ensemble_evolve(
         for g, n_sub in enumerate(substeps, start=1):
             h = (t_grid[g] - t_grid[g - 1]) / n_sub
             for _ in range(n_sub):
-                w_rows[...] = noise[:, pos, :]
-                advance(psi, w, h)
+                step_once(pos, h)
                 pos += 1
             record(g)
         return b, means, m2, mat_sums
@@ -695,6 +691,7 @@ def ensemble_evolve(
             n_a = n_ab
 
     n = float(n_trajectories)
+    mean_matrices = mat_sums * mat_scale / n
     cov = m2 / (n - 1.0)
     stderrs = np.sqrt(np.diagonal(cov, axis1=2, axis2=3) / n)
     return tuple(
@@ -705,7 +702,7 @@ def ensemble_evolve(
             labels=labels,
             n_trajectories=n_trajectories,
             seed=int(config.seed),
-            mean_matrices=mat_sums[:, s] / n,
+            mean_matrices=mean_matrices[:, s],
             covariances=cov[:, s],
         )
         for s in range(n_states)

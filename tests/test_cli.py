@@ -286,6 +286,25 @@ def test_compare_wide_bytes_independent_of_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_compare_missing_output_directory_exits_before_computing(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.sde, "ensemble_evolve", lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(
+        tmp_path, command="compare", **_README_CSL, t_max=1.0, n_points=5, n_trajectories=16, seed=1, dt=0.05,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "missing" / "out.csv")]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_failed_output_write_exits_one(tmp_path, capsys):
+    # The directory exists, so the path passes the load check; opening a
+    # directory for writing fails at the end of the run.
+    cfg = write_config(tmp_path, command="analytic", **_EXPLICIT_QM, t_max=1.0, n_points=5)
+    assert cli.main([cfg, "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output")
+
+
 def test_compare_catalog_qm_kaon_finite(tmp_path):
     # The QM ensemble runs on the gauged mass operator diag(0, delta_m);
     # with the absolute K0 mass (~7.6e23 1/s) the Euler step overflowed.

@@ -114,10 +114,11 @@ def test_stiff_propagation_stays_physical():
     rhos = integrate_master(spec, _RHO_M0, np.linspace(0.0, 10.0, 33))
     np.testing.assert_array_equal(rhos, rhos.conj().transpose(0, 2, 1))
     traces = np.einsum("tii->t", rhos).real
-    assert np.abs(traces - 1.0).max() <= 1e-9
-    # Round-off in the ~20 squarings of exp(h S) moves the trace by about
-    # 4e-12 per grid step here; an increase beyond that is not round-off.
-    assert np.all(np.diff(traces) <= 1e-11)
+    # The fast coherences and the slow populations are decoupled blocks of
+    # S, exponentiated separately: the populations see no squarings scaled
+    # by the splitting, and the trace stays at round-off.
+    assert np.abs(traces - 1.0).max() <= 1e-13
+    assert np.all(np.diff(traces) <= 1e-14)
     assert np.linalg.eigvalsh(rhos).min() >= -1e-9
 
 

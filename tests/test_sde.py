@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -212,23 +214,59 @@ def test_heun_step_norm_conservation_scale():
     assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.5)
 
 
-@pytest.mark.parametrize("method", ["euler", "heun", "ito_drift"])
-def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
-    # The linear updates run in place on preallocated work arrays; they must
-    # give the bits of the plain expressions and leave the caller's rows alone.
+def _linear_case(method, n_channels):
+    # A linear spec with one or two Wiener channels, 7 random rows, noise and step.
     meson, csl = _decaying(), make_csl(beta=0.7, rate=0.4)
-    if method == "euler":
-        spec = family_spec(meson, csl)
-    else:
-        spec = stratonovich_family_spec(meson, csl)
+    spec = family_spec(meson, csl) if method == "euler" else stratonovich_family_spec(meson, csl)
+    if n_channels == 2:
+        spec = replace(spec, collapse_ops=(*spec.collapse_ops, np.diag([0.3, -1.7])))
     rng = np.random.default_rng(5)
     psi = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
-    before = psi.copy()
-    w = 0.05 * rng.standard_normal((7, 1))
-    h = 2e-3
+    w = 0.05 * rng.standard_normal((7, n_channels))
+    return spec, psi, w, 2e-3
+
+
+def _linear_update(spec, psi, w, h, method):
+    if method == "euler":
+        return step(spec, psi, w, h)
+    return stratonovich_step(spec, psi, w, h, method=method)
+
+
+def _linear_drift(spec, method):
     drift, diffusions = sde._linear_matrices(spec)
     if method == "ito_drift":
         drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
+    return drift, diffusions
+
+
+@pytest.mark.parametrize("method", ["euler", "heun", "ito_drift"])
+def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
+    # A linear step multiplies each mass component by one scalar factor
+    # f = 1 + m or 1 + m (1 + m/2), applied in place as psi + (f - 1) psi;
+    # it must give the bits of that elementwise expression and leave the
+    # caller's rows alone.
+    for n_channels in (1, 2):
+        spec, psi, w, h = _linear_case(method, n_channels)
+        before = psi.copy()
+        drift, diffusions = _linear_drift(spec, method)
+        m = np.diagonal(diffusions[0]) * w[:, 0:1]
+        for c in range(1, n_channels):
+            m = m + np.diagonal(diffusions[c]) * w[:, c : c + 1]
+        m = m + h * np.diagonal(drift)
+        if method == "heun":
+            m = (1.0 + 0.5 * m) * m
+        got = _linear_update(spec, psi, w, h, method)
+        assert np.array_equal(got, psi + m * psi)
+        assert np.array_equal(psi, before)
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+@pytest.mark.parametrize("method", ["euler", "heun", "ito_drift"])
+def test_linear_factor_matches_matrix_update(method, n_channels):
+    # The elementwise factor is the 2x2 matrix update of the drift and
+    # diffusion matrices, up to rounding.
+    spec, psi, w, h = _linear_case(method, n_channels)
+    drift, diffusions = _linear_drift(spec, method)
     drift_t, diff_t = drift.T.copy(), [g.T.copy() for g in diffusions]
 
     def increment(base):
@@ -239,14 +277,25 @@ def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
 
     if method == "heun":
         expected = psi + 0.5 * increment(psi + (psi + increment(psi)))
-        got = stratonovich_step(spec, psi, w, h, method=method)
     else:
-        expected = psi + h * (psi @ drift_t)
-        for c, g_t in enumerate(diff_t):
-            expected = expected + w[:, c : c + 1] * (psi @ g_t)
-        got = step(spec, psi, w, h) if method == "euler" else stratonovich_step(spec, psi, w, h, method=method)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(psi, before)
+        expected = psi + increment(psi)
+    np.testing.assert_allclose(_linear_update(spec, psi, w, h, method), expected, rtol=1e-14, atol=0.0)
+
+
+_OFF_DIAGONAL = np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("field", ["hamiltonian", "collapse_ops", "decay_quadratic"])
+@pytest.mark.parametrize("factory", [imaginary_linear_spec, family_spec, stratonovich_family_spec])
+def test_linear_specs_require_diagonal_operators(factory, field):
+    spec = factory(_decaying(), make_csl(beta=0.8, rate=0.3))
+    diagonal = getattr(spec, field)
+    if field == "collapse_ops":
+        bad = (diagonal[0] + _OFF_DIAGONAL,)
+    else:
+        bad = (np.diag([0.1, 0.2]) if diagonal is None else diagonal) + _OFF_DIAGONAL
+    with pytest.raises(InvalidParams, match="diagonal"):
+        replace(spec, **{field: bad})
 
 
 def test_nonlinear_step_leaves_input_rows():
