@@ -13,14 +13,12 @@ from .core import (
     Basis,
     CollapseParams,
     Convention,
-    DensityMatrix,
     EnsembleStats,
     FlavorTarget,
     MesonParams,
     Model,
     QuantumState,
     TimeSeries,
-    validate_params,
 )
 
 __version__ = "0.1.0"
@@ -36,12 +34,10 @@ __all__ = [
     "Basis",
     "CollapseParams",
     "Convention",
-    "DensityMatrix",
     "EnsembleStats",
     "FlavorTarget",
     "MesonParams",
     "Model",
     "QuantumState",
     "TimeSeries",
-    "validate_params",
 ]

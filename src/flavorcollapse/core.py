@@ -36,10 +36,8 @@ __all__ = [
     "MesonParams",
     "CollapseParams",
     "QuantumState",
-    "DensityMatrix",
     "TimeSeries",
     "EnsembleStats",
-    "validate_params",
     "mass_ratio",
     "mass_ratios",
     "flavor_mass_basis_change",
@@ -185,11 +183,6 @@ class CollapseParams:
         return self.rate / (_SQRT_4PI * self.r_C) ** self.d
 
 
-def validate_params(meson: MesonParams, collapse: CollapseParams) -> tuple[MesonParams, CollapseParams]:
-    """Re-check every invariant; return the pair unchanged if all hold."""
-    return meson.validate(), collapse.validate()
-
-
 def mass_ratio(meson: MesonParams, collapse: CollapseParams, i: int) -> float:
     """Dimensionless coupling of eigenstate ``i`` (0 = L, 1 = H)."""
     if i not in (L, H):
@@ -286,54 +279,6 @@ def to_flavor_matrix(matrix_mass: np.ndarray) -> np.ndarray:
     return _U @ matrix_mass @ _U
 
 
-_HERM_TOL = 1e-12
-_EIG_TOL = -1e-10
-_TRACE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian positive-semidefinite matrix with trace at most one."""
-
-    matrix: np.ndarray
-    basis: Basis
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        mat.setflags(write=False)
-        dim = _DIM_FOR_BASIS[self.basis]
-        if mat.shape != (dim, dim):
-            raise InvalidParams(f"density matrix in basis {self.basis.value} must be {dim}x{dim}")
-        scale = max(np.linalg.norm(mat), 1e-300)
-        if np.linalg.norm(mat - mat.conj().T) > _HERM_TOL * scale:
-            raise InvalidParams("density matrix not Hermitian within tolerance")
-        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        if eigs.min() < _EIG_TOL:
-            raise InvalidParams("density matrix has a negative eigenvalue beyond tolerance")
-        if mat.trace().real > 1.0 + _TRACE_TOL:
-            raise InvalidParams("density matrix trace exceeds one")
-
-    @property
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
-    @classmethod
-    def from_states(cls, states: list[QuantumState], weights: np.ndarray | None = None) -> "DensityMatrix":
-        """Ensemble average of projectors E[|psi><psi|] over the given states."""
-        if not states:
-            raise InvalidParams("need at least one state")
-        basis = states[0].basis
-        if any(s.basis is not basis for s in states):
-            raise InvalidParams("all states must share one basis")
-        amps = np.stack([s.amplitudes for s in states])
-        if weights is None:
-            weights = np.full(len(states), 1.0 / len(states))
-        weights = np.asarray(weights, dtype=float)
-        mat = np.einsum("b,bi,bj->ij", weights, amps, amps.conj())
-        return cls(mat, basis)
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Strictly increasing time grid with one column per observable."""
@@ -364,9 +309,8 @@ class TimeSeries:
 class EnsembleStats:
     """Per-time ensemble means and standard errors over trajectories.
 
-    ``mean_matrices`` holds the raw ensemble-mean projector E[|psi><psi|]
-    (unnormalized) at every grid time; ``covariances`` the per-time sample
-    covariance of the scalar observables, used for error propagation.
+    ``covariances`` holds the per-time sample covariance of the scalar
+    observables, used for error propagation.
     """
 
     times: np.ndarray
@@ -375,7 +319,6 @@ class EnsembleStats:
     labels: tuple[str, ...]
     n_trajectories: int
     seed: int
-    mean_matrices: np.ndarray | None = None
     covariances: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:

@@ -42,6 +42,7 @@ from .operators import (
     collapse_operator_A,
     decay_operator,
     enlarged_operators,
+    induced_decay_operator,
 )
 
 __all__ = [
@@ -123,16 +124,13 @@ def family_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterSp
     """Flavor-space master equation of the time-asymmetric collapse family.
 
     H = M (gauge-shifted), L = sqrt(lambda_eff) A, and the anticommutator
-    term K = lambda_eff (2 beta - 1) A^2; for beta >= 1/2 the K term
-    equals the collapse-induced decay operator.
+    term K = lambda_eff (2 beta - 1) A^2 of ``induced_decay_operator``.
     """
     lam = collapse.effective_rate
-    a_op = collapse_operator_A(meson, collapse)
-    k = lam * (2.0 * collapse.beta - 1.0) * (a_op @ a_op)
     return MasterSpec(
         hamiltonian=reduced_mass_operator(meson),
-        lindblads=(math.sqrt(lam) * a_op,),
-        anticommutator=k,
+        lindblads=(math.sqrt(lam) * collapse_operator_A(meson, collapse),),
+        anticommutator=induced_decay_operator(meson, collapse),
     )
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "lindblad_decay_operator",
     "EnlargedOperators",
     "enlarged_operators",
+    "induced_decay_operator",
     "induced_decay_widths",
 ]
 
@@ -124,17 +125,27 @@ def enlarged_operators(meson: MesonParams, collapse: CollapseParams) -> Enlarged
     )
 
 
+def induced_decay_operator(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
+    """Decay operator K = lambda_eff (2 beta - 1) A^2 of the time-asymmetric collapse noise.
+
+    Diagonal in the mass basis.  It is positive semidefinite only for
+    beta >= 1/2 but is returned for every beta: the linear family equation
+    is defined on all of [0, 1].
+    """
+    ratios = mass_ratios(meson, collapse)
+    return np.diag(collapse.effective_rate * (2.0 * collapse.beta - 1.0) * ratios**2)
+
+
 def induced_decay_widths(meson: MesonParams, collapse: CollapseParams) -> tuple[float, float]:
     """Decay widths generated by the time-asymmetric collapse dynamics.
 
-    gamma_i = lambda_eff * (2 beta - 1) * m~_i^2, nonnegative only for
-    beta >= 1/2; the unphysical sign is flagged rather than returned.
+    The diagonal gamma_i = lambda_eff (2 beta - 1) m~_i^2 of
+    ``induced_decay_operator``, nonnegative only for beta >= 1/2; the
+    unphysical sign is flagged rather than returned.
     """
     if collapse.beta < 0.5:
         raise NegativeWidth(
             f"beta = {collapse.beta} < 1/2 yields negative induced widths"
         )
-    lam = collapse.effective_rate
-    ratios = mass_ratios(meson, collapse)
-    widths = lam * (2.0 * collapse.beta - 1.0) * ratios**2
-    return float(widths[0]), float(widths[1])
+    gamma_l, gamma_h = np.diagonal(induced_decay_operator(meson, collapse))
+    return float(gamma_l), float(gamma_h)

@@ -21,18 +21,24 @@ Its two labels differ only in what the operators may be:
   e^{i phi} A of the phase-transformation family.
 
 All of these share one master equation per physical system.  The linear
-kernel covers three labels with constant drift d and diffusions g_c:
+kernel takes purely imaginary noise and a decay operator K.  Its two
+labels are one equation, the Stratonovich SDE
 
-* ``IMAGINARY_LINEAR``: purely imaginary noise and the -(lambda/2) A^2
-  drift (plus optional decay term).
-* ``IMAGINARY_LINEAR_FAMILY``: the time-asymmetric family with drift
-  -lambda beta A^2; beta = theta(0) of the underlying noise field.
-* ``STRATONOVICH_LINEAR``: the family equation written in the
-  Stratonovich formalism, drift +(lambda/2)(1 - 2 beta) A^2, to be stepped
-  with the midpoint scheme or with Euler-Maruyama after the conversion
-  drift.
+    dpsi = (-i H - K/2) psi dt + i sqrt(lambda) sum_c A_c psi o dW_c,
 
-Their generators (H = diag(0, delta_m), A = diag(m~_L, m~_H), Gamma) are
+written in the two formalisms:
+
+* ``IMAGINARY_LINEAR``: its Ito form, whose drift carries the conversion
+  term -(lambda/2) sum_c A_c^2.
+* ``STRATONOVICH_LINEAR``: the Stratonovich form itself, stepped with the
+  midpoint scheme or with Euler-Maruyama after the conversion drift.
+
+K is either the measured decay operator Gamma or the operator
+lambda (2 beta - 1) A^2 that a noise field with theta(0) = beta induces
+(``operators.induced_decay_operator``); with the latter the Ito label is
+the time-asymmetric family equation.
+
+The generators (H = diag(0, delta_m), A = diag(m~_L, m~_H), K) are
 diagonal in the mass basis, and ``SdeSpec`` requires that.  A step then
 multiplies each mass component by one scalar, f = 1 + m (Euler) or
 f = 1 + m + m^2/2 (Heun), with m = h d_i + sum_c g_ci dW_c, and the
@@ -45,8 +51,8 @@ substream keyed by (seed, trajectory), so ensembles are bit-identical
 for a fixed (seed, N, dt) regardless of scheduling or worker count.
 Several initial states evolved in one call share that noise.
 Expectation values in the nonlinear equations always use the normalized
-state; trajectories themselves are stored unnormalized, and observables
-are extracted from the raw ensemble mean E[|psi><psi|].
+state; trajectories themselves are stored unnormalized, and each
+observable is the ensemble mean of |<v|psi>|^2 on the raw state.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ from .operators import (
     collapse_operator_A,
     decay_operator,
     enlarged_operators,
+    induced_decay_operator,
 )
 
 __all__ = [
@@ -113,11 +120,10 @@ class SdeEquation(enum.Enum):
     NONLINEAR_REAL = "nonlinear_real"
     NONLINEAR_GENERAL = "nonlinear_general"
     IMAGINARY_LINEAR = "imaginary_linear"
-    IMAGINARY_LINEAR_FAMILY = "imaginary_linear_family"
     STRATONOVICH_LINEAR = "stratonovich_linear"
 
 
-_LINEAR = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.IMAGINARY_LINEAR_FAMILY, SdeEquation.STRATONOVICH_LINEAR)
+_LINEAR = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.STRATONOVICH_LINEAR)
 _HERMITIAN_OPS_REQUIRED = (SdeEquation.NONLINEAR_REAL, *_LINEAR)
 
 
@@ -145,16 +151,17 @@ class SdeSpec:
     ``hamiltonian`` is the generator of the -i H dt term (complex and
     possibly non-Hermitian for the nonlinear equations).  ``collapse_ops``
     holds one operator per Wiener channel.  ``rate`` is the collapse
-    coupling lambda.  ``decay_quadratic`` is the operator K = lambda B^dag B
-    (equal to the decay operator) entering the drift as -(1/2) K.  The
-    linear labels require all three diagonal (in the mass basis).
+    coupling lambda.  ``decay_quadratic`` is the decay operator K entering
+    the drift as -(1/2) K and the master equation as -(1/2) {K, rho}: the
+    measured Gamma = lambda B^dag B or the collapse-induced
+    lambda (2 beta - 1) A^2.  The linear labels require all three diagonal
+    (in the mass basis).
     """
 
     equation: SdeEquation
     hamiltonian: np.ndarray
     collapse_ops: tuple[np.ndarray, ...]
     rate: float
-    beta: float | None = None
     decay_quadratic: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -175,9 +182,6 @@ class SdeSpec:
             for op in ops:
                 if np.linalg.norm(op - op.conj().T) > 1e-12 * max(np.linalg.norm(op), 1e-300):
                     raise InvalidParams(f"{self.equation.value} requires self-adjoint collapse operators")
-        if self.equation in (SdeEquation.IMAGINARY_LINEAR_FAMILY, SdeEquation.STRATONOVICH_LINEAR):
-            if self.beta is None or not 0.0 <= self.beta <= 1.0:
-                raise InvalidParams("family equations require beta in [0,1]")
         if self.decay_quadratic is not None:
             k = np.asarray(self.decay_quadratic, dtype=complex)
             object.__setattr__(self, "decay_quadratic", k)
@@ -238,22 +242,26 @@ def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     return _flavor_spec(SdeEquation.NONLINEAR_REAL, meson, collapse, decay_quadratic=decay_operator(meson))
 
 
-def imaginary_linear_spec(
-    meson: MesonParams, collapse: CollapseParams, include_decay: bool = True
-) -> SdeSpec:
-    """Linear imaginary-noise equation, optionally with the decay drift."""
-    decay = decay_operator(meson) if include_decay else None
-    return _flavor_spec(SdeEquation.IMAGINARY_LINEAR, meson, collapse, decay_quadratic=decay)
+def imaginary_linear_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
+    """Linear imaginary-noise equation decaying through the measured widths, K = Gamma."""
+    return _flavor_spec(SdeEquation.IMAGINARY_LINEAR, meson, collapse, decay_quadratic=decay_operator(meson))
 
 
 def family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Time-asymmetric linear family in Ito form, drift -lambda beta A^2."""
-    return _flavor_spec(SdeEquation.IMAGINARY_LINEAR_FAMILY, meson, collapse, beta=collapse.beta)
+    """Time-asymmetric linear family in Ito form: K = lambda (2 beta - 1) A^2.
+
+    Its Ito drift -(lambda/2) A^2 - K/2 equals -lambda beta A^2.
+    """
+    return _flavor_spec(
+        SdeEquation.IMAGINARY_LINEAR, meson, collapse, decay_quadratic=induced_decay_operator(meson, collapse)
+    )
 
 
 def stratonovich_family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """The family equation in Stratonovich form, drift +(lambda/2)(1-2beta) A^2."""
-    return _flavor_spec(SdeEquation.STRATONOVICH_LINEAR, meson, collapse, beta=collapse.beta)
+    """The family equation in Stratonovich form, drift -K/2 = +(lambda/2)(1 - 2 beta) A^2."""
+    return _flavor_spec(
+        SdeEquation.STRATONOVICH_LINEAR, meson, collapse, decay_quadratic=induced_decay_operator(meson, collapse)
+    )
 
 
 def phase_transform_spec(spec: SdeSpec, phi: float) -> SdeSpec:
@@ -381,21 +389,18 @@ def _normalized_expectations(psi: np.ndarray, ops) -> tuple[np.ndarray, list[np.
 
 
 def _linear_matrices(spec: SdeSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Constant drift and diffusion matrices of the linear equations."""
-    lam = spec.rate
-    sqlam = math.sqrt(lam)
-    a_sq = sum(op @ op for op in spec.collapse_ops)
+    """Constant drift -i H - K/2 and diffusions i sqrt(lambda) A_c of the linear equations.
+
+    The Ito label adds the conversion drift -(lambda/2) sum_c A_c^2; the
+    Stratonovich drift is the bare one.
+    """
     drift = -1j * spec.hamiltonian
     if spec.equation is SdeEquation.IMAGINARY_LINEAR:
-        drift = drift - 0.5 * lam * a_sq
-        if spec.decay_quadratic is not None:
-            drift = drift - 0.5 * spec.decay_quadratic
-    elif spec.equation is SdeEquation.IMAGINARY_LINEAR_FAMILY:
-        drift = drift - lam * spec.beta * a_sq
-    else:  # STRATONOVICH_LINEAR, drift in the Stratonovich sense
-        drift = drift + 0.5 * lam * (1.0 - 2.0 * spec.beta) * a_sq
-    diffusions = [1j * sqlam * op for op in spec.collapse_ops]
-    return drift, diffusions
+        drift = drift - 0.5 * spec.rate * sum(op @ op for op in spec.collapse_ops)
+    if spec.decay_quadratic is not None:
+        drift = drift - 0.5 * spec.decay_quadratic
+    sqlam = math.sqrt(spec.rate)
+    return drift, [1j * sqlam * op for op in spec.collapse_ops]
 
 
 def _linear_stepper(spec: SdeSpec, n_cols: int, method: str):
@@ -551,20 +556,19 @@ def ensemble_evolve(
     n_threads: int = 1,
     method: str = "heun",
 ) -> tuple[EnsembleStats, ...]:
-    """Ensemble means of |psi><psi| and derived probabilities on a grid.
+    """Ensemble means and covariances of the projection probabilities on a grid.
 
     Returns one ``EnsembleStats`` per entry of ``initial_states``, in
     order.  One pass serves all states: each trajectory's noise is drawn
     once per batch from its (seed, trajectory) Philox substream and drives
     every state.  The linear equations step one (dim, batch) block of
-    mass-basis factors c, so trajectory k from state a is a * c_k; every
-    (state, observable) amplitude comes from one product of the weights
-    proj * a with c, and the mean of |psi><psi| is (a a^dag) * mean(c c^dag).
-    The nonlinear equations step the states as stacked rows of one array.
-    Either way state s of a stacked call equals a single-state call bit
-    for bit.
-    The mean is over raw (unnormalized) projectors: the linear equations
-    carry decay in the norm.  Variances and covariances come from centred
+    mass-basis factors c, so trajectory k from state a is a * c_k, and
+    every (state, observable) amplitude comes from one product of the
+    weights proj * a with c.  The nonlinear equations step the states as
+    stacked rows of one array.  Either way state s of a stacked call equals
+    a single-state call bit for bit.
+    The probabilities |<v|psi>|^2 are taken on the raw (unnormalized)
+    state: the linear equations carry decay in the norm.  Variances and covariances come from centred
     second moments per batch, folded across batches with the pairwise
     update; the spread is exactly zero while all trajectories agree.
     Results are bit-identical for a fixed (seed, n_trajectories, dt)
@@ -593,15 +597,9 @@ def ensemble_evolve(
     n_states, n_grid, n_obs, dim = len(states), len(t_grid), len(labels), spec.dim
     n_channels = config.n_channels
     linear = spec.equation in _LINEAR
-    if linear:
-        # Trajectory k from state s is a_s * c_k componentwise: row (s, o) of
-        # the weights takes observable o of state s off the factor column c_k,
-        # and a_s a_s^dag scales the mean of c c^dag.
-        weights = (proj * amps0[:, None, :]).reshape(n_states * n_obs, dim)
-        mat_scale = amps0[:, :, None] * amps0[:, None, :].conj()
-    else:
-        weights, mat_scale = proj, 1.0
-    n_groups = 1 if linear else n_states
+    # Trajectory k from state s is a_s * c_k componentwise: row (s, o) of
+    # the weights takes observable o of state s off the factor column c_k.
+    weights = (proj * amps0[:, None, :]).reshape(n_states * n_obs, dim) if linear else proj
 
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
@@ -610,7 +608,6 @@ def ensemble_evolve(
         # they leave its memory free for the next batch's noise.
         means = np.empty((n_grid, n_states, n_obs))
         m2 = np.empty((n_grid, n_states, n_obs, n_obs))
-        mat_sums = np.empty((n_grid, n_groups, dim, dim), dtype=complex)
         gen = Generator(Philox(0))  # re-keyed per trajectory below
         noise = np.empty((b, n_steps_total, n_channels))
         for k in range(b):
@@ -644,8 +641,6 @@ def ensemble_evolve(
                 w_rows[...] = noise[:, pos, :]
                 advance(psi, w, h)
 
-        rows = rows_t.transpose(0, 2, 1)
-        rows_conj = np.empty_like(rows)
         obs = np.empty((n_states, n_obs, b))  # (state, observable, trajectory)
         imag_sq = np.empty_like(obs)
 
@@ -662,8 +657,6 @@ def ensemble_evolve(
             np.subtract(obs, shift[:, :, None], out=obs)
             means[g] = first + shift
             np.matmul(obs, obs.transpose(0, 2, 1), out=m2[g])
-            np.conjugate(rows, out=rows_conj)
-            np.matmul(rows_t, rows_conj, out=mat_sums[g])
 
         record(0)
         pos = 0
@@ -673,25 +666,23 @@ def ensemble_evolve(
                 step_once(pos, h)
                 pos += 1
             record(g)
-        return b, means, m2, mat_sums
+        return b, means, m2
 
     # Batch partials are folded in index order as they arrive, with the
     # pairwise update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242).
     batches = _batch_bounds(n_trajectories, n_steps_total, n_channels)
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         partials = pool.map(run_batch, batches) if n_threads > 1 else map(run_batch, batches)
-        n_a, means, m2, mat_sums = next(partials)
-        for n_b, means_b, m2_b, mat_sums_b in partials:
+        n_a, means, m2 = next(partials)
+        for n_b, means_b, m2_b in partials:
             n_ab = n_a + n_b
             delta = means_b - means
             means += delta * (n_b / n_ab)
             m2 += m2_b
             m2 += delta[..., :, None] * delta[..., None, :] * (n_a * n_b / n_ab)
-            mat_sums += mat_sums_b
             n_a = n_ab
 
     n = float(n_trajectories)
-    mean_matrices = mat_sums * mat_scale / n
     cov = m2 / (n - 1.0)
     stderrs = np.sqrt(np.diagonal(cov, axis1=2, axis2=3) / n)
     return tuple(
@@ -702,7 +693,6 @@ def ensemble_evolve(
             labels=labels,
             n_trajectories=n_trajectories,
             seed=int(config.seed),
-            mean_matrices=mean_matrices[:, s],
             covariances=cov[:, s],
         )
         for s in range(n_states)
@@ -713,19 +703,15 @@ def associated_master_spec(spec: SdeSpec) -> MasterSpec:
     """Master equation whose solution is the ensemble mean of the SDE.
 
     The Lindblad channels are sqrt(lambda) times the collapse operators;
-    non-Hermitian Hamiltonians and explicit decay drifts both land in the
-    anticommutator term.
+    the anti-Hermitian part of H and the decay operator K both land in the
+    anticommutator term, whatever the label.
     """
-    lam = spec.rate
     h = spec.hamiltonian
     h_herm = 0.5 * (h + h.conj().T)
     k = 1j * (h - h.conj().T)
     if spec.decay_quadratic is not None:
         k = k + spec.decay_quadratic
-    if spec.equation in (SdeEquation.IMAGINARY_LINEAR_FAMILY, SdeEquation.STRATONOVICH_LINEAR):
-        a_sq = sum(op @ op for op in spec.collapse_ops)
-        k = k + lam * (2.0 * spec.beta - 1.0) * a_sq
-    lindblads = [math.sqrt(lam) * op for op in spec.collapse_ops]
+    lindblads = [math.sqrt(spec.rate) * op for op in spec.collapse_ops]
     k_norm = np.linalg.norm(k)
     return MasterSpec(
         hamiltonian=h_herm,

@@ -7,7 +7,6 @@ from flavorcollapse.core import (
     Basis,
     CollapseParams,
     Convention,
-    DensityMatrix,
     EnsembleStats,
     MesonParams,
     Model,
@@ -17,15 +16,10 @@ from flavorcollapse.core import (
     mass_ratio,
     to_flavor,
     to_mass,
-    validate_params,
 )
 from flavorcollapse.errors import InvalidParams
 
 from conftest import make_csl
-
-
-def test_validate_params_accepts_valid_pair(meson, csl):
-    assert validate_params(meson, csl) == (meson, csl)
 
 
 def test_degenerate_masses_rejected():
@@ -116,27 +110,6 @@ def test_state_length_must_match_basis():
 def test_state_norm_unconstrained():
     state = QuantumState(np.array([0.1, 0.2j]), Basis.FLAVOR)
     assert state.norm < 1.0
-
-
-def test_density_matrix_from_states_hermitian_psd():
-    rng = np.random.default_rng(7)
-    states = [
-        QuantumState(amps / np.linalg.norm(amps), Basis.FLAVOR)
-        for amps in rng.normal(size=(24, 2)) + 1j * rng.normal(size=(24, 2))
-    ]
-    rho = DensityMatrix.from_states(states)
-    np.testing.assert_allclose(rho.matrix, rho.matrix.conj().T, atol=1e-12)
-    assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
-    assert rho.trace == pytest.approx(1.0, abs=1e-12)
-
-
-def test_density_matrix_rejects_bad_input():
-    with pytest.raises(InvalidParams, match="Hermitian"):
-        DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]]), Basis.FLAVOR)
-    with pytest.raises(InvalidParams, match="negative eigenvalue"):
-        DensityMatrix(np.array([[0.5, 0.0], [0.0, -0.5]]), Basis.FLAVOR)
-    with pytest.raises(InvalidParams, match="trace"):
-        DensityMatrix(np.eye(2), Basis.FLAVOR)
 
 
 def test_time_series_invariants():

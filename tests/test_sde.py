@@ -290,10 +290,7 @@ _OFF_DIAGONAL = np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex)
 def test_linear_specs_require_diagonal_operators(factory, field):
     spec = factory(_decaying(), make_csl(beta=0.8, rate=0.3))
     diagonal = getattr(spec, field)
-    if field == "collapse_ops":
-        bad = (diagonal[0] + _OFF_DIAGONAL,)
-    else:
-        bad = (np.diag([0.1, 0.2]) if diagonal is None else diagonal) + _OFF_DIAGONAL
+    bad = (diagonal[0] + _OFF_DIAGONAL,) if field == "collapse_ops" else diagonal + _OFF_DIAGONAL
     with pytest.raises(InvalidParams, match="diagonal"):
         replace(spec, **{field: bad})
 
@@ -315,6 +312,22 @@ def _qm_cli_spec(meson):
 # Mass ratios that are not powers of two, so that products by A round.
 _GENERIC = MesonParams(m_L=1.3, m_H=2.1, gamma_L=0.2, gamma_H=0.08)
 _GENERIC_CSL = dict(beta=0.8, rate=0.3, m0=0.7)
+
+
+def test_family_is_imaginary_linear_with_induced_widths():
+    # The paper's claim at the SDE layer: the time-asymmetric family is the
+    # imaginary-noise linear equation of a meson whose widths are the
+    # collapse-induced lambda (2 beta - 1) m~_i^2.
+    collapse = make_csl(**_GENERIC_CSL)
+    g_l, g_h = induced_decay_widths(_GENERIC, collapse)
+    family = family_spec(_GENERIC, collapse)
+    imaginary = imaginary_linear_spec(replace(_GENERIC, gamma_L=g_l, gamma_H=g_h), collapse)
+    assert family.equation is imaginary.equation
+    assert np.array_equal(family.hamiltonian, imaginary.hamiltonian)
+    assert len(family.collapse_ops) == len(imaginary.collapse_ops)
+    for a, b in zip(family.collapse_ops, imaginary.collapse_ops):
+        assert np.array_equal(a, b)
+    assert np.array_equal(family.decay_quadratic, imaginary.decay_quadratic)
 
 
 @pytest.mark.parametrize(
@@ -435,16 +448,6 @@ def test_ensemble_matches_family_master():
         np.testing.assert_array_less(np.abs(mean - expected), 4 * stderr + budget + 1e-12)
 
 
-def test_ensemble_mean_matrix_consistent_with_columns():
-    meson = _bare()
-    spec = family_spec(meson, make_csl(beta=0.9, rate=0.2))
-    t_grid = _grid(2.0, 5)
-    config = NoiseConfig(seed=3, dt=2.0 / 500)
-    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 300)
-    mean, _ = stats.column("P_L")
-    np.testing.assert_allclose(stats.mean_matrices[:, 0, 0].real, mean, atol=1e-12)
-
-
 def test_ensemble_determinism_across_threads_and_runs():
     meson = _bare()
     spec = family_spec(meson, make_csl(beta=0.75, rate=0.25))
@@ -457,7 +460,6 @@ def test_ensemble_determinism_across_threads_and_runs():
     for other in runs[1:]:
         assert np.array_equal(runs[0].means, other.means)
         assert np.array_equal(runs[0].stderrs, other.stderrs)
-        assert np.array_equal(runs[0].mean_matrices, other.mean_matrices)
 
 
 _STACKED = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
@@ -474,7 +476,7 @@ def test_stacked_states_equal_single_state_runs(factory):
     assert len(stacked) == 3
     for state, together in zip(_STACKED, stacked):
         (alone,) = ensemble_evolve(spec, config, (state,), t_grid, 2100)
-        for field in ("means", "stderrs", "covariances", "mean_matrices"):
+        for field in ("means", "stderrs", "covariances"):
             assert np.array_equal(getattr(together, field), getattr(alone, field)), field
 
 
@@ -511,12 +513,13 @@ def test_ensemble_noise_matches_wiener_contract():
     t_grid = np.array([0.0, 0.01])
     config = NoiseConfig(seed=31, dt=0.01)
     (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 2)
-    manual = np.zeros((2, 2), dtype=complex)
+    proj = observable_vectors(2)[0].conj()
+    manual = np.zeros(len(proj))
     for traj in range(2):
         w = wiener_increments(config, 1, traj)
         psi = step(spec, _M0_MASS, w[0], 0.01)
-        manual += np.outer(psi, psi.conj()) / 2.0
-    np.testing.assert_allclose(stats.mean_matrices[1], manual, atol=1e-15)
+        manual += np.abs(proj @ psi) ** 2 / 2.0
+    np.testing.assert_allclose(stats.means[1], manual, atol=1e-15)
 
 
 def test_stderr_scales_with_trajectories():
@@ -562,7 +565,7 @@ def test_phase_transform_identity_and_imaginary_limit():
     base = collapse_flavor_spec(meson, collapse)
     assert phase_transform_spec(base, 0.0) == base
     rotated = phase_transform_spec(base, np.pi / 2.0)
-    linear = imaginary_linear_spec(meson, collapse, include_decay=True)
+    linear = imaginary_linear_spec(meson, collapse)
     rng = np.random.default_rng(8)
     for _ in range(10):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -602,6 +605,10 @@ def test_phase_transform_rejects_other_equations():
 # ----------------------------------------------------------------------
 # master-equation consistency (one-step finite difference)
 
+def _with_extra_decay(spec):
+    return replace(spec, decay_quadratic=spec.decay_quadratic + np.diag([0.2, 0.05]))
+
+
 def _fd_against_master(spec, psi0, n, dt, seed):
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, np.sqrt(dt), size=(n, spec.n_channels))
@@ -623,6 +630,7 @@ def _fd_against_master(spec, psi0, n, dt, seed):
         lambda: collapse_flavor_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
         lambda: flavor_decay_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
         lambda: family_spec(_bare(), make_csl(beta=0.8, rate=0.3)),
+        lambda: _with_extra_decay(family_spec(_bare(), make_csl(beta=0.8, rate=0.3))),
         lambda: enlarged_collapse_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
         lambda: nonlinear_general_spec(
             np.diag([1.0, 2.0]).astype(complex),
@@ -630,7 +638,7 @@ def _fd_against_master(spec, psi0, n, dt, seed):
             0.3,
         ),
     ],
-    ids=["collapse", "flavor_decay", "family", "enlarged", "general_nonhermitian"],
+    ids=["collapse", "flavor_decay", "family", "family_extra_decay", "enlarged", "general_nonhermitian"],
 )
 def test_one_step_master_consistency(build):
     spec = build()
