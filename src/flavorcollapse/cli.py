@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -41,7 +41,6 @@ from .core import (
     Model,
     QuantumState,
 )
-from .core import mass_ratios
 from .errors import (
     CatalogMiss,
     DegenerateDenominator,
@@ -51,7 +50,7 @@ from .errors import (
     ParseError,
     UnknownKey,
 )
-from .operators import decay_operator
+from .operators import decay_operator, induced_decay_widths
 
 __all__ = ["RunSpec", "load_config", "main", "run", "compare_routes"]
 
@@ -239,6 +238,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
                 r_C=_get(cfg, "r_C", float, default=None),
                 ratio_convention=spec.convention,
             )
+            if spec.model is DynamicsModel.CSL and spec.collapse.beta < 0.5:
+                raise InvalidParams("CSL needs beta >= 1/2: a smaller beta gives negative collapse-induced widths")
         elif any(k in cfg for k in ("rate", "r_C", "beta", "m0", "m0_MeV", "alpha")):
             raise InvalidParams("model QM takes no collapse parameters")
 
@@ -440,7 +441,9 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
         "nonlinear": sde.collapse_flavor_spec,
         "enlarged": sde.enlarged_collapse_spec,
     }
-    return factories[spec.equation](meson, collapse)
+    # Every CSL equation decays through the collapse-induced widths: one physics, six formulations.
+    gamma_l, gamma_h = induced_decay_widths(meson, collapse)
+    return factories[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
 
 
 def _ensemble_stats(spec: RunSpec, times: np.ndarray):
@@ -468,20 +471,17 @@ def _ensemble_probs(stats) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]
     return {col: mean for col, (mean, _) in pairs.items()}, {col: err for col, (_, err) in pairs.items()}
 
 
-def _discretization_floor(spec: RunSpec, times: np.ndarray, dt: float) -> np.ndarray:
+def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float) -> np.ndarray:
     """Tolerance allowance 4 dt t r^2 for the O(dt) weak bias of the schemes.
 
-    r is the fastest rate of the generator the trajectories are stepped
-    with.  Every equation runs on the gauged mass operator diag(0, delta_m),
-    so r is the splitting, a width or the collapse rate at the largest mass
-    ratio; the absolute masses do not enter.
+    r is the fastest rate of the generator that is stepped, read off its
+    spec: the largest of ||H||_2, ||K||_2 and lambda max_c ||L_c||_2^2.
+    Every factory gauges the mass operator to diag(0, delta_m), so the
+    absolute masses do not enter.
     """
-    meson, collapse = spec.meson, spec.collapse
-    rate = max(meson.delta_m, meson.gamma_L, meson.gamma_H)
-    if collapse is not None:
-        lam = collapse.effective_rate
-        rate = max(rate, lam * float(np.max(mass_ratios(meson, collapse)) ** 2))
-    return 1e-12 + 4.0 * dt * times * rate**2
+    norms = [np.linalg.norm(m, 2) for m in (eq_spec.hamiltonian, eq_spec.decay_quadratic) if m is not None]
+    noise = eq_spec.rate * max(np.linalg.norm(op, 2) for op in eq_spec.collapse_ops) ** 2
+    return 1e-12 + 4.0 * dt * times * max(*norms, noise) ** 2
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +580,7 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     master_probs = _master_probs(spec, times)
     stats, dt = _ensemble_stats(spec, times)
     means, errs = _ensemble_probs(stats)
-    floor = _discretization_floor(spec, times, dt)
+    floor = _discretization_floor(_sde_spec(spec), times, dt)
     table, master_max, ratio_max = compare_routes(times, analytic_probs, master_probs, means, errs, floor)
     table.meta = spec.header_notes + [
         f"command=compare model={spec.model.value} meson={spec.meson_label} "

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flavorcollapse import cli
+from flavorcollapse import cli, sde
 from flavorcollapse.analytic import prob_flavor_csl, prob_flavor_qmupl
 from flavorcollapse.core import Convention, FlavorTarget, MesonParams
 from flavorcollapse.errors import CatalogMiss, InvalidParams, ParseError, UnknownKey
@@ -214,20 +214,87 @@ def test_ensemble_equation_variants_run(tmp_path, equation):
     assert column(out, "P_M0_M0")[0] == pytest.approx(1.0)
 
 
+_MEASURED_CSL = dict(_EXPLICIT_CSL, gamma_L=0.1, gamma_H=0.05)
+_EQUATION_FACTORIES = {
+    "family": sde.family_spec,
+    "flavor_decay": sde.flavor_decay_spec,
+    "imaginary": sde.imaginary_linear_spec,
+    "stratonovich": sde.stratonovich_family_spec,
+    "nonlinear": sde.collapse_flavor_spec,
+    "enlarged": sde.enlarged_collapse_spec,
+}
+
+
+@pytest.mark.parametrize("config", [_README_CSL, _MEASURED_CSL], ids=["readme", "measured_widths"])
+@pytest.mark.parametrize("equation", cli._EQUATIONS)
+def test_compare_accepts_every_csl_equation(tmp_path, config, equation):
+    # Under CSL every equation decays through the collapse-induced widths,
+    # so each formulation follows the routes' master equation and passes,
+    # also where the configured widths are nonzero (and unused).
+    cfg = write_config(
+        tmp_path, command="compare", **config, equation=equation,
+        t_max=2.0, n_points=21, n_trajectories=300, seed=7, dt=0.005,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == 0
+
+
 @pytest.mark.parametrize(
     "equation, code",
     [("family", 0), ("stratonovich", 0), ("nonlinear", 1), ("flavor_decay", 1), ("imaginary", 1), ("enlarged", 1)],
 )
-def test_compare_rejects_equation_with_other_master(tmp_path, equation, code):
-    # Under CSL the nonlinear, flavor-decay, imaginary and enlarged equations
-    # decay with the measured widths, not the collapse-induced ones of the
-    # other two routes.  That is a configuration error, found before any
-    # trajectory runs: a small enough N could hide it inside 4 stderrs.
+def test_compare_rejects_equation_with_other_master(tmp_path, monkeypatch, capsys, equation, code):
+    # The route-physics gate can still fail: built from the measured widths,
+    # the nonlinear, flavor-decay, imaginary and enlarged equations decay
+    # otherwise than the CSL routes.  That is a configuration error, found
+    # before any trajectory runs.  family and stratonovich read no width.
+    def measured_width_spec(spec):
+        return _EQUATION_FACTORIES[spec.equation](spec.meson, spec.collapse)
+
+    calls = []
+    true_evolve = sde.ensemble_evolve
+
+    def counted_evolve(*args, **kwargs):
+        calls.append(args)
+        return true_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_sde_spec", measured_width_spec)
+    monkeypatch.setattr(cli.sde, "ensemble_evolve", counted_evolve)
     cfg = write_config(
-        tmp_path, command="compare", **_README_CSL, equation=equation,
+        tmp_path, command="compare", **_MEASURED_CSL, equation=equation,
         t_max=2.0, n_points=21, n_trajectories=300, seed=7, dt=0.005,
     )
     assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == code
+    assert bool(calls) == (code == 0)
+    assert ("follows a different master equation" in capsys.readouterr().err) == (code == 1)
+
+
+def test_imaginary_is_family_under_csl(tmp_path):
+    # With the induced widths the imaginary-noise equation is the family
+    # equation: same spec, same noise, same table body byte for byte.
+    bodies = []
+    for equation in ("family", "imaginary"):
+        cfg = write_config(
+            tmp_path, command="ensemble", **_MEASURED_CSL, equation=equation,
+            t_max=2.0, n_points=21, n_trajectories=200, seed=5, dt=0.005,
+        )
+        out = tmp_path / f"{equation}.csv"
+        assert cli.main([cfg, "--output", str(out)]) == 0
+        bodies.append([line for line in out.read_text().splitlines() if not line.startswith("#")])
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("command", ["analytic", "master", "ensemble", "compare"])
+def test_csl_beta_below_half_rejected_by_every_route(tmp_path, capsys, command):
+    # beta < 1/2 gives negative collapse-induced widths, for which no route
+    # is physical; every route command rejects it at load with one message.
+    cfg = write_config(
+        tmp_path, command=command, **dict(_README_CSL, beta=0.3),
+        t_max=6.0, n_points=21, n_trajectories=40, seed=7, dt=0.005,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: CSL needs beta >= 1/2: a smaller beta gives negative collapse-induced widths\n"
+    )
 
 
 def test_compare_catalog_scale_kaon(tmp_path):
@@ -256,7 +323,7 @@ def test_compare_catalog_scale_kaon_ensemble_gate_can_fail(tmp_path, monkeypatch
     spec = cli.load_config(cfg)
     times = spec.grid
     _, dt = cli._ensemble_stats(spec, times)
-    assert cli._discretization_floor(spec, times, dt).max() < 0.3
+    assert cli._discretization_floor(cli._sde_spec(spec), times, dt).max() < 0.06
     true_stats = cli._ensemble_stats
 
     def shifted(spec, times):
@@ -462,10 +529,12 @@ def test_schema_file_matches_loader_keys(tmp_path):
 
     # Every numeric bound of the schema is the loader's: the bound itself
     # (or the next float above an exclusive one) loads, the next value
-    # beyond it is rejected.
-    base = dict(command="ensemble", **_README_CSL, t_max=1.0, n_points=3, n_trajectories=2, dt=0.1)
+    # beyond it is rejected.  beta spans [0, 1] under QMUPL; CSL needs 1/2.
+    ensemble = dict(command="ensemble", **_README_CSL, t_max=1.0, n_points=3, n_trajectories=2, dt=0.1)
+    qmupl = dict(command="analytic", **dict(_README_CSL, model="QMUPL"), t_max=1.0, n_points=3)
     checked = set()
     for key, prop in schema["properties"].items():
+        base = qmupl if key == "beta" else ensemble
         for bound, direction in (("minimum", -1), ("maximum", 1), ("exclusiveMinimum", -1)):
             if bound not in prop:
                 continue
@@ -481,6 +550,9 @@ def test_schema_file_matches_loader_keys(tmp_path):
                 cli.load_config(write_config(tmp_path, **dict(base, **{key: outside})))
             checked.add(key)
     assert checked == {"beta", "t_max", "n_points", "n_trajectories", "seed", "dt", "threads"}
+    assert cli.load_config(write_config(tmp_path, **dict(ensemble, beta=0.5))) is not None
+    with pytest.raises(InvalidParams, match="CSL needs beta >= 1/2"):
+        cli.load_config(write_config(tmp_path, **dict(ensemble, beta=float(np.nextafter(0.5, -np.inf)))))
 
 
 @pytest.mark.parametrize("flag, key, value", [("--seed", "seed", -1), ("--seed", "seed", 2**64), ("--threads", "threads", 0)])
