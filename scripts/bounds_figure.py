@@ -24,23 +24,23 @@ def main() -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for convention in ("inverted", "normal"):
-        config = {
-            "command": "bounds",
-            "mesons": ["K0", "D0", "B0", "Bs0"],
-            "ratio_convention": convention,
-            "m0_min_MeV": 1.0,
-            "m0_max_MeV": 1.0e6,
-            "n_points": args.n_points,
-        }
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(config, fh)
-            config_path = fh.name
-        out = outdir / f"bounds_{convention}.csv"
-        code = cli.main([config_path, "--output", str(out)])
-        if code != 0:
-            return code
-        print(f"wrote {out}")
+    with tempfile.TemporaryDirectory() as configs:
+        for convention in ("inverted", "normal"):
+            config = {
+                "command": "bounds",
+                "mesons": ["K0", "D0", "B0", "Bs0"],
+                "ratio_convention": convention,
+                "m0_min_MeV": 1.0,
+                "m0_max_MeV": 1.0e6,
+                "n_points": args.n_points,
+            }
+            config_path = Path(configs) / f"bounds_{convention}.json"
+            config_path.write_text(json.dumps(config))
+            out = outdir / f"bounds_{convention}.csv"
+            code = cli.main([str(config_path), "--output", str(out)])
+            if code != 0:
+                return code
+            print(f"wrote {out}")
     return 0
 
 

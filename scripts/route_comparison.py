@@ -32,18 +32,17 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     final = 0
-    for command in ("analytic", "master", "ensemble", "compare"):
-        config = dict(_BASE, command=command)
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(config, fh)
-            config_path = fh.name
-        out = outdir / f"{command}.csv"
-        code = cli.main([config_path, "--output", str(out), "--threads", str(args.threads)])
-        print(f"{command}: exit {code}, wrote {out}")
-        if command == "compare":
-            final = code
-        elif code != 0:
-            return code
+    with tempfile.TemporaryDirectory() as configs:
+        for command in ("analytic", "master", "ensemble", "compare"):
+            config_path = Path(configs) / f"{command}.json"
+            config_path.write_text(json.dumps(dict(_BASE, command=command)))
+            out = outdir / f"{command}.csv"
+            code = cli.main([str(config_path), "--output", str(out), "--threads", str(args.threads)])
+            print(f"{command}: exit {code}, wrote {out}")
+            if command == "compare":
+                final = code
+            elif code != 0:
+                return code
     return final
 
 

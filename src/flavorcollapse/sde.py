@@ -51,8 +51,8 @@ substream keyed by (seed, trajectory), so ensembles are bit-identical
 for a fixed (seed, N, dt) regardless of scheduling or worker count.
 Several initial states evolved in one call share that noise.
 Expectation values in the nonlinear equations always use the normalized
-state; trajectories themselves are stored unnormalized, and each
-observable is the ensemble mean of |<v|psi>|^2 on the raw state.
+state; trajectories are stored unnormalized, and each observable is the
+ensemble mean of |<v|psi>|^2 on the raw state, a real form in psi psi^dag.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-300
-_BATCH_TARGET_ENTRIES = 1 << 25  # noise entries held in memory per batch
+_BATCH_TARGET_ENTRIES = 1 << 23  # noise entries held in memory per batch (64 MB)
 _BATCH_CAP = 2048
 
 
@@ -335,26 +335,29 @@ def wiener_increments(config: NoiseConfig, n_steps: int, trajectory_id: int) -> 
     """
     if n_steps < 1:
         raise InvalidParams("n_steps must be at least 1")
-    gen = Generator(Philox(0))
-    _rekey(gen, config.seed, trajectory_id)
+    gen, rekey = _keyed_generator(config.seed)
+    rekey(trajectory_id)
     return gen.standard_normal((n_steps, config.n_channels)) * math.sqrt(config.dt)
 
 
-def _rekey(gen: Generator, seed: int, trajectory_id: int) -> None:
-    """Point ``gen`` at the start of the (seed, trajectory_id) Philox stream.
+def _keyed_generator(seed: int):
+    """A generator and a function that points it at the start of a (seed, trajectory_id) stream.
 
     Gives the stream of ``Philox(key=[seed, trajectory_id])`` without the
     SeedSequence (and its OS-entropy read) that construction runs, so one
-    generator serves a whole batch of trajectories.
+    generator serves a whole batch: re-keying loads a new Philox's state
+    (counter 0, empty buffer) with the key changed.
     """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, trajectory_id], np.uint64)},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    gen = Generator(Philox(0))
+    state = gen.bit_generator.state
+    key = state["state"]["key"]
+    key[0] = seed
+
+    def rekey(trajectory_id: int) -> None:
+        key[1] = trajectory_id
+        gen.bit_generator.state = state
+
+    return gen, rekey
 
 
 def _as_batch(state, dim: int) -> tuple[np.ndarray, bool]:
@@ -562,15 +565,16 @@ def ensemble_evolve(
     order.  One pass serves all states: each trajectory's noise is drawn
     once per batch from its (seed, trajectory) Philox substream and drives
     every state.  The linear equations step one (dim, batch) block of
-    mass-basis factors c, so trajectory k from state a is a * c_k, and
-    every (state, observable) amplitude comes from one product of the
-    weights proj * a with c.  The nonlinear equations step the states as
-    stacked rows of one array.  Either way state s of a stacked call equals
-    a single-state call bit for bit.
+    mass-basis factors c, so trajectory k from state a is a * c_k; the
+    nonlinear equations step the states as stacked rows of one array, one
+    block per state.  Either way state s of a stacked call equals a
+    single-state call bit for bit.
     The probabilities |<v|psi>|^2 are taken on the raw (unnormalized)
-    state: the linear equations carry decay in the norm.  Variances and covariances come from centred
-    second moments per batch, folded across batches with the pairwise
-    update; the spread is exactly zero while all trajectories agree.
+    state: the linear equations carry decay in the norm.  Each is a fixed
+    real form in the entries of psi psi^dag, so the ensemble reduces those
+    real entries per block, with centred second moments per batch folded
+    by the pairwise update, and maps them to the probabilities once.  The
+    spread is exactly zero while all trajectories agree.
     Results are bit-identical for a fixed (seed, n_trajectories, dt)
     whatever ``n_threads``: the batch partition is fixed and partials are
     folded in index order.  ``method`` selects the stepping of a
@@ -597,34 +601,42 @@ def ensemble_evolve(
     n_states, n_grid, n_obs, dim = len(states), len(t_grid), len(labels), spec.dim
     n_channels = config.n_channels
     linear = spec.equation in _LINEAR
-    # Trajectory k from state s is a_s * c_k componentwise: row (s, o) of
-    # the weights takes observable o of state s off the factor column c_k.
-    weights = (proj * amps0[:, None, :]).reshape(n_states * n_obs, dim) if linear else proj
+    n_blocks = 1 if linear else n_states
+    # Trajectory k from state s is a_s * c_k, so observable o of state s is
+    # |w . c_k|^2 with w = proj_o * a_s, a real form in the entries of c c^dag.
+    # The batches reduce Re c_i conj(c_j) over the diagonal and the pairs
+    # i < j some observable couples, then Im over the pairs; q maps them.
+    weights = proj * amps0[:, None, :] if linear else proj[None]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim) if np.any(proj[:, i] * proj[:, j])]
+    entries = [(i, i) for i in range(dim)] + pairs
+    w_ij = np.stack([weights[..., i] * weights[..., j].conj() for i, j in entries], axis=-1)
+    w_ij[..., dim:] *= 2.0
+    q = np.concatenate([w_ij.real, -w_ij[..., dim:].imag], axis=-1)
+    n_feat = q.shape[-1]
 
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
         b = hi - lo
         # The partials outlive the batch; allocated before the noise block,
         # they leave its memory free for the next batch's noise.
-        means = np.empty((n_grid, n_states, n_obs))
-        m2 = np.empty((n_grid, n_states, n_obs, n_obs))
-        gen = Generator(Philox(0))  # re-keyed per trajectory below
+        means = np.empty((n_grid, n_blocks, n_feat))
+        m2 = np.empty((n_grid, n_blocks, n_feat, n_feat))
+        gen, rekey = _keyed_generator(config.seed)
         noise = np.empty((b, n_steps_total, n_channels))
         for k in range(b):
-            _rekey(gen, config.seed, lo + k)
+            rekey(lo + k)
             gen.standard_normal(out=noise[k])
         noise *= math.sqrt(config.dt)
 
         # The step and the reduction run in place on arrays allocated here,
         # so the loop allocates nothing of the batch's size: no memory is
         # returned to the system and faulted back in.
-        amps = np.empty((n_states, n_obs, b), dtype=complex)
         if linear:
             # One (dim, b) block of mass-basis factors serves every state;
             # step pos reads its noise as strided columns, without a copy.
             cols = np.ones((dim, b), dtype=complex)
             advance = _linear_stepper(spec, b, method)
-            rows_t, amps_out = cols[None], amps.reshape(1, n_states * n_obs, b)
+            blocks = cols[None]
 
             def step_once(pos: int, h: float) -> None:
                 advance(cols, noise[:, pos, :].T, h)
@@ -635,28 +647,29 @@ def ensemble_evolve(
             advance = _nonlinear_stepper(spec)
             w = np.empty((n_states * b, n_channels))
             w_rows = w.reshape(n_states, b, n_channels)
-            rows_t, amps_out = psi.reshape(n_states, b, dim).transpose(0, 2, 1), amps
+            blocks = psi.reshape(n_states, b, dim).transpose(0, 2, 1)
 
             def step_once(pos: int, h: float) -> None:
                 w_rows[...] = noise[:, pos, :]
                 advance(psi, w, h)
 
-        obs = np.empty((n_states, n_obs, b))  # (state, observable, trajectory)
-        imag_sq = np.empty_like(obs)
+        cc = np.empty((n_blocks, len(entries), b), dtype=complex)  # c_i conj(c_j)
+        feats = np.empty((n_blocks, n_feat, b))  # (block, feature, trajectory)
 
         def record(g: int) -> None:
-            np.matmul(weights, rows_t, out=amps_out)
-            np.square(amps.real, out=obs)
-            np.square(amps.imag, out=imag_sq)
-            np.add(obs, imag_sq, out=obs)
+            for e, (i, j) in enumerate(entries):
+                np.conjugate(blocks[:, j], out=cc[:, e])
+                np.multiply(blocks[:, i], cc[:, e], out=cc[:, e])
+            feats[:, : len(entries)] = cc.real
+            feats[:, len(entries) :] = cc[:, dim:].imag
             # Centre on the first trajectory, then on the batch mean: equal
             # trajectories (t = 0) give exactly zero spread.
-            first = obs[:, :, 0].copy()
-            np.subtract(obs, first[:, :, None], out=obs)
-            shift = obs.mean(axis=2)
-            np.subtract(obs, shift[:, :, None], out=obs)
+            first = feats[:, :, 0].copy()
+            np.subtract(feats, first[:, :, None], out=feats)
+            shift = feats.mean(axis=2)
+            np.subtract(feats, shift[:, :, None], out=feats)
             means[g] = first + shift
-            np.matmul(obs, obs.transpose(0, 2, 1), out=m2[g])
+            np.matmul(feats, feats.transpose(0, 2, 1), out=m2[g])
 
         record(0)
         pos = 0
@@ -682,8 +695,10 @@ def ensemble_evolve(
             m2 += delta[..., :, None] * delta[..., None, :] * (n_a * n_b / n_ab)
             n_a = n_ab
 
+    # Feature block b and row s of q broadcast to state max(b, s).
     n = float(n_trajectories)
-    cov = m2 / (n - 1.0)
+    means = (q @ means[..., None])[..., 0]
+    cov = q @ (m2 / (n - 1.0)) @ q.transpose(0, 2, 1)
     stderrs = np.sqrt(np.diagonal(cov, axis1=2, axis2=3) / n)
     return tuple(
         EnsembleStats(

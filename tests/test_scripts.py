@@ -19,8 +19,9 @@ _ROOT = Path(__file__).resolve().parents[1]
 )
 def test_script_runs_and_writes_its_files(tmp_path, script, args, written):
     # route_comparison.py exits with the compare gate's code, so a zero
-    # exit also means its three routes agree.  The scripts leave their
-    # config files in the temporary directory, so it is one of the test's.
+    # exit also means its three routes agree.  The scripts write their
+    # config files under the temporary directory, which here is one of the
+    # test's, and must leave nothing behind in it.
     outdir, scratch = tmp_path / "out", tmp_path / "tmp"
     scratch.mkdir()
     src = str(_ROOT / "src")
@@ -36,3 +37,4 @@ def test_script_runs_and_writes_its_files(tmp_path, script, args, written):
     assert sorted(p.name for p in outdir.iterdir()) == sorted(written)
     for name in written:
         assert (outdir / name).read_text().count("\n") > 2
+    assert list(scratch.iterdir()) == []

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from flavorcollapse import cli
 from flavorcollapse.analytic import DynamicsModel, prob_flavor_qm
-from flavorcollapse.core import FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
+from flavorcollapse.core import Basis, FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
 from flavorcollapse.lindblad import integrate_master, master_rhs
 from flavorcollapse import sde
@@ -480,21 +480,55 @@ def test_stacked_states_equal_single_state_runs(factory):
             assert np.array_equal(getattr(together, field), getattr(alone, field)), field
 
 
-def test_ensemble_moments_match_two_pass_over_manual_trajectories():
-    spec = family_spec(_bare(), make_csl(beta=0.8, rate=0.3))
+def _enlarged_stack():
+    # M0 and the two mass eigenstates with empty decay-product components.
+    return tuple(
+        QuantumState(np.concatenate([to_mass(s).amplitudes, [0.0, 0.0]]), Basis.ENLARGED) for s in _STACKED
+    )
+
+
+# A complex superposition gives weights with Im(w_i conj(w_j)) != 0.  Under
+# Heun its P_L spreads by only 4e-5 of its value, and its cross covariances
+# then carry rounding near 1e-12 on any double-precision route, so only the
+# Euler family stacks it.  The mass eigenstates are noise fixed points of the
+# nonlinear flavor equation (zero spread), so that case stacks states that
+# do spread.
+_COMPLEX = QuantumState(np.array([0.6, 0.8j]), Basis.MASS)
+_SPREADING = (QuantumState.m0(), QuantumState.m0bar(), _COMPLEX)
+
+
+@pytest.mark.parametrize(
+    "build, advance, states",
+    [
+        (lambda csl: family_spec(_bare(), csl), step, (*_STACKED, _COMPLEX)),
+        (lambda csl: stratonovich_family_spec(_bare(), csl), stratonovich_step, _STACKED),
+        (lambda csl: collapse_flavor_spec(_decaying(), csl), step, _SPREADING),
+        (lambda csl: enlarged_collapse_spec(_decaying(), csl), step, _enlarged_stack()),
+    ],
+    ids=["family", "stratonovich_heun", "collapse_decaying", "enlarged"],
+)
+def test_ensemble_moments_match_two_pass_over_manual_trajectories(build, advance, states):
+    # Two batches (2048 + 52) of the linear kernel (one shared factor block)
+    # and of the nonlinear one (one block per state, on dim 2 and dim 4).
+    spec = build(make_csl(beta=0.8, rate=0.3))
     t_grid = _grid(1.0, 5)
-    config = NoiseConfig(seed=17, dt=1.0 / 40)
+    config = NoiseConfig(seed=17, dt=1.0 / 40, n_channels=spec.n_channels)
     n_traj, n_sub = 2100, 10
-    stats = ensemble_evolve(spec, config, _STACKED, t_grid, n_traj)
+    stats = ensemble_evolve(spec, config, states, t_grid, n_traj)
     noise = np.array([wiener_increments(config, 40, k) for k in range(n_traj)])
-    proj = observable_vectors(2)[0].conj()
-    for state, result in zip(_STACKED, stats):
-        psi = np.tile(to_mass(state).amplitudes, (n_traj, 1))
+    proj = observable_vectors(spec.dim)[0].conj()
+    linear = spec.equation in (sde.SdeEquation.IMAGINARY_LINEAR, sde.SdeEquation.STRATONOVICH_LINEAR)
+    for state, result in zip(states, stats):
+        a = state.amplitudes if state.basis is Basis.ENLARGED else to_mass(state).amplitudes
+        # The linear kernel steps one factor c from 1 and reads state a as
+        # a * c; the nonlinear kernel steps the state itself.
+        rows = np.tile(np.ones_like(a) if linear else a, (n_traj, 1))
         for g in range(1, len(t_grid)):
             h = (t_grid[g] - t_grid[g - 1]) / n_sub
             for pos in range((g - 1) * n_sub, g * n_sub):
-                psi = step(spec, psi, noise[:, pos, :], h)
-            obs = np.abs(psi @ proj.T) ** 2
+                rows = advance(spec, rows, noise[:, pos, :], h)
+            amps = (a * rows if linear else rows) @ proj.T
+            obs = amps.real**2 + amps.imag**2
             np.testing.assert_allclose(result.means[g], obs.mean(axis=0), rtol=1e-13)
             np.testing.assert_allclose(
                 result.stderrs[g], np.sqrt(np.var(obs, axis=0, ddof=1) / n_traj), rtol=1e-12
