@@ -11,7 +11,6 @@ functions throughout, safe for concurrent grid evaluation.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ import numpy as np
 from .core import (
     Convention,
     CollapseParams,
+    DynamicsModel,
     FlavorTarget,
     MesonParams,
     Model,
@@ -65,14 +65,6 @@ GRW_COLLAPSE_RATE = 1e-16
 ADLER_COLLAPSE_RATE = 1e-8
 ADLER_COLLAPSE_RATE_BAND = (1e-10, 1e-6)
 ADLER_COHERENCE_LENGTH = 1e-7
-
-
-class DynamicsModel(enum.Enum):
-    """Which dynamics generates the observables."""
-
-    QM = "QM"
-    QMUPL = "QMUPL"
-    CSL = "CSL"
 
 
 @dataclass(frozen=True)

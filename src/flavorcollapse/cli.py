@@ -30,12 +30,14 @@ from importlib import resources
 
 import numpy as np
 
-from . import analytic, lindblad, sde
-from .analytic import DynamicsModel
+# ``analytic`` and ``sde`` are imported inside the functions that call
+# them, so a command loads only the routes it runs.
+from . import lindblad
 from .core import (
     Basis,
     CollapseParams,
     Convention,
+    DynamicsModel,
     FlavorTarget,
     MesonParams,
     Model,
@@ -357,6 +359,8 @@ _PROB_COLUMNS = tuple(_PROBS)
 
 
 def _analytic_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
+    from . import analytic
+
     # Resolved per call, so wrappers installed on the analytic module apply.
     flavor, lifetime = {
         DynamicsModel.QM: (analytic.prob_flavor_qm, analytic.prob_lifetime_qm),
@@ -388,6 +392,8 @@ def _require_route_physics(spec: RunSpec) -> None:
     equal the route's to 1e-12 of the route's largest entry; otherwise the
     ensemble and the other two routes describe different physics.
     """
+    from . import sde
+
     route = lindblad.build_superoperator(_route_master_spec(spec))
     eq_spec = _sde_spec(spec)
     own = lindblad.build_superoperator(sde.associated_master_spec(eq_spec))
@@ -423,6 +429,8 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
+    from . import sde
+
     meson, collapse = spec.meson, spec.collapse
     if spec.model is DynamicsModel.QM:
         # Noise-free Wigner-Weisskopf limit of the flavor-decay equation.
@@ -453,6 +461,8 @@ def _ensemble_stats(spec: RunSpec, times: np.ndarray):
     each state is driven by the same (seed, k) noise stream, and each grid
     point is reduced to centred moments once for all of them.
     """
+    from . import sde
+
     eq_spec = _sde_spec(spec)
     interval = times[1] - times[0]
     n_sub = max(1, round(interval / spec.dt))
@@ -604,6 +614,8 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
 
 
 def cmd_estimate(spec: RunSpec) -> Table:
+    from . import analytic
+
     meson = spec.meson
     meta = spec.header_notes + [
         f"command=estimate meson={spec.meson_label} "
@@ -639,6 +651,8 @@ def cmd_estimate(spec: RunSpec) -> Table:
 
 
 def cmd_bounds(spec: RunSpec) -> Table:
+    from . import analytic
+
     meta = spec.header_notes + [
         f"command=bounds convention={spec.convention.value} n_points={spec.n_points}",
         f"reference rates at r_C = {_fmt(analytic.ADLER_COHERENCE_LENGTH)} m: "

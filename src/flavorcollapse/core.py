@@ -32,6 +32,7 @@ __all__ = [
     "Basis",
     "Convention",
     "Model",
+    "DynamicsModel",
     "FlavorTarget",
     "MesonParams",
     "CollapseParams",
@@ -65,6 +66,14 @@ class Convention(enum.Enum):
 
 
 class Model(enum.Enum):
+    QMUPL = "QMUPL"
+    CSL = "CSL"
+
+
+class DynamicsModel(enum.Enum):
+    """Which dynamics generates the observables."""
+
+    QM = "QM"
     QMUPL = "QMUPL"
     CSL = "CSL"
 

@@ -60,7 +60,6 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -550,6 +549,23 @@ def _batch_bounds(n_trajectories: int, n_steps: int, n_channels: int) -> list[tu
     return [(lo, min(lo + batch, n_trajectories)) for lo in range(0, n_trajectories, batch)]
 
 
+def _fold_batches(partials) -> tuple[np.ndarray, np.ndarray]:
+    """Means and summed centred second moments of (count, means, m2) batch partials.
+
+    Partials are folded in index order as they arrive, with the pairwise
+    update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242).
+    """
+    n_a, means, m2 = next(partials)
+    for n_b, means_b, m2_b in partials:
+        n_ab = n_a + n_b
+        delta = means_b - means
+        means += delta * (n_b / n_ab)
+        m2 += m2_b
+        m2 += delta[..., :, None] * delta[..., None, :] * (n_a * n_b / n_ab)
+        n_a = n_ab
+    return means, m2
+
+
 def ensemble_evolve(
     spec: SdeSpec,
     config: NoiseConfig,
@@ -681,19 +697,15 @@ def ensemble_evolve(
             record(g)
         return b, means, m2
 
-    # Batch partials are folded in index order as they arrive, with the
-    # pairwise update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242).
     batches = _batch_bounds(n_trajectories, n_steps_total, n_channels)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        partials = pool.map(run_batch, batches) if n_threads > 1 else map(run_batch, batches)
-        n_a, means, m2 = next(partials)
-        for n_b, means_b, m2_b in partials:
-            n_ab = n_a + n_b
-            delta = means_b - means
-            means += delta * (n_b / n_ab)
-            m2 += m2_b
-            m2 += delta[..., :, None] * delta[..., None, :] * (n_a * n_b / n_ab)
-            n_a = n_ab
+    if n_threads > 1:
+        # Imported here, so that a single-threaded run never loads it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            means, m2 = _fold_batches(pool.map(run_batch, batches))
+    else:
+        means, m2 = _fold_batches(map(run_batch, batches))
 
     # Feature block b and row s of q broadcast to state max(b, s).
     n = float(n_trajectories)

@@ -258,7 +258,7 @@ def test_compare_rejects_equation_with_other_master(tmp_path, monkeypatch, capsy
         return true_evolve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_sde_spec", measured_width_spec)
-    monkeypatch.setattr(cli.sde, "ensemble_evolve", counted_evolve)
+    monkeypatch.setattr(sde, "ensemble_evolve", counted_evolve)
     cfg = write_config(
         tmp_path, command="compare", **_MEASURED_CSL, equation=equation,
         t_max=2.0, n_points=21, n_trajectories=300, seed=7, dt=0.005,
@@ -355,7 +355,7 @@ def test_compare_wide_bytes_independent_of_threads(tmp_path):
 
 def test_compare_missing_output_directory_exits_before_computing(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli.sde, "ensemble_evolve", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(sde, "ensemble_evolve", lambda *args, **kwargs: calls.append(args))
     cfg = write_config(
         tmp_path, command="compare", **_README_CSL, t_max=1.0, n_points=5, n_trajectories=16, seed=1, dt=0.05,
     )
@@ -706,3 +706,44 @@ def test_python_m_runs_cli_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "command=analytic" in proc.stdout
+
+
+_IMPORT_PROBE = """
+import json, sys
+from flavorcollapse import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+_CATALOG_CSL = dict(meson="K0", rate=2.2e-10, r_C=1e-7, beta=0.8, m0_MeV=938.272, alpha=1e-14, d=3)
+
+
+@pytest.mark.parametrize(
+    ("config", "loaded", "absent"),
+    [
+        (dict(command="master", model="CSL", n_points=20, **_CATALOG_CSL),
+         set(), {"flavorcollapse.sde", "flavorcollapse.analytic", "numpy.random"}),
+        (dict(command="master", model="QMUPL", n_points=20, **_CATALOG_CSL),
+         set(), {"flavorcollapse.sde", "flavorcollapse.analytic", "numpy.random"}),
+        (dict(command="bounds", mesons=["K0", "B0"], m0_min_MeV=100.0, m0_max_MeV=1e4, n_points=5),
+         {"flavorcollapse.analytic"}, {"flavorcollapse.sde"}),
+        (dict(command="compare", **_README_CSL, t_max=1.0, n_points=5, n_trajectories=16, seed=1, dt=0.05),
+         {"flavorcollapse.sde", "flavorcollapse.analytic"}, set()),
+    ],
+    ids=["master_csl", "master_qmupl", "bounds", "compare"],
+)
+def test_command_loads_only_the_routes_it_runs(tmp_path, config, loaded, absent):
+    # A fresh interpreter, so that modules other tests imported do not count.
+    cfg = write_config(tmp_path, **config)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, cfg, "--output", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    modules = set(report["modules"])
+    assert loaded <= modules
+    assert not absent & modules
