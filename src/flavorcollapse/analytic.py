@@ -45,7 +45,6 @@ __all__ = [
     "prob_flavor_qmupl",
     "prob_lifetime_csl",
     "prob_flavor_csl",
-    "asymmetry",
     "asymmetry_closed_form",
     "MassSolutions",
     "solve_absolute_masses",
@@ -206,35 +205,8 @@ def prob_flavor_csl(meson: MesonParams, collapse: CollapseParams, target: Flavor
     return _out(0.25 * (diag + sign * interference), scalar)
 
 
-def _flavor_pair(spec: AsymmetrySpec, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if spec.model is DynamicsModel.QM:
-        return (
-            prob_flavor_qm(spec.meson, FlavorTarget.M0, tt),
-            prob_flavor_qm(spec.meson, FlavorTarget.M0BAR, tt),
-        )
-    if spec.model is DynamicsModel.QMUPL:
-        return (
-            prob_flavor_qmupl(spec.meson, spec.collapse, FlavorTarget.M0, tt),
-            prob_flavor_qmupl(spec.meson, spec.collapse, FlavorTarget.M0BAR, tt),
-        )
-    return (
-        prob_flavor_csl(spec.meson, spec.collapse, FlavorTarget.M0, tt),
-        prob_flavor_csl(spec.meson, spec.collapse, FlavorTarget.M0BAR, tt),
-    )
-
-
-def asymmetry(spec: AsymmetrySpec, t):
-    """Normalized difference of same-flavor and flipped-flavor probabilities."""
-    tt, scalar = _times(t)
-    p_same, p_flip = _flavor_pair(spec, tt)
-    denom = p_same + p_flip
-    if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
-        raise DegenerateDenominator("flavor probabilities sum to zero; asymmetry undefined")
-    return _out((p_same - p_flip) / denom, scalar)
-
-
 def asymmetry_closed_form(spec: AsymmetrySpec, t):
-    """The model's closed-form asymmetry, algebraically equal to the ratio."""
+    """The model's closed-form flavor asymmetry (P_same - P_flip) / (P_same + P_flip)."""
     tt, scalar = _times(t)
     meson = spec.meson
     osc = np.cos(tt * meson.delta_m)

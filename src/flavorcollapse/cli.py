@@ -30,9 +30,8 @@ from importlib import resources
 
 import numpy as np
 
-# ``analytic`` and ``sde`` are imported inside the functions that call
-# them, so a command loads only the routes it runs.
-from . import lindblad
+# ``analytic``, ``lindblad``, ``operators`` and ``sde`` are imported inside
+# the functions that call them, so a command loads only the routes it runs.
 from .core import (
     Basis,
     CollapseParams,
@@ -52,7 +51,6 @@ from .errors import (
     ParseError,
     UnknownKey,
 )
-from .operators import decay_operator, induced_decay_widths
 
 __all__ = ["RunSpec", "load_config", "main", "run", "compare_routes"]
 
@@ -379,6 +377,8 @@ def _analytic_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
 
 def _route_master_spec(spec: RunSpec) -> lindblad.MasterSpec:
     """Master equation of the QM and CSL routes: measured or collapse-induced widths."""
+    from . import lindblad
+
     if spec.model is DynamicsModel.QM:
         return lindblad.wigner_weisskopf_spec(spec.meson)
     return lindblad.family_master_spec(spec.meson, spec.collapse)
@@ -392,7 +392,7 @@ def _require_route_physics(spec: RunSpec) -> None:
     equal the route's to 1e-12 of the route's largest entry; otherwise the
     ensemble and the other two routes describe different physics.
     """
-    from . import sde
+    from . import lindblad, sde
 
     route = lindblad.build_superoperator(_route_master_spec(spec))
     eq_spec = _sde_spec(spec)
@@ -409,6 +409,8 @@ def _require_route_physics(spec: RunSpec) -> None:
 def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     """QMUPL from the exact kernel partial traces; QM and CSL by propagating
     each initial state once and projecting on the final state."""
+    from . import lindblad
+
     if spec.model is DynamicsModel.QMUPL:
         def prob(initial: str, final: str) -> np.ndarray:
             return lindblad.probs_from_kernels(
@@ -429,17 +431,17 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
-    from . import sde
+    from . import operators, sde
 
     meson, collapse = spec.meson, spec.collapse
     if spec.model is DynamicsModel.QM:
         # Noise-free Wigner-Weisskopf limit of the flavor-decay equation.
         return sde.SdeSpec(
             equation=sde.SdeEquation.NONLINEAR_REAL,
-            hamiltonian=lindblad.reduced_mass_operator(meson),
+            hamiltonian=operators.reduced_mass_operator(meson),
             collapse_ops=(np.eye(2),),
             rate=0.0,
-            decay_quadratic=decay_operator(meson),
+            decay_quadratic=operators.decay_operator(meson),
         )
     factories = {
         "family": sde.family_spec,
@@ -450,7 +452,7 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
         "enlarged": sde.enlarged_collapse_spec,
     }
     # Every CSL equation decays through the collapse-induced widths: one physics, six formulations.
-    gamma_l, gamma_h = induced_decay_widths(meson, collapse)
+    gamma_l, gamma_h = operators.induced_decay_widths(meson, collapse)
     return factories[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
 
 
@@ -486,7 +488,7 @@ def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float) ->
 
     r is the fastest rate of the generator that is stepped, read off its
     spec: the largest of ||H||_2, ||K||_2 and lambda max_c ||L_c||_2^2.
-    Every factory gauges the mass operator to diag(0, delta_m), so the
+    H carries the gauge of ``operators.reduced_mass_operator``, so the
     absolute masses do not enter.
     """
     norms = [np.linalg.norm(m, 2) for m in (eq_spec.hamiltonian, eq_spec.decay_quadratic) if m is not None]

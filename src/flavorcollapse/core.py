@@ -44,7 +44,6 @@ __all__ = [
     "flavor_mass_basis_change",
     "to_mass",
     "to_flavor",
-    "to_flavor_matrix",
 ]
 
 # Eigenstate indices, fixed project-wide.
@@ -281,11 +280,6 @@ def to_flavor(state: QuantumState) -> QuantumState:
     if state.basis is not Basis.MASS:
         raise InvalidParams("basis change defined on the 2-dim flavor/mass space only")
     return QuantumState(_U @ state.amplitudes, Basis.FLAVOR)
-
-
-def to_flavor_matrix(matrix_mass: np.ndarray) -> np.ndarray:
-    """Conjugate a mass-basis 2x2 operator into the flavor basis."""
-    return _U @ matrix_mass @ _U
 
 
 @dataclass(frozen=True)

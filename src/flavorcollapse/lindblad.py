@@ -43,11 +43,11 @@ from .operators import (
     decay_operator,
     enlarged_operators,
     induced_decay_operator,
+    reduced_mass_operator,
 )
 
 __all__ = [
     "MasterSpec",
-    "reduced_mass_operator",
     "family_master_spec",
     "wigner_weisskopf_spec",
     "imdecay_master_spec",
@@ -56,7 +56,6 @@ __all__ = [
     "build_superoperator",
     "integrate_master",
     "project_enlarged_to_flavor",
-    "KernelElement",
     "kernel_rhs",
     "kernel_solution",
     "gaussian_partial_trace",
@@ -109,17 +108,6 @@ class MasterSpec:
         return self.hamiltonian.shape[0]
 
 
-def reduced_mass_operator(meson: MesonParams) -> np.ndarray:
-    """Mass operator gauged by the global shift -m_L, i.e. diag(0, delta_m).
-
-    A constant energy offset is unobservable (it commutes with every
-    state and only rotates a global phase); removing it keeps the
-    generator scale at delta_m, which is what physical-meson inputs need:
-    absolute masses exceed the splitting by up to fourteen orders.
-    """
-    return np.diag([0.0, meson.delta_m])
-
-
 def family_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterSpec:
     """Flavor-space master equation of the time-asymmetric collapse family.
 
@@ -152,11 +140,9 @@ def imdecay_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterS
 def enlarged_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterSpec:
     """Trace-preserving enlarged-space equation with the decay Lindblad block."""
     ops = enlarged_operators(meson, collapse)
-    hamiltonian = ops.hamiltonian.copy()
-    hamiltonian[:2, :2] = reduced_mass_operator(meson)
     lam = collapse.effective_rate
     return MasterSpec(
-        hamiltonian=hamiltonian,
+        hamiltonian=ops.hamiltonian,
         lindblads=(math.sqrt(lam) * ops.collapse_a, math.sqrt(lam) * ops.collapse_b),
     )
 
@@ -326,24 +312,6 @@ def kernel_solution(
 ) -> complex:
     """Kernel propagator rho_t^{ij}(x,y) / rho_0^{ij}(x,y) = exp(rate * t)."""
     return complex(np.exp(kernel_rhs(model, meson, collapse, i, j, x, y) * t))
-
-
-@dataclass(frozen=True)
-class KernelElement:
-    """One (i, j) matrix element of the position kernel as a closure.
-
-    Calling the element at (x, y, t) returns the complex propagator
-    value; elements satisfy element(i,j)(x,y,t) = conj(element(j,i)(y,x,t)).
-    """
-
-    model: Model
-    meson: MesonParams
-    collapse: CollapseParams
-    i: int
-    j: int
-
-    def __call__(self, x, y, t: float) -> complex:
-        return kernel_solution(self.model, self.meson, self.collapse, self.i, self.j, x, y, t)
 
 
 def gaussian_partial_trace(

@@ -1,9 +1,9 @@
 """Operator constructors on the 2-dim flavor space and the 4-dim enlarged space.
 
-All matrices are returned in the mass basis by default, where every
-Hermitian operator of the model is diagonal.  The enlarged space is
-ordered (M_L, M_H, f_L, f_H): the first block is the flavor sector in
-mass coordinates, the second the orthonormal decay-product states.
+All matrices are in the mass basis, where every Hermitian operator of
+the model is diagonal.  The enlarged space is ordered (M_L, M_H, f_L,
+f_H): the first block is the flavor sector in mass coordinates, the
+second the orthonormal decay-product states.
 
 Pure functions over immutable inputs; safe to call concurrently.
 """
@@ -14,16 +14,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Basis, CollapseParams, MesonParams, mass_ratios, to_flavor_matrix
-from .errors import InvalidParams, NegativeWidth, ZeroRate
+from .core import CollapseParams, MesonParams, mass_ratios
+from .errors import NegativeWidth, ZeroRate
 
 __all__ = [
-    "mass_operator",
+    "reduced_mass_operator",
     "decay_operator",
     "effective_hamiltonian",
     "collapse_operator_A",
     "collapse_operator_B",
-    "lindblad_decay_operator",
     "EnlargedOperators",
     "enlarged_operators",
     "induced_decay_operator",
@@ -31,38 +30,33 @@ __all__ = [
 ]
 
 
-def _in_basis(diag_mass: np.ndarray, basis: Basis) -> np.ndarray:
-    mat = np.diag(diag_mass)
-    if basis is Basis.MASS:
-        return mat
-    if basis is Basis.FLAVOR:
-        return to_flavor_matrix(mat)
-    raise InvalidParams("2x2 operators exist in the mass or flavor basis only")
+def reduced_mass_operator(meson: MesonParams) -> np.ndarray:
+    """Mass operator gauged by the global shift -m_L, i.e. diag(0, delta_m).
+
+    A constant energy offset is unobservable (it commutes with every
+    state and only rotates a global phase); removing it keeps the
+    generator scale at delta_m, which is what physical-meson inputs need:
+    absolute masses exceed the splitting by up to fourteen orders.
+    """
+    return np.diag([0.0, meson.delta_m])
 
 
-def mass_operator(meson: MesonParams, basis: Basis = Basis.MASS) -> np.ndarray:
-    """Hermitian mass operator, diag(m_L, m_H) in the mass basis."""
-    return _in_basis(meson.masses.astype(float), basis)
-
-
-def decay_operator(meson: MesonParams, basis: Basis = Basis.MASS) -> np.ndarray:
+def decay_operator(meson: MesonParams) -> np.ndarray:
     """Hermitian PSD decay operator, diag(gamma_L, gamma_H) in the mass basis."""
-    return _in_basis(meson.widths.astype(float), basis)
+    return np.diag(meson.widths.astype(float))
 
 
-def effective_hamiltonian(meson: MesonParams, basis: Basis = Basis.MASS) -> np.ndarray:
-    """Non-Hermitian Wigner-Weisskopf generator M - (i/2) Gamma."""
-    return mass_operator(meson, basis).astype(complex) - 0.5j * decay_operator(meson, basis)
+def effective_hamiltonian(meson: MesonParams) -> np.ndarray:
+    """Non-Hermitian Wigner-Weisskopf generator M - (i/2) Gamma, M gauged."""
+    return reduced_mass_operator(meson).astype(complex) - 0.5j * decay_operator(meson)
 
 
-def collapse_operator_A(
-    meson: MesonParams, collapse: CollapseParams, basis: Basis = Basis.MASS
-) -> np.ndarray:
+def collapse_operator_A(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
     """Self-adjoint collapse operator diag(m~_L, m~_H) in the mass basis.
 
     The mass ratios follow the configured convention (normal or inverted).
     """
-    return _in_basis(mass_ratios(meson, collapse), basis)
+    return np.diag(mass_ratios(meson, collapse))
 
 
 def collapse_operator_B(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
@@ -80,22 +74,12 @@ def collapse_operator_B(meson: MesonParams, collapse: CollapseParams) -> np.ndar
     return np.diag(np.sqrt(widths / lam))
 
 
-def lindblad_decay_operator(meson: MesonParams) -> np.ndarray:
-    """Decay Lindblad block diag(sqrt(gamma_L), sqrt(gamma_H)).
-
-    Rows index the decay states, columns the mass eigenstates; its
-    adjoint square reproduces the decay operator exactly.
-    """
-    return np.diag(np.sqrt(meson.widths))
-
-
 class EnlargedOperators(NamedTuple):
     """Block operators on the 4-dim space ordered (M_L, M_H, f_L, f_H)."""
 
     hamiltonian: np.ndarray
     collapse_a: np.ndarray
     collapse_b: np.ndarray
-    lindblad_decay: np.ndarray
 
 
 def _upper_block(block: np.ndarray) -> np.ndarray:
@@ -113,15 +97,14 @@ def _lower_left_block(block: np.ndarray) -> np.ndarray:
 def enlarged_operators(meson: MesonParams, collapse: CollapseParams) -> EnlargedOperators:
     """All 4x4 block operators of the enlarged-space construction.
 
-    The Hamiltonian and the self-adjoint collapse operator act on the
-    flavor block only (the decay block carries no dynamics); the decay
-    operators occupy the lower-left block, mapping flavor to decay states.
+    The gauged Hamiltonian and the self-adjoint collapse operator act on
+    the flavor block only (the decay block carries no dynamics); the decay
+    operator B occupies the lower-left block, mapping flavor to decay states.
     """
     return EnlargedOperators(
-        hamiltonian=_upper_block(mass_operator(meson)),
+        hamiltonian=_upper_block(reduced_mass_operator(meson)),
         collapse_a=_upper_block(collapse_operator_A(meson, collapse)),
         collapse_b=_lower_left_block(collapse_operator_B(meson, collapse)),
-        lindblad_decay=_lower_left_block(lindblad_decay_operator(meson)),
     )
 
 

@@ -79,12 +79,14 @@ from .errors import (
     UnsupportedEquation,
     ZeroNorm,
 )
-from .lindblad import MasterSpec, reduced_mass_operator
+from .lindblad import MasterSpec
 from .operators import (
     collapse_operator_A,
     decay_operator,
+    effective_hamiltonian,
     enlarged_operators,
     induced_decay_operator,
+    reduced_mass_operator,
 )
 
 __all__ = [
@@ -202,11 +204,10 @@ class SdeSpec:
 
 
 def _flavor_spec(equation: SdeEquation, meson: MesonParams, collapse: CollapseParams, **fields) -> SdeSpec:
-    """Flavor-space spec with the gauged mass operator and the one collapse channel A.
+    """Flavor-space spec with the one collapse channel A.
 
-    All factories here gauge the mass operator to diag(0, delta_m): the
-    removed global phase is unobservable and keeps step sizes tied to the
-    splitting rather than the absolute masses.
+    The Hamiltonian defaults to ``operators.reduced_mass_operator``, whose
+    docstring states the gauge that every factory here uses.
     """
     fields.setdefault("hamiltonian", reduced_mass_operator(meson))
     ops = (collapse_operator_A(meson, collapse),)
@@ -215,8 +216,7 @@ def _flavor_spec(equation: SdeEquation, meson: MesonParams, collapse: CollapsePa
 
 def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Nonlinear collapse equation on the flavor space, non-Hermitian H."""
-    hamiltonian = reduced_mass_operator(meson).astype(complex) - 0.5j * decay_operator(meson)
-    return _flavor_spec(SdeEquation.NONLINEAR_REAL, meson, collapse, hamiltonian=hamiltonian)
+    return _flavor_spec(SdeEquation.NONLINEAR_REAL, meson, collapse, hamiltonian=effective_hamiltonian(meson))
 
 
 def nonlinear_general_spec(hamiltonian: np.ndarray, ops: tuple[np.ndarray, ...], rate: float) -> SdeSpec:
@@ -227,9 +227,7 @@ def nonlinear_general_spec(hamiltonian: np.ndarray, ops: tuple[np.ndarray, ...],
 def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Enlarged-space nonlinear equation; the decay channel B has its own Wiener process."""
     ops = enlarged_operators(meson, collapse)
-    hamiltonian = ops.hamiltonian.copy()
-    hamiltonian[:2, :2] = reduced_mass_operator(meson)
-    return nonlinear_general_spec(hamiltonian, (ops.collapse_a, ops.collapse_b), collapse.effective_rate)
+    return nonlinear_general_spec(ops.hamiltonian, (ops.collapse_a, ops.collapse_b), collapse.effective_rate)
 
 
 def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:

@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from flavorcollapse.analytic import (
     AsymmetrySpec,
     DynamicsModel,
-    asymmetry,
     asymmetry_closed_form,
     bound_curve,
     collapse_rate_estimate,
@@ -240,13 +239,13 @@ def test_asymmetry_at_zero_is_one(meson, csl):
     csl_spec = AsymmetrySpec(DynamicsModel.CSL, meson, csl)
     qmupl_spec = AsymmetrySpec(DynamicsModel.QMUPL, meson, make_qmupl())
     for spec in (qm, csl_spec, qmupl_spec):
-        assert asymmetry(spec, 0.0) == pytest.approx(1.0)
+        assert asymmetry_closed_form(spec, 0.0) == pytest.approx(1.0)
 
 
 def test_asymmetry_qm_zero_at_quarter_period(meson):
     spec = AsymmetrySpec(DynamicsModel.QM, meson)
     t = 0.5 * np.pi / meson.delta_m
-    assert asymmetry(spec, t) == pytest.approx(0.0, abs=1e-15)
+    assert asymmetry_closed_form(spec, t) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_asymmetry_spec_requires_matching_collapse(meson, csl):
@@ -258,20 +257,24 @@ def test_asymmetry_spec_requires_matching_collapse(meson, csl):
 
 def test_asymmetry_closed_forms_match_ratio(meson):
     t = np.linspace(0.0, 10.0, 100)
+
+    def ratio(prob_flavor, *params):
+        p_same = prob_flavor(*params, FlavorTarget.M0, t)
+        p_flip = prob_flavor(*params, FlavorTarget.M0BAR, t)
+        return (p_same - p_flip) / (p_same + p_flip)
+
     qm = AsymmetrySpec(DynamicsModel.QM, meson)
-    np.testing.assert_allclose(asymmetry(qm, t), asymmetry_closed_form(qm, t), atol=1e-12)
+    np.testing.assert_allclose(ratio(prob_flavor_qm, meson), asymmetry_closed_form(qm, t), atol=1e-12)
     for convention in Convention:
-        csl_spec = AsymmetrySpec(
-            DynamicsModel.CSL, meson, make_csl(beta=0.85, ratio_convention=convention)
-        )
+        csl = make_csl(beta=0.85, ratio_convention=convention)
+        csl_spec = AsymmetrySpec(DynamicsModel.CSL, meson, csl)
         np.testing.assert_allclose(
-            asymmetry(csl_spec, t), asymmetry_closed_form(csl_spec, t), atol=1e-12
+            ratio(prob_flavor_csl, meson, csl), asymmetry_closed_form(csl_spec, t), atol=1e-12
         )
-        qmupl_spec = AsymmetrySpec(
-            DynamicsModel.QMUPL, meson, make_qmupl(beta=0.85, ratio_convention=convention)
-        )
+        qmupl = make_qmupl(beta=0.85, ratio_convention=convention)
+        qmupl_spec = AsymmetrySpec(DynamicsModel.QMUPL, meson, qmupl)
         np.testing.assert_allclose(
-            asymmetry(qmupl_spec, t), asymmetry_closed_form(qmupl_spec, t), atol=1e-10
+            ratio(prob_flavor_qmupl, meson, qmupl), asymmetry_closed_form(qmupl_spec, t), atol=1e-10
         )
 
 
@@ -280,7 +283,7 @@ def test_asymmetry_bounded(meson):
     t = np.linspace(0.0, 8.0, 64)
     for _ in range(40):
         spec = AsymmetrySpec(DynamicsModel.CSL, meson, random_collapse(rng, Model.CSL))
-        assert np.max(np.abs(asymmetry(spec, t))) <= 1.0 + 1e-12
+        assert np.max(np.abs(asymmetry_closed_form(spec, t))) <= 1.0 + 1e-12
 
 
 # ----------------------------------------------------------------------

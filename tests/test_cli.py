@@ -722,15 +722,19 @@ _CATALOG_CSL = dict(meson="K0", rate=2.2e-10, r_C=1e-7, beta=0.8, m0_MeV=938.272
     ("config", "loaded", "absent"),
     [
         (dict(command="master", model="CSL", n_points=20, **_CATALOG_CSL),
-         set(), {"flavorcollapse.sde", "flavorcollapse.analytic", "numpy.random"}),
+         {"flavorcollapse.lindblad"}, {"flavorcollapse.sde", "flavorcollapse.analytic", "numpy.random"}),
         (dict(command="master", model="QMUPL", n_points=20, **_CATALOG_CSL),
-         set(), {"flavorcollapse.sde", "flavorcollapse.analytic", "numpy.random"}),
+         {"flavorcollapse.lindblad"}, {"flavorcollapse.sde", "flavorcollapse.analytic", "numpy.random"}),
         (dict(command="bounds", mesons=["K0", "B0"], m0_min_MeV=100.0, m0_max_MeV=1e4, n_points=5),
-         {"flavorcollapse.analytic"}, {"flavorcollapse.sde"}),
+         {"flavorcollapse.analytic"},
+         {"flavorcollapse.sde", "flavorcollapse.lindblad", "flavorcollapse.operators"}),
+        (dict(command="analytic", **_README_CSL, t_max=1.0, n_points=5),
+         {"flavorcollapse.analytic"},
+         {"flavorcollapse.sde", "flavorcollapse.lindblad", "flavorcollapse.operators"}),
         (dict(command="compare", **_README_CSL, t_max=1.0, n_points=5, n_trajectories=16, seed=1, dt=0.05),
          {"flavorcollapse.sde", "flavorcollapse.analytic"}, set()),
     ],
-    ids=["master_csl", "master_qmupl", "bounds", "compare"],
+    ids=["master_csl", "master_qmupl", "bounds", "analytic", "compare"],
 )
 def test_command_loads_only_the_routes_it_runs(tmp_path, config, loaded, absent):
     # A fresh interpreter, so that modules other tests imported do not count.

@@ -17,7 +17,6 @@ from flavorcollapse.core import (
 )
 from flavorcollapse.errors import InvalidParams
 from flavorcollapse.lindblad import (
-    KernelElement,
     MasterSpec,
     build_superoperator,
     enlarged_master_spec,
@@ -31,7 +30,7 @@ from flavorcollapse.lindblad import (
     probs_from_kernels,
     project_enlarged_to_flavor,
 )
-from flavorcollapse.operators import induced_decay_widths, mass_operator
+from flavorcollapse.operators import induced_decay_widths, reduced_mass_operator
 
 from conftest import make_csl, make_qmupl, random_collapse, random_meson
 
@@ -80,7 +79,7 @@ def test_master_spec_rejects_non_hermitian_h():
 
 
 def test_unitary_evolution_preserves_trace(meson_stable):
-    spec = MasterSpec(hamiltonian=mass_operator(meson_stable))
+    spec = MasterSpec(hamiltonian=reduced_mass_operator(meson_stable))
     grid = np.linspace(0.0, 10.0, 51)
     rhos = integrate_master(spec, _RHO_M0, grid)
     traces = np.einsum("tii->t", rhos).real
@@ -110,7 +109,7 @@ def test_stiff_propagation_stays_physical():
     # ~5e4 oscillation periods, all taken by the exact propagator at once.
     big = MesonParams(m_L=1.0, m_H=1e6, gamma_L=0.0, gamma_H=0.0)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    spec = MasterSpec(hamiltonian=mass_operator(big), lindblads=(flip,))
+    spec = MasterSpec(hamiltonian=reduced_mass_operator(big), lindblads=(flip,))
     rhos = integrate_master(spec, _RHO_M0, np.linspace(0.0, 10.0, 33))
     np.testing.assert_array_equal(rhos, rhos.conj().transpose(0, 2, 1))
     traces = np.einsum("tii->t", rhos).real
@@ -134,7 +133,7 @@ def test_master_spec_rejects_non_finite_generators(field, bad):
 
 
 def test_integrate_master_rejects_non_finite_inputs(meson_stable):
-    spec = MasterSpec(hamiltonian=mass_operator(meson_stable))
+    spec = MasterSpec(hamiltonian=reduced_mass_operator(meson_stable))
     rho0 = _RHO_M0.copy()
     rho0[0, 1] = np.nan
     with pytest.raises(InvalidParams):
@@ -272,8 +271,8 @@ def test_kernel_element_hermiticity():
         t = rng.uniform(0.0, 2.0)
         for i in (0, 1):
             for j in (0, 1):
-                lhs = KernelElement(Model.QMUPL, meson, collapse, i, j)(x, y, t)
-                rhs = KernelElement(Model.QMUPL, meson, collapse, j, i)(y, x, t)
+                lhs = kernel_solution(Model.QMUPL, meson, collapse, i, j, x, y, t)
+                rhs = kernel_solution(Model.QMUPL, meson, collapse, j, i, y, x, t)
                 assert lhs == pytest.approx(np.conj(rhs), rel=1e-13)
 
 

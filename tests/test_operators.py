@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from flavorcollapse.core import Basis, Convention, MesonParams, QuantumState, to_mass
+from flavorcollapse.core import Convention, MesonParams, QuantumState, to_mass
 from flavorcollapse.errors import NegativeWidth, ZeroRate
+from flavorcollapse.lindblad import enlarged_master_spec
 from flavorcollapse.operators import (
     collapse_operator_A,
     collapse_operator_B,
@@ -10,41 +11,25 @@ from flavorcollapse.operators import (
     effective_hamiltonian,
     enlarged_operators,
     induced_decay_widths,
-    lindblad_decay_operator,
-    mass_operator,
+    reduced_mass_operator,
 )
+from flavorcollapse.sde import enlarged_collapse_spec
 
 from conftest import make_csl, make_qmupl
 
 
 def test_mass_operator_mass_basis(meson):
-    np.testing.assert_array_equal(mass_operator(meson), np.diag([1.0, 2.0]))
-
-
-def test_mass_operator_flavor_eigenvalues(meson):
-    eigs = np.linalg.eigvalsh(mass_operator(meson, Basis.FLAVOR))
-    np.testing.assert_allclose(sorted(eigs), [1.0, 2.0], atol=1e-14)
-
-
-def test_mass_operator_near_degenerate_is_identity_like():
-    meson = MesonParams(m_L=1.0, m_H=1.0 + 1e-13, gamma_L=0.0, gamma_H=0.0)
-    np.testing.assert_allclose(mass_operator(meson, Basis.FLAVOR), np.eye(2), atol=1e-12)
+    # Gauged by -m_L: diag(0, delta_m) with m_L = 1, m_H = 2.
+    np.testing.assert_array_equal(reduced_mass_operator(meson), np.diag([0.0, 1.0]))
 
 
 def test_decay_operator(meson):
     np.testing.assert_array_equal(decay_operator(meson), np.diag([0.1, 0.05]))
-    flat = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.3, gamma_H=0.3)
-    np.testing.assert_allclose(decay_operator(flat, Basis.FLAVOR), 0.3 * np.eye(2), atol=1e-15)
-
-
-def test_decay_operator_from_lindblad_block(meson):
-    l_d = lindblad_decay_operator(meson)
-    np.testing.assert_allclose(l_d.conj().T @ l_d, decay_operator(meson), atol=1e-14)
 
 
 def test_effective_hamiltonian(meson):
     h = effective_hamiltonian(meson)
-    np.testing.assert_allclose(np.diag(h), [1.0 - 0.05j, 2.0 - 0.025j])
+    np.testing.assert_allclose(np.diag(h), [0.0 - 0.05j, 1.0 - 0.025j])
     np.testing.assert_allclose(h - h.conj().T, -1j * decay_operator(meson), atol=1e-15)
     stable = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0)
     h0 = effective_hamiltonian(stable)
@@ -74,7 +59,7 @@ def test_collapse_operator_a_conventions():
 
 def test_collapse_operator_a_commutes(meson, csl):
     a = collapse_operator_A(meson, csl)
-    for op in (mass_operator(meson), decay_operator(meson)):
+    for op in (reduced_mass_operator(meson), decay_operator(meson)):
         np.testing.assert_array_equal(a @ op - op @ a, np.zeros((2, 2)))
 
 
@@ -100,13 +85,14 @@ def test_collapse_operator_b_zero_cases(meson_stable):
 
 def test_enlarged_operator_blocks(meson, csl):
     ops = enlarged_operators(meson, csl)
-    l_d = ops.lindblad_decay
-    expected = np.zeros((4, 4))
-    expected[:2, :2] = decay_operator(meson)
-    np.testing.assert_allclose(l_d.conj().T @ l_d, expected, atol=1e-14)
     np.testing.assert_array_equal(ops.collapse_b @ ops.collapse_b, np.zeros((4, 4)))
     np.testing.assert_array_equal(ops.hamiltonian, ops.hamiltonian.conj().T)
+    np.testing.assert_array_equal(ops.hamiltonian[:2, :2], reduced_mass_operator(meson))
     np.testing.assert_array_equal(ops.hamiltonian[2:, 2:], np.zeros((2, 2)))
+    # The trajectory and master routes take the one gauged enlarged Hamiltonian.
+    np.testing.assert_array_equal(
+        enlarged_collapse_spec(meson, csl).hamiltonian, enlarged_master_spec(meson, csl).hamiltonian
+    )
 
 
 def test_induced_widths():
