@@ -457,11 +457,15 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
 
 
 def _ensemble_stats(spec: RunSpec, times: np.ndarray):
-    """Ensembles from each initial state of the table, in one pass.
+    """Ensembles from each initial state of the table, in one pass, and the step.
 
-    One ``ensemble_evolve`` call steps the states together: trajectory k of
-    each state is driven by the same (seed, k) noise stream, and each grid
-    point is reduced to centred moments once for all of them.
+    One ``ensemble_evolve`` call evolves the states together: trajectory k
+    of each state is driven by the same (seed, k) noise stream, and each
+    grid point is reduced to centred moments once for all of them.  The
+    linear equations (``family``, ``imaginary``, ``stratonovich``) are
+    sampled exactly at the grid points, and the step returned is None; the
+    nonlinear ones step at the largest dt that divides the grid interval
+    and does not exceed the configured one.
     """
     from . import sde
 
@@ -469,12 +473,21 @@ def _ensemble_stats(spec: RunSpec, times: np.ndarray):
     interval = times[1] - times[0]
     n_sub = max(1, round(interval / spec.dt))
     dt = interval / n_sub
+    # NoiseConfig requires a step; the exact method does not read it.
     config = sde.NoiseConfig(seed=spec.seed, dt=dt, n_channels=eq_spec.n_channels)
+    method = "exact" if eq_spec.equation in sde.LINEAR_EQUATIONS else None
     basis = Basis.MASS if eq_spec.dim == 2 else Basis.ENLARGED
     initial = dict.fromkeys(state for state, _ in _PROBS.values())
     states = tuple(QuantumState(np.pad(_STATES[name], (0, eq_spec.dim - 2)), basis) for name in initial)
-    runs = sde.ensemble_evolve(eq_spec, config, states, times, spec.n_trajectories, n_threads=spec.threads)
-    return dict(zip(initial, runs)), dt
+    runs = sde.ensemble_evolve(
+        eq_spec, config, states, times, spec.n_trajectories, n_threads=spec.threads, method=method
+    )
+    return dict(zip(initial, runs)), None if method else dt
+
+
+def _scheme_note(dt: float | None) -> str:
+    """Header token of the ensemble's scheme: the step, or the exact solution."""
+    return "method=exact" if dt is None else f"dt={_fmt(dt)}"
 
 
 def _ensemble_probs(stats) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -483,14 +496,17 @@ def _ensemble_probs(stats) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]
     return {col: mean for col, (mean, _) in pairs.items()}, {col: err for col, (_, err) in pairs.items()}
 
 
-def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float) -> np.ndarray:
-    """Tolerance allowance 4 dt t r^2 for the O(dt) weak bias of the schemes.
+def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float | None) -> np.ndarray:
+    """Round-off base 1e-12 plus the allowance 4 dt t r^2 for the O(dt) weak bias of a stepping.
 
-    r is the fastest rate of the generator that is stepped, read off its
-    spec: the largest of ||H||_2, ||K||_2 and lambda max_c ||L_c||_2^2.
-    H carries the gauge of ``operators.reduced_mass_operator``, so the
-    absolute masses do not enter.
+    An exact ensemble (dt None) has no discretization bias and gets the
+    base alone.  r is the fastest rate of the generator that is stepped,
+    read off its spec: the largest of ||H||_2, ||K||_2 and
+    lambda max_c ||L_c||_2^2.  H carries the gauge of
+    ``operators.reduced_mass_operator``, so the absolute masses do not enter.
     """
+    if dt is None:
+        return np.full(times.shape, 1e-12)
     norms = [np.linalg.norm(m, 2) for m in (eq_spec.hamiltonian, eq_spec.decay_quadratic) if m is not None]
     noise = eq_spec.rate * max(np.linalg.norm(op, 2) for op in eq_spec.collapse_ops) ** 2
     return 1e-12 + 4.0 * dt * times * max(*norms, noise) ** 2
@@ -521,7 +537,7 @@ def cmd_ensemble(spec: RunSpec) -> Table:
     stats, dt = _ensemble_stats(spec, times)
     means, errs = _ensemble_probs(stats)
     table = _prob_table(
-        spec, times, means, f" equation={spec.equation} N={spec.n_trajectories} seed={spec.seed} dt={_fmt(dt)}"
+        spec, times, means, f" equation={spec.equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(dt)}"
     )
 
     # Delta-method error on the asymmetry from the (P_M0, P_M0bar) covariance.
@@ -596,7 +612,7 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     table, master_max, ratio_max = compare_routes(times, analytic_probs, master_probs, means, errs, floor)
     table.meta = spec.header_notes + [
         f"command=compare model={spec.model.value} meson={spec.meson_label} "
-        f"N={spec.n_trajectories} seed={spec.seed} dt={_fmt(dt)}"
+        f"N={spec.n_trajectories} seed={spec.seed} {_scheme_note(dt)}"
     ] + table.meta
     ok = master_max < _MASTER_RESIDUAL_TOL and ratio_max < _ENSEMBLE_RATIO_TOL
     status = "OK" if ok else "FAIL"

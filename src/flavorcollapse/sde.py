@@ -39,16 +39,26 @@ lambda (2 beta - 1) A^2 that a noise field with theta(0) = beta induces
 the time-asymmetric family equation.
 
 The generators (H = diag(0, delta_m), A = diag(m~_L, m~_H), K) are
-diagonal in the mass basis, and ``SdeSpec`` requires that.  A step then
-multiplies each mass component by one scalar, f = 1 + m (Euler) or
-f = 1 + m + m^2/2 (Heun), with m = h d_i + sum_c g_ci dW_c, and the
-trajectory from initial state a is a * c componentwise, where c is the
-product of the factors.  The ensemble steps one c per trajectory, shared
-by every initial state.
+diagonal in the mass basis, and ``SdeSpec`` requires that.  Both labels
+then have one closed-form solution per mass component,
+
+    c_i(t) = exp(d_i t + sum_c g_ci W_c(t)),
+
+with d = diag(-i H - K/2) the Stratonovich drift and g_c = i sqrt(lambda)
+diag(A_c), and the trajectory from initial state a is a * c componentwise.
+``ensemble_evolve(method="exact")`` samples it at the grid points: W needs
+one normal per grid interval and channel, the means carry no
+discretization bias, and the imaginary noise leaves |c_i|^2 deterministic.
+The stepping methods stay for the formalism checks: a step multiplies
+each mass component by one scalar, f = 1 + m (Euler-Maruyama) or
+f = 1 + m + m^2/2 (Heun), with m = h d_i + sum_c g_ci dW_c and d_i the
+label's own drift, and the ensemble steps one c per trajectory, shared
+by every initial state.  The nonlinear labels are stepped with
+Euler-Maruyama.
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
-for a fixed (seed, N, dt) regardless of scheduling or worker count.
+for fixed arguments regardless of scheduling or worker count.
 Several initial states evolved in one call share that noise.
 Expectation values in the nonlinear equations always use the normalized
 state; trajectories are stored unnormalized, and each observable is the
@@ -91,6 +101,7 @@ from .operators import (
 
 __all__ = [
     "SdeEquation",
+    "LINEAR_EQUATIONS",
     "NoiseConfig",
     "SdeSpec",
     "collapse_flavor_spec",
@@ -115,6 +126,7 @@ __all__ = [
 _NORM_FLOOR = 1e-300
 _BATCH_TARGET_ENTRIES = 1 << 23  # noise entries held in memory per batch (64 MB)
 _BATCH_CAP = 2048
+_PHASE_CHUNK = 1 << 15  # (trajectory, grid point) entries per chunk of the exact reduction
 
 
 class SdeEquation(enum.Enum):
@@ -124,8 +136,15 @@ class SdeEquation(enum.Enum):
     STRATONOVICH_LINEAR = "stratonovich_linear"
 
 
-_LINEAR = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.STRATONOVICH_LINEAR)
-_HERMITIAN_OPS_REQUIRED = (SdeEquation.NONLINEAR_REAL, *_LINEAR)
+LINEAR_EQUATIONS = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.STRATONOVICH_LINEAR)
+_HERMITIAN_OPS_REQUIRED = (SdeEquation.NONLINEAR_REAL, *LINEAR_EQUATIONS)
+# The schemes ensemble_evolve takes per label; the first is the default.
+_METHODS = {
+    SdeEquation.IMAGINARY_LINEAR: ("euler", "exact"),
+    SdeEquation.STRATONOVICH_LINEAR: ("heun", "ito_drift", "exact"),
+    SdeEquation.NONLINEAR_REAL: ("euler",),
+    SdeEquation.NONLINEAR_GENERAL: ("euler",),
+}
 
 
 @dataclass(frozen=True)
@@ -188,7 +207,7 @@ class SdeSpec:
             object.__setattr__(self, "decay_quadratic", k)
             if k.shape != h.shape:
                 raise DimensionMismatch("decay_quadratic must match the hamiltonian dimension")
-        if self.equation in _LINEAR:
+        if self.equation in LINEAR_EQUATIONS:
             off_diagonal = ~np.eye(len(h), dtype=bool)
             generators = (h, *ops) + (() if self.decay_quadratic is None else (self.decay_quadratic,))
             if any(np.any(m[off_diagonal] != 0.0) for m in generators):
@@ -388,17 +407,23 @@ def _normalized_expectations(psi: np.ndarray, ops) -> tuple[np.ndarray, list[np.
     return n2, [np.einsum("bi,ij,bj->b", psi.conj(), op, psi).real / n2 for op in ops]
 
 
-def _linear_matrices(spec: SdeSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Constant drift -i H - K/2 and diffusions i sqrt(lambda) A_c of the linear equations.
-
-    The Ito label adds the conversion drift -(lambda/2) sum_c A_c^2; the
-    Stratonovich drift is the bare one.
-    """
+def _stratonovich_drift(spec: SdeSpec) -> np.ndarray:
+    """Stratonovich drift -i H - K/2 of the linear equations, whichever label."""
     drift = -1j * spec.hamiltonian
-    if spec.equation is SdeEquation.IMAGINARY_LINEAR:
-        drift = drift - 0.5 * spec.rate * sum(op @ op for op in spec.collapse_ops)
     if spec.decay_quadratic is not None:
         drift = drift - 0.5 * spec.decay_quadratic
+    return drift
+
+
+def _linear_matrices(spec: SdeSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Constant drift and diffusions i sqrt(lambda) A_c of the linear equations.
+
+    The Ito label's drift adds the conversion term -(lambda/2) sum_c A_c^2
+    to the Stratonovich drift; the Stratonovich label's is the bare one.
+    """
+    drift = _stratonovich_drift(spec)
+    if spec.equation is SdeEquation.IMAGINARY_LINEAR:
+        drift = drift - 0.5 * spec.rate * sum(op @ op for op in spec.collapse_ops)
     sqlam = math.sqrt(spec.rate)
     return drift, [1j * sqlam * op for op in spec.collapse_ops]
 
@@ -478,7 +503,7 @@ def _nonlinear_stepper(spec: SdeSpec):
 def _step_rows(spec: SdeSpec, state, dW, dt: float, method: str):
     psi, single = _as_batch(state, spec.dim)
     w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    if spec.equation in _LINEAR:
+    if spec.equation in LINEAR_EQUATIONS:
         _linear_stepper(spec, psi.shape[0], method)(psi.T, w.T, dt)
     else:
         _nonlinear_stepper(spec)(psi, w, dt)
@@ -524,11 +549,14 @@ def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.vstack([flavor, np.eye(dim)]), labels
 
 
-def _grid_substeps(t_grid: np.ndarray, dt: float) -> list[int]:
+def _check_grid(t_grid: np.ndarray) -> None:
     if t_grid.ndim != 1 or len(t_grid) < 1 or t_grid[0] != 0.0:
         raise InvalidParams("t_grid must start at 0")
     if len(t_grid) > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise InvalidParams("t_grid must be strictly increasing")
+
+
+def _grid_substeps(t_grid: np.ndarray, dt: float) -> list[int]:
     counts = []
     for interval in np.diff(t_grid):
         n_sub = max(1, round(interval / dt))
@@ -564,69 +592,30 @@ def _fold_batches(partials) -> tuple[np.ndarray, np.ndarray]:
     return means, m2
 
 
-def ensemble_evolve(
-    spec: SdeSpec,
-    config: NoiseConfig,
-    initial_states: Sequence[QuantumState],
-    t_grid,
-    n_trajectories: int,
-    n_threads: int = 1,
-    method: str = "heun",
-) -> tuple[EnsembleStats, ...]:
-    """Ensemble means and covariances of the projection probabilities on a grid.
+def _resolve_method(spec: SdeSpec, method: str | None) -> str:
+    """``method``, or the label's default when None; InvalidParams if the label has no such scheme."""
+    allowed = _METHODS[spec.equation]
+    if method is None:
+        return allowed[0]
+    if method not in allowed:
+        raise InvalidParams(f"method for {spec.equation.value} must be one of: {', '.join(allowed)}")
+    return method
 
-    Returns one ``EnsembleStats`` per entry of ``initial_states``, in
-    order.  One pass serves all states: each trajectory's noise is drawn
-    once per batch from its (seed, trajectory) Philox substream and drives
-    every state.  The linear equations step one (dim, batch) block of
-    mass-basis factors c, so trajectory k from state a is a * c_k; the
-    nonlinear equations step the states as stacked rows of one array, one
-    block per state.  Either way state s of a stacked call equals a
-    single-state call bit for bit.
-    The probabilities |<v|psi>|^2 are taken on the raw (unnormalized)
-    state: the linear equations carry decay in the norm.  Each is a fixed
-    real form in the entries of psi psi^dag, so the ensemble reduces those
-    real entries per block, with centred second moments per batch folded
-    by the pairwise update, and maps them to the probabilities once.  The
-    spread is exactly zero while all trajectories agree.
-    Results are bit-identical for a fixed (seed, n_trajectories, dt)
-    whatever ``n_threads``: the batch partition is fixed and partials are
-    folded in index order.  ``method`` selects the stepping of a
-    Stratonovich-form spec.
+
+def _stepped_batches(spec, config, amps0, t_grid, substeps, entries, method):
+    """Batch runner (lo, hi) -> (count, means, m2) that steps every trajectory at dt.
+
+    The linear equations step one (dim, batch) block of mass-basis factors
+    c, shared by every state; the nonlinear equations step the states as
+    stacked rows, one block per state.  Each grid point is reduced to the
+    features of ``ensemble_evolve``.
     """
-    if n_trajectories < 2:
-        raise InvalidParams("n_trajectories must be at least 2")
-    if config.n_channels != spec.n_channels:
-        raise InvalidParams(
-            f"config.n_channels = {config.n_channels}, equation needs {spec.n_channels}"
-        )
-    states = [to_mass(s) if s.basis is Basis.FLAVOR else s for s in initial_states]
-    if not states:
-        raise InvalidParams("at least one initial state required")
-    if any(s.dim != spec.dim for s in states):
-        raise DimensionMismatch("initial state dimension does not match the equation")
-    amps0 = np.array([s.amplitudes for s in states], dtype=complex)
-    t_grid = np.asarray(t_grid, dtype=float)
-    substeps = _grid_substeps(t_grid, config.dt)
-    n_steps_total = int(sum(substeps))
-    vecs, labels = observable_vectors(spec.dim)
-    proj = vecs.conj()
-
-    n_states, n_grid, n_obs, dim = len(states), len(t_grid), len(labels), spec.dim
-    n_channels = config.n_channels
-    linear = spec.equation in _LINEAR
+    n_states, dim = len(amps0), spec.dim
+    n_grid, n_channels, n_steps = len(t_grid), config.n_channels, int(sum(substeps))
+    linear = spec.equation in LINEAR_EQUATIONS
     n_blocks = 1 if linear else n_states
-    # Trajectory k from state s is a_s * c_k, so observable o of state s is
-    # |w . c_k|^2 with w = proj_o * a_s, a real form in the entries of c c^dag.
-    # The batches reduce Re c_i conj(c_j) over the diagonal and the pairs
-    # i < j some observable couples, then Im over the pairs; q maps them.
-    weights = proj * amps0[:, None, :] if linear else proj[None]
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim) if np.any(proj[:, i] * proj[:, j])]
-    entries = [(i, i) for i in range(dim)] + pairs
-    w_ij = np.stack([weights[..., i] * weights[..., j].conj() for i, j in entries], axis=-1)
-    w_ij[..., dim:] *= 2.0
-    q = np.concatenate([w_ij.real, -w_ij[..., dim:].imag], axis=-1)
-    n_feat = q.shape[-1]
+    n_entries = len(entries)
+    n_feat = 2 * n_entries - dim
 
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
@@ -636,7 +625,7 @@ def ensemble_evolve(
         means = np.empty((n_grid, n_blocks, n_feat))
         m2 = np.empty((n_grid, n_blocks, n_feat, n_feat))
         gen, rekey = _keyed_generator(config.seed)
-        noise = np.empty((b, n_steps_total, n_channels))
+        noise = np.empty((b, n_steps, n_channels))
         for k in range(b):
             rekey(lo + k)
             gen.standard_normal(out=noise[k])
@@ -667,15 +656,15 @@ def ensemble_evolve(
                 w_rows[...] = noise[:, pos, :]
                 advance(psi, w, h)
 
-        cc = np.empty((n_blocks, len(entries), b), dtype=complex)  # c_i conj(c_j)
+        cc = np.empty((n_blocks, n_entries, b), dtype=complex)  # c_i conj(c_j)
         feats = np.empty((n_blocks, n_feat, b))  # (block, feature, trajectory)
 
         def record(g: int) -> None:
             for e, (i, j) in enumerate(entries):
                 np.conjugate(blocks[:, j], out=cc[:, e])
                 np.multiply(blocks[:, i], cc[:, e], out=cc[:, e])
-            feats[:, : len(entries)] = cc.real
-            feats[:, len(entries) :] = cc[:, dim:].imag
+            feats[:, :n_entries] = cc.real
+            feats[:, n_entries:] = cc[:, dim:].imag
             # Centre on the first trajectory, then on the batch mean: equal
             # trajectories (t = 0) give exactly zero spread.
             first = feats[:, :, 0].copy()
@@ -695,7 +684,174 @@ def ensemble_evolve(
             record(g)
         return b, means, m2
 
-    batches = _batch_bounds(n_trajectories, n_steps_total, n_channels)
+    return run_batch
+
+
+def _exact_linear_batches(spec, config, t_grid, pairs):
+    """Batch runner (lo, hi) -> (count, means, m2) from the exact solution of the linear equations.
+
+    Both labels are one equation with diagonal generators, solved by
+    c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) with d the Stratonovich drift
+    and g_c = i sqrt(lambda) a_c (Kloeden & Platen, Numerical Solution of
+    SDEs, on linear SDEs).  The noise is imaginary, so |c_i|^2 =
+    exp(2 t Re d_i) is the same on every trajectory, and a pair gives
+    c_i conj(c_j) = r_ij(t) exp(i (omega_ij t + theta_ij)) with
+    r_ij = exp(t Re(d_i + d_j)), omega_ij = Im(d_i - d_j) and the phase
+    theta_ij = sum_c kappa_c W_c, kappa_c = sqrt(lambda) (a_ci - a_cj).
+    A batch draws each trajectory's stream at the grid intervals only (one
+    stepping step per interval draws the same normals), cumulates W in
+    place and reduces u = (cos theta, sin theta) per grid point over the
+    trajectories; the rotation r_ij R(omega_ij t) maps the mean and centred
+    second moments of u to those of the pair's Re and Im features.  The
+    diagonal features have zero spread.  ``config.dt`` does not enter.
+    """
+    dim, n_grid, n_channels, n_pairs = spec.dim, len(t_grid), config.n_channels, len(pairs)
+    n_feat = dim + 2 * n_pairs
+    d = np.diagonal(_stratonovich_drift(spec))
+    a = np.array([np.diagonal(op).real for op in spec.collapse_ops])  # (channel, component)
+    half_kappa = [0.5 * math.sqrt(spec.rate) * (a[:, i] - a[:, j]) for i, j in pairs]
+    t = t_grid[:, None]
+    diag_means = np.exp(t * (d + d).real)
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    r = np.exp(t * (d[i] + d[j]).real)
+    phase = t * (d[i] - d[j]).imag
+    # rot[g] maps (cos theta_p ..., sin theta_p ...) to (Re ..., Im ...) of c_i conj(c_j).
+    rot = np.zeros((n_grid, 2 * n_pairs, 2 * n_pairs))
+    p, q = np.arange(n_pairs), np.arange(n_pairs) + n_pairs
+    rot[:, p, p] = rot[:, q, q] = r * np.cos(phase)
+    rot[:, q, p] = r * np.sin(phase)
+    rot[:, p, q] = -rot[:, q, p]
+    sqrt_intervals = np.sqrt(np.diff(t_grid))[:, None]
+
+    def run_batch(bounds: tuple[int, int]):
+        lo, hi = bounds
+        b = hi - lo
+        means = np.empty((n_grid, 1, n_feat))
+        m2 = np.zeros((n_grid, 1, n_feat, n_feat))
+        u_means = np.empty((n_grid, 2 * n_pairs))
+        u_m2 = np.empty((n_grid, 2 * n_pairs, 2 * n_pairs))
+        gen, rekey = _keyed_generator(config.seed)
+        w = np.empty((b, n_grid, n_channels))  # W at the grid points, W(0) = 0
+        w[:, 0] = 0.0
+        for k in range(b):
+            rekey(lo + k)
+            gen.standard_normal(out=w[k, 1:])
+        w[:, 1:] *= sqrt_intervals
+        np.cumsum(w, axis=1, out=w)
+
+        # Columns of grid points in chunks of about _PHASE_CHUNK entries: the
+        # phases and their cosines never take the size of the whole batch.
+        width = max(1, _PHASE_CHUNK // b)
+        u = np.empty((2 * n_pairs, b, width))
+        for g0 in range(0, n_grid, width):
+            cols = slice(g0, min(n_grid, g0 + width))
+            uc = u[:, :, : cols.stop - g0]
+            for pair, k_half in enumerate(half_kappa):
+                # One tan of the half phase gives both: with h = 2/(1 + tau^2),
+                # cos = h - 1 and sin = tau h, within 4e-16 of np.cos and
+                # np.sin.  NumPy vectorizes float64 tan but not sin and cos
+                # (x86-64, numpy 2.4: 5-8x faster than the pair).
+                tau, cos = uc[n_pairs + pair], uc[pair]
+                np.multiply(w[:, cols, 0], k_half[0], out=tau)
+                for c in range(1, n_channels):
+                    tau += k_half[c] * w[:, cols, c]
+                np.tan(tau, out=tau)
+                np.multiply(tau, tau, out=cos)
+                np.add(cos, 1.0, out=cos)
+                np.divide(2.0, cos, out=cos)
+                np.multiply(tau, cos, out=tau)
+                np.subtract(cos, 1.0, out=cos)
+            # Two passes, mean then centred products; at t = 0 every u is
+            # (1, 0), so the spread there is exactly zero.
+            u_means[cols] = uc.mean(axis=1).T
+            uc -= u_means[cols].T[:, None]
+            u_m2[cols] = np.einsum("xbg,ybg->gxy", uc, uc)
+
+        means[:, 0, :dim] = diag_means
+        means[:, 0, dim:] = (rot @ u_means[..., None])[..., 0]
+        m2[:, 0, dim:, dim:] = rot @ u_m2 @ rot.transpose(0, 2, 1)
+        return b, means, m2
+
+    return run_batch
+
+
+def ensemble_evolve(
+    spec: SdeSpec,
+    config: NoiseConfig,
+    initial_states: Sequence[QuantumState],
+    t_grid,
+    n_trajectories: int,
+    n_threads: int = 1,
+    method: str | None = None,
+) -> tuple[EnsembleStats, ...]:
+    """Ensemble means and covariances of the projection probabilities on a grid.
+
+    Returns one ``EnsembleStats`` per entry of ``initial_states``, in
+    order.  One pass serves all states: each trajectory's noise is drawn
+    once per batch from its (seed, trajectory) Philox substream and drives
+    every state.  The linear equations evolve one (dim, batch) block of
+    mass-basis factors c, so trajectory k from state a is a * c_k; the
+    nonlinear equations step the states as stacked rows of one array, one
+    block per state.  Either way state s of a stacked call equals a
+    single-state call bit for bit.
+    ``method`` selects the scheme, and None the label's default, the
+    first in each list:
+
+    * ``IMAGINARY_LINEAR``: "euler" (Euler-Maruyama) or "exact";
+    * ``STRATONOVICH_LINEAR``: "heun", "ito_drift" or "exact";
+    * the nonlinear labels: "euler".
+
+    The stepping schemes take ``config.dt`` steps, whose O(dt) weak bias
+    remains.  "exact" draws W at the grid points and evaluates the
+    closed-form solution (``_exact_linear_batches``): its means carry no
+    discretization bias and ``config.dt`` does not enter.
+    The probabilities |<v|psi>|^2 are taken on the raw (unnormalized)
+    state: the linear equations carry decay in the norm.  Each is a fixed
+    real form in the entries of psi psi^dag, so the ensemble reduces those
+    real entries per block, with centred second moments per batch folded
+    by the pairwise update, and maps them to the probabilities once.  The
+    spread is exactly zero while all trajectories agree.
+    Results are bit-identical for fixed arguments whatever ``n_threads``:
+    the batch partition is fixed and partials are folded in index order.
+    """
+    method = _resolve_method(spec, method)
+    if n_trajectories < 2:
+        raise InvalidParams("n_trajectories must be at least 2")
+    if config.n_channels != spec.n_channels:
+        raise InvalidParams(
+            f"config.n_channels = {config.n_channels}, equation needs {spec.n_channels}"
+        )
+    states = [to_mass(s) if s.basis is Basis.FLAVOR else s for s in initial_states]
+    if not states:
+        raise InvalidParams("at least one initial state required")
+    if any(s.dim != spec.dim for s in states):
+        raise DimensionMismatch("initial state dimension does not match the equation")
+    amps0 = np.array([s.amplitudes for s in states], dtype=complex)
+    t_grid = np.asarray(t_grid, dtype=float)
+    _check_grid(t_grid)
+    vecs, labels = observable_vectors(spec.dim)
+    proj = vecs.conj()
+    dim = spec.dim
+
+    # Trajectory k from state s is a_s * c_k, so observable o of state s is
+    # |w . c_k|^2 with w = proj_o * a_s, a real form in the entries of c c^dag.
+    # The batches reduce Re c_i conj(c_j) over the diagonal and the pairs
+    # i < j some observable couples, then Im over the pairs; q maps them.
+    weights = proj * amps0[:, None, :] if spec.equation in LINEAR_EQUATIONS else proj[None]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim) if np.any(proj[:, i] * proj[:, j])]
+    entries = [(i, i) for i in range(dim)] + pairs
+    w_ij = np.stack([weights[..., i] * weights[..., j].conj() for i, j in entries], axis=-1)
+    w_ij[..., dim:] *= 2.0
+    q = np.concatenate([w_ij.real, -w_ij[..., dim:].imag], axis=-1)
+
+    if method == "exact":
+        n_steps = len(t_grid) - 1
+        run_batch = _exact_linear_batches(spec, config, t_grid, pairs)
+    else:
+        substeps = _grid_substeps(t_grid, config.dt)
+        n_steps = int(sum(substeps))
+        run_batch = _stepped_batches(spec, config, amps0, t_grid, substeps, entries, method)
+    batches = _batch_bounds(n_trajectories, n_steps, config.n_channels)
     if n_threads > 1:
         # Imported here, so that a single-threaded run never loads it.
         from concurrent.futures import ThreadPoolExecutor
@@ -720,7 +876,7 @@ def ensemble_evolve(
             seed=int(config.seed),
             covariances=cov[:, s],
         )
-        for s in range(n_states)
+        for s in range(len(states))
     )
 
 

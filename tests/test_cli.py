@@ -312,9 +312,9 @@ def test_compare_catalog_scale_kaon(tmp_path):
 
 
 def test_compare_catalog_scale_kaon_ensemble_gate_can_fail(tmp_path, monkeypatch):
-    # The floor uses the gauged generator's rates, not the absolute mass, so
-    # at catalog scale it stays below the size of a probability and a
-    # shifted ensemble fails the gate.
+    # At catalog scale the floor stays below the size of a probability, so a
+    # shifted ensemble fails the gate.  The exactly sampled family equation
+    # has the round-off base alone.
     cfg = write_config(
         tmp_path, command="compare", meson="K0", model="CSL",
         rate=2.2e-10, r_C=1e-7, beta=0.8, m0_MeV=938.272, alpha=1e-14, d=3,
@@ -324,6 +324,9 @@ def test_compare_catalog_scale_kaon_ensemble_gate_can_fail(tmp_path, monkeypatch
     times = spec.grid
     _, dt = cli._ensemble_stats(spec, times)
     assert cli._discretization_floor(cli._sde_spec(spec), times, dt).max() < 0.06
+    # The allowance of a stepped equation, from the gauged rates, stays below it too.
+    stepped = cli._sde_spec(dataclasses.replace(spec, equation="nonlinear"))
+    assert cli._discretization_floor(stepped, times, spec.dt).max() < 0.06
     true_stats = cli._ensemble_stats
 
     def shifted(spec, times):
@@ -337,6 +340,45 @@ def test_compare_catalog_scale_kaon_ensemble_gate_can_fail(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "_ensemble_stats", shifted)
     assert cli.main([cfg, "--output", str(tmp_path / "k0.csv")]) == 3
+
+
+@pytest.mark.parametrize("equation", ["family", "stratonovich"])
+def test_compare_linear_gate_catches_shifted_column(tmp_path, monkeypatch, equation):
+    # The linear equations are sampled exactly, so their gate has only the
+    # 1e-12 round-off floor: P_M0_M0 moved by 0.05 over the second half of
+    # the window fails it.  A 4 dt t r^2 discretization floor (0.018 to
+    # 0.036 there) would hide the shift.
+    cfg = write_config(
+        tmp_path, command="compare", **_README_CSL, equation=equation,
+        t_max=6.0, n_points=31, n_trajectories=1000, seed=7, dt=0.0015,
+    )
+    true_stats = cli._ensemble_stats
+
+    def shifted(spec, times):
+        stats, dt = true_stats(spec, times)
+        means = stats["M0"].means.copy()
+        means[times >= 3.0, stats["M0"].labels.index("P_M0")] += 0.05
+        return dict(stats, M0=dataclasses.replace(stats["M0"], means=means)), dt
+
+    monkeypatch.setattr(cli, "_ensemble_stats", shifted)
+    assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == 3
+
+
+@pytest.mark.parametrize(
+    "equation, scheme",
+    [("family", "method=exact"), ("imaginary", "method=exact"), ("stratonovich", "method=exact"),
+     ("nonlinear", "dt=0.01"), ("flavor_decay", "dt=0.01")],
+)
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+def test_ensemble_header_names_the_scheme(tmp_path, command, equation, scheme):
+    cfg = write_config(
+        tmp_path, command=command, **_README_CSL, equation=equation,
+        t_max=1.0, n_points=3, n_trajectories=16, seed=1, dt=0.01,
+    )
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out)]) in (0, 3)
+    header = [line for line in out.read_text().splitlines() if line.startswith(f"# command={command}")]
+    assert header[0].endswith(f"seed=1 {scheme}")
 
 
 def test_compare_wide_bytes_independent_of_threads(tmp_path):

@@ -591,6 +591,127 @@ def test_formalism_equivalence_small():
 
 
 # ----------------------------------------------------------------------
+# exact-in-law ensemble of the linear equations
+
+_ALL_STATES = (QuantumState.m0(), QuantumState.m0bar(), QuantumState.mass_eigenstate(0),
+               QuantumState.mass_eigenstate(1), _COMPLEX)
+
+
+def _induced(meson, collapse):
+    gamma_l, gamma_h = induced_decay_widths(meson, collapse)
+    return replace(meson, gamma_L=gamma_l, gamma_H=gamma_h)
+
+
+def test_exact_labels_are_one_equation():
+    # The Ito and Stratonovich labels share the Stratonovich drift and the
+    # noise, so their exact ensembles agree bit for bit (two batches).
+    meson, collapse = _bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3)
+    t_grid = _grid(2.0, 9)
+    config = NoiseConfig(seed=41, dt=0.25)
+    ito = ensemble_evolve(family_spec(meson, collapse), config, _ALL_STATES, t_grid, 2100, method="exact")
+    strat = ensemble_evolve(
+        stratonovich_family_spec(meson, collapse), config, _ALL_STATES, t_grid, 2100, method="exact"
+    )
+    for a, b in zip(ito, strat):
+        for field in ("means", "stderrs", "covariances"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_exact_ensemble_does_not_depend_on_dt():
+    # dt need not even divide the grid intervals: the exact method never steps.
+    spec = family_spec(_decaying(), make_csl(beta=0.7, rate=0.4))
+    t_grid = _grid(3.0, 7)
+    runs = [
+        ensemble_evolve(spec, NoiseConfig(seed=8, dt=dt), _ALL_STATES, t_grid, 300, method="exact")
+        for dt in (0.5, 0.01, 0.0317)
+    ]
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other):
+            assert np.array_equal(a.means, b.means)
+            assert np.array_equal(a.covariances, b.covariances)
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+@pytest.mark.parametrize("factory", [family_spec, stratonovich_family_spec, imaginary_linear_spec])
+def test_exact_ensemble_equals_closed_form(factory, n_channels):
+    # Few trajectories, one dt per grid interval: the ensemble is the
+    # sample mean and covariance of c_i = exp(d_i t + sum_c g_ci W_c) with
+    # W the cumulated wiener_increments and d the Stratonovich drift.
+    spec = factory(_decaying(), make_csl(beta=0.7, rate=0.4))
+    if n_channels == 2:
+        spec = replace(spec, collapse_ops=(*spec.collapse_ops, np.diag([0.3, -1.7])))
+    dt, n_traj = 1.0 / 64, 7
+    t_grid = dt * np.arange(9)
+    config = NoiseConfig(seed=19, dt=dt, n_channels=n_channels)
+    stats = ensemble_evolve(spec, config, _ALL_STATES, t_grid, n_traj, method="exact")
+    drift = -1j * np.diagonal(spec.hamiltonian) - 0.5 * np.diagonal(spec.decay_quadratic)
+    g = 1j * np.sqrt(spec.rate) * np.array([np.diagonal(op) for op in spec.collapse_ops])  # (channel, i)
+    w = np.array([np.cumsum(wiener_increments(config, 8, k), axis=0) for k in range(n_traj)])
+    w = np.concatenate([np.zeros((n_traj, 1, n_channels)), w], axis=1)  # (trajectory, time, channel)
+    c = np.exp(drift * t_grid[:, None] + w @ g)  # (trajectory, time, i)
+    proj = observable_vectors(2)[0].conj()
+    for state, result in zip(_ALL_STATES, stats):
+        obs = np.abs((to_mass(state).amplitudes * c) @ proj.T) ** 2  # (trajectory, time, observable)
+        np.testing.assert_allclose(result.means, obs.mean(axis=0), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(
+            result.stderrs, np.std(obs, axis=0, ddof=1) / np.sqrt(n_traj), rtol=1e-12, atol=1e-15
+        )
+        cov = np.einsum("kto,ktp->top", obs - obs.mean(axis=0), obs - obs.mean(axis=0)) / (n_traj - 1)
+        np.testing.assert_allclose(result.covariances, cov, rtol=1e-12, atol=1e-15)
+
+
+def test_exact_mass_eigenstates_are_deterministic():
+    # Imaginary noise leaves |c_i| alone: P_L from M_L and P_H from M_H are
+    # exp(-gamma_i t) on every trajectory, with no spread, and no mean
+    # probability exceeds 1.
+    meson, collapse = _bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3)
+    gammas = induced_decay_widths(meson, collapse)
+    t_grid = _grid(6.0, 121)
+    for factory in (family_spec, stratonovich_family_spec):
+        spec = factory(meson, collapse)
+        stats = ensemble_evolve(spec, NoiseConfig(seed=7, dt=0.05), _ALL_STATES, t_grid, 3000, method="exact")
+        for index, label in enumerate(("P_L", "P_H")):
+            mean, stderr = stats[2 + index].column(label)
+            assert np.all(stderr == 0.0)
+            np.testing.assert_allclose(mean, np.exp(-gammas[index] * t_grid), rtol=0.0, atol=1e-15)
+        for result in stats:
+            assert np.all(result.means <= 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, method",
+    [
+        (family_spec, "heun"),
+        (family_spec, "ito_drift"),
+        (family_spec, "bogus"),
+        (stratonovich_family_spec, "euler"),
+        (stratonovich_family_spec, "bogus"),
+        (collapse_flavor_spec, "exact"),
+        (collapse_flavor_spec, "heun"),
+        (flavor_decay_spec, "bogus"),
+        (enlarged_collapse_spec, "exact"),
+    ],
+)
+def test_ensemble_rejects_methods_of_other_labels(build, method):
+    spec = build(_decaying(), make_csl(beta=0.8, rate=0.3))
+    config = NoiseConfig(seed=1, dt=0.1, n_channels=spec.n_channels)
+    state = QuantumState.m0() if spec.dim == 2 else _enlarged_stack()[0]
+    with pytest.raises(InvalidParams, match="method"):
+        ensemble_evolve(spec, config, (state,), _grid(1.0, 3), 4, method=method)
+
+
+def test_ensemble_default_method_is_each_labels_stepping():
+    # method None keeps the stepping: Euler for the Ito label, Heun for the
+    # Stratonovich label.
+    meson, collapse = _bare(), make_csl(beta=0.8, rate=0.3)
+    config, t_grid = NoiseConfig(seed=3, dt=0.05), _grid(1.0, 5)
+    for spec, method in ((family_spec(meson, collapse), "euler"), (stratonovich_family_spec(meson, collapse), "heun")):
+        (default,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 64)
+        (named,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 64, method=method)
+        assert np.array_equal(default.means, named.means)
+
+
+# ----------------------------------------------------------------------
 # phase-transformation family
 
 def test_phase_transform_identity_and_imaginary_limit():
