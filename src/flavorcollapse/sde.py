@@ -602,7 +602,15 @@ def _resolve_method(spec: SdeSpec, method: str | None) -> str:
     return method
 
 
-def _stepped_batches(spec, config, amps0, t_grid, substeps, entries, method):
+def _stepped_batches(
+    spec: SdeSpec,
+    config: NoiseConfig,
+    amps0: np.ndarray,
+    t_grid: np.ndarray,
+    substeps: list[int],
+    entries: list[tuple[int, int]],
+    method: str,
+):
     """Batch runner (lo, hi) -> (count, means, m2) that steps every trajectory at dt.
 
     The linear equations step one (dim, batch) block of mass-basis factors
@@ -687,7 +695,7 @@ def _stepped_batches(spec, config, amps0, t_grid, substeps, entries, method):
     return run_batch
 
 
-def _exact_linear_batches(spec, config, t_grid, pairs):
+def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray, pairs: list[tuple[int, int]]):
     """Batch runner (lo, hi) -> (count, means, m2) from the exact solution of the linear equations.
 
     Both labels are one equation with diagonal generators, solved by

@@ -382,7 +382,8 @@ def test_ensemble_header_names_the_scheme(tmp_path, command, equation, scheme):
 
 
 def test_compare_wide_bytes_independent_of_threads(tmp_path):
-    # The benchmark's wide Heun compare: 10^4 trajectories in five batches.
+    # The benchmark's wide stratonovich compare, sampled exactly: 10^4
+    # trajectories in five batches.
     cfg = write_config(
         tmp_path, command="compare", **_README_CSL, equation="stratonovich",
         t_max=6.0, n_points=401, n_trajectories=10000, seed=11, dt=0.015,
