@@ -435,9 +435,10 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
 
     meson, collapse = spec.meson, spec.collapse
     if spec.model is DynamicsModel.QM:
-        # Noise-free Wigner-Weisskopf limit of the flavor-decay equation.
+        # Wigner-Weisskopf evolution: the lambda = 0 case of the linear
+        # equation with the measured widths, sampled exactly.
         return sde.SdeSpec(
-            equation=sde.SdeEquation.NONLINEAR_REAL,
+            equation=sde.SdeEquation.IMAGINARY_LINEAR,
             hamiltonian=operators.reduced_mass_operator(meson),
             collapse_ops=(np.eye(2),),
             rate=0.0,
@@ -456,20 +457,19 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
     return factories[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
 
 
-def _ensemble_stats(spec: RunSpec, times: np.ndarray):
-    """Ensembles from each initial state of the table, in one pass, and the step.
+def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
+    """Ensembles of ``eq_spec`` from each initial state of the table, in one pass, and the step.
 
     One ``ensemble_evolve`` call evolves the states together: trajectory k
     of each state is driven by the same (seed, k) noise stream, and each
     grid point is reduced to centred moments once for all of them.  The
-    linear equations (``family``, ``imaginary``, ``stratonovich``) are
-    sampled exactly at the grid points, and the step returned is None; the
-    nonlinear ones step at the largest dt that divides the grid interval
-    and does not exceed the configured one.
+    linear equations (``family``, ``imaginary``, ``stratonovich`` and the
+    QM equation) are sampled exactly at the grid points, and the step
+    returned is None; the nonlinear ones step at the largest dt that
+    divides the grid interval and does not exceed the configured one.
     """
     from . import sde
 
-    eq_spec = _sde_spec(spec)
     interval = times[1] - times[0]
     n_sub = max(1, round(interval / spec.dt))
     dt = interval / n_sub
@@ -534,7 +534,7 @@ def cmd_route(spec: RunSpec) -> Table:
 
 def cmd_ensemble(spec: RunSpec) -> Table:
     times = spec.grid
-    stats, dt = _ensemble_stats(spec, times)
+    stats, dt = _ensemble_stats(spec, _sde_spec(spec), times)
     means, errs = _ensemble_probs(stats)
     table = _prob_table(
         spec, times, means, f" equation={spec.equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(dt)}"
@@ -606,9 +606,10 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     times = spec.grid
     analytic_probs = _analytic_probs(spec, times)
     master_probs = _master_probs(spec, times)
-    stats, dt = _ensemble_stats(spec, times)
+    eq_spec = _sde_spec(spec)
+    stats, dt = _ensemble_stats(spec, eq_spec, times)
     means, errs = _ensemble_probs(stats)
-    floor = _discretization_floor(_sde_spec(spec), times, dt)
+    floor = _discretization_floor(eq_spec, times, dt)
     table, master_max, ratio_max = compare_routes(times, analytic_probs, master_probs, means, errs, floor)
     table.meta = spec.header_notes + [
         f"command=compare model={spec.model.value} meson={spec.meson_label} "

@@ -1,46 +1,45 @@
 """Stochastic-trajectory engine for the collapse quantum-state equations.
 
-Each supported equation is an Ito (or Stratonovich) SDE for an
-unnormalized state vector on the 2-dim flavor space or the 4-dim
-enlarged space, stepped by one of two kernels.
+Each supported equation is an SDE for an unnormalized state vector on the
+2-dim flavor space or the 4-dim enlarged space.  Its ``SdeEquation`` label
+names the formalism, and the formalism alone picks the stepping scheme.
 
-The nonlinear kernel takes a list of operators L_c, one per Wiener
-channel, and an optional drift operator K.  With R_c = Re<L_c> on the
-normalized state it applies
+``NONLINEAR`` is the collapse equation in Ito form.  It takes a list of
+operators L_c, one per Wiener channel, and an optional drift operator K.
+With R_c = Re<L_c> on the normalized state it reads
 
     dpsi = [-i H - (lambda/2) sum_c (L_c^dag L_c - 2 R_c L_c + R_c^2)
-            - K/2] psi dt + sqrt(lambda) sum_c (L_c - R_c) psi dW_c.
+            - K/2] psi dt + sqrt(lambda) sum_c (L_c - R_c) psi dW_c
 
-Its two labels differ only in what the operators may be:
+for any operators L_c: self-adjoint ones (the collapse equation with a
+non-Hermitian H, and its flavor projection with the decay drift
+K = Gamma) or general ones (the enlarged-space equation with L = (A, B),
+B the decay channel, and the members e^{i phi} A of the
+phase-transformation family).  It is stepped with Euler-Maruyama.
 
-* ``NONLINEAR_REAL``: self-adjoint operators.  The collapse equation
-  with a non-Hermitian H, and its flavor projection with the decay
-  drift K = Gamma (the CLI's QM equation is its noise-free limit).
-* ``NONLINEAR_GENERAL``: arbitrary operators.  The enlarged-space
-  equation with L = (A, B), B the decay channel, and the members
-  e^{i phi} A of the phase-transformation family.
-
-All of these share one master equation per physical system.  The linear
-kernel takes purely imaginary noise and a decay operator K.  Its two
-labels are one equation, the Stratonovich SDE
+All of these share one master equation per physical system.  The two
+linear labels take purely imaginary noise and a decay operator K.  They
+are one equation, the Stratonovich SDE
 
     dpsi = (-i H - K/2) psi dt + i sqrt(lambda) sum_c A_c psi o dW_c,
 
 written in the two formalisms:
 
 * ``IMAGINARY_LINEAR``: its Ito form, whose drift carries the conversion
-  term -(lambda/2) sum_c A_c^2.
+  term -(lambda/2) sum_c A_c^2 (``ito_stratonovich_drift`` from
+  theta(0) = 1/2 to 0), stepped with Euler-Maruyama;
 * ``STRATONOVICH_LINEAR``: the Stratonovich form itself, stepped with the
-  midpoint scheme or with Euler-Maruyama after the conversion drift.
+  Heun midpoint scheme.
 
 K is either the measured decay operator Gamma or the operator
 lambda (2 beta - 1) A^2 that a noise field with theta(0) = beta induces
 (``operators.induced_decay_operator``); with the latter the Ito label is
-the time-asymmetric family equation.
+the time-asymmetric family equation.  The CLI's QM equation is the
+lambda = 0 case with K = Gamma.
 
 The generators (H = diag(0, delta_m), A = diag(m~_L, m~_H), K) are
-diagonal in the mass basis, and ``SdeSpec`` requires that.  Both labels
-then have one closed-form solution per mass component,
+diagonal in the mass basis, and ``SdeSpec`` requires that of the linear
+labels.  Both then have one closed-form solution per mass component,
 
     c_i(t) = exp(d_i t + sum_c g_ci W_c(t)),
 
@@ -49,18 +48,17 @@ diag(A_c), and the trajectory from initial state a is a * c componentwise.
 ``ensemble_evolve(method="exact")`` samples it at the grid points: W needs
 one normal per grid interval and channel, the means carry no
 discretization bias, and the imaginary noise leaves |c_i|^2 deterministic.
-The stepping methods stay for the formalism checks: a step multiplies
-each mass component by one scalar, f = 1 + m (Euler-Maruyama) or
-f = 1 + m + m^2/2 (Heun), with m = h d_i + sum_c g_ci dW_c and d_i the
-label's own drift, and the ensemble steps one c per trajectory, shared
-by every initial state.  The nonlinear labels are stepped with
-Euler-Maruyama.
+The stepping stays for the formalism checks: a step multiplies each mass
+component by one scalar, f = 1 + m (Euler-Maruyama) or f = 1 + m + m^2/2
+(Heun), with m = h d_i + sum_c g_ci dW_c and d_i the label's own drift,
+and the ensemble steps one c per trajectory, shared by every initial
+state.
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
 for fixed arguments regardless of scheduling or worker count.
 Several initial states evolved in one call share that noise.
-Expectation values in the nonlinear equations always use the normalized
+Expectation values in the nonlinear equation always use the normalized
 state; trajectories are stored unnormalized, and each observable is the
 ensemble mean of |<v|psi>|^2 on the raw state, a real form in psi psi^dag.
 """
@@ -105,7 +103,6 @@ __all__ = [
     "NoiseConfig",
     "SdeSpec",
     "collapse_flavor_spec",
-    "nonlinear_general_spec",
     "enlarged_collapse_spec",
     "flavor_decay_spec",
     "imaginary_linear_spec",
@@ -130,21 +127,12 @@ _PHASE_CHUNK = 1 << 15  # (trajectory, grid point) entries per chunk of the exac
 
 
 class SdeEquation(enum.Enum):
-    NONLINEAR_REAL = "nonlinear_real"
-    NONLINEAR_GENERAL = "nonlinear_general"
+    NONLINEAR = "nonlinear"
     IMAGINARY_LINEAR = "imaginary_linear"
     STRATONOVICH_LINEAR = "stratonovich_linear"
 
 
 LINEAR_EQUATIONS = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.STRATONOVICH_LINEAR)
-_HERMITIAN_OPS_REQUIRED = (SdeEquation.NONLINEAR_REAL, *LINEAR_EQUATIONS)
-# The schemes ensemble_evolve takes per label; the first is the default.
-_METHODS = {
-    SdeEquation.IMAGINARY_LINEAR: ("euler", "exact"),
-    SdeEquation.STRATONOVICH_LINEAR: ("heun", "ito_drift", "exact"),
-    SdeEquation.NONLINEAR_REAL: ("euler",),
-    SdeEquation.NONLINEAR_GENERAL: ("euler",),
-}
 
 
 @dataclass(frozen=True)
@@ -175,7 +163,7 @@ class SdeSpec:
     the drift as -(1/2) K and the master equation as -(1/2) {K, rho}: the
     measured Gamma = lambda B^dag B or the collapse-induced
     lambda (2 beta - 1) A^2.  The linear labels require all three diagonal
-    (in the mass basis).
+    (in the mass basis) and the collapse operators self-adjoint.
     """
 
     equation: SdeEquation
@@ -198,16 +186,16 @@ class SdeSpec:
         for op in ops:
             if op.shape != h.shape:
                 raise DimensionMismatch("collapse operators must match the hamiltonian dimension")
-        if self.equation in _HERMITIAN_OPS_REQUIRED:
-            for op in ops:
-                if np.linalg.norm(op - op.conj().T) > 1e-12 * max(np.linalg.norm(op), 1e-300):
-                    raise InvalidParams(f"{self.equation.value} requires self-adjoint collapse operators")
         if self.decay_quadratic is not None:
             k = np.asarray(self.decay_quadratic, dtype=complex)
             object.__setattr__(self, "decay_quadratic", k)
             if k.shape != h.shape:
                 raise DimensionMismatch("decay_quadratic must match the hamiltonian dimension")
         if self.equation in LINEAR_EQUATIONS:
+            # The exact kernel reads the real diagonal of each collapse operator.
+            for op in ops:
+                if np.linalg.norm(op - op.conj().T) > 1e-12 * max(np.linalg.norm(op), 1e-300):
+                    raise InvalidParams(f"{self.equation.value} requires self-adjoint collapse operators")
             off_diagonal = ~np.eye(len(h), dtype=bool)
             generators = (h, *ops) + (() if self.decay_quadratic is None else (self.decay_quadratic,))
             if any(np.any(m[off_diagonal] != 0.0) for m in generators):
@@ -235,18 +223,18 @@ def _flavor_spec(equation: SdeEquation, meson: MesonParams, collapse: CollapsePa
 
 def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Nonlinear collapse equation on the flavor space, non-Hermitian H."""
-    return _flavor_spec(SdeEquation.NONLINEAR_REAL, meson, collapse, hamiltonian=effective_hamiltonian(meson))
-
-
-def nonlinear_general_spec(hamiltonian: np.ndarray, ops: tuple[np.ndarray, ...], rate: float) -> SdeSpec:
-    """General nonlinear collapse equation with arbitrary operators."""
-    return SdeSpec(equation=SdeEquation.NONLINEAR_GENERAL, hamiltonian=hamiltonian, collapse_ops=tuple(ops), rate=rate)
+    return _flavor_spec(SdeEquation.NONLINEAR, meson, collapse, hamiltonian=effective_hamiltonian(meson))
 
 
 def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Enlarged-space nonlinear equation; the decay channel B has its own Wiener process."""
     ops = enlarged_operators(meson, collapse)
-    return nonlinear_general_spec(ops.hamiltonian, (ops.collapse_a, ops.collapse_b), collapse.effective_rate)
+    return SdeSpec(
+        equation=SdeEquation.NONLINEAR,
+        hamiltonian=ops.hamiltonian,
+        collapse_ops=(ops.collapse_a, ops.collapse_b),
+        rate=collapse.effective_rate,
+    )
 
 
 def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -255,7 +243,7 @@ def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     The decay drift is lambda B^dag B = Gamma and does not scale with the
     collapse rate, so the spec stores the decay operator itself.
     """
-    return _flavor_spec(SdeEquation.NONLINEAR_REAL, meson, collapse, decay_quadratic=decay_operator(meson))
+    return _flavor_spec(SdeEquation.NONLINEAR, meson, collapse, decay_quadratic=decay_operator(meson))
 
 
 def imaginary_linear_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -289,16 +277,12 @@ def phase_transform_spec(spec: SdeSpec, phi: float) -> SdeSpec:
     form.  All members share one master equation: L rho L^dag and L^dag L
     do not see the phase.
     """
-    if spec.equation is not SdeEquation.NONLINEAR_REAL:
-        raise UnsupportedEquation("phase transformation applies to the nonlinear self-adjoint equation")
+    if spec.equation is not SdeEquation.NONLINEAR:
+        raise UnsupportedEquation("phase transformation applies to the nonlinear equation")
     if phi == 0.0:
         return spec
     phase = complex(np.exp(1j * phi))
-    return replace(
-        spec,
-        equation=SdeEquation.NONLINEAR_GENERAL,
-        collapse_ops=tuple(phase * op for op in spec.collapse_ops),
-    )
+    return replace(spec, collapse_ops=tuple(phase * op for op in spec.collapse_ops))
 
 
 def ito_stratonovich_drift(diffusion_operator: np.ndarray, beta: float, beta_prime: float) -> np.ndarray:
@@ -416,24 +400,26 @@ def _stratonovich_drift(spec: SdeSpec) -> np.ndarray:
 
 
 def _linear_matrices(spec: SdeSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Constant drift and diffusions i sqrt(lambda) A_c of the linear equations.
+    """Constant drift and diffusions g_c = i sqrt(lambda) A_c of the linear equations.
 
-    The Ito label's drift adds the conversion term -(lambda/2) sum_c A_c^2
-    to the Stratonovich drift; the Stratonovich label's is the bare one.
+    The Ito label's drift adds the conversion term (1/2) sum_c g_c^2 =
+    -(lambda/2) sum_c A_c^2, from theta(0) = 1/2 to 0, to the Stratonovich
+    drift; the Stratonovich label's is the bare one.
     """
     drift = _stratonovich_drift(spec)
-    if spec.equation is SdeEquation.IMAGINARY_LINEAR:
-        drift = drift - 0.5 * spec.rate * sum(op @ op for op in spec.collapse_ops)
     sqlam = math.sqrt(spec.rate)
-    return drift, [1j * sqlam * op for op in spec.collapse_ops]
+    diffusions = [1j * sqlam * op for op in spec.collapse_ops]
+    if spec.equation is SdeEquation.IMAGINARY_LINEAR:
+        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
+    return drift, diffusions
 
 
-def _linear_stepper(spec: SdeSpec, n_cols: int, method: str):
+def _linear_stepper(spec: SdeSpec, n_cols: int):
     """In-place update c, w, h of the (dim, n_cols) mass-basis columns of the linear equations.
 
     The generators are diagonal, so a step multiplies mass component i of
-    column k by f = 1 + m (Euler-Maruyama, also on the Ito-converted
-    Stratonovich drift) or f = 1 + m (1 + m/2) (Heun midpoint), with
+    column k by f = 1 + m (Euler-Maruyama, the Ito label) or
+    f = 1 + m (1 + m/2) (Heun midpoint, the Stratonovich label), with
     m = h d_i + sum_c g_ci w_ck and d, g_c the diagonals of
     ``_linear_matrices``.  It is applied as c += c (f - 1): rounding 1 + m
     would repeat one rounding of the real part of h d at every step, a
@@ -441,12 +427,7 @@ def _linear_stepper(spec: SdeSpec, n_cols: int, method: str):
     once, so a loop of steps allocates nothing of the columns' size.
     """
     drift, diffusions = _linear_matrices(spec)
-    stratonovich = spec.equation is SdeEquation.STRATONOVICH_LINEAR
-    if stratonovich and method == "ito_drift":
-        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
-    elif stratonovich and method != "heun":
-        raise InvalidParams("method must be 'heun' or 'ito_drift'")
-    heun = stratonovich and method == "heun"
+    heun = spec.equation is SdeEquation.STRATONOVICH_LINEAR
     d = np.diagonal(drift)[:, None]
     gs = [np.diagonal(g)[:, None] for g in diffusions]
     m, f = (np.empty((spec.dim, n_cols), dtype=complex) for _ in range(2))
@@ -468,18 +449,19 @@ def _linear_stepper(spec: SdeSpec, n_cols: int, method: str):
 
 
 def _nonlinear_stepper(spec: SdeSpec):
-    """Batch update closure psi, w, h that advances the (n_rows, dim) psi in place.
+    """Euler-Maruyama update closure psi, w, h that advances the (n_rows, dim) psi in place.
 
-    Matrices are built once.  Channel c runs on L_c = ``collapse_ops[c]``
-    with R_c = Re<L_c> (the real part of <L> is <(L + L^dag)/2> for any L).
+    Matrices are built once.  Channel c runs on L_c = ``collapse_ops[c]``,
+    any operator, with R_c = Re<L_c> (the real part of <L> is
+    <(L + L^dag)/2> for any L).
     """
     lam = spec.rate
     sqlam = math.sqrt(lam)
     h_t = (-1j * spec.hamiltonian).T.copy()
     ops = spec.collapse_ops
     ops_t = [op.T.copy() for op in ops]
-    # Rows apply L^dag L as (psi L^T) conj(L); for self-adjoint L, conj(L)
-    # holds the values of L^T, so this is the square of the operator.
+    # Rows apply L^dag L as (psi L^T) conj(L): psi^T L^T conj(L) is
+    # (L^dag L psi)^T for any L.
     ops_conj = [op.conj() for op in ops]
     k_t = None if spec.decay_quadratic is None else spec.decay_quadratic.T.copy()
 
@@ -500,38 +482,35 @@ def _nonlinear_stepper(spec: SdeSpec):
     return advance
 
 
-def _step_rows(spec: SdeSpec, state, dW, dt: float, method: str):
+def _step_rows(spec: SdeSpec, state, dW, dt: float):
     psi, single = _as_batch(state, spec.dim)
     w = _as_noise(dW, spec.n_channels, psi.shape[0])
     if spec.equation in LINEAR_EQUATIONS:
-        _linear_stepper(spec, psi.shape[0], method)(psi.T, w.T, dt)
+        _linear_stepper(spec, psi.shape[0])(psi.T, w.T, dt)
     else:
         _nonlinear_stepper(spec)(psi, w, dt)
     return psi[0] if single else psi
 
 
 def step(spec: SdeSpec, state, dW, dt: float):
-    """One Euler-Maruyama step of the selected Ito equation.
+    """One Euler-Maruyama step of an Ito-form equation: the nonlinear or the Ito linear one.
 
     Accepts a single state vector or a batch of rows; ``dW`` must carry
     one increment per Wiener channel (and per row for batches).
     """
     if spec.equation is SdeEquation.STRATONOVICH_LINEAR:
         raise UnsupportedEquation("Stratonovich-form equation: use stratonovich_step")
-    return _step_rows(spec, state, dW, dt, "euler")
+    return _step_rows(spec, state, dW, dt)
 
 
-def stratonovich_step(spec: SdeSpec, state, dW, dt: float, method: str = "heun"):
-    """One step of the Stratonovich-form linear equation.
+def stratonovich_step(spec: SdeSpec, state, dW, dt: float):
+    """One Heun step of the Stratonovich-form linear equation.
 
-    ``method="heun"`` uses the midpoint predictor-corrector realizing the
-    Stratonovich product; ``method="ito_drift"`` is Euler-Maruyama on the
-    Ito-equivalent equation obtained by adding the conversion drift.
-    Both agree in distribution.
+    The midpoint predictor-corrector realizes the Stratonovich product.
     """
     if spec.equation is not SdeEquation.STRATONOVICH_LINEAR:
         raise UnsupportedEquation("stratonovich_step applies to the Stratonovich-form linear equation")
-    return _step_rows(spec, state, dW, dt, method)
+    return _step_rows(spec, state, dW, dt)
 
 
 def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -592,16 +571,6 @@ def _fold_batches(partials) -> tuple[np.ndarray, np.ndarray]:
     return means, m2
 
 
-def _resolve_method(spec: SdeSpec, method: str | None) -> str:
-    """``method``, or the label's default when None; InvalidParams if the label has no such scheme."""
-    allowed = _METHODS[spec.equation]
-    if method is None:
-        return allowed[0]
-    if method not in allowed:
-        raise InvalidParams(f"method for {spec.equation.value} must be one of: {', '.join(allowed)}")
-    return method
-
-
 def _stepped_batches(
     spec: SdeSpec,
     config: NoiseConfig,
@@ -609,9 +578,8 @@ def _stepped_batches(
     t_grid: np.ndarray,
     substeps: list[int],
     entries: list[tuple[int, int]],
-    method: str,
 ):
-    """Batch runner (lo, hi) -> (count, means, m2) that steps every trajectory at dt.
+    """Batch runner (lo, hi) -> (count, means, m2) that steps every trajectory at dt with the label's scheme.
 
     The linear equations step one (dim, batch) block of mass-basis factors
     c, shared by every state; the nonlinear equations step the states as
@@ -646,7 +614,7 @@ def _stepped_batches(
             # One (dim, b) block of mass-basis factors serves every state;
             # step pos reads its noise as strided columns, without a copy.
             cols = np.ones((dim, b), dtype=complex)
-            advance = _linear_stepper(spec, b, method)
+            advance = _linear_stepper(spec, b)
             blocks = cols[None]
 
             def step_once(pos: int, h: float) -> None:
@@ -802,15 +770,10 @@ def ensemble_evolve(
     nonlinear equations step the states as stacked rows of one array, one
     block per state.  Either way state s of a stacked call equals a
     single-state call bit for bit.
-    ``method`` selects the scheme, and None the label's default, the
-    first in each list:
-
-    * ``IMAGINARY_LINEAR``: "euler" (Euler-Maruyama) or "exact";
-    * ``STRATONOVICH_LINEAR``: "heun", "ito_drift" or "exact";
-    * the nonlinear labels: "euler".
-
-    The stepping schemes take ``config.dt`` steps, whose O(dt) weak bias
-    remains.  "exact" draws W at the grid points and evaluates the
+    ``method`` None steps with the label's own scheme at ``config.dt``:
+    Euler-Maruyama for the Ito linear and the nonlinear equations, Heun for
+    the Stratonovich one.  Their O(dt) weak bias remains.  "exact", for
+    the linear labels only, draws W at the grid points and evaluates the
     closed-form solution (``_exact_linear_batches``): its means carry no
     discretization bias and ``config.dt`` does not enter.
     The probabilities |<v|psi>|^2 are taken on the raw (unnormalized)
@@ -822,7 +785,10 @@ def ensemble_evolve(
     Results are bit-identical for fixed arguments whatever ``n_threads``:
     the batch partition is fixed and partials are folded in index order.
     """
-    method = _resolve_method(spec, method)
+    if method not in (None, "exact"):
+        raise InvalidParams("method must be None or 'exact'")
+    if method == "exact" and spec.equation not in LINEAR_EQUATIONS:
+        raise InvalidParams(f"method 'exact' applies to the linear equations, not {spec.equation.value}")
     if n_trajectories < 2:
         raise InvalidParams("n_trajectories must be at least 2")
     if config.n_channels != spec.n_channels:
@@ -858,7 +824,7 @@ def ensemble_evolve(
     else:
         substeps = _grid_substeps(t_grid, config.dt)
         n_steps = int(sum(substeps))
-        run_batch = _stepped_batches(spec, config, amps0, t_grid, substeps, entries, method)
+        run_batch = _stepped_batches(spec, config, amps0, t_grid, substeps, entries)
     batches = _batch_bounds(n_trajectories, n_steps, config.n_channels)
     if n_threads > 1:
         # Imported here, so that a single-threaded run never loads it.

@@ -213,7 +213,7 @@ def test_c4_formalism_equivalence():
         (strat_stats,) = ensemble_evolve(
             stratonovich_family_spec(meson, collapse),
             NoiseConfig(seed=950 + k, dt=dt),
-            (QuantumState.m0(),), grid, n_traj, method="heun",
+            (QuantumState.m0(),), grid, n_traj,
         )
         lam = collapse.effective_rate
         rate_obs = max(meson.delta_m, lam * 4.0)

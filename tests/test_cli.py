@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from flavorcollapse import cli, sde
-from flavorcollapse.analytic import prob_flavor_csl, prob_flavor_qmupl
+from flavorcollapse.analytic import prob_flavor_csl, prob_flavor_qm, prob_flavor_qmupl, prob_lifetime_qm
 from flavorcollapse.core import Convention, FlavorTarget, MesonParams
 from flavorcollapse.errors import CatalogMiss, InvalidParams, ParseError, UnknownKey
 
@@ -201,6 +201,31 @@ def test_compare_qm_with_decay_exits_zero(tmp_path):
     assert cli.main([cfg, "--output", str(tmp_path / "qm.csv")]) == 0
 
 
+def test_qm_ensemble_is_exact_wigner_weisskopf(tmp_path):
+    # The QM equation is the lambda = 0 linear equation, sampled exactly:
+    # every trajectory is the Wigner-Weisskopf amplitude, so the ensemble
+    # has no spread and its means are the analytic probabilities.
+    meson = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.2, gamma_H=0.08)
+    cfg = write_config(
+        tmp_path, command="ensemble", t_max=4.0, n_points=9, n_trajectories=48, seed=2, dt=0.002,
+        m_L=1.0, m_H=2.0, gamma_L=0.2, gamma_H=0.08, model="QM",
+    )
+    out = tmp_path / "qm.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 0
+    header = [line for line in out.read_text().splitlines() if line.startswith("# command=ensemble")]
+    assert header[0].endswith("seed=2 method=exact")
+    times = column(out, "time")
+    expected = {
+        "P_M0_M0": prob_flavor_qm(meson, FlavorTarget.M0, times),
+        "P_M0_M0bar": prob_flavor_qm(meson, FlavorTarget.M0BAR, times),
+        "P_L_L": prob_lifetime_qm(meson, 0, 0, times),
+        "P_H_H": prob_lifetime_qm(meson, 1, 1, times),
+    }
+    for name, probs in expected.items():
+        np.testing.assert_allclose(column(out, name), probs, rtol=0.0, atol=1e-15)
+        assert np.all(column(out, f"stderr_{name}") == 0.0)
+
+
 @pytest.mark.parametrize("equation", ["flavor_decay", "imaginary", "stratonovich", "nonlinear", "enlarged"])
 def test_ensemble_equation_variants_run(tmp_path, equation):
     cfg = write_config(
@@ -322,15 +347,16 @@ def test_compare_catalog_scale_kaon_ensemble_gate_can_fail(tmp_path, monkeypatch
     )
     spec = cli.load_config(cfg)
     times = spec.grid
-    _, dt = cli._ensemble_stats(spec, times)
-    assert cli._discretization_floor(cli._sde_spec(spec), times, dt).max() < 0.06
+    eq_spec = cli._sde_spec(spec)
+    _, dt = cli._ensemble_stats(spec, eq_spec, times)
+    assert cli._discretization_floor(eq_spec, times, dt).max() < 0.06
     # The allowance of a stepped equation, from the gauged rates, stays below it too.
     stepped = cli._sde_spec(dataclasses.replace(spec, equation="nonlinear"))
     assert cli._discretization_floor(stepped, times, spec.dt).max() < 0.06
     true_stats = cli._ensemble_stats
 
-    def shifted(spec, times):
-        stats, dt = true_stats(spec, times)
+    def shifted(spec, eq_spec, times):
+        stats, dt = true_stats(spec, eq_spec, times)
         moved = {}
         for name, s in stats.items():
             means = s.means.copy()
@@ -354,8 +380,8 @@ def test_compare_linear_gate_catches_shifted_column(tmp_path, monkeypatch, equat
     )
     true_stats = cli._ensemble_stats
 
-    def shifted(spec, times):
-        stats, dt = true_stats(spec, times)
+    def shifted(spec, eq_spec, times):
+        stats, dt = true_stats(spec, eq_spec, times)
         means = stats["M0"].means.copy()
         means[times >= 3.0, stats["M0"].labels.index("P_M0")] += 0.05
         return dict(stats, M0=dataclasses.replace(stats["M0"], means=means)), dt
@@ -416,8 +442,9 @@ def test_failed_output_write_exits_one(tmp_path, capsys):
 
 
 def test_compare_catalog_qm_kaon_finite(tmp_path):
-    # The QM ensemble runs on the gauged mass operator diag(0, delta_m);
-    # with the absolute K0 mass (~7.6e23 1/s) the Euler step overflowed.
+    # The QM ensemble samples the gauged mass operator diag(0, delta_m);
+    # its phase at the absolute K0 mass (~7.6e23 1/s) would carry no
+    # significant digits.
     cfg = write_config(
         tmp_path, command="compare", meson="K0", model="QM",
         n_points=9, n_trajectories=16, seed=3, dt=2.5e-13,

@@ -5,8 +5,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
-from flavorcollapse import cli
-from flavorcollapse.analytic import DynamicsModel, prob_flavor_qm
+from flavorcollapse.analytic import prob_flavor_qm
 from flavorcollapse.core import Basis, FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
 from flavorcollapse.lindblad import integrate_master, master_rhs
@@ -23,7 +22,6 @@ from flavorcollapse.sde import (
     flavor_decay_spec,
     imaginary_linear_spec,
     ito_stratonovich_drift,
-    nonlinear_general_spec,
     observable_vectors,
     phase_transform_spec,
     step,
@@ -145,22 +143,6 @@ def test_flavor_decay_norm_law():
     assert np.mean(dn2) == pytest.approx(want, abs=4 * stderr + 1e-6)
 
 
-def test_general_equation_reduces_to_self_adjoint_form():
-    # For Hermitian operators R = <A> and A^dag A = A^2: one kernel steps
-    # both labels, so the general equation gives the self-adjoint bits.
-    meson = _decaying()
-    collapse = make_csl(beta=0.8, rate=0.3)
-    self_adjoint = collapse_flavor_spec(meson, collapse)
-    general = nonlinear_general_spec(
-        self_adjoint.hamiltonian, self_adjoint.collapse_ops, self_adjoint.rate
-    )
-    rng = np.random.default_rng(12)
-    for _ in range(8):
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        w = rng.normal(size=(1,)) * 0.02
-        np.testing.assert_array_equal(step(general, psi, w, 1e-3), step(self_adjoint, psi, w, 1e-3))
-
-
 def test_zero_norm_raises():
     spec = collapse_flavor_spec(_decaying(), make_csl())
     for amplitude in (1e-200, np.nan):
@@ -176,16 +158,6 @@ def test_step_rejects_stratonovich_spec():
         stratonovich_step(family_spec(_bare(), make_csl(beta=0.75)), _M0_MASS, 0.1, 1e-3)
 
 
-def test_stratonovich_ito_drift_path_matches_family_at_rate_zero():
-    meson = _bare()
-    strat = stratonovich_family_spec(meson, make_csl(rate=0.0, beta=0.9))
-    family = family_spec(meson, make_csl(rate=0.0, beta=0.9))
-    psi = np.array([0.3 + 0.1j, 0.7 - 0.2j])
-    a = stratonovich_step(strat, psi, 0.0, 2e-3, method="ito_drift")
-    b = step(family, psi, 0.0, 2e-3)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_heun_deterministic_limit_is_taylor_map():
     # With dW = 0 the midpoint corrector reduces exactly to the explicit
     # second-order Taylor map of the Stratonovich drift.
@@ -196,7 +168,7 @@ def test_heun_deterministic_limit_is_taylor_map():
     drift = -1j * np.diag([0.0, meson.delta_m]) + 0.5 * lam * (1.0 - 2.0 * 0.6) * a_op @ a_op
     psi = _M0_MASS.copy()
     dt = 2e-3
-    heun = stratonovich_step(strat, psi, 0.0, dt, method="heun")
+    heun = stratonovich_step(strat, psi, 0.0, dt)
     taylor = psi + dt * drift @ psi + 0.5 * dt**2 * drift @ drift @ psi
     np.testing.assert_allclose(heun, taylor, atol=1e-16)
 
@@ -209,13 +181,14 @@ def test_heun_step_norm_conservation_scale():
     psi = _M0_MASS.copy()
     defects = []
     for dt in (1e-2, 5e-3):
-        out = stratonovich_step(strat, psi, np.sqrt(dt), dt, method="heun")
+        out = stratonovich_step(strat, psi, np.sqrt(dt), dt)
         defects.append(abs(np.linalg.norm(out) - 1.0))
     assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.5)
 
 
 def _linear_case(method, n_channels):
-    # A linear spec with one or two Wiener channels, 7 random rows, noise and step.
+    # A linear spec with one or two Wiener channels, 7 random rows, noise and
+    # step: the Ito label for "euler", the Stratonovich label for "heun".
     meson, csl = _decaying(), make_csl(beta=0.7, rate=0.4)
     spec = family_spec(meson, csl) if method == "euler" else stratonovich_family_spec(meson, csl)
     if n_channels == 2:
@@ -227,19 +200,10 @@ def _linear_case(method, n_channels):
 
 
 def _linear_update(spec, psi, w, h, method):
-    if method == "euler":
-        return step(spec, psi, w, h)
-    return stratonovich_step(spec, psi, w, h, method=method)
+    return (step if method == "euler" else stratonovich_step)(spec, psi, w, h)
 
 
-def _linear_drift(spec, method):
-    drift, diffusions = sde._linear_matrices(spec)
-    if method == "ito_drift":
-        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
-    return drift, diffusions
-
-
-@pytest.mark.parametrize("method", ["euler", "heun", "ito_drift"])
+@pytest.mark.parametrize("method", ["euler", "heun"])
 def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
     # A linear step multiplies each mass component by one scalar factor
     # f = 1 + m or 1 + m (1 + m/2), applied in place as psi + (f - 1) psi;
@@ -248,7 +212,7 @@ def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
     for n_channels in (1, 2):
         spec, psi, w, h = _linear_case(method, n_channels)
         before = psi.copy()
-        drift, diffusions = _linear_drift(spec, method)
+        drift, diffusions = sde._linear_matrices(spec)
         m = np.diagonal(diffusions[0]) * w[:, 0:1]
         for c in range(1, n_channels):
             m = m + np.diagonal(diffusions[c]) * w[:, c : c + 1]
@@ -261,12 +225,12 @@ def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
 
 
 @pytest.mark.parametrize("n_channels", [1, 2])
-@pytest.mark.parametrize("method", ["euler", "heun", "ito_drift"])
+@pytest.mark.parametrize("method", ["euler", "heun"])
 def test_linear_factor_matches_matrix_update(method, n_channels):
     # The elementwise factor is the 2x2 matrix update of the drift and
     # diffusion matrices, up to rounding.
     spec, psi, w, h = _linear_case(method, n_channels)
-    drift, diffusions = _linear_drift(spec, method)
+    drift, diffusions = sde._linear_matrices(spec)
     drift_t, diff_t = drift.T.copy(), [g.T.copy() for g in diffusions]
 
     def increment(base):
@@ -295,6 +259,17 @@ def test_linear_specs_require_diagonal_operators(factory, field):
         replace(spec, **{field: bad})
 
 
+@pytest.mark.parametrize("factory", [imaginary_linear_spec, stratonovich_family_spec])
+def test_linear_specs_require_self_adjoint_collapse_operators(factory):
+    # The exact kernel reads the real diagonal of each collapse operator, so
+    # a complex one would lose its imaginary part.  The nonlinear equation
+    # takes any operator.
+    complex_diagonal = (np.diag([0.5, 1.5j]),)
+    with pytest.raises(InvalidParams, match="self-adjoint"):
+        replace(factory(_decaying(), make_csl(beta=0.8, rate=0.3)), collapse_ops=complex_diagonal)
+    replace(collapse_flavor_spec(_decaying(), make_csl(beta=0.8, rate=0.3)), collapse_ops=complex_diagonal)
+
+
 def test_nonlinear_step_leaves_input_rows():
     spec = collapse_flavor_spec(_bare(), make_csl(rate=0.4))
     psi = np.tile(_M0_MASS, (3, 1))
@@ -302,11 +277,6 @@ def test_nonlinear_step_leaves_input_rows():
     out = step(spec, psi, np.array([[0.1], [0.0], [-0.2]]), 1e-3)
     assert np.array_equal(psi, before)
     assert not np.array_equal(out[0], out[2])
-
-
-def _qm_cli_spec(meson):
-    run = cli.RunSpec(command="ensemble", meson=meson, model=DynamicsModel.QM)
-    return cli._sde_spec(run)
 
 
 # Mass ratios that are not powers of two, so that products by A round.
@@ -335,9 +305,8 @@ def test_family_is_imaginary_linear_with_induced_widths():
     [
         (lambda: collapse_flavor_spec(_GENERIC, make_csl(**_GENERIC_CSL)), "phase"),
         (lambda: flavor_decay_spec(_GENERIC, make_csl(**_GENERIC_CSL)), "decay"),
-        (lambda: _qm_cli_spec(_GENERIC), "decay"),
     ],
-    ids=["collapse", "flavor_decay", "cli_qm"],
+    ids=["collapse", "flavor_decay"],
 )
 def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build, form):
     # The one nonlinear kernel must give the bits of the separate updates it
@@ -681,12 +650,16 @@ def test_exact_mass_eigenstates_are_deterministic():
 @pytest.mark.parametrize(
     "build, method",
     [
+        (family_spec, "euler"),
         (family_spec, "heun"),
         (family_spec, "ito_drift"),
         (family_spec, "bogus"),
         (stratonovich_family_spec, "euler"),
+        (stratonovich_family_spec, "heun"),
+        (stratonovich_family_spec, "ito_drift"),
         (stratonovich_family_spec, "bogus"),
         (collapse_flavor_spec, "exact"),
+        (collapse_flavor_spec, "euler"),
         (collapse_flavor_spec, "heun"),
         (flavor_decay_spec, "bogus"),
         (enlarged_collapse_spec, "exact"),
@@ -698,17 +671,6 @@ def test_ensemble_rejects_methods_of_other_labels(build, method):
     state = QuantumState.m0() if spec.dim == 2 else _enlarged_stack()[0]
     with pytest.raises(InvalidParams, match="method"):
         ensemble_evolve(spec, config, (state,), _grid(1.0, 3), 4, method=method)
-
-
-def test_ensemble_default_method_is_each_labels_stepping():
-    # method None keeps the stepping: Euler for the Ito label, Heun for the
-    # Stratonovich label.
-    meson, collapse = _bare(), make_csl(beta=0.8, rate=0.3)
-    config, t_grid = NoiseConfig(seed=3, dt=0.05), _grid(1.0, 5)
-    for spec, method in ((family_spec(meson, collapse), "euler"), (stratonovich_family_spec(meson, collapse), "heun")):
-        (default,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 64)
-        (named,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 64, method=method)
-        assert np.array_equal(default.means, named.means)
 
 
 # ----------------------------------------------------------------------
@@ -787,10 +749,11 @@ def _fd_against_master(spec, psi0, n, dt, seed):
         lambda: family_spec(_bare(), make_csl(beta=0.8, rate=0.3)),
         lambda: _with_extra_decay(family_spec(_bare(), make_csl(beta=0.8, rate=0.3))),
         lambda: enlarged_collapse_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
-        lambda: nonlinear_general_spec(
-            np.diag([1.0, 2.0]).astype(complex),
-            (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),),
-            0.3,
+        lambda: sde.SdeSpec(
+            equation=sde.SdeEquation.NONLINEAR,
+            hamiltonian=np.diag([1.0, 2.0]),
+            collapse_ops=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
+            rate=0.3,
         ),
     ],
     ids=["collapse", "flavor_decay", "family", "family_extra_decay", "enlarged", "general_nonhermitian"],
@@ -839,7 +802,7 @@ def test_heun_strong_order_one():
     def solve(increments, dt):
         psi = np.tile(_M0_MASS, (n_paths, 1))
         for k in range(increments.shape[1]):
-            psi = stratonovich_step(spec, psi, increments[:, k : k + 1], dt, method="heun")
+            psi = stratonovich_step(spec, psi, increments[:, k : k + 1], dt)
         return psi
 
     ref = solve(fine, h / refine)
