@@ -9,7 +9,8 @@ with 17 significant digits, so re-parsing and re-rendering an output
 reproduces it byte for byte, and ``--threads`` never changes output
 bytes.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 domain error,
+Exit codes: 0 success, 1 usage/configuration error, 2 domain error (a route's
+probability that is not finite or outside [0, 1] among them),
 3 comparison failure.
 
 Unit handling: explicit meson parameters and ``m0`` are natural units
@@ -50,6 +51,7 @@ from .errors import (
     NoRealRoot,
     ParseError,
     UnknownKey,
+    UnphysicalProbability,
 )
 
 __all__ = ["RunSpec", "load_config", "main", "run", "compare_routes"]
@@ -65,6 +67,7 @@ _COMMANDS = ("analytic", "master", "ensemble", "compare", "estimate", "bounds")
 _EQUATIONS = ("family", "flavor_decay", "imaginary", "stratonovich", "nonlinear", "enlarged")
 
 _MASTER_RESIDUAL_TOL = 1e-12
+_PROB_TOL = 1e-12  # round-off allowed outside [0, 1]
 _ENSEMBLE_RATIO_TOL = 4.0
 
 
@@ -356,6 +359,22 @@ _PROBS = {
 _PROB_COLUMNS = tuple(_PROBS)
 
 
+def _require_probabilities(route: str, times: np.ndarray, probs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``probs`` unchanged if every column is finite and within [0, 1] up to round-off.
+
+    Otherwise raises ``UnphysicalProbability`` naming the route, the column
+    and the first offending time.  NaN fails both comparisons.
+    """
+    for col in _PROB_COLUMNS:
+        bad = ~((probs[col] >= -_PROB_TOL) & (probs[col] <= 1.0 + _PROB_TOL))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise UnphysicalProbability(
+                f"{route} route: {col}={_fmt(probs[col][k])} at time={_fmt(times[k])} is not a probability in [0, 1]"
+            )
+    return probs
+
+
 def _analytic_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     from . import analytic
 
@@ -529,13 +548,14 @@ def cmd_route(spec: RunSpec) -> Table:
     """The analytic or the master route's probability table."""
     times = spec.grid
     route = {"analytic": _analytic_probs, "master": _master_probs}[spec.command]
-    return _prob_table(spec, times, route(spec, times))
+    return _prob_table(spec, times, _require_probabilities(spec.command, times, route(spec, times)))
 
 
 def cmd_ensemble(spec: RunSpec) -> Table:
     times = spec.grid
     stats, dt = _ensemble_stats(spec, _sde_spec(spec), times)
     means, errs = _ensemble_probs(stats)
+    _require_probabilities("ensemble", times, means)
     table = _prob_table(
         spec, times, means, f" equation={spec.equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(dt)}"
     )
@@ -604,11 +624,12 @@ def _worst_cell(table: Table, prefix: str) -> tuple[str, float, float]:
 
 def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     times = spec.grid
-    analytic_probs = _analytic_probs(spec, times)
-    master_probs = _master_probs(spec, times)
+    analytic_probs = _require_probabilities("analytic", times, _analytic_probs(spec, times))
+    master_probs = _require_probabilities("master", times, _master_probs(spec, times))
     eq_spec = _sde_spec(spec)
     stats, dt = _ensemble_stats(spec, eq_spec, times)
     means, errs = _ensemble_probs(stats)
+    _require_probabilities("ensemble", times, means)
     floor = _discretization_floor(eq_spec, times, dt)
     table, master_max, ratio_max = compare_routes(times, analytic_probs, master_probs, means, errs, floor)
     table.meta = spec.header_notes + [

@@ -35,6 +35,10 @@ class DegenerateDenominator(FlavorCollapseError, ZeroDivisionError):
     """A ratio's denominator vanished (asymmetry or mass quadratic)."""
 
 
+class UnphysicalProbability(FlavorCollapseError):
+    """A route produced a probability that is not finite or lies outside [0, 1]."""
+
+
 class NoRealRoot(FlavorCollapseError):
     """The mass quadratic has a negative discriminant."""
 

@@ -48,6 +48,8 @@ diag(A_c), and the trajectory from initial state a is a * c componentwise.
 ``ensemble_evolve(method="exact")`` samples it at the grid points: W needs
 one normal per grid interval and channel, the means carry no
 discretization bias, and the imaginary noise leaves |c_i|^2 deterministic.
+It runs in row chunks of a few trajectories that stay in cache, so no
+block of a batch's size is ever held.
 The stepping stays for the formalism checks: a step multiplies each mass
 component by one scalar, f = 1 + m (Euler-Maruyama) or f = 1 + m + m^2/2
 (Heun), with m = h d_i + sum_c g_ci dW_c and d_i the label's own drift,
@@ -121,9 +123,9 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-300
-_BATCH_TARGET_ENTRIES = 1 << 23  # noise entries held in memory per batch (64 MB)
+_BATCH_TARGET_ENTRIES = 1 << 23  # noise entries a stepped batch holds in memory (64 MB)
 _BATCH_CAP = 2048
-_PHASE_CHUNK = 1 << 15  # (trajectory, grid point) entries per chunk of the exact reduction
+_PHASE_CHUNK = 1 << 15  # (trajectory, grid point) entries per row chunk of the exact kernel
 
 
 class SdeEquation(enum.Enum):
@@ -346,18 +348,20 @@ def _keyed_generator(seed: int):
     Gives the stream of ``Philox(key=[seed, trajectory_id])`` without the
     SeedSequence (and its OS-entropy read) that construction runs, so one
     generator serves a whole batch: re-keying loads a new Philox's state
-    (counter 0, empty buffer) with the key changed.
+    (counter 0, empty buffer) with the key changed.  That state setter is
+    most of a re-key's cost; it stays, as the per-trajectory key is what
+    makes ensembles independent of scheduling.
     """
-    gen = Generator(Philox(0))
-    state = gen.bit_generator.state
+    bit_generator = Philox(0)
+    state = bit_generator.state
     key = state["state"]["key"]
     key[0] = seed
 
     def rekey(trajectory_id: int) -> None:
         key[1] = trajectory_id
-        gen.bit_generator.state = state
+        bit_generator.state = state
 
-    return gen, rekey
+    return Generator(bit_generator), rekey
 
 
 def _as_batch(state, dim: int) -> tuple[np.ndarray, bool]:
@@ -555,7 +559,7 @@ def _batch_bounds(n_trajectories: int, n_steps: int, n_channels: int) -> list[tu
 
 
 def _fold_batches(partials) -> tuple[np.ndarray, np.ndarray]:
-    """Means and summed centred second moments of (count, means, m2) batch partials.
+    """Means and summed centred second moments of (count, means, m2) batch or chunk partials.
 
     Partials are folded in index order as they arrive, with the pairwise
     update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242).
@@ -674,12 +678,15 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
     c_i conj(c_j) = r_ij(t) exp(i (omega_ij t + theta_ij)) with
     r_ij = exp(t Re(d_i + d_j)), omega_ij = Im(d_i - d_j) and the phase
     theta_ij = sum_c kappa_c W_c, kappa_c = sqrt(lambda) (a_ci - a_cj).
-    A batch draws each trajectory's stream at the grid intervals only (one
-    stepping step per interval draws the same normals), cumulates W in
-    place and reduces u = (cos theta, sin theta) per grid point over the
-    trajectories; the rotation r_ij R(omega_ij t) maps the mean and centred
-    second moments of u to those of the pair's Re and Im features.  The
-    diagonal features have zero spread.  ``config.dt`` does not enter.
+    A batch runs in chunks of _PHASE_CHUNK // n_grid trajectories, in two
+    buffers of one chunk's size: a chunk draws each trajectory's stream at
+    the grid intervals only (one stepping step per interval draws the same
+    normals), cumulates W in place and reduces u = (cos theta, sin theta)
+    per grid point two-pass over its rows.  ``_fold_batches`` folds the
+    chunk partials, and the rotation r_ij R(omega_ij t) maps the batch's
+    mean and centred second moments of u to those of the pair's Re and Im
+    features.  The diagonal features have zero spread.  ``config.dt`` does
+    not enter.
     """
     dim, n_grid, n_channels, n_pairs = spec.dim, len(t_grid), config.n_channels, len(pairs)
     n_feat = dim + 2 * n_pairs
@@ -699,38 +706,34 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
     rot[:, p, q] = -rot[:, q, p]
     sqrt_intervals = np.sqrt(np.diff(t_grid))[:, None]
 
+    rows = max(1, _PHASE_CHUNK // n_grid)
+
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
         b = hi - lo
         means = np.empty((n_grid, 1, n_feat))
         m2 = np.zeros((n_grid, 1, n_feat, n_feat))
-        u_means = np.empty((n_grid, 2 * n_pairs))
-        u_m2 = np.empty((n_grid, 2 * n_pairs, 2 * n_pairs))
         gen, rekey = _keyed_generator(config.seed)
-        w = np.empty((b, n_grid, n_channels))  # W at the grid points, W(0) = 0
-        w[:, 0] = 0.0
-        for k in range(b):
-            rekey(lo + k)
-            gen.standard_normal(out=w[k, 1:])
-        w[:, 1:] *= sqrt_intervals
-        np.cumsum(w, axis=1, out=w)
+        w_rows = np.empty((min(rows, b), n_grid, n_channels))  # W of a row chunk, W(0) = 0
+        u_rows = np.empty((2 * n_pairs, len(w_rows), n_grid))  # (cos theta ..., sin theta ...)
 
-        # Columns of grid points in chunks of about _PHASE_CHUNK entries: the
-        # phases and their cosines never take the size of the whole batch.
-        width = max(1, _PHASE_CHUNK // b)
-        u = np.empty((2 * n_pairs, b, width))
-        for g0 in range(0, n_grid, width):
-            cols = slice(g0, min(n_grid, g0 + width))
-            uc = u[:, :, : cols.stop - g0]
+        def chunk(k0: int):
+            w, u = w_rows[: b - k0], u_rows[:, : b - k0]
+            w[:, 0] = 0.0
+            for k, w_k in enumerate(w, start=lo + k0):
+                rekey(k)
+                gen.standard_normal(out=w_k[1:])
+            w[:, 1:] *= sqrt_intervals
+            np.cumsum(w, axis=1, out=w)
             for pair, k_half in enumerate(half_kappa):
                 # One tan of the half phase gives both: with h = 2/(1 + tau^2),
                 # cos = h - 1 and sin = tau h, within 4e-16 of np.cos and
                 # np.sin.  NumPy vectorizes float64 tan but not sin and cos
                 # (x86-64, numpy 2.4: 5-8x faster than the pair).
-                tau, cos = uc[n_pairs + pair], uc[pair]
-                np.multiply(w[:, cols, 0], k_half[0], out=tau)
+                tau, cos = u[n_pairs + pair], u[pair]
+                np.multiply(w[..., 0], k_half[0], out=tau)
                 for c in range(1, n_channels):
-                    tau += k_half[c] * w[:, cols, c]
+                    tau += k_half[c] * w[..., c]
                 np.tan(tau, out=tau)
                 np.multiply(tau, tau, out=cos)
                 np.add(cos, 1.0, out=cos)
@@ -739,10 +742,11 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
                 np.subtract(cos, 1.0, out=cos)
             # Two passes, mean then centred products; at t = 0 every u is
             # (1, 0), so the spread there is exactly zero.
-            u_means[cols] = uc.mean(axis=1).T
-            uc -= u_means[cols].T[:, None]
-            u_m2[cols] = np.einsum("xbg,ybg->gxy", uc, uc)
+            u_mean = u.mean(axis=1)
+            u -= u_mean[:, None]
+            return len(w), u_mean.T, np.einsum("xbg,ybg->gxy", u, u)
 
+        u_means, u_m2 = _fold_batches(map(chunk, range(0, b, rows)))
         means[:, 0, :dim] = diag_means
         means[:, 0, dim:] = (rot @ u_means[..., None])[..., 0]
         m2[:, 0, dim:, dim:] = rot @ u_m2 @ rot.transpose(0, 2, 1)

@@ -360,7 +360,8 @@ def test_compare_catalog_scale_kaon_ensemble_gate_can_fail(tmp_path, monkeypatch
         moved = {}
         for name, s in stats.items():
             means = s.means.copy()
-            means[1:] += 0.2
+            # Every cell moves by 0.2 towards 1/2, so it stays a probability.
+            means[1:] += np.where(means[1:] < 0.5, 0.2, -0.2)
             moved[name] = dataclasses.replace(s, means=means)
         return moved, dt
 
@@ -581,10 +582,56 @@ def test_compare_exit_code_three_on_route_mismatch(tmp_path, monkeypatch):
 
     def skewed(spec, times):
         probs = true_analytic(spec, times)
-        return {name: values + 0.05 for name, values in probs.items()}
+        # Towards 1/2, so every cell stays a probability.
+        return {name: values + np.where(values < 0.5, 0.05, -0.05) for name, values in probs.items()}
 
     monkeypatch.setattr(cli, "_analytic_probs", skewed)
     assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == 3
+
+
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+def test_ensemble_probability_above_one_exits_two(tmp_path, capsys, command):
+    # Each Euler step of the nonlinear equation grows |psi|^2 by
+    # 1 + (delta_m h)^2; with no collapse-induced width (beta = 1/2) nothing
+    # takes it back, and P_H_H passes 1 (1.0091 at t = 6).
+    cfg = write_config(
+        tmp_path, command=command, **dict(_README_CSL, beta=0.5), equation="nonlinear",
+        t_max=6.0, n_points=121, n_trajectories=16, seed=7, dt=0.0015,
+    )
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ensemble route: P_H_H=1.0000")
+    assert "at time=0.05" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "route, command, bad",
+    [
+        ("analytic", "analytic", np.nan),
+        ("master", "master", 1.0 + 1e-9),
+        ("analytic", "compare", -1e-9),
+        ("master", "compare", np.inf),
+    ],
+)
+def test_route_probability_outside_unit_interval_exits_two(tmp_path, monkeypatch, capsys, route, command, bad):
+    extra = dict(n_trajectories=48, seed=5, dt=0.005) if command == "compare" else {}
+    cfg = write_config(tmp_path, command=command, t_max=3.0, n_points=7, **extra, **_EXPLICIT_CSL)
+    name = f"_{route}_probs"
+    true_route = getattr(cli, name)
+
+    def faulty(spec, times):
+        probs = true_route(spec, times)
+        probs["P_L_L"] = probs["P_L_L"].copy()
+        probs["P_L_L"][4] = bad
+        return probs
+
+    monkeypatch.setattr(cli, name, faulty)
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"domain error: {route} route: P_L_L={cli._fmt(bad)} at time=2 is not a probability in [0, 1]\n"
+    )
 
 
 def test_schema_file_matches_loader_keys(tmp_path):

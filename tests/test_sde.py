@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -600,17 +601,34 @@ def test_exact_ensemble_does_not_depend_on_dt():
             assert np.array_equal(a.covariances, b.covariances)
 
 
-@pytest.mark.parametrize("n_channels", [1, 2])
-@pytest.mark.parametrize("factory", [family_spec, stratonovich_family_spec, imaginary_linear_spec])
-def test_exact_ensemble_equals_closed_form(factory, n_channels):
+def _closed_form_cases():
+    # (trajectories per row chunk, trajectories, batch cap): None keeps the
+    # module's value, so the first case reduces all 7 in one chunk; the
+    # others fold 7 one-row and 3 three-row chunk partials, and 70
+    # trajectories in two batches (64 + 6) of three-row chunks.
+    for factory in (family_spec, stratonovich_family_spec, imaginary_linear_spec):
+        for n_channels in (1, 2):
+            for rows, n_traj, batch_cap in ((None, 7, None), (1, 7, None), (3, 7, None), (3, 70, 64)):
+                tail = "" if rows is None else f"-rows{rows}-N{n_traj}"
+                yield pytest.param(
+                    factory, n_channels, rows, n_traj, batch_cap, id=f"{factory.__name__}-{n_channels}{tail}"
+                )
+
+
+@pytest.mark.parametrize("factory, n_channels, rows, n_traj, batch_cap", _closed_form_cases())
+def test_exact_ensemble_equals_closed_form(monkeypatch, factory, n_channels, rows, n_traj, batch_cap):
     # Few trajectories, one dt per grid interval: the ensemble is the
     # sample mean and covariance of c_i = exp(d_i t + sum_c g_ci W_c) with
     # W the cumulated wiener_increments and d the Stratonovich drift.
     spec = factory(_decaying(), make_csl(beta=0.7, rate=0.4))
     if n_channels == 2:
         spec = replace(spec, collapse_ops=(*spec.collapse_ops, np.diag([0.3, -1.7])))
-    dt, n_traj = 1.0 / 64, 7
+    dt = 1.0 / 64
     t_grid = dt * np.arange(9)
+    if rows is not None:
+        monkeypatch.setattr(sde, "_PHASE_CHUNK", rows * len(t_grid))
+    if batch_cap is not None:
+        monkeypatch.setattr(sde, "_BATCH_CAP", batch_cap)
     config = NoiseConfig(seed=19, dt=dt, n_channels=n_channels)
     stats = ensemble_evolve(spec, config, _ALL_STATES, t_grid, n_traj, method="exact")
     drift = -1j * np.diagonal(spec.hamiltonian) - 0.5 * np.diagonal(spec.decay_quadratic)
@@ -645,6 +663,24 @@ def test_exact_mass_eigenstates_are_deterministic():
             np.testing.assert_allclose(mean, np.exp(-gammas[index] * t_grid), rtol=0.0, atol=1e-15)
         for result in stats:
             assert np.all(result.means <= 1.0)
+            assert np.all(result.stderrs[0] == 0.0)
+
+
+def test_exact_ensemble_memory_stays_within_a_row_chunk():
+    # The exact kernel holds one row chunk of W and of the phases, never a
+    # batch-sized block: a 2048 x 401 W block alone would take 6.6 MB.
+    spec = family_spec(_bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3))
+    states = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
+    t_grid = np.linspace(0.0, 6.0, 401)
+    config = NoiseConfig(seed=23, dt=0.015)
+    ensemble_evolve(spec, config, states, t_grid, 2, method="exact")  # warm-up: imports, lazy set-up
+    tracemalloc.start()
+    try:
+        ensemble_evolve(spec, config, states, t_grid, 4096, method="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
 
 
 @pytest.mark.parametrize(
