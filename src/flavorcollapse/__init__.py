@@ -24,7 +24,6 @@ from .core import (
     MesonParams,
     Model,
     QuantumState,
-    TimeSeries,
 )
 
 __version__ = "0.1.0"
@@ -47,7 +46,6 @@ __all__ = [
     "MesonParams",
     "Model",
     "QuantumState",
-    "TimeSeries",
 ]
 
 

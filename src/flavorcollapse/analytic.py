@@ -3,7 +3,7 @@
 Transition probabilities for lifetime and flavor states in standard
 quantum mechanics and under the two position-coupled collapse models,
 their asymmetry observables, the absolute-mass quadratic, and
-collapse-rate estimates and lower bounds.
+collapse-rate lower bounds.
 
 Every probability accepts a scalar time or an array of times; pure
 functions throughout, safe for concurrent grid evaluation.
@@ -23,7 +23,6 @@ from .core import (
     FlavorTarget,
     MesonParams,
     Model,
-    TimeSeries,
     mass_ratios,
 )
 from .errors import (
@@ -33,7 +32,6 @@ from .errors import (
     NegativeTime,
     NoRealRoot,
     SingularTime,
-    SymmetricNoise,
 )
 
 __all__ = [
@@ -46,9 +44,7 @@ __all__ = [
     "prob_lifetime_csl",
     "prob_flavor_csl",
     "asymmetry_closed_form",
-    "MassSolutions",
     "solve_absolute_masses",
-    "collapse_rate_estimate",
     "collapse_rate_lower_bound",
     "bound_curve",
     "GRW_COLLAPSE_RATE",
@@ -226,25 +222,15 @@ def asymmetry_closed_form(spec: AsymmetrySpec, t):
     return _out(2.0 * osc / (first + second), scalar)
 
 
-@dataclass(frozen=True)
-class MassSolutions:
-    """Roots of the absolute-mass quadratic.
-
-    ``roots`` lists every real root for m_L in ascending order, unfiltered;
-    ``physical`` keeps the positive ones, paired with m_H = m_L + delta_m.
-    """
-
-    roots: tuple[float, ...]
-    physical: tuple[tuple[float, float], ...]
-
-
 def solve_absolute_masses(
     delta_gamma: float, gamma_bar: float, delta_m: float, convention: Convention
-) -> MassSolutions:
-    """Solve the quadratic linking widths and mass splitting to m_L.
+) -> tuple[float, ...]:
+    """Every real root m_L of the quadratic linking widths and mass splitting, ascending.
 
     2*dG/(dG +- 2*Gbar) * m_L^2 + 2*dm * m_L + dm^2 = 0, upper sign for
     the normal mass-ratio convention, lower sign for the inverted one.
+    The roots are unfiltered: only a positive one is a physical mass,
+    with m_H = m_L + delta_m.
     """
     if not (delta_m > 0.0):
         raise InvalidParams("delta_m must be positive")
@@ -256,28 +242,12 @@ def solve_absolute_masses(
     b = 2.0 * delta_m
     c = delta_m**2
     if a == 0.0:
-        roots = (-0.5 * delta_m,)
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            raise NoRealRoot("mass quadratic has no real root")
-        q = -0.5 * (b + math.sqrt(disc))  # b > 0, so q < 0 and both divisions are stable
-        roots = tuple(sorted((q / a, c / q)))
-    physical = tuple((r, r + delta_m) for r in roots if r > 0.0)
-    return MassSolutions(roots=roots, physical=physical)
-
-
-def collapse_rate_estimate(gamma_i: float, beta: float, m_ratio_i: float) -> float:
-    """Effective collapse rate gamma_i / ((2 beta - 1) m~_i^2)."""
-    if beta == 0.5:
-        raise SymmetricNoise("beta = 1/2: symmetric noise induces no decay, no estimate exists")
-    if beta < 0.5:
-        raise InvalidParams("beta must exceed 1/2 for a nonnegative rate estimate")
-    if not (m_ratio_i > 0.0):
-        raise InvalidParams("mass ratio must be positive")
-    if gamma_i < 0.0:
-        raise InvalidParams("decay width must be nonnegative")
-    return gamma_i / ((2.0 * beta - 1.0) * m_ratio_i**2)
+        return (-0.5 * delta_m,)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        raise NoRealRoot("mass quadratic has no real root")
+    q = -0.5 * (b + math.sqrt(disc))  # b > 0, so q < 0 and both divisions are stable
+    return tuple(sorted((q / a, c / q)))
 
 
 def collapse_rate_lower_bound(meson: MesonParams, m0: float, convention: Convention) -> float:
@@ -285,8 +255,8 @@ def collapse_rate_lower_bound(meson: MesonParams, m0: float, convention: Convent
 
     (delta_m / (m0 (sqrt(gamma_L^{+-1}) - sqrt(gamma_H^{+-1}))))^{-+2},
     upper signs for the normal convention, lower for the inverted one.
-    Equals the rate estimate at beta = 1 evaluated on the mass solution
-    of the quadratic above.
+    Equals the rate gamma_i / ((2 beta - 1) m~_i^2) at beta = 1 evaluated
+    on the mass solution of the quadratic above.
     """
     if not (m0 > 0.0):
         raise InvalidParams("m0 must be positive")
@@ -304,8 +274,11 @@ def collapse_rate_lower_bound(meson: MesonParams, m0: float, convention: Convent
 
 def bound_curve(
     meson: MesonParams, m0_range: tuple[float, float], convention: Convention, n_points: int
-) -> TimeSeries:
-    """Collapse-rate lower bound sampled log-uniformly over a reference-mass range."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse-rate lower bound sampled log-uniformly over a reference-mass range.
+
+    Returns the reference masses m0 and the bound at each of them.
+    """
     lo, hi = m0_range
     if not (0.0 < lo < hi):
         raise InvalidParams("m0_range must be positive and increasing")
@@ -313,4 +286,4 @@ def bound_curve(
         raise InvalidParams("n_points must be at least 2")
     m0s = np.logspace(math.log10(lo), math.log10(hi), n_points)
     bounds = np.array([collapse_rate_lower_bound(meson, m0, convention) for m0 in m0s])
-    return TimeSeries(times=m0s, values=bounds, labels=("lambda_lower_bound",))
+    return m0s, bounds

@@ -245,6 +245,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
                 raise InvalidParams("CSL needs beta >= 1/2: a smaller beta gives negative collapse-induced widths")
         elif any(k in cfg for k in ("rate", "r_C", "beta", "m0", "m0_MeV", "alpha")):
             raise InvalidParams("model QM takes no collapse parameters")
+        elif "equation" in cfg:
+            raise InvalidParams("model QM takes no equation: its ensemble runs the Wigner-Weisskopf equation")
 
     if command in ("ensemble", "compare"):
         if spec.model is DynamicsModel.QMUPL:
@@ -493,7 +495,7 @@ def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
     n_sub = max(1, round(interval / spec.dt))
     dt = interval / n_sub
     # NoiseConfig requires a step; the exact method does not read it.
-    config = sde.NoiseConfig(seed=spec.seed, dt=dt, n_channels=eq_spec.n_channels)
+    config = sde.NoiseConfig(seed=spec.seed, dt=dt)
     method = "exact" if eq_spec.equation in sde.LINEAR_EQUATIONS else None
     basis = Basis.MASS if eq_spec.dim == 2 else Basis.ENLARGED
     initial = dict.fromkeys(state for state, _ in _PROBS.values())
@@ -556,8 +558,9 @@ def cmd_ensemble(spec: RunSpec) -> Table:
     stats, dt = _ensemble_stats(spec, _sde_spec(spec), times)
     means, errs = _ensemble_probs(stats)
     _require_probabilities("ensemble", times, means)
+    equation = "" if spec.model is DynamicsModel.QM else f" equation={spec.equation}"
     table = _prob_table(
-        spec, times, means, f" equation={spec.equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(dt)}"
+        spec, times, means, f"{equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(dt)}"
     )
 
     # Delta-method error on the asymmetry from the (P_M0, P_M0bar) covariance.
@@ -667,14 +670,14 @@ def cmd_estimate(spec: RunSpec) -> Table:
     rows: list[list] = []
     for convention in (Convention.NORMAL, Convention.INVERTED):
         try:
-            solutions = analytic.solve_absolute_masses(
+            roots = analytic.solve_absolute_masses(
                 meson.delta_gamma, meson.gamma_bar, meson.delta_m, convention
             )
         except (NoRealRoot, DegenerateDenominator) as exc:
             status = "no_real_root" if isinstance(exc, NoRealRoot) else "degenerate_denominator"
             rows.append([convention.value, status, "", "", "", "", ""])
             continue
-        for root in solutions.roots:
+        for root in roots:
             physical = root > 0.0
             m_h = root + meson.delta_m
             if physical:
@@ -702,9 +705,9 @@ def cmd_bounds(spec: RunSpec) -> Table:
     columns = ["curve", "m0", "lambda_lower_bound"]
     rows: list[list] = []
     for label, meson in spec.mesons:
-        curve = analytic.bound_curve(meson, spec.m0_range, spec.convention, spec.n_points)
+        m0s, bounds = analytic.bound_curve(meson, spec.m0_range, spec.convention, spec.n_points)
         name = f"{label}_{spec.convention.value}"
-        for m0, bound in zip(curve.times, curve.values[:, 0]):
+        for m0, bound in zip(m0s, bounds):
             rows.append([name, m0, bound])
     rows.append(["ref_GRW", "", analytic.GRW_COLLAPSE_RATE])
     rows.append(["ref_Adler", "", analytic.ADLER_COLLAPSE_RATE])

@@ -37,13 +37,11 @@ __all__ = [
     "MesonParams",
     "CollapseParams",
     "QuantumState",
-    "TimeSeries",
     "EnsembleStats",
     "mass_ratio",
     "mass_ratios",
     "flavor_mass_basis_change",
     "to_mass",
-    "to_flavor",
 ]
 
 # Eigenstate indices, fixed project-wide.
@@ -274,59 +272,21 @@ def to_mass(state: QuantumState) -> QuantumState:
     return QuantumState(_U @ state.amplitudes, Basis.MASS)
 
 
-def to_flavor(state: QuantumState) -> QuantumState:
-    if state.basis is Basis.FLAVOR:
-        return state
-    if state.basis is not Basis.MASS:
-        raise InvalidParams("basis change defined on the 2-dim flavor/mass space only")
-    return QuantumState(_U @ state.amplitudes, Basis.FLAVOR)
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Strictly increasing time grid with one column per observable."""
-
-    times: np.ndarray
-    values: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        times.setflags(write=False)
-        values.setflags(write=False)
-        if times.ndim != 1 or len(times) != values.shape[0]:
-            raise InvalidParams("times and values must have matching length")
-        if len(times) > 1 and not np.all(np.diff(times) > 0.0):
-            raise InvalidParams("times must be strictly increasing")
-        if values.shape[1] != len(self.labels):
-            raise InvalidParams("one label per value column required")
-
-
 @dataclass(frozen=True)
 class EnsembleStats:
     """Per-time ensemble means and standard errors over trajectories.
 
-    ``covariances`` holds the per-time sample covariance of the scalar
-    observables, used for error propagation.
+    Rows follow the time grid of the call that produced them, columns
+    ``labels``.  ``covariances`` holds the per-time sample covariance of
+    the scalar observables, used for error propagation.
     """
 
-    times: np.ndarray
     means: np.ndarray
     stderrs: np.ndarray
     labels: tuple[str, ...]
-    n_trajectories: int
-    seed: int
     covariances: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_trajectories < 1:
-            raise InvalidParams("n_trajectories must be at least 1")
         if np.any(np.asarray(self.stderrs) < 0.0):
             raise InvalidParams("standard errors must be nonnegative")
         if np.asarray(self.means).shape != np.asarray(self.stderrs).shape:

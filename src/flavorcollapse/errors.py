@@ -43,10 +43,6 @@ class NoRealRoot(FlavorCollapseError):
     """The mass quadratic has a negative discriminant."""
 
 
-class SymmetricNoise(FlavorCollapseError):
-    """beta = 1/2: symmetric noise induces no decay, no rate estimate."""
-
-
 class DegenerateWidths(FlavorCollapseError):
     """gamma_L = gamma_H (or a width unusable for the chosen convention)."""
 

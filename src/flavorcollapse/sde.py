@@ -139,17 +139,18 @@ LINEAR_EQUATIONS = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.STRATONOVICH_LINEA
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Noise discretization: seed, step and number of Wiener channels."""
+    """Noise discretization: seed and step.
+
+    The number of Wiener channels is the equation's own,
+    ``SdeSpec.n_channels``.
+    """
 
     seed: int
     dt: float
-    n_channels: int = 1
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidParams("dt must be positive")
-        if self.n_channels < 1:
-            raise InvalidParams("n_channels must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidParams("seed must fit in 64 bits")
 
@@ -328,18 +329,22 @@ def asymmetric_delta(t, kappa: float, epsilon: float):
     return float(values[0]) if scalar else values
 
 
-def wiener_increments(config: NoiseConfig, n_steps: int, trajectory_id: int) -> np.ndarray:
+def wiener_increments(config: NoiseConfig, n_steps: int, trajectory_id: int, n_channels: int = 1) -> np.ndarray:
     """Wiener increments of one trajectory, shape (n_steps, n_channels).
 
     The stream is a counter-based Philox generator keyed by
     (seed, trajectory_id): identical output for identical keys, whatever
-    the execution order of trajectories.  Increments are N(0, dt).
+    the execution order of trajectories.  Increments are N(0, dt).  With
+    ``n_channels = spec.n_channels`` they are the increments a stepped
+    ensemble of ``spec`` draws for trajectory ``trajectory_id``.
     """
     if n_steps < 1:
         raise InvalidParams("n_steps must be at least 1")
+    if n_channels < 1:
+        raise InvalidParams("n_channels must be at least 1")
     gen, rekey = _keyed_generator(config.seed)
     rekey(trajectory_id)
-    return gen.standard_normal((n_steps, config.n_channels)) * math.sqrt(config.dt)
+    return gen.standard_normal((n_steps, n_channels)) * math.sqrt(config.dt)
 
 
 def _keyed_generator(seed: int):
@@ -591,7 +596,7 @@ def _stepped_batches(
     features of ``ensemble_evolve``.
     """
     n_states, dim = len(amps0), spec.dim
-    n_grid, n_channels, n_steps = len(t_grid), config.n_channels, int(sum(substeps))
+    n_grid, n_channels, n_steps = len(t_grid), spec.n_channels, int(sum(substeps))
     linear = spec.equation in LINEAR_EQUATIONS
     n_blocks = 1 if linear else n_states
     n_entries = len(entries)
@@ -688,7 +693,7 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
     features.  The diagonal features have zero spread.  ``config.dt`` does
     not enter.
     """
-    dim, n_grid, n_channels, n_pairs = spec.dim, len(t_grid), config.n_channels, len(pairs)
+    dim, n_grid, n_channels, n_pairs = spec.dim, len(t_grid), spec.n_channels, len(pairs)
     n_feat = dim + 2 * n_pairs
     d = np.diagonal(_stratonovich_drift(spec))
     a = np.array([np.diagonal(op).real for op in spec.collapse_ops])  # (channel, component)
@@ -795,10 +800,6 @@ def ensemble_evolve(
         raise InvalidParams(f"method 'exact' applies to the linear equations, not {spec.equation.value}")
     if n_trajectories < 2:
         raise InvalidParams("n_trajectories must be at least 2")
-    if config.n_channels != spec.n_channels:
-        raise InvalidParams(
-            f"config.n_channels = {config.n_channels}, equation needs {spec.n_channels}"
-        )
     states = [to_mass(s) if s.basis is Basis.FLAVOR else s for s in initial_states]
     if not states:
         raise InvalidParams("at least one initial state required")
@@ -829,7 +830,7 @@ def ensemble_evolve(
         substeps = _grid_substeps(t_grid, config.dt)
         n_steps = int(sum(substeps))
         run_batch = _stepped_batches(spec, config, amps0, t_grid, substeps, entries)
-    batches = _batch_bounds(n_trajectories, n_steps, config.n_channels)
+    batches = _batch_bounds(n_trajectories, n_steps, spec.n_channels)
     if n_threads > 1:
         # Imported here, so that a single-threaded run never loads it.
         from concurrent.futures import ThreadPoolExecutor
@@ -845,15 +846,7 @@ def ensemble_evolve(
     cov = q @ (m2 / (n - 1.0)) @ q.transpose(0, 2, 1)
     stderrs = np.sqrt(np.diagonal(cov, axis1=2, axis2=3) / n)
     return tuple(
-        EnsembleStats(
-            times=t_grid,
-            means=means[:, s],
-            stderrs=stderrs[:, s],
-            labels=labels,
-            n_trajectories=n_trajectories,
-            seed=int(config.seed),
-            covariances=cov[:, s],
-        )
+        EnsembleStats(means=means[:, s], stderrs=stderrs[:, s], labels=labels, covariances=cov[:, s])
         for s in range(len(states))
     )
 

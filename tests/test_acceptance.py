@@ -268,8 +268,8 @@ def test_c6_inverse_round_trips():
                 alpha=1.0, d=int(rng.integers(1, 4)), ratio_convention=convention,
             )
             g_l, g_h = induced_decay_widths(meson, collapse)
-            solutions = solve_absolute_masses(g_l - g_h, 0.5 * (g_l + g_h), delta_m, convention)
-            assert any(abs(r - m_l) <= 1e-9 * m_l for r in solutions.roots)
+            roots = solve_absolute_masses(g_l - g_h, 0.5 * (g_l + g_h), delta_m, convention)
+            assert any(abs(r - m_l) <= 1e-9 * m_l for r in roots)
 
             planted = CollapseParams(
                 model=Model.QMUPL, rate=rate, beta=1.0, m0=collapse.m0,

@@ -7,7 +7,6 @@ from flavorcollapse.analytic import (
     DynamicsModel,
     asymmetry_closed_form,
     bound_curve,
-    collapse_rate_estimate,
     collapse_rate_lower_bound,
     prob_flavor_csl,
     prob_flavor_qm,
@@ -24,7 +23,6 @@ from flavorcollapse.errors import (
     NegativeTime,
     NoRealRoot,
     SingularTime,
-    SymmetricNoise,
 )
 from flavorcollapse.operators import induced_decay_widths
 
@@ -290,24 +288,22 @@ def test_asymmetry_bounded(meson):
 # inverse estimators
 
 def test_solve_masses_linear_case():
-    solutions = solve_absolute_masses(0.0, 1.0, 2.0, Convention.NORMAL)
-    assert solutions.roots == (-1.0,)
-    assert solutions.physical == ()
+    assert solve_absolute_masses(0.0, 1.0, 2.0, Convention.NORMAL) == (-1.0,)
 
 
 def test_solve_masses_forward_roundtrip():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.9, gamma_H=1.6)
     assert meson.delta_gamma == pytest.approx(-0.7)
     assert meson.gamma_bar == pytest.approx(1.25)
-    solutions = solve_absolute_masses(
+    roots = solve_absolute_masses(
         meson.delta_gamma, meson.gamma_bar, meson.delta_m, Convention.NORMAL
     )
-    assert any(abs(root - 3.0) < 1e-12 for root in solutions.roots)
     assert any(
-        abs(m_l - 3.0) < 1e-12 and abs(m_h - 4.0) < 1e-12 for m_l, m_h in solutions.physical
+        root > 0.0 and abs(root - 3.0) < 1e-12 and abs(root + meson.delta_m - 4.0) < 1e-12
+        for root in roots
     )
-    # The other root is negative and filtered out but still reported.
-    assert min(solutions.roots) < 0.0
+    # The other root is negative, unphysical but still reported, first.
+    assert roots[0] < 0.0 < roots[1]
 
 
 def test_solve_masses_no_real_root():
@@ -330,28 +326,8 @@ def test_solve_masses_roundtrip_randomized():
                 ratio_convention=convention,
             )
             g_l, g_h = induced_decay_widths(bare, collapse)
-            solutions = solve_absolute_masses(
-                g_l - g_h, 0.5 * (g_l + g_h), delta_m, convention
-            )
-            assert any(abs(root - m_l) <= 1e-9 * m_l for root in solutions.roots)
-
-
-def test_rate_estimate():
-    assert collapse_rate_estimate(0.0, 0.9, 2.0) == 0.0
-    assert collapse_rate_estimate(0.4, 1.0, 2.0) == pytest.approx(0.1, rel=1e-14)
-    with pytest.raises(SymmetricNoise):
-        collapse_rate_estimate(0.4, 0.5, 2.0)
-    with pytest.raises(InvalidParams):
-        collapse_rate_estimate(0.4, 0.3, 2.0)
-
-
-def test_rate_estimate_inverts_induced_widths():
-    meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0)
-    collapse = make_csl(rate=0.37, beta=0.81)
-    lam = collapse.effective_rate
-    g_l, g_h = induced_decay_widths(meson, collapse)
-    assert collapse_rate_estimate(g_l, collapse.beta, 3.0) == pytest.approx(lam, rel=1e-14)
-    assert collapse_rate_estimate(g_h, collapse.beta, 4.0) == pytest.approx(lam, rel=1e-14)
+            roots = solve_absolute_masses(g_l - g_h, 0.5 * (g_l + g_h), delta_m, convention)
+            assert any(abs(root - m_l) <= 1e-9 * m_l for root in roots)
 
 
 def test_lower_bound_consistency_with_planted_rate():
@@ -381,20 +357,20 @@ def test_lower_bound_degenerate_widths():
 
 def test_bound_curve_power_law():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.9, gamma_H=1.6)
-    curve = bound_curve(meson, (0.1, 10.0), Convention.NORMAL, 50)
-    slopes = np.diff(np.log(curve.values[:, 0])) / np.diff(np.log(curve.times))
+    m0s, bounds = bound_curve(meson, (0.1, 10.0), Convention.NORMAL, 50)
+    slopes = np.diff(np.log(bounds)) / np.diff(np.log(m0s))
     np.testing.assert_allclose(slopes, 2.0, atol=1e-9)
-    inverted = bound_curve(meson, (0.1, 10.0), Convention.INVERTED, 50)
-    slopes_inv = np.diff(np.log(inverted.values[:, 0])) / np.diff(np.log(inverted.times))
+    m0s_inv, bounds_inv = bound_curve(meson, (0.1, 10.0), Convention.INVERTED, 50)
+    slopes_inv = np.diff(np.log(bounds_inv)) / np.diff(np.log(m0s_inv))
     np.testing.assert_allclose(slopes_inv, -2.0, atol=1e-9)
 
 
 def test_bound_curve_endpoints_only():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.9, gamma_H=1.6)
-    curve = bound_curve(meson, (0.5, 2.0), Convention.NORMAL, 2)
-    assert len(curve.times) == 2
-    assert curve.times[0] == pytest.approx(0.5)
-    assert curve.times[-1] == pytest.approx(2.0)
+    m0s, bounds = bound_curve(meson, (0.5, 2.0), Convention.NORMAL, 2)
+    assert len(m0s) == len(bounds) == 2
+    assert m0s[0] == pytest.approx(0.5)
+    assert m0s[-1] == pytest.approx(2.0)
 
 
 def test_bound_grows_with_splitting_to_gap_ratio():

@@ -214,6 +214,8 @@ def test_qm_ensemble_is_exact_wigner_weisskopf(tmp_path):
     assert cli.main([cfg, "--output", str(out)]) == 0
     header = [line for line in out.read_text().splitlines() if line.startswith("# command=ensemble")]
     assert header[0].endswith("seed=2 method=exact")
+    # No equation was configured, so the header names none.
+    assert "equation=" not in header[0]
     times = column(out, "time")
     expected = {
         "P_M0_M0": prob_flavor_qm(meson, FlavorTarget.M0, times),
@@ -224,6 +226,19 @@ def test_qm_ensemble_is_exact_wigner_weisskopf(tmp_path):
     for name, probs in expected.items():
         np.testing.assert_allclose(column(out, name), probs, rtol=0.0, atol=1e-15)
         assert np.all(column(out, f"stderr_{name}") == 0.0)
+
+
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+def test_qm_rejects_an_equation(tmp_path, capsys, command):
+    # The QM ensemble always runs the lambda = 0 linear equation with the
+    # measured widths; a configured equation would name one that never ran.
+    cfg = write_config(
+        tmp_path, command=command, t_max=4.0, n_points=9, n_trajectories=48, seed=2, dt=0.002,
+        m_L=1.0, m_H=2.0, gamma_L=0.2, gamma_H=0.08, model="QM", equation="enlarged",
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "qm.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: model QM takes no equation")
+    assert not (tmp_path / "qm.csv").exists()
 
 
 @pytest.mark.parametrize("equation", ["flavor_decay", "imaginary", "stratonovich", "nonlinear", "enlarged"])

@@ -11,10 +11,8 @@ from flavorcollapse.core import (
     MesonParams,
     Model,
     QuantumState,
-    TimeSeries,
     flavor_mass_basis_change,
     mass_ratio,
-    to_flavor,
     to_mass,
 )
 from flavorcollapse.errors import InvalidParams
@@ -97,7 +95,9 @@ _amp = st.floats(-1.0, 1.0)
 def test_basis_round_trip(parts):
     amps = np.array([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
     state = QuantumState(amps, Basis.FLAVOR)
-    back = to_flavor(to_mass(state))
+    # U is an involution: the mass-basis map applied to mass coordinates
+    # gives the flavor coordinates back.
+    back = to_mass(QuantumState(to_mass(state).amplitudes, Basis.FLAVOR))
     np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-14)
 
 
@@ -112,23 +112,6 @@ def test_state_norm_unconstrained():
     assert state.norm < 1.0
 
 
-def test_time_series_invariants():
-    with pytest.raises(InvalidParams, match="strictly increasing"):
-        TimeSeries(times=[0.0, 0.0, 1.0], values=np.zeros(3), labels=("x",))
-    with pytest.raises(InvalidParams, match="matching length"):
-        TimeSeries(times=[0.0, 1.0], values=np.zeros(3), labels=("x",))
-    series = TimeSeries(times=[0.0, 1.0], values=np.zeros((2, 2)), labels=("a", "b"))
-    assert series.values.shape == (2, 2)
-
-
 def test_ensemble_stats_invariants():
-    with pytest.raises(InvalidParams, match="n_trajectories"):
-        EnsembleStats(
-            times=np.arange(2.0), means=np.zeros((2, 1)), stderrs=np.zeros((2, 1)),
-            labels=("x",), n_trajectories=0, seed=1,
-        )
     with pytest.raises(InvalidParams, match="nonnegative"):
-        EnsembleStats(
-            times=np.arange(2.0), means=np.zeros((2, 1)), stderrs=-np.ones((2, 1)),
-            labels=("x",), n_trajectories=2, seed=1,
-        )
+        EnsembleStats(means=np.zeros((2, 1)), stderrs=-np.ones((2, 1)), labels=("x",))

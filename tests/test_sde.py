@@ -63,20 +63,20 @@ def test_wiener_moments():
 
 
 def test_wiener_determinism():
-    config = NoiseConfig(seed=9, dt=0.5, n_channels=2)
-    a = wiener_increments(config, 500, trajectory_id=7)
-    b = wiener_increments(config, 500, trajectory_id=7)
+    config = NoiseConfig(seed=9, dt=0.5)
+    a = wiener_increments(config, 500, trajectory_id=7, n_channels=2)
+    b = wiener_increments(config, 500, trajectory_id=7, n_channels=2)
     assert np.array_equal(a, b)
-    c = wiener_increments(config, 500, trajectory_id=8)
+    c = wiener_increments(config, 500, trajectory_id=8, n_channels=2)
     assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("seed", [0, 9, 2**63 - 1])
 def test_wiener_stream_is_philox_keyed_by_seed_and_trajectory(seed):
-    config = NoiseConfig(seed=seed, dt=0.25, n_channels=2)
+    config = NoiseConfig(seed=seed, dt=0.25)
     for trajectory_id in (0, 7, 2**20):
         reference = Generator(Philox(key=[seed, trajectory_id])).standard_normal((300, 2)) * 0.5
-        assert np.array_equal(wiener_increments(config, 300, trajectory_id), reference)
+        assert np.array_equal(wiener_increments(config, 300, trajectory_id, n_channels=2), reference)
 
 
 def test_wiener_keys_distinguish_high_seeds():
@@ -91,6 +91,8 @@ def test_noise_config_validation():
         NoiseConfig(seed=1, dt=0.0)
     with pytest.raises(InvalidParams):
         NoiseConfig(seed=-1, dt=0.1)
+    with pytest.raises(InvalidParams):
+        wiener_increments(NoiseConfig(seed=1, dt=0.1), 5, trajectory_id=0, n_channels=0)
 
 
 # ----------------------------------------------------------------------
@@ -482,10 +484,10 @@ def test_ensemble_moments_match_two_pass_over_manual_trajectories(build, advance
     # and of the nonlinear one (one block per state, on dim 2 and dim 4).
     spec = build(make_csl(beta=0.8, rate=0.3))
     t_grid = _grid(1.0, 5)
-    config = NoiseConfig(seed=17, dt=1.0 / 40, n_channels=spec.n_channels)
+    config = NoiseConfig(seed=17, dt=1.0 / 40)
     n_traj, n_sub = 2100, 10
     stats = ensemble_evolve(spec, config, states, t_grid, n_traj)
-    noise = np.array([wiener_increments(config, 40, k) for k in range(n_traj)])
+    noise = np.array([wiener_increments(config, 40, k, spec.n_channels) for k in range(n_traj)])
     proj = observable_vectors(spec.dim)[0].conj()
     linear = spec.equation in (sde.SdeEquation.IMAGINARY_LINEAR, sde.SdeEquation.STRATONOVICH_LINEAR)
     for state, result in zip(states, stats):
@@ -629,11 +631,11 @@ def test_exact_ensemble_equals_closed_form(monkeypatch, factory, n_channels, row
         monkeypatch.setattr(sde, "_PHASE_CHUNK", rows * len(t_grid))
     if batch_cap is not None:
         monkeypatch.setattr(sde, "_BATCH_CAP", batch_cap)
-    config = NoiseConfig(seed=19, dt=dt, n_channels=n_channels)
+    config = NoiseConfig(seed=19, dt=dt)
     stats = ensemble_evolve(spec, config, _ALL_STATES, t_grid, n_traj, method="exact")
     drift = -1j * np.diagonal(spec.hamiltonian) - 0.5 * np.diagonal(spec.decay_quadratic)
     g = 1j * np.sqrt(spec.rate) * np.array([np.diagonal(op) for op in spec.collapse_ops])  # (channel, i)
-    w = np.array([np.cumsum(wiener_increments(config, 8, k), axis=0) for k in range(n_traj)])
+    w = np.array([np.cumsum(wiener_increments(config, 8, k, n_channels), axis=0) for k in range(n_traj)])
     w = np.concatenate([np.zeros((n_traj, 1, n_channels)), w], axis=1)  # (trajectory, time, channel)
     c = np.exp(drift * t_grid[:, None] + w @ g)  # (trajectory, time, i)
     proj = observable_vectors(2)[0].conj()
@@ -703,7 +705,7 @@ def test_exact_ensemble_memory_stays_within_a_row_chunk():
 )
 def test_ensemble_rejects_methods_of_other_labels(build, method):
     spec = build(_decaying(), make_csl(beta=0.8, rate=0.3))
-    config = NoiseConfig(seed=1, dt=0.1, n_channels=spec.n_channels)
+    config = NoiseConfig(seed=1, dt=0.1)
     state = QuantumState.m0() if spec.dim == 2 else _enlarged_stack()[0]
     with pytest.raises(InvalidParams, match="method"):
         ensemble_evolve(spec, config, (state,), _grid(1.0, 3), 4, method=method)
