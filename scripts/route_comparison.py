@@ -19,8 +19,9 @@ _BASE = {
     "model": "CSL", "rate": 0.3, "r_C": 0.5, "beta": 0.8,
     "m0": 1.0, "alpha": 1.0, "d": 2,
     "t_max": 6.0, "n_points": 121,
-    "n_trajectories": 4000, "seed": 7, "dt": 0.0015,
 }
+# Keys of the trajectory routes; analytic and master runs take none of them.
+_TRAJECTORIES = {"n_trajectories": 4000, "seed": 7, "dt": 0.0015}
 
 
 def main() -> int:
@@ -35,7 +36,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as configs:
         for command in ("analytic", "master", "ensemble", "compare"):
             config_path = Path(configs) / f"{command}.json"
-            config_path.write_text(json.dumps(dict(_BASE, command=command)))
+            trajectories = _TRAJECTORIES if command in ("ensemble", "compare") else {}
+            config_path.write_text(json.dumps(dict(_BASE, command=command, **trajectories)))
             out = outdir / f"{command}.csv"
             code = cli.main([str(config_path), "--output", str(out), "--threads", str(args.threads)])
             print(f"{command}: exit {code}, wrote {out}")

@@ -257,6 +257,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
         spec.dt = _get(cfg, "dt", float, required=True)
         if not spec.dt > 0.0:
             raise InvalidParams("dt must be positive")
+    elif command in ("analytic", "master"):
+        ignored = [key for key in ("equation", "dt", "n_trajectories") if key in cfg]
+        if ignored:
+            raise InvalidParams(f"the {command} command runs no trajectories and takes no {', '.join(ignored)}")
 
     if command == "bounds":
         if not spec.mesons:

@@ -4,18 +4,17 @@ Each supported equation is an SDE for an unnormalized state vector on the
 2-dim flavor space or the 4-dim enlarged space.  Its ``SdeEquation`` label
 names the formalism, and the formalism alone picks the stepping scheme.
 
-``NONLINEAR`` is the collapse equation in Ito form.  It takes a list of
-operators L_c, one per Wiener channel, and an optional drift operator K.
-With R_c = Re<L_c> on the normalized state it reads
+``NONLINEAR`` is the collapse equation in Ito form.  It takes operators
+L_c, one per Wiener channel, and an optional drift operator K.  With
+R_c = Re<L_c> on the normalized state it reads
 
     dpsi = [-i H - (lambda/2) sum_c (L_c^dag L_c - 2 R_c L_c + R_c^2)
-            - K/2] psi dt + sqrt(lambda) sum_c (L_c - R_c) psi dW_c
+            - K/2] psi dt + sqrt(lambda) sum_c (L_c - R_c) psi dW_c.
 
-for any operators L_c: self-adjoint ones (the collapse equation with a
-non-Hermitian H, and its flavor projection with the decay drift
-K = Gamma) or general ones (the enlarged-space equation with L = (A, B),
-B the decay channel, and the members e^{i phi} A of the
-phase-transformation family).  It is stepped with Euler-Maruyama.
+Its forms are the collapse equation with a non-Hermitian H, its flavor
+projection with the decay drift K = Gamma, the enlarged-space equation
+with L = (A, B), B the decay channel, and the phase-transformation family
+e^{i phi} A.  It is stepped with Euler-Maruyama.
 
 All of these share one master equation per physical system.  The two
 linear labels take purely imaginary noise and a decay operator K.  They
@@ -23,46 +22,32 @@ are one equation, the Stratonovich SDE
 
     dpsi = (-i H - K/2) psi dt + i sqrt(lambda) sum_c A_c psi o dW_c,
 
-written in the two formalisms:
-
-* ``IMAGINARY_LINEAR``: its Ito form, whose drift carries the conversion
-  term -(lambda/2) sum_c A_c^2 (``ito_stratonovich_drift`` from
-  theta(0) = 1/2 to 0), stepped with Euler-Maruyama;
-* ``STRATONOVICH_LINEAR``: the Stratonovich form itself, stepped with the
-  Heun midpoint scheme.
-
-K is either the measured decay operator Gamma or the operator
+in two formalisms: ``IMAGINARY_LINEAR`` is its Ito form, whose drift
+carries the conversion term -(lambda/2) sum_c A_c^2
+(``ito_stratonovich_drift`` from theta(0) = 1/2 to 0), stepped with
+Euler-Maruyama; ``STRATONOVICH_LINEAR`` is the Stratonovich form, stepped
+with the Heun midpoint scheme.  K is the measured Gamma or the
 lambda (2 beta - 1) A^2 that a noise field with theta(0) = beta induces
-(``operators.induced_decay_operator``); with the latter the Ito label is
-the time-asymmetric family equation.  The CLI's QM equation is the
+(``operators.induced_decay_operator``), which makes the Ito label the
+time-asymmetric family equation.  The CLI's QM equation is the
 lambda = 0 case with K = Gamma.
 
-The generators (H = diag(0, delta_m), A = diag(m~_L, m~_H), K) are
-diagonal in the mass basis, and ``SdeSpec`` requires that of the linear
-labels.  Both then have one closed-form solution per mass component,
-
-    c_i(t) = exp(d_i t + sum_c g_ci W_c(t)),
-
-with d = diag(-i H - K/2) the Stratonovich drift and g_c = i sqrt(lambda)
-diag(A_c), and the trajectory from initial state a is a * c componentwise.
-``ensemble_evolve(method="exact")`` samples it at the grid points: W needs
-one normal per grid interval and channel, the means carry no
-discretization bias, and the imaginary noise leaves |c_i|^2 deterministic.
-It runs in row chunks of a few trajectories that stay in cache, so no
-block of a batch's size is ever held.
-The stepping stays for the formalism checks: a step multiplies each mass
-component by one scalar, f = 1 + m (Euler-Maruyama) or f = 1 + m + m^2/2
-(Heun), with m = h d_i + sum_c g_ci dW_c and d_i the label's own drift,
-and the ensemble steps one c per trajectory, shared by every initial
-state.
+In the mass basis H = diag(0, delta_m), A = diag(m~_L, m~_H) and K are
+diagonal, and B maps each mass state to one decay state.  ``SdeSpec``
+requires H and K diagonal and every L_c monomial (diagonal for the linear
+labels), so every step is elementwise.  The linear labels have the
+closed-form solution c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass
+component, d = diag(-i H - K/2), g_c = i sqrt(lambda) diag(A_c), which
+``ensemble_evolve(method="exact")`` samples at the grid points.
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
-for fixed arguments regardless of scheduling or worker count.
-Several initial states evolved in one call share that noise.
-Expectation values in the nonlinear equation always use the normalized
-state; trajectories are stored unnormalized, and each observable is the
-ensemble mean of |<v|psi>|^2 on the raw state, a real form in psi psi^dag.
+for fixed arguments regardless of scheduling or worker count, and
+several initial states evolved in one call share that noise.  A stepped
+ensemble draws each substream a block of steps at a time.  Expectation
+values in the nonlinear equation use the normalized state; trajectories
+are stored unnormalized, and each observable is the ensemble mean of
+|<v|psi>|^2 on the raw state, a real form in psi psi^dag.
 """
 
 from __future__ import annotations
@@ -123,7 +108,7 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-300
-_BATCH_TARGET_ENTRIES = 1 << 23  # noise entries a stepped batch holds in memory (64 MB)
+_NOISE_BLOCK = 1 << 18  # noise entries a stepped batch holds in memory (2 MB)
 _BATCH_CAP = 2048
 _PHASE_CHUNK = 1 << 15  # (trajectory, grid point) entries per row chunk of the exact kernel
 
@@ -165,8 +150,11 @@ class SdeSpec:
     coupling lambda.  ``decay_quadratic`` is the decay operator K entering
     the drift as -(1/2) K and the master equation as -(1/2) {K, rho}: the
     measured Gamma = lambda B^dag B or the collapse-induced
-    lambda (2 beta - 1) A^2.  The linear labels require all three diagonal
-    (in the mass basis) and the collapse operators self-adjoint.
+    lambda (2 beta - 1) A^2.  Every label requires H and K diagonal (in
+    the mass basis) and each collapse operator monomial, with at most one
+    nonzero per row and per column, so that every kernel steps the
+    components elementwise.  The linear labels require the collapse
+    operators diagonal and self-adjoint too.
     """
 
     equation: SdeEquation
@@ -194,15 +182,16 @@ class SdeSpec:
             object.__setattr__(self, "decay_quadratic", k)
             if k.shape != h.shape:
                 raise DimensionMismatch("decay_quadratic must match the hamiltonian dimension")
-        if self.equation in LINEAR_EQUATIONS:
-            # The exact kernel reads the real diagonal of each collapse operator.
-            for op in ops:
-                if np.linalg.norm(op - op.conj().T) > 1e-12 * max(np.linalg.norm(op), 1e-300):
-                    raise InvalidParams(f"{self.equation.value} requires self-adjoint collapse operators")
-            off_diagonal = ~np.eye(len(h), dtype=bool)
-            generators = (h, *ops) + (() if self.decay_quadratic is None else (self.decay_quadratic,))
-            if any(np.any(m[off_diagonal] != 0.0) for m in generators):
-                raise InvalidParams(f"{self.equation.value} requires operators diagonal in the mass basis")
+        label, linear = self.equation.value, self.equation in LINEAR_EQUATIONS
+        # The exact kernel reads the real diagonal of each collapse operator.
+        if linear and any(np.linalg.norm(op - op.conj().T) > 1e-12 * max(np.linalg.norm(op), 1e-300) for op in ops):
+            raise InvalidParams(f"{label} requires self-adjoint collapse operators")
+        off_diagonal = ~np.eye(len(h), dtype=bool)
+        diagonal = (h,) + (() if self.decay_quadratic is None else (self.decay_quadratic,)) + (ops if linear else ())
+        if any(np.any(m[off_diagonal] != 0.0) for m in diagonal):
+            raise InvalidParams(f"{label} requires operators diagonal in the mass basis")
+        if any(np.any(np.count_nonzero(op, axis=axis) > 1) for op in ops for axis in (0, 1)):
+            raise InvalidParams(f"{label} requires monomial collapse operators: <= 1 nonzero per row and column")
 
     @property
     def dim(self) -> int:
@@ -369,6 +358,24 @@ def _keyed_generator(seed: int):
     return Generator(bit_generator), rekey
 
 
+def _keyed_generators(seed: int, trajectory_ids) -> list[Generator]:
+    """One generator per trajectory at the start of its (seed, trajectory_id) stream.
+
+    Consecutive draws continue a stream as one call would.  ``Philox(0)``
+    reads no OS entropy before the keyed state replaces its own.
+    """
+    state = Philox(0).state
+    key = state["state"]["key"]
+    key[0] = seed
+    generators = []
+    for trajectory_id in trajectory_ids:
+        key[1] = trajectory_id
+        bit_generator = Philox(0)
+        bit_generator.state = state
+        generators.append(Generator(bit_generator))
+    return generators
+
+
 def _as_batch(state, dim: int) -> tuple[np.ndarray, bool]:
     """A complex copy of ``state`` as rows, and whether it was one vector."""
     psi = np.array(state, dtype=complex)
@@ -386,22 +393,12 @@ def _as_noise(dW, n_channels: int, n_rows: int) -> np.ndarray:
     elif w.ndim == 1:
         w = w.reshape(1, -1) if n_rows == 1 else w.reshape(-1, 1)
     if w.shape != (n_rows, n_channels):
-        raise DimensionMismatch(
-            f"noise shape {w.shape} does not match ({n_rows} states, {n_channels} channels)"
-        )
+        raise DimensionMismatch(f"noise shape {w.shape} does not match ({n_rows} states, {n_channels} channels)")
     return w
 
 
-def _normalized_expectations(psi: np.ndarray, ops) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Squared norms and Re<op>/norm^2 per state row for each operator."""
-    n2 = np.einsum("bi,bi->b", psi.conj(), psi).real
-    if not np.all(n2 >= _NORM_FLOOR):
-        raise ZeroNorm("state norm underflowed or is not finite; normalized expectation undefined")
-    return n2, [np.einsum("bi,ij,bj->b", psi.conj(), op, psi).real / n2 for op in ops]
-
-
 def _stratonovich_drift(spec: SdeSpec) -> np.ndarray:
-    """Stratonovich drift -i H - K/2 of the linear equations, whichever label."""
+    """The drift -i H - K/2 without the collapse terms: the linear equations' Stratonovich drift."""
     drift = -1j * spec.hamiltonian
     if spec.decay_quadratic is not None:
         drift = drift - 0.5 * spec.decay_quadratic
@@ -423,13 +420,13 @@ def _linear_matrices(spec: SdeSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     return drift, diffusions
 
 
-def _linear_stepper(spec: SdeSpec, n_cols: int):
-    """In-place update c, w, h of the (dim, n_cols) mass-basis columns of the linear equations.
+def _linear_stepper(spec: SdeSpec, cols: tuple[int, ...]):
+    """In-place update c, w, h of the (dim, *cols) mass-basis columns of the linear equations.
 
     The generators are diagonal, so a step multiplies mass component i of
-    column k by f = 1 + m (Euler-Maruyama, the Ito label) or
+    a column by f = 1 + m (Euler-Maruyama, the Ito label) or
     f = 1 + m (1 + m/2) (Heun midpoint, the Stratonovich label), with
-    m = h d_i + sum_c g_ci w_ck and d, g_c the diagonals of
+    m = h d_i + sum_c g_ci w_c and d, g_c the diagonals of
     ``_linear_matrices``.  It is applied as c += c (f - 1): rounding 1 + m
     would repeat one rounding of the real part of h d at every step, a
     bias linear in the number of steps.  The two work arrays are allocated
@@ -437,9 +434,10 @@ def _linear_stepper(spec: SdeSpec, n_cols: int):
     """
     drift, diffusions = _linear_matrices(spec)
     heun = spec.equation is SdeEquation.STRATONOVICH_LINEAR
-    d = np.diagonal(drift)[:, None]
-    gs = [np.diagonal(g)[:, None] for g in diffusions]
-    m, f = (np.empty((spec.dim, n_cols), dtype=complex) for _ in range(2))
+    expand = (slice(None),) + (None,) * len(cols)
+    d = np.diagonal(drift)[expand]
+    gs = [np.diagonal(g)[expand] for g in diffusions]
+    m, f = np.empty((2, spec.dim, *cols), dtype=complex)
 
     def advance(c, w, h):
         np.multiply(gs[0], w[0], out=m)
@@ -457,36 +455,67 @@ def _linear_stepper(spec: SdeSpec, n_cols: int):
     return advance
 
 
-def _nonlinear_stepper(spec: SdeSpec):
-    """Euler-Maruyama update closure psi, w, h that advances the (n_rows, dim) psi in place.
+def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
+    """In-place Euler-Maruyama update psi, w, h of the (dim, *cols) columns of the nonlinear equation.
 
-    Matrices are built once.  Channel c runs on L_c = ``collapse_ops[c]``,
-    any operator, with R_c = Re<L_c> (the real part of <L> is
-    <(L + L^dag)/2> for any L).
+    Every operator is monomial (``SdeSpec``), so the step is elementwise:
+    L_c psi is the gather coeff_c psi[src_c], L_c^dag L_c is the diagonal
+    n_c, and R_c = Re<psi|L_c psi> / |psi|^2 is a sum over the components
+    of a column.  Grouped by what multiplies psi and L_c psi, the step is
+    dpsi = (h d - sum_c beta_c) psi + sum_c alpha_c L_c psi, with
+    d = -i H - K/2 - (lambda/2) sum_c n_c and the column scalars
+    alpha_c = lambda h R_c + sqrt(lambda) w_c and
+    beta_c = R_c (lambda h R_c / 2 + sqrt(lambda) w_c).  Sums run in index
+    order, and the work arrays are allocated once.
     """
-    lam = spec.rate
-    sqlam = math.sqrt(lam)
-    h_t = (-1j * spec.hamiltonian).T.copy()
-    ops = spec.collapse_ops
-    ops_t = [op.T.copy() for op in ops]
-    # Rows apply L^dag L as (psi L^T) conj(L): psi^T L^T conj(L) is
-    # (L^dag L psi)^T for any L.
-    ops_conj = [op.conj() for op in ops]
-    k_t = None if spec.decay_quadratic is None else spec.decay_quadratic.T.copy()
+    dim, n_channels, lam, sqlam = spec.dim, spec.n_channels, spec.rate, math.sqrt(spec.rate)
+    expand = (slice(None),) + (None,) * len(cols)
+    d = np.diagonal(_stratonovich_drift(spec))
+    srcs, coeffs = [], []
+    for op in spec.collapse_ops:
+        src = np.argmax(op != 0.0, axis=1)  # the one nonzero of each row, if any
+        coeff = op[np.arange(dim), src]
+        d = d - 0.5 * lam * np.bincount(src, weights=coeff.real**2 + coeff.imag**2, minlength=dim)
+        srcs.append(src)
+        coeffs.append(coeff[expand])
+    d = d[expand]
+    l_psi = np.empty((n_channels, dim, *cols), dtype=complex)
+    alphas, betas = np.empty((2, n_channels, *cols))
+    m = np.empty((dim, *cols), dtype=complex)
+    re, im = np.empty((2, dim, *cols))
+    n2, r, t = np.empty((3, *cols))
+
+    def re_dot(a, b, out):
+        # Re sum_i conj(a_i) b_i per column; the outer-axis sum adds components in index order.
+        np.multiply(a.real, b.real, out=re)
+        np.multiply(a.imag, b.imag, out=im)
+        np.add(re, im, out=re)
+        np.sum(re, axis=0, out=out)
 
     def advance(psi, w, h):
-        _, expects = _normalized_expectations(psi, ops)
-        drift = psi @ h_t
-        noise = np.zeros_like(psi)
-        for c, (op_t, op_conj, r_c) in enumerate(zip(ops_t, ops_conj, expects)):
-            op_psi = psi @ op_t
-            r_col = r_c[:, None]
-            drift = drift - 0.5 * lam * (op_psi @ op_conj - 2.0 * r_col * op_psi + r_col**2 * psi)
-            noise = noise + w[:, c : c + 1] * sqlam * (op_psi - r_col * psi)
-        if k_t is not None:
-            drift = drift - 0.5 * (psi @ k_t)
-        psi += drift * h
-        psi += noise
+        re_dot(psi, psi, n2)
+        if not n2.min() >= _NORM_FLOOR:
+            raise ZeroNorm("state norm underflowed or is not finite; normalized expectation undefined")
+        lam_h, half_lam_h = lam * h, 0.5 * lam * h
+        for src, coeff, lp, alpha, beta, w_c in zip(srcs, coeffs, l_psi, alphas, betas, w):
+            np.take(psi, src, axis=0, out=lp)
+            np.multiply(lp, coeff, out=lp)
+            re_dot(psi, lp, r)
+            np.divide(r, n2, out=r)
+            np.multiply(w_c, sqlam, out=t)
+            np.multiply(r, half_lam_h, out=beta)
+            np.add(beta, t, out=beta)
+            np.multiply(beta, r, out=beta)
+            np.multiply(r, lam_h, out=alpha)
+            np.add(alpha, t, out=alpha)
+        np.subtract(h * d, betas[0], out=m)
+        for beta in betas[1:]:
+            np.subtract(m, beta, out=m)
+        np.multiply(m, psi, out=m)
+        for lp, alpha in zip(l_psi, alphas):
+            np.multiply(lp, alpha, out=lp)
+            np.add(m, lp, out=m)
+        np.add(psi, m, out=psi)
 
     return advance
 
@@ -494,10 +523,8 @@ def _nonlinear_stepper(spec: SdeSpec):
 def _step_rows(spec: SdeSpec, state, dW, dt: float):
     psi, single = _as_batch(state, spec.dim)
     w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    if spec.equation in LINEAR_EQUATIONS:
-        _linear_stepper(spec, psi.shape[0])(psi.T, w.T, dt)
-    else:
-        _nonlinear_stepper(spec)(psi, w, dt)
+    stepper = _linear_stepper if spec.equation in LINEAR_EQUATIONS else _collapse_stepper
+    stepper(spec, psi.shape[:1])(psi.T, w.T, dt)
     return psi[0] if single else psi
 
 
@@ -554,12 +581,9 @@ def _grid_substeps(t_grid: np.ndarray, dt: float) -> list[int]:
     return counts
 
 
-def _batch_bounds(n_trajectories: int, n_steps: int, n_channels: int) -> list[tuple[int, int]]:
-    # Fixed partition independent of worker count, sized so each batch's
-    # noise block stays within the memory target.
-    per_traj = max(1, n_steps * n_channels)
-    batch = int(min(_BATCH_CAP, max(64, _BATCH_TARGET_ENTRIES // per_traj)))
-    batch = min(batch, n_trajectories)
+def _batch_bounds(n_trajectories: int) -> list[tuple[int, int]]:
+    # Fixed partition independent of worker count.
+    batch = min(_BATCH_CAP, n_trajectories)
     return [(lo, min(lo + batch, n_trajectories)) for lo in range(0, n_trajectories, batch)]
 
 
@@ -580,20 +604,16 @@ def _fold_batches(partials) -> tuple[np.ndarray, np.ndarray]:
     return means, m2
 
 
-def _stepped_batches(
-    spec: SdeSpec,
-    config: NoiseConfig,
-    amps0: np.ndarray,
-    t_grid: np.ndarray,
-    substeps: list[int],
-    entries: list[tuple[int, int]],
-):
+def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_grid: np.ndarray, substeps, entries):
     """Batch runner (lo, hi) -> (count, means, m2) that steps every trajectory at dt with the label's scheme.
 
-    The linear equations step one (dim, batch) block of mass-basis factors
-    c, shared by every state; the nonlinear equations step the states as
-    stacked rows, one block per state.  Each grid point is reduced to the
-    features of ``ensemble_evolve``.
+    Column (s, k) of the (dim, block, batch) array holds trajectory k from
+    state s; the linear equations step one block of mass-basis factors c
+    from 1 that serves every state.  Every block reads the same noise.
+    Each trajectory keeps its own generator for the batch, and the batch
+    draws blocks of steps of at most _NOISE_BLOCK entries, so no noise of
+    the run's length is held.  Each grid point is reduced to the features
+    of ``ensemble_evolve``.
     """
     n_states, dim = len(amps0), spec.dim
     n_grid, n_channels, n_steps = len(t_grid), spec.n_channels, int(sum(substeps))
@@ -601,46 +621,33 @@ def _stepped_batches(
     n_blocks = 1 if linear else n_states
     n_entries = len(entries)
     n_feat = 2 * n_entries - dim
+    sqrt_dt = math.sqrt(config.dt)
 
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
         b = hi - lo
-        # The partials outlive the batch; allocated before the noise block,
-        # they leave its memory free for the next batch's noise.
         means = np.empty((n_grid, n_blocks, n_feat))
         m2 = np.empty((n_grid, n_blocks, n_feat, n_feat))
-        gen, rekey = _keyed_generator(config.seed)
-        noise = np.empty((b, n_steps, n_channels))
-        for k in range(b):
-            rekey(lo + k)
-            gen.standard_normal(out=noise[k])
-        noise *= math.sqrt(config.dt)
+        generators = _keyed_generators(config.seed, range(lo, hi))
+        noise = np.empty((b, min(n_steps, max(1, _NOISE_BLOCK // (b * n_channels))), n_channels))
+
+        def increments():
+            # Each step's (b, n_channels) noise.  A trajectory's rows of a
+            # block are contiguous: its stream fills them as one call would.
+            for start in range(0, n_steps, noise.shape[1]):
+                block = noise[:, : n_steps - start]
+                for gen, rows in zip(generators, block):
+                    gen.standard_normal(out=rows)
+                block *= sqrt_dt
+                for pos in range(block.shape[1]):
+                    yield block[:, pos]
 
         # The step and the reduction run in place on arrays allocated here,
         # so the loop allocates nothing of the batch's size: no memory is
         # returned to the system and faulted back in.
-        if linear:
-            # One (dim, b) block of mass-basis factors serves every state;
-            # step pos reads its noise as strided columns, without a copy.
-            cols = np.ones((dim, b), dtype=complex)
-            advance = _linear_stepper(spec, b)
-            blocks = cols[None]
-
-            def step_once(pos: int, h: float) -> None:
-                advance(cols, noise[:, pos, :].T, h)
-        else:
-            # Rows s*b .. s*b + b - 1 hold initial state s; every state reads
-            # the same noise row k.
-            psi = np.repeat(amps0, b, axis=0)
-            advance = _nonlinear_stepper(spec)
-            w = np.empty((n_states * b, n_channels))
-            w_rows = w.reshape(n_states, b, n_channels)
-            blocks = psi.reshape(n_states, b, dim).transpose(0, 2, 1)
-
-            def step_once(pos: int, h: float) -> None:
-                w_rows[...] = noise[:, pos, :]
-                advance(psi, w, h)
-
+        psi = np.repeat((np.ones((1, dim), dtype=complex) if linear else amps0).T[:, :, None], b, axis=2)
+        advance = (_linear_stepper if linear else _collapse_stepper)(spec, psi.shape[1:])
+        blocks = psi.transpose(1, 0, 2)  # (block, component, trajectory)
         cc = np.empty((n_blocks, n_entries, b), dtype=complex)  # c_i conj(c_j)
         feats = np.empty((n_blocks, n_feat, b))  # (block, feature, trajectory)
 
@@ -660,12 +667,11 @@ def _stepped_batches(
             np.matmul(feats, feats.transpose(0, 2, 1), out=m2[g])
 
         record(0)
-        pos = 0
+        dws = increments()
         for g, n_sub in enumerate(substeps, start=1):
             h = (t_grid[g] - t_grid[g - 1]) / n_sub
             for _ in range(n_sub):
-                step_once(pos, h)
-                pos += 1
+                advance(psi, next(dws).T, h)
             record(g)
         return b, means, m2
 
@@ -675,10 +681,9 @@ def _stepped_batches(
 def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray, pairs: list[tuple[int, int]]):
     """Batch runner (lo, hi) -> (count, means, m2) from the exact solution of the linear equations.
 
-    Both labels are one equation with diagonal generators, solved by
-    c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) with d the Stratonovich drift
-    and g_c = i sqrt(lambda) a_c (Kloeden & Platen, Numerical Solution of
-    SDEs, on linear SDEs).  The noise is imaginary, so |c_i|^2 =
+    c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) with g_c = i sqrt(lambda) a_c
+    (Kloeden & Platen, Numerical Solution of SDEs, on linear SDEs) solves
+    both labels.  The noise is imaginary, so |c_i|^2 =
     exp(2 t Re d_i) is the same on every trajectory, and a pair gives
     c_i conj(c_j) = r_ij(t) exp(i (omega_ij t + theta_ij)) with
     r_ij = exp(t Re(d_i + d_j)), omega_ij = Im(d_i - d_j) and the phase
@@ -772,27 +777,23 @@ def ensemble_evolve(
     """Ensemble means and covariances of the projection probabilities on a grid.
 
     Returns one ``EnsembleStats`` per entry of ``initial_states``, in
-    order.  One pass serves all states: each trajectory's noise is drawn
-    once per batch from its (seed, trajectory) Philox substream and drives
-    every state.  The linear equations evolve one (dim, batch) block of
-    mass-basis factors c, so trajectory k from state a is a * c_k; the
-    nonlinear equations step the states as stacked rows of one array, one
-    block per state.  Either way state s of a stacked call equals a
-    single-state call bit for bit.
-    ``method`` None steps with the label's own scheme at ``config.dt``:
-    Euler-Maruyama for the Ito linear and the nonlinear equations, Heun for
-    the Stratonovich one.  Their O(dt) weak bias remains.  "exact", for
-    the linear labels only, draws W at the grid points and evaluates the
-    closed-form solution (``_exact_linear_batches``): its means carry no
-    discretization bias and ``config.dt`` does not enter.
-    The probabilities |<v|psi>|^2 are taken on the raw (unnormalized)
-    state: the linear equations carry decay in the norm.  Each is a fixed
-    real form in the entries of psi psi^dag, so the ensemble reduces those
-    real entries per block, with centred second moments per batch folded
-    by the pairwise update, and maps them to the probabilities once.  The
-    spread is exactly zero while all trajectories agree.
-    Results are bit-identical for fixed arguments whatever ``n_threads``:
-    the batch partition is fixed and partials are folded in index order.
+    order.  One pass serves all states: each trajectory's (seed,
+    trajectory) noise drives every state.  The linear equations evolve one
+    block of mass-basis factors c, so trajectory k from state a is a * c_k;
+    the nonlinear equations step one block of columns per state.  Either
+    way state s of a stacked call equals a single-state call bit for bit.
+    ``method`` None steps with the label's own scheme at ``config.dt``
+    (Euler-Maruyama, or Heun for the Stratonovich label), whose O(dt) weak
+    bias remains.  "exact", for the linear labels only, samples the
+    closed-form solution at the grid points (``_exact_linear_batches``):
+    no discretization bias, and ``config.dt`` does not enter.
+    Each probability |<v|psi>|^2 on the raw state is a fixed real form in
+    the entries of psi psi^dag, so the ensemble reduces those entries per
+    block to centred second moments, folds the batches by the pairwise
+    update and maps them to the probabilities once; the spread is exactly
+    zero while all trajectories agree.  Results are bit-identical whatever
+    ``n_threads``: the batch partition is fixed and partials are folded in
+    index order.
     """
     if method not in (None, "exact"):
         raise InvalidParams("method must be None or 'exact'")
@@ -824,13 +825,11 @@ def ensemble_evolve(
     q = np.concatenate([w_ij.real, -w_ij[..., dim:].imag], axis=-1)
 
     if method == "exact":
-        n_steps = len(t_grid) - 1
         run_batch = _exact_linear_batches(spec, config, t_grid, pairs)
     else:
         substeps = _grid_substeps(t_grid, config.dt)
-        n_steps = int(sum(substeps))
         run_batch = _stepped_batches(spec, config, amps0, t_grid, substeps, entries)
-    batches = _batch_bounds(n_trajectories, n_steps, spec.n_channels)
+    batches = _batch_bounds(n_trajectories)
     if n_threads > 1:
         # Imported here, so that a single-threaded run never loads it.
         from concurrent.futures import ThreadPoolExecutor

@@ -241,6 +241,17 @@ def test_qm_rejects_an_equation(tmp_path, capsys, command):
     assert not (tmp_path / "qm.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("equation", "enlarged"), ("dt", 0.1), ("n_trajectories", 5)])
+@pytest.mark.parametrize("command", ["analytic", "master"])
+def test_routes_without_trajectories_reject_ensemble_keys(tmp_path, capsys, command, key, value):
+    # analytic and master run no trajectories: an ensemble key would name a
+    # scheme or a sample size that never ran.
+    cfg = write_config(tmp_path, command=command, **_README_CSL, t_max=1.0, n_points=3, **{key: value})
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: the {command} command runs no trajectories and takes no {key}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("equation", ["flavor_decay", "imaginary", "stratonovich", "nonlinear", "enlarged"])
 def test_ensemble_equation_variants_run(tmp_path, equation):
     cfg = write_config(
@@ -572,9 +583,12 @@ def test_one_probability_table_across_commands(tmp_path, config):
     # compare's residual columns are exactly the differences of the outputs
     # of the analytic, master and ensemble commands on the same config.
     run = dict(config, n_trajectories=40, seed=7)
+    # analytic and master take no trajectory keys.
+    route_run = {key: value for key, value in run.items() if key not in ("dt", "n_trajectories")}
     outputs = {}
     for command in ("analytic", "master", "ensemble", "compare"):
-        cfg = write_config(tmp_path, f"{command}.json", command=command, **run)
+        keys = run if command in ("ensemble", "compare") else route_run
+        cfg = write_config(tmp_path, f"{command}.json", command=command, **keys)
         outputs[command] = str(tmp_path / f"{command}.csv")
         assert cli.main([cfg, "--output", outputs[command]]) == 0
     for name in cli._PROB_COLUMNS:

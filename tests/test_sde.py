@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -249,16 +250,62 @@ def test_linear_factor_matches_matrix_update(method, n_channels):
     np.testing.assert_allclose(_linear_update(spec, psi, w, h, method), expected, rtol=1e-14, atol=0.0)
 
 
-_OFF_DIAGONAL = np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex)
+@pytest.mark.parametrize("n_channels", [1, 2])
+@pytest.mark.parametrize("method", ["euler", "heun"])
+def test_linear_one_step_weak_multiplier(method, n_channels):
+    # From c = 1, one step gives E[c_i conj(c_j)] = mu_ij in closed form
+    # (Kloeden & Platen, weak analysis of linear test equations).  With
+    # a = h d, G_ij = h sum_c g_ci conj(g_cj) and Q_i = h sum_c g_ci^2,
+    # E[dW^2] = h and E[dW^4] = 3 h^2 give
+    #   Euler: mu = (1 + a_i)(1 + a_j)* + G_ij,
+    #   Heun:  mu = A_i A_j* + (1 + a_i)(1 + a_j)* G_ij + (A_i Q_j* + Q_i A_j*)/2
+    #               + (Q_i Q_j* + 2 G_ij^2)/4,  A = 1 + a + a^2/2.
+    # f_i conj(f_j) has degree <= 4 in the increments, so the 3-point
+    # Gauss-Hermite rule per channel (exact to degree 5) averages it
+    # exactly, without Monte Carlo.
+    spec, _, _, h = _linear_case(method, n_channels)
+    drift, diffusions = sde._linear_matrices(spec)
+    a = h * np.diagonal(drift)
+    g = np.array([np.diagonal(x) for x in diffusions])  # (channel, i)
+    nodes = list(itertools.product(np.sqrt(3.0 * h) * np.array([-1.0, 0.0, 1.0]), repeat=n_channels))
+    weights = np.prod(list(itertools.product([1 / 6, 2 / 3, 1 / 6], repeat=n_channels)), axis=1)
+    f = _linear_update(spec, np.ones((len(nodes), 2), dtype=complex), np.array(nodes), h, method)
+    mu = np.einsum("k,ki,kj->ij", weights, f, f.conj())
+    big_g = h * g.T @ g.conj()
+    euler = np.outer(1.0 + a, (1.0 + a).conj())
+    if method == "euler":
+        want = euler + big_g
+    else:
+        q = h * (g**2).sum(axis=0)
+        big_a = 1.0 + a + a**2 / 2.0
+        want = (
+            np.outer(big_a, big_a.conj()) + euler * big_g
+            + (np.outer(big_a, q.conj()) + np.outer(q, big_a.conj())) / 2.0
+            + (np.outer(q, q.conj()) + 2.0 * big_g**2) / 4.0
+        )
+    np.testing.assert_allclose(mu, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("field", ["hamiltonian", "collapse_ops", "decay_quadratic"])
-@pytest.mark.parametrize("factory", [imaginary_linear_spec, family_spec, stratonovich_family_spec])
+@pytest.mark.parametrize(
+    "factory",
+    [imaginary_linear_spec, family_spec, stratonovich_family_spec,
+     collapse_flavor_spec, flavor_decay_spec, enlarged_collapse_spec],
+)
 def test_linear_specs_require_diagonal_operators(factory, field):
+    # Every kernel reads H and K as diagonals and a collapse operator as one
+    # nonzero per row: the linear labels take diagonal collapse operators,
+    # the nonlinear one monomial ones.
     spec = factory(_decaying(), make_csl(beta=0.8, rate=0.3))
-    diagonal = getattr(spec, field)
-    bad = (diagonal[0] + _OFF_DIAGONAL,) if field == "collapse_ops" else diagonal + _OFF_DIAGONAL
-    with pytest.raises(InvalidParams, match="diagonal"):
+    off_diagonal = np.zeros((spec.dim, spec.dim), dtype=complex)
+    off_diagonal[0, 1] = off_diagonal[1, 0] = 0.25
+    current = getattr(spec, field)
+    if field == "collapse_ops":
+        bad = (current[0] + off_diagonal,)
+    else:
+        bad = off_diagonal if current is None else current + off_diagonal
+    nonlinear = spec.equation is sde.SdeEquation.NONLINEAR
+    with pytest.raises(InvalidParams, match="monomial" if nonlinear and field == "collapse_ops" else "diagonal"):
         replace(spec, **{field: bad})
 
 
@@ -303,45 +350,72 @@ def test_family_is_imaginary_linear_with_induced_widths():
     assert np.array_equal(family.decay_quadratic, imaginary.decay_quadratic)
 
 
+def _re_dot(a, b):
+    # Re sum_i conj(a_i) b_i of each row, summed over the components in index order.
+    return sum((a.real * b.real + a.imag * b.imag).T)
+
+
 @pytest.mark.parametrize(
-    "build, form",
+    "build",
     [
-        (lambda: collapse_flavor_spec(_GENERIC, make_csl(**_GENERIC_CSL)), "phase"),
-        (lambda: flavor_decay_spec(_GENERIC, make_csl(**_GENERIC_CSL)), "decay"),
+        lambda: collapse_flavor_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
+        lambda: flavor_decay_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
+        lambda: enlarged_collapse_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
     ],
-    ids=["collapse", "flavor_decay"],
+    ids=["collapse", "flavor_decay", "enlarged"],
 )
-def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build, form):
-    # The one nonlinear kernel must give the bits of the separate updates it
-    # replaced: the phase-family form at phi = 0, and the flavor-decay form
-    # with its fixed -(1/2) Gamma drift.
+def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build):
+    # The elementwise kernel must give the bits of its arithmetic written as
+    # plain row expressions, in its order:
+    #   psi + (h d - sum_c beta_c) psi + sum_c alpha_c L_c psi,
+    # with L_c psi a gather of the one nonzero of each row.  The dense matrix
+    # form of the Ito step agrees to within 8 ulp of each row's largest
+    # component.
     spec = build()
+    dim = spec.dim
     rng = np.random.default_rng(9)
-    psi = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    psi = rng.standard_normal((64, dim)) + 1j * rng.standard_normal((64, dim))
     # An O(1) step, so that a rounding change in the drift reaches psi.
-    w = rng.standard_normal((64, 1))
+    w = rng.standard_normal((64, spec.n_channels))
     h = 0.7
     lam, sqlam = spec.rate, np.sqrt(spec.rate)
-    h_t = (-1j * spec.hamiltonian).T.copy()
-    a_op = spec.collapse_ops[0]
-    a_t = a_op.T.copy()
-    n2 = np.einsum("bi,bi->b", psi.conj(), psi).real
-    a_col = (np.einsum("bi,ij,bj->b", psi.conj(), a_op, psi).real / n2)[:, None]
-    a_psi = psi @ a_t
-    if form == "phase":
-        phase, cphi = complex(np.exp(1j * 0.0)), np.cos(0.0)
-        drift = psi @ h_t
-        drift = drift - 0.5 * lam * (
-            a_psi @ a_t - 2.0 * phase * cphi * a_col * a_psi + (cphi * a_col) ** 2 * psi
-        )
-        noise = np.zeros_like(psi) + w[:, 0:1] * sqlam * (phase * a_psi - cphi * a_col * psi)
-    else:
-        drift = psi @ h_t - 0.5 * lam * (a_psi @ a_t - 2.0 * a_col * a_psi + a_col**2 * psi)
-        drift = drift - 0.5 * (psi @ spec.decay_quadratic.T.copy())
-        noise = w[:, 0:1] * sqlam * (a_psi - a_col * psi)
-    expected = psi + drift * h
-    expected += noise
-    assert np.array_equal(step(spec, psi, w, h), expected)
+    got = step(spec, psi, w, h)
+
+    n2 = _re_dot(psi, psi)
+    d = -1j * np.diagonal(spec.hamiltonian)
+    if spec.decay_quadratic is not None:
+        d = d - 0.5 * np.diagonal(spec.decay_quadratic)
+    l_psis, alphas, betas = [], [], []
+    for c, op in enumerate(spec.collapse_ops):
+        d = d - 0.5 * lam * (np.abs(op) ** 2).sum(axis=0)  # the diagonal of L^dag L
+        src = np.abs(op).argmax(axis=1)
+        l_psi = op[np.arange(dim), src] * psi[:, src]
+        r = _re_dot(psi, l_psi) / n2
+        t = w[:, c] * sqlam
+        l_psis.append(l_psi)
+        betas.append((r * (0.5 * lam * h) + t) * r)
+        alphas.append(r * (lam * h) + t)
+    m = h * d - betas[0][:, None]
+    for beta in betas[1:]:
+        m = m - beta[:, None]
+    m = m * psi
+    for l_psi, alpha in zip(l_psis, alphas):
+        m = m + l_psi * alpha[:, None]
+    assert np.array_equal(got, psi + m)
+
+    drift = psi @ (-1j * spec.hamiltonian).T
+    if spec.decay_quadratic is not None:
+        drift = drift - 0.5 * (psi @ spec.decay_quadratic.T)
+    noise = np.zeros_like(psi)
+    for c, op in enumerate(spec.collapse_ops):
+        op_psi = psi @ op.T
+        r = (np.einsum("bi,ij,bj->b", psi.conj(), op, psi).real / n2)[:, None]
+        drift = drift - 0.5 * lam * (op_psi @ op.conj() - 2.0 * r * op_psi + r**2 * psi)
+        noise = noise + w[:, c : c + 1] * sqlam * (op_psi - r * psi)
+    dense = psi + drift * h + noise
+    # Measured: at most 3 ulp of each row's largest component.
+    ulp = np.finfo(float).eps * np.abs(psi).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - dense) <= 8.0 * ulp)
 
 
 def test_ito_stratonovich_drift_properties():
@@ -683,6 +757,25 @@ def test_exact_ensemble_memory_stays_within_a_row_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 2e6, peak
+
+
+def test_stepped_ensemble_memory_stays_within_a_noise_block():
+    # The stepped kernel draws each trajectory's stream a block of steps at
+    # a time: the 1024 x 2000 noise of this call would take 16.4 MB at once.
+    # It holds one 2 MB block, 1024 generators of under 1 KB each and the
+    # work arrays (3.95 MB measured).
+    spec = collapse_flavor_spec(_bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3))
+    states = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
+    t_grid = np.linspace(0.0, 6.0, 5)
+    config = NoiseConfig(seed=23, dt=0.003)
+    ensemble_evolve(spec, config, states, t_grid, 2)  # warm-up: imports, lazy set-up
+    tracemalloc.start()
+    try:
+        ensemble_evolve(spec, config, states, t_grid, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
 
 
 @pytest.mark.parametrize(
