@@ -553,9 +553,13 @@ _SPREADING = (QuantumState.m0(), QuantumState.m0bar(), _COMPLEX)
     ],
     ids=["family", "stratonovich_heun", "collapse_decaying", "enlarged"],
 )
-def test_ensemble_moments_match_two_pass_over_manual_trajectories(build, advance, states):
+def test_ensemble_moments_match_two_pass_over_manual_trajectories(monkeypatch, build, advance, states):
     # Two batches (2048 + 52) of the linear kernel (one shared factor block)
     # and of the nonlinear one (one block per state, on dim 2 and dim 4).
+    # The 2048-trajectory batch draws its 40 steps in noise blocks of 6
+    # steps (3 with two channels), the last one short; each trajectory's
+    # blocks must continue its one stream.
+    monkeypatch.setattr(sde, "_NOISE_BLOCK", 6 * 2048)
     spec = build(make_csl(beta=0.8, rate=0.3))
     t_grid = _grid(1.0, 5)
     config = NoiseConfig(seed=17, dt=1.0 / 40)
