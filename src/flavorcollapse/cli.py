@@ -56,14 +56,19 @@ from .errors import (
 
 __all__ = ["RunSpec", "load_config", "main", "run", "compare_routes"]
 
-_SCHEMA_KEYS = {
-    "command", "meson", "mesons", "m_L", "m_H", "gamma_L", "gamma_H",
-    "model", "rate", "r_C", "beta", "m0", "m0_MeV", "ratio_convention",
-    "d", "alpha", "t_max", "n_points", "n_trajectories", "seed", "dt",
-    "equation", "threads", "output", "format",
-    "m0_min", "m0_max", "m0_min_MeV", "m0_max_MeV",
+# The keys each command reads; the loader rejects any other, so no key is
+# silently ignored.  Every command takes command, threads, output and format.
+_MESON_KEYS = ("command", "threads", "output", "format", "meson", "m_L", "m_H", "gamma_L", "gamma_H")
+_ROUTE_KEYS = (*_MESON_KEYS, "model", "rate", "r_C", "beta", "m0", "m0_MeV", "ratio_convention", "d", "alpha",
+               "t_max", "n_points")
+_ENSEMBLE_KEYS = (*_ROUTE_KEYS, "n_trajectories", "seed", "dt", "equation")
+_COMMAND_KEYS = {
+    "analytic": _ROUTE_KEYS, "master": _ROUTE_KEYS, "ensemble": _ENSEMBLE_KEYS, "compare": _ENSEMBLE_KEYS,
+    "estimate": _MESON_KEYS,
+    "bounds": (*_MESON_KEYS, "mesons", "ratio_convention", "n_points", "m0_min", "m0_max", "m0_min_MeV", "m0_max_MeV"),
 }
-_COMMANDS = ("analytic", "master", "ensemble", "compare", "estimate", "bounds")
+_COMMANDS = tuple(_COMMAND_KEYS)
+_SCHEMA_KEYS = set().union(*_COMMAND_KEYS.values())
 _EQUATIONS = ("family", "flavor_decay", "imaginary", "stratonovich", "nonlinear", "enlarged")
 
 _MASTER_RESIDUAL_TOL = 1e-12
@@ -169,6 +174,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
     command = _get(cfg, "command", str, required=True)
     if command not in _COMMANDS:
         raise InvalidParams(f"command must be one of {', '.join(_COMMANDS)}")
+    ignored = [key for key in cfg if key not in _COMMAND_KEYS[command]]
+    if ignored:
+        raise InvalidParams(f"the {command} command takes no {', '.join(ignored)}")
     spec = RunSpec(command=command)
     catalog = _catalog()
     used_catalog = False
@@ -193,8 +201,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
         spec.header_notes.append("explicit meson parameters taken as natural units (1/s), no conversion")
 
     if "mesons" in cfg:
-        if command != "bounds":
-            raise InvalidParams("'mesons' list applies to the bounds command only")
+        if spec.meson is not None:
+            raise InvalidParams("give either a 'mesons' list or one meson, not both")
         names = cfg["mesons"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise InvalidParams("'mesons' must be a list of catalog keys")
@@ -243,7 +251,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
             )
             if spec.model is DynamicsModel.CSL and spec.collapse.beta < 0.5:
                 raise InvalidParams("CSL needs beta >= 1/2: a smaller beta gives negative collapse-induced widths")
-        elif any(k in cfg for k in ("rate", "r_C", "beta", "m0", "m0_MeV", "alpha")):
+        elif any(k in cfg for k in ("rate", "r_C", "beta", "m0", "m0_MeV", "alpha", "d", "ratio_convention")):
             raise InvalidParams("model QM takes no collapse parameters")
         elif "equation" in cfg:
             raise InvalidParams("model QM takes no equation: its ensemble runs the Wigner-Weisskopf equation")
@@ -257,18 +265,15 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
         spec.dt = _get(cfg, "dt", float, required=True)
         if not spec.dt > 0.0:
             raise InvalidParams("dt must be positive")
-    elif command in ("analytic", "master"):
-        ignored = [key for key in ("equation", "dt", "n_trajectories") if key in cfg]
-        if ignored:
-            raise InvalidParams(f"the {command} command runs no trajectories and takes no {', '.join(ignored)}")
 
     if command == "bounds":
         if not spec.mesons:
             raise InvalidParams("the bounds command needs a catalog 'meson' or a 'mesons' list")
         if "m0_min_MeV" in cfg or "m0_max_MeV" in cfg:
-            hbar = catalog["hbar_MeV_s"]
-            lo = _get(cfg, "m0_min_MeV", float, required=True) / hbar
-            hi = _get(cfg, "m0_max_MeV", float, required=True) / hbar
+            if "m0_min" in cfg or "m0_max" in cfg:
+                raise InvalidParams("give either m0_min/m0_max (1/s) or m0_min_MeV/m0_max_MeV, not both")
+            lo = _get(cfg, "m0_min_MeV", float, required=True) / catalog["hbar_MeV_s"]
+            hi = _get(cfg, "m0_max_MeV", float, required=True) / catalog["hbar_MeV_s"]
         else:
             lo = _get(cfg, "m0_min", float, required=True)
             hi = _get(cfg, "m0_max", float, required=True)
@@ -726,13 +731,8 @@ def run(spec: RunSpec) -> int:
     if spec.command == "compare":
         table, code = cmd_compare(spec)
     else:
-        commands = {
-            "analytic": cmd_route,
-            "master": cmd_route,
-            "ensemble": cmd_ensemble,
-            "estimate": cmd_estimate,
-            "bounds": cmd_bounds,
-        }
+        commands = {"analytic": cmd_route, "master": cmd_route, "ensemble": cmd_ensemble,
+                    "estimate": cmd_estimate, "bounds": cmd_bounds}
         table = commands[spec.command](spec)
     text = table.render(spec.fmt)
     if spec.output:

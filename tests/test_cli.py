@@ -23,7 +23,7 @@ def write_config(tmp_path, name="run.json", **entries):
 
 
 def read_csv(path):
-    lines = [line for line in open(path).read().splitlines() if not line.startswith("#")]
+    lines = [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
     columns = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return columns, rows
@@ -141,9 +141,9 @@ def test_ensemble_bytes_deterministic(tmp_path):
     assert cli.main([cfg, "--output", out_a]) == 0
     assert cli.main([cfg, "--output", out_b]) == 0
     assert cli.main([cfg, "--output", out_c, "--threads", "4"]) == 0
-    bytes_a = open(out_a, "rb").read()
-    assert bytes_a == open(out_b, "rb").read()
-    assert bytes_a == open(out_c, "rb").read()
+    bytes_a = Path(out_a).read_bytes()
+    assert bytes_a == Path(out_b).read_bytes()
+    assert bytes_a == Path(out_c).read_bytes()
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -155,7 +155,7 @@ def test_seed_override_changes_output(tmp_path):
     out_b = str(tmp_path / "b.csv")
     assert cli.main([cfg, "--output", out_a]) == 0
     assert cli.main([cfg, "--output", out_b, "--seed", "8"]) == 0
-    assert open(out_a, "rb").read() != open(out_b, "rb").read()
+    assert Path(out_a).read_bytes() != Path(out_b).read_bytes()
 
 
 def test_ensemble_rejects_qmupl(tmp_path):
@@ -248,7 +248,85 @@ def test_routes_without_trajectories_reject_ensemble_keys(tmp_path, capsys, comm
     # scheme or a sample size that never ran.
     cfg = write_config(tmp_path, command=command, **_README_CSL, t_max=1.0, n_points=3, **{key: value})
     assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err == f"error: the {command} command runs no trajectories and takes no {key}\n"
+    assert capsys.readouterr().err == f"error: the {command} command takes no {key}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+# A config each command accepts, and a value each key accepts.
+_TRAJECTORIES = dict(n_trajectories=16, seed=1, dt=0.05)
+_COMMAND_BASES = {
+    "analytic": dict(_README_CSL, t_max=1.0, n_points=3),
+    "master": dict(_README_CSL, t_max=1.0, n_points=3),
+    "ensemble": dict(_README_CSL, t_max=1.0, n_points=3, **_TRAJECTORIES),
+    "compare": dict(_README_CSL, t_max=1.0, n_points=3, **_TRAJECTORIES),
+    "estimate": dict(m_L=3.0, m_H=4.0, gamma_L=0.9, gamma_H=1.6),
+    "bounds": dict(meson="K0", m0_min_MeV=100.0, m0_max_MeV=1000.0, n_points=5),
+}
+_KEY_VALUES = dict(
+    _README_CSL, **_TRAJECTORIES, meson="K0", mesons=["K0", "B0"], m0_MeV=938.272, ratio_convention="inverted",
+    t_max=1.0, n_points=3, equation="nonlinear", m0_min=1.0, m0_max=10.0, m0_min_MeV=100.0, m0_max_MeV=1000.0,
+)
+# Keys a command used to accept and ignore.
+_ONCE_IGNORED = [
+    ("analytic", "seed"), ("analytic", "m0_min"), ("analytic", "m0_max"),
+    ("master", "seed"), ("master", "m0_min_MeV"), ("master", "m0_max_MeV"),
+    *(("estimate", key) for key in ("dt", "n_trajectories", "seed", "equation", "model", "rate", "r_C", "beta",
+                                     "m0", "m0_MeV", "alpha", "d", "ratio_convention", "t_max", "n_points")),
+    *(("bounds", key) for key in ("model", "rate", "t_max", "seed", "dt", "equation")),
+]
+_NOT_READ = sorted(
+    {(command, key) for command, keys in cli._COMMAND_KEYS.items() for key in cli._SCHEMA_KEYS - set(keys)}
+    | set(_ONCE_IGNORED)
+)
+
+
+@pytest.mark.parametrize("command, key", _NOT_READ, ids=[f"{c}-{k}" for c, k in _NOT_READ])
+def test_command_rejects_every_key_it_does_not_read(tmp_path, capsys, command, key):
+    # Without the key the config loads; with it the run exits 1 before any
+    # value is checked, naming the command and the key, and writes nothing.
+    base = dict(command=command, **_COMMAND_BASES[command])
+    assert cli.load_config(write_config(tmp_path, "base.json", **base)).command == command
+    cfg = write_config(tmp_path, **base, **{key: _KEY_VALUES[key]})
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: the {command} command takes no {key}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_flag_of_a_key_the_command_does_not_read_rejected(tmp_path, capsys):
+    # The --seed flag is the seed key: an analytic run names it with the
+    # configured keys it does not read, in order.
+    cfg = write_config(tmp_path, command="analytic", **_COMMAND_BASES["analytic"], m0_min=1.0, m0_max=10.0)
+    assert cli.main([cfg, "--seed", "5", "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: the analytic command takes no m0_min, m0_max, seed\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (dict(mesons=["B0"]), "give either a 'mesons' list or one meson, not both"),
+        (dict(m0_min=1.0, m0_max=10.0), "give either m0_min/m0_max (1/s) or m0_min_MeV/m0_max_MeV, not both"),
+    ],
+    ids=["meson_and_mesons", "m0_range_in_both_units"],
+)
+def test_bounds_rejects_a_key_its_alternative_would_ignore(tmp_path, capsys, extra, message):
+    # Given both, the bounds command used to draw only the mesons list
+    # (and only the MeV range), ignoring the other key.
+    cfg = write_config(tmp_path, command="bounds", **_COMMAND_BASES["bounds"], **extra)
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("ratio_convention", "inverted"), ("d", 2)])
+@pytest.mark.parametrize("command", ["analytic", "master", "ensemble", "compare"])
+def test_qm_rejects_every_collapse_key(tmp_path, capsys, command, key, value):
+    # Model QM has no collapse, so neither the mass-ratio convention nor the
+    # collapse dimension enters any route.
+    trajectories = _TRAJECTORIES if command in ("ensemble", "compare") else {}
+    cfg = write_config(tmp_path, command=command, **_EXPLICIT_QM, t_max=1.0, n_points=3, **trajectories, **{key: value})
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: model QM takes no collapse parameters\n"
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -338,10 +416,8 @@ def test_imaginary_is_family_under_csl(tmp_path):
 def test_csl_beta_below_half_rejected_by_every_route(tmp_path, capsys, command):
     # beta < 1/2 gives negative collapse-induced widths, for which no route
     # is physical; every route command rejects it at load with one message.
-    cfg = write_config(
-        tmp_path, command=command, **dict(_README_CSL, beta=0.3),
-        t_max=6.0, n_points=21, n_trajectories=40, seed=7, dt=0.005,
-    )
+    trajectories = dict(n_trajectories=40, seed=7, dt=0.005) if command in ("ensemble", "compare") else {}
+    cfg = write_config(tmp_path, command=command, **dict(_README_CSL, beta=0.3), t_max=6.0, n_points=21, **trajectories)
     assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == (
         "error: CSL needs beta >= 1/2: a smaller beta gives negative collapse-induced widths\n"
@@ -584,7 +660,7 @@ def test_one_probability_table_across_commands(tmp_path, config):
     # of the analytic, master and ensemble commands on the same config.
     run = dict(config, n_trajectories=40, seed=7)
     # analytic and master take no trajectory keys.
-    route_run = {key: value for key, value in run.items() if key not in ("dt", "n_trajectories")}
+    route_run = {key: value for key, value in run.items() if key not in ("dt", "n_trajectories", "seed")}
     outputs = {}
     for command in ("analytic", "master", "ensemble", "compare"):
         keys = run if command in ("ensemble", "compare") else route_run
@@ -672,6 +748,11 @@ def test_schema_file_matches_loader_keys(tmp_path):
     assert schema["additionalProperties"] is False
     assert schema["properties"]["equation"]["enum"] == list(cli._EQUATIONS)
     assert schema["properties"]["seed"]["maximum"] == 2**64 - 1
+    # Each description ends by naming the commands that take the key.
+    for key, prop in schema["properties"].items():
+        takers = [command for command, keys in cli._COMMAND_KEYS.items() if key in keys]
+        named = "every command" if len(takers) == len(cli._COMMANDS) else ", ".join(takers)
+        assert prop["description"].endswith(f"Taken by: {named}"), key
 
     # Every numeric bound of the schema is the loader's: the bound itself
     # (or the next float above an exclusive one) loads, the next value
@@ -808,7 +889,7 @@ def test_csv_roundtrip_bytes(tmp_path):
     cfg = write_config(tmp_path, command="analytic", t_max=5.0, n_points=11, **_EXPLICIT_CSL)
     out = str(tmp_path / "roundtrip.csv")
     assert cli.main([cfg, "--output", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     lines = text.splitlines()
     rebuilt = []
     for line in lines:
@@ -823,7 +904,7 @@ def test_json_format(tmp_path):
     cfg = write_config(tmp_path, command="analytic", t_max=5.0, n_points=7, **_EXPLICIT_CSL)
     out = str(tmp_path / "run.json.out")
     assert cli.main([cfg, "--output", out, "--format", "json"]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["columns"][0] == "time"
     assert len(doc["rows"]) == 7
 

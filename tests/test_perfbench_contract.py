@@ -6,9 +6,14 @@ directly; a renamed one would fail every benchmark operation.
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from flavorcollapse import cli
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +48,27 @@ def test_spans_trace_a_compare(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = {span[0] for span in json.loads(out.read_text())}
     assert {"cli.main", "lindblad.integrate_master", "sde.ensemble_evolve"} <= names
+
+
+def _benchmark_loads():
+    """Each config the benchmark runs, with the flags perfbench/run.py passes it.
+
+    Every invocation gets ``--output`` and ``--threads 1``, and ``compare``
+    also ``--seed``; each ``master`` config runs once more relabelled
+    ``analytic``, with ``--output`` alone, as the reference of its check.
+    """
+    workloads = runpy.run_path(str(_ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    for workload in workloads.values():
+        for inv in workload.invocations:
+            seed = workload.default_seed if inv.seeded else None
+            yield pytest.param(inv.config, {"threads": 1, "seed": seed}, id=f"{workload.name}-{inv.name}")
+            if inv.command == "master":
+                yield pytest.param(dict(inv.config, command="analytic"), {}, id=f"{workload.name}-{inv.name}-analytic")
+
+
+@pytest.mark.parametrize("config, flags", _benchmark_loads())
+def test_every_benchmark_config_loads(tmp_path, config, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.load_config(str(path)).command == config["command"]
+    assert cli.load_config(str(path), dict(flags, output=str(tmp_path / "out.csv"))).command == config["command"]
