@@ -268,10 +268,12 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
 
     if command == "bounds":
         if not spec.mesons:
-            raise InvalidParams("the bounds command needs a catalog 'meson' or a 'mesons' list")
+            raise InvalidParams("the bounds command needs 'meson', 'mesons' or explicit m_L/m_H/gamma_L/gamma_H")
         if "m0_min_MeV" in cfg or "m0_max_MeV" in cfg:
             if "m0_min" in cfg or "m0_max" in cfg:
                 raise InvalidParams("give either m0_min/m0_max (1/s) or m0_min_MeV/m0_max_MeV, not both")
+            if not used_catalog:
+                raise InvalidParams("MeV ranges apply to catalog runs; explicit runs take m0_min/m0_max in 1/s")
             lo = _get(cfg, "m0_min_MeV", float, required=True) / catalog["hbar_MeV_s"]
             hi = _get(cfg, "m0_max_MeV", float, required=True) / catalog["hbar_MeV_s"]
         else:
@@ -493,31 +495,33 @@ def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
     One ``ensemble_evolve`` call evolves the states together: trajectory k
     of each state is driven by the same (seed, k) noise stream, and each
     grid point is reduced to centred moments once for all of them.  The
-    linear equations (``family``, ``imaginary``, ``stratonovich`` and the
-    QM equation) are sampled exactly at the grid points, and the step
-    returned is None; the nonlinear ones step at the largest dt that
-    divides the grid interval and does not exceed the configured one.
+    step is the largest dt that divides the grid interval and does not
+    exceed the configured one; only the nonlinear equations step at it.
+    The linear ones (``family``, ``imaginary``, ``stratonovich`` and the
+    QM equation) are sampled exactly at the grid points.
     """
     from . import sde
 
     interval = times[1] - times[0]
     n_sub = max(1, round(interval / spec.dt))
     dt = interval / n_sub
-    # NoiseConfig requires a step; the exact method does not read it.
     config = sde.NoiseConfig(seed=spec.seed, dt=dt)
-    method = "exact" if eq_spec.equation in sde.LINEAR_EQUATIONS else None
     basis = Basis.MASS if eq_spec.dim == 2 else Basis.ENLARGED
     initial = dict.fromkeys(state for state, _ in _PROBS.values())
     states = tuple(QuantumState(np.pad(_STATES[name], (0, eq_spec.dim - 2)), basis) for name in initial)
-    runs = sde.ensemble_evolve(
-        eq_spec, config, states, times, spec.n_trajectories, n_threads=spec.threads, method=method
-    )
-    return dict(zip(initial, runs)), None if method else dt
+    runs = sde.ensemble_evolve(eq_spec, config, states, times, spec.n_trajectories, n_threads=spec.threads)
+    return dict(zip(initial, runs)), dt
 
 
-def _scheme_note(dt: float | None) -> str:
-    """Header token of the ensemble's scheme: the step, or the exact solution."""
-    return "method=exact" if dt is None else f"dt={_fmt(dt)}"
+def _exact(eq_spec: sde.SdeSpec) -> bool:
+    from . import sde
+
+    return eq_spec.equation in sde.LINEAR_EQUATIONS
+
+
+def _scheme_note(eq_spec: sde.SdeSpec, dt: float) -> str:
+    """Header token of the ensemble's scheme: the exact solution, or the step."""
+    return "method=exact" if _exact(eq_spec) else f"dt={_fmt(dt)}"
 
 
 def _ensemble_probs(stats) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -526,16 +530,16 @@ def _ensemble_probs(stats) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]
     return {col: mean for col, (mean, _) in pairs.items()}, {col: err for col, (_, err) in pairs.items()}
 
 
-def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float | None) -> np.ndarray:
+def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float) -> np.ndarray:
     """Round-off base 1e-12 plus the allowance 4 dt t r^2 for the O(dt) weak bias of a stepping.
 
-    An exact ensemble (dt None) has no discretization bias and gets the
-    base alone.  r is the fastest rate of the generator that is stepped,
+    An exactly sampled linear equation has no discretization bias and gets
+    the base alone.  r is the fastest rate of the generator that is stepped,
     read off its spec: the largest of ||H||_2, ||K||_2 and
     lambda max_c ||L_c||_2^2.  H carries the gauge of
     ``operators.reduced_mass_operator``, so the absolute masses do not enter.
     """
-    if dt is None:
+    if _exact(eq_spec):
         return np.full(times.shape, 1e-12)
     norms = [np.linalg.norm(m, 2) for m in (eq_spec.hamiltonian, eq_spec.decay_quadratic) if m is not None]
     noise = eq_spec.rate * max(np.linalg.norm(op, 2) for op in eq_spec.collapse_ops) ** 2
@@ -564,12 +568,13 @@ def cmd_route(spec: RunSpec) -> Table:
 
 def cmd_ensemble(spec: RunSpec) -> Table:
     times = spec.grid
-    stats, dt = _ensemble_stats(spec, _sde_spec(spec), times)
+    eq_spec = _sde_spec(spec)
+    stats, dt = _ensemble_stats(spec, eq_spec, times)
     means, errs = _ensemble_probs(stats)
     _require_probabilities("ensemble", times, means)
     equation = "" if spec.model is DynamicsModel.QM else f" equation={spec.equation}"
     table = _prob_table(
-        spec, times, means, f"{equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(dt)}"
+        spec, times, means, f"{equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(eq_spec, dt)}"
     )
 
     # Delta-method error on the asymmetry from the (P_M0, P_M0bar) covariance.
@@ -646,7 +651,7 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     table, master_max, ratio_max = compare_routes(times, analytic_probs, master_probs, means, errs, floor)
     table.meta = spec.header_notes + [
         f"command=compare model={spec.model.value} meson={spec.meson_label} "
-        f"N={spec.n_trajectories} seed={spec.seed} {_scheme_note(dt)}"
+        f"N={spec.n_trajectories} seed={spec.seed} {_scheme_note(eq_spec, dt)}"
     ] + table.meta
     ok = master_max < _MASTER_RESIDUAL_TOL and ratio_max < _ENSEMBLE_RATIO_TOL
     status = "OK" if ok else "FAIL"

@@ -2,7 +2,7 @@
 
 Each supported equation is an SDE for an unnormalized state vector on the
 2-dim flavor space or the 4-dim enlarged space.  Its ``SdeEquation`` label
-names the formalism, and the formalism alone picks the stepping scheme.
+names the formalism, and the label alone picks the kernel.
 
 ``NONLINEAR`` is the collapse equation in Ito form.  It takes operators
 L_c, one per Wiener channel, and an optional drift operator K.  With
@@ -24,13 +24,12 @@ are one equation, the Stratonovich SDE
 
 in two formalisms: ``IMAGINARY_LINEAR`` is its Ito form, whose drift
 carries the conversion term -(lambda/2) sum_c A_c^2
-(``ito_stratonovich_drift`` from theta(0) = 1/2 to 0), stepped with
-Euler-Maruyama; ``STRATONOVICH_LINEAR`` is the Stratonovich form, stepped
-with the Heun midpoint scheme.  K is the measured Gamma or the
-lambda (2 beta - 1) A^2 that a noise field with theta(0) = beta induces
-(``operators.induced_decay_operator``), which makes the Ito label the
-time-asymmetric family equation.  The CLI's QM equation is the
-lambda = 0 case with K = Gamma.
+(``ito_stratonovich_drift`` from theta(0) = 1/2 to 0), and
+``STRATONOVICH_LINEAR`` is the Stratonovich form.  K is the measured
+Gamma or the lambda (2 beta - 1) A^2 that a noise field with
+theta(0) = beta induces (``operators.induced_decay_operator``), which
+makes the Ito label the time-asymmetric family equation.  The CLI's QM
+equation is the lambda = 0 case with K = Gamma.
 
 In the mass basis H = diag(0, delta_m), A = diag(m~_L, m~_H) and K are
 diagonal, and B maps each mass state to one decay state.  ``SdeSpec``
@@ -38,16 +37,18 @@ requires H and K diagonal and every L_c monomial (diagonal for the linear
 labels), so every step is elementwise.  The linear labels have the
 closed-form solution c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass
 component, d = diag(-i H - K/2), g_c = i sqrt(lambda) diag(A_c), which
-``ensemble_evolve(method="exact")`` samples at the grid points.
+``ensemble_evolve`` samples at the grid points for both labels.  One
+step of either form is ``step`` (Euler-Maruyama, Ito) or
+``stratonovich_step`` (Heun midpoint, Stratonovich).
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
 for fixed arguments regardless of scheduling or worker count, and
 several initial states evolved in one call share that noise.  A stepped
-ensemble draws each substream a block of steps at a time.  Expectation
-values in the nonlinear equation use the normalized state; trajectories
-are stored unnormalized, and each observable is the ensemble mean of
-|<v|psi>|^2 on the raw state, a real form in psi psi^dag.
+ensemble (the nonlinear label) draws each substream a block of steps at
+a time.  Expectation values in the nonlinear equation use the normalized
+state; trajectories are stored unnormalized, and each observable is the
+ensemble mean of |<v|psi>|^2 on the raw state, a real form in psi psi^dag.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ LINEAR_EQUATIONS = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.STRATONOVICH_LINEA
 class NoiseConfig:
     """Noise discretization: seed and step.
 
-    The number of Wiener channels is the equation's own,
-    ``SdeSpec.n_channels``.
+    Only stepped runs read ``dt``: the exactly sampled linear labels draw
+    one increment per grid interval.  The number of Wiener channels is the
+    equation's own, ``SdeSpec.n_channels``.
     """
 
     seed: int
@@ -604,21 +606,18 @@ def _fold_batches(partials) -> tuple[np.ndarray, np.ndarray]:
     return means, m2
 
 
-def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_grid: np.ndarray, substeps, entries):
-    """Batch runner (lo, hi) -> (count, means, m2) that steps every trajectory at dt with the label's scheme.
+def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_grid: np.ndarray, entries):
+    """Batch runner (lo, hi) -> (count, means, m2) that steps the nonlinear equation at dt with Euler-Maruyama.
 
-    Column (s, k) of the (dim, block, batch) array holds trajectory k from
-    state s; the linear equations step one block of mass-basis factors c
-    from 1 that serves every state.  Every block reads the same noise.
-    Each trajectory keeps its own generator for the batch, and the batch
-    draws blocks of steps of at most _NOISE_BLOCK entries, so no noise of
-    the run's length is held.  Each grid point is reduced to the features
-    of ``ensemble_evolve``.
+    Column (s, k) of the (dim, state, batch) array holds trajectory k from
+    state s, and every state reads the same noise.  Each trajectory keeps
+    its own generator for the batch, and the batch draws blocks of steps of
+    at most _NOISE_BLOCK entries, so no noise of the run's length is held.
+    Each grid point is reduced to the features of ``ensemble_evolve``.
     """
+    substeps = _grid_substeps(t_grid, config.dt)
     n_states, dim = len(amps0), spec.dim
     n_grid, n_channels, n_steps = len(t_grid), spec.n_channels, int(sum(substeps))
-    linear = spec.equation in LINEAR_EQUATIONS
-    n_blocks = 1 if linear else n_states
     n_entries = len(entries)
     n_feat = 2 * n_entries - dim
     sqrt_dt = math.sqrt(config.dt)
@@ -626,8 +625,8 @@ def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_gr
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
         b = hi - lo
-        means = np.empty((n_grid, n_blocks, n_feat))
-        m2 = np.empty((n_grid, n_blocks, n_feat, n_feat))
+        means = np.empty((n_grid, n_states, n_feat))
+        m2 = np.empty((n_grid, n_states, n_feat, n_feat))
         generators = _keyed_generators(config.seed, range(lo, hi))
         noise = np.empty((b, min(n_steps, max(1, _NOISE_BLOCK // (b * n_channels))), n_channels))
 
@@ -645,16 +644,16 @@ def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_gr
         # The step and the reduction run in place on arrays allocated here,
         # so the loop allocates nothing of the batch's size: no memory is
         # returned to the system and faulted back in.
-        psi = np.repeat((np.ones((1, dim), dtype=complex) if linear else amps0).T[:, :, None], b, axis=2)
-        advance = (_linear_stepper if linear else _collapse_stepper)(spec, psi.shape[1:])
-        blocks = psi.transpose(1, 0, 2)  # (block, component, trajectory)
-        cc = np.empty((n_blocks, n_entries, b), dtype=complex)  # c_i conj(c_j)
-        feats = np.empty((n_blocks, n_feat, b))  # (block, feature, trajectory)
+        psi = np.repeat(amps0.T[:, :, None], b, axis=2)
+        advance = _collapse_stepper(spec, psi.shape[1:])
+        states = psi.transpose(1, 0, 2)  # (state, component, trajectory)
+        cc = np.empty((n_states, n_entries, b), dtype=complex)  # c_i conj(c_j)
+        feats = np.empty((n_states, n_feat, b))  # (state, feature, trajectory)
 
         def record(g: int) -> None:
             for e, (i, j) in enumerate(entries):
-                np.conjugate(blocks[:, j], out=cc[:, e])
-                np.multiply(blocks[:, i], cc[:, e], out=cc[:, e])
+                np.conjugate(states[:, j], out=cc[:, e])
+                np.multiply(states[:, i], cc[:, e], out=cc[:, e])
             feats[:, :n_entries] = cc.real
             feats[:, n_entries:] = cc[:, dim:].imag
             # Centre on the first trajectory, then on the batch mean: equal
@@ -772,33 +771,26 @@ def ensemble_evolve(
     t_grid,
     n_trajectories: int,
     n_threads: int = 1,
-    method: str | None = None,
 ) -> tuple[EnsembleStats, ...]:
     """Ensemble means and covariances of the projection probabilities on a grid.
 
     Returns one ``EnsembleStats`` per entry of ``initial_states``, in
     order.  One pass serves all states: each trajectory's (seed,
-    trajectory) noise drives every state.  The linear equations evolve one
-    block of mass-basis factors c, so trajectory k from state a is a * c_k;
-    the nonlinear equations step one block of columns per state.  Either
-    way state s of a stacked call equals a single-state call bit for bit.
-    ``method`` None steps with the label's own scheme at ``config.dt``
-    (Euler-Maruyama, or Heun for the Stratonovich label), whose O(dt) weak
-    bias remains.  "exact", for the linear labels only, samples the
-    closed-form solution at the grid points (``_exact_linear_batches``):
-    no discretization bias, and ``config.dt`` does not enter.
-    Each probability |<v|psi>|^2 on the raw state is a fixed real form in
-    the entries of psi psi^dag, so the ensemble reduces those entries per
-    block to centred second moments, folds the batches by the pairwise
-    update and maps them to the probabilities once; the spread is exactly
-    zero while all trajectories agree.  Results are bit-identical whatever
-    ``n_threads``: the batch partition is fixed and partials are folded in
-    index order.
+    trajectory) noise drives every state.  The label picks the kernel: the
+    linear labels sample the closed-form solution at the grid points
+    (``_exact_linear_batches``, no discretization bias, ``config.dt``
+    unread), one block of mass-basis factors c serving every state as
+    a * c_k; the nonlinear label steps one block of columns per state at
+    ``config.dt`` with Euler-Maruyama (``_stepped_batches``), whose O(dt)
+    weak bias remains.  Either way state s of a stacked call equals a
+    single-state call bit for bit.  Each probability |<v|psi>|^2 on the
+    raw state is a fixed real form in the entries of psi psi^dag, so the
+    ensemble reduces those entries per block to centred second moments,
+    folds the batches by the pairwise update and maps them to the
+    probabilities once; the spread is exactly zero while all trajectories
+    agree.  Results are bit-identical whatever ``n_threads``: the batch
+    partition is fixed and partials are folded in index order.
     """
-    if method not in (None, "exact"):
-        raise InvalidParams("method must be None or 'exact'")
-    if method == "exact" and spec.equation not in LINEAR_EQUATIONS:
-        raise InvalidParams(f"method 'exact' applies to the linear equations, not {spec.equation.value}")
     if n_trajectories < 2:
         raise InvalidParams("n_trajectories must be at least 2")
     states = [to_mass(s) if s.basis is Basis.FLAVOR else s for s in initial_states]
@@ -817,18 +809,18 @@ def ensemble_evolve(
     # |w . c_k|^2 with w = proj_o * a_s, a real form in the entries of c c^dag.
     # The batches reduce Re c_i conj(c_j) over the diagonal and the pairs
     # i < j some observable couples, then Im over the pairs; q maps them.
-    weights = proj * amps0[:, None, :] if spec.equation in LINEAR_EQUATIONS else proj[None]
+    exact = spec.equation in LINEAR_EQUATIONS
+    weights = proj * amps0[:, None, :] if exact else proj[None]
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim) if np.any(proj[:, i] * proj[:, j])]
     entries = [(i, i) for i in range(dim)] + pairs
     w_ij = np.stack([weights[..., i] * weights[..., j].conj() for i, j in entries], axis=-1)
     w_ij[..., dim:] *= 2.0
     q = np.concatenate([w_ij.real, -w_ij[..., dim:].imag], axis=-1)
 
-    if method == "exact":
+    if exact:
         run_batch = _exact_linear_batches(spec, config, t_grid, pairs)
     else:
-        substeps = _grid_substeps(t_grid, config.dt)
-        run_batch = _stepped_batches(spec, config, amps0, t_grid, substeps, entries)
+        run_batch = _stepped_batches(spec, config, amps0, t_grid, entries)
     batches = _batch_bounds(n_trajectories)
     if n_threads > 1:
         # Imported here, so that a single-threaded run never loads it.

@@ -131,19 +131,20 @@ def test_master_qmupl_uses_kernel_route(tmp_path):
 
 
 def test_ensemble_bytes_deterministic(tmp_path):
-    cfg = write_config(
-        tmp_path, command="ensemble", t_max=2.0, n_points=5, n_trajectories=64,
-        seed=7, dt=0.01, **_EXPLICIT_CSL,
-    )
-    out_a = str(tmp_path / "a.csv")
-    out_b = str(tmp_path / "b.csv")
-    out_c = str(tmp_path / "c.csv")
-    assert cli.main([cfg, "--output", out_a]) == 0
-    assert cli.main([cfg, "--output", out_b]) == 0
-    assert cli.main([cfg, "--output", out_c, "--threads", "4"]) == 0
-    bytes_a = Path(out_a).read_bytes()
-    assert bytes_a == Path(out_b).read_bytes()
-    assert bytes_a == Path(out_c).read_bytes()
+    # Three batches (2048 + 2048 + 4), exact and stepped: the thread pool
+    # has batches to split, and two partials would fold alike in either order.
+    assert len(sde._batch_bounds(4100)) >= 3
+    for equation in ("family", "nonlinear"):
+        cfg = write_config(
+            tmp_path, command="ensemble", t_max=2.0, n_points=5, n_trajectories=4100,
+            seed=7, dt=0.01, equation=equation, **_EXPLICIT_CSL,
+        )
+        outputs = []
+        for run, threads in enumerate(("1", "1", "4")):
+            out = tmp_path / f"{equation}{run}.csv"
+            assert cli.main([cfg, "--output", str(out), "--threads", threads]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2], equation
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -316,6 +317,36 @@ def test_bounds_rejects_a_key_its_alternative_would_ignore(tmp_path, capsys, ext
     assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+_BOUNDS_EXPLICIT = dict(command="bounds", m_L=3.0, m_H=4.0, gamma_L=0.9, gamma_H=1.6, n_points=5)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (
+            dict(_BOUNDS_EXPLICIT, m0_min_MeV=1.0, m0_max_MeV=10.0),
+            "MeV ranges apply to catalog runs; explicit runs take m0_min/m0_max in 1/s",
+        ),
+        (
+            dict(command="bounds", m0_min=1.0, m0_max=10.0),
+            "the bounds command needs 'meson', 'mesons' or explicit m_L/m_H/gamma_L/gamma_H",
+        ),
+    ],
+    ids=["explicit_meson_MeV_range", "no_meson"],
+)
+def test_bounds_meson_parameters_and_range_units(tmp_path, capsys, entries, message):
+    # Explicit meson parameters are in 1/s, so an MeV range would mix
+    # units.  The same explicit run with its range in 1/s writes its curve.
+    cfg = write_config(tmp_path, **entries)
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+    cfg = write_config(tmp_path, **_BOUNDS_EXPLICIT, m0_min=1.0, m0_max=10.0)
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 0
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert [float(row[1]) for row in rows if row[0] == "custom_normal"][::4] == [1.0, 10.0]
 
 
 @pytest.mark.parametrize("key, value", [("ratio_convention", "inverted"), ("d", 2)])
