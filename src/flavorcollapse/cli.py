@@ -440,7 +440,7 @@ def _require_route_physics(spec: RunSpec) -> None:
 
 def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     """QMUPL from the exact kernel partial traces; QM and CSL by propagating
-    each initial state once and projecting on the final state."""
+    the initial states in one stack and projecting on the final states."""
     from . import lindblad
 
     if spec.model is DynamicsModel.QMUPL:
@@ -450,13 +450,11 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
                 QuantumState(_STATES[initial], Basis.MASS), QuantumState(_STATES[final], Basis.MASS), times,
             )
     else:
-        master = _route_master_spec(spec)
-        rhos: dict[str, np.ndarray] = {}
+        initial = dict.fromkeys(state for state, _ in _PROBS.values())
+        stack = np.array([np.outer(_STATES[name], _STATES[name].conj()) for name in initial])
+        rhos = dict(zip(initial, lindblad.integrate_master(_route_master_spec(spec), stack, times)))
 
         def prob(initial: str, final: str) -> np.ndarray:
-            if initial not in rhos:
-                amps = _STATES[initial]
-                rhos[initial] = lindblad.integrate_master(master, np.outer(amps, amps.conj()), times)
             amps = _STATES[final]
             return np.einsum("i,tij,j->t", amps.conj(), rhos[initial], amps).real
     return {col: prob(initial, final) for col, (initial, final) in _PROBS.items()}

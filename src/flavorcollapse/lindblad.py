@@ -18,8 +18,9 @@ Two routes to density-matrix dynamics live here:
   so the solution is a plain exponential and the Gaussian partial traces
   have closed forms.  No spatial grid is ever built outside test oracles.
 
-Propagation of one state is sequential; independent kernel evaluations
-and independent runs are pure and safe to run concurrently.
+Propagation over the grid is sequential, for one state or a stack of
+them; independent kernel evaluations and independent runs are pure and
+safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -217,10 +218,14 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
 def integrate_master(spec: MasterSpec, rho0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Exact propagation of rho0 over the given grid.
 
-    The generator is autonomous and linear, so each grid interval h is
-    one application of exp(h S), computed once per distinct h.  Each
-    grid-point state is symmetrized as (rho + rho^dag)/2 to remove
-    round-off; the trace is never renormalized (its decay is physical).
+    ``rho0`` is one (d, d) state, giving (len(t_grid), d, d), or a stack
+    (n, d, d) of initial states, giving (n, len(t_grid), d, d): the stack is
+    propagated in one grid loop, and entry s equals the single call on
+    ``rho0[s]`` bit for bit.  The generator is autonomous and linear, so
+    each grid interval h is one application of exp(h S), computed once per
+    distinct h.  Each grid-point state is symmetrized as (rho + rho^dag)/2
+    to remove round-off; the trace is never renormalized (its decay is
+    physical).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -228,24 +233,27 @@ def integrate_master(spec: MasterSpec, rho0: np.ndarray, t_grid: np.ndarray) -> 
     if t_grid[0] != 0.0 or not np.all(np.isfinite(t_grid)) or not np.all(np.diff(t_grid) > 0.0):
         raise InvalidParams("t_grid must be finite and increase strictly from 0")
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (spec.dim, spec.dim):
+    d = spec.dim
+    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (d, d):
         raise DimensionMismatch("rho0 dimension does not match the spec")
     if not np.all(np.isfinite(rho0)):
         raise InvalidParams("rho0 must be finite")
 
     sup = build_superoperator(spec)
     step_cache: dict[float, np.ndarray] = {}
-    out = np.empty((len(t_grid), spec.dim, spec.dim), dtype=complex)
-    rho = 0.5 * (rho0 + rho0.conj().T)
-    out[0] = rho
+    rho = rho0.reshape(-1, d, d)
+    out = np.empty((len(rho), len(t_grid), d, d), dtype=complex)
+    rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    out[:, 0] = rho
     for idx, h in enumerate(np.diff(t_grid), start=1):
         step = step_cache.get(h)
         if step is None:
             step = step_cache[h] = _expm(h * sup)
-        rho = (step @ rho.reshape(-1)).reshape(spec.dim, spec.dim)
-        rho = 0.5 * (rho + rho.conj().T)
-        out[idx] = rho
-    return out
+        # One matrix-vector product per state, so each state gets the bits of a single call.
+        rho = (step @ rho.reshape(-1, d * d, 1)).reshape(-1, d, d)
+        rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+        out[:, idx] = rho
+    return out[0] if rho0.ndim == 2 else out
 
 
 def project_enlarged_to_flavor(rho_enlarged: np.ndarray) -> np.ndarray:

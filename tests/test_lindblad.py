@@ -15,7 +15,7 @@ from flavorcollapse.core import (
     Model,
     QuantumState,
 )
-from flavorcollapse.errors import InvalidParams
+from flavorcollapse.errors import DimensionMismatch, InvalidParams
 from flavorcollapse.lindblad import (
     MasterSpec,
     build_superoperator,
@@ -140,6 +140,28 @@ def test_integrate_master_rejects_non_finite_inputs(meson_stable):
         integrate_master(spec, rho0, np.linspace(0.0, 1.0, 5))
     with pytest.raises(InvalidParams):
         integrate_master(spec, _RHO_M0, np.array([0.0, np.inf]))
+
+
+@pytest.mark.parametrize("factory", [family_master_spec, enlarged_master_spec])
+def test_stacked_propagation_equals_single_calls(meson, csl, factory):
+    spec = factory(meson, csl)
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=(3, spec.dim)) + 1j * rng.normal(size=(3, spec.dim))
+    stack = np.einsum("si,sj->sij", amps, amps.conj())
+    grid = np.concatenate([[0.0], np.cumsum(np.tile([0.1, 0.25, 0.1], 7))])
+    rhos = integrate_master(spec, stack, grid)
+    assert rhos.shape == (3, len(grid), spec.dim, spec.dim)
+    for rho0, rho in zip(stack, rhos):
+        assert np.array_equal(rho, integrate_master(spec, rho0, grid))
+
+
+def test_integrate_master_rejects_a_stack_of_another_dimension(meson, csl):
+    grid = np.linspace(0.0, 1.0, 5)
+    for spec in (family_master_spec(meson, csl), enlarged_master_spec(meson, csl)):
+        other = 6 - spec.dim  # 2 <-> 4
+        for shape in ((3, other, other), (3, spec.dim, other), (1, 3, spec.dim, spec.dim), (spec.dim,)):
+            with pytest.raises(DimensionMismatch):
+                integrate_master(spec, np.zeros(shape, dtype=complex), grid)
 
 
 def test_propagator_matches_reference_expm(meson, csl):

@@ -87,6 +87,32 @@ def test_wiener_keys_distinguish_high_seeds():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_rekey_points_at_the_start_of_each_keyed_stream(seed):
+    # The reference key is a uint64 array: Philox(key=[2**64 - 1, k]) goes
+    # through float64 and raises, where the keyed state is exact.
+    def reference(k, n):
+        return Generator(Philox(key=np.array([seed, k], dtype=np.uint64))).standard_normal(n)
+
+    ids = (0, 1, 2**40)
+    gen, rekey = sde._keyed_generator(seed)
+    for k in ids:
+        rekey(k)
+        assert np.array_equal(gen.standard_normal(7), reference(k, 7))
+    # A partial draw leaves no trace: re-keying back to an earlier k, or
+    # to the same one, restarts its stream.
+    for k in (ids[0], ids[2], ids[2], ids[1]):
+        rekey(k)
+        gen.standard_normal(3)
+        rekey(k)
+        assert np.array_equal(gen.standard_normal(5), reference(k, 5))
+    for gen, k in zip(sde._keyed_generators(seed, ids), ids):
+        assert np.array_equal(gen.standard_normal(5), reference(k, 5))
+    for k in ids:
+        want = reference(k, 12).reshape(6, 2) * 0.5
+        assert np.array_equal(wiener_increments(NoiseConfig(seed=seed, dt=0.25), 6, k, n_channels=2), want)
+
+
 def test_noise_config_validation():
     with pytest.raises(InvalidParams):
         NoiseConfig(seed=1, dt=0.0)
@@ -506,6 +532,17 @@ def test_ensemble_determinism_across_threads_and_runs():
             for a, b in zip(runs[0], other):
                 for field in ("means", "stderrs", "covariances"):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), (factory.__name__, field)
+
+
+def test_stderr_is_finite_where_rounding_leaves_a_variance_below_zero():
+    # One step, two trajectories: P_M0 from M0 barely spreads, and the map
+    # from the feature moments rounds its variance at t = dt to -3e-21.
+    # Its stderr is 0, not NaN.
+    spec = collapse_flavor_spec(_decaying(), make_csl(beta=1.0, rate=0.5))
+    with np.errstate(invalid="raise"):
+        (stats,) = ensemble_evolve(spec, NoiseConfig(seed=0, dt=0.01), (QuantumState.m0(),), _grid(0.01, 2), 2)
+    assert np.all(np.isfinite(stats.stderrs))
+    assert np.all(stats.stderrs >= 0.0)
 
 
 _STACKED = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
