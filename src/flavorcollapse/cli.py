@@ -438,9 +438,30 @@ def _require_route_physics(spec: RunSpec) -> None:
         )
 
 
+def _require_density_matrices(initial: str, times: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """``rhos`` unchanged if every state has trace and eigenvalues in range up to round-off.
+
+    The trace must lie in [0, 1] (decay only lowers it) and the smallest
+    eigenvalue must not be negative.  Otherwise raises
+    ``UnphysicalProbability`` naming the initial state and the first
+    offending time.  NaN fails every comparison.
+    """
+    trace = np.einsum("tii->t", rhos).real
+    smallest = np.linalg.eigvalsh(rhos)[:, 0]
+    bad = ~((trace >= -_PROB_TOL) & (trace <= 1.0 + _PROB_TOL) & (smallest >= -_PROB_TOL))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise UnphysicalProbability(
+            f"master route: the state from {initial} at time={_fmt(times[k])} is not a density matrix "
+            f"(trace {_fmt(trace[k])}, smallest eigenvalue {_fmt(smallest[k])})"
+        )
+    return rhos
+
+
 def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     """QMUPL from the exact kernel partial traces; QM and CSL by propagating
-    the initial states in one stack and projecting on the final states."""
+    the initial states in one stack, checking each state and projecting on
+    the final states."""
     from . import lindblad
 
     if spec.model is DynamicsModel.QMUPL:
@@ -452,7 +473,8 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     else:
         initial = dict.fromkeys(state for state, _ in _PROBS.values())
         stack = np.array([np.outer(_STATES[name], _STATES[name].conj()) for name in initial])
-        rhos = dict(zip(initial, lindblad.integrate_master(_route_master_spec(spec), stack, times)))
+        propagated = lindblad.integrate_master(_route_master_spec(spec), stack, times)
+        rhos = {name: _require_density_matrices(name, times, rho) for name, rho in zip(initial, propagated)}
 
         def prob(initial: str, final: str) -> np.ndarray:
             amps = _STATES[final]
@@ -468,7 +490,7 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
         # Wigner-Weisskopf evolution: the lambda = 0 case of the linear
         # equation with the measured widths, sampled exactly.
         return sde.SdeSpec(
-            equation=sde.SdeEquation.IMAGINARY_LINEAR,
+            equation=sde.SdeEquation.LINEAR,
             hamiltonian=operators.reduced_mass_operator(meson),
             collapse_ops=(np.eye(2),),
             rate=0.0,
@@ -478,11 +500,12 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
         "family": sde.family_spec,
         "flavor_decay": sde.flavor_decay_spec,
         "imaginary": sde.imaginary_linear_spec,
-        "stratonovich": sde.stratonovich_family_spec,
+        "stratonovich": sde.family_spec,
         "nonlinear": sde.collapse_flavor_spec,
         "enlarged": sde.enlarged_collapse_spec,
     }
-    # Every CSL equation decays through the collapse-induced widths: one physics, six formulations.
+    # Every CSL equation decays through the collapse-induced widths: one physics, six names for four
+    # equations (``family``, ``imaginary`` and ``stratonovich`` give one linear spec).
     gamma_l, gamma_h = operators.induced_decay_widths(meson, collapse)
     return factories[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
 
@@ -514,7 +537,7 @@ def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
 def _exact(eq_spec: sde.SdeSpec) -> bool:
     from . import sde
 
-    return eq_spec.equation in sde.LINEAR_EQUATIONS
+    return eq_spec.equation is sde.SdeEquation.LINEAR
 
 
 def _scheme_note(eq_spec: sde.SdeSpec, dt: float) -> str:

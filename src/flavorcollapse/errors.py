@@ -36,7 +36,7 @@ class DegenerateDenominator(FlavorCollapseError, ZeroDivisionError):
 
 
 class UnphysicalProbability(FlavorCollapseError):
-    """A route produced a probability that is not finite or lies outside [0, 1]."""
+    """A route produced a probability that is not finite or outside [0, 1], or a state that is no density matrix."""
 
 
 class NoRealRoot(FlavorCollapseError):

@@ -9,18 +9,18 @@ Two routes to density-matrix dynamics live here:
 
   on the 2-dim flavor space or the 4-dim enlarged space, with factory
   functions assembling the concrete generators used by the model family.
-  The equations are linear and autonomous, so vec(rho(t + h)) =
-  exp(h S) vec(rho(t)) holds exactly for the superoperator S; the
-  matrix exponential is taken once per distinct grid interval;
+  The equations are linear and autonomous, so vec(rho(t)) =
+  exp(t S) vec(rho(0)) holds exactly for the superoperator S, and the
+  matrix exponential is taken at each grid time;
 
 * the exact position (x) tensor flavor kernels: the per-element rates of
   the position-coupled master equations are time-independent multipliers,
   so the solution is a plain exponential and the Gaussian partial traces
   have closed forms.  No spatial grid is ever built outside test oracles.
 
-Propagation over the grid is sequential, for one state or a stack of
-them; independent kernel evaluations and independent runs are pure and
-safe to run concurrently.
+No state is stepped from one grid point to the next, for one state or a
+stack of them; independent kernel evaluations and independent runs are
+pure and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ def build_superoperator(spec: MasterSpec) -> np.ndarray:
     return sup
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a), one decoupled block at a time.
+def _expm_grid(a: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """exp(t a) at every t of the grid, shape (len(t_grid), n, n), one decoupled block at a time.
 
     Indices linked through nonzero entries of a form blocks that the
     exponential never mixes; each block is exponentiated on its own scale,
@@ -187,45 +187,44 @@ def _expm(a: np.ndarray) -> np.ndarray:
     linked = (a != 0) | (a != 0).T | np.eye(len(a), dtype=bool)
     for _ in range(len(a).bit_length()):  # close the links transitively
         linked = (linked.astype(int) @ linked.astype(int)) > 0
-    out = np.zeros_like(a)
+    out = np.zeros((len(t_grid), *a.shape), dtype=complex)
     single = linked.sum(axis=1) == 1
-    out[single, single] = np.exp(a[single, single])
+    out[:, single, single] = np.exp(t_grid[:, None] * a[single, single])
     for block in {tuple(np.flatnonzero(row)) for row in linked[~single]}:
         idx = np.ix_(block, block)
-        out[idx] = _expm_taylor(a[idx])
+        out[:, idx[0], idx[1]] = _expm_taylor(t_grid[:, None, None] * a[idx])
     return out
 
 
 def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring of the degree-14 Taylor polynomial.
+    """exp(a) of each matrix of a stack by scaling and squaring of the degree-14 Taylor polynomial.
 
-    a is scaled by 2^-s until its 1-norm is at most 1/4, where the
-    truncation error (1/4)^15 / 15! ~ 7e-22 lies far below round-off;
-    s squarings then undo the scaling.
+    Each matrix is scaled by its own 2^-s until its 1-norm is at most 1/4,
+    where the truncation error (1/4)^15 / 15! ~ 7e-22 lies far below
+    round-off; s squarings then undo the scaling.
     """
-    norm = float(np.linalg.norm(a, 1))
-    s = math.ceil(math.log2(4.0 * norm)) if norm > 0.25 else 0
-    a = a / 2.0**s
-    eye = np.eye(len(a), dtype=a.dtype)
+    norms = np.linalg.norm(a, 1, axis=(-2, -1))
+    s = np.ceil(np.log2(4.0 * np.maximum(norms, 0.25))).astype(int)
+    a = a / (2.0**s)[:, None, None]
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     out = eye
     for k in range(14, 0, -1):
         out = eye + (a @ out) / k
-    for _ in range(s):
-        out = out @ out
+    for i in range(s.max()):
+        squared = s > i
+        out[squared] = out[squared] @ out[squared]
     return out
 
 
 def integrate_master(spec: MasterSpec, rho0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Exact propagation of rho0 over the given grid.
+    """Exact solution rho(t) = exp(t S) rho0 at every grid time t.
 
     ``rho0`` is one (d, d) state, giving (len(t_grid), d, d), or a stack
-    (n, d, d) of initial states, giving (n, len(t_grid), d, d): the stack is
-    propagated in one grid loop, and entry s equals the single call on
-    ``rho0[s]`` bit for bit.  The generator is autonomous and linear, so
-    each grid interval h is one application of exp(h S), computed once per
-    distinct h.  Each grid-point state is symmetrized as (rho + rho^dag)/2
-    to remove round-off; the trace is never renormalized (its decay is
-    physical).
+    (n, d, d) of initial states, giving (n, len(t_grid), d, d); entry s
+    equals the single call on ``rho0[s]`` bit for bit.  A grid point's
+    state depends on its own time only, not on the rest of the grid.  Each
+    state is symmetrized once as (rho + rho^dag)/2 to remove round-off; the
+    trace is never renormalized (its decay is physical).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -239,21 +238,11 @@ def integrate_master(spec: MasterSpec, rho0: np.ndarray, t_grid: np.ndarray) -> 
     if not np.all(np.isfinite(rho0)):
         raise InvalidParams("rho0 must be finite")
 
-    sup = build_superoperator(spec)
-    step_cache: dict[float, np.ndarray] = {}
-    rho = rho0.reshape(-1, d, d)
-    out = np.empty((len(rho), len(t_grid), d, d), dtype=complex)
-    rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-    out[:, 0] = rho
-    for idx, h in enumerate(np.diff(t_grid), start=1):
-        step = step_cache.get(h)
-        if step is None:
-            step = step_cache[h] = _expm(h * sup)
-        # One matrix-vector product per state, so each state gets the bits of a single call.
-        rho = (step @ rho.reshape(-1, d * d, 1)).reshape(-1, d, d)
-        rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-        out[:, idx] = rho
-    return out[0] if rho0.ndim == 2 else out
+    propagators = _expm_grid(build_superoperator(spec), t_grid)
+    # One matrix-vector product per (state, grid point), so each state gets the bits of a single call.
+    rho = (propagators @ rho0.reshape(-1, 1, d * d, 1)).reshape(-1, len(t_grid), d, d)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return rho[0] if rho0.ndim == 2 else rho
 
 
 def project_enlarged_to_flavor(rho_enlarged: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Stochastic-trajectory engine for the collapse quantum-state equations.
 
 Each supported equation is an SDE for an unnormalized state vector on the
-2-dim flavor space or the 4-dim enlarged space.  Its ``SdeEquation`` label
-names the formalism, and the label alone picks the kernel.
+2-dim flavor space or the 4-dim enlarged space.  Its ``SdeEquation`` label,
+nonlinear or linear, picks the kernel.
 
 ``NONLINEAR`` is the collapse equation in Ito form.  It takes operators
 L_c, one per Wiener channel, and an optional drift operator K.  With
@@ -16,30 +16,29 @@ projection with the decay drift K = Gamma, the enlarged-space equation
 with L = (A, B), B the decay channel, and the phase-transformation family
 e^{i phi} A.  It is stepped with Euler-Maruyama.
 
-All of these share one master equation per physical system.  The two
-linear labels take purely imaginary noise and a decay operator K.  They
-are one equation, the Stratonovich SDE
+All of these share one master equation per physical system.  ``LINEAR``
+takes purely imaginary noise and a decay operator K.  Its spec is the
+Stratonovich SDE
 
     dpsi = (-i H - K/2) psi dt + i sqrt(lambda) sum_c A_c psi o dW_c,
 
-in two formalisms: ``IMAGINARY_LINEAR`` is its Ito form, whose drift
-carries the conversion term -(lambda/2) sum_c A_c^2
-(``ito_stratonovich_drift`` from theta(0) = 1/2 to 0), and
-``STRATONOVICH_LINEAR`` is the Stratonovich form.  K is the measured
-Gamma or the lambda (2 beta - 1) A^2 that a noise field with
-theta(0) = beta induces (``operators.induced_decay_operator``), which
-makes the Ito label the time-asymmetric family equation.  The CLI's QM
-equation is the lambda = 0 case with K = Gamma.
+and the scheme picks the formalism: the Ito form adds the conversion term
+-(lambda/2) sum_c A_c^2 to the drift (``ito_stratonovich_drift`` from
+theta(0) = 1/2 to 0).  K is the measured Gamma or the
+lambda (2 beta - 1) A^2 that a noise field with theta(0) = beta induces
+(``operators.induced_decay_operator``), which makes the Ito form the
+time-asymmetric family equation.  The CLI's QM equation is the
+lambda = 0 case with K = Gamma.
 
 In the mass basis H = diag(0, delta_m), A = diag(m~_L, m~_H) and K are
 diagonal, and B maps each mass state to one decay state.  ``SdeSpec``
 requires H and K diagonal and every L_c monomial (diagonal for the linear
-labels), so every step is elementwise.  The linear labels have the
+equation), so every step is elementwise.  The linear equation has the
 closed-form solution c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass
 component, d = diag(-i H - K/2), g_c = i sqrt(lambda) diag(A_c), which
-``ensemble_evolve`` samples at the grid points for both labels.  One
-step of either form is ``step`` (Euler-Maruyama, Ito) or
-``stratonovich_step`` (Heun midpoint, Stratonovich).
+``ensemble_evolve`` samples at the grid points.  One step of it is
+``step`` (Euler-Maruyama on the Ito form) or ``stratonovich_step`` (Heun
+midpoint on the Stratonovich form).
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
@@ -87,7 +86,6 @@ from .operators import (
 
 __all__ = [
     "SdeEquation",
-    "LINEAR_EQUATIONS",
     "NoiseConfig",
     "SdeSpec",
     "collapse_flavor_spec",
@@ -116,18 +114,14 @@ _PHASE_CHUNK = 1 << 15  # (trajectory, grid point) entries per row chunk of the 
 
 class SdeEquation(enum.Enum):
     NONLINEAR = "nonlinear"
-    IMAGINARY_LINEAR = "imaginary_linear"
-    STRATONOVICH_LINEAR = "stratonovich_linear"
-
-
-LINEAR_EQUATIONS = (SdeEquation.IMAGINARY_LINEAR, SdeEquation.STRATONOVICH_LINEAR)
+    LINEAR = "linear"
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
     """Noise discretization: seed and step.
 
-    Only stepped runs read ``dt``: the exactly sampled linear labels draw
+    Only stepped runs read ``dt``: the exactly sampled linear equation draws
     one increment per grid interval.  The number of Wiener channels is the
     equation's own, ``SdeSpec.n_channels``.
     """
@@ -155,7 +149,7 @@ class SdeSpec:
     lambda (2 beta - 1) A^2.  Every label requires H and K diagonal (in
     the mass basis) and each collapse operator monomial, with at most one
     nonzero per row and per column, so that every kernel steps the
-    components elementwise.  The linear labels require the collapse
+    components elementwise.  The linear equation requires the collapse
     operators diagonal and self-adjoint too.
     """
 
@@ -184,7 +178,7 @@ class SdeSpec:
             object.__setattr__(self, "decay_quadratic", k)
             if k.shape != h.shape:
                 raise DimensionMismatch("decay_quadratic must match the hamiltonian dimension")
-        label, linear = self.equation.value, self.equation in LINEAR_EQUATIONS
+        label, linear = self.equation.value, self.equation is SdeEquation.LINEAR
         # The exact kernel reads the real diagonal of each collapse operator.
         if linear and any(np.linalg.norm(op - op.conj().T) > 1e-12 * max(np.linalg.norm(op), 1e-300) for op in ops):
             raise InvalidParams(f"{label} requires self-adjoint collapse operators")
@@ -242,24 +236,22 @@ def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
 
 def imaginary_linear_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Linear imaginary-noise equation decaying through the measured widths, K = Gamma."""
-    return _flavor_spec(SdeEquation.IMAGINARY_LINEAR, meson, collapse, decay_quadratic=decay_operator(meson))
+    return _flavor_spec(SdeEquation.LINEAR, meson, collapse, decay_quadratic=decay_operator(meson))
 
 
 def family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Time-asymmetric linear family in Ito form: K = lambda (2 beta - 1) A^2.
+    """Time-asymmetric linear family: K = lambda (2 beta - 1) A^2.
 
-    Its Ito drift -(lambda/2) A^2 - K/2 equals -lambda beta A^2.
+    Its Stratonovich drift -K/2 is +(lambda/2)(1 - 2 beta) A^2; its Ito
+    drift -(lambda/2) A^2 - K/2 equals -lambda beta A^2.
     """
     return _flavor_spec(
-        SdeEquation.IMAGINARY_LINEAR, meson, collapse, decay_quadratic=induced_decay_operator(meson, collapse)
+        SdeEquation.LINEAR, meson, collapse, decay_quadratic=induced_decay_operator(meson, collapse)
     )
 
 
-def stratonovich_family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """The family equation in Stratonovich form, drift -K/2 = +(lambda/2)(1 - 2 beta) A^2."""
-    return _flavor_spec(
-        SdeEquation.STRATONOVICH_LINEAR, meson, collapse, decay_quadratic=induced_decay_operator(meson, collapse)
-    )
+# One spec serves both formalisms; perfbench/micro.py still calls this name.
+stratonovich_family_spec = family_spec
 
 
 def phase_transform_spec(spec: SdeSpec, phi: float) -> SdeSpec:
@@ -410,35 +402,24 @@ def _stratonovich_drift(spec: SdeSpec) -> np.ndarray:
     return drift
 
 
-def _linear_matrices(spec: SdeSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Constant drift and diffusions g_c = i sqrt(lambda) A_c of the linear equations.
-
-    The Ito label's drift adds the conversion term (1/2) sum_c g_c^2 =
-    -(lambda/2) sum_c A_c^2, from theta(0) = 1/2 to 0, to the Stratonovich
-    drift; the Stratonovich label's is the bare one.
-    """
-    drift = _stratonovich_drift(spec)
-    sqlam = math.sqrt(spec.rate)
-    diffusions = [1j * sqlam * op for op in spec.collapse_ops]
-    if spec.equation is SdeEquation.IMAGINARY_LINEAR:
-        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
-    return drift, diffusions
-
-
-def _linear_stepper(spec: SdeSpec, cols: tuple[int, ...]):
-    """In-place update c, w, h of the (dim, *cols) mass-basis columns of the linear equations.
+def _linear_stepper(spec: SdeSpec, cols: tuple[int, ...], heun: bool):
+    """In-place update c, w, h of the (dim, *cols) mass-basis columns of the linear equation.
 
     The generators are diagonal, so a step multiplies mass component i of
-    a column by f = 1 + m (Euler-Maruyama, the Ito label) or
-    f = 1 + m (1 + m/2) (Heun midpoint, the Stratonovich label), with
-    m = h d_i + sum_c g_ci w_c and d, g_c the diagonals of
-    ``_linear_matrices``.  It is applied as c += c (f - 1): rounding 1 + m
-    would repeat one rounding of the real part of h d at every step, a
-    bias linear in the number of steps.  The two work arrays are allocated
-    once, so a loop of steps allocates nothing of the columns' size.
+    a column by f = 1 + m (Euler-Maruyama on the Ito form) or
+    f = 1 + m (1 + m/2) (Heun midpoint on the Stratonovich form), with
+    m = h d_i + sum_c g_ci w_c, g_c = i sqrt(lambda) A_c and d the drift of
+    the form: the Stratonovich drift, plus for the Ito form the conversion
+    term (1/2) sum_c g_c^2 = -(lambda/2) sum_c A_c^2, from theta(0) = 1/2
+    to 0.  It is applied as c += c (f - 1): rounding 1 + m would repeat one
+    rounding of the real part of h d at every step, a bias linear in the
+    number of steps.  The two work arrays are allocated once, so a loop of
+    steps allocates nothing of the columns' size.
     """
-    drift, diffusions = _linear_matrices(spec)
-    heun = spec.equation is SdeEquation.STRATONOVICH_LINEAR
+    drift = _stratonovich_drift(spec)
+    diffusions = [1j * math.sqrt(spec.rate) * op for op in spec.collapse_ops]
+    if not heun:
+        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
     expand = (slice(None),) + (None,) * len(cols)
     d = np.diagonal(drift)[expand]
     gs = [np.diagonal(g)[expand] for g in diffusions]
@@ -529,33 +510,36 @@ def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
     return advance
 
 
-def _step_rows(spec: SdeSpec, state, dW, dt: float):
+def _step_rows(spec: SdeSpec, state, dW, dt: float, heun: bool):
     psi, single = _as_batch(state, spec.dim)
     w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    stepper = _linear_stepper if spec.equation in LINEAR_EQUATIONS else _collapse_stepper
-    stepper(spec, psi.shape[:1])(psi.T, w.T, dt)
+    if spec.equation is SdeEquation.LINEAR:
+        advance = _linear_stepper(spec, psi.shape[:1], heun)
+    else:
+        advance = _collapse_stepper(spec, psi.shape[:1])
+    advance(psi.T, w.T, dt)
     return psi[0] if single else psi
 
 
 def step(spec: SdeSpec, state, dW, dt: float):
-    """One Euler-Maruyama step of an Ito-form equation: the nonlinear or the Ito linear one.
+    """One Euler-Maruyama step of the Ito form of the equation.
 
-    Accepts a single state vector or a batch of rows; ``dW`` must carry
-    one increment per Wiener channel (and per row for batches).
+    The nonlinear equation is stated in Ito form; the linear one gains the
+    Ito conversion term.  Accepts a single state vector or a batch of rows;
+    ``dW`` must carry one increment per Wiener channel (and per row for
+    batches).
     """
-    if spec.equation is SdeEquation.STRATONOVICH_LINEAR:
-        raise UnsupportedEquation("Stratonovich-form equation: use stratonovich_step")
-    return _step_rows(spec, state, dW, dt)
+    return _step_rows(spec, state, dW, dt, heun=False)
 
 
 def stratonovich_step(spec: SdeSpec, state, dW, dt: float):
-    """One Heun step of the Stratonovich-form linear equation.
+    """One Heun step of the Stratonovich form of the linear equation.
 
     The midpoint predictor-corrector realizes the Stratonovich product.
     """
-    if spec.equation is not SdeEquation.STRATONOVICH_LINEAR:
-        raise UnsupportedEquation("stratonovich_step applies to the Stratonovich-form linear equation")
-    return _step_rows(spec, state, dW, dt)
+    if spec.equation is not SdeEquation.LINEAR:
+        raise UnsupportedEquation("stratonovich_step applies to the linear equation")
+    return _step_rows(spec, state, dW, dt, heun=True)
 
 
 def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -685,11 +669,11 @@ def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_gr
 
 
 def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray, pairs: list[tuple[int, int]]):
-    """Batch runner (lo, hi) -> (count, means, m2) from the exact solution of the linear equations.
+    """Batch runner (lo, hi) -> (count, means, m2) from the exact solution of the linear equation.
 
     c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) with g_c = i sqrt(lambda) a_c
     (Kloeden & Platen, Numerical Solution of SDEs, on linear SDEs) solves
-    both labels.  The noise is imaginary, so |c_i|^2 =
+    it, d the Stratonovich drift.  The noise is imaginary, so |c_i|^2 =
     exp(2 t Re d_i) is the same on every trajectory, and a pair gives
     c_i conj(c_j) = r_ij(t) exp(i (omega_ij t + theta_ij)) with
     r_ij = exp(t Re(d_i + d_j)), omega_ij = Im(d_i - d_j) and the phase
@@ -787,7 +771,7 @@ def ensemble_evolve(
     Returns one ``EnsembleStats`` per entry of ``initial_states``, in
     order.  One pass serves all states: each trajectory's (seed,
     trajectory) noise drives every state.  The label picks the kernel: the
-    linear labels sample the closed-form solution at the grid points
+    linear equation samples the closed-form solution at the grid points
     (``_exact_linear_batches``, no discretization bias, ``config.dt``
     unread), one block of mass-basis factors c serving every state as
     a * c_k; the nonlinear label steps one block of columns per state at
@@ -819,7 +803,7 @@ def ensemble_evolve(
     # |w . c_k|^2 with w = proj_o * a_s, a real form in the entries of c c^dag.
     # The batches reduce Re c_i conj(c_j) over the diagonal and the pairs
     # i < j some observable couples, then Im over the pairs; q maps them.
-    exact = spec.equation in LINEAR_EQUATIONS
+    exact = spec.equation is SdeEquation.LINEAR
     weights = proj * amps0[:, None, :] if exact else proj[None]
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim) if np.any(proj[:, i] * proj[:, j])]
     entries = [(i, i) for i in range(dim)] + pairs

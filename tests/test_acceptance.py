@@ -50,7 +50,6 @@ from flavorcollapse.sde import (
     ensemble_evolve,
     family_spec,
     step,
-    stratonovich_family_spec,
     stratonovich_step,
 )
 
@@ -190,14 +189,14 @@ def test_c3_position_kernel_quadrature_oracle():
 
 
 def test_c4_formalism_equivalence():
-    # One step of each label from c = 1: Euler-Maruyama on the Ito form,
-    # Heun on the Stratonovich form.  f_i conj(f_j) has degree <= 4 in the
-    # increment, so the 3-point Gauss-Hermite rule averages it exactly to
-    # mu_ij(h).  Both forms are the family master equation, whose
+    # One step of the family equation from c = 1 in each formalism:
+    # Euler-Maruyama on the Ito form, Heun on the Stratonovich form.
+    # f_i conj(f_j) has degree <= 4 in the increment, so the 3-point
+    # Gauss-Hermite rule averages it exactly to mu_ij(h).  Both forms are the family master equation, whose
     # superoperator is diagonal with E[c_i conj(c_j)](h) = exp(h s_ij); a
     # scheme consistent with it at weak order one has |mu - e^{hs}| / h
-    # halving with h.  An Ito label stepped with the Stratonovich drift
-    # keeps that error near 0.39 at both steps.
+    # halving with h.  Euler-Maruyama without the Ito conversion term keeps
+    # that error near 0.39 at both steps.
     start = time.perf_counter()
     meson = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0)
     nodes, weights = np.array([-1.0, 0.0, 1.0]), np.array([1 / 6, 2 / 3, 1 / 6])
@@ -207,17 +206,15 @@ def test_c4_formalism_equivalence():
             model=Model.CSL, rate=0.3, beta=beta, m0=1.0, alpha=1.0, d=2, r_C=0.5
         )
         s = np.diagonal(build_superoperator(family_master_spec(meson, collapse))).reshape(2, 2)
-        for spec, advance in (
-            (family_spec(meson, collapse), step),
-            (stratonovich_family_spec(meson, collapse), stratonovich_step),
-        ):
+        spec = family_spec(meson, collapse)
+        for advance in (step, stratonovich_step):
             errors = []
             for h in (1e-2, 5e-3):
                 f = advance(spec, np.ones((3, 2), dtype=complex), np.sqrt(3.0 * h) * nodes[:, None], h)
                 mu = np.einsum("k,ki,kj->ij", weights, f, f.conj())
                 errors.append(np.abs(mu - np.exp(h * s)).max() / h)
             ratio = errors[0] / errors[1]
-            assert ratio == pytest.approx(2.0, abs=0.25), f"beta={beta} {spec.equation.value}: {errors}"
+            assert ratio == pytest.approx(2.0, abs=0.25), f"beta={beta} {advance.__name__}: {errors}"
             ratios.append(ratio)
     _report(f"4 Ito/Stratonovich equivalence (error ratios {min(ratios):.3f} to {max(ratios):.3f})", start, 10.0)
 

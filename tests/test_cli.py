@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flavorcollapse import cli, sde
+from flavorcollapse import cli, lindblad, sde
 from flavorcollapse.analytic import prob_flavor_csl, prob_flavor_qm, prob_flavor_qmupl, prob_lifetime_qm
 from flavorcollapse.core import Convention, FlavorTarget, MesonParams
 from flavorcollapse.errors import CatalogMiss, InvalidParams, ParseError, UnknownKey
@@ -379,7 +379,7 @@ _EQUATION_FACTORIES = {
     "family": sde.family_spec,
     "flavor_decay": sde.flavor_decay_spec,
     "imaginary": sde.imaginary_linear_spec,
-    "stratonovich": sde.stratonovich_family_spec,
+    "stratonovich": sde.family_spec,
     "nonlinear": sde.collapse_flavor_spec,
     "enlarged": sde.enlarged_collapse_spec,
 }
@@ -441,6 +441,35 @@ def test_imaginary_is_family_under_csl(tmp_path):
         assert cli.main([cfg, "--output", str(out)]) == 0
         bodies.append([line for line in out.read_text().splitlines() if not line.startswith("#")])
     assert bodies[0] == bodies[1]
+
+
+def test_compare_linear_names_write_identical_files(tmp_path):
+    # family, imaginary and stratonovich name one linear equation: under CSL
+    # they give one spec, so one compare file, header included.
+    texts = set()
+    for equation in ("family", "imaginary", "stratonovich"):
+        cfg = write_config(
+            tmp_path, command="compare", **_MEASURED_CSL, equation=equation,
+            t_max=2.0, n_points=21, n_trajectories=200, seed=5, dt=0.005,
+        )
+        out = tmp_path / f"{equation}.csv"
+        assert cli.main([cfg, "--output", str(out)]) == 0
+        texts.add(out.read_bytes())
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("meson", ["K0", "D0", "B0", "Bs0"])
+def test_master_matches_analytic_at_catalog_scale(tmp_path, meson):
+    # The master route takes exp(t S) at each grid time, so over the whole
+    # default window its probabilities stay within round-off of the closed forms.
+    cfg = write_config(
+        tmp_path, command="master", meson=meson, model="CSL",
+        rate=2.2e-10, r_C=1e-7, beta=0.8, m0_MeV=938.272, alpha=1e-14, d=3, n_points=400,
+    )
+    spec = cli.load_config(cfg)
+    master, analytic = cli._master_probs(spec, spec.grid), cli._analytic_probs(spec, spec.grid)
+    for col in cli._PROB_COLUMNS:
+        assert np.abs(master[col] - analytic[col]).max() <= 3e-15, col
 
 
 @pytest.mark.parametrize("command", ["analytic", "master", "ensemble", "compare"])
@@ -768,6 +797,39 @@ def test_route_probability_outside_unit_interval_exits_two(tmp_path, monkeypatch
     assert capsys.readouterr().err == (
         f"domain error: {route} route: P_L_L={cli._fmt(bad)} at time=2 is not a probability in [0, 1]\n"
     )
+
+
+@pytest.mark.parametrize(
+    "bad, found",
+    [
+        (np.array([[0.5, 0.6j], [-0.6j, 0.5]]), (1.0, -0.1)),
+        (np.diag([0.7, 0.5]), (1.2, 0.5)),
+    ],
+    ids=["negative_eigenvalue", "trace_above_one"],
+)
+@pytest.mark.parametrize("command", ["master", "compare"])
+def test_master_state_that_is_not_a_density_matrix_exits_two(tmp_path, monkeypatch, capsys, command, bad, found):
+    # Every probability column of either state lies in [0, 1] (all 0.5 for
+    # the first), so only the check on the propagated states catches them,
+    # before compare reaches its gate.
+    extra = dict(n_trajectories=48, seed=5, dt=0.005) if command == "compare" else {}
+    cfg = write_config(tmp_path, command=command, t_max=3.0, n_points=7, **extra, **_EXPLICIT_CSL)
+    true_integrate = lindblad.integrate_master
+
+    def faulty(spec, rho0, t_grid):
+        rhos = true_integrate(spec, rho0, t_grid)
+        rhos[:, 4] = bad
+        return rhos
+
+    monkeypatch.setattr(lindblad, "integrate_master", faulty)
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    prefix = "domain error: master route: the state from M0 at time=2 is not a density matrix (trace "
+    assert err.startswith(prefix) and err.endswith(")\n"), err
+    reported = err[len(prefix) : -2].split(", smallest eigenvalue ")
+    assert tuple(map(float, reported)) == pytest.approx(found, abs=1e-12)
+    assert not out.exists()
 
 
 def test_schema_file_matches_loader_keys(tmp_path):

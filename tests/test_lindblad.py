@@ -155,6 +155,19 @@ def test_stacked_propagation_equals_single_calls(meson, csl, factory):
         assert np.array_equal(rho, integrate_master(spec, rho0, grid))
 
 
+@pytest.mark.parametrize("factory", [family_master_spec, enlarged_master_spec])
+def test_grid_point_state_does_not_depend_on_the_rest_of_the_grid(meson, csl, factory):
+    # exp(t S) is taken at each grid time, so a point of a long grid carries
+    # the bits of a two-point grid ending there.
+    spec = factory(meson, csl)
+    rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+    rho0[:2, :2] = _RHO_M0
+    grid = np.linspace(0.0, 40.0, 401)
+    rhos = integrate_master(spec, rho0, grid)
+    for k in (1, 2, 37, 200, 333, 400):
+        assert np.array_equal(rhos[k], integrate_master(spec, rho0, [0.0, grid[k]])[1]), k
+
+
 def test_integrate_master_rejects_a_stack_of_another_dimension(meson, csl):
     grid = np.linspace(0.0, 1.0, 5)
     for spec in (family_master_spec(meson, csl), enlarged_master_spec(meson, csl)):

@@ -41,7 +41,7 @@ _UNREACHED_ALLOWED = {
 
 
 def _reached_names() -> set[str]:
-    """Every Name id, Attribute attr and imported module in the package, the scripts, the benchmark and C1-C9."""
+    """Every Name read, Attribute attr and imported module in the package, the scripts, the benchmark and C1-C9."""
     files = [
         *(_ROOT / "src" / "flavorcollapse").glob("*.py"),
         *(_ROOT / "scripts").glob("*.py"),
@@ -51,7 +51,7 @@ def _reached_names() -> set[str]:
     names = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):  # a binding reaches nothing
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)

@@ -27,7 +27,6 @@ from flavorcollapse.sde import (
     observable_vectors,
     phase_transform_spec,
     step,
-    stratonovich_family_spec,
     stratonovich_step,
     theta_from_kappa,
     wiener_increments,
@@ -180,19 +179,18 @@ def test_zero_norm_raises():
             step(spec, np.array([amplitude, 0.0], dtype=complex), 0.0, 1e-3)
 
 
-def test_step_rejects_stratonovich_spec():
-    spec = stratonovich_family_spec(_bare(), make_csl(beta=0.75))
+def test_stratonovich_step_rejects_nonlinear_spec():
+    # Heun integrates the Stratonovich form of the linear equation; the
+    # nonlinear equation is stated in Ito form only.
     with pytest.raises(UnsupportedEquation):
-        step(spec, _M0_MASS, 0.1, 1e-3)
-    with pytest.raises(UnsupportedEquation):
-        stratonovich_step(family_spec(_bare(), make_csl(beta=0.75)), _M0_MASS, 0.1, 1e-3)
+        stratonovich_step(collapse_flavor_spec(_bare(), make_csl(beta=0.75)), _M0_MASS, 0.1, 1e-3)
 
 
 def test_heun_deterministic_limit_is_taylor_map():
     # With dW = 0 the midpoint corrector reduces exactly to the explicit
     # second-order Taylor map of the Stratonovich drift.
     meson = _bare()
-    strat = stratonovich_family_spec(meson, make_csl(beta=0.6, rate=0.4))
+    strat = family_spec(meson, make_csl(beta=0.6, rate=0.4))
     a_op = collapse_operator_A(meson, make_csl(beta=0.6, rate=0.4))
     lam = make_csl(beta=0.6, rate=0.4).effective_rate
     drift = -1j * np.diag([0.0, meson.delta_m]) + 0.5 * lam * (1.0 - 2.0 * 0.6) * a_op @ a_op
@@ -207,7 +205,7 @@ def test_heun_step_norm_conservation_scale():
     # beta = 1/2 kills the explicit drift: the midpoint rotation conserves
     # the norm up to O(dt^2) per step.
     meson = _bare()
-    strat = stratonovich_family_spec(meson, make_csl(beta=0.5, rate=0.4))
+    strat = family_spec(meson, make_csl(beta=0.5, rate=0.4))
     psi = _M0_MASS.copy()
     defects = []
     for dt in (1e-2, 5e-3):
@@ -216,11 +214,9 @@ def test_heun_step_norm_conservation_scale():
     assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.5)
 
 
-def _linear_case(method, n_channels):
-    # A linear spec with one or two Wiener channels, 7 random rows, noise and
-    # step: the Ito label for "euler", the Stratonovich label for "heun".
-    meson, csl = _decaying(), make_csl(beta=0.7, rate=0.4)
-    spec = family_spec(meson, csl) if method == "euler" else stratonovich_family_spec(meson, csl)
+def _linear_case(n_channels):
+    # A linear spec with one or two Wiener channels, 7 random rows, noise and step.
+    spec = family_spec(_decaying(), make_csl(beta=0.7, rate=0.4))
     if n_channels == 2:
         spec = replace(spec, collapse_ops=(*spec.collapse_ops, np.diag([0.3, -1.7])))
     rng = np.random.default_rng(5)
@@ -233,6 +229,17 @@ def _linear_update(spec, psi, w, h, method):
     return (step if method == "euler" else stratonovich_step)(spec, psi, w, h)
 
 
+def _linear_matrices(spec, method):
+    # Drift and diffusions g_c = i sqrt(lambda) A_c of the form each scheme
+    # integrates: Heun the Stratonovich drift -i H - K/2, Euler-Maruyama the
+    # Ito drift, which adds the conversion term (1/2) sum_c g_c^2.
+    diffusions = [1j * np.sqrt(spec.rate) * op for op in spec.collapse_ops]
+    drift = -1j * spec.hamiltonian - 0.5 * spec.decay_quadratic
+    if method == "euler":
+        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
+    return drift, diffusions
+
+
 @pytest.mark.parametrize("method", ["euler", "heun"])
 def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
     # A linear step multiplies each mass component by one scalar factor
@@ -240,9 +247,9 @@ def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
     # it must give the bits of that elementwise expression and leave the
     # caller's rows alone.
     for n_channels in (1, 2):
-        spec, psi, w, h = _linear_case(method, n_channels)
+        spec, psi, w, h = _linear_case(n_channels)
         before = psi.copy()
-        drift, diffusions = sde._linear_matrices(spec)
+        drift, diffusions = _linear_matrices(spec, method)
         m = np.diagonal(diffusions[0]) * w[:, 0:1]
         for c in range(1, n_channels):
             m = m + np.diagonal(diffusions[c]) * w[:, c : c + 1]
@@ -259,8 +266,8 @@ def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
 def test_linear_factor_matches_matrix_update(method, n_channels):
     # The elementwise factor is the 2x2 matrix update of the drift and
     # diffusion matrices, up to rounding.
-    spec, psi, w, h = _linear_case(method, n_channels)
-    drift, diffusions = sde._linear_matrices(spec)
+    spec, psi, w, h = _linear_case(n_channels)
+    drift, diffusions = _linear_matrices(spec, method)
     drift_t, diff_t = drift.T.copy(), [g.T.copy() for g in diffusions]
 
     def increment(base):
@@ -289,8 +296,8 @@ def test_linear_one_step_weak_multiplier(method, n_channels):
     # f_i conj(f_j) has degree <= 4 in the increments, so the 3-point
     # Gauss-Hermite rule per channel (exact to degree 5) averages it
     # exactly, without Monte Carlo.
-    spec, _, _, h = _linear_case(method, n_channels)
-    drift, diffusions = sde._linear_matrices(spec)
+    spec, _, _, h = _linear_case(n_channels)
+    drift, diffusions = _linear_matrices(spec, method)
     a = h * np.diagonal(drift)
     g = np.array([np.diagonal(x) for x in diffusions])  # (channel, i)
     nodes = list(itertools.product(np.sqrt(3.0 * h) * np.array([-1.0, 0.0, 1.0]), repeat=n_channels))
@@ -315,12 +322,11 @@ def test_linear_one_step_weak_multiplier(method, n_channels):
 @pytest.mark.parametrize("field", ["hamiltonian", "collapse_ops", "decay_quadratic"])
 @pytest.mark.parametrize(
     "factory",
-    [imaginary_linear_spec, family_spec, stratonovich_family_spec,
-     collapse_flavor_spec, flavor_decay_spec, enlarged_collapse_spec],
+    [imaginary_linear_spec, family_spec, collapse_flavor_spec, flavor_decay_spec, enlarged_collapse_spec],
 )
 def test_linear_specs_require_diagonal_operators(factory, field):
     # Every kernel reads H and K as diagonals and a collapse operator as one
-    # nonzero per row: the linear labels take diagonal collapse operators,
+    # nonzero per row: the linear equation takes diagonal collapse operators,
     # the nonlinear one monomial ones.
     spec = factory(_decaying(), make_csl(beta=0.8, rate=0.3))
     off_diagonal = np.zeros((spec.dim, spec.dim), dtype=complex)
@@ -335,7 +341,7 @@ def test_linear_specs_require_diagonal_operators(factory, field):
         replace(spec, **{field: bad})
 
 
-@pytest.mark.parametrize("factory", [imaginary_linear_spec, stratonovich_family_spec])
+@pytest.mark.parametrize("factory", [imaginary_linear_spec, family_spec])
 def test_linear_specs_require_self_adjoint_collapse_operators(factory):
     # The exact kernel reads the real diagonal of each collapse operator, so
     # a complex one would lose its imaginary part.  The nonlinear equation
@@ -548,7 +554,7 @@ def test_stderr_is_finite_where_rounding_leaves_a_variance_below_zero():
 _STACKED = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
 
 
-@pytest.mark.parametrize("factory", [family_spec, stratonovich_family_spec, collapse_flavor_spec])
+@pytest.mark.parametrize("factory", [family_spec, collapse_flavor_spec])
 def test_stacked_states_equal_single_state_runs(factory):
     # Two batches (2048 + 52): one stacked call reproduces three separate
     # calls bit for bit, since the states share each trajectory's noise.
@@ -657,19 +663,6 @@ def _induced(meson, collapse):
     return replace(meson, gamma_L=gamma_l, gamma_H=gamma_h)
 
 
-def test_exact_labels_are_one_equation():
-    # The Ito and Stratonovich labels share the Stratonovich drift and the
-    # noise, so their exact ensembles agree bit for bit (two batches).
-    meson, collapse = _bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3)
-    t_grid = _grid(2.0, 9)
-    config = NoiseConfig(seed=41, dt=0.25)
-    ito = ensemble_evolve(family_spec(meson, collapse), config, _ALL_STATES, t_grid, 2100)
-    strat = ensemble_evolve(stratonovich_family_spec(meson, collapse), config, _ALL_STATES, t_grid, 2100)
-    for a, b in zip(ito, strat):
-        for field in ("means", "stderrs", "covariances"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
-
-
 def test_exact_ensemble_does_not_depend_on_dt():
     # dt need not even divide the grid intervals: the exact kernel never steps.
     spec = family_spec(_decaying(), make_csl(beta=0.7, rate=0.4))
@@ -689,7 +682,7 @@ def _closed_form_cases():
     # module's value, so the first case reduces all 7 in one chunk; the
     # others fold 7 one-row and 3 three-row chunk partials, and 70
     # trajectories in two batches (64 + 6) of three-row chunks.
-    for factory in (family_spec, stratonovich_family_spec, imaginary_linear_spec):
+    for factory in (family_spec, imaginary_linear_spec):
         for n_channels in (1, 2):
             for rows, n_traj, batch_cap in ((None, 7, None), (1, 7, None), (3, 7, None), (3, 70, 64)):
                 tail = "" if rows is None else f"-rows{rows}-N{n_traj}"
@@ -737,16 +730,15 @@ def test_exact_mass_eigenstates_are_deterministic():
     meson, collapse = _bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3)
     gammas = induced_decay_widths(meson, collapse)
     t_grid = _grid(6.0, 121)
-    for factory in (family_spec, stratonovich_family_spec):
-        spec = factory(meson, collapse)
-        stats = ensemble_evolve(spec, NoiseConfig(seed=7, dt=0.05), _ALL_STATES, t_grid, 3000)
-        for index, label in enumerate(("P_L", "P_H")):
-            mean, stderr = stats[2 + index].column(label)
-            assert np.all(stderr == 0.0)
-            np.testing.assert_allclose(mean, np.exp(-gammas[index] * t_grid), rtol=0.0, atol=1e-15)
-        for result in stats:
-            assert np.all(result.means <= 1.0)
-            assert np.all(result.stderrs[0] == 0.0)
+    spec = family_spec(meson, collapse)
+    stats = ensemble_evolve(spec, NoiseConfig(seed=7, dt=0.05), _ALL_STATES, t_grid, 3000)
+    for index, label in enumerate(("P_L", "P_H")):
+        mean, stderr = stats[2 + index].column(label)
+        assert np.all(stderr == 0.0)
+        np.testing.assert_allclose(mean, np.exp(-gammas[index] * t_grid), rtol=0.0, atol=1e-15)
+    for result in stats:
+        assert np.all(result.means <= 1.0)
+        assert np.all(result.stderrs[0] == 0.0)
 
 
 def test_exact_ensemble_memory_stays_within_a_row_chunk():
@@ -902,7 +894,7 @@ def test_heun_strong_order_one():
     # Diagonal commuting linear noise: halving dt halves the strong error
     # against a dt/64 reference on the same Brownian paths.
     meson = _bare()
-    spec = stratonovich_family_spec(meson, make_csl(beta=0.75, rate=0.4))
+    spec = family_spec(meson, make_csl(beta=0.75, rate=0.4))
     t_final = 1.0
     n_paths = 256
     h = 1.0 / 128
