@@ -27,12 +27,17 @@ from flavorcollapse.sde import (
     observable_vectors,
     phase_transform_spec,
     step,
+    stratonovich_family_spec,
     stratonovich_step,
     theta_from_kappa,
     wiener_increments,
 )
 
 from conftest import make_csl
+
+# stratonovich_family_spec is an alias of family_spec, so its __name__ cannot
+# tell the two cases apart: the alias case carries its own id.
+_ALIAS = pytest.param(stratonovich_family_spec, id="stratonovich_family_spec")
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _M0_MASS = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
@@ -322,7 +327,7 @@ def test_linear_one_step_weak_multiplier(method, n_channels):
 @pytest.mark.parametrize("field", ["hamiltonian", "collapse_ops", "decay_quadratic"])
 @pytest.mark.parametrize(
     "factory",
-    [imaginary_linear_spec, family_spec, collapse_flavor_spec, flavor_decay_spec, enlarged_collapse_spec],
+    [imaginary_linear_spec, family_spec, _ALIAS, collapse_flavor_spec, flavor_decay_spec, enlarged_collapse_spec],
 )
 def test_linear_specs_require_diagonal_operators(factory, field):
     # Every kernel reads H and K as diagonals and a collapse operator as one
@@ -554,7 +559,7 @@ def test_stderr_is_finite_where_rounding_leaves_a_variance_below_zero():
 _STACKED = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
 
 
-@pytest.mark.parametrize("factory", [family_spec, collapse_flavor_spec])
+@pytest.mark.parametrize("factory", [family_spec, _ALIAS, collapse_flavor_spec])
 def test_stacked_states_equal_single_state_runs(factory):
     # Two batches (2048 + 52): one stacked call reproduces three separate
     # calls bit for bit, since the states share each trajectory's noise.
@@ -682,13 +687,16 @@ def _closed_form_cases():
     # module's value, so the first case reduces all 7 in one chunk; the
     # others fold 7 one-row and 3 three-row chunk partials, and 70
     # trajectories in two batches (64 + 6) of three-row chunks.
-    for factory in (family_spec, imaginary_linear_spec):
+    factories = (
+        ("family_spec", family_spec),
+        ("stratonovich_family_spec", stratonovich_family_spec),
+        ("imaginary_linear_spec", imaginary_linear_spec),
+    )
+    for name, factory in factories:
         for n_channels in (1, 2):
             for rows, n_traj, batch_cap in ((None, 7, None), (1, 7, None), (3, 7, None), (3, 70, 64)):
                 tail = "" if rows is None else f"-rows{rows}-N{n_traj}"
-                yield pytest.param(
-                    factory, n_channels, rows, n_traj, batch_cap, id=f"{factory.__name__}-{n_channels}{tail}"
-                )
+                yield pytest.param(factory, n_channels, rows, n_traj, batch_cap, id=f"{name}-{n_channels}{tail}")
 
 
 @pytest.mark.parametrize("factory, n_channels, rows, n_traj, batch_cap", _closed_form_cases())
