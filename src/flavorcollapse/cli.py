@@ -498,14 +498,15 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
         )
     factories = {
         "family": sde.family_spec,
-        "flavor_decay": sde.flavor_decay_spec,
+        "flavor_decay": sde.collapse_flavor_spec,
         "imaginary": sde.imaginary_linear_spec,
         "stratonovich": sde.family_spec,
         "nonlinear": sde.collapse_flavor_spec,
         "enlarged": sde.enlarged_collapse_spec,
     }
-    # Every CSL equation decays through the collapse-induced widths: one physics, six names for four
-    # equations (``family``, ``imaginary`` and ``stratonovich`` give one linear spec).
+    # Every CSL equation decays through the collapse-induced widths: one physics, six names for three
+    # equations (``family``, ``imaginary`` and ``stratonovich`` give one linear spec, ``nonlinear`` and
+    # ``flavor_decay`` one nonlinear flavor spec).
     gamma_l, gamma_h = operators.induced_decay_widths(meson, collapse)
     return factories[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
 
@@ -524,7 +525,8 @@ def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
     from . import sde
 
     interval = times[1] - times[0]
-    n_sub = max(1, round(interval / spec.dt))
+    # The fewest steps of at most dt; a relative 1e-9 absorbs the rounding of an exact multiple.
+    n_sub = max(1, math.ceil(interval / spec.dt * (1.0 - 1e-9)))
     dt = interval / n_sub
     config = sde.NoiseConfig(seed=spec.seed, dt=dt)
     basis = Basis.MASS if eq_spec.dim == 2 else Basis.ENLARGED
@@ -556,8 +558,9 @@ def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float) ->
 
     An exactly sampled linear equation has no discretization bias and gets
     the base alone.  r is the fastest rate of the generator that is stepped,
-    read off its spec: the largest of ||H||_2, ||K||_2 and
-    lambda max_c ||L_c||_2^2.  H carries the gauge of
+    read off its spec: the largest of ||H||_2 (the Hermitian mass term),
+    ||K||_2 (the decay) and lambda max_c ||L_c||_2^2, one rate per physics
+    whichever name built the equation.  H carries the gauge of
     ``operators.reduced_mass_operator``, so the absolute masses do not enter.
     """
     if _exact(eq_spec):

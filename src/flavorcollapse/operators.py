@@ -20,7 +20,6 @@ from .errors import NegativeWidth, ZeroRate
 __all__ = [
     "reduced_mass_operator",
     "decay_operator",
-    "effective_hamiltonian",
     "collapse_operator_A",
     "collapse_operator_B",
     "EnlargedOperators",
@@ -44,11 +43,6 @@ def reduced_mass_operator(meson: MesonParams) -> np.ndarray:
 def decay_operator(meson: MesonParams) -> np.ndarray:
     """Hermitian PSD decay operator, diag(gamma_L, gamma_H) in the mass basis."""
     return np.diag(meson.widths.astype(float))
-
-
-def effective_hamiltonian(meson: MesonParams) -> np.ndarray:
-    """Non-Hermitian Wigner-Weisskopf generator M - (i/2) Gamma, M gauged."""
-    return reduced_mass_operator(meson).astype(complex) - 0.5j * decay_operator(meson)
 
 
 def collapse_operator_A(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:

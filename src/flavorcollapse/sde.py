@@ -11,9 +11,10 @@ R_c = Re<L_c> on the normalized state it reads
     dpsi = [-i H - (lambda/2) sum_c (L_c^dag L_c - 2 R_c L_c + R_c^2)
             - K/2] psi dt + sqrt(lambda) sum_c (L_c - R_c) psi dW_c.
 
-Its forms are the collapse equation with a non-Hermitian H, its flavor
-projection with the decay drift K = Gamma, the enlarged-space equation
-with L = (A, B), B the decay channel, and the phase-transformation family
+H is Hermitian and decay enters through K alone.  The forms are the
+flavor equation with K = Gamma, also the flavor projection of the
+enlarged one (lambda B^dag B = Gamma), the enlarged-space equation with
+L = (A, B), B the decay channel, and the phase-transformation family
 e^{i phi} A.  It is stepped with Euler-Maruyama.
 
 All of these share one master equation per physical system.  ``LINEAR``
@@ -78,7 +79,6 @@ from .lindblad import MasterSpec
 from .operators import (
     collapse_operator_A,
     decay_operator,
-    effective_hamiltonian,
     enlarged_operators,
     induced_decay_operator,
     reduced_mass_operator,
@@ -90,7 +90,6 @@ __all__ = [
     "SdeSpec",
     "collapse_flavor_spec",
     "enlarged_collapse_spec",
-    "flavor_decay_spec",
     "imaginary_linear_spec",
     "family_spec",
     "stratonovich_family_spec",
@@ -140,17 +139,16 @@ class NoiseConfig:
 class SdeSpec:
     """One quantum-state equation, fully parameterized by operator data.
 
-    ``hamiltonian`` is the generator of the -i H dt term (complex and
-    possibly non-Hermitian for the nonlinear equations).  ``collapse_ops``
-    holds one operator per Wiener channel.  ``rate`` is the collapse
-    coupling lambda.  ``decay_quadratic`` is the decay operator K entering
-    the drift as -(1/2) K and the master equation as -(1/2) {K, rho}: the
-    measured Gamma = lambda B^dag B or the collapse-induced
-    lambda (2 beta - 1) A^2.  Every label requires H and K diagonal (in
-    the mass basis) and each collapse operator monomial, with at most one
-    nonzero per row and per column, so that every kernel steps the
-    components elementwise.  The linear equation requires the collapse
-    operators diagonal and self-adjoint too.
+    ``hamiltonian`` is the Hermitian generator of the -i H dt term.
+    ``collapse_ops`` holds one operator per Wiener channel.  ``rate`` is
+    the collapse coupling lambda.  ``decay_quadratic``, the only carrier of
+    decay, is the operator K entering the drift as -(1/2) K and the master
+    equation as -(1/2) {K, rho}: the measured Gamma = lambda B^dag B or the
+    collapse-induced lambda (2 beta - 1) A^2.  Every label requires H and
+    K diagonal (in the mass basis), so H is real, and each collapse
+    operator monomial, with at most one nonzero per row and per column, so
+    that every kernel steps the components elementwise.  The linear
+    equation requires the collapse operators diagonal and self-adjoint too.
     """
 
     equation: SdeEquation
@@ -186,6 +184,8 @@ class SdeSpec:
         diagonal = (h,) + (() if self.decay_quadratic is None else (self.decay_quadratic,)) + (ops if linear else ())
         if any(np.any(m[off_diagonal] != 0.0) for m in diagonal):
             raise InvalidParams(f"{label} requires operators diagonal in the mass basis")
+        if np.any(np.diagonal(h).imag != 0.0):  # decay enters through K
+            raise InvalidParams("hamiltonian must be Hermitian")
         if any(np.any(np.count_nonzero(op, axis=axis) > 1) for op in ops for axis in (0, 1)):
             raise InvalidParams(f"{label} requires monomial collapse operators: <= 1 nonzero per row and column")
 
@@ -210,8 +210,12 @@ def _flavor_spec(equation: SdeEquation, meson: MesonParams, collapse: CollapsePa
 
 
 def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Nonlinear collapse equation on the flavor space, non-Hermitian H."""
-    return _flavor_spec(SdeEquation.NONLINEAR, meson, collapse, hamiltonian=effective_hamiltonian(meson))
+    """Nonlinear collapse equation on the flavor space, decaying through K = Gamma.
+
+    It is also the flavor projection of the enlarged equation: the decay
+    drift lambda B^dag B = Gamma does not scale with the collapse rate.
+    """
+    return _flavor_spec(SdeEquation.NONLINEAR, meson, collapse, decay_quadratic=decay_operator(meson))
 
 
 def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -223,15 +227,6 @@ def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeS
         collapse_ops=(ops.collapse_a, ops.collapse_b),
         rate=collapse.effective_rate,
     )
-
-
-def flavor_decay_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Flavor projection of the enlarged equation.
-
-    The decay drift is lambda B^dag B = Gamma and does not scale with the
-    collapse rate, so the spec stores the decay operator itself.
-    """
-    return _flavor_spec(SdeEquation.NONLINEAR, meson, collapse, decay_quadratic=decay_operator(meson))
 
 
 def imaginary_linear_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -840,19 +835,12 @@ def ensemble_evolve(
 def associated_master_spec(spec: SdeSpec) -> MasterSpec:
     """Master equation whose solution is the ensemble mean of the SDE.
 
-    The Lindblad channels are sqrt(lambda) times the collapse operators;
-    the anti-Hermitian part of H and the decay operator K both land in the
-    anticommutator term, whatever the label.
+    H and the decay operator K pass through, K into the anticommutator
+    term; the Lindblad channels are sqrt(lambda) times the collapse
+    operators, whatever the label.
     """
-    h = spec.hamiltonian
-    h_herm = 0.5 * (h + h.conj().T)
-    k = 1j * (h - h.conj().T)
-    if spec.decay_quadratic is not None:
-        k = k + spec.decay_quadratic
-    lindblads = [math.sqrt(spec.rate) * op for op in spec.collapse_ops]
-    k_norm = np.linalg.norm(k)
     return MasterSpec(
-        hamiltonian=h_herm,
-        lindblads=tuple(lindblads),
-        anticommutator=None if k_norm == 0.0 else k,
+        hamiltonian=spec.hamiltonian,
+        lindblads=tuple(math.sqrt(spec.rate) * op for op in spec.collapse_ops),
+        anticommutator=spec.decay_quadratic,
     )

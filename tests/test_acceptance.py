@@ -33,6 +33,7 @@ from flavorcollapse.core import (
     QuantumState,
     mass_ratios,
 )
+from flavorcollapse.errors import NegativeWidth
 from flavorcollapse.lindblad import (
     build_superoperator,
     enlarged_master_spec,
@@ -371,3 +372,42 @@ def test_c9_byte_determinism_across_threads(tmp_path):
             outputs.append(out.read_bytes())
         assert all(blob == outputs[0] for blob in outputs[1:]), equation
     _report("9 byte determinism across runs and thread counts", start, 60.0)
+
+
+def test_c10_time_asymmetric_noise_sets_the_decay():
+    # The noise correlation spike of asymmetry kappa puts theta(0) of its
+    # mass below t = 0.  That theta(0) is the beta of the collapse-induced
+    # widths lambda (2 beta - 1) m~_i^2: negative (unphysical) for
+    # kappa < 1, zero for the symmetric spike, positive above.
+    start = time.perf_counter()
+    meson = MesonParams(m_L=0.5, m_H=1.5, gamma_L=0.0, gamma_H=0.0)
+    for kappa in (0.5, 1.0, 2.0):
+        beta = sde.theta_from_kappa(kappa)
+        mass, _ = quad(lambda t: sde.asymmetric_delta(t, kappa, 1e-2), -np.inf, 0.0)
+        assert mass == pytest.approx(beta, abs=1e-12)
+        collapse = CollapseParams(model=Model.CSL, rate=0.3, beta=beta, m0=1.0, alpha=1.0, d=2, r_C=0.5)
+        if kappa < 1.0:
+            with pytest.raises(NegativeWidth):
+                induced_decay_widths(meson, collapse)
+            continue
+        want = collapse.effective_rate * (2.0 * beta - 1.0) * mass_ratios(meson, collapse) ** 2
+        assert induced_decay_widths(meson, collapse) == pytest.approx(tuple(want), rel=1e-14, abs=0.0)
+    _report("10 time-asymmetric noise sets theta(0) and the induced widths", start, 5.0)
+
+
+def test_c11_phase_family_shares_one_master_equation():
+    # e^{i phi} L leaves L rho L^dag and L^dag L unchanged, so every member
+    # of the phase family of the nonlinear equations, flavor and enlarged,
+    # has the superoperator of phi = 0.
+    start = time.perf_counter()
+    meson = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.25, gamma_H=0.10)
+    collapse = CollapseParams(model=Model.CSL, rate=0.3, beta=0.8, m0=1.0, alpha=1.0, d=2, r_C=0.5)
+    worst = 0.0
+    for spec in (sde.collapse_flavor_spec(meson, collapse), sde.enlarged_collapse_spec(meson, collapse)):
+        base = build_superoperator(sde.associated_master_spec(spec))
+        for phi in (0.0, 0.3, np.pi / 2, np.pi):
+            member = build_superoperator(sde.associated_master_spec(sde.phase_transform_spec(spec, phi)))
+            gap = np.abs(member - base).max() / np.abs(base).max()
+            assert gap <= 1e-12, (spec.dim, phi)
+            worst = max(worst, gap)
+    _report(f"11 phase family shares one master equation (max gap {worst:.1e})", start, 5.0)

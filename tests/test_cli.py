@@ -377,7 +377,7 @@ def test_ensemble_equation_variants_run(tmp_path, equation):
 _MEASURED_CSL = dict(_EXPLICIT_CSL, gamma_L=0.1, gamma_H=0.05)
 _EQUATION_FACTORIES = {
     "family": sde.family_spec,
-    "flavor_decay": sde.flavor_decay_spec,
+    "flavor_decay": sde.collapse_flavor_spec,
     "imaginary": sde.imaginary_linear_spec,
     "stratonovich": sde.family_spec,
     "nonlinear": sde.collapse_flavor_spec,
@@ -444,18 +444,20 @@ def test_imaginary_is_family_under_csl(tmp_path):
 
 
 def test_compare_linear_names_write_identical_files(tmp_path):
-    # family, imaginary and stratonovich name one linear equation: under CSL
-    # they give one spec, so one compare file, header included.
-    texts = set()
-    for equation in ("family", "imaginary", "stratonovich"):
-        cfg = write_config(
-            tmp_path, command="compare", **_MEASURED_CSL, equation=equation,
-            t_max=2.0, n_points=21, n_trajectories=200, seed=5, dt=0.005,
-        )
-        out = tmp_path / f"{equation}.csv"
-        assert cli.main([cfg, "--output", str(out)]) == 0
-        texts.add(out.read_bytes())
-    assert len(texts) == 1
+    # family, imaginary and stratonovich name one linear equation, nonlinear
+    # and flavor_decay one nonlinear flavor equation: under CSL each group
+    # gives one spec, so one compare file, header and gate included.
+    for names in (("family", "imaginary", "stratonovich"), ("nonlinear", "flavor_decay")):
+        texts = set()
+        for equation in names:
+            cfg = write_config(
+                tmp_path, command="compare", **_MEASURED_CSL, equation=equation,
+                t_max=2.0, n_points=21, n_trajectories=200, seed=5, dt=0.005,
+            )
+            out = tmp_path / f"{equation}.csv"
+            assert cli.main([cfg, "--output", str(out)]) == 0
+            texts.add(out.read_bytes())
+        assert len(texts) == 1, names
 
 
 @pytest.mark.parametrize("meson", ["K0", "D0", "B0", "Bs0"])
@@ -568,6 +570,27 @@ def test_ensemble_header_names_the_scheme(tmp_path, command, equation, scheme):
     assert cli.main([cfg, "--output", str(out)]) in (0, 3)
     header = [line for line in out.read_text().splitlines() if line.startswith(f"# command={command}")]
     assert header[0].endswith(f"seed=1 {scheme}")
+
+
+@pytest.mark.parametrize(
+    "t_max, n_points, dt, n_sub",
+    [(6.0, 121, 0.0015, 34), (1.0, 21, 0.0025, 20), (5.0, 11, 0.01, 50), (1.0, 4, 0.1, 4), (2.0, 3, 0.03, 34),
+     (1.0, 11, 0.5, 1)],
+)
+def test_ensemble_step_is_the_largest_divisor_of_the_interval_within_dt(tmp_path, t_max, n_points, dt, n_sub):
+    # Exact multiples keep their count; otherwise the count rounds up: the
+    # README grid (0.05 / 0.0015 = 33.3) steps 34 times at 0.05 / 34.
+    cfg = write_config(
+        tmp_path, command="ensemble", **_README_CSL, equation="nonlinear",
+        t_max=t_max, n_points=n_points, n_trajectories=2, seed=1, dt=dt,
+    )
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 0
+    header = next(line for line in out.read_text().splitlines() if line.startswith("# command=ensemble"))
+    interval = np.linspace(0.0, t_max, n_points)[1]
+    assert header.endswith(f" dt={cli._fmt(interval / n_sub)}")
+    assert interval / n_sub <= dt
+    assert n_sub == 1 or interval / (n_sub - 1) > dt
 
 
 def test_compare_wide_bytes_independent_of_threads(tmp_path):

@@ -8,7 +8,6 @@ from flavorcollapse.operators import (
     collapse_operator_A,
     collapse_operator_B,
     decay_operator,
-    effective_hamiltonian,
     enlarged_operators,
     induced_decay_widths,
     reduced_mass_operator,
@@ -27,24 +26,15 @@ def test_decay_operator(meson):
     np.testing.assert_array_equal(decay_operator(meson), np.diag([0.1, 0.05]))
 
 
-def test_effective_hamiltonian(meson):
-    h = effective_hamiltonian(meson)
-    np.testing.assert_allclose(np.diag(h), [0.0 - 0.05j, 1.0 - 0.025j])
-    np.testing.assert_allclose(h - h.conj().T, -1j * decay_operator(meson), atol=1e-15)
-    stable = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0)
-    h0 = effective_hamiltonian(stable)
-    np.testing.assert_allclose(h0, h0.conj().T, atol=1e-15)
-
-
 def test_norm_decay_law_matches_widths(meson):
-    # d||psi||^2/dt from -i(H - H^dag) equals the per-eigenstate width sum.
-    h = effective_hamiltonian(meson)
-    anti = -1j * (h - h.conj().T)
+    # d||psi||^2/dt = -<psi|K|psi> for the decay operator K equals minus the
+    # per-eigenstate width sum.
+    k = decay_operator(meson)
     rng = np.random.default_rng(3)
     for _ in range(50):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        got = np.real(psi.conj() @ anti @ psi)
+        got = -np.real(psi.conj() @ k @ psi)
         want = -sum(meson.widths[i] * abs(psi[i]) ** 2 for i in (0, 1))
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -122,8 +112,6 @@ def test_induced_widths_consistency_loop():
 
 def test_unnorm_law_through_mass_basis_states(meson):
     # Same identity exercised through QuantumState mass projections.
-    h = effective_hamiltonian(meson)
-    anti = -1j * (h - h.conj().T)
     psi = to_mass(QuantumState.m0()).amplitudes
-    got = np.real(psi.conj() @ anti @ psi)
+    got = -np.real(psi.conj() @ decay_operator(meson) @ psi)
     assert got == pytest.approx(-meson.gamma_bar, abs=1e-14)

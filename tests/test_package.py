@@ -30,18 +30,10 @@ def test_star_import_binds_every_export():
 
 
 _ROOT = Path(__file__).resolve().parents[1]
-# Public names kept although nothing in the reached code reads them.
-_UNREACHED_ALLOWED = {
-    # They carry the claim that theta(0) = beta comes from time-asymmetric noise.
-    "sde.asymmetric_delta",
-    "sde.theta_from_kappa",
-    # The phase family linking the nonlinear and the imaginary-noise equations.
-    "sde.phase_transform_spec",
-}
 
 
 def _reached_names() -> set[str]:
-    """Every Name read, Attribute attr and imported module in the package, the scripts, the benchmark and C1-C9."""
+    """Every Name read, Attribute attr and imported module in the package, the scripts, the benchmark and C1-C11."""
     files = [
         *(_ROOT / "src" / "flavorcollapse").glob("*.py"),
         *(_ROOT / "scripts").glob("*.py"),
@@ -74,5 +66,5 @@ def test_every_public_name_is_reached():
         for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == errors.__name__
     )
-    unreached = [key for key, name in public.items() if name not in reached and key not in _UNREACHED_ALLOWED]
+    unreached = [key for key, name in public.items() if name not in reached]
     assert sorted(unreached) == []

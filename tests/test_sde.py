@@ -21,7 +21,6 @@ from flavorcollapse.sde import (
     enlarged_collapse_spec,
     ensemble_evolve,
     family_spec,
-    flavor_decay_spec,
     imaginary_linear_spec,
     ito_stratonovich_drift,
     observable_vectors,
@@ -165,7 +164,7 @@ def test_flavor_decay_norm_law():
     # out pathwise for this equation.
     meson = _decaying()
     collapse = make_csl(beta=0.8, rate=0.3)
-    spec = flavor_decay_spec(meson, collapse)
+    spec = collapse_flavor_spec(meson, collapse)
     dt = 1e-3
     n = 10**4
     w = np.random.default_rng(3).normal(0.0, np.sqrt(dt), size=(n, 1))
@@ -327,7 +326,7 @@ def test_linear_one_step_weak_multiplier(method, n_channels):
 @pytest.mark.parametrize("field", ["hamiltonian", "collapse_ops", "decay_quadratic"])
 @pytest.mark.parametrize(
     "factory",
-    [imaginary_linear_spec, family_spec, _ALIAS, collapse_flavor_spec, flavor_decay_spec, enlarged_collapse_spec],
+    [imaginary_linear_spec, family_spec, _ALIAS, collapse_flavor_spec, enlarged_collapse_spec],
 )
 def test_linear_specs_require_diagonal_operators(factory, field):
     # Every kernel reads H and K as diagonals and a collapse operator as one
@@ -344,6 +343,14 @@ def test_linear_specs_require_diagonal_operators(factory, field):
     nonlinear = spec.equation is sde.SdeEquation.NONLINEAR
     with pytest.raises(InvalidParams, match="monomial" if nonlinear and field == "collapse_ops" else "diagonal"):
         replace(spec, **{field: bad})
+
+
+@pytest.mark.parametrize("equation", list(sde.SdeEquation))
+def test_spec_rejects_non_hermitian_hamiltonian(equation):
+    # Decay enters through K alone: the Wigner-Weisskopf M - (i/2) Gamma is
+    # diagonal but not Hermitian, and no label takes it.
+    with pytest.raises(InvalidParams, match="hamiltonian must be Hermitian"):
+        sde.SdeSpec(equation, np.diag([-0.05j, 1.0 - 0.025j]), (np.diag([1.0, 2.0]),), rate=0.3)
 
 
 @pytest.mark.parametrize("factory", [imaginary_linear_spec, family_spec])
@@ -396,10 +403,9 @@ def _re_dot(a, b):
     "build",
     [
         lambda: collapse_flavor_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
-        lambda: flavor_decay_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
         lambda: enlarged_collapse_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
     ],
-    ids=["collapse", "flavor_decay", "enlarged"],
+    ids=["collapse", "enlarged"],
 )
 def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build):
     # The elementwise kernel must give the bits of its arithmetic written as
@@ -857,7 +863,6 @@ def _fd_against_master(spec, psi0, n, dt, seed):
     "build",
     [
         lambda: collapse_flavor_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
-        lambda: flavor_decay_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
         lambda: family_spec(_bare(), make_csl(beta=0.8, rate=0.3)),
         lambda: _with_extra_decay(family_spec(_bare(), make_csl(beta=0.8, rate=0.3))),
         lambda: enlarged_collapse_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
@@ -868,7 +873,7 @@ def _fd_against_master(spec, psi0, n, dt, seed):
             rate=0.3,
         ),
     ],
-    ids=["collapse", "flavor_decay", "family", "family_extra_decay", "enlarged", "general_nonhermitian"],
+    ids=["collapse", "family", "family_extra_decay", "enlarged", "general_nonhermitian"],
 )
 def test_one_step_master_consistency(build):
     spec = build()
