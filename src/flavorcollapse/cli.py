@@ -1,9 +1,10 @@
 """Run-configuration ingestion, command dispatch and bit-stable output.
 
-One positional argument names a flat JSON configuration (schema shipped
-as ``data/run_config.schema.json``); ``--output``, ``--seed``,
-``--threads`` and ``--format`` override the corresponding keys and are
-validated exactly like them.  Every command is a pure function of the
+One positional argument names a flat JSON configuration.  The shipped
+schema ``data/run_config.schema.json`` is the loader's one table of each
+key's type, enum, bounds, default and commands; ``--output``, ``--seed``,
+``--threads`` and ``--format`` override their keys and are validated
+exactly like them.  Every command is a pure function of the
 configuration bytes and the bundled meson catalog: floats are rendered
 with 17 significant digits, so re-parsing and re-rendering an output
 reproduces it byte for byte, and ``--threads`` never changes output
@@ -26,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -56,28 +57,16 @@ from .errors import (
 
 __all__ = ["RunSpec", "load_config", "main", "run", "compare_routes"]
 
-# The keys each command reads; the loader rejects any other, so no key is
-# silently ignored.  Every command takes command, threads, output and format.
-_MESON_KEYS = ("command", "threads", "output", "format", "meson", "m_L", "m_H", "gamma_L", "gamma_H")
-_ROUTE_KEYS = (*_MESON_KEYS, "model", "rate", "r_C", "beta", "m0", "m0_MeV", "ratio_convention", "d", "alpha",
-               "t_max", "n_points")
-_ENSEMBLE_KEYS = (*_ROUTE_KEYS, "n_trajectories", "seed", "dt", "equation")
-_COMMAND_KEYS = {
-    "analytic": _ROUTE_KEYS, "master": _ROUTE_KEYS, "ensemble": _ENSEMBLE_KEYS, "compare": _ENSEMBLE_KEYS,
-    "estimate": _MESON_KEYS,
-    "bounds": (*_MESON_KEYS, "mesons", "ratio_convention", "n_points", "m0_min", "m0_max", "m0_min_MeV", "m0_max_MeV"),
-}
-_COMMANDS = tuple(_COMMAND_KEYS)
-_SCHEMA_KEYS = set().union(*_COMMAND_KEYS.values())
-_EQUATIONS = ("family", "flavor_decay", "imaginary", "stratonovich", "nonlinear", "enlarged")
-
 _MASTER_RESIDUAL_TOL = 1e-12
 _PROB_TOL = 1e-12  # round-off allowed outside [0, 1]
 _ENSEMBLE_RATIO_TOL = 4.0
+# The Python types of the schema's JSON types.
+_TYPES = {"number": (int, float), "integer": int, "string": str}
 
 
-def _catalog() -> dict:
-    with resources.files("flavorcollapse.data").joinpath("meson_catalog.json").open() as fh:
+def _data(name: str) -> dict:
+    """A bundled JSON file: the meson catalog or the run-configuration schema."""
+    with resources.files("flavorcollapse.data").joinpath(name).open() as fh:
         return json.load(fh)
 
 
@@ -98,26 +87,26 @@ def _meson_from_catalog(catalog: dict, key: str) -> tuple[MesonParams, list[str]
 
 @dataclass
 class RunSpec:
-    """Fully resolved parameters of one CLI run."""
+    """Fully resolved parameters of one CLI run; a key the config omits takes its schema default."""
 
     command: str
-    meson: MesonParams | None = None
-    meson_label: str = "custom"
-    mesons: list[tuple[str, MesonParams]] = field(default_factory=list)
-    model: DynamicsModel | None = None
-    collapse: CollapseParams | None = None
-    t_max: float | None = None
-    n_points: int = 400
-    n_trajectories: int = 0
-    seed: int = 0
-    dt: float | None = None
-    equation: str = "family"
-    threads: int = 1
-    output: str | None = None
-    fmt: str = "csv"
-    convention: Convention = Convention.NORMAL
-    m0_range: tuple[float, float] | None = None
-    header_notes: list[str] = field(default_factory=list)
+    meson: MesonParams | None
+    meson_label: str
+    mesons: list[tuple[str, MesonParams]]
+    model: DynamicsModel | None
+    collapse: CollapseParams | None
+    t_max: float | None
+    n_points: int
+    n_trajectories: int | None
+    seed: int
+    dt: float | None
+    equation: str
+    threads: int
+    output: str | None
+    fmt: str
+    convention: Convention
+    m0_range: tuple[float, float] | None
+    header_notes: list[str]
 
     @property
     def grid(self) -> np.ndarray:
@@ -130,32 +119,47 @@ class RunSpec:
         return np.linspace(0.0, t_max, self.n_points)
 
 
-def _get(cfg: dict, key: str, typ, required: bool = False, default=None, minimum=None):
-    """``cfg[key]`` checked for its type, finiteness (floats) and an inclusive minimum."""
+def _get(cfg: dict, props: dict, key: str, required: bool = False):
+    """``cfg[key]`` checked against its schema property ``props[key]``, or the property's default.
+
+    The property gives the type (an enum without one takes its members'),
+    the enum and the bounds; a number must also be finite.
+    """
+    prop = props[key]
     if key not in cfg:
         if required:
             raise InvalidParams(f"config key '{key}' is required for this command")
-        return default
+        return prop.get("default")
     value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
-        raise InvalidParams(f"config key '{key}' must be of type {typ.__name__}")
-    if typ is float:
+    kind = prop.get("type") or ("string" if isinstance(prop["enum"][0], str) else "integer")
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        raise InvalidParams(f"config key '{key}' must be of type {kind}")
+    if kind == "number":
         try:  # json.load accepts NaN, Infinity and integers beyond the float range
             value = float(value)
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
             raise InvalidParams(f"config key '{key}' must be a finite number")
-    if minimum is not None and value < minimum:
-        raise InvalidParams(f"{key} must be at least {minimum}")
+    if "enum" in prop and value not in prop["enum"]:
+        raise InvalidParams(f"{key} must be one of {', '.join(map(str, prop['enum']))}")
+    if "minimum" in prop and value < prop["minimum"]:
+        raise InvalidParams(f"{key} must be at least {prop['minimum']}")
+    if "maximum" in prop and value > prop["maximum"]:
+        raise InvalidParams(f"{key} must be at most {prop['maximum']}")
+    if "exclusiveMinimum" in prop and not value > prop["exclusiveMinimum"]:
+        raise InvalidParams(f"{key} must be greater than {prop['exclusiveMinimum']}")
     return value
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunSpec:
     """Parse and validate a run configuration against the published schema.
 
-    ``overrides`` (the CLI flags) replace config keys before validation, so
-    a flag is checked exactly as the key it overrides; None values are skipped.
+    Every fact about one key (type, enum, bounds, default and the commands
+    that take it) is read from ``data/run_config.schema.json``; the rules
+    across keys are checked here.  ``overrides`` (the CLI flags) replace
+    config keys before validation, so a flag is checked exactly as the key
+    it overrides; None values are skipped.
     """
     try:
         with open(path) as fh:
@@ -167,149 +171,127 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
     if not isinstance(cfg, dict):
         raise ParseError("config must be a flat JSON object")
     cfg.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    props = _data("run_config.schema.json")["properties"]
     for key in cfg:
-        if key not in _SCHEMA_KEYS:
+        if key not in props:
             raise UnknownKey(f"unknown config key '{key}'")
 
-    command = _get(cfg, "command", str, required=True)
-    if command not in _COMMANDS:
-        raise InvalidParams(f"command must be one of {', '.join(_COMMANDS)}")
-    ignored = [key for key in cfg if key not in _COMMAND_KEYS[command]]
+    command = _get(cfg, props, "command", required=True)
+    ignored = [key for key in cfg if command not in props[key]["commands"]]
     if ignored:
         raise InvalidParams(f"the {command} command takes no {', '.join(ignored)}")
-    spec = RunSpec(command=command)
-    catalog = _catalog()
+    catalog = _data("meson_catalog.json")
+    meson, label, mesons, notes = None, "custom", [], []
     used_catalog = False
 
     explicit = [k for k in ("m_L", "m_H", "gamma_L", "gamma_H") if k in cfg]
     if "meson" in cfg and explicit:
         raise InvalidParams("give either a catalog 'meson' or explicit m_L/m_H/gamma_L/gamma_H, not both")
     if "meson" in cfg:
-        spec.meson_label = _get(cfg, "meson", str)
-        spec.meson, notes = _meson_from_catalog(catalog, spec.meson_label)
-        spec.header_notes.extend(notes)
+        label = _get(cfg, props, "meson")
+        meson, notes = _meson_from_catalog(catalog, label)
         used_catalog = True
     elif explicit:
         if len(explicit) != 4:
             raise InvalidParams("explicit meson parameters require all of m_L, m_H, gamma_L, gamma_H")
-        spec.meson = MesonParams(
-            m_L=_get(cfg, "m_L", float),
-            m_H=_get(cfg, "m_H", float),
-            gamma_L=_get(cfg, "gamma_L", float),
-            gamma_H=_get(cfg, "gamma_H", float),
-        )
-        spec.header_notes.append("explicit meson parameters taken as natural units (1/s), no conversion")
+        meson = MesonParams(**{key: _get(cfg, props, key) for key in explicit})
+        notes.append("explicit meson parameters taken as natural units (1/s), no conversion")
 
     if "mesons" in cfg:
-        if spec.meson is not None:
+        if meson is not None:
             raise InvalidParams("give either a 'mesons' list or one meson, not both")
         names = cfg["mesons"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise InvalidParams("'mesons' must be a list of catalog keys")
         for name in names:
-            meson, notes = _meson_from_catalog(catalog, name)
-            spec.mesons.append((name, meson))
-            spec.header_notes.extend(notes)
+            entry, entry_notes = _meson_from_catalog(catalog, name)
+            mesons.append((name, entry))
+            notes.extend(entry_notes)
         used_catalog = True
-    elif spec.meson is not None:
-        spec.mesons = [(spec.meson_label, spec.meson)]
+    elif meson is not None:
+        mesons = [(label, meson)]
 
-    convention = _get(cfg, "ratio_convention", str, default="normal")
-    if convention not in ("normal", "inverted"):
-        raise InvalidParams("ratio_convention must be 'normal' or 'inverted'")
-    spec.convention = Convention(convention)
+    convention = Convention(_get(cfg, props, "ratio_convention"))
+    model_name = _get(cfg, props, "model")
+    model = None if model_name is None else DynamicsModel(model_name)
 
-    model_name = _get(cfg, "model", str, default=None)
-    if model_name is not None:
-        if model_name not in ("QM", "QMUPL", "CSL"):
-            raise InvalidParams("model must be QM, QMUPL or CSL")
-        spec.model = DynamicsModel(model_name)
-
+    collapse = None
     if command in ("analytic", "master", "ensemble", "compare"):
-        if spec.meson is None:
+        if meson is None:
             raise InvalidParams(f"the {command} command needs meson parameters")
-        if spec.model is None:
+        if model is None:
             raise InvalidParams(f"the {command} command needs a 'model'")
-        if spec.model is not DynamicsModel.QM:
+        if model is not DynamicsModel.QM:
             if "m0" in cfg and "m0_MeV" in cfg:
                 raise InvalidParams("give either m0 (1/s) or m0_MeV, not both")
             if "m0_MeV" in cfg:
-                m0 = _get(cfg, "m0_MeV", float) / catalog["hbar_MeV_s"]
+                m0 = _get(cfg, props, "m0_MeV") / catalog["hbar_MeV_s"]
                 if not used_catalog:
                     raise InvalidParams("m0_MeV applies to catalog runs; explicit runs take m0 in 1/s")
             else:
-                m0 = _get(cfg, "m0", float, required=True)
-            spec.collapse = CollapseParams(
-                model=Model(spec.model.value),
-                rate=_get(cfg, "rate", float, required=True),
-                beta=_get(cfg, "beta", float, required=True),
+                m0 = _get(cfg, props, "m0", required=True)
+            collapse = CollapseParams(
+                model=Model(model.value),
+                rate=_get(cfg, props, "rate", required=True),
+                beta=_get(cfg, props, "beta", required=True),
                 m0=m0,
-                alpha=_get(cfg, "alpha", float, required=True),
-                d=_get(cfg, "d", int, default=3),
-                r_C=_get(cfg, "r_C", float, default=None),
-                ratio_convention=spec.convention,
+                alpha=_get(cfg, props, "alpha", required=True),
+                d=_get(cfg, props, "d"),
+                r_C=_get(cfg, props, "r_C"),
+                ratio_convention=convention,
             )
-            if spec.model is DynamicsModel.CSL and spec.collapse.beta < 0.5:
+            if model is DynamicsModel.CSL and collapse.beta < 0.5:
                 raise InvalidParams("CSL needs beta >= 1/2: a smaller beta gives negative collapse-induced widths")
         elif any(k in cfg for k in ("rate", "r_C", "beta", "m0", "m0_MeV", "alpha", "d", "ratio_convention")):
             raise InvalidParams("model QM takes no collapse parameters")
         elif "equation" in cfg:
             raise InvalidParams("model QM takes no equation: its ensemble runs the Wigner-Weisskopf equation")
 
-    if command in ("ensemble", "compare"):
-        if spec.model is DynamicsModel.QMUPL:
-            raise InvalidParams(
-                "the ensemble route is undefined for QMUPL: its flavor-space reduction is not closed"
-            )
-        spec.n_trajectories = _get(cfg, "n_trajectories", int, required=True, minimum=2)
-        spec.dt = _get(cfg, "dt", float, required=True)
-        if not spec.dt > 0.0:
-            raise InvalidParams("dt must be positive")
+    trajectories = command in ("ensemble", "compare")
+    if trajectories and model is DynamicsModel.QMUPL:
+        raise InvalidParams("the ensemble route is undefined for QMUPL: its flavor-space reduction is not closed")
 
+    m0_range = None
     if command == "bounds":
-        if not spec.mesons:
+        if not mesons:
             raise InvalidParams("the bounds command needs 'meson', 'mesons' or explicit m_L/m_H/gamma_L/gamma_H")
         if "m0_min_MeV" in cfg or "m0_max_MeV" in cfg:
             if "m0_min" in cfg or "m0_max" in cfg:
                 raise InvalidParams("give either m0_min/m0_max (1/s) or m0_min_MeV/m0_max_MeV, not both")
             if not used_catalog:
                 raise InvalidParams("MeV ranges apply to catalog runs; explicit runs take m0_min/m0_max in 1/s")
-            lo = _get(cfg, "m0_min_MeV", float, required=True) / catalog["hbar_MeV_s"]
-            hi = _get(cfg, "m0_max_MeV", float, required=True) / catalog["hbar_MeV_s"]
+            lo = _get(cfg, props, "m0_min_MeV", required=True) / catalog["hbar_MeV_s"]
+            hi = _get(cfg, props, "m0_max_MeV", required=True) / catalog["hbar_MeV_s"]
         else:
-            lo = _get(cfg, "m0_min", float, required=True)
-            hi = _get(cfg, "m0_max", float, required=True)
+            lo = _get(cfg, props, "m0_min", required=True)
+            hi = _get(cfg, props, "m0_max", required=True)
         if not (0.0 < lo < hi):
             raise InvalidParams("m0 range must be positive and increasing")
-        spec.m0_range = (lo, hi)
+        m0_range = (lo, hi)
 
-    if command == "estimate" and spec.meson is None:
+    if command == "estimate" and meson is None:
         raise InvalidParams("the estimate command needs meson parameters")
 
-    spec.t_max = _get(cfg, "t_max", float, default=None)
-    if spec.t_max is not None and not spec.t_max > 0.0:
-        raise InvalidParams("t_max must be positive")
-    spec.n_points = _get(cfg, "n_points", int, default=400, minimum=2)
-    spec.seed = _get(cfg, "seed", int, default=0)
-    if not 0 <= spec.seed < 2**64:
-        raise InvalidParams("seed must fit in 64 bits")
-    equation = _get(cfg, "equation", str, default="family")
-    if equation not in _EQUATIONS:
-        raise InvalidParams(f"equation must be one of {', '.join(_EQUATIONS)}")
-    spec.equation = equation
-    spec.threads = _get(cfg, "threads", int, default=1, minimum=1)
-    spec.output = _get(cfg, "output", str, default=None)
+    spec = RunSpec(
+        command=command, meson=meson, meson_label=label, mesons=mesons, model=model, collapse=collapse,
+        t_max=_get(cfg, props, "t_max"), n_points=_get(cfg, props, "n_points"),
+        n_trajectories=_get(cfg, props, "n_trajectories", required=trajectories), seed=_get(cfg, props, "seed"),
+        dt=_get(cfg, props, "dt", required=trajectories), equation=_get(cfg, props, "equation"),
+        threads=_get(cfg, props, "threads"), output=_get(cfg, props, "output"), fmt=_get(cfg, props, "format"),
+        convention=convention, m0_range=m0_range, header_notes=notes,
+    )
     if spec.output:
         # Checked before the run, so a long computation never ends unwritten.
         directory = os.path.dirname(os.path.abspath(spec.output))
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise InvalidParams(f"output directory {directory} does not exist or is not writable")
-    fmt = _get(cfg, "format", str, default="csv")
-    if fmt not in ("csv", "json"):
-        raise InvalidParams("format must be 'csv' or 'json'")
-    spec.fmt = fmt
-    if command == "compare":
-        _require_route_physics(spec)
+    if trajectories:
+        eq_spec = _sde_spec(spec)
+        times = spec.grid
+        if not _exact(eq_spec) and not math.isfinite(float(times[1] - times[0]) / spec.dt):
+            raise InvalidParams(f"dt={_fmt(spec.dt)} leaves no finite number of steps in a grid interval")
+        if command == "compare":
+            _require_route_physics(spec, eq_spec)
     return spec
 
 
@@ -416,10 +398,10 @@ def _route_master_spec(spec: RunSpec) -> lindblad.MasterSpec:
     return lindblad.family_master_spec(spec.meson, spec.collapse)
 
 
-def _require_route_physics(spec: RunSpec) -> None:
+def _require_route_physics(spec: RunSpec, eq_spec: sde.SdeSpec) -> None:
     """Reject an equation whose ensemble mean follows another master equation.
 
-    The superoperator of the equation's associated master equation,
+    The superoperator of ``eq_spec``'s associated master equation,
     restricted to the flavor block (closed for the enlarged equation), must
     equal the route's to 1e-12 of the route's largest entry; otherwise the
     ensemble and the other two routes describe different physics.
@@ -427,7 +409,6 @@ def _require_route_physics(spec: RunSpec) -> None:
     from . import lindblad, sde
 
     route = lindblad.build_superoperator(_route_master_spec(spec))
-    eq_spec = _sde_spec(spec)
     own = lindblad.build_superoperator(sde.associated_master_spec(eq_spec))
     flavor = [i * eq_spec.dim + j for i in range(2) for j in range(2)]
     gap = float(np.abs(own[np.ix_(flavor, flavor)] - route).max() / np.abs(route).max())
@@ -496,7 +477,17 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
             rate=0.0,
             decay_quadratic=operators.decay_operator(meson),
         )
-    factories = {
+    # Every CSL equation decays through the collapse-induced widths.
+    gamma_l, gamma_h = operators.induced_decay_widths(meson, collapse)
+    return _equation_factories()[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
+
+
+def _equation_factories() -> dict:
+    """The spec factory of each CSL equation: ``family``, ``imaginary`` and ``stratonovich`` give one
+    linear spec, ``nonlinear`` and ``flavor_decay`` one nonlinear flavor spec."""
+    from . import sde
+
+    return {
         "family": sde.family_spec,
         "flavor_decay": sde.collapse_flavor_spec,
         "imaginary": sde.imaginary_linear_spec,
@@ -504,11 +495,6 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
         "nonlinear": sde.collapse_flavor_spec,
         "enlarged": sde.enlarged_collapse_spec,
     }
-    # Every CSL equation decays through the collapse-induced widths: one physics, six names for three
-    # equations (``family``, ``imaginary`` and ``stratonovich`` give one linear spec, ``nonlinear`` and
-    # ``flavor_decay`` one nonlinear flavor spec).
-    gamma_l, gamma_h = operators.induced_decay_widths(meson, collapse)
-    return factories[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
 
 
 def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
@@ -517,16 +503,17 @@ def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
     One ``ensemble_evolve`` call evolves the states together: trajectory k
     of each state is driven by the same (seed, k) noise stream, and each
     grid point is reduced to centred moments once for all of them.  The
-    step is the largest dt that divides the grid interval and does not
-    exceed the configured one; only the nonlinear equations step at it.
-    The linear ones (``family``, ``imaginary``, ``stratonovich`` and the
-    QM equation) are sampled exactly at the grid points.
+    nonlinear equations step at the largest dt that divides the grid
+    interval and does not exceed the configured one.  The linear ones
+    (``family``, ``imaginary``, ``stratonovich`` and the QM equation) are
+    sampled exactly at the grid points and read no dt; their step is the
+    grid interval.
     """
     from . import sde
 
     interval = times[1] - times[0]
     # The fewest steps of at most dt; a relative 1e-9 absorbs the rounding of an exact multiple.
-    n_sub = max(1, math.ceil(interval / spec.dt * (1.0 - 1e-9)))
+    n_sub = 1 if _exact(eq_spec) else max(1, math.ceil(interval / spec.dt * (1.0 - 1e-9)))
     dt = interval / n_sub
     config = sde.NoiseConfig(seed=spec.seed, dt=dt)
     basis = Basis.MASS if eq_spec.dim == 2 else Basis.ENLARGED
@@ -628,39 +615,30 @@ def compare_routes(
     ensemble_means: dict[str, np.ndarray],
     ensemble_errs: dict[str, np.ndarray],
     floor: np.ndarray,
-) -> tuple[Table, float, float]:
-    """Residual report between the three routes; pure comparison logic."""
-    columns = ["time"]
-    rows_data = [times]
-    master_max = 0.0
-    ratio_max = 0.0
-    for col in _PROB_COLUMNS:
-        res_m = master_probs[col] - analytic_probs[col]
-        res_e = ensemble_means[col] - analytic_probs[col]
-        ratio = np.abs(res_e) / np.maximum(ensemble_errs[col], floor)
-        # np.maximum propagates NaN, so a non-finite residual fails the gate.
-        master_max = float(np.maximum(master_max, np.abs(res_m).max()))
-        ratio_max = float(np.maximum(ratio_max, ratio.max()))
-        columns += [f"res_master_{col}", f"res_ensemble_{col}", f"ratio_ensemble_{col}"]
-        rows_data += [res_m, res_e, ratio]
-    rows = [list(row) for row in zip(*rows_data)]
+) -> tuple[Table, tuple[str, float, float], tuple[str, float, float]]:
+    """Residual report between the three routes, and the (column, time, size) of its largest |master
+    residual| and largest ensemble ratio; pure comparison logic.  A NaN cell counts as the largest, so it
+    fails the gate; ties go to the earliest time, then to the first column."""
+    def block(probs: dict[str, np.ndarray]) -> np.ndarray:  # (time, column)
+        return np.column_stack([probs[col] for col in _PROB_COLUMNS])
+
+    def worst(cells: np.ndarray) -> tuple[str, float, float]:
+        k, j = np.unravel_index(np.argmax(cells), cells.shape)
+        return _PROB_COLUMNS[j], times[k], float(cells[k, j])
+
+    res_m = block(master_probs) - block(analytic_probs)
+    res_e = block(ensemble_means) - block(analytic_probs)
+    ratio = np.abs(res_e) / np.maximum(block(ensemble_errs), floor[:, None])
+    master, ensemble = worst(np.abs(res_m)), worst(ratio)
+    kinds = ("res_master", "res_ensemble", "ratio_ensemble")
+    columns = ["time", *(f"{kind}_{col}" for col in _PROB_COLUMNS for kind in kinds)]
+    cells = np.stack([res_m, res_e, ratio], axis=2).reshape(len(times), -1)  # the three kinds per column
+    rows = [[t, *row] for t, row in zip(times, cells)]
     meta = [
-        f"master_max_residual={_fmt(master_max)} tolerance={_fmt(_MASTER_RESIDUAL_TOL)}",
-        f"ensemble_max_ratio={_fmt(ratio_max)} tolerance={_fmt(_ENSEMBLE_RATIO_TOL)}",
+        f"master_max_residual={_fmt(master[2])} tolerance={_fmt(_MASTER_RESIDUAL_TOL)}",
+        f"ensemble_max_ratio={_fmt(ensemble[2])} tolerance={_fmt(_ENSEMBLE_RATIO_TOL)}",
     ]
-    return Table(meta, columns, rows), master_max, ratio_max
-
-
-def _worst_cell(table: Table, prefix: str) -> tuple[str, float, float]:
-    """Probability column, time and size of the largest |cell| in the columns named prefix + column.
-
-    A NaN cell counts as the largest, as it does for the gate; ties go to the
-    earliest time, then to the first column.
-    """
-    index = [i for i, name in enumerate(table.columns) if name.startswith(prefix)]
-    block = np.abs(np.array(table.rows, dtype=float)[:, index])
-    k, j = np.unravel_index(np.argmax(block), block.shape)
-    return table.columns[index[j]][len(prefix):], table.rows[k][0], block[k, j]
+    return Table(meta, columns, rows), master, ensemble
 
 
 def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
@@ -671,8 +649,9 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     stats, dt = _ensemble_stats(spec, eq_spec, times)
     means, errs = _ensemble_probs(stats)
     _require_probabilities("ensemble", times, means)
-    floor = _discretization_floor(eq_spec, times, dt)
-    table, master_max, ratio_max = compare_routes(times, analytic_probs, master_probs, means, errs, floor)
+    table, (m_col, m_time, master_max), (e_col, e_time, ratio_max) = compare_routes(
+        times, analytic_probs, master_probs, means, errs, _discretization_floor(eq_spec, times, dt)
+    )
     table.meta = spec.header_notes + [
         f"command=compare model={spec.model.value} meson={spec.meson_label} "
         f"N={spec.n_trajectories} seed={spec.seed} {_scheme_note(eq_spec, dt)}"
@@ -684,11 +663,9 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     )
     table.meta.append(summary)
     print(summary, file=sys.stderr)
-    m_col, m_time, _ = _worst_cell(table, "res_master_")
-    e_col, e_time, e_ratio = _worst_cell(table, "ratio_ensemble_")
     print(
         f"compare: worst master residual in {m_col} at time={_fmt(m_time)}; "
-        f"worst ensemble ratio in {e_col} at time={_fmt(e_time)} ratio={_fmt(e_ratio)}",
+        f"worst ensemble ratio in {e_col} at time={_fmt(e_time)} ratio={_fmt(ratio_max)}",
         file=sys.stderr,
     )
     return table, 0 if ok else 3
@@ -785,7 +762,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", help="output path (overrides config)")
     parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     parser.add_argument("--threads", type=int, help="worker threads; affects speed only, never bytes")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format (overrides config)")
+    parser.add_argument("--format", help="output format, csv or json (overrides config)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

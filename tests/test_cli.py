@@ -16,6 +16,16 @@ from flavorcollapse.errors import CatalogMiss, InvalidParams, ParseError, Unknow
 from conftest import make_csl
 
 
+def _schema():
+    from importlib import resources
+
+    with resources.files("flavorcollapse.data").joinpath("run_config.schema.json").open() as fh:
+        return json.load(fh)
+
+
+_PROPS = _schema()["properties"]
+
+
 def write_config(tmp_path, name="run.json", **entries):
     path = tmp_path / name
     path.write_text(json.dumps(entries))
@@ -276,7 +286,7 @@ _ONCE_IGNORED = [
     *(("bounds", key) for key in ("model", "rate", "t_max", "seed", "dt", "equation")),
 ]
 _NOT_READ = sorted(
-    {(command, key) for command, keys in cli._COMMAND_KEYS.items() for key in cli._SCHEMA_KEYS - set(keys)}
+    {(command, key) for command in _COMMAND_BASES for key, prop in _PROPS.items() if command not in prop["commands"]}
     | set(_ONCE_IGNORED)
 )
 
@@ -386,7 +396,7 @@ _EQUATION_FACTORIES = {
 
 
 @pytest.mark.parametrize("config", [_README_CSL, _MEASURED_CSL], ids=["readme", "measured_widths"])
-@pytest.mark.parametrize("equation", cli._EQUATIONS)
+@pytest.mark.parametrize("equation", _PROPS["equation"]["enum"])
 def test_compare_accepts_every_csl_equation(tmp_path, config, equation):
     # Under CSL every equation decays through the collapse-induced widths,
     # so each formulation follows the routes' master equation and passes,
@@ -555,6 +565,41 @@ def test_compare_linear_gate_catches_shifted_column(tmp_path, monkeypatch, equat
     assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == 3
 
 
+# A small exact CSL compare: README physics on 31 points, N 200.  Over seeds
+# 0-9999 it failed 55 times (rate 0.0055).  With 0.005 added to P_M0_M0 at
+# every t > 0 (towards 1/2), it failed 1700 of seeds 0-1999 (power 0.85).
+_SMALL_COMPARE = dict(command="compare", **_README_CSL, t_max=6.0, n_points=31, n_trajectories=200, dt=0.0015)
+
+
+def _compare_failures(tmp_path, seeds):
+    cfg = write_config(tmp_path, **_SMALL_COMPARE)
+    codes = [cli.main([cfg, "--seed", str(seed), "--output", str(tmp_path / "cmp.csv")]) for seed in seeds]
+    assert set(codes) <= {0, 3}
+    return codes.count(3)
+
+
+def test_exact_gate_size(tmp_path):
+    # At the measured size 0.0055, 300 seeds fail between 0 and 8 times in
+    # the central 99.99 % of the binomial distribution.
+    assert _compare_failures(tmp_path, range(300)) <= 8
+
+
+def test_exact_gate_power(tmp_path, monkeypatch):
+    # At the measured power 0.85, 100 seeds fail between 70 and 97 times
+    # in the central 99.99 % of the binomial distribution.
+    true_stats = cli._ensemble_stats
+
+    def shifted(spec, eq_spec, times):
+        stats, dt = true_stats(spec, eq_spec, times)
+        means = stats["M0"].means.copy()
+        column = means[1:, stats["M0"].labels.index("P_M0")]
+        column += np.where(column < 0.5, 0.005, -0.005)
+        return dict(stats, M0=dataclasses.replace(stats["M0"], means=means)), dt
+
+    monkeypatch.setattr(cli, "_ensemble_stats", shifted)
+    assert 70 <= _compare_failures(tmp_path, range(1000, 1100)) <= 97
+
+
 @pytest.mark.parametrize(
     "equation, scheme",
     [("family", "method=exact"), ("imaginary", "method=exact"), ("stratonovich", "method=exact"),
@@ -591,6 +636,35 @@ def test_ensemble_step_is_the_largest_divisor_of_the_interval_within_dt(tmp_path
     assert header.endswith(f" dt={cli._fmt(interval / n_sub)}")
     assert interval / n_sub <= dt
     assert n_sub == 1 or interval / (n_sub - 1) > dt
+
+
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+def test_exact_equation_reads_no_dt(tmp_path, capsys, command):
+    # The exact family equation takes no step, so a subnormal dt, which
+    # once overflowed the step count with a traceback, writes the bytes
+    # of any other dt.
+    outputs = []
+    for dt in (0.0015, 1e-320):
+        cfg = write_config(
+            tmp_path, command=command, **_README_CSL, t_max=6.0, n_points=21, n_trajectories=40, seed=7, dt=dt,
+        )
+        out = tmp_path / f"{dt}.csv"
+        assert cli.main([cfg, "--output", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+def test_stepped_equation_rejects_a_dt_with_no_finite_step_count(tmp_path, capsys, command):
+    cfg = write_config(
+        tmp_path, command=command, **_README_CSL, equation="nonlinear",
+        t_max=6.0, n_points=21, n_trajectories=40, seed=7, dt=1e-320,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dt={cli._fmt(1e-320)} leaves no finite number of steps in a grid interval\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_compare_wide_bytes_independent_of_threads(tmp_path):
@@ -661,7 +735,7 @@ def test_compare_routes_nan_residual_fails():
     broken = dict(probs, P_L_L=np.array([0.5, np.nan, 0.5]))
     errs = {name: np.full_like(times, 1e-3) for name in probs}
     floor = np.full_like(times, 1e-12)
-    _, master_max, ratio_max = cli.compare_routes(times, probs, broken, broken, errs, floor)
+    _, (_, _, master_max), (_, _, ratio_max) = cli.compare_routes(times, probs, broken, broken, errs, floor)
     assert np.isnan(master_max) and np.isnan(ratio_max)
     assert not master_max < cli._MASTER_RESIDUAL_TOL
     assert not ratio_max < cli._ENSEMBLE_RATIO_TOL
@@ -689,7 +763,7 @@ def _beta_mismatch():
 def test_compare_routes_negative_control():
     # Deliberately mismatched beta between routes trips the ratio gate.
     times, good, bad, errs = _beta_mismatch()
-    _, master_max, ratio_max = cli.compare_routes(
+    _, (_, _, master_max), (_, _, ratio_max) = cli.compare_routes(
         times, good, good, bad, errs, np.full_like(times, 1e-12)
     )
     assert master_max < 1e-12
@@ -703,16 +777,16 @@ def test_compare_locates_worst_cells():
     floor = np.full_like(times, 1e-12)
     names = list(cli._PROB_COLUMNS)
     shifted = dict(good, P_L_L=good["P_L_L"] - 0.01 * times)
-    table, master_max, ratio_max = cli.compare_routes(times, good, shifted, bad, errs, floor)
+    _, master, ensemble = cli.compare_routes(times, good, shifted, bad, errs, floor)
 
     ratios = np.column_stack([np.abs(bad[c] - good[c]) / np.maximum(errs[c], floor) for c in names])
     k, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-    assert cli._worst_cell(table, "ratio_ensemble_") == (names[j], times[k], ratio_max)
+    assert ensemble == (names[j], times[k], ratios.max())
     assert names[j] in ("P_M0_M0", "P_M0_M0bar") and 0.0 < times[k]
 
     residuals = np.column_stack([np.abs(shifted[c] - good[c]) for c in names])
     k, j = np.unravel_index(np.argmax(residuals), residuals.shape)
-    assert cli._worst_cell(table, "res_master_") == (names[j], times[k], master_max)
+    assert master == (names[j], times[k], residuals.max())
     assert (names[j], times[k]) == ("P_L_L", 4.0)
 
 
@@ -856,19 +930,12 @@ def test_master_state_that_is_not_a_density_matrix_exits_two(tmp_path, monkeypat
 
 
 def test_schema_file_matches_loader_keys(tmp_path):
-    from importlib import resources
-
-    with resources.files("flavorcollapse.data").joinpath("run_config.schema.json").open() as fh:
-        schema = json.load(fh)
-    assert set(schema["properties"]) == cli._SCHEMA_KEYS
+    schema = _schema()
     assert schema["additionalProperties"] is False
-    assert schema["properties"]["equation"]["enum"] == list(cli._EQUATIONS)
     assert schema["properties"]["seed"]["maximum"] == 2**64 - 1
-    # Each description ends by naming the commands that take the key.
+    # Every property names the commands that take it, each a value of the command enum.
     for key, prop in schema["properties"].items():
-        takers = [command for command, keys in cli._COMMAND_KEYS.items() if key in keys]
-        named = "every command" if len(takers) == len(cli._COMMANDS) else ", ".join(takers)
-        assert prop["description"].endswith(f"Taken by: {named}"), key
+        assert prop["commands"] and set(prop["commands"]) <= set(schema["properties"]["command"]["enum"]), key
 
     # Every numeric bound of the schema is the loader's: the bound itself
     # (or the next float above an exclusive one) loads, the next value
@@ -896,6 +963,47 @@ def test_schema_file_matches_loader_keys(tmp_path):
     assert cli.load_config(write_config(tmp_path, **dict(ensemble, beta=0.5))) is not None
     with pytest.raises(InvalidParams, match="CSL needs beta >= 1/2"):
         cli.load_config(write_config(tmp_path, **dict(ensemble, beta=float(np.nextafter(0.5, -np.inf)))))
+
+
+_ENUM_KEYS = sorted(key for key, prop in _PROPS.items() if "enum" in prop)
+
+
+@pytest.mark.parametrize("key", _ENUM_KEYS)
+def test_value_outside_each_enum_rejected(tmp_path, capsys, key):
+    # Every enum of the schema is the loader's: a value outside it exits 1
+    # with one line naming the key and the values it takes.
+    assert _ENUM_KEYS == ["command", "d", "equation", "format", "model", "ratio_convention"]
+    enum = _PROPS[key]["enum"]
+    run = dict(command="compare", **_README_CSL, t_max=1.0, n_points=3, **_TRAJECTORIES)
+    assert cli.load_config(write_config(tmp_path, **run)).command == "compare"
+    cfg = write_config(tmp_path, **dict(run, **{key: 4 if isinstance(enum[0], int) else "bogus"}))
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be one of {', '.join(map(str, enum))}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+# Where a resolved run keeps each key that has a schema default.
+_RESOLVED = {
+    "ratio_convention": lambda spec: spec.convention.value,
+    "d": lambda spec: spec.collapse.d,
+    "n_points": lambda spec: spec.n_points,
+    "seed": lambda spec: spec.seed,
+    "equation": lambda spec: spec.equation,
+    "threads": lambda spec: spec.threads,
+    "format": lambda spec: spec.fmt,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_RESOLVED))
+def test_absent_key_resolves_to_its_schema_default(tmp_path, key):
+    assert {key for key, prop in _PROPS.items() if "default" in prop} == set(_RESOLVED)
+    run = dict(command="ensemble", **_README_CSL, t_max=1.0, **_TRAJECTORIES)
+    run.pop(key, None)
+    assert _RESOLVED[key](cli.load_config(write_config(tmp_path, **run))) == _PROPS[key]["default"]
+
+
+def test_schema_equation_enum_is_the_factory_table():
+    assert _PROPS["equation"]["enum"] == list(cli._equation_factories())
 
 
 @pytest.mark.parametrize("flag, key, value", [("--seed", "seed", -1), ("--seed", "seed", 2**64), ("--threads", "threads", 0)])

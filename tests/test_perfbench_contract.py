@@ -72,3 +72,20 @@ def test_every_benchmark_config_loads(tmp_path, config, flags):
     path.write_text(json.dumps(config))
     assert cli.load_config(str(path)).command == config["command"]
     assert cli.load_config(str(path), dict(flags, output=str(tmp_path / "out.csv"))).command == config["command"]
+
+
+def test_published_schema_is_valid_and_admits_every_benchmark_config():
+    # The shipped schema is a valid draft 2020-12 schema, and every config
+    # the benchmark runs (with its flags as keys) and the README example
+    # validate against it.
+    from jsonschema import Draft202012Validator
+
+    schema = json.loads((_ROOT / "src" / "flavorcollapse" / "data" / "run_config.schema.json").read_text())
+    Draft202012Validator.check_schema(schema)
+    validator = Draft202012Validator(schema)
+    readme = (_ROOT / "README.md").read_text()
+    example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    validator.validate(example)
+    for param in _benchmark_loads():
+        config, flags = param.values
+        validator.validate(dict(config, output="out.csv", **{k: v for k, v in flags.items() if v is not None}))
