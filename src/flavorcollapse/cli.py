@@ -23,6 +23,7 @@ collapse constants combine into the effective rate without conversion.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -60,6 +61,7 @@ __all__ = ["RunSpec", "load_config", "main", "run", "compare_routes"]
 _MASTER_RESIDUAL_TOL = 1e-12
 _PROB_TOL = 1e-12  # round-off allowed outside [0, 1]
 _ENSEMBLE_RATIO_TOL = 4.0
+_MAX_STEPS = 2**31  # Euler steps per trajectory of a stepped equation
 # The Python types of the schema's JSON types.
 _TYPES = {"number": (int, float), "integer": int, "string": str}
 
@@ -162,12 +164,18 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
     it overrides; None values are skipped.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("config nests too deeply to parse") from exc
     if not isinstance(cfg, dict):
         raise ParseError("config must be a flat JSON object")
     cfg.update((key, value) for key, value in (overrides or {}).items() if value is not None)
@@ -287,9 +295,16 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
             raise InvalidParams(f"output directory {directory} does not exist or is not writable")
     if trajectories:
         eq_spec = _sde_spec(spec)
-        times = spec.grid
-        if not _exact(eq_spec) and not math.isfinite(float(times[1] - times[0]) / spec.dt):
-            raise InvalidParams(f"dt={_fmt(spec.dt)} leaves no finite number of steps in a grid interval")
+        if not _exact(eq_spec):
+            times = spec.grid
+            interval = float(times[1] - times[0])
+            if not math.isfinite(interval / spec.dt):
+                raise InvalidParams(f"dt={_fmt(spec.dt)} leaves no finite number of steps in a grid interval")
+            steps = (spec.n_points - 1) * float(_substeps(interval, spec.dt))
+            if steps > _MAX_STEPS:
+                raise InvalidParams(
+                    f"dt={_fmt(spec.dt)} asks for {steps:.4g} Euler steps per trajectory, more than 2**31"
+                )
         if command == "compare":
             _require_route_physics(spec, eq_spec)
     return spec
@@ -512,8 +527,7 @@ def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
     from . import sde
 
     interval = times[1] - times[0]
-    # The fewest steps of at most dt; a relative 1e-9 absorbs the rounding of an exact multiple.
-    n_sub = 1 if _exact(eq_spec) else max(1, math.ceil(interval / spec.dt * (1.0 - 1e-9)))
+    n_sub = 1 if _exact(eq_spec) else _substeps(interval, spec.dt)
     dt = interval / n_sub
     config = sde.NoiseConfig(seed=spec.seed, dt=dt)
     basis = Basis.MASS if eq_spec.dim == 2 else Basis.ENLARGED
@@ -521,6 +535,12 @@ def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
     states = tuple(QuantumState(np.pad(_STATES[name], (0, eq_spec.dim - 2)), basis) for name in initial)
     runs = sde.ensemble_evolve(eq_spec, config, states, times, spec.n_trajectories, n_threads=spec.threads)
     return dict(zip(initial, runs)), dt
+
+
+def _substeps(interval: float, dt: float) -> int:
+    """The fewest steps of at most ``dt`` in a grid interval; a relative 1e-9 absorbs the rounding
+    of an exact multiple."""
+    return max(1, math.ceil(interval / dt * (1.0 - 1e-9)))
 
 
 def _exact(eq_spec: sde.SdeSpec) -> bool:
@@ -754,30 +774,44 @@ def run(spec: RunSpec) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="flavorcollapse",
-        description="Collapse-model dynamics of decaying flavor-oscillating two-level systems",
-    )
-    parser.add_argument("config", help="path to a flat JSON run configuration")
-    parser.add_argument("--output", help="output path (overrides config)")
-    parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    parser.add_argument("--threads", type=int, help="worker threads; affects speed only, never bytes")
-    parser.add_argument("--format", help="output format, csv or json (overrides config)")
+    """Run the CLI on ``argv`` (default: ``sys.argv[1:]``); returns the exit code.
+
+    As the process entry point (``argv`` None: the console script and
+    ``python -m flavorcollapse``) it freezes the heap once the command has
+    written its output and chosen its exit code.  CPython's exit-time
+    collections then skip every long-lived object, the module graph of
+    numpy and the package among them, while atexit handlers, stdio flushing
+    and module teardown still run.  A call with an argument list, from a
+    library or a test, never freezes its caller's heap.
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    overrides = vars(args)  # every flag but the path is named after the config key it overrides
-    try:
-        spec = load_config(overrides.pop("config"), overrides)
-    except (ParseError, UnknownKey, CatalogMiss, InvalidParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(spec)
-    except FlavorCollapseError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
+        parser = argparse.ArgumentParser(
+            prog="flavorcollapse",
+            description="Collapse-model dynamics of decaying flavor-oscillating two-level systems",
+        )
+        parser.add_argument("config", help="path to a flat JSON run configuration")
+        parser.add_argument("--output", help="output path (overrides config)")
+        parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+        parser.add_argument("--threads", type=int, help="worker threads; affects speed only, never bytes")
+        parser.add_argument("--format", help="output format, csv or json (overrides config)")
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 1 if exc.code not in (0, None) else 0
+        overrides = vars(args)  # every flag but the path is named after the config key it overrides
+        try:
+            spec = load_config(overrides.pop("config"), overrides)
+        except (ParseError, UnknownKey, CatalogMiss, InvalidParams) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        try:
+            return run(spec)
+        except FlavorCollapseError as exc:
+            print(f"domain error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -667,6 +669,31 @@ def test_stepped_equation_rejects_a_dt_with_no_finite_step_count(tmp_path, capsy
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_stepped_equation_rejects_more_than_2_31_euler_steps(tmp_path, capsys):
+    # 20 grid intervals of 3e299 steps each, which once ran until killed.
+    cfg = write_config(
+        tmp_path, command="ensemble", **_README_CSL, equation="nonlinear",
+        t_max=6.0, n_points=21, n_trajectories=40, seed=7, dt=1e-300,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: dt=1e-300 asks for 6e+300 Euler steps per trajectory, more than 2**31\n"
+    assert not (tmp_path / "out.csv").exists()
+    # The README compare with the nonlinear equation: 120 intervals of 34 steps.
+    readme = write_config(
+        tmp_path, "readme.json", command="compare", **_README_CSL, equation="nonlinear",
+        t_max=6.0, n_points=121, n_trajectories=4000, seed=7, dt=0.0015,
+    )
+    assert cli.load_config(readme).dt == 0.0015
+
+
+def test_step_cap_admits_exactly_2_31_steps(tmp_path):
+    # One grid interval of length 1: dt = 2**-31 is 2**31 steps, a hair less is more.
+    base = dict(command="ensemble", **_README_CSL, equation="nonlinear", t_max=1.0, n_points=2, n_trajectories=2)
+    cli.load_config(write_config(tmp_path, **base, dt=2.0**-31))
+    with pytest.raises(InvalidParams, match="Euler steps per trajectory, more than 2"):
+        cli.load_config(write_config(tmp_path, **base, dt=2.0**-31 * (1 - 1e-6)))
+
+
 def test_compare_wide_bytes_independent_of_threads(tmp_path):
     # The benchmark's wide stratonovich compare, sampled exactly: 10^4
     # trajectories in five batches.
@@ -1147,12 +1174,35 @@ def test_missing_config_exit_code(tmp_path):
     assert cli.main([str(tmp_path / "absent.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config .*: Is a directory"),  # the path is a directory
+        (b'{"command": "\xff"}', "config is not UTF-8 text: invalid start byte at byte 13"),
+        (b"[" * 100_000 + b"]" * 100_000, "config nests too deeply to parse"),
+    ],
+    ids=["directory", "not_utf8", "nested_too_deeply"],
+)
+def test_unreadable_config_exits_1_with_an_error_line(tmp_path, capsys, content, message):
+    path = tmp_path / "run.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert cli.main([str(path)]) == 1
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+
+def _cli_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_python_m_runs_cli_without_warnings(tmp_path):
     cfg = write_config(tmp_path, command="analytic", t_max=1.0, n_points=3, **_EXPLICIT_QM)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "flavorcollapse", cfg], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "flavorcollapse", cfg], capture_output=True, text=True, env=_cli_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -1190,11 +1240,9 @@ _CATALOG_CSL = dict(meson="K0", rate=2.2e-10, r_C=1e-7, beta=0.8, m0_MeV=938.272
 def test_command_loads_only_the_routes_it_runs(tmp_path, config, loaded, absent):
     # A fresh interpreter, so that modules other tests imported do not count.
     cfg = write_config(tmp_path, **config)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, cfg, "--output", str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
@@ -1202,3 +1250,53 @@ def test_command_loads_only_the_routes_it_runs(tmp_path, config, loaded, absent)
     modules = set(report["modules"])
     assert loaded <= modules
     assert not absent & modules
+
+
+def test_library_call_never_freezes_the_heap(tmp_path):
+    cfg = write_config(tmp_path, command="analytic", t_max=1.0, n_points=3, **_EXPLICIT_QM)
+    frozen = gc.get_freeze_count()
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 0
+    assert cli.main([str(tmp_path / "absent.json")]) == 1
+    assert gc.get_freeze_count() == frozen
+
+
+_FREEZE_PROBE = """
+import gc, sys
+from flavorcollapse import cli
+code = cli.main()
+print(gc.get_freeze_count(), code)
+"""
+
+
+def test_entry_point_freezes_the_heap_after_the_command(tmp_path):
+    cfg = write_config(tmp_path, command="analytic", t_max=1.0, n_points=3, **_EXPLICIT_QM)
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, cfg, "--output", str(out)],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    frozen, code = map(int, proc.stdout.split())
+    assert code == 0 and frozen > 0
+    assert out.read_text().startswith("# ")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(command="master", model="CSL", n_points=400, **_CATALOG_CSL),
+        dict(command="compare", **_README_CSL, t_max=1.0, n_points=5, n_trajectories=16, seed=1, dt=0.05),
+    ],
+    ids=["catalog_k0_csl_master", "compare"],
+)
+def test_python_m_writes_the_bytes_of_a_library_call(tmp_path, capsys, config):
+    # The process entry point freezes its heap at the end; nothing it writes changes.
+    cfg = write_config(tmp_path, **config)
+    code = cli.main([cfg, "--output", str(tmp_path / "lib.csv")])
+    err = capsys.readouterr().err
+    proc = subprocess.run(
+        [sys.executable, "-m", "flavorcollapse", cfg, "--output", str(tmp_path / "proc.csv")],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    assert (tmp_path / "proc.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
