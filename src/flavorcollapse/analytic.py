@@ -37,12 +37,8 @@ from .errors import (
 __all__ = [
     "DynamicsModel",
     "AsymmetrySpec",
-    "prob_lifetime_qm",
-    "prob_flavor_qm",
-    "prob_lifetime_qmupl",
-    "prob_flavor_qmupl",
-    "prob_lifetime_csl",
-    "prob_flavor_csl",
+    "prob_lifetime",
+    "prob_flavor",
     "asymmetry_closed_form",
     "solve_absolute_masses",
     "collapse_rate_lower_bound",
@@ -64,7 +60,7 @@ ADLER_COHERENCE_LENGTH = 1e-7
 
 @dataclass(frozen=True)
 class AsymmetrySpec:
-    """Model selection plus the parameters the asymmetry needs."""
+    """Model selection plus the parameters the closed forms need."""
 
     model: DynamicsModel
     meson: MesonParams
@@ -85,6 +81,8 @@ class AsymmetrySpec:
 def _times(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParams("times must be finite")
     if np.any(arr < 0.0):
         raise NegativeTime("probabilities are defined for t >= 0")
     return np.atleast_1d(arr), scalar
@@ -108,96 +106,59 @@ def _ratio_terms(meson: MesonParams, collapse: CollapseParams):
     return collapse.effective_rate, ratios, sum_sq, diff_sq, sq_diff
 
 
-def _check_model(collapse: CollapseParams, expected: Model) -> None:
-    if collapse.model is not expected:
-        raise InvalidParams(f"collapse parameters are for {collapse.model.value}, expected {expected.value}")
+def _rates(spec: AsymmetrySpec) -> tuple[float, float, float]:
+    """Decay rates (Gamma_L, Gamma_H, Gamma_LH) of the lifetime states and of their interference.
+
+    QM takes the measured widths; a collapse model induces
+    lambda (2 beta - 1) m~_i^2 and (lambda/2) ((2 beta - 1) sum m~^2 + (delta m~)^2).
+    """
+    if spec.model is DynamicsModel.QM:
+        return spec.meson.gamma_L, spec.meson.gamma_H, spec.meson.gamma_bar
+    lam, ratios, sum_sq, diff_sq, _ = _ratio_terms(spec.meson, spec.collapse)
+    two_beta_m1 = 2.0 * spec.collapse.beta - 1.0
+    return (
+        lam * two_beta_m1 * float(ratios[0] ** 2),
+        lam * two_beta_m1 * float(ratios[1] ** 2),
+        0.5 * lam * (two_beta_m1 * sum_sq + diff_sq),
+    )
 
 
-def prob_lifetime_qm(meson: MesonParams, i: int, j: int, t):
-    """Survival probability exp(-gamma_i t) of lifetime eigenstate i."""
-    _check_eigenstate(i)
-    _check_eigenstate(j)
-    tt, scalar = _times(t)
-    if i != j:
-        return _out(np.zeros_like(tt), scalar)
-    return _out(np.exp(-meson.widths[i] * tt), scalar)
-
-
-def prob_flavor_qm(meson: MesonParams, target: FlavorTarget, t):
-    """Flavor transition probability from M0 under Wigner-Weisskopf dynamics."""
-    tt, scalar = _times(t)
-    sign = 1.0 if target is FlavorTarget.M0 else -1.0
-    diag = np.exp(-meson.gamma_L * tt) + np.exp(-meson.gamma_H * tt)
-    interference = 2.0 * np.exp(-meson.gamma_bar * tt) * np.cos(tt * meson.delta_m)
-    return _out(0.25 * (diag + sign * interference), scalar)
-
-
-def _qmupl_base(lam: float, beta: float, coeff: float, tt: np.ndarray, what: str) -> np.ndarray:
-    base = 1.0 - lam * (1.0 - 2.0 * beta) * coeff * tt
+def _qmupl_base(rate: float, tt: np.ndarray, what: str) -> np.ndarray:
+    """1 + rate t, which a negative rate drives to zero at t* = -1/rate."""
+    base = 1.0 + rate * tt
     if np.any(base <= 0.0):
-        t_star = 1.0 / (lam * (1.0 - 2.0 * beta) * coeff)
-        raise SingularTime(f"{what} factor singular at t* = {t_star:g}; requested t reaches it")
+        raise SingularTime(f"{what} factor singular at t* = {-1.0 / rate:g}; requested t reaches it")
     return base
 
 
-def prob_lifetime_qmupl(meson: MesonParams, collapse: CollapseParams, i: int, j: int, t):
-    """Algebraic survival probability of lifetime eigenstate i under QMUPL."""
-    _check_model(collapse, Model.QMUPL)
+def _damping(spec: AsymmetrySpec, rate: float, tt: np.ndarray, what: str) -> np.ndarray:
+    """D(rate t): exp(-rate t) for QM and CSL, (1 + rate t)^(-d/2) for QMUPL."""
+    if spec.model is DynamicsModel.QMUPL:
+        return _qmupl_base(rate, tt, what) ** (-0.5 * spec.collapse.d)
+    return np.exp(-(rate * tt))
+
+
+def prob_lifetime(spec: AsymmetrySpec, i: int, j: int, t):
+    """Survival probability D(Gamma_i t) of lifetime eigenstate i; zero for j != i."""
     _check_eigenstate(i)
     _check_eigenstate(j)
     tt, scalar = _times(t)
     if i != j:
         return _out(np.zeros_like(tt), scalar)
-    lam, ratios, _, _, _ = _ratio_terms(meson, collapse)
-    base = _qmupl_base(lam, collapse.beta, float(ratios[i] ** 2), tt, "lifetime")
-    return _out(base ** (-0.5 * collapse.d), scalar)
+    return _out(_damping(spec, _rates(spec)[i], tt, "lifetime"), scalar)
 
 
-def prob_flavor_qmupl(meson: MesonParams, collapse: CollapseParams, target: FlavorTarget, t):
-    """Flavor transition probability from M0 under QMUPL (algebraic damping)."""
-    _check_model(collapse, Model.QMUPL)
+def prob_flavor(spec: AsymmetrySpec, target: FlavorTarget, t):
+    """Flavor transition probability from M0.
+
+    1/4 [D(Gamma_L t) + D(Gamma_H t) +- 2 cos(delta_m t) D(Gamma_LH t)],
+    upper sign for M0, lower for M0bar.
+    """
     tt, scalar = _times(t)
-    lam, ratios, sum_sq, diff_sq, _ = _ratio_terms(meson, collapse)
-    beta, d = collapse.beta, collapse.d
+    rate_l, rate_h, rate_lh = _rates(spec)
     sign = 1.0 if target is FlavorTarget.M0 else -1.0
-    base_l = _qmupl_base(lam, beta, float(ratios[0] ** 2), tt, "lifetime")
-    base_h = _qmupl_base(lam, beta, float(ratios[1] ** 2), tt, "lifetime")
-    base_int = 1.0 - 0.5 * lam * ((1.0 - 2.0 * beta) * sum_sq - diff_sq) * tt
-    if np.any(base_int <= 0.0):
-        raise SingularTime("interference factor singular; requested t reaches its domain edge")
-    diag = base_l ** (-0.5 * d) + base_h ** (-0.5 * d)
-    interference = 2.0 * np.cos(tt * meson.delta_m) / base_int ** (0.5 * d)
-    return _out(0.25 * (diag + sign * interference), scalar)
-
-
-def prob_lifetime_csl(meson: MesonParams, collapse: CollapseParams, i: int, j: int, t):
-    """Exponential survival probability of lifetime eigenstate i under CSL."""
-    _check_model(collapse, Model.CSL)
-    _check_eigenstate(i)
-    _check_eigenstate(j)
-    tt, scalar = _times(t)
-    if i != j:
-        return _out(np.zeros_like(tt), scalar)
-    lam, ratios, _, _, _ = _ratio_terms(meson, collapse)
-    rate = lam * (2.0 * collapse.beta - 1.0) * float(ratios[i] ** 2)
-    return _out(np.exp(-rate * tt), scalar)
-
-
-def prob_flavor_csl(meson: MesonParams, collapse: CollapseParams, target: FlavorTarget, t):
-    """Flavor transition probability from M0 under CSL (exponential damping)."""
-    _check_model(collapse, Model.CSL)
-    tt, scalar = _times(t)
-    lam, ratios, sum_sq, diff_sq, _ = _ratio_terms(meson, collapse)
-    two_beta_m1 = 2.0 * collapse.beta - 1.0
-    sign = 1.0 if target is FlavorTarget.M0 else -1.0
-    diag = np.exp(-lam * two_beta_m1 * float(ratios[0] ** 2) * tt) + np.exp(
-        -lam * two_beta_m1 * float(ratios[1] ** 2) * tt
-    )
-    interference = (
-        2.0
-        * np.exp(-0.5 * lam * (two_beta_m1 * sum_sq + diff_sq) * tt)
-        * np.cos(tt * meson.delta_m)
-    )
+    diag = _damping(spec, rate_l, tt, "lifetime") + _damping(spec, rate_h, tt, "lifetime")
+    interference = 2.0 * _damping(spec, rate_lh, tt, "interference") * np.cos(tt * spec.meson.delta_m)
     return _out(0.25 * (diag + sign * interference), scalar)
 
 
@@ -209,14 +170,13 @@ def asymmetry_closed_form(spec: AsymmetrySpec, t):
     if spec.model is DynamicsModel.QM:
         return _out(osc / np.cosh(0.5 * meson.delta_gamma * tt), scalar)
 
-    lam, ratios, _, diff_sq, sq_diff = _ratio_terms(meson, spec.collapse)
+    lam, _, _, diff_sq, sq_diff = _ratio_terms(meson, spec.collapse)
     beta, d = spec.collapse.beta, spec.collapse.d
     if spec.model is DynamicsModel.CSL:
         damping = np.exp(-0.5 * lam * diff_sq * tt)
         return _out(osc * damping / np.cosh(lam * (beta - 0.5) * sq_diff * tt), scalar)
 
-    base_l = _qmupl_base(lam, beta, float(ratios[0] ** 2), tt, "lifetime")
-    base_h = _qmupl_base(lam, beta, float(ratios[1] ** 2), tt, "lifetime")
+    base_l, base_h = (_qmupl_base(rate, tt, "lifetime") for rate in _rates(spec)[:2])
     first = (1.0 - 0.5 * lam * ((1.0 - 2.0 * beta) * sq_diff - diff_sq) * tt / base_l) ** (0.5 * d)
     second = (1.0 + 0.5 * lam * ((1.0 - 2.0 * beta) * sq_diff + diff_sq) * tt / base_h) ** (0.5 * d)
     return _out(2.0 * osc / (first + second), scalar)

@@ -388,19 +388,14 @@ def _require_probabilities(route: str, times: np.ndarray, probs: dict[str, np.nd
 def _analytic_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     from . import analytic
 
-    # Resolved per call, so wrappers installed on the analytic module apply.
-    flavor, lifetime = {
-        DynamicsModel.QM: (analytic.prob_flavor_qm, analytic.prob_lifetime_qm),
-        DynamicsModel.QMUPL: (analytic.prob_flavor_qmupl, analytic.prob_lifetime_qmupl),
-        DynamicsModel.CSL: (analytic.prob_flavor_csl, analytic.prob_lifetime_csl),
-    }[spec.model]
-    params = (spec.meson,) if spec.model is DynamicsModel.QM else (spec.meson, spec.collapse)
+    # Called through the module, so wrappers installed on it apply.
+    closed_form = analytic.AsymmetrySpec(spec.model, spec.meson, spec.collapse)
     out = {}
     for col, (initial, final) in _PROBS.items():
         if initial == "M0":
-            out[col] = flavor(*params, FlavorTarget(final), times)
+            out[col] = analytic.prob_flavor(closed_form, FlavorTarget(final), times)
         else:  # lifetime index: L = 0, H = 1
-            out[col] = lifetime(*params, "LH".index(initial), "LH".index(final), times)
+            out[col] = analytic.prob_lifetime(closed_form, "LH".index(initial), "LH".index(final), times)
     return out
 
 

@@ -279,7 +279,7 @@ def ito_stratonovich_drift(diffusion_operator: np.ndarray, beta: float, beta_pri
 
 def theta_from_kappa(kappa: float) -> float:
     """Heaviside-at-zero value kappa^2 / (1 + kappa^2) of the asymmetric noise."""
-    if kappa < 0.0:
+    if not (kappa >= 0.0):
         raise InvalidParams("kappa must be nonnegative")
     if math.isinf(kappa):
         return 1.0
@@ -555,6 +555,8 @@ def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
 def _check_grid(t_grid: np.ndarray) -> None:
     if t_grid.ndim != 1 or len(t_grid) < 1 or t_grid[0] != 0.0:
         raise InvalidParams("t_grid must start at 0")
+    if not np.all(np.isfinite(t_grid)):
+        raise InvalidParams("t_grid must be finite")
     if len(t_grid) > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise InvalidParams("t_grid must be strictly increasing")
 

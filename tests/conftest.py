@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flavorcollapse.core import CollapseParams, Convention, MesonParams, Model
+from flavorcollapse.analytic import AsymmetrySpec
+from flavorcollapse.core import CollapseParams, Convention, DynamicsModel, MesonParams, Model
 
 
 @pytest.fixture
@@ -58,3 +59,9 @@ def random_collapse(rng: np.random.Generator, model: Model, beta_min: float = 0.
     if model is Model.CSL:
         return CollapseParams(model=model, rate=rng.uniform(0.0, 0.5), r_C=rng.uniform(0.2, 1.0), **common)
     return CollapseParams(model=model, rate=rng.uniform(0.0, 0.5), **common)
+
+
+def closed_form(meson: MesonParams, collapse: CollapseParams | None = None) -> AsymmetrySpec:
+    """Closed-form spec of QM (no collapse parameters) or of the model ``collapse`` belongs to."""
+    model = DynamicsModel.QM if collapse is None else DynamicsModel(collapse.model.value)
+    return AsymmetrySpec(model, meson, collapse)

@@ -16,12 +16,9 @@ from flavorcollapse.analytic import (
     AsymmetrySpec,
     DynamicsModel,
     asymmetry_closed_form,
-    prob_flavor_csl,
-    prob_flavor_qm,
-    prob_flavor_qmupl,
-    prob_lifetime_csl,
-    prob_lifetime_qm,
     collapse_rate_lower_bound,
+    prob_flavor,
+    prob_lifetime,
     solve_absolute_masses,
 )
 from flavorcollapse.core import (
@@ -53,6 +50,8 @@ from flavorcollapse.sde import (
     step,
     stratonovich_step,
 )
+
+from conftest import closed_form
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _M0 = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
@@ -104,10 +103,11 @@ def test_c1_triple_route_agreement_csl():
                 alpha=1.0, d=collapse.d, r_C=collapse.r_C, ratio_convention=convention,
             )
         p_same_m, p_flip_m = _master_flavor_probs(meson, collapse, grid)
-        p_same_a = prob_flavor_csl(meson, collapse, FlavorTarget.M0, grid)
-        p_flip_a = prob_flavor_csl(meson, collapse, FlavorTarget.M0BAR, grid)
+        closed = AsymmetrySpec(DynamicsModel.CSL, meson, collapse)
+        p_same_a = prob_flavor(closed, FlavorTarget.M0, grid)
+        p_flip_a = prob_flavor(closed, FlavorTarget.M0BAR, grid)
         asym_m = (p_same_m - p_flip_m) / (p_same_m + p_flip_m)
-        asym_a = asymmetry_closed_form(AsymmetrySpec(DynamicsModel.CSL, meson, collapse), grid)
+        asym_a = asymmetry_closed_form(closed, grid)
         worst = max(
             worst,
             np.abs(p_same_m - p_same_a).max(),
@@ -290,14 +290,14 @@ def test_c7_degeneration_suite():
     quiet_csl = CollapseParams(model=Model.CSL, rate=0.0, beta=0.8, m0=1.0, alpha=1.0, d=2, r_C=0.5)
     quiet_qmupl = CollapseParams(model=Model.QMUPL, rate=0.0, beta=0.8, m0=1.0, alpha=1.0, d=2)
     cos_sq = np.cos(0.5 * grid * meson.delta_m) ** 2
-    np.testing.assert_allclose(prob_flavor_csl(meson, quiet_csl, FlavorTarget.M0, grid), cos_sq, atol=1e-12)
-    np.testing.assert_allclose(prob_flavor_qmupl(meson, quiet_qmupl, FlavorTarget.M0, grid), cos_sq, atol=1e-12)
+    np.testing.assert_allclose(prob_flavor(closed_form(meson, quiet_csl), FlavorTarget.M0, grid), cos_sq, atol=1e-12)
+    np.testing.assert_allclose(prob_flavor(closed_form(meson, quiet_qmupl), FlavorTarget.M0, grid), cos_sq, atol=1e-12)
     np.testing.assert_allclose(
         probs_from_kernels(Model.CSL, meson, quiet_csl, QuantumState.m0(), QuantumState.m0(), grid),
         cos_sq, atol=1e-12,
     )
     np.testing.assert_allclose(
-        prob_flavor_qm(meson, FlavorTarget.M0, grid), cos_sq, atol=1e-12
+        prob_flavor(closed_form(meson), FlavorTarget.M0, grid), cos_sq, atol=1e-12
     )
 
     asym = CollapseParams(model=Model.CSL, rate=0.3, beta=0.85, m0=1.0, alpha=1.0, d=2, r_C=0.5)
@@ -305,8 +305,8 @@ def test_c7_degeneration_suite():
     dressed = MesonParams(m_L=1.0, m_H=2.0, gamma_L=g_l, gamma_H=g_h)
     for i in (0, 1):
         np.testing.assert_allclose(
-            prob_lifetime_csl(meson, asym, i, i, grid),
-            prob_lifetime_qm(dressed, i, i, grid),
+            prob_lifetime(closed_form(meson, asym), i, i, grid),
+            prob_lifetime(closed_form(dressed), i, i, grid),
             atol=1e-12,
         )
     _report(f"7 degeneration suite (trace drift {trace_drift:.1e})", start, 30.0)

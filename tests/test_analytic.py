@@ -8,12 +8,8 @@ from flavorcollapse.analytic import (
     asymmetry_closed_form,
     bound_curve,
     collapse_rate_lower_bound,
-    prob_flavor_csl,
-    prob_flavor_qm,
-    prob_flavor_qmupl,
-    prob_lifetime_csl,
-    prob_lifetime_qm,
-    prob_lifetime_qmupl,
+    prob_flavor,
+    prob_lifetime,
     solve_absolute_masses,
 )
 from flavorcollapse.core import Convention, FlavorTarget, MesonParams, Model
@@ -26,92 +22,105 @@ from flavorcollapse.errors import (
 )
 from flavorcollapse.operators import induced_decay_widths
 
-from conftest import make_csl, make_qmupl, random_collapse, random_meson
+from conftest import closed_form, make_csl, make_qmupl, random_collapse, random_meson
 
 
 # ----------------------------------------------------------------------
 # lifetime and flavor probabilities
 
 def test_lifetime_qm(meson):
-    assert prob_lifetime_qm(meson, 0, 0, 0.0) == 1.0
-    assert prob_lifetime_qm(meson, 0, 1, 3.7) == 0.0
+    qm = closed_form(meson)
+    assert prob_lifetime(qm, 0, 0, 0.0) == 1.0
+    assert prob_lifetime(qm, 0, 1, 3.7) == 0.0
     t_half = np.log(2) / meson.gamma_L
-    assert prob_lifetime_qm(meson, 0, 0, t_half) == pytest.approx(0.5, rel=1e-12)
+    assert prob_lifetime(qm, 0, 0, t_half) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(NegativeTime):
-        prob_lifetime_qm(meson, 0, 0, -1.0)
+        prob_lifetime(qm, 0, 0, -1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, 1.0, np.nan], [0.0, np.inf]])
+@pytest.mark.parametrize("collapse", [None, make_csl(), make_qmupl()], ids=["QM", "CSL", "QMUPL"])
+def test_closed_forms_reject_non_finite_times(meson, collapse, t):
+    spec = closed_form(meson, collapse)
+    with pytest.raises(InvalidParams, match="finite"):
+        prob_flavor(spec, FlavorTarget.M0, t)
+    with pytest.raises(InvalidParams, match="finite"):
+        prob_lifetime(spec, 0, 0, t)
+    with pytest.raises(InvalidParams, match="finite"):
+        asymmetry_closed_form(spec, t)
 
 
 def test_flavor_qm_limits(meson, meson_stable):
-    assert prob_flavor_qm(meson, FlavorTarget.M0, 0.0) == pytest.approx(1.0)
-    assert prob_flavor_qm(meson, FlavorTarget.M0BAR, 0.0) == pytest.approx(0.0)
+    assert prob_flavor(closed_form(meson), FlavorTarget.M0, 0.0) == pytest.approx(1.0)
+    assert prob_flavor(closed_form(meson), FlavorTarget.M0BAR, 0.0) == pytest.approx(0.0)
     t_pi = np.pi / meson_stable.delta_m
-    assert prob_flavor_qm(meson_stable, FlavorTarget.M0, t_pi) == pytest.approx(0.0, abs=1e-15)
-    assert prob_flavor_qm(meson_stable, FlavorTarget.M0BAR, t_pi) == pytest.approx(1.0)
+    assert prob_flavor(closed_form(meson_stable), FlavorTarget.M0, t_pi) == pytest.approx(0.0, abs=1e-15)
+    assert prob_flavor(closed_form(meson_stable), FlavorTarget.M0BAR, t_pi) == pytest.approx(1.0)
 
 
-def test_flavor_qm_target_sum_cancels_interference(meson):
-    t = np.linspace(0.0, 20.0, 64)
-    total = prob_flavor_qm(meson, FlavorTarget.M0, t) + prob_flavor_qm(meson, FlavorTarget.M0BAR, t)
-    expected = 0.5 * (np.exp(-meson.gamma_L * t) + np.exp(-meson.gamma_H * t))
-    np.testing.assert_allclose(total, expected, atol=1e-14)
+@pytest.mark.parametrize("model", ["QM", "CSL", "QMUPL"])
+def test_flavor_target_sum_cancels_interference(meson, meson_stable, model):
+    # P(M0) + P(M0bar) keeps the two lifetime terms; the interference cancels.
+    if model == "QM":
+        spec, t = closed_form(meson), np.linspace(0.0, 20.0, 64)
+        lifetimes = [np.exp(-meson.gamma_L * t), np.exp(-meson.gamma_H * t)]
+    else:
+        collapse = make_csl() if model == "CSL" else make_qmupl()
+        spec, t = closed_form(meson_stable, collapse), np.linspace(0.0, 10.0, 50)
+        assert prob_flavor(spec, FlavorTarget.M0, 0.0) == pytest.approx(1.0)
+        assert prob_flavor(spec, FlavorTarget.M0BAR, 0.0) == pytest.approx(0.0, abs=1e-15)
+        # Mass ratios 1 and 2 give induced widths lambda (2 beta - 1) {1, 4}.
+        lam = collapse.effective_rate
+        x = [lam * (2 * collapse.beta - 1) * r_sq * t for r_sq in (1.0, 4.0)]
+        lifetimes = [np.exp(-xi) if model == "CSL" else (1.0 + xi) ** (-0.5 * collapse.d) for xi in x]
+    total = prob_flavor(spec, FlavorTarget.M0, t) + prob_flavor(spec, FlavorTarget.M0BAR, t)
+    np.testing.assert_allclose(total, 0.5 * (lifetimes[0] + lifetimes[1]), atol=1e-14)
 
 
 def test_lifetime_qmupl():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0)
-    symmetric = make_qmupl(beta=0.5)
-    assert prob_lifetime_qmupl(meson, symmetric, 0, 0, 17.3) == 1.0
-    assert prob_lifetime_qmupl(meson, symmetric, 0, 0, 0.0) == 1.0
-    assert prob_lifetime_qmupl(meson, symmetric, 1, 0, 0.0) == 0.0
-    spec_point = make_qmupl(rate=0.1, alpha=1.0, beta=1.0, m0=1.0, d=2)
-    assert prob_lifetime_qmupl(meson, spec_point, 0, 0, 1.0) == pytest.approx(1 / 1.9, rel=1e-14)
+    symmetric = closed_form(meson, make_qmupl(beta=0.5))
+    assert prob_lifetime(symmetric, 0, 0, 17.3) == 1.0
+    assert prob_lifetime(symmetric, 0, 0, 0.0) == 1.0
+    assert prob_lifetime(symmetric, 1, 0, 0.0) == 0.0
+    spec_point = closed_form(meson, make_qmupl(rate=0.1, alpha=1.0, beta=1.0, m0=1.0, d=2))
+    assert prob_lifetime(spec_point, 0, 0, 1.0) == pytest.approx(1 / 1.9, rel=1e-14)
 
 
 def test_lifetime_qmupl_singular_time():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0)
-    collapse = make_qmupl(rate=0.1, alpha=1.0, beta=0.0, m0=1.0)
+    spec = closed_form(meson, make_qmupl(rate=0.1, alpha=1.0, beta=0.0, m0=1.0))
     # base vanishes at t* = 1/(0.1 * 9)
-    with pytest.raises(SingularTime):
-        prob_lifetime_qmupl(meson, collapse, 0, 0, 2.0)
-    assert prob_lifetime_qmupl(meson, collapse, 0, 0, 0.5) > 1.0
+    with pytest.raises(SingularTime, match=r"lifetime factor singular at t\* = 1.11111;"):
+        prob_lifetime(spec, 0, 0, 2.0)
+    assert prob_lifetime(spec, 0, 0, 0.5) > 1.0
+    # H's lifetime factor (t* = 1/(0.1 * 16)) vanishes before the
+    # interference factor (t* = 1/(0.05 * (25 - 1))).
+    with pytest.raises(SingularTime, match=r"t\* = 0.625;"):
+        prob_flavor(spec, FlavorTarget.M0, 0.7)
 
 
 def test_flavor_qmupl_degenerate_ratios_is_pure_oscillation():
     meson = MesonParams(m_L=1.0, m_H=1.0 + 1e-9, gamma_L=0.0, gamma_H=0.0)
     collapse = make_qmupl(beta=0.5, rate=0.3, m0=1.0)
     t = np.linspace(0.0, 3e8, 7)
-    got = prob_flavor_qmupl(meson, collapse, FlavorTarget.M0, t)
+    got = prob_flavor(closed_form(meson, collapse), FlavorTarget.M0, t)
     np.testing.assert_allclose(got, np.cos(0.5 * t * meson.delta_m) ** 2, atol=1e-9)
 
 
 def test_lifetime_csl(meson):
-    collapse = make_csl(beta=0.5)
-    assert prob_lifetime_csl(meson, collapse, 1, 1, 9.9) == 1.0
+    assert prob_lifetime(closed_form(meson, make_csl(beta=0.5)), 1, 1, 9.9) == 1.0
     strong = make_csl(beta=1.0)
     lam = strong.effective_rate
     t_half = np.log(2) / (lam * 1.0**2)
-    assert prob_lifetime_csl(meson, strong, 0, 0, t_half) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_flavor_csl_basics(meson_stable):
-    collapse = make_csl()
-    assert prob_flavor_csl(meson_stable, collapse, FlavorTarget.M0, 0.0) == pytest.approx(1.0)
-    assert prob_flavor_csl(meson_stable, collapse, FlavorTarget.M0BAR, 0.0) == pytest.approx(0.0, abs=1e-15)
-    t = np.linspace(0.0, 10.0, 50)
-    lam = collapse.effective_rate
-    total = prob_flavor_csl(meson_stable, collapse, FlavorTarget.M0, t) + prob_flavor_csl(
-        meson_stable, collapse, FlavorTarget.M0BAR, t
-    )
-    expected = 0.5 * (
-        np.exp(-lam * (2 * collapse.beta - 1) * 1.0 * t) + np.exp(-lam * (2 * collapse.beta - 1) * 4.0 * t)
-    )
-    np.testing.assert_allclose(total, expected, atol=1e-14)
+    assert prob_lifetime(closed_form(meson, strong), 0, 0, t_half) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_flavor_csl_symmetric_noise_damps_interference_only(meson_stable):
     collapse = make_csl(beta=0.5)
     lam = collapse.effective_rate
     t = np.linspace(0.0, 8.0, 33)
-    got = prob_flavor_csl(meson_stable, collapse, FlavorTarget.M0, t)
+    got = prob_flavor(closed_form(meson_stable, collapse), FlavorTarget.M0, t)
     damp = np.exp(-0.5 * lam * (2.0 - 1.0) ** 2 * t)
     expected = 0.25 * (2.0 + 2.0 * damp * np.cos(t * meson_stable.delta_m))
     np.testing.assert_allclose(got, expected, atol=1e-14)
@@ -150,10 +159,10 @@ def test_flavor_qmupl_matches_quadrature_oracle():
     f = {(i, j): _oracle_partial_trace(meson, collapse, i, j, t) for i in (0, 1) for j in (0, 1)}
     expected_plus = 0.25 * (f[0, 0] + f[1, 1] + 2 * np.real(f[0, 1]))
     expected_minus = 0.25 * (f[0, 0] + f[1, 1] - 2 * np.real(f[0, 1]))
-    assert prob_flavor_qmupl(meson, collapse, FlavorTarget.M0, t) == pytest.approx(
+    assert prob_flavor(closed_form(meson, collapse), FlavorTarget.M0, t) == pytest.approx(
         expected_plus.real, abs=1e-10
     )
-    assert prob_flavor_qmupl(meson, collapse, FlavorTarget.M0BAR, t) == pytest.approx(
+    assert prob_flavor(closed_form(meson, collapse), FlavorTarget.M0BAR, t) == pytest.approx(
         expected_minus.real, abs=1e-10
     )
 
@@ -169,19 +178,13 @@ def test_probability_bounds_randomized():
         model = Model.CSL if rng.random() < 0.5 else Model.QMUPL
         collapse = random_collapse(rng, model, beta_min=0.5)
         target = FlavorTarget.M0 if rng.random() < 0.5 else FlavorTarget.M0BAR
-        if model is Model.CSL:
-            values = [
-                prob_flavor_csl(meson, collapse, target, times),
-                prob_lifetime_csl(meson, collapse, 0, 0, times),
-                prob_lifetime_csl(meson, collapse, 1, 1, times),
-            ]
-        else:
-            values = [
-                prob_flavor_qmupl(meson, collapse, target, times),
-                prob_lifetime_qmupl(meson, collapse, 0, 0, times),
-                prob_lifetime_qmupl(meson, collapse, 1, 1, times),
-            ]
-        values.append(prob_flavor_qm(meson, target, times))
+        spec = closed_form(meson, collapse)
+        values = [
+            prob_flavor(spec, target, times),
+            prob_lifetime(spec, 0, 0, times),
+            prob_lifetime(spec, 1, 1, times),
+            prob_flavor(closed_form(meson), target, times),
+        ]
         stacked = np.concatenate(values)
         assert stacked.min() >= 0.0
         assert stacked.max() <= 1.0 + 1e-12
@@ -194,8 +197,8 @@ def test_model_degeneration_csl_to_qm():
     t = np.linspace(0.0, 12.0, 101)
     for target in FlavorTarget:
         np.testing.assert_allclose(
-            prob_flavor_csl(meson, collapse, target, t),
-            prob_flavor_qm(meson, target, t),
+            prob_flavor(closed_form(meson, collapse), target, t),
+            prob_flavor(closed_form(meson), target, t),
             atol=1e-12,
         )
 
@@ -205,8 +208,8 @@ def test_model_degeneration_qmupl_rate_zero(meson_stable):
     t = np.linspace(0.0, 12.0, 101)
     for target in FlavorTarget:
         np.testing.assert_allclose(
-            prob_flavor_qmupl(meson_stable, collapse, target, t),
-            prob_flavor_qm(meson_stable, target, t),
+            prob_flavor(closed_form(meson_stable, collapse), target, t),
+            prob_flavor(closed_form(meson_stable), target, t),
             atol=1e-14,
         )
 
@@ -223,8 +226,8 @@ def test_substitution_identity_randomized():
         dressed = MesonParams(m_L=bare.m_L, m_H=bare.m_H, gamma_L=g_l, gamma_H=g_h)
         for i in (0, 1):
             np.testing.assert_allclose(
-                prob_lifetime_csl(bare, collapse, i, i, t),
-                prob_lifetime_qm(dressed, i, i, t),
+                prob_lifetime(closed_form(bare, collapse), i, i, t),
+                prob_lifetime(closed_form(dressed), i, i, t),
                 atol=1e-12,
             )
 
@@ -256,24 +259,18 @@ def test_asymmetry_spec_requires_matching_collapse(meson, csl):
 def test_asymmetry_closed_forms_match_ratio(meson):
     t = np.linspace(0.0, 10.0, 100)
 
-    def ratio(prob_flavor, *params):
-        p_same = prob_flavor(*params, FlavorTarget.M0, t)
-        p_flip = prob_flavor(*params, FlavorTarget.M0BAR, t)
+    def ratio(spec):
+        p_same = prob_flavor(spec, FlavorTarget.M0, t)
+        p_flip = prob_flavor(spec, FlavorTarget.M0BAR, t)
         return (p_same - p_flip) / (p_same + p_flip)
 
     qm = AsymmetrySpec(DynamicsModel.QM, meson)
-    np.testing.assert_allclose(ratio(prob_flavor_qm, meson), asymmetry_closed_form(qm, t), atol=1e-12)
+    np.testing.assert_allclose(ratio(qm), asymmetry_closed_form(qm, t), atol=1e-12)
     for convention in Convention:
-        csl = make_csl(beta=0.85, ratio_convention=convention)
-        csl_spec = AsymmetrySpec(DynamicsModel.CSL, meson, csl)
-        np.testing.assert_allclose(
-            ratio(prob_flavor_csl, meson, csl), asymmetry_closed_form(csl_spec, t), atol=1e-12
-        )
-        qmupl = make_qmupl(beta=0.85, ratio_convention=convention)
-        qmupl_spec = AsymmetrySpec(DynamicsModel.QMUPL, meson, qmupl)
-        np.testing.assert_allclose(
-            ratio(prob_flavor_qmupl, meson, qmupl), asymmetry_closed_form(qmupl_spec, t), atol=1e-10
-        )
+        csl_spec = AsymmetrySpec(DynamicsModel.CSL, meson, make_csl(beta=0.85, ratio_convention=convention))
+        np.testing.assert_allclose(ratio(csl_spec), asymmetry_closed_form(csl_spec, t), atol=1e-12)
+        qmupl_spec = AsymmetrySpec(DynamicsModel.QMUPL, meson, make_qmupl(beta=0.85, ratio_convention=convention))
+        np.testing.assert_allclose(ratio(qmupl_spec), asymmetry_closed_form(qmupl_spec, t), atol=1e-10)
 
 
 def test_asymmetry_bounded(meson):

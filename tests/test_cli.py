@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from flavorcollapse import cli, lindblad, sde
-from flavorcollapse.analytic import prob_flavor_csl, prob_flavor_qm, prob_flavor_qmupl, prob_lifetime_qm
+from flavorcollapse.analytic import prob_flavor, prob_lifetime
 from flavorcollapse.core import Convention, FlavorTarget, MesonParams
 from flavorcollapse.errors import CatalogMiss, InvalidParams, ParseError, UnknownKey
 
-from conftest import make_csl
+from conftest import closed_form, make_csl
 
 
 def _schema():
@@ -111,7 +111,7 @@ def test_master_matches_analytic_csl(tmp_path):
     times = column(out, "time")
     np.testing.assert_allclose(
         column(out, "P_M0_M0"),
-        prob_flavor_csl(meson, collapse, FlavorTarget.M0, times),
+        prob_flavor(closed_form(meson, collapse), FlavorTarget.M0, times),
         atol=1e-8,
     )
 
@@ -131,7 +131,7 @@ def test_master_qmupl_uses_kernel_route(tmp_path):
     times = column(out, "time")
     np.testing.assert_allclose(
         column(out, "P_M0_M0bar"),
-        prob_flavor_qmupl(meson, collapse, FlavorTarget.M0BAR, times),
+        prob_flavor(closed_form(meson, collapse), FlavorTarget.M0BAR, times),
         atol=1e-12,
     )
     # All four columns of the kernel route against the analytic command.
@@ -231,10 +231,10 @@ def test_qm_ensemble_is_exact_wigner_weisskopf(tmp_path):
     assert "equation=" not in header[0]
     times = column(out, "time")
     expected = {
-        "P_M0_M0": prob_flavor_qm(meson, FlavorTarget.M0, times),
-        "P_M0_M0bar": prob_flavor_qm(meson, FlavorTarget.M0BAR, times),
-        "P_L_L": prob_lifetime_qm(meson, 0, 0, times),
-        "P_H_H": prob_lifetime_qm(meson, 1, 1, times),
+        "P_M0_M0": prob_flavor(closed_form(meson), FlavorTarget.M0, times),
+        "P_M0_M0bar": prob_flavor(closed_form(meson), FlavorTarget.M0BAR, times),
+        "P_L_L": prob_lifetime(closed_form(meson), 0, 0, times),
+        "P_H_H": prob_lifetime(closed_form(meson), 1, 1, times),
     }
     for name, probs in expected.items():
         np.testing.assert_allclose(column(out, name), probs, rtol=0.0, atol=1e-15)
@@ -472,13 +472,19 @@ def test_compare_linear_names_write_identical_files(tmp_path):
         assert len(texts) == 1, names
 
 
-@pytest.mark.parametrize("meson", ["K0", "D0", "B0", "Bs0"])
-def test_master_matches_analytic_at_catalog_scale(tmp_path, meson):
-    # The master route takes exp(t S) at each grid time, so over the whole
-    # default window its probabilities stay within round-off of the closed forms.
+@pytest.mark.parametrize(
+    "meson, model",
+    [pytest.param(m, "CSL", id=m) for m in ("K0", "D0", "B0", "Bs0")]
+    + [pytest.param(m, "QMUPL", id=f"{m}-QMUPL") for m in ("K0", "D0", "B0", "Bs0")],
+)
+def test_master_matches_analytic_at_catalog_scale(tmp_path, meson, model):
+    # The master route takes exp(t S) at each grid time under CSL and
+    # evaluates the position kernels under QMUPL, so over the whole default
+    # window its probabilities stay within round-off of the closed forms.
+    r_C = {"r_C": 1e-7} if model == "CSL" else {}
     cfg = write_config(
-        tmp_path, command="master", meson=meson, model="CSL",
-        rate=2.2e-10, r_C=1e-7, beta=0.8, m0_MeV=938.272, alpha=1e-14, d=3, n_points=400,
+        tmp_path, command="master", meson=meson, model=model,
+        rate=2.2e-10, **r_C, beta=0.8, m0_MeV=938.272, alpha=1e-14, d=3, n_points=400,
     )
     spec = cli.load_config(cfg)
     master, analytic = cli._master_probs(spec, spec.grid), cli._analytic_probs(spec, spec.grid)
@@ -775,8 +781,8 @@ def _beta_mismatch():
 
     def probs(collapse):
         return {
-            "P_M0_M0": prob_flavor_csl(meson, collapse, FlavorTarget.M0, times),
-            "P_M0_M0bar": prob_flavor_csl(meson, collapse, FlavorTarget.M0BAR, times),
+            "P_M0_M0": prob_flavor(closed_form(meson, collapse), FlavorTarget.M0, times),
+            "P_M0_M0bar": prob_flavor(closed_form(meson, collapse), FlavorTarget.M0BAR, times),
             "P_L_L": np.ones_like(times),
             "P_H_H": np.ones_like(times),
         }

@@ -3,12 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from flavorcollapse.analytic import (
-    prob_flavor_csl,
-    prob_flavor_qm,
-    prob_flavor_qmupl,
-    prob_lifetime_qmupl,
-)
+from flavorcollapse.analytic import prob_flavor, prob_lifetime
 from flavorcollapse.core import (
     FlavorTarget,
     MesonParams,
@@ -32,7 +27,7 @@ from flavorcollapse.lindblad import (
 )
 from flavorcollapse.operators import induced_decay_widths, reduced_mass_operator
 
-from conftest import make_csl, make_qmupl, random_collapse, random_meson
+from conftest import closed_form, make_csl, make_qmupl, random_collapse, random_meson
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _RHO_M0 = np.outer([_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, _INV_SQRT2]).astype(complex)
@@ -317,7 +312,7 @@ def test_partial_trace_basics():
     assert gaussian_partial_trace(Model.QMUPL, meson, collapse, 0, 1, 0.0) == pytest.approx(1.0)
     for t in (0.2, 1.0, 2.5):
         diag = gaussian_partial_trace(Model.QMUPL, meson, collapse, 0, 0, t)
-        assert diag.real == pytest.approx(prob_lifetime_qmupl(meson, collapse, 0, 0, t), rel=1e-14)
+        assert diag.real == pytest.approx(prob_lifetime(closed_form(meson, collapse), 0, 0, t), rel=1e-14)
         assert diag.imag == pytest.approx(0.0, abs=1e-15)
 
 
@@ -353,19 +348,13 @@ def test_probs_from_kernels_match_closed_forms(meson_stable):
     m0_state = QuantumState.m0()
     m0bar_state = QuantumState.m0bar()
     csl = make_csl(beta=0.75)
-    for state, target in ((m0_state, FlavorTarget.M0), (m0bar_state, FlavorTarget.M0BAR)):
-        np.testing.assert_allclose(
-            probs_from_kernels(Model.CSL, meson_stable, csl, m0_state, state, t),
-            prob_flavor_csl(meson_stable, csl, target, t),
-            atol=1e-12,
-        )
-    qmupl = make_qmupl(beta=0.75, rate=0.05)
-    for state, target in ((m0_state, FlavorTarget.M0), (m0bar_state, FlavorTarget.M0BAR)):
-        np.testing.assert_allclose(
-            probs_from_kernels(Model.QMUPL, meson_stable, qmupl, m0_state, state, t),
-            prob_flavor_qmupl(meson_stable, qmupl, target, t),
-            atol=1e-12,
-        )
+    for collapse in (csl, make_qmupl(beta=0.75, rate=0.05)):
+        for state, target in ((m0_state, FlavorTarget.M0), (m0bar_state, FlavorTarget.M0BAR)):
+            np.testing.assert_allclose(
+                probs_from_kernels(collapse.model, meson_stable, collapse, m0_state, state, t),
+                prob_flavor(closed_form(meson_stable, collapse), target, t),
+                atol=1e-12,
+            )
     assert probs_from_kernels(Model.CSL, meson_stable, csl, m0_state, m0_state, 0.0) == pytest.approx(1.0)
 
 
@@ -375,13 +364,13 @@ def test_qmupl_rate_zero_reduces_to_qm(meson_stable):
     got = probs_from_kernels(
         Model.QMUPL, meson_stable, collapse, QuantumState.m0(), QuantumState.m0(), t
     )
-    np.testing.assert_allclose(got, prob_flavor_qm(meson_stable, FlavorTarget.M0, t), atol=1e-12)
+    np.testing.assert_allclose(got, prob_flavor(closed_form(meson_stable), FlavorTarget.M0, t), atol=1e-12)
 
 
 def test_triple_route_csl_small(meson_stable):
     collapse = make_csl(beta=0.8)
     grid = np.linspace(0.0, 8.0, 81)
-    analytic_p = prob_flavor_csl(meson_stable, collapse, FlavorTarget.M0, grid)
+    analytic_p = prob_flavor(closed_form(meson_stable, collapse), FlavorTarget.M0, grid)
     kernel_p = probs_from_kernels(
         Model.CSL, meson_stable, collapse, QuantumState.m0(), QuantumState.m0(), grid
     )

@@ -46,8 +46,10 @@ def test_spans_trace_a_compare(tmp_path):
     out = tmp_path / "spans.json"
     proc = _run(tmp_path, "spans.py", str(out), str(cfg))
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(out.read_text())}
-    assert {"cli.main", "lindblad.integrate_master", "sde.ensemble_evolve"} <= names
+    names = [span[0] for span in json.loads(out.read_text())]
+    assert {"cli.main", "lindblad.integrate_master", "sde.ensemble_evolve"} <= set(names)
+    # One closed-form call per probability column, each reached through the module.
+    assert names.count("analytic") == 4
 
 
 def _benchmark_loads():

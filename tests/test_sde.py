@@ -7,7 +7,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
-from flavorcollapse.analytic import prob_flavor_qm
+from flavorcollapse.analytic import prob_flavor
 from flavorcollapse.core import Basis, FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
 from flavorcollapse.lindblad import integrate_master, master_rhs
@@ -32,7 +32,7 @@ from flavorcollapse.sde import (
     wiener_increments,
 )
 
-from conftest import make_csl
+from conftest import closed_form, make_csl
 
 # stratonovich_family_spec is an alias of family_spec, so its __name__ cannot
 # tell the two cases apart: the alias case carries its own id.
@@ -480,6 +480,9 @@ def test_theta_from_kappa():
     assert theta_from_kappa(0.0) == 0.0
     assert theta_from_kappa(1.0) == 0.5
     assert theta_from_kappa(np.inf) == 1.0
+    for kappa in (np.nan, -1.0):
+        with pytest.raises(InvalidParams, match="kappa must be nonnegative"):
+            theta_from_kappa(kappa)
 
 
 def test_asymmetric_delta_normalization_and_asymmetry():
@@ -508,8 +511,16 @@ def test_ensemble_unitary_limit_matches_oscillation():
     config = NoiseConfig(seed=5, dt=3.0 / 3000)
     (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 10**4)
     mean, stderr = stats.column("P_M0")
-    expected = prob_flavor_qm(meson, FlavorTarget.M0, t_grid)
+    expected = prob_flavor(closed_form(meson), FlavorTarget.M0, t_grid)
     np.testing.assert_array_less(np.abs(mean - expected), 3 * stderr + 1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_ensemble_rejects_a_non_finite_grid_point(bad):
+    spec = family_spec(_bare(), make_csl(beta=0.8, rate=0.3))
+    config = NoiseConfig(seed=5, dt=0.01)
+    with pytest.raises(InvalidParams, match="t_grid must be finite"):
+        ensemble_evolve(spec, config, (QuantumState.m0(),), np.array([0.0, 1.0, bad]), 10)
 
 
 def test_ensemble_matches_family_master():
