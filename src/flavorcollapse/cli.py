@@ -248,8 +248,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
                 r_C=_get(cfg, props, "r_C"),
                 ratio_convention=convention,
             )
-            if model is DynamicsModel.CSL and collapse.beta < 0.5:
-                raise InvalidParams("CSL needs beta >= 1/2: a smaller beta gives negative collapse-induced widths")
         elif any(k in cfg for k in ("rate", "r_C", "beta", "m0", "m0_MeV", "alpha", "d", "ratio_convention")):
             raise InvalidParams("model QM takes no collapse parameters")
         elif "equation" in cfg:

@@ -87,6 +87,14 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidParams(message)
 
 
+def _time_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as a float array, which must be 1-d, finite and increase strictly from 0."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or len(t) < 1 or t[0] != 0.0 or not np.all(np.isfinite(t)) or not np.all(np.diff(t) > 0.0):
+        raise InvalidParams("t_grid must be finite, 1-d and increase strictly from 0")
+    return t
+
+
 @dataclass(frozen=True)
 class MesonParams:
     """Masses and decay widths of the two lifetime eigenstates.

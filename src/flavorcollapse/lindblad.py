@@ -35,12 +35,14 @@ from .core import (
     MesonParams,
     Model,
     QuantumState,
+    _time_grid,
     mass_ratios,
     to_mass,
 )
 from .errors import DimensionMismatch, InvalidParams, SingularTime
 from .operators import (
-    collapse_operator_A,
+    _mass_basis_generators,
+    centred_collapse_operator,
     decay_operator,
     enlarged_operators,
     induced_decay_operator,
@@ -66,7 +68,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MasterSpec:
-    """Generators of one master equation.
+    """Generators of one master equation, under the contract of ``operators._mass_basis_generators``.
 
     ``anticommutator`` is the optional PSD operator K entering as
     -1/2 {K, rho}; it encodes decay and makes the trace non-increasing.
@@ -77,32 +79,12 @@ class MasterSpec:
     anticommutator: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h, lindblads, k = _mass_basis_generators(self.hamiltonian, self.lindblads, self.anticommutator)
         object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "lindblads", tuple(np.asarray(m, dtype=complex) for m in self.lindblads))
-        k = self.anticommutator
-        if k is not None:
-            k = np.asarray(k, dtype=complex)
-            object.__setattr__(self, "anticommutator", k)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] not in (2, 4):
-            raise DimensionMismatch("hamiltonian must be 2x2 or 4x4")
-        generators = [h, *self.lindblads] + ([] if k is None else [k])
-        if not all(np.isfinite(m).all() for m in generators):
-            raise InvalidParams("master-equation generators must be finite")
-        scale = max(np.linalg.norm(h), 1e-300)
-        if np.linalg.norm(h - h.conj().T) > 1e-12 * scale:
-            raise InvalidParams("hamiltonian must be Hermitian")
-        for m in self.lindblads:
-            if m.shape != h.shape:
-                raise DimensionMismatch("lindblad operators must match the hamiltonian dimension")
-        if k is not None:
-            if k.shape != h.shape:
-                raise DimensionMismatch("anticommutator term must match the hamiltonian dimension")
-            kscale = max(np.linalg.norm(k), 1e-300)
-            if np.linalg.norm(k - k.conj().T) > 1e-12 * kscale:
-                raise InvalidParams("anticommutator term must be Hermitian")
-            if np.linalg.eigvalsh(0.5 * (k + k.conj().T)).min() < -1e-12 * kscale:
-                raise InvalidParams("anticommutator term must be positive semidefinite")
+        object.__setattr__(self, "lindblads", lindblads)
+        object.__setattr__(self, "anticommutator", k)
+        if k is not None and np.any(np.diagonal(k).real < 0.0):
+            raise InvalidParams("anticommutator term must be positive semidefinite")
 
     @property
     def dim(self) -> int:
@@ -112,13 +94,15 @@ class MasterSpec:
 def family_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterSpec:
     """Flavor-space master equation of the time-asymmetric collapse family.
 
-    H = M (gauge-shifted), L = sqrt(lambda_eff) A, and the anticommutator
-    term K = lambda_eff (2 beta - 1) A^2 of ``induced_decay_operator``.
+    H = M (gauge-shifted), L = sqrt(lambda_eff) (A - m~_L I) of
+    ``centred_collapse_operator``, and the anticommutator term
+    K = lambda_eff (2 beta - 1) A^2 of ``induced_decay_operator``, which
+    keeps the absolute ratios.
     """
     lam = collapse.effective_rate
     return MasterSpec(
         hamiltonian=reduced_mass_operator(meson),
-        lindblads=(math.sqrt(lam) * collapse_operator_A(meson, collapse),),
+        lindblads=(math.sqrt(lam) * centred_collapse_operator(meson, collapse),),
         anticommutator=induced_decay_operator(meson, collapse),
     )
 
@@ -129,11 +113,11 @@ def wigner_weisskopf_spec(meson: MesonParams) -> MasterSpec:
 
 
 def imdecay_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterSpec:
-    """Flavor projection of the enlarged dynamics: collapse channel plus K = Gamma."""
+    """Flavor projection of the enlarged dynamics: the centred collapse channel plus K = Gamma."""
     lam = collapse.effective_rate
     return MasterSpec(
         hamiltonian=reduced_mass_operator(meson),
-        lindblads=(math.sqrt(lam) * collapse_operator_A(meson, collapse),),
+        lindblads=(math.sqrt(lam) * centred_collapse_operator(meson, collapse),),
         anticommutator=decay_operator(meson),
     )
 
@@ -226,11 +210,7 @@ def integrate_master(spec: MasterSpec, rho0: np.ndarray, t_grid: np.ndarray) -> 
     state is symmetrized once as (rho + rho^dag)/2 to remove round-off; the
     trace is never renormalized (its decay is physical).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1:
-        raise InvalidParams("t_grid must be a nonempty 1-d array")
-    if t_grid[0] != 0.0 or not np.all(np.isfinite(t_grid)) or not np.all(np.diff(t_grid) > 0.0):
-        raise InvalidParams("t_grid must be finite and increase strictly from 0")
+    t_grid = _time_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
     d = spec.dim
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (d, d):

@@ -1,4 +1,4 @@
-"""Operator constructors on the 2-dim flavor space and the 4-dim enlarged space.
+"""Operator constructors on the 2-dim flavor space and the 4-dim enlarged space, and their contract.
 
 All matrices are in the mass basis, where every Hermitian operator of
 the model is diagonal.  The enlarged space is ordered (M_L, M_H, f_L,
@@ -15,12 +15,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CollapseParams, MesonParams, mass_ratios
-from .errors import NegativeWidth, ZeroRate
+from .errors import DimensionMismatch, InvalidParams, NegativeWidth, ZeroRate
 
 __all__ = [
     "reduced_mass_operator",
     "decay_operator",
     "collapse_operator_A",
+    "centred_collapse_operator",
     "collapse_operator_B",
     "EnlargedOperators",
     "enlarged_operators",
@@ -53,6 +54,18 @@ def collapse_operator_A(meson: MesonParams, collapse: CollapseParams) -> np.ndar
     return np.diag(mass_ratios(meson, collapse))
 
 
+def centred_collapse_operator(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
+    """A - m~_L I = diag(0, m~_H - m~_L): the flavor collapse operator without its gauge part.
+
+    A real shift L -> L + c I of a Hermitian Lindblad operator leaves the
+    dissipator unchanged (Breuer & Petruccione 2002, sec. 3.2).  Centred
+    before any scaling, the coherence rate -(lambda/2)(m~_H - m~_L)^2 is no
+    difference of terms of size lambda m~^2 that cancel when m~ >> m~_H - m~_L.
+    """
+    ratios = mass_ratios(meson, collapse)
+    return np.diag(ratios - ratios[0])
+
+
 def collapse_operator_B(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
     """Decay-triggering map diag(sqrt(gamma_i / lambda_eff)).
 
@@ -76,15 +89,10 @@ class EnlargedOperators(NamedTuple):
     collapse_b: np.ndarray
 
 
-def _upper_block(block: np.ndarray) -> np.ndarray:
+def _embed(block: np.ndarray, rows: slice) -> np.ndarray:
+    """4x4 operator holding ``block`` in the given rows of the flavor columns."""
     out = np.zeros((4, 4), dtype=block.dtype)
-    out[:2, :2] = block
-    return out
-
-
-def _lower_left_block(block: np.ndarray) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=block.dtype)
-    out[2:, :2] = block
+    out[rows, :2] = block
     return out
 
 
@@ -96,9 +104,9 @@ def enlarged_operators(meson: MesonParams, collapse: CollapseParams) -> Enlarged
     operator B occupies the lower-left block, mapping flavor to decay states.
     """
     return EnlargedOperators(
-        hamiltonian=_upper_block(reduced_mass_operator(meson)),
-        collapse_a=_upper_block(collapse_operator_A(meson, collapse)),
-        collapse_b=_lower_left_block(collapse_operator_B(meson, collapse)),
+        hamiltonian=_embed(reduced_mass_operator(meson), np.s_[:2]),
+        collapse_a=_embed(collapse_operator_A(meson, collapse), np.s_[:2]),
+        collapse_b=_embed(collapse_operator_B(meson, collapse), np.s_[2:]),
     )
 
 
@@ -126,3 +134,32 @@ def induced_decay_widths(meson: MesonParams, collapse: CollapseParams) -> tuple[
         )
     gamma_l, gamma_h = np.diagonal(induced_decay_operator(meson, collapse))
     return float(gamma_l), float(gamma_h)
+
+
+def _mass_basis_generators(hamiltonian, collapse_ops, decay, diagonal_ops: bool = False):
+    """H, the collapse operators and K (or None) as complex arrays that meet the one generator contract.
+
+    Every entry is finite; H is 2x2 or 4x4 and the others match it; H and K
+    are real diagonals in the mass basis; each collapse operator is
+    monomial, with at most one nonzero per row and per column, and with
+    ``diagonal_ops`` a real diagonal too.  Every check is elementwise.
+    """
+    h = np.asarray(hamiltonian, dtype=complex)
+    ops = tuple(np.asarray(op, dtype=complex) for op in collapse_ops)
+    k = None if decay is None else np.asarray(decay, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] not in (2, 4):
+        raise DimensionMismatch("hamiltonian must be 2x2 or 4x4")
+    off_diagonal = ~np.eye(len(h), dtype=bool)
+    named = [("hamiltonian", h, True), *(("collapse operators", op, diagonal_ops) for op in ops)]
+    for name, m, diagonal in named + ([] if k is None else [("decay operator K", k, True)]):
+        if m.shape != h.shape:
+            raise DimensionMismatch(f"{name} must match the hamiltonian dimension")
+        if not np.isfinite(m).all():
+            raise InvalidParams(f"{name} must be finite")
+        if diagonal and m[off_diagonal].any():
+            raise InvalidParams(f"{name} must be diagonal in the mass basis")
+        if diagonal and m.imag.any():
+            raise InvalidParams(f"{name} must be Hermitian (self-adjoint)")
+        if max((m != 0.0).sum(axis=0).max(), (m != 0.0).sum(axis=1).max()) > 1:
+            raise InvalidParams(f"{name} must be monomial: <= 1 nonzero per row and column")
+    return h, ops, k

@@ -32,10 +32,11 @@ time-asymmetric family equation.  The CLI's QM equation is the
 lambda = 0 case with K = Gamma.
 
 In the mass basis H = diag(0, delta_m), A = diag(m~_L, m~_H) and K are
-diagonal, and B maps each mass state to one decay state.  ``SdeSpec``
-requires H and K diagonal and every L_c monomial (diagonal for the linear
-equation), so every step is elementwise.  The linear equation has the
-closed-form solution c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass
+diagonal, and B maps each mass state to one decay state; the flavor
+specs take A centred, diag(0, m~_H - m~_L), a gauge of every label.
+``SdeSpec`` requires H and K real-diagonal and every L_c monomial
+(diagonal for the linear equation), so every step is elementwise.  The
+linear equation has the closed-form solution c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass
 component, d = diag(-i H - K/2), g_c = i sqrt(lambda) diag(A_c), which
 ``ensemble_evolve`` samples at the grid points.  One step of it is
 ``step`` (Euler-Maruyama on the Ito form) or ``stratonovich_step`` (Heun
@@ -67,6 +68,7 @@ from .core import (
     EnsembleStats,
     MesonParams,
     QuantumState,
+    _time_grid,
     to_mass,
 )
 from .errors import (
@@ -77,7 +79,8 @@ from .errors import (
 )
 from .lindblad import MasterSpec
 from .operators import (
-    collapse_operator_A,
+    _mass_basis_generators,
+    centred_collapse_operator,
     decay_operator,
     enlarged_operators,
     induced_decay_operator,
@@ -158,36 +161,17 @@ class SdeSpec:
     decay_quadratic: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h, ops, k = _mass_basis_generators(
+            self.hamiltonian, self.collapse_ops, self.decay_quadratic,
+            diagonal_ops=self.equation is SdeEquation.LINEAR,  # the exact kernel reads the real diagonals
+        )
         object.__setattr__(self, "hamiltonian", h)
-        ops = tuple(np.asarray(m, dtype=complex) for m in self.collapse_ops)
         object.__setattr__(self, "collapse_ops", ops)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] not in (2, 4):
-            raise DimensionMismatch("hamiltonian must be 2x2 or 4x4")
-        if self.rate < 0.0:
-            raise InvalidParams("rate must be nonnegative")
+        object.__setattr__(self, "decay_quadratic", k)
+        if not (math.isfinite(self.rate) and self.rate >= 0.0):
+            raise InvalidParams("rate must be finite and nonnegative")
         if not ops:
             raise InvalidParams("at least one collapse operator required")
-        for op in ops:
-            if op.shape != h.shape:
-                raise DimensionMismatch("collapse operators must match the hamiltonian dimension")
-        if self.decay_quadratic is not None:
-            k = np.asarray(self.decay_quadratic, dtype=complex)
-            object.__setattr__(self, "decay_quadratic", k)
-            if k.shape != h.shape:
-                raise DimensionMismatch("decay_quadratic must match the hamiltonian dimension")
-        label, linear = self.equation.value, self.equation is SdeEquation.LINEAR
-        # The exact kernel reads the real diagonal of each collapse operator.
-        if linear and any(np.linalg.norm(op - op.conj().T) > 1e-12 * max(np.linalg.norm(op), 1e-300) for op in ops):
-            raise InvalidParams(f"{label} requires self-adjoint collapse operators")
-        off_diagonal = ~np.eye(len(h), dtype=bool)
-        diagonal = (h,) + (() if self.decay_quadratic is None else (self.decay_quadratic,)) + (ops if linear else ())
-        if any(np.any(m[off_diagonal] != 0.0) for m in diagonal):
-            raise InvalidParams(f"{label} requires operators diagonal in the mass basis")
-        if np.any(np.diagonal(h).imag != 0.0):  # decay enters through K
-            raise InvalidParams("hamiltonian must be Hermitian")
-        if any(np.any(np.count_nonzero(op, axis=axis) > 1) for op in ops for axis in (0, 1)):
-            raise InvalidParams(f"{label} requires monomial collapse operators: <= 1 nonzero per row and column")
 
     @property
     def dim(self) -> int:
@@ -198,15 +182,15 @@ class SdeSpec:
         return len(self.collapse_ops)
 
 
-def _flavor_spec(equation: SdeEquation, meson: MesonParams, collapse: CollapseParams, **fields) -> SdeSpec:
-    """Flavor-space spec with the one collapse channel A.
+def _flavor_spec(equation: SdeEquation, meson: MesonParams, collapse: CollapseParams, decay: np.ndarray) -> SdeSpec:
+    """Flavor-space spec decaying through ``decay``, with the one collapse channel A - m~_L I.
 
-    The Hamiltonian defaults to ``operators.reduced_mass_operator``, whose
-    docstring states the gauge that every factory here uses.
+    H is ``operators.reduced_mass_operator`` and the collapse operator
+    ``operators.centred_collapse_operator``; their docstrings state the
+    gauges that every factory here uses.
     """
-    fields.setdefault("hamiltonian", reduced_mass_operator(meson))
-    ops = (collapse_operator_A(meson, collapse),)
-    return SdeSpec(equation=equation, collapse_ops=ops, rate=collapse.effective_rate, **fields)
+    ops = (centred_collapse_operator(meson, collapse),)
+    return SdeSpec(equation, reduced_mass_operator(meson), ops, collapse.effective_rate, decay)
 
 
 def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -215,7 +199,7 @@ def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpe
     It is also the flavor projection of the enlarged equation: the decay
     drift lambda B^dag B = Gamma does not scale with the collapse rate.
     """
-    return _flavor_spec(SdeEquation.NONLINEAR, meson, collapse, decay_quadratic=decay_operator(meson))
+    return _flavor_spec(SdeEquation.NONLINEAR, meson, collapse, decay_operator(meson))
 
 
 def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -231,18 +215,17 @@ def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeS
 
 def imaginary_linear_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Linear imaginary-noise equation decaying through the measured widths, K = Gamma."""
-    return _flavor_spec(SdeEquation.LINEAR, meson, collapse, decay_quadratic=decay_operator(meson))
+    return _flavor_spec(SdeEquation.LINEAR, meson, collapse, decay_operator(meson))
 
 
 def family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Time-asymmetric linear family: K = lambda (2 beta - 1) A^2.
 
     Its Stratonovich drift -K/2 is +(lambda/2)(1 - 2 beta) A^2; its Ito
-    drift -(lambda/2) A^2 - K/2 equals -lambda beta A^2.
+    drift adds -(lambda/2) A_c^2 for the centred collapse operator A_c, and
+    with an uncentred A it would be -lambda beta A^2.
     """
-    return _flavor_spec(
-        SdeEquation.LINEAR, meson, collapse, decay_quadratic=induced_decay_operator(meson, collapse)
-    )
+    return _flavor_spec(SdeEquation.LINEAR, meson, collapse, induced_decay_operator(meson, collapse))
 
 
 # One spec serves both formalisms; perfbench/micro.py still calls this name.
@@ -552,15 +535,6 @@ def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.vstack([flavor, np.eye(dim)]), labels
 
 
-def _check_grid(t_grid: np.ndarray) -> None:
-    if t_grid.ndim != 1 or len(t_grid) < 1 or t_grid[0] != 0.0:
-        raise InvalidParams("t_grid must start at 0")
-    if not np.all(np.isfinite(t_grid)):
-        raise InvalidParams("t_grid must be finite")
-    if len(t_grid) > 1 and not np.all(np.diff(t_grid) > 0.0):
-        raise InvalidParams("t_grid must be strictly increasing")
-
-
 def _grid_substeps(t_grid: np.ndarray, dt: float) -> list[int]:
     counts = []
     for interval in np.diff(t_grid):
@@ -790,8 +764,7 @@ def ensemble_evolve(
     if any(s.dim != spec.dim for s in states):
         raise DimensionMismatch("initial state dimension does not match the equation")
     amps0 = np.array([s.amplitudes for s in states], dtype=complex)
-    t_grid = np.asarray(t_grid, dtype=float)
-    _check_grid(t_grid)
+    t_grid = _time_grid(t_grid)
     vecs, labels = observable_vectors(spec.dim)
     proj = vecs.conj()
     dim = spec.dim

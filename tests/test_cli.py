@@ -56,6 +56,12 @@ _EXPLICIT_CSL = dict(
     m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0, model="CSL",
     rate=0.2, r_C=0.4, beta=0.8, m0=1.0, alpha=1.0, d=2,
 )
+# Collapse-induced widths near 1e154: every flavor probability underflows
+# to 0 by t = 1, and the master generators' 2-norms overflow.
+_VANISHING_CSL = dict(
+    m_L=147.0, m_H=294.0, gamma_L=0.0, gamma_H=0.0, model="CSL",
+    rate=3.3e29, beta=1.0, m0=2.2e-16, alpha=1.0, d=3, r_C=1e-30, t_max=1.0, n_points=2,
+)
 
 
 def test_load_config_catalog_minimal(tmp_path):
@@ -492,16 +498,59 @@ def test_master_matches_analytic_at_catalog_scale(tmp_path, meson, model):
         assert np.abs(master[col] - analytic[col]).max() <= 3e-15, col
 
 
+@pytest.mark.parametrize("rate", [1e10, 1e30])
+@pytest.mark.parametrize("meson", ["K0", "D0", "B0", "Bs0"])
+def test_master_keeps_the_decoherence_when_masses_dwarf_their_splitting(tmp_path, meson, rate):
+    # At beta = 1/2 the collapse induces no widths: the coherence decays at
+    # (lambda/2) dm~^2 alone, with m~ up to 1e15 dm~.  Written as the
+    # difference of terms of size lambda m~^2 it would be lost to round-off
+    # (master P_M0_M0bar 0.00113 for analytic's 0.5 on K0 at rate 1e30); the
+    # centred collapse operator carries dm~ itself.
+    cfg = write_config(
+        tmp_path, command="master", meson=meson, model="CSL",
+        rate=rate, r_C=1e-7, beta=0.5, m0_MeV=938.272, alpha=1e-14, d=3, n_points=50,
+    )
+    spec = cli.load_config(cfg)
+    master, analytic = cli._master_probs(spec, spec.grid), cli._analytic_probs(spec, spec.grid)
+    for col in cli._PROB_COLUMNS:
+        assert np.abs(master[col] - analytic[col]).max() <= 1e-15, col
+
+
+def test_compare_passes_when_masses_dwarf_their_splitting(tmp_path, capsys):
+    # m~ = 480 against a splitting of 1: a master coherence rate that is a
+    # difference of lambda m~^2 terms misses by 1.1e-12, above the 1e-12
+    # master gate, though every route describes the same physics.
+    cfg = write_config(
+        tmp_path, command="compare", m_L=480.0, m_H=481.0, gamma_L=0.0, gamma_H=0.0, model="CSL",
+        rate=1.0, r_C=1.0, beta=0.5, m0=1.0, alpha=1.0, d=1, t_max=1.0, n_points=2,
+        n_trajectories=200, dt=0.01, seed=1,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 0
+    summary = capsys.readouterr().err.splitlines()[0]
+    assert float(re.search("master_max_residual=(\\S+)", summary).group(1)) <= 1e-15
+
+
 @pytest.mark.parametrize("command", ["analytic", "master", "ensemble", "compare"])
 def test_csl_beta_below_half_rejected_by_every_route(tmp_path, capsys, command):
     # beta < 1/2 gives negative collapse-induced widths, for which no route
-    # is physical; every route command rejects it at load with one message.
+    # is physical; every route command rejects it at load with one message,
+    # that of the schema's bound on beta.
     trajectories = dict(n_trajectories=40, seed=7, dt=0.005) if command in ("ensemble", "compare") else {}
     cfg = write_config(tmp_path, command=command, **dict(_README_CSL, beta=0.3), t_max=6.0, n_points=21, **trajectories)
     assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err == (
-        "error: CSL needs beta >= 1/2: a smaller beta gives negative collapse-induced widths\n"
-    )
+    assert capsys.readouterr().err == "error: beta must be at least 0.5\n"
+
+
+@pytest.mark.parametrize("command", ["analytic", "master"])
+@pytest.mark.parametrize("t_max", [1.0, 6.0])
+def test_qmupl_beta_below_half_rejected_at_load(tmp_path, capsys, command, t_max):
+    # Under QMUPL too, beta < 1/2 makes each lifetime factor exceed 1 for
+    # every t > 0, so no route yields a probability: the load rejects it
+    # (exit 1) before a route fails on it (exit 2).
+    qmupl = {key: value for key, value in _README_CSL.items() if key != "r_C"}
+    cfg = write_config(tmp_path, command=command, **dict(qmupl, model="QMUPL", beta=0.3), t_max=t_max, n_points=121)
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: beta must be at least 0.5\n"
 
 
 def test_compare_catalog_scale_kaon(tmp_path):
@@ -972,7 +1021,7 @@ def test_schema_file_matches_loader_keys(tmp_path):
 
     # Every numeric bound of the schema is the loader's: the bound itself
     # (or the next float above an exclusive one) loads, the next value
-    # beyond it is rejected.  beta spans [0, 1] under QMUPL; CSL needs 1/2.
+    # beyond it is rejected.  beta spans [1/2, 1] under QMUPL and CSL alike.
     ensemble = dict(command="ensemble", **_README_CSL, t_max=1.0, n_points=3, n_trajectories=2, dt=0.1)
     qmupl = dict(command="analytic", **dict(_README_CSL, model="QMUPL"), t_max=1.0, n_points=3)
     checked = set()
@@ -994,7 +1043,7 @@ def test_schema_file_matches_loader_keys(tmp_path):
             checked.add(key)
     assert checked == {"beta", "t_max", "n_points", "n_trajectories", "seed", "dt", "threads"}
     assert cli.load_config(write_config(tmp_path, **dict(ensemble, beta=0.5))) is not None
-    with pytest.raises(InvalidParams, match="CSL needs beta >= 1/2"):
+    with pytest.raises(InvalidParams, match="beta must be at least 0.5"):
         cli.load_config(write_config(tmp_path, **dict(ensemble, beta=float(np.nextafter(0.5, -np.inf)))))
 
 
@@ -1167,12 +1216,9 @@ def test_json_format(tmp_path):
 
 
 def test_domain_error_exit_code(tmp_path):
-    # beta < 1/2 QMUPL hits its singular time inside the grid.
-    cfg = write_config(
-        tmp_path, command="analytic", t_max=4.0, n_points=11,
-        m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0, model="QMUPL",
-        rate=0.1, beta=0.0, m0=1.0, alpha=1.0, d=2,
-    )
+    # Every flavor probability underflows to 0 by the last grid point, so
+    # the asymmetry is undefined.
+    cfg = write_config(tmp_path, command="analytic", **_VANISHING_CSL)
     assert cli.main([cfg]) == 2
 
 
@@ -1213,6 +1259,19 @@ def test_python_m_runs_cli_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "command=analytic" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["analytic", "master"])
+def test_domain_error_is_the_only_stderr_line_with_warnings_as_errors(tmp_path, command):
+    # No numpy warning precedes the domain error: the master generators are
+    # checked elementwise, so their huge scale overflows no norm.
+    cfg = write_config(tmp_path, command=command, **_VANISHING_CSL)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "flavorcollapse", cfg],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "domain error: flavor probabilities vanish at t = 1\n"
 
 
 _IMPORT_PROBE = """

@@ -127,6 +127,17 @@ def test_master_spec_rejects_non_finite_generators(field, bad):
         MasterSpec(**kwargs)
 
 
+def test_master_spec_checks_huge_generators_without_overflow():
+    # Entries near 1e200 are finite, but their squares overflow: the checks
+    # are elementwise, so no norm or eigenvalue solver warns.  K >= 0 is read
+    # off its real diagonal.
+    huge = np.diag([1e200, 2e200])
+    spec = MasterSpec(hamiltonian=huge, lindblads=(huge,), anticommutator=huge)
+    np.testing.assert_array_equal(spec.anticommutator, huge)
+    with pytest.raises(InvalidParams, match="positive semidefinite"):
+        MasterSpec(hamiltonian=huge, anticommutator=-huge)
+
+
 def test_integrate_master_rejects_non_finite_inputs(meson_stable):
     spec = MasterSpec(hamiltonian=reduced_mass_operator(meson_stable))
     rho0 = _RHO_M0.copy()

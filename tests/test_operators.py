@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from flavorcollapse.core import Convention, MesonParams, QuantumState, to_mass
-from flavorcollapse.errors import NegativeWidth, ZeroRate
-from flavorcollapse.lindblad import enlarged_master_spec
+from flavorcollapse.errors import DimensionMismatch, InvalidParams, NegativeWidth, ZeroRate
+from flavorcollapse.lindblad import MasterSpec, enlarged_master_spec, family_master_spec
 from flavorcollapse.operators import (
+    centred_collapse_operator,
     collapse_operator_A,
     collapse_operator_B,
     decay_operator,
@@ -12,7 +13,7 @@ from flavorcollapse.operators import (
     induced_decay_widths,
     reduced_mass_operator,
 )
-from flavorcollapse.sde import enlarged_collapse_spec
+from flavorcollapse.sde import SdeEquation, SdeSpec, associated_master_spec, enlarged_collapse_spec, family_spec
 
 from conftest import make_csl, make_qmupl
 
@@ -115,3 +116,59 @@ def test_unnorm_law_through_mass_basis_states(meson):
     psi = to_mass(QuantumState.m0()).amplitudes
     got = -np.real(psi.conj() @ decay_operator(meson) @ psi)
     assert got == pytest.approx(-meson.gamma_bar, abs=1e-14)
+
+
+_DIAG = np.diag([0.0, 1.0])
+_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "h, op, k, error, message",
+    [
+        (np.zeros((3, 3)), np.eye(3), None, DimensionMismatch, "hamiltonian must be 2x2 or 4x4"),
+        (_DIAG, np.eye(4), None, DimensionMismatch, "collapse operators must match"),
+        (_DIAG, _DIAG, np.eye(4), DimensionMismatch, "decay operator K must match"),
+        (np.diag([0.0, np.nan]), _DIAG, None, InvalidParams, "hamiltonian must be finite"),
+        (_DIAG, np.diag([np.inf, 1.0]), None, InvalidParams, "collapse operators must be finite"),
+        (_DIAG, _DIAG, np.diag([0.0, np.nan]), InvalidParams, "decay operator K must be finite"),
+        (_FLIP, _DIAG, None, InvalidParams, "hamiltonian must be diagonal"),
+        (np.diag([0.0, 1.0 - 0.5j]), _DIAG, None, InvalidParams, "hamiltonian must be Hermitian"),
+        (_DIAG, _DIAG, _FLIP, InvalidParams, "decay operator K must be diagonal"),
+        (_DIAG, _DIAG, np.diag([0.1, 0.1j]), InvalidParams, "decay operator K must be Hermitian"),
+        (_DIAG, np.ones((2, 2)), None, InvalidParams, "collapse operators must be monomial"),
+    ],
+    ids=["h_shape", "op_shape", "k_shape", "h_nan", "op_inf", "k_nan", "h_offdiag", "h_complex",
+         "k_offdiag", "k_complex", "op_not_monomial"],
+)
+def test_master_and_sde_specs_share_one_generator_contract(h, op, k, error, message):
+    # Both specs check their generators with one function, so a malformed
+    # generator fails both the same way.
+    raised = []
+    for build in (
+        lambda: MasterSpec(hamiltonian=h, lindblads=(op,), anticommutator=k),
+        lambda: SdeSpec(SdeEquation.NONLINEAR, h, (op,), rate=0.3, decay_quadratic=k),
+    ):
+        with pytest.raises(error, match=message) as info:
+            build()
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_centred_collapse_operator_shifts_a_by_its_light_ratio(convention):
+    meson = MesonParams(m_L=480.0, m_H=481.0, gamma_L=0.0, gamma_H=0.0)
+    collapse = make_csl(beta=0.5, rate=1.0, ratio_convention=convention)
+    a = collapse_operator_A(meson, collapse)
+    centred = centred_collapse_operator(meson, collapse)
+    assert centred[0, 0] == 0.0
+    np.testing.assert_array_equal(centred, a - a[0, 0] * np.eye(2))
+
+
+def test_flavor_specs_carry_the_centred_operator():
+    # The master route and the SDE's associated master equation take the
+    # same centred channel, so their superoperators agree bit for bit.
+    meson = MesonParams(m_L=480.0, m_H=481.0, gamma_L=0.0, gamma_H=0.0)
+    collapse = make_csl(beta=0.5, rate=1.0)
+    want = np.sqrt(collapse.effective_rate) * centred_collapse_operator(meson, collapse)
+    np.testing.assert_array_equal(family_master_spec(meson, collapse).lindblads[0], want)
+    np.testing.assert_array_equal(associated_master_spec(family_spec(meson, collapse)).lindblads[0], want)

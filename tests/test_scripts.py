@@ -38,3 +38,21 @@ def test_script_runs_and_writes_its_files(tmp_path, script, args, written):
     for name in written:
         assert (outdir / name).read_text().count("\n") > 2
     assert list(scratch.iterdir()) == []
+
+
+def test_property_sweep_runs_the_property_test(tmp_path):
+    # The long profile of tests/test_properties.py, at a tiny example count.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    src = str(_ROOT / "src")
+    env = dict(
+        os.environ, TMPDIR=str(scratch),
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "property_sweep.py"), "--examples", "5"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5 examples: every property held\n"
+    assert list(scratch.iterdir()) == []

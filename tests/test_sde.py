@@ -353,6 +353,23 @@ def test_spec_rejects_non_hermitian_hamiltonian(equation):
         sde.SdeSpec(equation, np.diag([-0.05j, 1.0 - 0.025j]), (np.diag([1.0, 2.0]),), rate=0.3)
 
 
+@pytest.mark.parametrize("field", ["hamiltonian", "collapse_ops", "decay_quadratic", "rate"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("equation", list(sde.SdeEquation))
+def test_spec_rejects_non_finite_generators_and_rate(equation, field, bad):
+    # A NaN or an infinity on a diagonal breaks no diagonality or monomial
+    # rule, so the finiteness check must catch it on its own, with no warning.
+    spec = sde.SdeSpec(equation, np.diag([0.0, 1.0]), (np.diag([1.0, 2.0]),), rate=0.3, decay_quadratic=np.diag([0.1, 0.2]))
+    if field == "rate":
+        value = bad
+    else:
+        mat = np.diag([0.5, 1.0]).astype(complex)
+        mat[1, 1] = bad
+        value = (mat,) if field == "collapse_ops" else mat
+    with pytest.raises(InvalidParams, match="must be finite"):
+        replace(spec, **{field: value})
+
+
 @pytest.mark.parametrize("factory", [imaginary_linear_spec, family_spec])
 def test_linear_specs_require_self_adjoint_collapse_operators(factory):
     # The exact kernel reads the real diagonal of each collapse operator, so
