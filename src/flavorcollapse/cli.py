@@ -44,6 +44,7 @@ from .core import (
     MesonParams,
     Model,
     QuantumState,
+    mass_ratios,
 )
 from .errors import (
     CatalogMiss,
@@ -248,6 +249,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
                 r_C=_get(cfg, props, "r_C"),
                 ratio_convention=convention,
             )
+            lam = collapse.effective_rate
+            if not all(math.isfinite(lam * r * r) for r in mass_ratios(meson, collapse).tolist()):
+                raise InvalidParams("the collapse-induced rate lambda_eff m~^2 of a mass state is not finite")
         elif any(k in cfg for k in ("rate", "r_C", "beta", "m0", "m0_MeV", "alpha", "d", "ratio_convention")):
             raise InvalidParams("model QM takes no collapse parameters")
         elif "equation" in cfg:
@@ -406,18 +410,18 @@ def _route_master_spec(spec: RunSpec) -> lindblad.MasterSpec:
     return lindblad.family_master_spec(spec.meson, spec.collapse)
 
 
-def _require_route_physics(spec: RunSpec, eq_spec: sde.SdeSpec) -> None:
-    """Reject an equation whose ensemble mean follows another master equation.
+def _require_route_physics(spec: RunSpec, eq_spec: sde.SdeSpec) -> float:
+    """Reject an equation whose ensemble mean follows another master equation; return the gap.
 
-    The superoperator of ``eq_spec``'s associated master equation,
-    restricted to the flavor block (closed for the enlarged equation), must
-    equal the route's to 1e-12 of the route's largest entry; otherwise the
-    ensemble and the other two routes describe different physics.
+    The superoperator of ``eq_spec``'s master equation, restricted to the
+    flavor block (closed for the enlarged equation), must equal the route's
+    to 1e-12 of the route's largest entry; otherwise the ensemble and the
+    other two routes describe different physics.
     """
-    from . import lindblad, sde
+    from . import lindblad
 
     route = lindblad.build_superoperator(_route_master_spec(spec))
-    own = lindblad.build_superoperator(sde.associated_master_spec(eq_spec))
+    own = lindblad.build_superoperator(eq_spec.master)
     flavor = [i * eq_spec.dim + j for i in range(2) for j in range(2)]
     gap = float(np.abs(own[np.ix_(flavor, flavor)] - route).max() / np.abs(route).max())
     if not gap <= 1e-12:
@@ -425,6 +429,7 @@ def _require_route_physics(spec: RunSpec, eq_spec: sde.SdeSpec) -> None:
             f"equation '{spec.equation}' follows a different master equation than the "
             f"{spec.model.value} routes (relative superoperator gap {_fmt(gap)})"
         )
+    return gap
 
 
 def _require_density_matrices(initial: str, times: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -472,19 +477,13 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
-    from . import operators, sde
+    from . import lindblad, operators, sde
 
     meson, collapse = spec.meson, spec.collapse
     if spec.model is DynamicsModel.QM:
-        # Wigner-Weisskopf evolution: the lambda = 0 case of the linear
-        # equation with the measured widths, sampled exactly.
-        return sde.SdeSpec(
-            equation=sde.SdeEquation.LINEAR,
-            hamiltonian=operators.reduced_mass_operator(meson),
-            collapse_ops=(np.eye(2),),
-            rate=0.0,
-            decay_quadratic=operators.decay_operator(meson),
-        )
+        # Wigner-Weisskopf evolution: the linear equation with one zero channel, sampled exactly.
+        wigner_weisskopf = lindblad.wigner_weisskopf_spec(meson)
+        return sde.SdeSpec(sde.SdeEquation.LINEAR, replace(wigner_weisskopf, lindblads=(np.zeros((2, 2)),)))
     # Every CSL equation decays through the collapse-induced widths.
     gamma_l, gamma_h = operators.induced_decay_widths(meson, collapse)
     return _equation_factories()[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
@@ -558,15 +557,16 @@ def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float) ->
 
     An exactly sampled linear equation has no discretization bias and gets
     the base alone.  r is the fastest rate of the generator that is stepped,
-    read off its spec: the largest of ||H||_2 (the Hermitian mass term),
-    ||K||_2 (the decay) and lambda max_c ||L_c||_2^2, one rate per physics
+    read off its master equation: the largest of ||H||_2 (the Hermitian mass
+    term), ||K||_2 (the decay) and max_c ||L_c||_2^2, one rate per physics
     whichever name built the equation.  H carries the gauge of
     ``operators.reduced_mass_operator``, so the absolute masses do not enter.
     """
     if _exact(eq_spec):
         return np.full(times.shape, 1e-12)
-    norms = [np.linalg.norm(m, 2) for m in (eq_spec.hamiltonian, eq_spec.decay_quadratic) if m is not None]
-    noise = eq_spec.rate * max(np.linalg.norm(op, 2) for op in eq_spec.collapse_ops) ** 2
+    master = eq_spec.master
+    norms = [np.linalg.norm(m, 2) for m in (master.hamiltonian, master.anticommutator) if m is not None]
+    noise = max(np.linalg.norm(op, 2) for op in master.lindblads) ** 2
     return 1e-12 + 4.0 * dt * times * max(*norms, noise) ** 2
 
 

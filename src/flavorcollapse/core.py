@@ -184,6 +184,11 @@ class CollapseParams:
                 self.r_C is not None and math.isfinite(self.r_C) and self.r_C > 0.0,
                 "r_C must be positive for CSL",
             )
+            try:
+                finite = math.isfinite(self.effective_rate)
+            except (OverflowError, ZeroDivisionError):  # (sqrt(4 pi) r_C)^d overflows or underflows to 0
+                finite = False
+            _require(finite, "r_C gives no finite effective rate gamma / (sqrt(4 pi) r_C)^d")
         return self
 
     @property
@@ -201,7 +206,7 @@ def mass_ratio(meson: MesonParams, collapse: CollapseParams, i: int) -> float:
     """Dimensionless coupling of eigenstate ``i`` (0 = L, 1 = H)."""
     if i not in (L, H):
         raise InvalidParams("eigenstate index must be 0 (L) or 1 (H)")
-    m_i = meson.masses[i]
+    m_i = float(meson.masses[i])  # a Python float: an overflowing ratio is inf, with no warning
     if collapse.ratio_convention is Convention.NORMAL:
         return m_i / collapse.m0
     if m_i == 0.0:

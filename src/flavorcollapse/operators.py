@@ -114,8 +114,8 @@ def induced_decay_operator(meson: MesonParams, collapse: CollapseParams) -> np.n
     """Decay operator K = lambda_eff (2 beta - 1) A^2 of the time-asymmetric collapse noise.
 
     Diagonal in the mass basis.  It is positive semidefinite only for
-    beta >= 1/2 but is returned for every beta: the linear family equation
-    is defined on all of [0, 1].
+    beta >= 1/2 but is returned for every beta; ``lindblad.MasterSpec``
+    takes a PSD K only, so the family specs built on it need beta >= 1/2.
     """
     ratios = mass_ratios(meson, collapse)
     return np.diag(collapse.effective_rate * (2.0 * collapse.beta - 1.0) * ratios**2)

@@ -1,46 +1,48 @@
 """Stochastic-trajectory engine for the collapse quantum-state equations.
 
 Each supported equation is an SDE for an unnormalized state vector on the
-2-dim flavor space or the 4-dim enlarged space.  Its ``SdeEquation`` label,
-nonlinear or linear, picks the kernel.
+2-dim flavor space or the 4-dim enlarged space.  Its spec is a label on
+the master equation that its ensemble mean solves: an ``SdeEquation``,
+nonlinear or linear, which picks the kernel, and a ``lindblad.MasterSpec``
+of H, the Lindblad operators L_c (one per Wiener channel, the collapse
+operators A_c scaled by sqrt(lambda)) and the decay operator K.
 
-``NONLINEAR`` is the collapse equation in Ito form.  It takes operators
-L_c, one per Wiener channel, and an optional drift operator K.  With
-R_c = Re<L_c> on the normalized state it reads
+``NONLINEAR`` is the collapse equation in Ito form.  With R_c = Re<L_c>
+on the normalized state it reads
 
-    dpsi = [-i H - (lambda/2) sum_c (L_c^dag L_c - 2 R_c L_c + R_c^2)
-            - K/2] psi dt + sqrt(lambda) sum_c (L_c - R_c) psi dW_c.
+    dpsi = [-i H - (1/2) sum_c (L_c^dag L_c - 2 R_c L_c + R_c^2)
+            - K/2] psi dt + sum_c (L_c - R_c) psi dW_c.
 
 H is Hermitian and decay enters through K alone.  The forms are the
 flavor equation with K = Gamma, also the flavor projection of the
 enlarged one (lambda B^dag B = Gamma), the enlarged-space equation with
-L = (A, B), B the decay channel, and the phase-transformation family
-e^{i phi} A.  It is stepped with Euler-Maruyama.
+L = sqrt(lambda) (A, B), B the decay channel, and the
+phase-transformation family e^{i phi} L.  It is stepped with
+Euler-Maruyama.
 
 All of these share one master equation per physical system.  ``LINEAR``
-takes purely imaginary noise and a decay operator K.  Its spec is the
-Stratonovich SDE
+takes purely imaginary noise.  Its spec is the Stratonovich SDE
 
-    dpsi = (-i H - K/2) psi dt + i sqrt(lambda) sum_c A_c psi o dW_c,
+    dpsi = (-i H - K/2) psi dt + i sum_c L_c psi o dW_c,
 
 and the scheme picks the formalism: the Ito form adds the conversion term
--(lambda/2) sum_c A_c^2 to the drift (``ito_stratonovich_drift`` from
+-(1/2) sum_c L_c^2 to the drift (``ito_stratonovich_drift`` from
 theta(0) = 1/2 to 0).  K is the measured Gamma or the
 lambda (2 beta - 1) A^2 that a noise field with theta(0) = beta induces
 (``operators.induced_decay_operator``), which makes the Ito form the
 time-asymmetric family equation.  The CLI's QM equation is the
-lambda = 0 case with K = Gamma.
+Wigner-Weisskopf master equation with one zero channel.
 
 In the mass basis H = diag(0, delta_m), A = diag(m~_L, m~_H) and K are
 diagonal, and B maps each mass state to one decay state; the flavor
 specs take A centred, diag(0, m~_H - m~_L), a gauge of every label.
-``SdeSpec`` requires H and K real-diagonal and every L_c monomial
-(diagonal for the linear equation), so every step is elementwise.  The
-linear equation has the closed-form solution c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass
-component, d = diag(-i H - K/2), g_c = i sqrt(lambda) diag(A_c), which
-``ensemble_evolve`` samples at the grid points.  One step of it is
-``step`` (Euler-Maruyama on the Ito form) or ``stratonovich_step`` (Heun
-midpoint on the Stratonovich form).
+``MasterSpec`` requires H and K real-diagonal and every L_c monomial, and
+the linear label every L_c a real diagonal, so every step is elementwise.
+The linear equation has the closed-form solution
+c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass component,
+d = diag(-i H - K/2), g_c = i diag(L_c), which ``ensemble_evolve`` samples
+at the grid points.  One step of it is ``step`` (Euler-Maruyama on the Ito
+form) or ``stratonovich_step`` (Heun midpoint on the Stratonovich form).
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
@@ -77,15 +79,8 @@ from .errors import (
     UnsupportedEquation,
     ZeroNorm,
 )
-from .lindblad import MasterSpec
-from .operators import (
-    _mass_basis_generators,
-    centred_collapse_operator,
-    decay_operator,
-    enlarged_operators,
-    induced_decay_operator,
-    reduced_mass_operator,
-)
+from .lindblad import MasterSpec, enlarged_master_spec, family_master_spec, imdecay_master_spec
+from .operators import _mass_basis_generators
 
 __all__ = [
     "SdeEquation",
@@ -105,7 +100,6 @@ __all__ = [
     "theta_from_kappa",
     "ensemble_evolve",
     "observable_vectors",
-    "associated_master_spec",
 ]
 
 _NORM_FLOOR = 1e-300
@@ -140,57 +134,32 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class SdeSpec:
-    """One quantum-state equation, fully parameterized by operator data.
+    """One quantum-state equation: its label and the master equation its ensemble mean solves.
 
-    ``hamiltonian`` is the Hermitian generator of the -i H dt term.
-    ``collapse_ops`` holds one operator per Wiener channel.  ``rate`` is
-    the collapse coupling lambda.  ``decay_quadratic``, the only carrier of
-    decay, is the operator K entering the drift as -(1/2) K and the master
-    equation as -(1/2) {K, rho}: the measured Gamma = lambda B^dag B or the
-    collapse-induced lambda (2 beta - 1) A^2.  Every label requires H and
-    K diagonal (in the mass basis), so H is real, and each collapse
-    operator monomial, with at most one nonzero per row and per column, so
-    that every kernel steps the components elementwise.  The linear
-    equation requires the collapse operators diagonal and self-adjoint too.
+    ``master`` holds H, the Lindblad operators L_c = sqrt(lambda) A_c, one
+    per Wiener channel, and the decay operator K, under ``MasterSpec``'s
+    contract: H and K real-diagonal, K positive semidefinite and each L_c
+    monomial, so that every kernel steps the components elementwise.  The
+    equation needs at least one channel, and the linear label each L_c a
+    real diagonal, since the exact kernel reads the real diagonals.
     """
 
     equation: SdeEquation
-    hamiltonian: np.ndarray
-    collapse_ops: tuple[np.ndarray, ...]
-    rate: float
-    decay_quadratic: np.ndarray | None = None
+    master: MasterSpec
 
     def __post_init__(self) -> None:
-        h, ops, k = _mass_basis_generators(
-            self.hamiltonian, self.collapse_ops, self.decay_quadratic,
-            diagonal_ops=self.equation is SdeEquation.LINEAR,  # the exact kernel reads the real diagonals
-        )
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "collapse_ops", ops)
-        object.__setattr__(self, "decay_quadratic", k)
-        if not (math.isfinite(self.rate) and self.rate >= 0.0):
-            raise InvalidParams("rate must be finite and nonnegative")
-        if not ops:
+        if not self.master.lindblads:
             raise InvalidParams("at least one collapse operator required")
+        if self.equation is SdeEquation.LINEAR:
+            _mass_basis_generators(self.master.hamiltonian, self.master.lindblads, None, diagonal_ops=True)
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+        return self.master.dim
 
     @property
     def n_channels(self) -> int:
-        return len(self.collapse_ops)
-
-
-def _flavor_spec(equation: SdeEquation, meson: MesonParams, collapse: CollapseParams, decay: np.ndarray) -> SdeSpec:
-    """Flavor-space spec decaying through ``decay``, with the one collapse channel A - m~_L I.
-
-    H is ``operators.reduced_mass_operator`` and the collapse operator
-    ``operators.centred_collapse_operator``; their docstrings state the
-    gauges that every factory here uses.
-    """
-    ops = (centred_collapse_operator(meson, collapse),)
-    return SdeSpec(equation, reduced_mass_operator(meson), ops, collapse.effective_rate, decay)
+        return len(self.master.lindblads)
 
 
 def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
@@ -199,33 +168,27 @@ def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpe
     It is also the flavor projection of the enlarged equation: the decay
     drift lambda B^dag B = Gamma does not scale with the collapse rate.
     """
-    return _flavor_spec(SdeEquation.NONLINEAR, meson, collapse, decay_operator(meson))
+    return SdeSpec(SdeEquation.NONLINEAR, imdecay_master_spec(meson, collapse))
 
 
 def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Enlarged-space nonlinear equation; the decay channel B has its own Wiener process."""
-    ops = enlarged_operators(meson, collapse)
-    return SdeSpec(
-        equation=SdeEquation.NONLINEAR,
-        hamiltonian=ops.hamiltonian,
-        collapse_ops=(ops.collapse_a, ops.collapse_b),
-        rate=collapse.effective_rate,
-    )
+    return SdeSpec(SdeEquation.NONLINEAR, enlarged_master_spec(meson, collapse))
 
 
 def imaginary_linear_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
     """Linear imaginary-noise equation decaying through the measured widths, K = Gamma."""
-    return _flavor_spec(SdeEquation.LINEAR, meson, collapse, decay_operator(meson))
+    return SdeSpec(SdeEquation.LINEAR, imdecay_master_spec(meson, collapse))
 
 
 def family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Time-asymmetric linear family: K = lambda (2 beta - 1) A^2.
+    """Time-asymmetric linear family: K = lambda (2 beta - 1) A^2, so beta >= 1/2.
 
     Its Stratonovich drift -K/2 is +(lambda/2)(1 - 2 beta) A^2; its Ito
-    drift adds -(lambda/2) A_c^2 for the centred collapse operator A_c, and
+    drift adds -(1/2) L^2 for the centred channel L = sqrt(lambda) A_c, and
     with an uncentred A it would be -lambda beta A^2.
     """
-    return _flavor_spec(SdeEquation.LINEAR, meson, collapse, induced_decay_operator(meson, collapse))
+    return SdeSpec(SdeEquation.LINEAR, family_master_spec(meson, collapse))
 
 
 # One spec serves both formalisms; perfbench/micro.py still calls this name.
@@ -235,9 +198,9 @@ stratonovich_family_spec = family_spec
 def phase_transform_spec(spec: SdeSpec, phi: float) -> SdeSpec:
     """Member of the phase-transformation family of the nonlinear equation.
 
-    Each collapse operator A becomes e^{i phi} A, a general operator.
+    Each Lindblad operator L becomes e^{i phi} L, a general operator.
     phi = 0 returns the equation unchanged; phi = pi/2 turns the noise
-    purely imaginary and reduces the drift to the linear -(lambda/2) A^2
+    purely imaginary and reduces the drift to the linear -(1/2) L^2
     form.  All members share one master equation: L rho L^dag and L^dag L
     do not see the phase.
     """
@@ -246,7 +209,7 @@ def phase_transform_spec(spec: SdeSpec, phi: float) -> SdeSpec:
     if phi == 0.0:
         return spec
     phase = complex(np.exp(1j * phi))
-    return replace(spec, collapse_ops=tuple(phase * op for op in spec.collapse_ops))
+    return replace(spec, master=replace(spec.master, lindblads=tuple(phase * op for op in spec.master.lindblads)))
 
 
 def ito_stratonovich_drift(diffusion_operator: np.ndarray, beta: float, beta_prime: float) -> np.ndarray:
@@ -374,9 +337,9 @@ def _as_noise(dW, n_channels: int, n_rows: int) -> np.ndarray:
 
 def _stratonovich_drift(spec: SdeSpec) -> np.ndarray:
     """The drift -i H - K/2 without the collapse terms: the linear equations' Stratonovich drift."""
-    drift = -1j * spec.hamiltonian
-    if spec.decay_quadratic is not None:
-        drift = drift - 0.5 * spec.decay_quadratic
+    drift = -1j * spec.master.hamiltonian
+    if spec.master.anticommutator is not None:
+        drift = drift - 0.5 * spec.master.anticommutator
     return drift
 
 
@@ -386,16 +349,16 @@ def _linear_stepper(spec: SdeSpec, cols: tuple[int, ...], heun: bool):
     The generators are diagonal, so a step multiplies mass component i of
     a column by f = 1 + m (Euler-Maruyama on the Ito form) or
     f = 1 + m (1 + m/2) (Heun midpoint on the Stratonovich form), with
-    m = h d_i + sum_c g_ci w_c, g_c = i sqrt(lambda) A_c and d the drift of
-    the form: the Stratonovich drift, plus for the Ito form the conversion
-    term (1/2) sum_c g_c^2 = -(lambda/2) sum_c A_c^2, from theta(0) = 1/2
-    to 0.  It is applied as c += c (f - 1): rounding 1 + m would repeat one
-    rounding of the real part of h d at every step, a bias linear in the
-    number of steps.  The two work arrays are allocated once, so a loop of
+    m = h d_i + sum_c g_ci w_c, g_c = i L_c and d the drift of the form:
+    the Stratonovich drift, plus for the Ito form the conversion term
+    (1/2) sum_c g_c^2 = -(1/2) sum_c L_c^2, from theta(0) = 1/2 to 0.  It
+    is applied as c += c (f - 1): rounding 1 + m would repeat one rounding
+    of the real part of h d at every step, a bias linear in the number of
+    steps.  The two work arrays are allocated once, so a loop of
     steps allocates nothing of the columns' size.
     """
     drift = _stratonovich_drift(spec)
-    diffusions = [1j * math.sqrt(spec.rate) * op for op in spec.collapse_ops]
+    diffusions = [1j * op for op in spec.master.lindblads]
     if not heun:
         drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
     expand = (slice(None),) + (None,) * len(cols)
@@ -428,19 +391,18 @@ def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
     n_c, and R_c = Re<psi|L_c psi> / |psi|^2 is a sum over the components
     of a column.  Grouped by what multiplies psi and L_c psi, the step is
     dpsi = (h d - sum_c beta_c) psi + sum_c alpha_c L_c psi, with
-    d = -i H - K/2 - (lambda/2) sum_c n_c and the column scalars
-    alpha_c = lambda h R_c + sqrt(lambda) w_c and
-    beta_c = R_c (lambda h R_c / 2 + sqrt(lambda) w_c).  Sums run in index
-    order, and the work arrays are allocated once.
+    d = -i H - K/2 - (1/2) sum_c n_c and the column scalars
+    alpha_c = h R_c + w_c and beta_c = R_c (h R_c / 2 + w_c).  Sums run in
+    index order, and the work arrays are allocated once.
     """
-    dim, n_channels, lam, sqlam = spec.dim, spec.n_channels, spec.rate, math.sqrt(spec.rate)
+    dim, n_channels = spec.dim, spec.n_channels
     expand = (slice(None),) + (None,) * len(cols)
     d = np.diagonal(_stratonovich_drift(spec))
     srcs, coeffs = [], []
-    for op in spec.collapse_ops:
+    for op in spec.master.lindblads:
         src = np.argmax(op != 0.0, axis=1)  # the one nonzero of each row, if any
         coeff = op[np.arange(dim), src]
-        d = d - 0.5 * lam * np.bincount(src, weights=coeff.real**2 + coeff.imag**2, minlength=dim)
+        d = d - 0.5 * np.bincount(src, weights=coeff.real**2 + coeff.imag**2, minlength=dim)
         srcs.append(None if np.array_equal(src, np.arange(dim)) else src)  # None: diagonal, no gather
         coeffs.append(coeff[expand])
     d = d[expand]
@@ -448,7 +410,7 @@ def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
     alphas, betas = np.empty((2, n_channels, *cols))
     m = np.empty((dim, *cols), dtype=complex)
     re, im = np.empty((2, dim, *cols))
-    n2, r, t = np.empty((3, *cols))
+    n2, r = np.empty((2, *cols))
 
     def re_dot(a, b, out):
         # Re sum_i conj(a_i) b_i per column; the outer-axis sum adds components in index order.
@@ -461,7 +423,7 @@ def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
         re_dot(psi, psi, n2)
         if not n2.min() >= _NORM_FLOOR:
             raise ZeroNorm("state norm underflowed or is not finite; normalized expectation undefined")
-        lam_h, half_lam_h = lam * h, 0.5 * lam * h
+        half_h = 0.5 * h
         for src, coeff, lp, alpha, beta, w_c in zip(srcs, coeffs, l_psi, alphas, betas, w):
             if src is None:
                 np.multiply(psi, coeff, out=lp)
@@ -470,12 +432,11 @@ def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
                 np.multiply(lp, coeff, out=lp)
             re_dot(psi, lp, r)
             np.divide(r, n2, out=r)
-            np.multiply(w_c, sqlam, out=t)
-            np.multiply(r, half_lam_h, out=beta)
-            np.add(beta, t, out=beta)
+            np.multiply(r, half_h, out=beta)
+            np.add(beta, w_c, out=beta)
             np.multiply(beta, r, out=beta)
-            np.multiply(r, lam_h, out=alpha)
-            np.add(alpha, t, out=alpha)
+            np.multiply(r, h, out=alpha)
+            np.add(alpha, w_c, out=alpha)
         np.subtract(h * d, betas[0], out=m)
         for beta in betas[1:]:
             np.subtract(m, beta, out=m)
@@ -642,13 +603,14 @@ def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_gr
 def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray, pairs: list[tuple[int, int]]):
     """Batch runner (lo, hi) -> (count, means, m2) from the exact solution of the linear equation.
 
-    c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) with g_c = i sqrt(lambda) a_c
+    c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) with g_c = i l_c
     (Kloeden & Platen, Numerical Solution of SDEs, on linear SDEs) solves
     it, d the Stratonovich drift.  The noise is imaginary, so |c_i|^2 =
     exp(2 t Re d_i) is the same on every trajectory, and a pair gives
     c_i conj(c_j) = r_ij(t) exp(i (omega_ij t + theta_ij)) with
     r_ij = exp(t Re(d_i + d_j)), omega_ij = Im(d_i - d_j) and the phase
-    theta_ij = sum_c kappa_c W_c, kappa_c = sqrt(lambda) (a_ci - a_cj).
+    theta_ij = sum_c kappa_c W_c, kappa_c = l_ci - l_cj for the real
+    diagonal l_c of L_c.
     A batch runs in chunks of _PHASE_CHUNK // n_grid trajectories, in two
     buffers of one chunk's size: a chunk draws each trajectory's stream at
     the grid intervals only (one stepping step per interval draws the same
@@ -664,8 +626,8 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
     dim, n_grid, n_channels, n_pairs = spec.dim, len(t_grid), spec.n_channels, len(pairs)
     n_feat = dim + 2 * n_pairs
     d = np.diagonal(_stratonovich_drift(spec))
-    a = np.array([np.diagonal(op).real for op in spec.collapse_ops])  # (channel, component)
-    half_kappa = [0.5 * math.sqrt(spec.rate) * (a[:, i] - a[:, j]) for i, j in pairs]
+    l_diag = np.array([np.diagonal(op).real for op in spec.master.lindblads])  # (channel, component)
+    half_kappa = [0.5 * (l_diag[:, i] - l_diag[:, j]) for i, j in pairs]
     t = t_grid[:, None]
     diag_means = np.exp(t * (d + d).real)
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
@@ -806,16 +768,3 @@ def ensemble_evolve(
         for s in range(len(states))
     )
 
-
-def associated_master_spec(spec: SdeSpec) -> MasterSpec:
-    """Master equation whose solution is the ensemble mean of the SDE.
-
-    H and the decay operator K pass through, K into the anticommutator
-    term; the Lindblad channels are sqrt(lambda) times the collapse
-    operators, whatever the label.
-    """
-    return MasterSpec(
-        hamiltonian=spec.hamiltonian,
-        lindblads=tuple(math.sqrt(spec.rate) * op for op in spec.collapse_ops),
-        anticommutator=spec.decay_quadratic,
-    )

@@ -62,6 +62,15 @@ _VANISHING_CSL = dict(
     m_L=147.0, m_H=294.0, gamma_L=0.0, gamma_H=0.0, model="CSL",
     rate=3.3e29, beta=1.0, m0=2.2e-16, alpha=1.0, d=3, r_C=1e-30, t_max=1.0, n_points=2,
 )
+# (sqrt(4 pi) r_C)^d overflows the float range, and lambda_eff m~_H^2 does.
+_OVERFLOWING_R_C = dict(
+    m_L=3.6e-19, m_H=1.3e28, gamma_L=0.0, gamma_H=0.0, model="CSL",
+    rate=0.0132, beta=0.97, m0=4.8e25, alpha=1.0, d=3, r_C=1.3e203, t_max=1.0, n_points=2,
+)
+_OVERFLOWING_RATE = dict(
+    m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0, model="CSL",
+    rate=1.0, beta=1.0, m0=1.47e-145, alpha=1.0, d=1, r_C=1e-19, t_max=1.0, n_points=2,
+)
 
 
 def test_load_config_catalog_minimal(tmp_path):
@@ -1261,17 +1270,38 @@ def test_python_m_runs_cli_without_warnings(tmp_path):
     assert "command=analytic" in proc.stdout
 
 
-@pytest.mark.parametrize("command", ["analytic", "master"])
-def test_domain_error_is_the_only_stderr_line_with_warnings_as_errors(tmp_path, command):
-    # No numpy warning precedes the domain error: the master generators are
-    # checked elementwise, so their huge scale overflows no norm.
-    cfg = write_config(tmp_path, command=command, **_VANISHING_CSL)
+_VANISHING = (_VANISHING_CSL, 2, "domain error: flavor probabilities vanish at t = 1\n")
+_NO_EFFECTIVE_RATE = (_OVERFLOWING_R_C, 1, "error: r_C gives no finite effective rate gamma / (sqrt(4 pi) r_C)^d\n")
+_NO_INDUCED_RATE = (
+    _OVERFLOWING_RATE, 1, "error: the collapse-induced rate lambda_eff m~^2 of a mass state is not finite\n"
+)
+
+
+# The id prefix of each case; the vanishing config keeps the bare command ids.
+_ERROR_CASES = {"": _VANISHING, "r_C_overflow-": _NO_EFFECTIVE_RATE, "rate_overflow-": _NO_INDUCED_RATE}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        pytest.param(command, case, id=prefix + command)
+        for prefix, case in _ERROR_CASES.items()
+        for command in ("analytic", "master")
+    ],
+)
+def test_domain_error_is_the_only_stderr_line_with_warnings_as_errors(tmp_path, command, case):
+    # No numpy warning precedes the error: the master generators are checked
+    # elementwise, so their huge scale overflows no norm, and the loader
+    # rejects an effective or induced rate beyond the float range before a
+    # route computes with it.
+    config, code, stderr = case
+    cfg = write_config(tmp_path, command=command, **config)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "flavorcollapse", cfg],
         capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
-    assert proc.returncode == 2
-    assert proc.stderr == "domain error: flavor probabilities vanish at t = 1\n"
+    assert proc.returncode == code
+    assert proc.stderr == stderr
 
 
 _IMPORT_PROBE = """

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from flavorcollapse.core import Convention, MesonParams, QuantumState, to_mass
 from flavorcollapse.errors import DimensionMismatch, InvalidParams, NegativeWidth, ZeroRate
-from flavorcollapse.lindblad import MasterSpec, enlarged_master_spec, family_master_spec
+from flavorcollapse import cli
+from flavorcollapse.lindblad import MasterSpec, enlarged_master_spec, family_master_spec, imdecay_master_spec
 from flavorcollapse.operators import (
     centred_collapse_operator,
     collapse_operator_A,
@@ -13,7 +16,14 @@ from flavorcollapse.operators import (
     induced_decay_widths,
     reduced_mass_operator,
 )
-from flavorcollapse.sde import SdeEquation, SdeSpec, associated_master_spec, enlarged_collapse_spec, family_spec
+from flavorcollapse.sde import (
+    SdeEquation,
+    SdeSpec,
+    collapse_flavor_spec,
+    enlarged_collapse_spec,
+    family_spec,
+    imaginary_linear_spec,
+)
 
 from conftest import make_csl, make_qmupl
 
@@ -82,7 +92,7 @@ def test_enlarged_operator_blocks(meson, csl):
     np.testing.assert_array_equal(ops.hamiltonian[2:, 2:], np.zeros((2, 2)))
     # The trajectory and master routes take the one gauged enlarged Hamiltonian.
     np.testing.assert_array_equal(
-        enlarged_collapse_spec(meson, csl).hamiltonian, enlarged_master_spec(meson, csl).hamiltonian
+        enlarged_collapse_spec(meson, csl).master.hamiltonian, enlarged_master_spec(meson, csl).hamiltonian
     )
 
 
@@ -141,12 +151,12 @@ _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
          "k_offdiag", "k_complex", "op_not_monomial"],
 )
 def test_master_and_sde_specs_share_one_generator_contract(h, op, k, error, message):
-    # Both specs check their generators with one function, so a malformed
-    # generator fails both the same way.
+    # An SDE spec is a label on a master spec, so a malformed generator
+    # fails both the same way.
     raised = []
     for build in (
         lambda: MasterSpec(hamiltonian=h, lindblads=(op,), anticommutator=k),
-        lambda: SdeSpec(SdeEquation.NONLINEAR, h, (op,), rate=0.3, decay_quadratic=k),
+        lambda: SdeSpec(SdeEquation.NONLINEAR, MasterSpec(h, (op,), k)),
     ):
         with pytest.raises(error, match=message) as info:
             build()
@@ -164,11 +174,32 @@ def test_centred_collapse_operator_shifts_a_by_its_light_ratio(convention):
     np.testing.assert_array_equal(centred, a - a[0, 0] * np.eye(2))
 
 
-def test_flavor_specs_carry_the_centred_operator():
-    # The master route and the SDE's associated master equation take the
-    # same centred channel, so their superoperators agree bit for bit.
+def test_flavor_specs_carry_the_centred_operator(tmp_path):
+    # The master route and each SDE spec take the same centred channel, and
+    # each SDE spec is a label on its master spec, bit for bit; so the CLI
+    # reads no gap between the routes' superoperators for any flavor equation.
     meson = MesonParams(m_L=480.0, m_H=481.0, gamma_L=0.0, gamma_H=0.0)
     collapse = make_csl(beta=0.5, rate=1.0)
     want = np.sqrt(collapse.effective_rate) * centred_collapse_operator(meson, collapse)
     np.testing.assert_array_equal(family_master_spec(meson, collapse).lindblads[0], want)
-    np.testing.assert_array_equal(associated_master_spec(family_spec(meson, collapse)).lindblads[0], want)
+    for sde_factory, master_factory in (
+        (family_spec, family_master_spec),
+        (collapse_flavor_spec, imdecay_master_spec),
+        (imaginary_linear_spec, imdecay_master_spec),
+        (enlarged_collapse_spec, enlarged_master_spec),
+    ):
+        got, master = sde_factory(meson, collapse).master, master_factory(meson, collapse)
+        np.testing.assert_array_equal(got.hamiltonian, master.hamiltonian)
+        np.testing.assert_array_equal(got.anticommutator, master.anticommutator)
+        assert len(got.lindblads) == len(master.lindblads)
+        for a, b in zip(got.lindblads, master.lindblads):
+            np.testing.assert_array_equal(a, b)
+    readme = dict(
+        command="compare", m_L=0.5, m_H=1.5, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=0.3, r_C=0.5,
+        beta=0.8, m0=1.0, alpha=1.0, d=2, t_max=6.0, n_points=121, n_trajectories=300, seed=7, dt=0.0015,
+    )
+    for equation in ("family", "imaginary", "stratonovich", "nonlinear", "flavor_decay"):
+        path = tmp_path / f"{equation}.json"
+        path.write_text(json.dumps(dict(readme, equation=equation)))
+        spec = cli.load_config(str(path))
+        assert cli._require_route_physics(spec, cli._sde_spec(spec)) == 0.0, equation

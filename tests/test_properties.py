@@ -101,7 +101,8 @@ def check(config: dict) -> None:
 
 
 # m~ >> dm~ at beta = 1/2, where the coherence decays at (lambda/2) dm~^2
-# alone, and a config whose generator scale overflows a 2-norm.
+# alone, a config whose generator scale overflows a 2-norm, one whose
+# (sqrt(4 pi) r_C)^d overflows and one whose lambda_eff m~_H^2 does.
 _DWARFED_SPLITTING = dict(
     m_L=480.0, m_H=481.0, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=1.0, r_C=1.0, beta=0.5,
     m0=1.0, alpha=1.0, d=1, ratio_convention="normal", t_max=1.0, n_points=2,
@@ -115,6 +116,14 @@ _DWARFED_SPLITTING = dict(
 @example(dict(
     m_L=147.0, m_H=294.0, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=3.3e29, beta=1.0, m0=2.2e-16,
     alpha=1.0, d=3, r_C=1e-30, ratio_convention="normal", t_max=1.0, n_points=2,
+))
+@example(dict(
+    m_L=3.6e-19, m_H=1.3e28, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=0.0132, beta=0.97, m0=4.8e25,
+    alpha=1.0, d=3, r_C=1.3e203, ratio_convention="normal", t_max=1.0, n_points=2,
+))
+@example(dict(
+    m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=1.0, beta=1.0, m0=1.47e-145,
+    alpha=1.0, d=1, r_C=1e-19, ratio_convention="normal", t_max=1.0, n_points=2,
 ))
 def test_route_commands_keep_the_cli_contract(config):
     check(config)

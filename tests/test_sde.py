@@ -10,12 +10,11 @@ from scipy.integrate import quad
 from flavorcollapse.analytic import prob_flavor
 from flavorcollapse.core import Basis, FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
-from flavorcollapse.lindblad import integrate_master, master_rhs
+from flavorcollapse.lindblad import MasterSpec, integrate_master, master_rhs
 from flavorcollapse import sde
 from flavorcollapse.operators import collapse_operator_A, induced_decay_widths
 from flavorcollapse.sde import (
     NoiseConfig,
-    associated_master_spec,
     asymmetric_delta,
     collapse_flavor_spec,
     enlarged_collapse_spec,
@@ -48,6 +47,15 @@ def _bare(m_l=1.0, m_h=2.0):
 
 def _decaying():
     return MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.2, gamma_H=0.08)
+
+
+def _with_master(spec, **generators):
+    # The spec with some generators of its master equation replaced.
+    return replace(spec, master=replace(spec.master, **generators))
+
+
+def _with_channel(spec, op):
+    return _with_master(spec, lindblads=(*spec.master.lindblads, op))
 
 
 def _gauged_rate(meson, collapse):
@@ -222,7 +230,7 @@ def _linear_case(n_channels):
     # A linear spec with one or two Wiener channels, 7 random rows, noise and step.
     spec = family_spec(_decaying(), make_csl(beta=0.7, rate=0.4))
     if n_channels == 2:
-        spec = replace(spec, collapse_ops=(*spec.collapse_ops, np.diag([0.3, -1.7])))
+        spec = _with_channel(spec, np.diag([0.3, -1.7]))
     rng = np.random.default_rng(5)
     psi = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
     w = 0.05 * rng.standard_normal((7, n_channels))
@@ -234,11 +242,11 @@ def _linear_update(spec, psi, w, h, method):
 
 
 def _linear_matrices(spec, method):
-    # Drift and diffusions g_c = i sqrt(lambda) A_c of the form each scheme
-    # integrates: Heun the Stratonovich drift -i H - K/2, Euler-Maruyama the
-    # Ito drift, which adds the conversion term (1/2) sum_c g_c^2.
-    diffusions = [1j * np.sqrt(spec.rate) * op for op in spec.collapse_ops]
-    drift = -1j * spec.hamiltonian - 0.5 * spec.decay_quadratic
+    # Drift and diffusions g_c = i L_c of the form each scheme integrates:
+    # Heun the Stratonovich drift -i H - K/2, Euler-Maruyama the Ito drift,
+    # which adds the conversion term (1/2) sum_c g_c^2.
+    diffusions = [1j * op for op in spec.master.lindblads]
+    drift = -1j * spec.master.hamiltonian - 0.5 * spec.master.anticommutator
     if method == "euler":
         drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
     return drift, diffusions
@@ -323,26 +331,33 @@ def test_linear_one_step_weak_multiplier(method, n_channels):
     np.testing.assert_allclose(mu, want, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("field", ["hamiltonian", "collapse_ops", "decay_quadratic"])
+# The ids keep the names of the collapse operators and of the decay operator K.
+_GENERATORS = [
+    "hamiltonian", pytest.param("lindblads", id="collapse_ops"), pytest.param("anticommutator", id="decay_quadratic")
+]
+
+
+@pytest.mark.parametrize("field", _GENERATORS)
 @pytest.mark.parametrize(
     "factory",
     [imaginary_linear_spec, family_spec, _ALIAS, collapse_flavor_spec, enlarged_collapse_spec],
 )
 def test_linear_specs_require_diagonal_operators(factory, field):
-    # Every kernel reads H and K as diagonals and a collapse operator as one
-    # nonzero per row: the linear equation takes diagonal collapse operators,
-    # the nonlinear one monomial ones.
+    # Every kernel reads H and K as diagonals and a Lindblad operator as one
+    # nonzero per row: the linear equation takes diagonal Lindblad operators,
+    # the nonlinear one monomial ones.  For the linear label the bad
+    # Lindblad operator is monomial, so that its own rule must reject it.
     spec = factory(_decaying(), make_csl(beta=0.8, rate=0.3))
     off_diagonal = np.zeros((spec.dim, spec.dim), dtype=complex)
     off_diagonal[0, 1] = off_diagonal[1, 0] = 0.25
-    current = getattr(spec, field)
-    if field == "collapse_ops":
-        bad = (current[0] + off_diagonal,)
+    current = getattr(spec.master, field)
+    nonlinear = spec.equation is sde.SdeEquation.NONLINEAR
+    if field == "lindblads":
+        bad = (current[0] + off_diagonal,) if nonlinear else (current[0][::-1],)
     else:
         bad = off_diagonal if current is None else current + off_diagonal
-    nonlinear = spec.equation is sde.SdeEquation.NONLINEAR
-    with pytest.raises(InvalidParams, match="monomial" if nonlinear and field == "collapse_ops" else "diagonal"):
-        replace(spec, **{field: bad})
+    with pytest.raises(InvalidParams, match="monomial" if nonlinear and field == "lindblads" else "diagonal"):
+        _with_master(spec, **{field: bad})
 
 
 @pytest.mark.parametrize("equation", list(sde.SdeEquation))
@@ -350,35 +365,32 @@ def test_spec_rejects_non_hermitian_hamiltonian(equation):
     # Decay enters through K alone: the Wigner-Weisskopf M - (i/2) Gamma is
     # diagonal but not Hermitian, and no label takes it.
     with pytest.raises(InvalidParams, match="hamiltonian must be Hermitian"):
-        sde.SdeSpec(equation, np.diag([-0.05j, 1.0 - 0.025j]), (np.diag([1.0, 2.0]),), rate=0.3)
+        sde.SdeSpec(equation, MasterSpec(np.diag([-0.05j, 1.0 - 0.025j]), (np.diag([1.0, 2.0]),)))
 
 
-@pytest.mark.parametrize("field", ["hamiltonian", "collapse_ops", "decay_quadratic", "rate"])
+@pytest.mark.parametrize("field", _GENERATORS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("equation", list(sde.SdeEquation))
 def test_spec_rejects_non_finite_generators_and_rate(equation, field, bad):
     # A NaN or an infinity on a diagonal breaks no diagonality or monomial
-    # rule, so the finiteness check must catch it on its own, with no warning.
-    spec = sde.SdeSpec(equation, np.diag([0.0, 1.0]), (np.diag([1.0, 2.0]),), rate=0.3, decay_quadratic=np.diag([0.1, 0.2]))
-    if field == "rate":
-        value = bad
-    else:
-        mat = np.diag([0.5, 1.0]).astype(complex)
-        mat[1, 1] = bad
-        value = (mat,) if field == "collapse_ops" else mat
+    # rule, so the finiteness check must catch it on its own, with no
+    # warning.  A non-finite rate arrives as a non-finite Lindblad operator.
+    spec = sde.SdeSpec(equation, MasterSpec(np.diag([0.0, 1.0]), (np.diag([1.0, 2.0]),), np.diag([0.1, 0.2])))
+    mat = np.diag([0.5, 1.0]).astype(complex)
+    mat[1, 1] = bad
     with pytest.raises(InvalidParams, match="must be finite"):
-        replace(spec, **{field: value})
+        _with_master(spec, **{field: (mat,) if field == "lindblads" else mat})
 
 
 @pytest.mark.parametrize("factory", [imaginary_linear_spec, family_spec])
 def test_linear_specs_require_self_adjoint_collapse_operators(factory):
-    # The exact kernel reads the real diagonal of each collapse operator, so
+    # The exact kernel reads the real diagonal of each Lindblad operator, so
     # a complex one would lose its imaginary part.  The nonlinear equation
-    # takes any operator.
+    # takes any monomial operator.
     complex_diagonal = (np.diag([0.5, 1.5j]),)
     with pytest.raises(InvalidParams, match="self-adjoint"):
-        replace(factory(_decaying(), make_csl(beta=0.8, rate=0.3)), collapse_ops=complex_diagonal)
-    replace(collapse_flavor_spec(_decaying(), make_csl(beta=0.8, rate=0.3)), collapse_ops=complex_diagonal)
+        _with_master(factory(_decaying(), make_csl(beta=0.8, rate=0.3)), lindblads=complex_diagonal)
+    _with_master(collapse_flavor_spec(_decaying(), make_csl(beta=0.8, rate=0.3)), lindblads=complex_diagonal)
 
 
 def test_nonlinear_step_leaves_input_rows():
@@ -404,11 +416,11 @@ def test_family_is_imaginary_linear_with_induced_widths():
     family = family_spec(_GENERIC, collapse)
     imaginary = imaginary_linear_spec(replace(_GENERIC, gamma_L=g_l, gamma_H=g_h), collapse)
     assert family.equation is imaginary.equation
-    assert np.array_equal(family.hamiltonian, imaginary.hamiltonian)
-    assert len(family.collapse_ops) == len(imaginary.collapse_ops)
-    for a, b in zip(family.collapse_ops, imaginary.collapse_ops):
+    assert np.array_equal(family.master.hamiltonian, imaginary.master.hamiltonian)
+    assert len(family.master.lindblads) == len(imaginary.master.lindblads)
+    for a, b in zip(family.master.lindblads, imaginary.master.lindblads):
         assert np.array_equal(a, b)
-    assert np.array_equal(family.decay_quadratic, imaginary.decay_quadratic)
+    assert np.array_equal(family.master.anticommutator, imaginary.master.anticommutator)
 
 
 def _re_dot(a, b):
@@ -438,23 +450,22 @@ def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build):
     # An O(1) step, so that a rounding change in the drift reaches psi.
     w = rng.standard_normal((64, spec.n_channels))
     h = 0.7
-    lam, sqlam = spec.rate, np.sqrt(spec.rate)
+    master = spec.master
     got = step(spec, psi, w, h)
 
     n2 = _re_dot(psi, psi)
-    d = -1j * np.diagonal(spec.hamiltonian)
-    if spec.decay_quadratic is not None:
-        d = d - 0.5 * np.diagonal(spec.decay_quadratic)
+    d = -1j * np.diagonal(master.hamiltonian)
+    if master.anticommutator is not None:
+        d = d - 0.5 * np.diagonal(master.anticommutator)
     l_psis, alphas, betas = [], [], []
-    for c, op in enumerate(spec.collapse_ops):
-        d = d - 0.5 * lam * (np.abs(op) ** 2).sum(axis=0)  # the diagonal of L^dag L
+    for c, op in enumerate(master.lindblads):
+        d = d - 0.5 * (np.abs(op) ** 2).sum(axis=0)  # the diagonal of L^dag L
         src = np.abs(op).argmax(axis=1)
         l_psi = op[np.arange(dim), src] * psi[:, src]
         r = _re_dot(psi, l_psi) / n2
-        t = w[:, c] * sqlam
         l_psis.append(l_psi)
-        betas.append((r * (0.5 * lam * h) + t) * r)
-        alphas.append(r * (lam * h) + t)
+        betas.append((r * (0.5 * h) + w[:, c]) * r)
+        alphas.append(r * h + w[:, c])
     m = h * d - betas[0][:, None]
     for beta in betas[1:]:
         m = m - beta[:, None]
@@ -463,15 +474,15 @@ def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build):
         m = m + l_psi * alpha[:, None]
     assert np.array_equal(got, psi + m)
 
-    drift = psi @ (-1j * spec.hamiltonian).T
-    if spec.decay_quadratic is not None:
-        drift = drift - 0.5 * (psi @ spec.decay_quadratic.T)
+    drift = psi @ (-1j * master.hamiltonian).T
+    if master.anticommutator is not None:
+        drift = drift - 0.5 * (psi @ master.anticommutator.T)
     noise = np.zeros_like(psi)
-    for c, op in enumerate(spec.collapse_ops):
+    for c, op in enumerate(master.lindblads):
         op_psi = psi @ op.T
         r = (np.einsum("bi,ij,bj->b", psi.conj(), op, psi).real / n2)[:, None]
-        drift = drift - 0.5 * lam * (op_psi @ op.conj() - 2.0 * r * op_psi + r**2 * psi)
-        noise = noise + w[:, c : c + 1] * sqlam * (op_psi - r * psi)
+        drift = drift - 0.5 * (op_psi @ op.conj() - 2.0 * r * op_psi + r**2 * psi)
+        noise = noise + w[:, c : c + 1] * (op_psi - r * psi)
     dense = psi + drift * h + noise
     # Measured: at most 3 ulp of each row's largest component.
     ulp = np.finfo(float).eps * np.abs(psi).max(axis=1, keepdims=True)
@@ -547,9 +558,8 @@ def test_ensemble_matches_family_master():
     t_grid = _grid(4.0, 21)
     config = NoiseConfig(seed=77, dt=4.0 / 2000)
     (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 4000)
-    master = associated_master_spec(spec)
     rho0 = np.outer(_M0_MASS, _M0_MASS.conj())
-    rhos = integrate_master(master, rho0, t_grid)
+    rhos = integrate_master(spec.master, rho0, t_grid)
     for label, vec in (
         ("P_M0", _M0_MASS),
         ("P_M0bar", np.array([_INV_SQRT2, -_INV_SQRT2])),
@@ -740,7 +750,7 @@ def test_exact_ensemble_equals_closed_form(monkeypatch, factory, n_channels, row
     # W the cumulated wiener_increments and d the Stratonovich drift.
     spec = factory(_decaying(), make_csl(beta=0.7, rate=0.4))
     if n_channels == 2:
-        spec = replace(spec, collapse_ops=(*spec.collapse_ops, np.diag([0.3, -1.7])))
+        spec = _with_channel(spec, np.diag([0.3, -1.7]))
     dt = 1.0 / 64
     t_grid = dt * np.arange(9)
     if rows is not None:
@@ -749,8 +759,8 @@ def test_exact_ensemble_equals_closed_form(monkeypatch, factory, n_channels, row
         monkeypatch.setattr(sde, "_BATCH_CAP", batch_cap)
     config = NoiseConfig(seed=19, dt=dt)
     stats = ensemble_evolve(spec, config, _ALL_STATES, t_grid, n_traj)
-    drift = -1j * np.diagonal(spec.hamiltonian) - 0.5 * np.diagonal(spec.decay_quadratic)
-    g = 1j * np.sqrt(spec.rate) * np.array([np.diagonal(op) for op in spec.collapse_ops])  # (channel, i)
+    drift = -1j * np.diagonal(spec.master.hamiltonian) - 0.5 * np.diagonal(spec.master.anticommutator)
+    g = 1j * np.array([np.diagonal(op) for op in spec.master.lindblads])  # (channel, i)
     w = np.array([np.cumsum(wiener_increments(config, 8, k, n_channels), axis=0) for k in range(n_traj)])
     w = np.concatenate([np.zeros((n_traj, 1, n_channels)), w], axis=1)  # (trajectory, time, channel)
     c = np.exp(drift * t_grid[:, None] + w @ g)  # (trajectory, time, i)
@@ -869,7 +879,7 @@ def test_phase_transform_rejects_other_equations():
 # master-equation consistency (one-step finite difference)
 
 def _with_extra_decay(spec):
-    return replace(spec, decay_quadratic=spec.decay_quadratic + np.diag([0.2, 0.05]))
+    return _with_master(spec, anticommutator=spec.master.anticommutator + np.diag([0.2, 0.05]))
 
 
 def _fd_against_master(spec, psi0, n, dt, seed):
@@ -883,7 +893,7 @@ def _fd_against_master(spec, psi0, n, dt, seed):
     stderr = np.sqrt(var / n) / dt
     rho0 = np.outer(psi0, psi0.conj())
     fd = (mean_outer - rho0) / dt
-    rhs = master_rhs(associated_master_spec(spec), rho0)
+    rhs = master_rhs(spec.master, rho0)
     return fd, rhs, stderr
 
 
@@ -895,10 +905,8 @@ def _fd_against_master(spec, psi0, n, dt, seed):
         lambda: _with_extra_decay(family_spec(_bare(), make_csl(beta=0.8, rate=0.3))),
         lambda: enlarged_collapse_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
         lambda: sde.SdeSpec(
-            equation=sde.SdeEquation.NONLINEAR,
-            hamiltonian=np.diag([1.0, 2.0]),
-            collapse_ops=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
-            rate=0.3,
+            sde.SdeEquation.NONLINEAR,
+            MasterSpec(np.diag([1.0, 2.0]), (np.sqrt(0.3) * np.array([[0.0, 1.0], [0.0, 0.0]]),)),
         ),
     ],
     ids=["collapse", "family", "family_extra_decay", "enlarged", "general_nonhermitian"],
@@ -911,10 +919,11 @@ def test_one_step_master_consistency(build):
     dt = 4e-3
     n = 10**5 if dim == 2 else 3 * 10**4
     fd, rhs, stderr = _fd_against_master(spec, psi0, n, dt, seed=42)
+    master = spec.master
     scale = max(
-        np.linalg.norm(spec.hamiltonian, 2),
-        spec.rate * max(np.linalg.norm(op, 2) ** 2 for op in spec.collapse_ops),
-        np.linalg.norm(spec.decay_quadratic, 2) if spec.decay_quadratic is not None else 0.0,
+        np.linalg.norm(master.hamiltonian, 2),
+        max(np.linalg.norm(op, 2) ** 2 for op in master.lindblads),
+        np.linalg.norm(master.anticommutator, 2) if master.anticommutator is not None else 0.0,
     )
     tol = 5.0 * stderr + 4.0 * scale**2 * dt
     np.testing.assert_array_less(np.abs(fd - rhs), tol)
