@@ -27,7 +27,6 @@ _TRAJECTORIES = {"n_trajectories": 4000, "seed": 7, "dt": 0.0015}
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="output directory (default: ./out)")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -39,7 +38,7 @@ def main() -> int:
             trajectories = _TRAJECTORIES if command in ("ensemble", "compare") else {}
             config_path.write_text(json.dumps(dict(_BASE, command=command, **trajectories)))
             out = outdir / f"{command}.csv"
-            code = cli.main([str(config_path), "--output", str(out), "--threads", str(args.threads)])
+            code = cli.main([str(config_path), "--output", str(out)])
             print(f"{command}: exit {code}, wrote {out}")
             if command == "compare":
                 final = code

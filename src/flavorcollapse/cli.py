@@ -33,8 +33,8 @@ from importlib import resources
 
 import numpy as np
 
-# ``analytic``, ``lindblad``, ``operators`` and ``sde`` are imported inside
-# the functions that call them, so a command loads only the routes it runs.
+# ``analytic``, ``lindblad`` and ``sde`` are imported inside the functions
+# that call them, so a command loads only the routes it runs.
 from .core import (
     Basis,
     CollapseParams,
@@ -63,6 +63,16 @@ _MASTER_RESIDUAL_TOL = 1e-12
 _PROB_TOL = 1e-12  # round-off allowed outside [0, 1]
 _ENSEMBLE_RATIO_TOL = 4.0
 _MAX_STEPS = 2**31  # Euler steps per trajectory of a stepped equation
+# The ``sde.SdeEquation`` label of each CSL equation.  Each is a label on the
+# routes' one master equation; ``enlarged`` embeds it in the enlarged space.
+_EQUATIONS = {
+    "family": "linear",
+    "flavor_decay": "nonlinear",
+    "imaginary": "linear",
+    "stratonovich": "linear",
+    "nonlinear": "nonlinear",
+    "enlarged": "nonlinear",
+}
 # The Python types of the schema's JSON types.
 _TYPES = {"number": (int, float), "integer": int, "string": str}
 
@@ -345,7 +355,7 @@ def _safe_asymmetry(p_same: np.ndarray, p_flip: np.ndarray, times: np.ndarray) -
     bad = ~np.isfinite(denom) | (denom <= 0.0)
     if np.any(bad):
         t_bad = times[np.argmax(bad)]
-        raise DegenerateDenominator(f"flavor probabilities vanish at t = {t_bad:g}")
+        raise DegenerateDenominator(f"flavor probabilities vanish at t = {_fmt(t_bad)}")
     return (p_same - p_flip) / denom
 
 
@@ -477,31 +487,17 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
-    from . import lindblad, operators, sde
+    """The run's equation as a label on the routes' master equation, so every CSL equation decays
+    through the collapse-induced widths."""
+    from . import lindblad, sde
 
-    meson, collapse = spec.meson, spec.collapse
+    master = _route_master_spec(spec)
     if spec.model is DynamicsModel.QM:
         # Wigner-Weisskopf evolution: the linear equation with one zero channel, sampled exactly.
-        wigner_weisskopf = lindblad.wigner_weisskopf_spec(meson)
-        return sde.SdeSpec(sde.SdeEquation.LINEAR, replace(wigner_weisskopf, lindblads=(np.zeros((2, 2)),)))
-    # Every CSL equation decays through the collapse-induced widths.
-    gamma_l, gamma_h = operators.induced_decay_widths(meson, collapse)
-    return _equation_factories()[spec.equation](replace(meson, gamma_L=gamma_l, gamma_H=gamma_h), collapse)
-
-
-def _equation_factories() -> dict:
-    """The spec factory of each CSL equation: ``family``, ``imaginary`` and ``stratonovich`` give one
-    linear spec, ``nonlinear`` and ``flavor_decay`` one nonlinear flavor spec."""
-    from . import sde
-
-    return {
-        "family": sde.family_spec,
-        "flavor_decay": sde.collapse_flavor_spec,
-        "imaginary": sde.imaginary_linear_spec,
-        "stratonovich": sde.family_spec,
-        "nonlinear": sde.collapse_flavor_spec,
-        "enlarged": sde.enlarged_collapse_spec,
-    }
+        return sde.SdeSpec(sde.SdeEquation.LINEAR, replace(master, lindblads=(np.zeros((2, 2)),)))
+    if spec.equation == "enlarged":
+        master = lindblad.enlarged_master_spec(master)
+    return sde.SdeSpec(sde.SdeEquation(_EQUATIONS[spec.equation]), master)
 
 
 def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):

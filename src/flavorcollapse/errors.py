@@ -15,10 +15,6 @@ class InvalidParams(FlavorCollapseError, ValueError):
     """A physical-parameter invariant is violated."""
 
 
-class ZeroRate(FlavorCollapseError):
-    """Collapse operator undefined because the effective rate is zero."""
-
-
 class NegativeWidth(FlavorCollapseError):
     """Induced decay widths would be negative (beta < 1/2)."""
 

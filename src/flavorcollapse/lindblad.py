@@ -9,6 +9,8 @@ Two routes to density-matrix dynamics live here:
 
   on the 2-dim flavor space or the 4-dim enlarged space, with factory
   functions assembling the concrete generators used by the model family.
+  An enlarged equation is a flavor one whose decay K has become a
+  Lindblad channel into the decay states (``enlarged_master_spec``).
   The equations are linear and autonomous, so vec(rho(t)) =
   exp(t S) vec(rho(0)) holds exactly for the superoperator S, and the
   matrix exponential is taken at each grid time;
@@ -44,7 +46,6 @@ from .operators import (
     _mass_basis_generators,
     centred_collapse_operator,
     decay_operator,
-    enlarged_operators,
     induced_decay_operator,
     reduced_mass_operator,
 )
@@ -122,14 +123,25 @@ def imdecay_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterS
     )
 
 
-def enlarged_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterSpec:
-    """Trace-preserving enlarged-space equation with the decay Lindblad block."""
-    ops = enlarged_operators(meson, collapse)
-    lam = collapse.effective_rate
-    return MasterSpec(
-        hamiltonian=ops.hamiltonian,
-        lindblads=(math.sqrt(lam) * ops.collapse_a, math.sqrt(lam) * ops.collapse_b),
-    )
+def enlarged_master_spec(flavor: MasterSpec) -> MasterSpec:
+    """The 2x2 flavor equation on the 4-dim space (M_L, M_H, f_L, f_H), with its decay as a Lindblad channel.
+
+    H and each Lindblad operator act on the flavor block.  K becomes one
+    decay channel, last in channel order, that takes M_i to f_i with
+    amplitude sqrt(K_ii) (a zero channel without K), and the enlarged
+    equation has no anticommutator term.  The channel's L^dag L is K on the
+    flavor block, so the flavor block follows ``flavor``, and the trace it
+    loses arrives in the decay block: the enlarged trace is preserved.
+    """
+    if flavor.dim != 2:
+        raise DimensionMismatch("the enlarged equation embeds a 2x2 flavor spec")
+    ops = np.zeros((len(flavor.lindblads) + 2, 4, 4), dtype=complex)  # H, the flavor channels, the decay channel
+    ops[0, :2, :2] = flavor.hamiltonian
+    for op, lindblad in zip(ops[1:], flavor.lindblads):
+        op[:2, :2] = lindblad
+    if flavor.anticommutator is not None:
+        ops[-1, [2, 3], [0, 1]] = np.sqrt(np.diagonal(flavor.anticommutator).real)
+    return MasterSpec(hamiltonian=ops[0], lindblads=tuple(ops[1:]))
 
 
 def master_rhs(spec: MasterSpec, rho: np.ndarray) -> np.ndarray:

@@ -1,30 +1,26 @@
-"""Operator constructors on the 2-dim flavor space and the 4-dim enlarged space, and their contract.
+"""Operator constructors on the 2-dim flavor space, and the generator contract of every master equation.
 
 All matrices are in the mass basis, where every Hermitian operator of
-the model is diagonal.  The enlarged space is ordered (M_L, M_H, f_L,
-f_H): the first block is the flavor sector in mass coordinates, the
-second the orthonormal decay-product states.
+the model is diagonal.  The collapse operator is A = diag(m~_L, m~_H),
+the mass ratios of ``core.mass_ratios``; the model takes it centred.
+The 4-dim enlarged space (M_L, M_H, f_L, f_H) is built from a flavor
+master equation by ``lindblad.enlarged_master_spec``; the contract below
+covers its 4x4 generators too.
 
 Pure functions over immutable inputs; safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .core import CollapseParams, MesonParams, mass_ratios
-from .errors import DimensionMismatch, InvalidParams, NegativeWidth, ZeroRate
+from .errors import DimensionMismatch, InvalidParams, NegativeWidth
 
 __all__ = [
     "reduced_mass_operator",
     "decay_operator",
-    "collapse_operator_A",
     "centred_collapse_operator",
-    "collapse_operator_B",
-    "EnlargedOperators",
-    "enlarged_operators",
     "induced_decay_operator",
     "induced_decay_widths",
 ]
@@ -46,16 +42,8 @@ def decay_operator(meson: MesonParams) -> np.ndarray:
     return np.diag(meson.widths.astype(float))
 
 
-def collapse_operator_A(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
-    """Self-adjoint collapse operator diag(m~_L, m~_H) in the mass basis.
-
-    The mass ratios follow the configured convention (normal or inverted).
-    """
-    return np.diag(mass_ratios(meson, collapse))
-
-
 def centred_collapse_operator(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
-    """A - m~_L I = diag(0, m~_H - m~_L): the flavor collapse operator without its gauge part.
+    """A - m~_L I = diag(0, m~_H - m~_L): the collapse operator A = diag(m~_L, m~_H) without its gauge part.
 
     A real shift L -> L + c I of a Hermitian Lindblad operator leaves the
     dissipator unchanged (Breuer & Petruccione 2002, sec. 3.2).  Centred
@@ -64,50 +52,6 @@ def centred_collapse_operator(meson: MesonParams, collapse: CollapseParams) -> n
     """
     ratios = mass_ratios(meson, collapse)
     return np.diag(ratios - ratios[0])
-
-
-def collapse_operator_B(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
-    """Decay-triggering map diag(sqrt(gamma_i / lambda_eff)).
-
-    Rows index the decay states (f_L, f_H), columns the mass eigenstates,
-    so B^dag B = Gamma / lambda_eff on the flavor sector.
-    """
-    lam = collapse.effective_rate
-    widths = meson.widths
-    if lam == 0.0:
-        if np.any(widths > 0.0):
-            raise ZeroRate("collapse_operator_B undefined: zero effective rate with nonzero widths")
-        return np.zeros((2, 2))
-    return np.diag(np.sqrt(widths / lam))
-
-
-class EnlargedOperators(NamedTuple):
-    """Block operators on the 4-dim space ordered (M_L, M_H, f_L, f_H)."""
-
-    hamiltonian: np.ndarray
-    collapse_a: np.ndarray
-    collapse_b: np.ndarray
-
-
-def _embed(block: np.ndarray, rows: slice) -> np.ndarray:
-    """4x4 operator holding ``block`` in the given rows of the flavor columns."""
-    out = np.zeros((4, 4), dtype=block.dtype)
-    out[rows, :2] = block
-    return out
-
-
-def enlarged_operators(meson: MesonParams, collapse: CollapseParams) -> EnlargedOperators:
-    """All 4x4 block operators of the enlarged-space construction.
-
-    The gauged Hamiltonian and the self-adjoint collapse operator act on
-    the flavor block only (the decay block carries no dynamics); the decay
-    operator B occupies the lower-left block, mapping flavor to decay states.
-    """
-    return EnlargedOperators(
-        hamiltonian=_embed(reduced_mass_operator(meson), np.s_[:2]),
-        collapse_a=_embed(collapse_operator_A(meson, collapse), np.s_[:2]),
-        collapse_b=_embed(collapse_operator_B(meson, collapse), np.s_[2:]),
-    )
 
 
 def induced_decay_operator(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
@@ -136,13 +80,13 @@ def induced_decay_widths(meson: MesonParams, collapse: CollapseParams) -> tuple[
     return float(gamma_l), float(gamma_h)
 
 
-def _mass_basis_generators(hamiltonian, collapse_ops, decay, diagonal_ops: bool = False):
+def _mass_basis_generators(hamiltonian, collapse_ops, decay):
     """H, the collapse operators and K (or None) as complex arrays that meet the one generator contract.
 
     Every entry is finite; H is 2x2 or 4x4 and the others match it; H and K
     are real diagonals in the mass basis; each collapse operator is
-    monomial, with at most one nonzero per row and per column, and with
-    ``diagonal_ops`` a real diagonal too.  Every check is elementwise.
+    monomial, with at most one nonzero per row and per column.  Every check
+    is elementwise.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     ops = tuple(np.asarray(op, dtype=complex) for op in collapse_ops)
@@ -150,7 +94,7 @@ def _mass_basis_generators(hamiltonian, collapse_ops, decay, diagonal_ops: bool 
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] not in (2, 4):
         raise DimensionMismatch("hamiltonian must be 2x2 or 4x4")
     off_diagonal = ~np.eye(len(h), dtype=bool)
-    named = [("hamiltonian", h, True), *(("collapse operators", op, diagonal_ops) for op in ops)]
+    named = [("hamiltonian", h, True), *(("collapse operators", op, False) for op in ops)]
     for name, m, diagonal in named + ([] if k is None else [("decay operator K", k, True)]):
         if m.shape != h.shape:
             raise DimensionMismatch(f"{name} must match the hamiltonian dimension")

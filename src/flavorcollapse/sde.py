@@ -4,8 +4,9 @@ Each supported equation is an SDE for an unnormalized state vector on the
 2-dim flavor space or the 4-dim enlarged space.  Its spec is a label on
 the master equation that its ensemble mean solves: an ``SdeEquation``,
 nonlinear or linear, which picks the kernel, and a ``lindblad.MasterSpec``
-of H, the Lindblad operators L_c (one per Wiener channel, the collapse
-operators A_c scaled by sqrt(lambda)) and the decay operator K.
+of H, the Lindblad operators L_c (one per Wiener channel: the collapse
+operators A_c scaled by sqrt(lambda), and on the enlarged space the
+decay channel) and the decay operator K.
 
 ``NONLINEAR`` is the collapse equation in Ito form.  With R_c = Re<L_c>
 on the normalized state it reads
@@ -13,11 +14,11 @@ on the normalized state it reads
     dpsi = [-i H - (1/2) sum_c (L_c^dag L_c - 2 R_c L_c + R_c^2)
             - K/2] psi dt + sum_c (L_c - R_c) psi dW_c.
 
-H is Hermitian and decay enters through K alone.  The forms are the
-flavor equation with K = Gamma, also the flavor projection of the
-enlarged one (lambda B^dag B = Gamma), the enlarged-space equation with
-L = sqrt(lambda) (A, B), B the decay channel, and the
-phase-transformation family e^{i phi} L.  It is stepped with
+H is Hermitian and decay enters through K.  The forms are the flavor
+equation with K = Gamma; the enlarged-space equation, whose master
+equation is the flavor one with K turned into a decay channel that takes
+M_i to f_i with amplitude sqrt(K_ii) (``lindblad.enlarged_master_spec``);
+and the phase-transformation family e^{i phi} L.  It is stepped with
 Euler-Maruyama.
 
 All of these share one master equation per physical system.  ``LINEAR``
@@ -34,10 +35,14 @@ time-asymmetric family equation.  The CLI's QM equation is the
 Wigner-Weisskopf master equation with one zero channel.
 
 In the mass basis H = diag(0, delta_m), A = diag(m~_L, m~_H) and K are
-diagonal, and B maps each mass state to one decay state; the flavor
-specs take A centred, diag(0, m~_H - m~_L), a gauge of every label.
-``MasterSpec`` requires H and K real-diagonal and every L_c monomial, and
-the linear label every L_c a real diagonal, so every step is elementwise.
+diagonal, and the decay channel maps each mass state to one decay state.
+Every spec takes A centred, diag(0, m~_H - m~_L): a gauge of every label
+on the flavor space.  On the enlarged space the shift changes the
+trajectories, but of the master equation only the flavor-decay
+coherences rho_Ff, which neither the flavor block nor the decay block
+reads.  ``MasterSpec`` requires H and K real-diagonal and every L_c
+monomial, and the linear label every L_c a real diagonal, so every step
+is elementwise.
 The linear equation has the closed-form solution
 c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass component,
 d = diag(-i H - K/2), g_c = i diag(L_c), which ``ensemble_evolve`` samples
@@ -80,7 +85,6 @@ from .errors import (
     ZeroNorm,
 )
 from .lindblad import MasterSpec, enlarged_master_spec, family_master_spec, imdecay_master_spec
-from .operators import _mass_basis_generators
 
 __all__ = [
     "SdeEquation",
@@ -88,7 +92,6 @@ __all__ = [
     "SdeSpec",
     "collapse_flavor_spec",
     "enlarged_collapse_spec",
-    "imaginary_linear_spec",
     "family_spec",
     "stratonovich_family_spec",
     "phase_transform_spec",
@@ -136,8 +139,9 @@ class NoiseConfig:
 class SdeSpec:
     """One quantum-state equation: its label and the master equation its ensemble mean solves.
 
-    ``master`` holds H, the Lindblad operators L_c = sqrt(lambda) A_c, one
-    per Wiener channel, and the decay operator K, under ``MasterSpec``'s
+    ``master`` holds H, the Lindblad operators L_c, one per Wiener channel
+    (the collapse operators sqrt(lambda) A_c and, on the enlarged space,
+    the decay channel), and the decay operator K, under ``MasterSpec``'s
     contract: H and K real-diagonal, K positive semidefinite and each L_c
     monomial, so that every kernel steps the components elementwise.  The
     equation needs at least one channel, and the linear label each L_c a
@@ -151,7 +155,12 @@ class SdeSpec:
         if not self.master.lindblads:
             raise InvalidParams("at least one collapse operator required")
         if self.equation is SdeEquation.LINEAR:
-            _mass_basis_generators(self.master.hamiltonian, self.master.lindblads, None, diagonal_ops=True)
+            off_diagonal = ~np.eye(self.dim, dtype=bool)
+            for op in self.master.lindblads:
+                if op[off_diagonal].any():
+                    raise InvalidParams("collapse operators must be diagonal in the mass basis")
+                if op.imag.any():
+                    raise InvalidParams("collapse operators must be Hermitian (self-adjoint)")
 
     @property
     def dim(self) -> int:
@@ -163,22 +172,13 @@ class SdeSpec:
 
 
 def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Nonlinear collapse equation on the flavor space, decaying through K = Gamma.
-
-    It is also the flavor projection of the enlarged equation: the decay
-    drift lambda B^dag B = Gamma does not scale with the collapse rate.
-    """
+    """Nonlinear collapse equation on the flavor space, decaying through K = Gamma."""
     return SdeSpec(SdeEquation.NONLINEAR, imdecay_master_spec(meson, collapse))
 
 
 def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Enlarged-space nonlinear equation; the decay channel B has its own Wiener process."""
-    return SdeSpec(SdeEquation.NONLINEAR, enlarged_master_spec(meson, collapse))
-
-
-def imaginary_linear_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Linear imaginary-noise equation decaying through the measured widths, K = Gamma."""
-    return SdeSpec(SdeEquation.LINEAR, imdecay_master_spec(meson, collapse))
+    """Enlarged-space nonlinear equation of the flavor one; its decay channel sqrt(Gamma) has its own Wiener process."""
+    return SdeSpec(SdeEquation.NONLINEAR, enlarged_master_spec(imdecay_master_spec(meson, collapse)))
 
 
 def family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:

@@ -229,7 +229,7 @@ def test_c5_enlarged_space_consistency():
     grid = np.linspace(0.0, 10.0 / meson.gamma_bar, 41)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[:2, :2] = _RHO_M0
-    enlarged = integrate_master(enlarged_master_spec(meson, collapse), rho0, grid)
+    enlarged = integrate_master(enlarged_master_spec(imdecay_master_spec(meson, collapse)), rho0, grid)
     eigs = np.linalg.eigvalsh(enlarged)
     traces = np.einsum("tii->t", enlarged).real
     assert eigs.min() >= -1e-9

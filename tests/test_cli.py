@@ -405,7 +405,9 @@ _MEASURED_CSL = dict(_EXPLICIT_CSL, gamma_L=0.1, gamma_H=0.05)
 _EQUATION_FACTORIES = {
     "family": sde.family_spec,
     "flavor_decay": sde.collapse_flavor_spec,
-    "imaginary": sde.imaginary_linear_spec,
+    "imaginary": lambda meson, collapse: sde.SdeSpec(
+        sde.SdeEquation.LINEAR, lindblad.imdecay_master_spec(meson, collapse)
+    ),
     "stratonovich": sde.family_spec,
     "nonlinear": sde.collapse_flavor_spec,
     "enlarged": sde.enlarged_collapse_spec,
@@ -537,6 +539,19 @@ def test_compare_passes_when_masses_dwarf_their_splitting(tmp_path, capsys):
     assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 0
     summary = capsys.readouterr().err.splitlines()[0]
     assert float(re.search("master_max_residual=(\\S+)", summary).group(1)) <= 1e-15
+
+
+def test_enlarged_compare_loads_when_masses_dwarf_their_splitting(tmp_path):
+    # The enlarged equation embeds the routes' centred flavor equation, so
+    # the route-physics gate reads no difference of lambda m~^2 terms (an
+    # uncentred enlarged A missed by a relative 4.7e-12 and failed at load).
+    cfg = write_config(
+        tmp_path, command="compare", m_L=480.0, m_H=481.0, gamma_L=0.0, gamma_H=0.0, model="CSL",
+        rate=1.0, r_C=1.0, beta=0.5, m0=1.0, alpha=1.0, d=1, t_max=1.0, n_points=2,
+        n_trajectories=200, dt=0.01, seed=1, equation="enlarged",
+    )
+    spec = cli.load_config(cfg)
+    assert cli._require_route_physics(spec, cli._sde_spec(spec)) <= 1e-15
 
 
 @pytest.mark.parametrize("command", ["analytic", "master", "ensemble", "compare"])
@@ -1094,7 +1109,9 @@ def test_absent_key_resolves_to_its_schema_default(tmp_path, key):
 
 
 def test_schema_equation_enum_is_the_factory_table():
-    assert _PROPS["equation"]["enum"] == list(cli._equation_factories())
+    # Each schema name labels the routes' master equation with an SdeEquation.
+    assert _PROPS["equation"]["enum"] == list(cli._EQUATIONS)
+    assert {sde.SdeEquation(label) for label in cli._EQUATIONS.values()} == set(sde.SdeEquation)
 
 
 @pytest.mark.parametrize("flag, key, value", [("--seed", "seed", -1), ("--seed", "seed", 2**64), ("--threads", "threads", 0)])
@@ -1271,6 +1288,11 @@ def test_python_m_runs_cli_without_warnings(tmp_path):
 
 
 _VANISHING = (_VANISHING_CSL, 2, "domain error: flavor probabilities vanish at t = 1\n")
+# The time is rendered like every other route error, with 17 digits, so a
+# grid time that is no short decimal reads as the float it is.
+_VANISHING_AT_A_TENTH = (
+    dict(_VANISHING_CSL, t_max=0.1), 2, "domain error: flavor probabilities vanish at t = 0.10000000000000001\n"
+)
 _NO_EFFECTIVE_RATE = (_OVERFLOWING_R_C, 1, "error: r_C gives no finite effective rate gamma / (sqrt(4 pi) r_C)^d\n")
 _NO_INDUCED_RATE = (
     _OVERFLOWING_RATE, 1, "error: the collapse-induced rate lambda_eff m~^2 of a mass state is not finite\n"
@@ -1278,7 +1300,10 @@ _NO_INDUCED_RATE = (
 
 
 # The id prefix of each case; the vanishing config keeps the bare command ids.
-_ERROR_CASES = {"": _VANISHING, "r_C_overflow-": _NO_EFFECTIVE_RATE, "rate_overflow-": _NO_INDUCED_RATE}
+_ERROR_CASES = {
+    "": _VANISHING, "vanishing_at_a_tenth-": _VANISHING_AT_A_TENTH,
+    "r_C_overflow-": _NO_EFFECTIVE_RATE, "rate_overflow-": _NO_INDUCED_RATE,
+}
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,15 @@ from flavorcollapse.operators import induced_decay_widths, reduced_mass_operator
 
 from conftest import closed_form, make_csl, make_qmupl, random_collapse, random_meson
 
+
+
+def _enlarged(meson, collapse):
+    # The enlarged equation of the flavor one that decays through the widths.
+    return enlarged_master_spec(imdecay_master_spec(meson, collapse))
+
+
+# The enlarged case keeps the id it had as a (meson, collapse) factory.
+_ENLARGED = pytest.param(_enlarged, id="enlarged_master_spec")
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _RHO_M0 = np.outer([_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, _INV_SQRT2]).astype(complex)
 
@@ -60,7 +69,7 @@ def test_master_rhs_trace_identity(meson, csl):
 
 
 def test_master_rhs_enlarged_traceless(meson, csl):
-    spec = enlarged_master_spec(meson, csl)
+    spec = _enlarged(meson, csl)
     rng = np.random.default_rng(1)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     rho = np.outer(psi, psi.conj())
@@ -148,7 +157,7 @@ def test_integrate_master_rejects_non_finite_inputs(meson_stable):
         integrate_master(spec, _RHO_M0, np.array([0.0, np.inf]))
 
 
-@pytest.mark.parametrize("factory", [family_master_spec, enlarged_master_spec])
+@pytest.mark.parametrize("factory", [family_master_spec, _ENLARGED])
 def test_stacked_propagation_equals_single_calls(meson, csl, factory):
     spec = factory(meson, csl)
     rng = np.random.default_rng(5)
@@ -161,7 +170,7 @@ def test_stacked_propagation_equals_single_calls(meson, csl, factory):
         assert np.array_equal(rho, integrate_master(spec, rho0, grid))
 
 
-@pytest.mark.parametrize("factory", [family_master_spec, enlarged_master_spec])
+@pytest.mark.parametrize("factory", [family_master_spec, _ENLARGED])
 def test_grid_point_state_does_not_depend_on_the_rest_of_the_grid(meson, csl, factory):
     # exp(t S) is taken at each grid time, so a point of a long grid carries
     # the bits of a two-point grid ending there.
@@ -176,7 +185,7 @@ def test_grid_point_state_does_not_depend_on_the_rest_of_the_grid(meson, csl, fa
 
 def test_integrate_master_rejects_a_stack_of_another_dimension(meson, csl):
     grid = np.linspace(0.0, 1.0, 5)
-    for spec in (family_master_spec(meson, csl), enlarged_master_spec(meson, csl)):
+    for spec in (family_master_spec(meson, csl), _enlarged(meson, csl)):
         other = 6 - spec.dim  # 2 <-> 4
         for shape in ((3, other, other), (3, spec.dim, other), (1, 3, spec.dim, spec.dim), (spec.dim,)):
             with pytest.raises(DimensionMismatch):
@@ -184,7 +193,7 @@ def test_integrate_master_rejects_a_stack_of_another_dimension(meson, csl):
 
 
 def test_propagator_matches_reference_expm(meson, csl):
-    spec = enlarged_master_spec(meson, csl)
+    spec = _enlarged(meson, csl)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[:2, :2] = _RHO_M0
     grid = np.array([0.0, 0.3, 1.0, 7.5, 40.0])
@@ -212,7 +221,7 @@ def test_enlarged_projection_equals_direct_flavor_route():
     grid = np.linspace(0.0, 10.0 / meson.gamma_bar, 41)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[:2, :2] = _RHO_M0
-    enlarged = integrate_master(enlarged_master_spec(meson, collapse), rho0, grid)
+    enlarged = integrate_master(_enlarged(meson, collapse), rho0, grid)
     direct = integrate_master(imdecay_master_spec(meson, collapse), _RHO_M0, grid)
     residual = np.abs(project_enlarged_to_flavor(enlarged) - direct).max()
     assert residual < 1e-9
@@ -223,7 +232,7 @@ def test_enlarged_evolution_stays_completely_positive():
     for _ in range(5):
         meson = random_meson(rng, max_width=0.5)
         collapse = random_collapse(rng, Model.CSL)
-        spec = enlarged_master_spec(meson, collapse)
+        spec = _enlarged(meson, collapse)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())

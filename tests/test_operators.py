@@ -3,16 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from flavorcollapse.core import Convention, MesonParams, QuantumState, to_mass
-from flavorcollapse.errors import DimensionMismatch, InvalidParams, NegativeWidth, ZeroRate
+from flavorcollapse.core import Convention, MesonParams, QuantumState, mass_ratios, to_mass
+from flavorcollapse.errors import DimensionMismatch, InvalidParams, NegativeWidth
 from flavorcollapse import cli
-from flavorcollapse.lindblad import MasterSpec, enlarged_master_spec, family_master_spec, imdecay_master_spec
+from flavorcollapse.lindblad import (
+    MasterSpec,
+    build_superoperator,
+    enlarged_master_spec,
+    family_master_spec,
+    imdecay_master_spec,
+)
 from flavorcollapse.operators import (
     centred_collapse_operator,
-    collapse_operator_A,
-    collapse_operator_B,
     decay_operator,
-    enlarged_operators,
+    induced_decay_operator,
     induced_decay_widths,
     reduced_mass_operator,
 )
@@ -22,7 +26,6 @@ from flavorcollapse.sde import (
     collapse_flavor_spec,
     enlarged_collapse_spec,
     family_spec,
-    imaginary_linear_spec,
 )
 
 from conftest import make_csl, make_qmupl
@@ -51,49 +54,92 @@ def test_norm_decay_law_matches_widths(meson):
 
 
 def test_collapse_operator_a_conventions():
+    # A = diag(m~_L, m~_H) takes the mass ratios of the convention; the
+    # centred operator keeps their difference.
     meson = MesonParams(m_L=2.0, m_H=4.0, gamma_L=0.1, gamma_H=0.05)
     normal = make_csl(m0=2.0, ratio_convention=Convention.NORMAL)
-    np.testing.assert_allclose(collapse_operator_A(meson, normal), np.diag([1.0, 2.0]))
+    np.testing.assert_allclose(mass_ratios(meson, normal), [1.0, 2.0])
+    np.testing.assert_allclose(centred_collapse_operator(meson, normal), np.diag([0.0, 1.0]))
     inverted = make_csl(m0=1.0, ratio_convention=Convention.INVERTED)
-    np.testing.assert_allclose(collapse_operator_A(meson, inverted), np.diag([0.5, 0.25]))
+    np.testing.assert_allclose(mass_ratios(meson, inverted), [0.5, 0.25])
+    np.testing.assert_allclose(centred_collapse_operator(meson, inverted), np.diag([0.0, -0.25]))
 
 
 def test_collapse_operator_a_commutes(meson, csl):
-    a = collapse_operator_A(meson, csl)
-    for op in (reduced_mass_operator(meson), decay_operator(meson)):
+    a = centred_collapse_operator(meson, csl)
+    for op in (reduced_mass_operator(meson), decay_operator(meson), induced_decay_operator(meson, csl)):
         np.testing.assert_array_equal(a @ op - op @ a, np.zeros((2, 2)))
 
 
+def _decay_channel(flavor):
+    # The last Lindblad operator of the enlarged equation, and its flavor-to-decay block.
+    channel = enlarged_master_spec(flavor).lindblads[-1]
+    return channel, channel[2:, :2]
+
+
 def test_collapse_operator_b_defining_identity(meson, csl):
-    b = collapse_operator_B(meson, csl)
-    lam = csl.effective_rate
-    np.testing.assert_allclose(lam * b.conj().T @ b, decay_operator(meson), atol=1e-14)
+    # The decay channel carries the flavor equation's K: L^dag L = K on the
+    # flavor block and nothing else.
+    flavor = imdecay_master_spec(meson, csl)
+    channel, _ = _decay_channel(flavor)
+    want = np.zeros((4, 4), dtype=complex)
+    want[:2, :2] = flavor.anticommutator
+    np.testing.assert_allclose(channel.conj().T @ channel, want, rtol=1e-15, atol=0.0)
 
 
 def test_collapse_operator_b_values():
-    meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.9, gamma_H=1.6)
-    collapse = make_qmupl(rate=0.1, alpha=1.0)  # effective rate 0.1
-    np.testing.assert_allclose(collapse_operator_B(meson, collapse), np.diag([3.0, 4.0]), atol=1e-14)
+    meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=9.0, gamma_H=16.0)
+    _, block = _decay_channel(imdecay_master_spec(meson, make_qmupl(rate=0.1, alpha=1.0)))
+    np.testing.assert_array_equal(block, np.diag([3.0, 4.0]))
 
 
 def test_collapse_operator_b_zero_cases(meson_stable):
+    # Zero widths give a zero channel; a zero collapse rate with nonzero
+    # widths leaves the decay channel whole (the channel no longer divides
+    # by the rate).
     collapse = make_qmupl(rate=0.0)
-    np.testing.assert_array_equal(collapse_operator_B(meson_stable, collapse), np.zeros((2, 2)))
+    _, block = _decay_channel(imdecay_master_spec(meson_stable, collapse))
+    np.testing.assert_array_equal(block, np.zeros((2, 2)))
     decaying = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.1, gamma_H=0.0)
-    with pytest.raises(ZeroRate):
-        collapse_operator_B(decaying, collapse)
+    _, block = _decay_channel(imdecay_master_spec(decaying, collapse))
+    np.testing.assert_array_equal(block, np.diag([np.sqrt(0.1), 0.0]))
 
 
 def test_enlarged_operator_blocks(meson, csl):
-    ops = enlarged_operators(meson, csl)
-    np.testing.assert_array_equal(ops.collapse_b @ ops.collapse_b, np.zeros((4, 4)))
-    np.testing.assert_array_equal(ops.hamiltonian, ops.hamiltonian.conj().T)
-    np.testing.assert_array_equal(ops.hamiltonian[:2, :2], reduced_mass_operator(meson))
-    np.testing.assert_array_equal(ops.hamiltonian[2:, 2:], np.zeros((2, 2)))
-    # The trajectory and master routes take the one gauged enlarged Hamiltonian.
-    np.testing.assert_array_equal(
-        enlarged_collapse_spec(meson, csl).master.hamiltonian, enlarged_master_spec(meson, csl).hamiltonian
-    )
+    flavor = imdecay_master_spec(meson, csl)
+    enlarged = enlarged_master_spec(flavor)
+    h = enlarged.hamiltonian
+    np.testing.assert_array_equal(h[:2, :2], flavor.hamiltonian)
+    np.testing.assert_array_equal(h[2:, 2:], np.zeros((2, 2)))
+    assert enlarged.anticommutator is None
+    # Each flavor channel on the flavor block, in order, then the decay channel.
+    assert len(enlarged.lindblads) == len(flavor.lindblads) + 1
+    for big, small in zip(enlarged.lindblads, flavor.lindblads):
+        np.testing.assert_array_equal(big[:2, :2], small)
+        assert np.count_nonzero(big) == np.count_nonzero(small)
+    channel, _ = _decay_channel(flavor)
+    np.testing.assert_array_equal(channel @ channel, np.zeros((4, 4)))
+    # The trajectory and master routes take the one gauged enlarged equation.
+    np.testing.assert_array_equal(enlarged_collapse_spec(meson, csl).master.hamiltonian, h)
+    with pytest.raises(DimensionMismatch):
+        enlarged_master_spec(enlarged)
+
+
+def test_enlarged_collapse_spec_builds_at_zero_collapse_rate():
+    # With no collapse the enlarged equation is the pure decay one: its flavor
+    # block is imdecay_master_spec's at every generator, and its superoperator
+    # restricted to the flavor block is that equation's.
+    meson = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.25, gamma_H=0.0625)
+    collapse = make_csl(rate=0.0)
+    flavor = imdecay_master_spec(meson, collapse)
+    master = enlarged_collapse_spec(meson, collapse).master
+    np.testing.assert_array_equal(master.hamiltonian[:2, :2], flavor.hamiltonian)
+    np.testing.assert_array_equal(master.lindblads[0][:2, :2], flavor.lindblads[0])
+    decay = master.lindblads[-1]
+    np.testing.assert_array_equal((decay.conj().T @ decay)[:2, :2], flavor.anticommutator)
+    own = build_superoperator(master)
+    block = [i * 4 + j for i in range(2) for j in range(2)]
+    np.testing.assert_array_equal(own[np.ix_(block, block)], build_superoperator(flavor))
 
 
 def test_induced_widths():
@@ -114,7 +160,7 @@ def test_induced_widths_consistency_loop():
     collapse = make_qmupl(rate=0.1, alpha=1.0, beta=0.9, m0=1.0)
     g_l, g_h = induced_decay_widths(meson, collapse)
     redecayed = MesonParams(m_L=3.0, m_H=4.0, gamma_L=g_l, gamma_H=g_h)
-    a = collapse_operator_A(meson, collapse)
+    a = np.diag(mass_ratios(meson, collapse))
     lam = collapse.effective_rate
     np.testing.assert_allclose(
         decay_operator(redecayed), lam * (2 * collapse.beta - 1) * a @ a, atol=1e-14
@@ -151,24 +197,32 @@ _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
          "k_offdiag", "k_complex", "op_not_monomial"],
 )
 def test_master_and_sde_specs_share_one_generator_contract(h, op, k, error, message):
-    # An SDE spec is a label on a master spec, so a malformed generator
-    # fails both the same way.
-    raised = []
-    for build in (
-        lambda: MasterSpec(hamiltonian=h, lindblads=(op,), anticommutator=k),
-        lambda: SdeSpec(SdeEquation.NONLINEAR, MasterSpec(h, (op,), k)),
-    ):
-        with pytest.raises(error, match=message) as info:
-            build()
-        raised.append(str(info.value))
-    assert raised[0] == raised[1]
+    # An SDE spec is a label on a master spec, so the master spec's check is
+    # the one every malformed generator meets.
+    with pytest.raises(error, match=message):
+        MasterSpec(hamiltonian=h, lindblads=(op,), anticommutator=k)
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [(_FLIP, "collapse operators must be diagonal in the mass basis"),
+     (np.diag([0.5, 1.5j]), r"collapse operators must be Hermitian \(self-adjoint\)")],
+    ids=["op_offdiag", "op_complex"],
+)
+def test_linear_label_adds_only_real_diagonal_channels(op, message):
+    # A monomial channel meets the master spec's contract; the linear label
+    # alone asks for a real diagonal, and the nonlinear one takes it.
+    master = MasterSpec(_DIAG, (op,))
+    with pytest.raises(InvalidParams, match=message):
+        SdeSpec(SdeEquation.LINEAR, master)
+    SdeSpec(SdeEquation.NONLINEAR, master)
 
 
 @pytest.mark.parametrize("convention", list(Convention))
 def test_centred_collapse_operator_shifts_a_by_its_light_ratio(convention):
     meson = MesonParams(m_L=480.0, m_H=481.0, gamma_L=0.0, gamma_H=0.0)
     collapse = make_csl(beta=0.5, rate=1.0, ratio_convention=convention)
-    a = collapse_operator_A(meson, collapse)
+    a = np.diag(mass_ratios(meson, collapse))
     centred = centred_collapse_operator(meson, collapse)
     assert centred[0, 0] == 0.0
     np.testing.assert_array_equal(centred, a - a[0, 0] * np.eye(2))
@@ -185,8 +239,7 @@ def test_flavor_specs_carry_the_centred_operator(tmp_path):
     for sde_factory, master_factory in (
         (family_spec, family_master_spec),
         (collapse_flavor_spec, imdecay_master_spec),
-        (imaginary_linear_spec, imdecay_master_spec),
-        (enlarged_collapse_spec, enlarged_master_spec),
+        (enlarged_collapse_spec, lambda m, c: enlarged_master_spec(imdecay_master_spec(m, c))),
     ):
         got, master = sde_factory(meson, collapse).master, master_factory(meson, collapse)
         np.testing.assert_array_equal(got.hamiltonian, master.hamiltonian)
@@ -203,3 +256,8 @@ def test_flavor_specs_carry_the_centred_operator(tmp_path):
         path.write_text(json.dumps(dict(readme, equation=equation)))
         spec = cli.load_config(str(path))
         assert cli._require_route_physics(spec, cli._sde_spec(spec)) == 0.0, equation
+    # The enlarged equation embeds that master equation; only sqrt(K)^2 rounds.
+    path = tmp_path / "enlarged.json"
+    path.write_text(json.dumps(dict(readme, equation="enlarged")))
+    spec = cli.load_config(str(path))
+    assert cli._require_route_physics(spec, cli._sde_spec(spec)) <= 1e-15

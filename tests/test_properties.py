@@ -10,7 +10,10 @@ config runs through ``cli.main`` as ``analytic`` and as ``master``:
   one ``domain error:`` line, and no warning is raised;
 * every probability written is in [0, 1], up to the 1e-12 of round-off
   that the CLI allows (``cli._PROB_TOL``);
-* where both commands exit 0, master and analytic agree to 1e-12.
+* where both commands exit 0, master and analytic agree to 1e-12;
+* a command that exits 0 writes the same table as CSV and as JSON: the
+  CSV cells parse to the JSON numbers exactly and its ``#`` lines are the
+  JSON ``meta``.
 
 Tier-1 runs a small derandomized profile; ``scripts/property_sweep.py``
 runs the same strategy and check over as many examples as asked.
@@ -67,8 +70,8 @@ def configs(draw) -> dict:
     return config
 
 
-def run(config: dict) -> tuple[int, str, dict | None]:
-    """Exit code, stderr and the JSON table of one ``cli.main`` run; fails on any warning."""
+def run(config: dict, fmt: str = "json") -> tuple[int, str, str]:
+    """Exit code, stderr and stdout of one ``cli.main`` run in format ``fmt``; fails on any warning."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "run.json"
@@ -76,19 +79,33 @@ def run(config: dict) -> tuple[int, str, dict | None]:
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            code = cli.main([str(path), "--format", "json"])
+            code = cli.main([str(path), "--format", fmt])
     assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
-    return code, stderr.getvalue(), json.loads(stdout.getvalue()) if code == 0 else None
+    return code, stderr.getvalue(), stdout.getvalue()
+
+
+def check_csv_matches_json(config: dict, table: dict) -> None:
+    """The CSV output of ``config`` carries exactly the JSON ``table``'s meta, columns and numbers."""
+    code, err, text = run(config, "csv")
+    assert (code, err) == (0, ""), (code, err)
+    lines = text.splitlines()
+    assert [line[2:] for line in lines if line.startswith("# ")] == table["meta"]
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    assert body[0] == table["columns"]
+    assert [[float(cell) for cell in row] for row in body[1:]] == table["rows"]
 
 
 def check(config: dict) -> None:
     """Every property of the module docstring on ``config`` as ``analytic`` and as ``master``."""
     probs = {}
     for command in ("analytic", "master"):
-        code, err, table = run(dict(config, command=command))
+        command_config = dict(config, command=command)
+        code, err, out = run(command_config)
         assert code in (0, 1, 2), (command, code, err)
         if code == 0:
             assert err == "", (command, err)
+            table = json.loads(out)
+            check_csv_matches_json(command_config, table)
             rows = np.array(table["rows"], dtype=float)
             cols = [table["columns"].index(col) for col in cli._PROB_COLUMNS]
             probs[command] = rows[:, cols]

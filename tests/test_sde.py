@@ -10,9 +10,9 @@ from scipy.integrate import quad
 from flavorcollapse.analytic import prob_flavor
 from flavorcollapse.core import Basis, FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
-from flavorcollapse.lindblad import MasterSpec, integrate_master, master_rhs
+from flavorcollapse.lindblad import MasterSpec, imdecay_master_spec, integrate_master, master_rhs
 from flavorcollapse import sde
-from flavorcollapse.operators import collapse_operator_A, induced_decay_widths
+from flavorcollapse.operators import induced_decay_widths
 from flavorcollapse.sde import (
     NoiseConfig,
     asymmetric_delta,
@@ -20,7 +20,6 @@ from flavorcollapse.sde import (
     enlarged_collapse_spec,
     ensemble_evolve,
     family_spec,
-    imaginary_linear_spec,
     ito_stratonovich_drift,
     observable_vectors,
     phase_transform_spec,
@@ -36,6 +35,14 @@ from conftest import closed_form, make_csl
 # stratonovich_family_spec is an alias of family_spec, so its __name__ cannot
 # tell the two cases apart: the alias case carries its own id.
 _ALIAS = pytest.param(stratonovich_family_spec, id="stratonovich_family_spec")
+
+
+
+def imaginary_linear_spec(meson, collapse):
+    # The linear label on the imaginary-decay master equation, K = Gamma: the
+    # CLI's "imaginary" equation, there with the collapse-induced widths.
+    return sde.SdeSpec(sde.SdeEquation.LINEAR, imdecay_master_spec(meson, collapse))
+
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _M0_MASS = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
@@ -160,7 +167,7 @@ def test_family_norm_drift_by_beta():
         psi1 = step(spec, psi0, w, dt)
         dn2 = np.einsum("bi,bi->b", psi1.conj(), psi1).real - 1.0
         lam = collapse.effective_rate
-        a_op = collapse_operator_A(meson, collapse)
+        a_op = np.diag(mass_ratios(meson, collapse))
         a2 = np.real(_M0_MASS.conj() @ a_op @ a_op @ _M0_MASS)
         want = lam * (1.0 - 2.0 * beta) * a2 * dt
         stderr = dn2.std(ddof=1) / np.sqrt(n)
@@ -203,7 +210,7 @@ def test_heun_deterministic_limit_is_taylor_map():
     # second-order Taylor map of the Stratonovich drift.
     meson = _bare()
     strat = family_spec(meson, make_csl(beta=0.6, rate=0.4))
-    a_op = collapse_operator_A(meson, make_csl(beta=0.6, rate=0.4))
+    a_op = np.diag(mass_ratios(meson, make_csl(beta=0.6, rate=0.4)))
     lam = make_csl(beta=0.6, rate=0.4).effective_rate
     drift = -1j * np.diag([0.0, meson.delta_m]) + 0.5 * lam * (1.0 - 2.0 * 0.6) * a_op @ a_op
     psi = _M0_MASS.copy()
