@@ -270,6 +270,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
     trajectories = command in ("ensemble", "compare")
     if trajectories and model is DynamicsModel.QMUPL:
         raise InvalidParams("the ensemble route is undefined for QMUPL: its flavor-space reduction is not closed")
+    equation = _get(cfg, props, "equation")
+    # Only a stepped equation reads dt; QM runs the exactly sampled linear one.
+    stepped = trajectories and model is not DynamicsModel.QM and _EQUATIONS[equation] == "nonlinear"
 
     m0_range = None
     if command == "bounds":
@@ -296,7 +299,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
         command=command, meson=meson, meson_label=label, mesons=mesons, model=model, collapse=collapse,
         t_max=_get(cfg, props, "t_max"), n_points=_get(cfg, props, "n_points"),
         n_trajectories=_get(cfg, props, "n_trajectories", required=trajectories), seed=_get(cfg, props, "seed"),
-        dt=_get(cfg, props, "dt", required=trajectories), equation=_get(cfg, props, "equation"),
+        dt=_get(cfg, props, "dt", required=stepped), equation=equation,
         threads=_get(cfg, props, "threads"), output=_get(cfg, props, "output"), fmt=_get(cfg, props, "format"),
         convention=convention, m0_range=m0_range, header_notes=notes,
     )
@@ -381,20 +384,28 @@ _PROBS = {
 _PROB_COLUMNS = tuple(_PROBS)
 
 
-def _require_probabilities(route: str, times: np.ndarray, probs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """``probs`` unchanged if every column is finite and within [0, 1] up to round-off.
+# (lowest, highest, name) of a probability cell, allowing round-off, and of a standard error.
+_PROBABILITY = (-_PROB_TOL, 1.0 + _PROB_TOL, "a probability in [0, 1]")
+_STDERR = (0.0, sys.float_info.max, "a finite nonnegative standard error")
+
+
+def _require_cells(
+    route: str, times: np.ndarray, cells: dict[str, np.ndarray], kind: tuple = _PROBABILITY
+) -> dict[str, np.ndarray]:
+    """``cells`` unchanged if every column lies within the bounds of ``kind``, so is finite.
 
     Otherwise raises ``UnphysicalProbability`` naming the route, the column
     and the first offending time.  NaN fails both comparisons.
     """
-    for col in _PROB_COLUMNS:
-        bad = ~((probs[col] >= -_PROB_TOL) & (probs[col] <= 1.0 + _PROB_TOL))
+    low, high, name = kind
+    for col, values in cells.items():
+        bad = ~((values >= low) & (values <= high))
         if np.any(bad):
             k = int(np.argmax(bad))
             raise UnphysicalProbability(
-                f"{route} route: {col}={_fmt(probs[col][k])} at time={_fmt(times[k])} is not a probability in [0, 1]"
+                f"{route} route: {col}={_fmt(values[k])} at time={_fmt(times[k])} is not {name}"
             )
-    return probs
+    return cells
 
 
 def _analytic_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
@@ -583,7 +594,7 @@ def cmd_route(spec: RunSpec) -> Table:
     """The analytic or the master route's probability table."""
     times = spec.grid
     route = {"analytic": _analytic_probs, "master": _master_probs}[spec.command]
-    return _prob_table(spec, times, _require_probabilities(spec.command, times, route(spec, times)))
+    return _prob_table(spec, times, _require_cells(spec.command, times, route(spec, times)))
 
 
 def cmd_ensemble(spec: RunSpec) -> Table:
@@ -591,28 +602,34 @@ def cmd_ensemble(spec: RunSpec) -> Table:
     eq_spec = _sde_spec(spec)
     stats, dt = _ensemble_stats(spec, eq_spec, times)
     means, errs = _ensemble_probs(stats)
-    _require_probabilities("ensemble", times, means)
+    _require_cells("ensemble", times, means)
     equation = "" if spec.model is DynamicsModel.QM else f" equation={spec.equation}"
     table = _prob_table(
         spec, times, means, f"{equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(eq_spec, dt)}"
     )
 
     # Delta-method error on the asymmetry from the (P_M0, P_M0bar) covariance.
-    m0_mean, m0bar_mean = means["P_M0_M0"], means["P_M0_M0bar"]
+    # The means are first scaled by the power of two 2^-e that brings their
+    # total into [1/2, 1), so total**2 never underflows; the scaling is
+    # exact, and where nothing underflowed the bits are those of the
+    # unscaled formula.  A zero covariance gives exactly 0.
     cov = stats["M0"].covariances
     labels = stats["M0"].labels
     i0, i1 = labels.index("P_M0"), labels.index("P_M0bar")
-    total = m0_mean + m0bar_mean
+    total, e = np.frexp(means["P_M0_M0"] + means["P_M0_M0bar"])
+    m0_mean, m0bar_mean = np.ldexp(means["P_M0_M0"], -e), np.ldexp(means["P_M0_M0bar"], -e)
     g0 = 2.0 * m0bar_mean / total**2
     g1 = -2.0 * m0_mean / total**2
     n = spec.n_trajectories
     asym_var = (
         g0**2 * cov[:, i0, i0] + 2.0 * g0 * g1 * cov[:, i0, i1] + g1**2 * cov[:, i1, i1]
     ) / n
-    asym_err = np.sqrt(np.maximum(asym_var, 0.0))
+    asym_err = np.ldexp(np.sqrt(np.maximum(asym_var, 0.0)), -e)
 
-    table.columns += [f"stderr_{c}" for c in _PROB_COLUMNS] + ["stderr_asymmetry"]
-    for row, *extra in zip(table.rows, *(errs[c] for c in _PROB_COLUMNS), asym_err):
+    stderrs = {f"stderr_{c}": errs[c] for c in _PROB_COLUMNS} | {"stderr_asymmetry": asym_err}
+    _require_cells("ensemble", times, stderrs, _STDERR)
+    table.columns += list(stderrs)
+    for row, *extra in zip(table.rows, *stderrs.values()):
         row.extend(extra)
     return table
 
@@ -652,12 +669,13 @@ def compare_routes(
 
 def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
     times = spec.grid
-    analytic_probs = _require_probabilities("analytic", times, _analytic_probs(spec, times))
-    master_probs = _require_probabilities("master", times, _master_probs(spec, times))
+    analytic_probs = _require_cells("analytic", times, _analytic_probs(spec, times))
+    master_probs = _require_cells("master", times, _master_probs(spec, times))
     eq_spec = _sde_spec(spec)
     stats, dt = _ensemble_stats(spec, eq_spec, times)
     means, errs = _ensemble_probs(stats)
-    _require_probabilities("ensemble", times, means)
+    _require_cells("ensemble", times, means)
+    _require_cells("ensemble", times, {f"stderr_{c}": err for c, err in errs.items()}, _STDERR)
     table, (m_col, m_time, master_max), (e_col, e_time, ratio_max) = compare_routes(
         times, analytic_probs, master_probs, means, errs, _discretization_floor(eq_spec, times, dt)
     )

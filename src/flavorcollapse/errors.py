@@ -15,10 +15,6 @@ class InvalidParams(FlavorCollapseError, ValueError):
     """A physical-parameter invariant is violated."""
 
 
-class NegativeWidth(FlavorCollapseError):
-    """Induced decay widths would be negative (beta < 1/2)."""
-
-
 class NegativeTime(FlavorCollapseError, ValueError):
     """A probability was requested at t < 0."""
 
@@ -32,7 +28,8 @@ class DegenerateDenominator(FlavorCollapseError, ZeroDivisionError):
 
 
 class UnphysicalProbability(FlavorCollapseError):
-    """A route produced a probability that is not finite or outside [0, 1], or a state that is no density matrix."""
+    """A route produced a probability that is not finite or outside [0, 1], a standard error that is not
+    finite and nonnegative, or a state that is no density matrix."""
 
 
 class NoRealRoot(FlavorCollapseError):

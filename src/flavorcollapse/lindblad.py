@@ -7,10 +7,13 @@ Two routes to density-matrix dynamics live here:
       drho/dt = i[rho, H] - 1/2 sum_k (Lk+Lk rho + rho Lk+Lk - 2 Lk rho Lk+)
                 - 1/2 {K, rho}
 
-  on the 2-dim flavor space or the 4-dim enlarged space, with factory
-  functions assembling the concrete generators used by the model family.
-  An enlarged equation is a flavor one whose decay K has become a
-  Lindblad channel into the decay states (``enlarged_master_spec``).
+  on the 2-dim flavor space or the 4-dim enlarged space.  Two flavor
+  equations are built here: the Wigner-Weisskopf equation of QM, which
+  decays through the measured widths K = Gamma
+  (``wigner_weisskopf_spec``), and the collapse family, whose K is the
+  one the collapse noise induces (``family_master_spec``).  An enlarged
+  equation is a flavor one whose decay K has become a Lindblad channel
+  into the decay states (``enlarged_master_spec``).
   The equations are linear and autonomous, so vec(rho(t)) =
   exp(t S) vec(rho(0)) holds exactly for the superoperator S, and the
   matrix exponential is taken at each grid time;
@@ -54,7 +57,6 @@ __all__ = [
     "MasterSpec",
     "family_master_spec",
     "wigner_weisskopf_spec",
-    "imdecay_master_spec",
     "enlarged_master_spec",
     "master_rhs",
     "build_superoperator",
@@ -111,16 +113,6 @@ def family_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterSp
 def wigner_weisskopf_spec(meson: MesonParams) -> MasterSpec:
     """Pure decay dynamics: H = M (gauge-shifted), no Lindblad channel, K = Gamma."""
     return MasterSpec(hamiltonian=reduced_mass_operator(meson), anticommutator=decay_operator(meson))
-
-
-def imdecay_master_spec(meson: MesonParams, collapse: CollapseParams) -> MasterSpec:
-    """Flavor projection of the enlarged dynamics: the centred collapse channel plus K = Gamma."""
-    lam = collapse.effective_rate
-    return MasterSpec(
-        hamiltonian=reduced_mass_operator(meson),
-        lindblads=(math.sqrt(lam) * centred_collapse_operator(meson, collapse),),
-        anticommutator=decay_operator(meson),
-    )
 
 
 def enlarged_master_spec(flavor: MasterSpec) -> MasterSpec:

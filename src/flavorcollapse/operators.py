@@ -3,7 +3,12 @@
 All matrices are in the mass basis, where every Hermitian operator of
 the model is diagonal.  The collapse operator is A = diag(m~_L, m~_H),
 the mass ratios of ``core.mass_ratios``; the model takes it centred.
-The 4-dim enlarged space (M_L, M_H, f_L, f_H) is built from a flavor
+There are two decay operators K: the measured widths Gamma of QM
+(``decay_operator``) and the lambda_eff (2 beta - 1) A^2 that the
+collapse noise induces (``induced_decay_operator``).  The induced widths
+are the diagonal of the latter; they are negative for beta < 1/2, which
+``lindblad.MasterSpec`` rejects, as it takes a positive semidefinite K
+only.  The 4-dim enlarged space (M_L, M_H, f_L, f_H) is built from a flavor
 master equation by ``lindblad.enlarged_master_spec``; the contract below
 covers its 4x4 generators too.
 
@@ -15,14 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CollapseParams, MesonParams, mass_ratios
-from .errors import DimensionMismatch, InvalidParams, NegativeWidth
+from .errors import DimensionMismatch, InvalidParams
 
 __all__ = [
     "reduced_mass_operator",
     "decay_operator",
     "centred_collapse_operator",
     "induced_decay_operator",
-    "induced_decay_widths",
 ]
 
 
@@ -63,21 +67,6 @@ def induced_decay_operator(meson: MesonParams, collapse: CollapseParams) -> np.n
     """
     ratios = mass_ratios(meson, collapse)
     return np.diag(collapse.effective_rate * (2.0 * collapse.beta - 1.0) * ratios**2)
-
-
-def induced_decay_widths(meson: MesonParams, collapse: CollapseParams) -> tuple[float, float]:
-    """Decay widths generated by the time-asymmetric collapse dynamics.
-
-    The diagonal gamma_i = lambda_eff (2 beta - 1) m~_i^2 of
-    ``induced_decay_operator``, nonnegative only for beta >= 1/2; the
-    unphysical sign is flagged rather than returned.
-    """
-    if collapse.beta < 0.5:
-        raise NegativeWidth(
-            f"beta = {collapse.beta} < 1/2 yields negative induced widths"
-        )
-    gamma_l, gamma_h = np.diagonal(induced_decay_operator(meson, collapse))
-    return float(gamma_l), float(gamma_h)
 
 
 def _mass_basis_generators(hamiltonian, collapse_ops, decay):

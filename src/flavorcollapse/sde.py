@@ -15,11 +15,11 @@ on the normalized state it reads
             - K/2] psi dt + sum_c (L_c - R_c) psi dW_c.
 
 H is Hermitian and decay enters through K.  The forms are the flavor
-equation with K = Gamma; the enlarged-space equation, whose master
-equation is the flavor one with K turned into a decay channel that takes
-M_i to f_i with amplitude sqrt(K_ii) (``lindblad.enlarged_master_spec``);
-and the phase-transformation family e^{i phi} L.  It is stepped with
-Euler-Maruyama.
+equation of a flavor master equation; the enlarged-space equation, whose
+master equation is the flavor one with K turned into a decay channel that
+takes M_i to f_i with amplitude sqrt(K_ii)
+(``lindblad.enlarged_master_spec``); and the phase-transformation family
+e^{i phi} L.  It is stepped with Euler-Maruyama.
 
 All of these share one master equation per physical system.  ``LINEAR``
 takes purely imaginary noise.  Its spec is the Stratonovich SDE
@@ -28,11 +28,13 @@ takes purely imaginary noise.  Its spec is the Stratonovich SDE
 
 and the scheme picks the formalism: the Ito form adds the conversion term
 -(1/2) sum_c L_c^2 to the drift (``ito_stratonovich_drift`` from
-theta(0) = 1/2 to 0).  K is the measured Gamma or the
+theta(0) = 1/2 to 0).  The CLI builds every collapse equation on the
+family master equation (``lindblad.family_master_spec``), whose K is the
 lambda (2 beta - 1) A^2 that a noise field with theta(0) = beta induces
-(``operators.induced_decay_operator``), which makes the Ito form the
+(``operators.induced_decay_operator``); that makes the linear Ito form the
 time-asymmetric family equation.  The CLI's QM equation is the
-Wigner-Weisskopf master equation with one zero channel.
+Wigner-Weisskopf master equation, with the measured K = Gamma, and one
+zero channel.
 
 In the mass basis H = diag(0, delta_m), A = diag(m~_L, m~_H) and K are
 diagonal, and the decay channel maps each mass state to one decay state.
@@ -84,14 +86,12 @@ from .errors import (
     UnsupportedEquation,
     ZeroNorm,
 )
-from .lindblad import MasterSpec, enlarged_master_spec, family_master_spec, imdecay_master_spec
+from .lindblad import MasterSpec, family_master_spec
 
 __all__ = [
     "SdeEquation",
     "NoiseConfig",
     "SdeSpec",
-    "collapse_flavor_spec",
-    "enlarged_collapse_spec",
     "family_spec",
     "stratonovich_family_spec",
     "phase_transform_spec",
@@ -169,16 +169,6 @@ class SdeSpec:
     @property
     def n_channels(self) -> int:
         return len(self.master.lindblads)
-
-
-def collapse_flavor_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Nonlinear collapse equation on the flavor space, decaying through K = Gamma."""
-    return SdeSpec(SdeEquation.NONLINEAR, imdecay_master_spec(meson, collapse))
-
-
-def enlarged_collapse_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:
-    """Enlarged-space nonlinear equation of the flavor one; its decay channel sqrt(Gamma) has its own Wiener process."""
-    return SdeSpec(SdeEquation.NONLINEAR, enlarged_master_spec(imdecay_master_spec(meson, collapse)))
 
 
 def family_spec(meson: MesonParams, collapse: CollapseParams) -> SdeSpec:

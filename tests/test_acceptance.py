@@ -30,19 +30,19 @@ from flavorcollapse.core import (
     QuantumState,
     mass_ratios,
 )
-from flavorcollapse.errors import NegativeWidth
+from flavorcollapse.errors import InvalidParams
 from flavorcollapse.lindblad import (
     build_superoperator,
     enlarged_master_spec,
     family_master_spec,
     gaussian_partial_trace,
-    imdecay_master_spec,
     integrate_master,
     kernel_solution,
     probs_from_kernels,
     project_enlarged_to_flavor,
+    wigner_weisskopf_spec,
 )
-from flavorcollapse.operators import induced_decay_widths
+from flavorcollapse.operators import induced_decay_operator
 from flavorcollapse.sde import (
     NoiseConfig,
     ensemble_evolve,
@@ -229,18 +229,22 @@ def test_c5_enlarged_space_consistency():
     grid = np.linspace(0.0, 10.0 / meson.gamma_bar, 41)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[:2, :2] = _RHO_M0
-    enlarged = integrate_master(enlarged_master_spec(imdecay_master_spec(meson, collapse)), rho0, grid)
-    eigs = np.linalg.eigvalsh(enlarged)
-    traces = np.einsum("tii->t", enlarged).real
-    assert eigs.min() >= -1e-9
-    assert np.abs(traces - 1.0).max() <= 1e-9
-    # The 16x16 enlarged and 4x4 direct superoperators are exponentiated
-    # separately, so their agreement checks the physics, not one computation twice.
-    direct = integrate_master(imdecay_master_spec(meson, collapse), _RHO_M0, grid)
-    gap = np.abs(project_enlarged_to_flavor(enlarged) - direct).max()
-    assert gap < 1e-9
+    min_eig, worst = np.inf, 0.0
+    # Both route equations: the measured widths of QM and the induced K of the family.
+    for flavor in (wigner_weisskopf_spec(meson), family_master_spec(meson, collapse)):
+        enlarged = integrate_master(enlarged_master_spec(flavor), rho0, grid)
+        eigs = np.linalg.eigvalsh(enlarged)
+        traces = np.einsum("tii->t", enlarged).real
+        assert eigs.min() >= -1e-9
+        assert np.abs(traces - 1.0).max() <= 1e-9
+        # The 16x16 enlarged and 4x4 direct superoperators are exponentiated
+        # separately, so their agreement checks the physics, not one computation twice.
+        direct = integrate_master(flavor, _RHO_M0, grid)
+        gap = np.abs(project_enlarged_to_flavor(enlarged) - direct).max()
+        assert gap < 1e-9
+        min_eig, worst = min(min_eig, eigs.min()), max(worst, gap)
     _report(
-        f"5 enlarged-space CP + projection (min eig {eigs.min():.1e}, sup gap {gap:.1e})",
+        f"5 enlarged-space CP + projection (min eig {min_eig:.1e}, sup gap {worst:.1e})",
         start, 5.0,
     )
 
@@ -259,7 +263,7 @@ def test_c6_inverse_round_trips():
                 model=Model.QMUPL, rate=rate, beta=beta, m0=rng.uniform(0.2, 10.0),
                 alpha=1.0, d=int(rng.integers(1, 4)), ratio_convention=convention,
             )
-            g_l, g_h = induced_decay_widths(meson, collapse)
+            g_l, g_h = np.diagonal(induced_decay_operator(meson, collapse))
             roots = solve_absolute_masses(g_l - g_h, 0.5 * (g_l + g_h), delta_m, convention)
             assert any(abs(r - m_l) <= 1e-9 * m_l for r in roots)
 
@@ -267,7 +271,7 @@ def test_c6_inverse_round_trips():
                 model=Model.QMUPL, rate=rate, beta=1.0, m0=collapse.m0,
                 alpha=1.0, d=collapse.d, ratio_convention=convention,
             )
-            g_l1, g_h1 = induced_decay_widths(meson, planted)
+            g_l1, g_h1 = np.diagonal(induced_decay_operator(meson, planted))
             dressed = MesonParams(m_L=m_l, m_H=m_l + delta_m, gamma_L=g_l1, gamma_H=g_h1)
             bound = collapse_rate_lower_bound(dressed, planted.m0, convention)
             assert bound == pytest.approx(planted.effective_rate, rel=1e-9)
@@ -281,7 +285,7 @@ def test_c7_degeneration_suite():
     symmetric = CollapseParams(
         model=Model.CSL, rate=0.3, beta=0.5, m0=1.0, alpha=1.0, d=2, r_C=0.5
     )
-    assert induced_decay_widths(meson, symmetric) == (0.0, 0.0)
+    assert np.array_equal(np.diagonal(induced_decay_operator(meson, symmetric)), [0.0, 0.0])
     grid = np.linspace(0.0, 10.0, 41)
     rhos = integrate_master(family_master_spec(meson, symmetric), _RHO_M0, grid)
     trace_drift = np.abs(np.einsum("tii->t", rhos).real - 1.0).max()
@@ -301,7 +305,7 @@ def test_c7_degeneration_suite():
     )
 
     asym = CollapseParams(model=Model.CSL, rate=0.3, beta=0.85, m0=1.0, alpha=1.0, d=2, r_C=0.5)
-    g_l, g_h = induced_decay_widths(meson, asym)
+    g_l, g_h = np.diagonal(induced_decay_operator(meson, asym))
     dressed = MesonParams(m_L=1.0, m_H=2.0, gamma_L=g_l, gamma_H=g_h)
     for i in (0, 1):
         np.testing.assert_allclose(
@@ -378,7 +382,8 @@ def test_c10_time_asymmetric_noise_sets_the_decay():
     # The noise correlation spike of asymmetry kappa puts theta(0) of its
     # mass below t = 0.  That theta(0) is the beta of the collapse-induced
     # widths lambda (2 beta - 1) m~_i^2: negative (unphysical) for
-    # kappa < 1, zero for the symmetric spike, positive above.
+    # kappa < 1, so that no family master equation takes them, zero for the
+    # symmetric spike, positive above.
     start = time.perf_counter()
     meson = MesonParams(m_L=0.5, m_H=1.5, gamma_L=0.0, gamma_H=0.0)
     for kappa in (0.5, 1.0, 2.0):
@@ -387,11 +392,12 @@ def test_c10_time_asymmetric_noise_sets_the_decay():
         assert mass == pytest.approx(beta, abs=1e-12)
         collapse = CollapseParams(model=Model.CSL, rate=0.3, beta=beta, m0=1.0, alpha=1.0, d=2, r_C=0.5)
         if kappa < 1.0:
-            with pytest.raises(NegativeWidth):
-                induced_decay_widths(meson, collapse)
+            with pytest.raises(InvalidParams, match="positive semidefinite"):
+                family_master_spec(meson, collapse)
             continue
         want = collapse.effective_rate * (2.0 * beta - 1.0) * mass_ratios(meson, collapse) ** 2
-        assert induced_decay_widths(meson, collapse) == pytest.approx(tuple(want), rel=1e-14, abs=0.0)
+        got = np.diagonal(family_master_spec(meson, collapse).anticommutator).real
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     _report("10 time-asymmetric noise sets theta(0) and the induced widths", start, 5.0)
 
 
@@ -403,7 +409,9 @@ def test_c11_phase_family_shares_one_master_equation():
     meson = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.25, gamma_H=0.10)
     collapse = CollapseParams(model=Model.CSL, rate=0.3, beta=0.8, m0=1.0, alpha=1.0, d=2, r_C=0.5)
     worst = 0.0
-    for spec in (sde.collapse_flavor_spec(meson, collapse), sde.enlarged_collapse_spec(meson, collapse)):
+    flavor = family_master_spec(meson, collapse)
+    for master in (flavor, enlarged_master_spec(flavor)):
+        spec = sde.SdeSpec(sde.SdeEquation.NONLINEAR, master)
         base = build_superoperator(spec.master)
         for phi in (0.0, 0.3, np.pi / 2, np.pi):
             member = build_superoperator(sde.phase_transform_spec(spec, phi).master)

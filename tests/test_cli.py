@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flavorcollapse import cli, lindblad, sde
+from flavorcollapse import cli, lindblad, operators, sde
 from flavorcollapse.analytic import prob_flavor, prob_lifetime
 from flavorcollapse.core import Convention, FlavorTarget, MesonParams
 from flavorcollapse.errors import CatalogMiss, InvalidParams, ParseError, UnknownKey
@@ -402,16 +402,20 @@ def test_ensemble_equation_variants_run(tmp_path, equation):
 
 
 _MEASURED_CSL = dict(_EXPLICIT_CSL, gamma_L=0.1, gamma_H=0.05)
-_EQUATION_FACTORIES = {
-    "family": sde.family_spec,
-    "flavor_decay": sde.collapse_flavor_spec,
-    "imaginary": lambda meson, collapse: sde.SdeSpec(
-        sde.SdeEquation.LINEAR, lindblad.imdecay_master_spec(meson, collapse)
-    ),
-    "stratonovich": sde.family_spec,
-    "nonlinear": sde.collapse_flavor_spec,
-    "enlarged": sde.enlarged_collapse_spec,
-}
+
+
+def _measured_width_spec(spec):
+    # The run's equation on the measured widths: the family master equation
+    # with K = Gamma in place of the induced K.  family and stratonovich
+    # read no width.
+    if spec.equation in ("family", "stratonovich"):
+        return sde.family_spec(spec.meson, spec.collapse)
+    master = dataclasses.replace(
+        lindblad.family_master_spec(spec.meson, spec.collapse), anticommutator=operators.decay_operator(spec.meson)
+    )
+    if spec.equation == "enlarged":
+        master = lindblad.enlarged_master_spec(master)
+    return sde.SdeSpec(sde.SdeEquation(cli._EQUATIONS[spec.equation]), master)
 
 
 @pytest.mark.parametrize("config", [_README_CSL, _MEASURED_CSL], ids=["readme", "measured_widths"])
@@ -436,9 +440,6 @@ def test_compare_rejects_equation_with_other_master(tmp_path, monkeypatch, capsy
     # the nonlinear, flavor-decay, imaginary and enlarged equations decay
     # otherwise than the CSL routes.  That is a configuration error, found
     # before any trajectory runs.  family and stratonovich read no width.
-    def measured_width_spec(spec):
-        return _EQUATION_FACTORIES[spec.equation](spec.meson, spec.collapse)
-
     calls = []
     true_evolve = sde.ensemble_evolve
 
@@ -446,7 +447,7 @@ def test_compare_rejects_equation_with_other_master(tmp_path, monkeypatch, capsy
         calls.append(args)
         return true_evolve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_sde_spec", measured_width_spec)
+    monkeypatch.setattr(cli, "_sde_spec", _measured_width_spec)
     monkeypatch.setattr(sde, "ensemble_evolve", counted_evolve)
     cfg = write_config(
         tmp_path, command="compare", **_MEASURED_CSL, equation=equation,
@@ -757,6 +758,79 @@ def test_stepped_equation_rejects_more_than_2_31_euler_steps(tmp_path, capsys):
     assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == "error: dt=1e-300 asks for 6e+300 Euler steps per trajectory, more than 2**31\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+@pytest.mark.parametrize(
+    "physics", [dict(_README_CSL, equation="family"), dict(_README_CSL, equation="imaginary"), _EXPLICIT_QM],
+    ids=["family", "imaginary", "qm"],
+)
+def test_exact_run_needs_no_dt(tmp_path, capsys, command, physics):
+    # Only a stepped equation reads dt, so an exact run without it writes
+    # the bytes of the same run with it.
+    outputs = []
+    for extra in ({"dt": 0.0015}, {}):
+        cfg = write_config(
+            tmp_path, command=command, **physics, **extra, t_max=6.0, n_points=21, n_trajectories=40, seed=7,
+        )
+        out = tmp_path / f"{len(extra)}.csv"
+        assert cli.main([cfg, "--output", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("equation", ["nonlinear", "flavor_decay", "enlarged"])
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+def test_stepped_run_requires_dt(tmp_path, capsys, command, equation):
+    cfg = write_config(
+        tmp_path, command=command, **_README_CSL, equation=equation,
+        t_max=6.0, n_points=21, n_trajectories=40, seed=7,
+    )
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: config key 'dt' is required for this command\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_ensemble_asymmetry_stderr_stays_finite_where_probabilities_are_tiny(tmp_path, capsys):
+    # By t = 0.4 widths of 1000 leave P_M0_M0 + P_M0_M0bar near 2e-174, whose
+    # square underflows: the delta method once divided by it and wrote a
+    # NaN.  The QM ensemble has no spread, so the asymmetry's error is 0.
+    cfg = write_config(
+        tmp_path, command="ensemble", m_L=1.0, m_H=2.0, gamma_L=1000.0, gamma_H=1000.0, model="QM",
+        t_max=0.4, n_points=2, n_trajectories=2, dt=1.0,
+    )
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    total = column(out, "P_M0_M0") + column(out, "P_M0_M0bar")
+    assert 0.0 < total[-1] < 1e-154
+    assert np.array_equal(column(out, "stderr_asymmetry"), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+def test_ensemble_stderr_that_is_not_finite_exits_two(tmp_path, monkeypatch, capsys, command, bad):
+    # A standard error is checked like a probability: one that is not
+    # finite and nonnegative is a domain error, never written as a cell.
+    cfg = write_config(
+        tmp_path, command=command, **_README_CSL, t_max=2.0, n_points=5, n_trajectories=40, seed=7,
+    )
+    true_probs = cli._ensemble_probs
+
+    def corrupted(stats):
+        means, errs = true_probs(stats)
+        errs["P_L_L"] = np.where(np.arange(len(errs["P_L_L"])) == 2, bad, errs["P_L_L"])
+        return means, errs
+
+    monkeypatch.setattr(cli, "_ensemble_probs", corrupted)
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"domain error: ensemble route: stderr_P_L_L={cli._fmt(bad)} at time=1 "
+        "is not a finite nonnegative standard error\n"
+    )
+    assert not out.exists()
     # The README compare with the nonlinear equation: 120 intervals of 34 steps.
     readme = write_config(
         tmp_path, "readme.json", command="compare", **_README_CSL, equation="nonlinear",

@@ -17,7 +17,6 @@ from flavorcollapse.lindblad import (
     enlarged_master_spec,
     family_master_spec,
     gaussian_partial_trace,
-    imdecay_master_spec,
     integrate_master,
     kernel_rhs,
     kernel_solution,
@@ -25,15 +24,15 @@ from flavorcollapse.lindblad import (
     probs_from_kernels,
     project_enlarged_to_flavor,
 )
-from flavorcollapse.operators import induced_decay_widths, reduced_mass_operator
+from flavorcollapse.operators import induced_decay_operator, reduced_mass_operator
 
 from conftest import closed_form, make_csl, make_qmupl, random_collapse, random_meson
 
 
 
 def _enlarged(meson, collapse):
-    # The enlarged equation of the flavor one that decays through the widths.
-    return enlarged_master_spec(imdecay_master_spec(meson, collapse))
+    # The CLI's enlarged equation: the family one with its induced K as a decay channel.
+    return enlarged_master_spec(family_master_spec(meson, collapse))
 
 
 # The enlarged case keeps the id it had as a (meson, collapse) factory.
@@ -99,7 +98,7 @@ def test_family_symmetric_noise_preserves_trace(meson_stable):
 
 def test_family_trace_matches_width_sum(meson_stable):
     collapse = make_csl(beta=0.9)
-    g_l, g_h = induced_decay_widths(meson_stable, collapse)
+    g_l, g_h = np.diagonal(induced_decay_operator(meson_stable, collapse))
     gamma_bar = 0.5 * (g_l + g_h)
     grid = np.array([0.0, 1.0 / gamma_bar])
     spec = family_master_spec(meson_stable, collapse)
@@ -222,7 +221,7 @@ def test_enlarged_projection_equals_direct_flavor_route():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[:2, :2] = _RHO_M0
     enlarged = integrate_master(_enlarged(meson, collapse), rho0, grid)
-    direct = integrate_master(imdecay_master_spec(meson, collapse), _RHO_M0, grid)
+    direct = integrate_master(family_master_spec(meson, collapse), _RHO_M0, grid)
     residual = np.abs(project_enlarged_to_flavor(enlarged) - direct).max()
     assert residual < 1e-9
 

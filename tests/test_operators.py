@@ -4,29 +4,22 @@ import numpy as np
 import pytest
 
 from flavorcollapse.core import Convention, MesonParams, QuantumState, mass_ratios, to_mass
-from flavorcollapse.errors import DimensionMismatch, InvalidParams, NegativeWidth
+from flavorcollapse.errors import DimensionMismatch, InvalidParams
 from flavorcollapse import cli
 from flavorcollapse.lindblad import (
     MasterSpec,
     build_superoperator,
     enlarged_master_spec,
     family_master_spec,
-    imdecay_master_spec,
+    wigner_weisskopf_spec,
 )
 from flavorcollapse.operators import (
     centred_collapse_operator,
     decay_operator,
     induced_decay_operator,
-    induced_decay_widths,
     reduced_mass_operator,
 )
-from flavorcollapse.sde import (
-    SdeEquation,
-    SdeSpec,
-    collapse_flavor_spec,
-    enlarged_collapse_spec,
-    family_spec,
-)
+from flavorcollapse.sde import SdeEquation, SdeSpec, family_spec
 
 from conftest import make_csl, make_qmupl
 
@@ -79,34 +72,37 @@ def _decay_channel(flavor):
 
 def test_collapse_operator_b_defining_identity(meson, csl):
     # The decay channel carries the flavor equation's K: L^dag L = K on the
-    # flavor block and nothing else.
-    flavor = imdecay_master_spec(meson, csl)
-    channel, _ = _decay_channel(flavor)
-    want = np.zeros((4, 4), dtype=complex)
-    want[:2, :2] = flavor.anticommutator
-    np.testing.assert_allclose(channel.conj().T @ channel, want, rtol=1e-15, atol=0.0)
+    # flavor block and nothing else, for the measured and the induced K.
+    for flavor in (wigner_weisskopf_spec(meson), family_master_spec(meson, csl)):
+        channel, _ = _decay_channel(flavor)
+        want = np.zeros((4, 4), dtype=complex)
+        want[:2, :2] = flavor.anticommutator
+        np.testing.assert_allclose(channel.conj().T @ channel, want, rtol=1e-15, atol=0.0)
 
 
 def test_collapse_operator_b_values():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=9.0, gamma_H=16.0)
-    _, block = _decay_channel(imdecay_master_spec(meson, make_qmupl(rate=0.1, alpha=1.0)))
+    _, block = _decay_channel(wigner_weisskopf_spec(meson))
     np.testing.assert_array_equal(block, np.diag([3.0, 4.0]))
+    # The induced K = lambda_eff (2 beta - 1) A^2 = diag(0.9, 1.6) at rate 0.1, beta 1.
+    _, block = _decay_channel(family_master_spec(meson, make_qmupl(rate=0.1, alpha=1.0)))
+    np.testing.assert_allclose(block, np.diag(np.sqrt([0.9, 1.6])), rtol=1e-15, atol=0.0)
 
 
 def test_collapse_operator_b_zero_cases(meson_stable):
-    # Zero widths give a zero channel; a zero collapse rate with nonzero
-    # widths leaves the decay channel whole (the channel no longer divides
-    # by the rate).
-    collapse = make_qmupl(rate=0.0)
-    _, block = _decay_channel(imdecay_master_spec(meson_stable, collapse))
+    # Zero widths and a zero collapse rate each give a zero channel; one
+    # zero width leaves the other's channel whole.
+    _, block = _decay_channel(wigner_weisskopf_spec(meson_stable))
+    np.testing.assert_array_equal(block, np.zeros((2, 2)))
+    _, block = _decay_channel(family_master_spec(meson_stable, make_qmupl(rate=0.0)))
     np.testing.assert_array_equal(block, np.zeros((2, 2)))
     decaying = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.1, gamma_H=0.0)
-    _, block = _decay_channel(imdecay_master_spec(decaying, collapse))
+    _, block = _decay_channel(wigner_weisskopf_spec(decaying))
     np.testing.assert_array_equal(block, np.diag([np.sqrt(0.1), 0.0]))
 
 
 def test_enlarged_operator_blocks(meson, csl):
-    flavor = imdecay_master_spec(meson, csl)
+    flavor = family_master_spec(meson, csl)
     enlarged = enlarged_master_spec(flavor)
     h = enlarged.hamiltonian
     np.testing.assert_array_equal(h[:2, :2], flavor.hamiltonian)
@@ -119,38 +115,39 @@ def test_enlarged_operator_blocks(meson, csl):
         assert np.count_nonzero(big) == np.count_nonzero(small)
     channel, _ = _decay_channel(flavor)
     np.testing.assert_array_equal(channel @ channel, np.zeros((4, 4)))
-    # The trajectory and master routes take the one gauged enlarged equation.
-    np.testing.assert_array_equal(enlarged_collapse_spec(meson, csl).master.hamiltonian, h)
     with pytest.raises(DimensionMismatch):
         enlarged_master_spec(enlarged)
 
 
-def test_enlarged_collapse_spec_builds_at_zero_collapse_rate():
-    # With no collapse the enlarged equation is the pure decay one: its flavor
-    # block is imdecay_master_spec's at every generator, and its superoperator
+def test_enlarged_master_spec_builds_at_zero_collapse_rate():
+    # The pure decay equation (no collapse channel) and the family one at
+    # zero collapse rate (a zero channel, zero K) both embed: the flavor block
+    # is the flavor equation's at every generator, and the superoperator
     # restricted to the flavor block is that equation's.
     meson = MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.25, gamma_H=0.0625)
-    collapse = make_csl(rate=0.0)
-    flavor = imdecay_master_spec(meson, collapse)
-    master = enlarged_collapse_spec(meson, collapse).master
-    np.testing.assert_array_equal(master.hamiltonian[:2, :2], flavor.hamiltonian)
-    np.testing.assert_array_equal(master.lindblads[0][:2, :2], flavor.lindblads[0])
-    decay = master.lindblads[-1]
-    np.testing.assert_array_equal((decay.conj().T @ decay)[:2, :2], flavor.anticommutator)
-    own = build_superoperator(master)
     block = [i * 4 + j for i in range(2) for j in range(2)]
-    np.testing.assert_array_equal(own[np.ix_(block, block)], build_superoperator(flavor))
+    for flavor in (wigner_weisskopf_spec(meson), family_master_spec(meson, make_csl(rate=0.0))):
+        master = enlarged_master_spec(flavor)
+        np.testing.assert_array_equal(master.hamiltonian[:2, :2], flavor.hamiltonian)
+        assert len(master.lindblads) == len(flavor.lindblads) + 1
+        for big, small in zip(master.lindblads, flavor.lindblads):
+            np.testing.assert_array_equal(big[:2, :2], small)
+        decay = master.lindblads[-1]
+        np.testing.assert_array_equal((decay.conj().T @ decay)[:2, :2], flavor.anticommutator)
+        own = build_superoperator(master)
+        np.testing.assert_array_equal(own[np.ix_(block, block)], build_superoperator(flavor))
 
 
 def test_induced_widths():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0)
     symmetric = make_qmupl(beta=0.5)
-    assert induced_decay_widths(meson, symmetric) == (0.0, 0.0)
+    assert np.array_equal(np.diagonal(induced_decay_operator(meson, symmetric)), [0.0, 0.0])
     asym = make_qmupl(rate=0.1, alpha=1.0, beta=1.0, m0=1.0)
-    widths = induced_decay_widths(meson, asym)
-    assert widths == pytest.approx((0.9, 1.6), rel=1e-14)
-    with pytest.raises(NegativeWidth):
-        induced_decay_widths(meson, make_qmupl(beta=0.25))
+    widths = np.diagonal(induced_decay_operator(meson, asym))
+    assert tuple(widths) == pytest.approx((0.9, 1.6), rel=1e-14)
+    # beta < 1/2 induces negative widths, which no master equation takes.
+    with pytest.raises(InvalidParams, match="positive semidefinite"):
+        family_master_spec(meson, make_qmupl(beta=0.25))
 
 
 def test_induced_widths_consistency_loop():
@@ -158,7 +155,7 @@ def test_induced_widths_consistency_loop():
     # lambda_eff (2 beta - 1) A^2 exactly.
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0)
     collapse = make_qmupl(rate=0.1, alpha=1.0, beta=0.9, m0=1.0)
-    g_l, g_h = induced_decay_widths(meson, collapse)
+    g_l, g_h = np.diagonal(induced_decay_operator(meson, collapse))
     redecayed = MesonParams(m_L=3.0, m_H=4.0, gamma_L=g_l, gamma_H=g_h)
     a = np.diag(mass_ratios(meson, collapse))
     lam = collapse.effective_rate
@@ -236,17 +233,12 @@ def test_flavor_specs_carry_the_centred_operator(tmp_path):
     collapse = make_csl(beta=0.5, rate=1.0)
     want = np.sqrt(collapse.effective_rate) * centred_collapse_operator(meson, collapse)
     np.testing.assert_array_equal(family_master_spec(meson, collapse).lindblads[0], want)
-    for sde_factory, master_factory in (
-        (family_spec, family_master_spec),
-        (collapse_flavor_spec, imdecay_master_spec),
-        (enlarged_collapse_spec, lambda m, c: enlarged_master_spec(imdecay_master_spec(m, c))),
-    ):
-        got, master = sde_factory(meson, collapse).master, master_factory(meson, collapse)
-        np.testing.assert_array_equal(got.hamiltonian, master.hamiltonian)
-        np.testing.assert_array_equal(got.anticommutator, master.anticommutator)
-        assert len(got.lindblads) == len(master.lindblads)
-        for a, b in zip(got.lindblads, master.lindblads):
-            np.testing.assert_array_equal(a, b)
+    got, master = family_spec(meson, collapse).master, family_master_spec(meson, collapse)
+    np.testing.assert_array_equal(got.hamiltonian, master.hamiltonian)
+    np.testing.assert_array_equal(got.anticommutator, master.anticommutator)
+    assert len(got.lindblads) == len(master.lindblads)
+    for a, b in zip(got.lindblads, master.lindblads):
+        np.testing.assert_array_equal(a, b)
     readme = dict(
         command="compare", m_L=0.5, m_H=1.5, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=0.3, r_C=0.5,
         beta=0.8, m0=1.0, alpha=1.0, d=2, t_max=6.0, n_points=121, n_trajectories=300, seed=7, dt=0.0015,

@@ -10,14 +10,12 @@ from scipy.integrate import quad
 from flavorcollapse.analytic import prob_flavor
 from flavorcollapse.core import Basis, FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
 from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
-from flavorcollapse.lindblad import MasterSpec, imdecay_master_spec, integrate_master, master_rhs
+from flavorcollapse.lindblad import MasterSpec, enlarged_master_spec, family_master_spec, integrate_master, master_rhs
 from flavorcollapse import sde
-from flavorcollapse.operators import induced_decay_widths
+from flavorcollapse.operators import decay_operator, induced_decay_operator
 from flavorcollapse.sde import (
     NoiseConfig,
     asymmetric_delta,
-    collapse_flavor_spec,
-    enlarged_collapse_spec,
     ensemble_evolve,
     family_spec,
     ito_stratonovich_drift,
@@ -39,9 +37,24 @@ _ALIAS = pytest.param(stratonovich_family_spec, id="stratonovich_family_spec")
 
 
 def imaginary_linear_spec(meson, collapse):
-    # The linear label on the imaginary-decay master equation, K = Gamma: the
-    # CLI's "imaginary" equation, there with the collapse-induced widths.
-    return sde.SdeSpec(sde.SdeEquation.LINEAR, imdecay_master_spec(meson, collapse))
+    # The linear label on the family master equation with the meson's
+    # measured widths as K in place of the induced ones.
+    measured = replace(family_master_spec(meson, collapse), anticommutator=decay_operator(meson))
+    return sde.SdeSpec(sde.SdeEquation.LINEAR, measured)
+
+
+def nonlinear_spec(meson, collapse):
+    # The CLI's nonlinear flavor equation: the nonlinear label on the family master equation.
+    return sde.SdeSpec(sde.SdeEquation.NONLINEAR, family_master_spec(meson, collapse))
+
+
+def enlarged_spec(meson, collapse):
+    # The CLI's enlarged equation: the family master equation with its induced K as a decay channel.
+    return sde.SdeSpec(sde.SdeEquation.NONLINEAR, enlarged_master_spec(family_master_spec(meson, collapse)))
+
+
+def _induced_widths(meson, collapse):
+    return np.diagonal(induced_decay_operator(meson, collapse))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -175,24 +188,24 @@ def test_family_norm_drift_by_beta():
 
 
 def test_flavor_decay_norm_law():
-    # E[d||psi||^2] = -sum_i Gamma_i |<M_i|psi>|^2 dt; the noise term drops
-    # out pathwise for this equation.
-    meson = _decaying()
+    # E[d||psi||^2] = -sum_i K_ii |<M_i|psi>|^2 dt with the induced K; the
+    # noise term drops out pathwise for this equation.
+    meson = _bare()
     collapse = make_csl(beta=0.8, rate=0.3)
-    spec = collapse_flavor_spec(meson, collapse)
+    spec = nonlinear_spec(meson, collapse)
     dt = 1e-3
     n = 10**4
     w = np.random.default_rng(3).normal(0.0, np.sqrt(dt), size=(n, 1))
     psi0 = np.tile(_M0_MASS, (n, 1))
     psi1 = step(spec, psi0, w, dt)
     dn2 = np.einsum("bi,bi->b", psi1.conj(), psi1).real - 1.0
-    want = -sum(meson.widths[i] * abs(_M0_MASS[i]) ** 2 for i in (0, 1)) * dt
+    want = -sum(_induced_widths(meson, collapse)[i] * abs(_M0_MASS[i]) ** 2 for i in (0, 1)) * dt
     stderr = dn2.std(ddof=1) / np.sqrt(n)
     assert np.mean(dn2) == pytest.approx(want, abs=4 * stderr + 1e-6)
 
 
 def test_zero_norm_raises():
-    spec = collapse_flavor_spec(_decaying(), make_csl())
+    spec = nonlinear_spec(_bare(), make_csl())
     for amplitude in (1e-200, np.nan):
         with pytest.raises(ZeroNorm):
             step(spec, np.array([amplitude, 0.0], dtype=complex), 0.0, 1e-3)
@@ -202,7 +215,7 @@ def test_stratonovich_step_rejects_nonlinear_spec():
     # Heun integrates the Stratonovich form of the linear equation; the
     # nonlinear equation is stated in Ito form only.
     with pytest.raises(UnsupportedEquation):
-        stratonovich_step(collapse_flavor_spec(_bare(), make_csl(beta=0.75)), _M0_MASS, 0.1, 1e-3)
+        stratonovich_step(nonlinear_spec(_bare(), make_csl(beta=0.75)), _M0_MASS, 0.1, 1e-3)
 
 
 def test_heun_deterministic_limit_is_taylor_map():
@@ -347,7 +360,7 @@ _GENERATORS = [
 @pytest.mark.parametrize("field", _GENERATORS)
 @pytest.mark.parametrize(
     "factory",
-    [imaginary_linear_spec, family_spec, _ALIAS, collapse_flavor_spec, enlarged_collapse_spec],
+    [imaginary_linear_spec, family_spec, _ALIAS, nonlinear_spec, enlarged_spec],
 )
 def test_linear_specs_require_diagonal_operators(factory, field):
     # Every kernel reads H and K as diagonals and a Lindblad operator as one
@@ -397,11 +410,11 @@ def test_linear_specs_require_self_adjoint_collapse_operators(factory):
     complex_diagonal = (np.diag([0.5, 1.5j]),)
     with pytest.raises(InvalidParams, match="self-adjoint"):
         _with_master(factory(_decaying(), make_csl(beta=0.8, rate=0.3)), lindblads=complex_diagonal)
-    _with_master(collapse_flavor_spec(_decaying(), make_csl(beta=0.8, rate=0.3)), lindblads=complex_diagonal)
+    _with_master(nonlinear_spec(_bare(), make_csl(beta=0.8, rate=0.3)), lindblads=complex_diagonal)
 
 
 def test_nonlinear_step_leaves_input_rows():
-    spec = collapse_flavor_spec(_bare(), make_csl(rate=0.4))
+    spec = nonlinear_spec(_bare(), make_csl(rate=0.4))
     psi = np.tile(_M0_MASS, (3, 1))
     before = psi.copy()
     out = step(spec, psi, np.array([[0.1], [0.0], [-0.2]]), 1e-3)
@@ -419,7 +432,7 @@ def test_family_is_imaginary_linear_with_induced_widths():
     # imaginary-noise linear equation of a meson whose widths are the
     # collapse-induced lambda (2 beta - 1) m~_i^2.
     collapse = make_csl(**_GENERIC_CSL)
-    g_l, g_h = induced_decay_widths(_GENERIC, collapse)
+    g_l, g_h = _induced_widths(_GENERIC, collapse)
     family = family_spec(_GENERIC, collapse)
     imaginary = imaginary_linear_spec(replace(_GENERIC, gamma_L=g_l, gamma_H=g_h), collapse)
     assert family.equation is imaginary.equation
@@ -438,8 +451,8 @@ def _re_dot(a, b):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: collapse_flavor_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
-        lambda: enlarged_collapse_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
+        lambda: nonlinear_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
+        lambda: enlarged_spec(_GENERIC, make_csl(**_GENERIC_CSL)),
     ],
     ids=["collapse", "enlarged"],
 )
@@ -587,7 +600,7 @@ def test_ensemble_determinism_across_threads_and_runs():
     t_grid = _grid(1.0, 6)
     config = NoiseConfig(seed=99, dt=1.0 / 40)
     states = (QuantumState.m0(), QuantumState.m0bar())
-    for factory in (family_spec, collapse_flavor_spec):
+    for factory in (family_spec, nonlinear_spec):
         spec = factory(_decaying(), make_csl(beta=0.75, rate=0.25))
         runs = [ensemble_evolve(spec, config, states, t_grid, n_traj, n_threads=k) for k in (1, 4, 1)]
         for other in runs[1:]:
@@ -598,9 +611,9 @@ def test_ensemble_determinism_across_threads_and_runs():
 
 def test_stderr_is_finite_where_rounding_leaves_a_variance_below_zero():
     # One step, two trajectories: P_M0 from M0 barely spreads, and the map
-    # from the feature moments rounds its variance at t = dt to -3e-21.
+    # from the feature moments rounds its variance at t = dt to -9e-21.
     # Its stderr is 0, not NaN.
-    spec = collapse_flavor_spec(_decaying(), make_csl(beta=1.0, rate=0.5))
+    spec = nonlinear_spec(_bare(), make_csl(beta=1.0, rate=0.5))
     with np.errstate(invalid="raise"):
         (stats,) = ensemble_evolve(spec, NoiseConfig(seed=0, dt=0.01), (QuantumState.m0(),), _grid(0.01, 2), 2)
     assert np.all(np.isfinite(stats.stderrs))
@@ -610,11 +623,11 @@ def test_stderr_is_finite_where_rounding_leaves_a_variance_below_zero():
 _STACKED = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
 
 
-@pytest.mark.parametrize("factory", [family_spec, _ALIAS, collapse_flavor_spec])
+@pytest.mark.parametrize("factory", [family_spec, _ALIAS, nonlinear_spec])
 def test_stacked_states_equal_single_state_runs(factory):
     # Two batches (2048 + 52): one stacked call reproduces three separate
     # calls bit for bit, since the states share each trajectory's noise.
-    spec = factory(_decaying() if factory is collapse_flavor_spec else _bare(), make_csl(beta=0.8, rate=0.3))
+    spec = factory(_bare(), make_csl(beta=0.8, rate=0.3))
     t_grid = _grid(1.0, 5)
     config = NoiseConfig(seed=21, dt=1.0 / 40)
     stacked = ensemble_evolve(spec, config, _STACKED, t_grid, 2100)
@@ -643,8 +656,8 @@ _SPREADING = (QuantumState.m0(), QuantumState.m0bar(), _COMPLEX)
 @pytest.mark.parametrize(
     "build, states",
     [
-        (lambda csl: collapse_flavor_spec(_decaying(), csl), _SPREADING),
-        (lambda csl: enlarged_collapse_spec(_decaying(), csl), _enlarged_stack()),
+        (lambda csl: nonlinear_spec(_bare(), csl), _SPREADING),
+        (lambda csl: enlarged_spec(_bare(), csl), _enlarged_stack()),
     ],
     ids=["collapse_decaying", "enlarged"],
 )
@@ -683,7 +696,7 @@ def test_ensemble_moments_match_two_pass_over_manual_trajectories(monkeypatch, b
 def test_ensemble_noise_matches_wiener_contract():
     # The stepped ensemble consumes exactly the per-trajectory streams that
     # wiener_increments exposes.
-    spec = collapse_flavor_spec(_decaying(), make_csl(beta=1.0, rate=0.5))
+    spec = nonlinear_spec(_bare(), make_csl(beta=1.0, rate=0.5))
     t_grid = np.array([0.0, 0.01])
     config = NoiseConfig(seed=31, dt=0.01)
     (stats,) = ensemble_evolve(spec, config, (_COMPLEX,), t_grid, 2)
@@ -715,7 +728,7 @@ _ALL_STATES = (QuantumState.m0(), QuantumState.m0bar(), QuantumState.mass_eigens
 
 
 def _induced(meson, collapse):
-    gamma_l, gamma_h = induced_decay_widths(meson, collapse)
+    gamma_l, gamma_h = _induced_widths(meson, collapse)
     return replace(meson, gamma_L=gamma_l, gamma_H=gamma_h)
 
 
@@ -787,7 +800,7 @@ def test_exact_mass_eigenstates_are_deterministic():
     # exp(-gamma_i t) on every trajectory, with no spread, and no mean
     # probability exceeds 1.
     meson, collapse = _bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3)
-    gammas = induced_decay_widths(meson, collapse)
+    gammas = _induced_widths(meson, collapse)
     t_grid = _grid(6.0, 121)
     spec = family_spec(meson, collapse)
     stats = ensemble_evolve(spec, NoiseConfig(seed=7, dt=0.05), _ALL_STATES, t_grid, 3000)
@@ -822,7 +835,7 @@ def test_stepped_ensemble_memory_stays_within_a_noise_block():
     # a time: the 1024 x 2000 noise of this call would take 16.4 MB at once.
     # It holds one 2 MB block, 1024 generators of under 1 KB each and the
     # work arrays (3.95 MB measured).
-    spec = collapse_flavor_spec(_bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3))
+    spec = nonlinear_spec(_bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3))
     states = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
     t_grid = np.linspace(0.0, 6.0, 5)
     config = NoiseConfig(seed=23, dt=0.003)
@@ -840,12 +853,12 @@ def test_stepped_ensemble_memory_stays_within_a_noise_block():
 # phase-transformation family
 
 def test_phase_transform_identity_and_imaginary_limit():
-    meson = _decaying()
+    meson = _bare()
     collapse = make_csl(beta=0.8, rate=0.3)
-    base = collapse_flavor_spec(meson, collapse)
+    base = nonlinear_spec(meson, collapse)
     assert phase_transform_spec(base, 0.0) == base
     rotated = phase_transform_spec(base, np.pi / 2.0)
-    linear = imaginary_linear_spec(meson, collapse)
+    linear = family_spec(meson, collapse)
     rng = np.random.default_rng(8)
     for _ in range(10):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -856,9 +869,9 @@ def test_phase_transform_identity_and_imaginary_limit():
 
 
 def test_phase_family_shares_ensemble_mean():
-    meson = _decaying()
+    meson = _bare()
     collapse = make_csl(beta=0.8, rate=0.3)
-    base = collapse_flavor_spec(meson, collapse)
+    base = nonlinear_spec(meson, collapse)
     t_grid = _grid(2.0, 6)
     dt = 2.0 / 1000
     stats = {}
@@ -907,10 +920,10 @@ def _fd_against_master(spec, psi0, n, dt, seed):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: collapse_flavor_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
+        lambda: nonlinear_spec(_bare(), make_csl(beta=0.8, rate=0.3)),
         lambda: family_spec(_bare(), make_csl(beta=0.8, rate=0.3)),
         lambda: _with_extra_decay(family_spec(_bare(), make_csl(beta=0.8, rate=0.3))),
-        lambda: enlarged_collapse_spec(_decaying(), make_csl(beta=0.8, rate=0.3)),
+        lambda: enlarged_spec(_bare(), make_csl(beta=0.8, rate=0.3)),
         lambda: sde.SdeSpec(
             sde.SdeEquation.NONLINEAR,
             MasterSpec(np.diag([1.0, 2.0]), (np.sqrt(0.3) * np.array([[0.0, 1.0], [0.0, 0.0]]),)),
@@ -981,7 +994,7 @@ def test_heun_strong_order_one():
 def test_family_trajectory_norm_matches_induced_widths():
     meson = _bare()
     collapse = make_csl(beta=0.9, rate=0.3)
-    g_l, g_h = induced_decay_widths(meson, collapse)
+    g_l, g_h = _induced_widths(meson, collapse)
     spec = family_spec(meson, collapse)
     t_grid = _grid(2.0, 5)
     config = NoiseConfig(seed=55, dt=2.0 / 2000)
