@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -706,7 +707,8 @@ def ensemble_evolve(
     folds the batches by the pairwise update and maps them to the
     probabilities once; the spread is exactly zero while all trajectories
     agree.  Results are bit-identical whatever ``n_threads``: the batch
-    partition is fixed and partials are folded in index order.
+    partition is fixed and partials are folded in index order.  The pool
+    starts at most ``n_threads`` workers, one per batch and per core.
     """
     if n_trajectories < 2:
         raise InvalidParams("n_trajectories must be at least 2")
@@ -738,11 +740,13 @@ def ensemble_evolve(
     else:
         run_batch = _stepped_batches(spec, config, amps0, t_grid, entries)
     batches = _batch_bounds(n_trajectories)
-    if n_threads > 1:
+    # A running stepped batch holds its own noise block: no more workers than batches or cores.
+    workers = min(n_threads, len(batches), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here, so that a single-threaded run never loads it.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             means, m2 = _fold_batches(pool.map(run_batch, batches))
     else:
         means, m2 = _fold_batches(map(run_batch, batches))

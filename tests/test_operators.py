@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from flavorcollapse.core import Convention, MesonParams, QuantumState, mass_ratios, to_mass
 from flavorcollapse.errors import DimensionMismatch, InvalidParams
-from flavorcollapse import cli
 from flavorcollapse.lindblad import (
     MasterSpec,
     build_superoperator,
@@ -225,10 +222,9 @@ def test_centred_collapse_operator_shifts_a_by_its_light_ratio(convention):
     np.testing.assert_array_equal(centred, a - a[0, 0] * np.eye(2))
 
 
-def test_flavor_specs_carry_the_centred_operator(tmp_path):
+def test_flavor_specs_carry_the_centred_operator():
     # The master route and each SDE spec take the same centred channel, and
-    # each SDE spec is a label on its master spec, bit for bit; so the CLI
-    # reads no gap between the routes' superoperators for any flavor equation.
+    # each SDE spec is a label on its master spec, bit for bit.
     meson = MesonParams(m_L=480.0, m_H=481.0, gamma_L=0.0, gamma_H=0.0)
     collapse = make_csl(beta=0.5, rate=1.0)
     want = np.sqrt(collapse.effective_rate) * centred_collapse_operator(meson, collapse)
@@ -239,17 +235,3 @@ def test_flavor_specs_carry_the_centred_operator(tmp_path):
     assert len(got.lindblads) == len(master.lindblads)
     for a, b in zip(got.lindblads, master.lindblads):
         np.testing.assert_array_equal(a, b)
-    readme = dict(
-        command="compare", m_L=0.5, m_H=1.5, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=0.3, r_C=0.5,
-        beta=0.8, m0=1.0, alpha=1.0, d=2, t_max=6.0, n_points=121, n_trajectories=300, seed=7, dt=0.0015,
-    )
-    for equation in ("family", "imaginary", "stratonovich", "nonlinear", "flavor_decay"):
-        path = tmp_path / f"{equation}.json"
-        path.write_text(json.dumps(dict(readme, equation=equation)))
-        spec = cli.load_config(str(path))
-        assert cli._require_route_physics(spec, cli._sde_spec(spec)) == 0.0, equation
-    # The enlarged equation embeds that master equation; only sqrt(K)^2 rounds.
-    path = tmp_path / "enlarged.json"
-    path.write_text(json.dumps(dict(readme, equation="enlarged")))
-    spec = cli.load_config(str(path))
-    assert cli._require_route_physics(spec, cli._sde_spec(spec)) <= 1e-15

@@ -17,31 +17,47 @@ an exact ``ensemble`` (the default ``family`` equation under CSL) with 2 to
 * a command that exits 0 writes the same table as CSV and as JSON: the
   CSV cells parse to the JSON numbers exactly and its ``#`` lines are the
   JSON ``meta``;
-* an ``ensemble`` that exits 0 writes the same bytes when rerun, and with
-  ``dt`` removed or added, since the exact equations read none.
+* an ``ensemble`` that exits 0 writes the same bytes when rerun, with
+  ``dt`` removed or added, since the exact equations read none, and with
+  ``threads`` 2; one draw in ten takes 2049 to 4100 trajectories, so the
+  pool folds at least two batches.
+
+A second property breaks one key of a drawn config, as ``analytic``,
+``master``, ``ensemble`` or ``compare``, with a value that violates its
+property in ``run_config.schema.json``: below its ``minimum``, above its
+``maximum``, at its ``exclusiveMinimum``, outside its ``enum``, of the
+wrong type (a bool, a string for a number, a float for an integer, a
+number for a string), NaN, an infinity or an integer beyond the float
+range for a number; or it adds an unknown key.  Every such config exits 1
+at load with one ``error:`` line, no output and no warning.
 
 Tier-1 runs a small derandomized profile; ``scripts/property_sweep.py``
-runs the same strategy and check over as many examples as asked.
+runs the same strategies and checks over as many examples as asked.
 """
 
 import contextlib
 import io
 import json
+import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from flavorcollapse import cli
+from flavorcollapse.errors import FlavorCollapseError
 
 # Settings shared with the long profile, which only raises max_examples.
 PROFILE = settings(
     max_examples=200, derandomize=True, deadline=None, database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Each schema-violation example runs no route, so fewer of them cover the schema's bounds, enums and types.
+VIOLATION_PROFILE = settings(PROFILE, max_examples=80)
 _AGREEMENT = 1e-12
 
 _MAGNITUDE = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
@@ -58,8 +74,9 @@ _SEED = st.integers(0, 2**64 - 1)
 
 
 @st.composite
-def configs(draw) -> dict:
-    """An explicit-mass route config without its ``command``."""
+def configs(draw, corrupt: bool = True) -> dict:
+    """An explicit-mass route config without its ``command``; if ``corrupt``, one draw in ten puts an
+    arbitrary number in place of one key."""
     m_l = draw(_MAGNITUDE)
     config = {
         "m_L": m_l, "m_H": m_l + draw(_MAGNITUDE), "gamma_L": draw(_WIDTH), "gamma_H": draw(_WIDTH),
@@ -70,7 +87,7 @@ def configs(draw) -> dict:
         config.update({key: draw(strategy) for key, strategy in _COLLAPSE.items()})
     if config["model"] == "CSL":
         config["r_C"] = draw(_MAGNITUDE)
-    if draw(st.integers(0, 9)) == 0:
+    if corrupt and draw(st.integers(0, 9)) == 0:
         numeric = sorted(key for key, value in config.items() if not isinstance(value, str))
         config[draw(st.sampled_from(numeric))] = draw(st.floats())
     return config
@@ -79,14 +96,16 @@ def configs(draw) -> dict:
 @st.composite
 def ensemble_keys(draw) -> dict:
     """The keys an exact ``ensemble`` run adds to a route config: N, a seed and, in half the draws, a dt."""
-    keys = {"n_trajectories": draw(st.integers(2, 8)), "seed": draw(_SEED)}
+    many = draw(st.integers(0, 9)) == 0  # more than one batch of the pool
+    keys = {"n_trajectories": draw(st.integers(2049, 4100) if many else st.integers(2, 8)), "seed": draw(_SEED)}
     if draw(st.booleans()):
         keys["dt"] = draw(_MAGNITUDE)
     return keys
 
 
-def run(config: dict, fmt: str = "json") -> tuple[int, str, str]:
-    """Exit code, stderr and stdout of one ``cli.main`` run in format ``fmt``; fails on any warning."""
+def run(config: dict, fmt: str | None = "json") -> tuple[int, str, str]:
+    """Exit code, stderr and stdout of one ``cli.main`` run in format ``fmt`` (None: the config's);
+    fails on any warning."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "run.json"
@@ -94,7 +113,7 @@ def run(config: dict, fmt: str = "json") -> tuple[int, str, str]:
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            code = cli.main([str(path), "--format", fmt])
+            code = cli.main([str(path), *(["--format", fmt] if fmt else [])])
     assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
     return code, stderr.getvalue(), stdout.getvalue()
 
@@ -151,8 +170,82 @@ def check(config: dict, ensemble: dict) -> None:
     toggled = {key: value for key, value in ensemble_config.items() if key != "dt"}
     if "dt" not in ensemble_config:
         toggled["dt"] = 1.0
-    for again in (ensemble_config, toggled):
+    for again in (ensemble_config, toggled, dict(ensemble_config, threads=2)):
         assert run(again) == (0, "", out)
+
+
+_PROPS = cli._data("run_config.schema.json")["properties"]
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+# Violation -> the values of that violation for a schema property of a given type, or False where
+# the property cannot be broken that way.
+_VIOLATIONS = {
+    "below minimum": lambda prop, kind: "minimum" in prop and (
+        st.floats(max_value=prop["minimum"], exclude_max=True, **_FINITE) if kind == "number"
+        else st.integers(max_value=prop["minimum"] - 1)),
+    "above maximum": lambda prop, kind: "maximum" in prop and (
+        st.floats(min_value=prop["maximum"], exclude_min=True, **_FINITE) if kind == "number"
+        else st.integers(min_value=prop["maximum"] + 1)),
+    "at exclusiveMinimum": lambda prop, kind: "exclusiveMinimum" in prop and st.sampled_from(
+        [prop["exclusiveMinimum"], float(prop["exclusiveMinimum"]), -float(prop["exclusiveMinimum"])]),
+    "outside enum": lambda prop, kind: "enum" in prop and (
+        st.text() if kind == "string" else st.integers()).filter(lambda value: value not in prop["enum"]),
+    "a bool": lambda prop, kind: st.booleans(),
+    "a string for a number": lambda prop, kind: kind == "number" and st.text(),
+    "a float for an integer": lambda prop, kind: kind == "integer" and st.floats(),
+    "a number for a string": lambda prop, kind: kind == "string" and st.integers() | st.floats(),
+    "not finite": lambda prop, kind: kind == "number" and st.sampled_from([math.nan, math.inf, -math.inf]),
+    "beyond the float range": lambda prop, kind: kind == "number" and st.sampled_from([10**400, -(10**400)]),
+}
+
+
+@st.composite
+def violating_configs(draw) -> tuple[dict, str | None]:
+    """A route config that loads, with one key's value replaced by a schema violation, and that key;
+    or with an unknown key added, and None.  The violation is drawn first, then a key it can break."""
+    config = draw(configs(corrupt=False))
+    commands = ["analytic", "master"] + ([] if config["model"] == "QMUPL" else ["ensemble", "compare"])
+    config["command"] = draw(st.sampled_from(commands))
+    if config["command"] in ("ensemble", "compare"):
+        config.update(draw(ensemble_keys()))
+    assume(_loads(config))
+    violation = draw(st.sampled_from([*_VIOLATIONS, "unknown key"]))
+    if violation == "unknown key":
+        config[draw(st.text().filter(lambda name: name not in _PROPS))] = 1.0
+        return config, None
+    breakable = {}
+    for key in [*sorted(config), "threads", "format", "output"]:  # the last three take defaults
+        prop = _PROPS[key]
+        kind = prop.get("type") or ("string" if isinstance(prop["enum"][0], str) else "integer")
+        breakable[key] = _VIOLATIONS[violation](prop, kind)
+    keys = [key for key, values in breakable.items() if values is not False]
+    assume(keys)
+    key = draw(st.sampled_from(keys))
+    config[key] = draw(breakable[key])
+    return config, key
+
+
+def _loads(config: dict) -> bool:
+    """Whether ``cli.load_config`` accepts ``config``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "run.json"
+        path.write_text(json.dumps(config))
+        try:
+            cli.load_config(str(path))
+        except FlavorCollapseError:
+            return False
+    return True
+
+
+def check_rejected(config: dict, key: str | None) -> None:
+    """A config that breaks the schema at ``key`` (None: an unknown key) exits 1 at load with one
+    ``error:`` line that names the key, and writes no output and no warning."""
+    code, err, out = run(config, fmt=None)
+    assert (code, out) == (1, ""), (code, err)
+    if key is None:
+        (unknown,) = set(config) - set(_PROPS)
+        assert err == f"error: unknown config key {unknown!r}\n", err
+    else:
+        assert re.fullmatch(f"error: (config key '{key}'|{key}) must [^\n]*\n", err), err
 
 
 # m~ >> dm~ at beta = 1/2, where the coherence decays at (lambda/2) dm~^2
@@ -189,3 +282,24 @@ _TWO = dict(n_trajectories=2, seed=0)
          dict(_TWO, dt=1.0))
 def test_route_commands_keep_the_cli_contract(config, ensemble):
     check(config, ensemble)
+
+
+# One config of each violation, so that the small profile breaks the schema every way.
+_LOADS = dict(_DWARFED_SPLITTING, command="compare", n_trajectories=2, seed=0, dt=0.1)
+
+
+@VIOLATION_PROFILE
+@given(violating_configs())
+@example((dict(_LOADS, n_points=1), "n_points"))
+@example((dict(_LOADS, beta=1.5), "beta"))
+@example((dict(_LOADS, t_max=0), "t_max"))
+@example((dict(_LOADS, equation="heun"), "equation"))
+@example((dict(_LOADS, rate=True), "rate"))
+@example((dict(_LOADS, m0="1"), "m0"))
+@example((dict(_LOADS, n_trajectories=2.0), "n_trajectories"))
+@example((dict(_LOADS, model=1), "model"))
+@example((dict(_LOADS, alpha=math.nan), "alpha"))
+@example((dict(_LOADS, r_C=10**400), "r_C"))
+@example((dict(_LOADS, **{"bata\n": 0.5}), None))
+def test_schema_violations_exit_1_at_load(case):
+    check_rejected(*case)

@@ -609,6 +609,42 @@ def test_ensemble_determinism_across_threads_and_runs():
                     assert np.array_equal(getattr(a, field), getattr(b, field)), (factory.__name__, field)
 
 
+@pytest.mark.parametrize(
+    "n_threads, n_traj, cores, workers",
+    [(5000, 4100, 64, 3), (5000, 4100, 2, 2), (2, 4100, 64, 2), (5000, 40, 64, 1), (5000, 4100, None, 1)],
+)
+def test_thread_pool_is_bounded_by_batches_and_cores(monkeypatch, n_threads, n_traj, cores, workers):
+    # The pool starts no more workers than there are batches (4100 -> 3) or
+    # cores, whatever --threads asks for; one worker needs no pool.  A
+    # recording stand-in runs the batches in order and starts no thread.
+    import concurrent.futures
+    import os
+
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    spec = family_spec(_decaying(), make_csl(beta=0.75, rate=0.25))
+    config = NoiseConfig(seed=99, dt=1.0 / 40)
+    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), _grid(1.0, 3), n_traj, n_threads=n_threads)
+    (serial,) = ensemble_evolve(spec, config, (QuantumState.m0(),), _grid(1.0, 3), n_traj)
+    assert asked == ([workers] if workers > 1 else [])
+    assert np.array_equal(stats.means, serial.means) and np.array_equal(stats.covariances, serial.covariances)
+
+
 def test_stderr_is_finite_where_rounding_leaves_a_variance_below_zero():
     # One step, two trajectories: P_M0 from M0 barely spreads, and the map
     # from the feature moments rounds its variance at t = dt to -9e-21.
