@@ -3,8 +3,9 @@
 
 Runs the strategies and the checks of ``tests/test_properties.py`` over
 ``--examples`` explicit-mass configs, each as ``analytic``, ``master`` and
-exact ``ensemble``, and over as many configs that break the schema at one
-key, with the tier-1 tests' settings otherwise.  Exits 0 when every
+exact ``ensemble`` and, where that ensemble exits 0, as ``compare``
+(through the shared ``check``), and over as many configs that break the
+schema at one key, with the tier-1 tests' settings otherwise.  Exits 0 when every
 property held; a failing config is printed by hypothesis and the script
 exits 1.
 

@@ -16,14 +16,12 @@ import importlib
 
 from . import core, errors
 from .core import (
-    Basis,
     CollapseParams,
     Convention,
     EnsembleStats,
     FlavorTarget,
     MesonParams,
     Model,
-    QuantumState,
 )
 
 __version__ = "0.1.0"
@@ -38,14 +36,12 @@ __all__ = [
     "lindblad",
     "operators",
     "sde",
-    "Basis",
     "CollapseParams",
     "Convention",
     "EnsembleStats",
     "FlavorTarget",
     "MesonParams",
     "Model",
-    "QuantumState",
 ]
 
 

@@ -36,14 +36,13 @@ import numpy as np
 # ``analytic``, ``lindblad`` and ``sde`` are imported inside the functions
 # that call them, so a command loads only the routes it runs.
 from .core import (
-    Basis,
+    STATES,
     CollapseParams,
     Convention,
     DynamicsModel,
     FlavorTarget,
     MesonParams,
     Model,
-    QuantumState,
     mass_ratios,
 )
 from .errors import (
@@ -362,16 +361,8 @@ def _safe_asymmetry(p_same: np.ndarray, p_flip: np.ndarray, times: np.ndarray) -
 # ----------------------------------------------------------------------
 # the probability table shared by every route
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# Mass-basis (L, H) amplitudes of the initial and final states.
-_STATES = {
-    "M0": np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex),
-    "M0bar": np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex),
-    "L": np.array([1.0, 0.0], dtype=complex),
-    "H": np.array([0.0, 1.0], dtype=complex),
-}
-# Output column -> (initial state, final state).  The ensemble observable
-# of final state X is "P_X".
+# Output column -> (initial state, final state) of ``core.STATES``.  The
+# ensemble observable of final state X is "P_X".
 _PROBS = {
     "P_M0_M0": ("M0", "M0"),
     "P_M0_M0bar": ("M0", "M0bar"),
@@ -457,17 +448,16 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     if spec.model is DynamicsModel.QMUPL:
         def prob(initial: str, final: str) -> np.ndarray:
             return lindblad.probs_from_kernels(
-                Model.QMUPL, spec.meson, spec.collapse,
-                QuantumState(_STATES[initial], Basis.MASS), QuantumState(_STATES[final], Basis.MASS), times,
+                Model.QMUPL, spec.meson, spec.collapse, STATES[initial], STATES[final], times
             )
     else:
         initial = dict.fromkeys(state for state, _ in _PROBS.values())
-        stack = np.array([np.outer(_STATES[name], _STATES[name].conj()) for name in initial])
+        stack = np.array([np.outer(STATES[name], STATES[name].conj()) for name in initial])
         propagated = lindblad.integrate_master(_route_master_spec(spec), stack, times)
         rhos = {name: _require_density_matrices(name, times, rho) for name, rho in zip(initial, propagated)}
 
         def prob(initial: str, final: str) -> np.ndarray:
-            amps = _STATES[final]
+            amps = STATES[final]
             return np.einsum("i,tij,j->t", amps.conj(), rhos[initial], amps).real
     return {col: prob(initial, final) for col, (initial, final) in _PROBS.items()}
 
@@ -504,9 +494,8 @@ def _ensemble_stats(spec: RunSpec, eq_spec: sde.SdeSpec, times: np.ndarray):
     n_sub = 1 if _exact(eq_spec) else _substeps(interval, spec.dt)
     dt = interval / n_sub
     config = sde.NoiseConfig(seed=spec.seed, dt=dt)
-    basis = Basis.MASS if eq_spec.dim == 2 else Basis.ENLARGED
     initial = dict.fromkeys(state for state, _ in _PROBS.values())
-    states = tuple(QuantumState(np.pad(_STATES[name], (0, eq_spec.dim - 2)), basis) for name in initial)
+    states = np.array([np.pad(STATES[name], (0, eq_spec.dim - 2)) for name in initial])
     runs = sde.ensemble_evolve(eq_spec, config, states, times, spec.n_trajectories, n_threads=spec.threads)
     return dict(zip(initial, runs)), dt
 

@@ -1,4 +1,4 @@
-"""Domain types, parameter validation and basis conventions.
+"""Domain types, parameter validation, basis conventions and the state table.
 
 All quantities live in natural units (hbar = c = 1): masses and decay
 widths share the unit of inverse time.  Unit conversion from SI inputs
@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,30 +30,21 @@ from .errors import InvalidParams
 __all__ = [
     "L",
     "H",
-    "Basis",
+    "STATES",
     "Convention",
     "Model",
     "DynamicsModel",
     "FlavorTarget",
     "MesonParams",
     "CollapseParams",
-    "QuantumState",
     "EnsembleStats",
     "mass_ratio",
     "mass_ratios",
-    "flavor_mass_basis_change",
-    "to_mass",
 ]
 
 # Eigenstate indices, fixed project-wide.
 L = 0
 H = 1
-
-
-class Basis(enum.Enum):
-    FLAVOR = "flavor"
-    MASS = "mass"
-    ENLARGED = "enlarged"
 
 
 class Convention(enum.Enum):
@@ -219,70 +211,13 @@ def mass_ratios(meson: MesonParams, collapse: CollapseParams) -> np.ndarray:
     return np.array([mass_ratio(meson, collapse, L), mass_ratio(meson, collapse, H)])
 
 
-_DIM_FOR_BASIS = {Basis.FLAVOR: 2, Basis.MASS: 2, Basis.ENLARGED: 4}
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Complex amplitude vector tagged by its basis.
-
-    The norm is not constrained: decay dynamics shrinks it, and the
-    linear collapse equations carry the decay information in the norm.
-    """
-
-    amplitudes: np.ndarray
-    basis: Basis
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        amps.setflags(write=False)
-        if amps.ndim != 1 or amps.shape[0] != _DIM_FOR_BASIS[self.basis]:
-            raise InvalidParams(
-                f"state in basis {self.basis.value} must have length {_DIM_FOR_BASIS[self.basis]}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @staticmethod
-    def m0() -> "QuantumState":
-        return QuantumState(np.array([1.0, 0.0]), Basis.FLAVOR)
-
-    @staticmethod
-    def m0bar() -> "QuantumState":
-        return QuantumState(np.array([0.0, 1.0]), Basis.FLAVOR)
-
-    @staticmethod
-    def mass_eigenstate(i: int) -> "QuantumState":
-        amps = np.zeros(2)
-        amps[i] = 1.0
-        return QuantumState(amps, Basis.MASS)
-
-
-def flavor_mass_basis_change() -> np.ndarray:
-    """The 2x2 unitary mapping mass-basis coordinates to flavor-basis ones.
-
-    Real, symmetric and involutory (U = U^T = U^-1), so the same matrix
-    performs the inverse map.  Orderings: mass (L, H), flavor (M0, M0bar).
-    """
-    return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
-_U = flavor_mass_basis_change()
-
-
-def to_mass(state: QuantumState) -> QuantumState:
-    if state.basis is Basis.MASS:
-        return state
-    if state.basis is not Basis.FLAVOR:
-        raise InvalidParams("basis change defined on the 2-dim flavor/mass space only")
-    return QuantumState(_U @ state.amplitudes, Basis.MASS)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Mass-basis (L, H) amplitudes of the initial and final states of every
+# route: M0 = U e_0 and M0bar = U e_1 for the mixing matrix U, L and H the
+# mass eigenstates.  Read-only, the table and its arrays alike.
+_AMPLITUDES = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
+_AMPLITUDES.setflags(write=False)
+STATES = MappingProxyType(dict(zip(("M0", "M0bar", "L", "H"), _AMPLITUDES)))
 
 
 @dataclass(frozen=True)

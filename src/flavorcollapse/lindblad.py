@@ -39,10 +39,8 @@ from .core import (
     CollapseParams,
     MesonParams,
     Model,
-    QuantumState,
     _time_grid,
     mass_ratios,
-    to_mass,
 )
 from .errors import DimensionMismatch, InvalidParams, SingularTime
 from .operators import (
@@ -330,17 +328,19 @@ def probs_from_kernels(
     model: Model,
     meson: MesonParams,
     collapse: CollapseParams,
-    state_in: QuantumState,
-    state_out: QuantumState,
+    state_in: np.ndarray,
+    state_out: np.ndarray,
     t,
 ):
     """Transition probability assembled from the four partial-trace factors.
 
     The initial spatial state is the Gaussian packet of squared width
-    alpha; in and out states live on the 2-dim flavor sector.
+    alpha; ``state_in`` and ``state_out`` are the flavor-sector states as
+    mass-basis (L, H) amplitude vectors.
     """
-    a = to_mass(state_in).amplitudes
-    b = to_mass(state_out).amplitudes
+    a, b = (np.asarray(state, dtype=complex) for state in (state_in, state_out))
+    if a.shape != (2,) or b.shape != (2,):
+        raise DimensionMismatch("in and out states must be 2-vectors of mass-basis amplitudes")
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)

@@ -66,20 +66,17 @@ from __future__ import annotations
 import enum
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import (
-    Basis,
+    STATES,
     CollapseParams,
     EnsembleStats,
     MesonParams,
-    QuantumState,
     _time_grid,
-    to_mass,
 )
 from .errors import (
     DimensionMismatch,
@@ -480,9 +477,8 @@ def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """
     if dim not in (2, 4):
         raise DimensionMismatch("observables defined on dimensions 2 and 4 only")
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     flavor = np.zeros((2, dim))
-    flavor[:, :2] = [[inv_sqrt2, inv_sqrt2], [inv_sqrt2, -inv_sqrt2]]
+    flavor[:, :2] = [STATES["M0"].real, STATES["M0bar"].real]
     labels = ("P_M0", "P_M0bar", "P_L", "P_H", "P_fL", "P_fH")[: dim + 2]
     return np.vstack([flavor, np.eye(dim)]), labels
 
@@ -685,16 +681,17 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
 def ensemble_evolve(
     spec: SdeSpec,
     config: NoiseConfig,
-    initial_states: Sequence[QuantumState],
+    initial_states: np.ndarray,
     t_grid,
     n_trajectories: int,
     n_threads: int = 1,
 ) -> tuple[EnsembleStats, ...]:
     """Ensemble means and covariances of the projection probabilities on a grid.
 
-    Returns one ``EnsembleStats`` per entry of ``initial_states``, in
-    order.  One pass serves all states: each trajectory's (seed,
-    trajectory) noise drives every state.  The label picks the kernel: the
+    ``initial_states`` is an (n_states, dim) array of mass-basis
+    amplitudes; one ``EnsembleStats`` is returned per row, in order.  One
+    pass serves all states: each trajectory's (seed, trajectory) noise
+    drives every state.  The label picks the kernel: the
     linear equation samples the closed-form solution at the grid points
     (``_exact_linear_batches``, no discretization bias, ``config.dt``
     unread), one block of mass-basis factors c serving every state as
@@ -712,12 +709,9 @@ def ensemble_evolve(
     """
     if n_trajectories < 2:
         raise InvalidParams("n_trajectories must be at least 2")
-    states = [to_mass(s) if s.basis is Basis.FLAVOR else s for s in initial_states]
-    if not states:
-        raise InvalidParams("at least one initial state required")
-    if any(s.dim != spec.dim for s in states):
-        raise DimensionMismatch("initial state dimension does not match the equation")
-    amps0 = np.array([s.amplitudes for s in states], dtype=complex)
+    amps0 = np.asarray(initial_states, dtype=complex)
+    if amps0.ndim != 2 or amps0.shape[1] != spec.dim or not len(amps0):
+        raise DimensionMismatch(f"initial states must be an (n_states, {spec.dim}) array of mass-basis amplitudes")
     t_grid = _time_grid(t_grid)
     vecs, labels = observable_vectors(spec.dim)
     proj = vecs.conj()
@@ -759,6 +753,6 @@ def ensemble_evolve(
     stderrs = np.sqrt(np.maximum(np.diagonal(cov, axis1=2, axis2=3), 0.0) / n)
     return tuple(
         EnsembleStats(means=means[:, s], stderrs=stderrs[:, s], labels=labels, covariances=cov[:, s])
-        for s in range(len(states))
+        for s in range(len(amps0))
     )
 

@@ -22,12 +22,12 @@ from flavorcollapse.analytic import (
     solve_absolute_masses,
 )
 from flavorcollapse.core import (
+    STATES,
     CollapseParams,
     Convention,
     FlavorTarget,
     MesonParams,
     Model,
-    QuantumState,
     mass_ratios,
 )
 from flavorcollapse.errors import InvalidParams
@@ -53,9 +53,7 @@ from flavorcollapse.sde import (
 
 from conftest import closed_form
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_M0 = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
-_M0BAR = np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex)
+_M0, _M0BAR = STATES["M0"], STATES["M0bar"]
 _RHO_M0 = np.outer(_M0, _M0.conj())
 
 
@@ -141,15 +139,11 @@ def test_c2_monte_carlo_closure():
         )
         spec = family_spec(meson, collapse)
         (stats,) = ensemble_evolve(
-            spec, NoiseConfig(seed=5000 + k, dt=grid[1]), (QuantumState.m0(),), grid, 10**4
+            spec, NoiseConfig(seed=5000 + k, dt=grid[1]), [STATES["M0"]], grid, 10**4
         )
         rhos = integrate_master(family_master_spec(meson, collapse), _RHO_M0, grid)
-        for label, vec in (
-            ("P_M0", _M0),
-            ("P_M0bar", _M0BAR),
-            ("P_L", np.array([1.0, 0.0])),
-            ("P_H", np.array([0.0, 1.0])),
-        ):
+        for name, vec in STATES.items():
+            label = f"P_{name}"
             mean, stderr = stats.column(label)
             expected = np.einsum("i,tij,j->t", np.conj(vec), rhos, vec).real
             gap = np.abs(mean - expected)
@@ -297,7 +291,7 @@ def test_c7_degeneration_suite():
     np.testing.assert_allclose(prob_flavor(closed_form(meson, quiet_csl), FlavorTarget.M0, grid), cos_sq, atol=1e-12)
     np.testing.assert_allclose(prob_flavor(closed_form(meson, quiet_qmupl), FlavorTarget.M0, grid), cos_sq, atol=1e-12)
     np.testing.assert_allclose(
-        probs_from_kernels(Model.CSL, meson, quiet_csl, QuantumState.m0(), QuantumState.m0(), grid),
+        probs_from_kernels(Model.CSL, meson, quiet_csl, STATES["M0"], STATES["M0"], grid),
         cos_sq, atol=1e-12,
     )
     np.testing.assert_allclose(

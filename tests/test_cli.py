@@ -538,6 +538,14 @@ def test_every_equation_is_a_label_on_the_routes_master_equation(tmp_path, confi
         np.testing.assert_array_equal(a, b)
 
 
+def test_a_grid_beyond_the_schema_bound_is_rejected_at_load(tmp_path, capsys):
+    # 1e20 points once reached np.linspace and ended in a ValueError traceback.
+    cfg = write_config(tmp_path, command="analytic", **_EXPLICIT_QM, t_max=1.0, n_points=10**20)
+    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: n_points must be at most 1000000\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["analytic", "master", "ensemble", "compare"])
 def test_csl_beta_below_half_rejected_by_every_route(tmp_path, capsys, command):
     # beta < 1/2 gives negative collapse-induced widths, for which no route

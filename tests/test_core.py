@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from flavorcollapse.core import (
-    Basis,
+    STATES,
     CollapseParams,
     Convention,
     EnsembleStats,
     MesonParams,
     Model,
-    QuantumState,
-    flavor_mass_basis_change,
     mass_ratio,
-    to_mass,
 )
 from flavorcollapse.errors import InvalidParams
 
@@ -76,40 +73,27 @@ def test_mass_ratio_product_is_one(m_l, gap, m0):
 
 
 def test_basis_change_is_unitary_involution():
-    u = flavor_mass_basis_change()
+    u = np.column_stack([STATES["M0"], STATES["M0bar"]])  # M0 and M0bar in mass coordinates
     np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
     np.testing.assert_allclose(u, u.T, atol=0.0)
     np.testing.assert_allclose(u @ u, np.eye(2), atol=1e-15)
 
 
 def test_m0_in_mass_coordinates():
-    mass = to_mass(QuantumState.m0())
-    np.testing.assert_allclose(mass.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
+    # The flavor convention: M0 = U e_0 and M0bar = U e_1 with U = [[1, 1], [1, -1]] / sqrt(2).
+    u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    np.testing.assert_array_equal(STATES["M0"], u @ [1.0, 0.0])
+    np.testing.assert_array_equal(STATES["M0bar"], u @ [0.0, 1.0])
+    np.testing.assert_array_equal(STATES["L"], [1.0, 0.0])
+    np.testing.assert_array_equal(STATES["H"], [0.0, 1.0])
 
 
-_amp = st.floats(-1.0, 1.0)
-
-
-@settings(deadline=None)
-@given(parts=st.tuples(_amp, _amp, _amp, _amp))
-def test_basis_round_trip(parts):
-    amps = np.array([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
-    state = QuantumState(amps, Basis.FLAVOR)
-    # U is an involution: the mass-basis map applied to mass coordinates
-    # gives the flavor coordinates back.
-    back = to_mass(QuantumState(to_mass(state).amplitudes, Basis.FLAVOR))
-    np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-14)
-
-
-def test_state_length_must_match_basis():
-    with pytest.raises(InvalidParams):
-        QuantumState(np.array([1.0, 0.0, 0.0]), Basis.FLAVOR)
-    QuantumState(np.array([1.0, 0.0, 0.0, 0.0]), Basis.ENLARGED)
-
-
-def test_state_norm_unconstrained():
-    state = QuantumState(np.array([0.1, 0.2j]), Basis.FLAVOR)
-    assert state.norm < 1.0
+def test_state_table_is_read_only():
+    with pytest.raises(TypeError):
+        STATES["M0"] = np.zeros(2)
+    for amps in STATES.values():
+        with pytest.raises(ValueError, match="read-only"):
+            amps[0] = 0.0
 
 
 def test_ensemble_stats_invariants():

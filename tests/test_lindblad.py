@@ -4,12 +4,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from flavorcollapse.analytic import prob_flavor, prob_lifetime
-from flavorcollapse.core import (
-    FlavorTarget,
-    MesonParams,
-    Model,
-    QuantumState,
-)
+from flavorcollapse.core import STATES, FlavorTarget, MesonParams, Model
 from flavorcollapse.errors import DimensionMismatch, InvalidParams
 from flavorcollapse.lindblad import (
     MasterSpec,
@@ -37,13 +32,11 @@ def _enlarged(meson, collapse):
 
 # The enlarged case keeps the id it had as a (meson, collapse) factory.
 _ENLARGED = pytest.param(_enlarged, id="enlarged_master_spec")
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_RHO_M0 = np.outer([_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, _INV_SQRT2]).astype(complex)
+_RHO_M0 = np.outer(STATES["M0"], STATES["M0"].conj())
 
 
 def _m0_probs(rhos):
-    v_same = np.array([_INV_SQRT2, _INV_SQRT2])
-    v_flip = np.array([_INV_SQRT2, -_INV_SQRT2])
+    v_same, v_flip = STATES["M0"], STATES["M0bar"]
     p_same = np.einsum("i,tij,j->t", v_same, rhos, v_same).real
     p_flip = np.einsum("i,tij,j->t", v_flip, rhos, v_flip).real
     return p_same, p_flip
@@ -364,8 +357,8 @@ def test_partial_trace_against_quadrature_d1(model):
 
 def test_probs_from_kernels_match_closed_forms(meson_stable):
     t = np.linspace(0.0, 9.0, 120)
-    m0_state = QuantumState.m0()
-    m0bar_state = QuantumState.m0bar()
+    m0_state = STATES["M0"]
+    m0bar_state = STATES["M0bar"]
     csl = make_csl(beta=0.75)
     for collapse in (csl, make_qmupl(beta=0.75, rate=0.05)):
         for state, target in ((m0_state, FlavorTarget.M0), (m0bar_state, FlavorTarget.M0BAR)):
@@ -377,12 +370,17 @@ def test_probs_from_kernels_match_closed_forms(meson_stable):
     assert probs_from_kernels(Model.CSL, meson_stable, csl, m0_state, m0_state, 0.0) == pytest.approx(1.0)
 
 
+def test_probs_from_kernels_rejects_states_of_the_wrong_shape(meson_stable):
+    collapse = make_csl(beta=0.75)
+    for state_in, state_out in ((np.zeros(4), STATES["M0"]), (STATES["M0"], np.eye(2)), (STATES["M0"], 1.0)):
+        with pytest.raises(DimensionMismatch, match="2-vectors of mass-basis amplitudes"):
+            probs_from_kernels(Model.CSL, meson_stable, collapse, state_in, state_out, 1.0)
+
+
 def test_qmupl_rate_zero_reduces_to_qm(meson_stable):
     collapse = make_qmupl(rate=0.0)
     t = np.linspace(0.0, 9.0, 40)
-    got = probs_from_kernels(
-        Model.QMUPL, meson_stable, collapse, QuantumState.m0(), QuantumState.m0(), t
-    )
+    got = probs_from_kernels(Model.QMUPL, meson_stable, collapse, STATES["M0"], STATES["M0"], t)
     np.testing.assert_allclose(got, prob_flavor(closed_form(meson_stable), FlavorTarget.M0, t), atol=1e-12)
 
 
@@ -390,9 +388,7 @@ def test_triple_route_csl_small(meson_stable):
     collapse = make_csl(beta=0.8)
     grid = np.linspace(0.0, 8.0, 81)
     analytic_p = prob_flavor(closed_form(meson_stable, collapse), FlavorTarget.M0, grid)
-    kernel_p = probs_from_kernels(
-        Model.CSL, meson_stable, collapse, QuantumState.m0(), QuantumState.m0(), grid
-    )
+    kernel_p = probs_from_kernels(Model.CSL, meson_stable, collapse, STATES["M0"], STATES["M0"], grid)
     rhos = integrate_master(family_master_spec(meson_stable, collapse), _RHO_M0, grid)
     master_p, _ = _m0_probs(rhos)
     np.testing.assert_allclose(kernel_p, analytic_p, atol=1e-12)

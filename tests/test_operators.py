@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flavorcollapse.core import Convention, MesonParams, QuantumState, mass_ratios, to_mass
+from flavorcollapse.core import STATES, Convention, MesonParams, mass_ratios
 from flavorcollapse.errors import DimensionMismatch, InvalidParams
 from flavorcollapse.lindblad import (
     MasterSpec,
@@ -162,8 +162,8 @@ def test_induced_widths_consistency_loop():
 
 
 def test_unnorm_law_through_mass_basis_states(meson):
-    # Same identity exercised through QuantumState mass projections.
-    psi = to_mass(QuantumState.m0()).amplitudes
+    # Same identity exercised through the M0 amplitudes of the state table.
+    psi = STATES["M0"]
     got = -np.real(psi.conj() @ decay_operator(meson) @ psi)
     assert got == pytest.approx(-meson.gamma_bar, abs=1e-14)
 

@@ -1,4 +1,5 @@
-"""Properties of the CLI contract on drawn explicit-mass ``analytic``, ``master`` and ``ensemble`` configs.
+"""Properties of the CLI contract on drawn explicit-mass ``analytic``, ``master``, ``ensemble`` and ``compare``
+configs.
 
 Hypothesis draws QM, CSL and QMUPL configs whose masses, widths, rates,
 lengths and times range over 1e-30 ... 1e30; about one draw in ten puts an
@@ -20,7 +21,14 @@ an exact ``ensemble`` (the default ``family`` equation under CSL) with 2 to
 * an ``ensemble`` that exits 0 writes the same bytes when rerun, with
   ``dt`` removed or added, since the exact equations read none, and with
   ``threads`` 2; one draw in ten takes 2049 to 4100 trajectories, so the
-  pool folds at least two batches.
+  pool folds at least two batches;
+* an ``ensemble`` that exits 0 runs again as ``compare``, which exits 0, 2
+  or 3.  At 0 or 3 its stderr is exactly the two ``compare:`` lines, the
+  first ending ``status=OK`` at 0 and ``status=FAIL`` at 3; at 2 it is one
+  ``domain error:`` line.  A rerun writes the same bytes, and under CSL so
+  do the ``imaginary`` and ``stratonovich`` names of the ``family``
+  equation.  Exit 0 is not required: the exact gate fails about one run in
+  two hundred (README).
 
 A second property breaks one key of a drawn config, as ``analytic``,
 ``master``, ``ensemble`` or ``compare``, with a value that violates its
@@ -146,7 +154,8 @@ def run_table(config: dict) -> tuple[int, str, dict | None]:
 
 
 def check(config: dict, ensemble: dict) -> None:
-    """Every property of the module docstring on ``config`` as ``analytic``, ``master`` and ``ensemble``."""
+    """Every property of the module docstring on ``config`` as ``analytic``, ``master``, ``ensemble`` and
+    ``compare``."""
     probs = {}
     for command in ("analytic", "master"):
         _, _, table = run_table(dict(config, command=command))
@@ -172,6 +181,25 @@ def check(config: dict, ensemble: dict) -> None:
         toggled["dt"] = 1.0
     for again in (ensemble_config, toggled, dict(ensemble_config, threads=2)):
         assert run(again) == (0, "", out)
+    check_compare(dict(ensemble_config, command="compare"))
+
+
+def check_compare(config: dict) -> None:
+    """The exit code, stderr lines and byte identities of ``config``, an exact ``compare`` run."""
+    result = run(config)
+    code, err, _ = result
+    assert code in (0, 2, 3), (code, err)
+    lines = err.splitlines(keepends=True)
+    if code == 2:
+        assert len(lines) == 1 and err.startswith("domain error: "), err
+    else:
+        assert len(lines) == 2 and all(line.startswith("compare: ") for line in lines), err
+        assert lines[0].endswith(" status=OK\n" if code == 0 else " status=FAIL\n"), err
+    again = [config]
+    if config["model"] == "CSL":
+        again += [dict(config, equation=equation) for equation in ("imaginary", "stratonovich")]
+    for other in again:
+        assert run(other) == result
 
 
 _PROPS = cli._data("run_config.schema.json")["properties"]
@@ -292,6 +320,8 @@ _LOADS = dict(_DWARFED_SPLITTING, command="compare", n_trajectories=2, seed=0, d
 @given(violating_configs())
 @example((dict(_LOADS, n_points=1), "n_points"))
 @example((dict(_LOADS, beta=1.5), "beta"))
+@example((dict(_LOADS, n_points=10**20), "n_points"))
+@example((dict(_LOADS, n_trajectories=10**9 + 1), "n_trajectories"))
 @example((dict(_LOADS, t_max=0), "t_max"))
 @example((dict(_LOADS, equation="heun"), "equation"))
 @example((dict(_LOADS, rate=True), "rate"))

@@ -8,8 +8,8 @@ from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
 from flavorcollapse.analytic import prob_flavor
-from flavorcollapse.core import Basis, FlavorTarget, MesonParams, QuantumState, mass_ratios, to_mass
-from flavorcollapse.errors import InvalidParams, UnsupportedEquation, ZeroNorm
+from flavorcollapse.core import STATES, FlavorTarget, MesonParams, mass_ratios
+from flavorcollapse.errors import DimensionMismatch, InvalidParams, UnsupportedEquation, ZeroNorm
 from flavorcollapse.lindblad import MasterSpec, enlarged_master_spec, family_master_spec, integrate_master, master_rhs
 from flavorcollapse import sde
 from flavorcollapse.operators import decay_operator, induced_decay_operator
@@ -55,10 +55,6 @@ def enlarged_spec(meson, collapse):
 
 def _induced_widths(meson, collapse):
     return np.diagonal(induced_decay_operator(meson, collapse))
-
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_M0_MASS = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
 
 
 def _bare(m_l=1.0, m_h=2.0):
@@ -160,7 +156,7 @@ def test_step_rate_zero_is_unitary_euler():
     # Factories gauge the mass operator to diag(0, delta_m).
     meson = _bare()
     spec = family_spec(meson, make_csl(rate=0.0, beta=0.7))
-    psi = _M0_MASS.copy()
+    psi = STATES["M0"].copy()
     out = step(spec, psi, dW=0.3, dt=1e-3)
     expected = psi + 1e-3 * (-1j) * np.diag([0.0, meson.delta_m]) @ psi
     np.testing.assert_allclose(out, expected, atol=1e-16)
@@ -173,7 +169,7 @@ def test_family_norm_drift_by_beta():
     dt = 1e-3
     n = 10**5
     w = np.random.default_rng(21).normal(0.0, np.sqrt(dt), size=(n, 1))
-    psi0 = np.tile(_M0_MASS, (n, 1))
+    psi0 = np.tile(STATES["M0"], (n, 1))
     for beta in (0.5, 1.0):
         collapse = make_csl(beta=beta, rate=0.3)
         spec = family_spec(meson, collapse)
@@ -181,7 +177,7 @@ def test_family_norm_drift_by_beta():
         dn2 = np.einsum("bi,bi->b", psi1.conj(), psi1).real - 1.0
         lam = collapse.effective_rate
         a_op = np.diag(mass_ratios(meson, collapse))
-        a2 = np.real(_M0_MASS.conj() @ a_op @ a_op @ _M0_MASS)
+        a2 = np.real(STATES["M0"].conj() @ a_op @ a_op @ STATES["M0"])
         want = lam * (1.0 - 2.0 * beta) * a2 * dt
         stderr = dn2.std(ddof=1) / np.sqrt(n)
         assert np.mean(dn2) == pytest.approx(want, abs=4 * stderr + 5 * lam * dt**2)
@@ -196,10 +192,10 @@ def test_flavor_decay_norm_law():
     dt = 1e-3
     n = 10**4
     w = np.random.default_rng(3).normal(0.0, np.sqrt(dt), size=(n, 1))
-    psi0 = np.tile(_M0_MASS, (n, 1))
+    psi0 = np.tile(STATES["M0"], (n, 1))
     psi1 = step(spec, psi0, w, dt)
     dn2 = np.einsum("bi,bi->b", psi1.conj(), psi1).real - 1.0
-    want = -sum(_induced_widths(meson, collapse)[i] * abs(_M0_MASS[i]) ** 2 for i in (0, 1)) * dt
+    want = -sum(_induced_widths(meson, collapse)[i] * abs(STATES["M0"][i]) ** 2 for i in (0, 1)) * dt
     stderr = dn2.std(ddof=1) / np.sqrt(n)
     assert np.mean(dn2) == pytest.approx(want, abs=4 * stderr + 1e-6)
 
@@ -215,7 +211,7 @@ def test_stratonovich_step_rejects_nonlinear_spec():
     # Heun integrates the Stratonovich form of the linear equation; the
     # nonlinear equation is stated in Ito form only.
     with pytest.raises(UnsupportedEquation):
-        stratonovich_step(nonlinear_spec(_bare(), make_csl(beta=0.75)), _M0_MASS, 0.1, 1e-3)
+        stratonovich_step(nonlinear_spec(_bare(), make_csl(beta=0.75)), STATES["M0"], 0.1, 1e-3)
 
 
 def test_heun_deterministic_limit_is_taylor_map():
@@ -226,7 +222,7 @@ def test_heun_deterministic_limit_is_taylor_map():
     a_op = np.diag(mass_ratios(meson, make_csl(beta=0.6, rate=0.4)))
     lam = make_csl(beta=0.6, rate=0.4).effective_rate
     drift = -1j * np.diag([0.0, meson.delta_m]) + 0.5 * lam * (1.0 - 2.0 * 0.6) * a_op @ a_op
-    psi = _M0_MASS.copy()
+    psi = STATES["M0"].copy()
     dt = 2e-3
     heun = stratonovich_step(strat, psi, 0.0, dt)
     taylor = psi + dt * drift @ psi + 0.5 * dt**2 * drift @ drift @ psi
@@ -238,7 +234,7 @@ def test_heun_step_norm_conservation_scale():
     # the norm up to O(dt^2) per step.
     meson = _bare()
     strat = family_spec(meson, make_csl(beta=0.5, rate=0.4))
-    psi = _M0_MASS.copy()
+    psi = STATES["M0"].copy()
     defects = []
     for dt in (1e-2, 5e-3):
         out = stratonovich_step(strat, psi, np.sqrt(dt), dt)
@@ -415,7 +411,7 @@ def test_linear_specs_require_self_adjoint_collapse_operators(factory):
 
 def test_nonlinear_step_leaves_input_rows():
     spec = nonlinear_spec(_bare(), make_csl(rate=0.4))
-    psi = np.tile(_M0_MASS, (3, 1))
+    psi = np.tile(STATES["M0"], (3, 1))
     before = psi.copy()
     out = step(spec, psi, np.array([[0.1], [0.0], [-0.2]]), 1e-3)
     assert np.array_equal(psi, before)
@@ -557,7 +553,7 @@ def test_ensemble_unitary_limit_matches_oscillation():
     spec = family_spec(meson, collapse)
     t_grid = _grid(3.0, 16)
     config = NoiseConfig(seed=5, dt=3.0 / 3000)
-    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 10**4)
+    (stats,) = ensemble_evolve(spec, config, [STATES["M0"]], t_grid, 10**4)
     mean, stderr = stats.column("P_M0")
     expected = prob_flavor(closed_form(meson), FlavorTarget.M0, t_grid)
     np.testing.assert_array_less(np.abs(mean - expected), 3 * stderr + 1e-12)
@@ -568,7 +564,19 @@ def test_ensemble_rejects_a_non_finite_grid_point(bad):
     spec = family_spec(_bare(), make_csl(beta=0.8, rate=0.3))
     config = NoiseConfig(seed=5, dt=0.01)
     with pytest.raises(InvalidParams, match="t_grid must be finite"):
-        ensemble_evolve(spec, config, (QuantumState.m0(),), np.array([0.0, 1.0, bad]), 10)
+        ensemble_evolve(spec, config, [STATES["M0"]], np.array([0.0, 1.0, bad]), 10)
+
+
+def test_ensemble_rejects_states_of_the_wrong_shape():
+    # One state, a flavor state on the enlarged space and no state at all:
+    # each must be an (n_states, dim) array.
+    spec = family_spec(_bare(), make_csl(beta=0.8, rate=0.3))
+    config = NoiseConfig(seed=5, dt=0.01)
+    for states in (STATES["M0"], _ENLARGED_STACK, np.empty((0, 2))):
+        with pytest.raises(DimensionMismatch, match=r"\(n_states, 2\) array"):
+            ensemble_evolve(spec, config, states, _grid(1.0, 3), 10)
+    with pytest.raises(DimensionMismatch, match=r"\(n_states, 4\) array"):
+        ensemble_evolve(enlarged_spec(_bare(), make_csl(beta=0.8, rate=0.3)), config, _STACKED, _grid(1.0, 3), 10)
 
 
 def test_ensemble_matches_family_master():
@@ -577,16 +585,11 @@ def test_ensemble_matches_family_master():
     spec = family_spec(meson, collapse)
     t_grid = _grid(4.0, 21)
     config = NoiseConfig(seed=77, dt=4.0 / 2000)
-    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 4000)
-    rho0 = np.outer(_M0_MASS, _M0_MASS.conj())
+    (stats,) = ensemble_evolve(spec, config, [STATES["M0"]], t_grid, 4000)
+    rho0 = np.outer(STATES["M0"], STATES["M0"].conj())
     rhos = integrate_master(spec.master, rho0, t_grid)
-    for label, vec in (
-        ("P_M0", _M0_MASS),
-        ("P_M0bar", np.array([_INV_SQRT2, -_INV_SQRT2])),
-        ("P_L", np.array([1.0, 0.0])),
-        ("P_H", np.array([0.0, 1.0])),
-    ):
-        mean, stderr = stats.column(label)
+    for name, vec in STATES.items():
+        mean, stderr = stats.column(f"P_{name}")
         expected = np.einsum("i,tij,j->t", vec.conj(), rhos, vec).real
         np.testing.assert_array_less(np.abs(mean - expected), 4 * stderr + 1e-12)
 
@@ -599,7 +602,7 @@ def test_ensemble_determinism_across_threads_and_runs():
     assert len(sde._batch_bounds(n_traj)) >= 3
     t_grid = _grid(1.0, 6)
     config = NoiseConfig(seed=99, dt=1.0 / 40)
-    states = (QuantumState.m0(), QuantumState.m0bar())
+    states = [STATES["M0"], STATES["M0bar"]]
     for factory in (family_spec, nonlinear_spec):
         spec = factory(_decaying(), make_csl(beta=0.75, rate=0.25))
         runs = [ensemble_evolve(spec, config, states, t_grid, n_traj, n_threads=k) for k in (1, 4, 1)]
@@ -639,8 +642,8 @@ def test_thread_pool_is_bounded_by_batches_and_cores(monkeypatch, n_threads, n_t
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     spec = family_spec(_decaying(), make_csl(beta=0.75, rate=0.25))
     config = NoiseConfig(seed=99, dt=1.0 / 40)
-    (stats,) = ensemble_evolve(spec, config, (QuantumState.m0(),), _grid(1.0, 3), n_traj, n_threads=n_threads)
-    (serial,) = ensemble_evolve(spec, config, (QuantumState.m0(),), _grid(1.0, 3), n_traj)
+    (stats,) = ensemble_evolve(spec, config, [STATES["M0"]], _grid(1.0, 3), n_traj, n_threads=n_threads)
+    (serial,) = ensemble_evolve(spec, config, [STATES["M0"]], _grid(1.0, 3), n_traj)
     assert asked == ([workers] if workers > 1 else [])
     assert np.array_equal(stats.means, serial.means) and np.array_equal(stats.covariances, serial.covariances)
 
@@ -651,12 +654,12 @@ def test_stderr_is_finite_where_rounding_leaves_a_variance_below_zero():
     # Its stderr is 0, not NaN.
     spec = nonlinear_spec(_bare(), make_csl(beta=1.0, rate=0.5))
     with np.errstate(invalid="raise"):
-        (stats,) = ensemble_evolve(spec, NoiseConfig(seed=0, dt=0.01), (QuantumState.m0(),), _grid(0.01, 2), 2)
+        (stats,) = ensemble_evolve(spec, NoiseConfig(seed=0, dt=0.01), [STATES["M0"]], _grid(0.01, 2), 2)
     assert np.all(np.isfinite(stats.stderrs))
     assert np.all(stats.stderrs >= 0.0)
 
 
-_STACKED = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
+_STACKED = np.array([STATES["M0"], STATES["L"], STATES["H"]])
 
 
 @pytest.mark.parametrize("factory", [family_spec, _ALIAS, nonlinear_spec])
@@ -669,31 +672,28 @@ def test_stacked_states_equal_single_state_runs(factory):
     stacked = ensemble_evolve(spec, config, _STACKED, t_grid, 2100)
     assert len(stacked) == 3
     for state, together in zip(_STACKED, stacked):
-        (alone,) = ensemble_evolve(spec, config, (state,), t_grid, 2100)
+        (alone,) = ensemble_evolve(spec, config, [state], t_grid, 2100)
         for field in ("means", "stderrs", "covariances"):
             assert np.array_equal(getattr(together, field), getattr(alone, field)), field
 
 
-def _enlarged_stack():
-    # M0 and the two mass eigenstates with empty decay-product components.
-    return tuple(
-        QuantumState(np.concatenate([to_mass(s).amplitudes, [0.0, 0.0]]), Basis.ENLARGED) for s in _STACKED
-    )
+# M0 and the two mass eigenstates with empty decay-product components.
+_ENLARGED_STACK = np.pad(_STACKED, ((0, 0), (0, 2)))
 
 
 # A complex superposition gives weights with Im(w_i conj(w_j)) != 0 on the
 # exact kernel.  The mass eigenstates are noise fixed points of the
 # nonlinear flavor equation (zero spread), so its case stacks states that
 # do spread.
-_COMPLEX = QuantumState(np.array([0.6, 0.8j]), Basis.MASS)
-_SPREADING = (QuantumState.m0(), QuantumState.m0bar(), _COMPLEX)
+_COMPLEX = np.array([0.6, 0.8j])
+_SPREADING = np.array([STATES["M0"], STATES["M0bar"], _COMPLEX])
 
 
 @pytest.mark.parametrize(
     "build, states",
     [
         (lambda csl: nonlinear_spec(_bare(), csl), _SPREADING),
-        (lambda csl: enlarged_spec(_bare(), csl), _enlarged_stack()),
+        (lambda csl: enlarged_spec(_bare(), csl), _ENLARGED_STACK),
     ],
     ids=["collapse_decaying", "enlarged"],
 )
@@ -711,8 +711,7 @@ def test_ensemble_moments_match_two_pass_over_manual_trajectories(monkeypatch, b
     noise = np.array([wiener_increments(config, 40, k, spec.n_channels) for k in range(n_traj)])
     proj = observable_vectors(spec.dim)[0].conj()
     for state, result in zip(states, stats):
-        a = state.amplitudes if state.basis is Basis.ENLARGED else to_mass(state).amplitudes
-        rows = np.tile(a, (n_traj, 1))
+        rows = np.tile(state, (n_traj, 1))
         for g in range(1, len(t_grid)):
             h = (t_grid[g] - t_grid[g - 1]) / n_sub
             for pos in range((g - 1) * n_sub, g * n_sub):
@@ -735,12 +734,12 @@ def test_ensemble_noise_matches_wiener_contract():
     spec = nonlinear_spec(_bare(), make_csl(beta=1.0, rate=0.5))
     t_grid = np.array([0.0, 0.01])
     config = NoiseConfig(seed=31, dt=0.01)
-    (stats,) = ensemble_evolve(spec, config, (_COMPLEX,), t_grid, 2)
+    (stats,) = ensemble_evolve(spec, config, [_COMPLEX], t_grid, 2)
     proj = observable_vectors(2)[0].conj()
     manual = np.zeros(len(proj))
     for traj in range(2):
         w = wiener_increments(config, 1, traj)
-        psi = step(spec, _COMPLEX.amplitudes, w[0], 0.01)
+        psi = step(spec, _COMPLEX, w[0], 0.01)
         manual += np.abs(proj @ psi) ** 2 / 2.0
     np.testing.assert_allclose(stats.means[1], manual, atol=1e-15)
 
@@ -750,8 +749,8 @@ def test_stderr_scales_with_trajectories():
     spec = family_spec(meson, make_csl(beta=0.8, rate=0.4))
     t_grid = _grid(2.0, 3)
     config = NoiseConfig(seed=13, dt=2.0 / 200)
-    (small,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 2000)
-    (large,) = ensemble_evolve(spec, config, (QuantumState.m0(),), t_grid, 4000)
+    (small,) = ensemble_evolve(spec, config, [STATES["M0"]], t_grid, 2000)
+    (large,) = ensemble_evolve(spec, config, [STATES["M0"]], t_grid, 4000)
     ratio = small.column("P_M0")[1][-1] / large.column("P_M0")[1][-1]
     assert ratio == pytest.approx(np.sqrt(2.0), rel=0.1)
 
@@ -759,8 +758,7 @@ def test_stderr_scales_with_trajectories():
 # ----------------------------------------------------------------------
 # exact-in-law ensemble of the linear equations
 
-_ALL_STATES = (QuantumState.m0(), QuantumState.m0bar(), QuantumState.mass_eigenstate(0),
-               QuantumState.mass_eigenstate(1), _COMPLEX)
+_ALL_STATES = np.array([*STATES.values(), _COMPLEX])
 
 
 def _induced(meson, collapse):
@@ -822,7 +820,7 @@ def test_exact_ensemble_equals_closed_form(monkeypatch, factory, n_channels, row
     c = np.exp(drift * t_grid[:, None] + w @ g)  # (trajectory, time, i)
     proj = observable_vectors(2)[0].conj()
     for state, result in zip(_ALL_STATES, stats):
-        obs = np.abs((to_mass(state).amplitudes * c) @ proj.T) ** 2  # (trajectory, time, observable)
+        obs = np.abs((state * c) @ proj.T) ** 2  # (trajectory, time, observable)
         np.testing.assert_allclose(result.means, obs.mean(axis=0), rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(
             result.stderrs, np.std(obs, axis=0, ddof=1) / np.sqrt(n_traj), rtol=1e-12, atol=1e-15
@@ -853,13 +851,12 @@ def test_exact_ensemble_memory_stays_within_a_row_chunk():
     # The exact kernel holds one row chunk of W and of the phases, never a
     # batch-sized block: a 2048 x 401 W block alone would take 6.6 MB.
     spec = family_spec(_bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3))
-    states = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
     t_grid = np.linspace(0.0, 6.0, 401)
     config = NoiseConfig(seed=23, dt=0.015)
-    ensemble_evolve(spec, config, states, t_grid, 2)  # warm-up: imports, lazy set-up
+    ensemble_evolve(spec, config, _STACKED, t_grid, 2)  # warm-up: imports, lazy set-up
     tracemalloc.start()
     try:
-        ensemble_evolve(spec, config, states, t_grid, 4096)
+        ensemble_evolve(spec, config, _STACKED, t_grid, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -872,13 +869,12 @@ def test_stepped_ensemble_memory_stays_within_a_noise_block():
     # It holds one 2 MB block, 1024 generators of under 1 KB each and the
     # work arrays (3.95 MB measured).
     spec = nonlinear_spec(_bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3))
-    states = (QuantumState.m0(), QuantumState.mass_eigenstate(0), QuantumState.mass_eigenstate(1))
     t_grid = np.linspace(0.0, 6.0, 5)
     config = NoiseConfig(seed=23, dt=0.003)
-    ensemble_evolve(spec, config, states, t_grid, 2)  # warm-up: imports, lazy set-up
+    ensemble_evolve(spec, config, _STACKED, t_grid, 2)  # warm-up: imports, lazy set-up
     tracemalloc.start()
     try:
-        ensemble_evolve(spec, config, states, t_grid, 1024)
+        ensemble_evolve(spec, config, _STACKED, t_grid, 1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -914,7 +910,7 @@ def test_phase_family_shares_ensemble_mean():
     for k, phi in enumerate((0.0, np.pi / 4.0, np.pi / 2.0)):
         spec = phase_transform_spec(base, phi)
         (stats[phi],) = ensemble_evolve(
-            spec, NoiseConfig(seed=100 + k, dt=dt), (QuantumState.m0(),), t_grid, 3000
+            spec, NoiseConfig(seed=100 + k, dt=dt), [STATES["M0"]], t_grid, 3000
         )
     budget = 2.0 * dt * t_grid * _gauged_rate(meson, collapse) ** 2
     pairs = [(0.0, np.pi / 4.0), (0.0, np.pi / 2.0)]
@@ -971,7 +967,7 @@ def test_one_step_master_consistency(build):
     spec = build()
     dim = spec.dim
     psi0 = np.zeros(dim, dtype=complex)
-    psi0[:2] = _M0_MASS
+    psi0[:2] = STATES["M0"]
     dt = 4e-3
     n = 10**5 if dim == 2 else 3 * 10**4
     fd, rhs, stderr = _fd_against_master(spec, psi0, n, dt, seed=42)
@@ -988,7 +984,7 @@ def test_one_step_master_consistency(build):
 def test_family_consistency_beta_range():
     for beta in (0.5, 0.75, 1.0):
         spec = family_spec(_bare(), make_csl(beta=beta, rate=0.4))
-        fd, rhs, stderr = _fd_against_master(spec, _M0_MASS, 10**5, 4e-3, seed=7)
+        fd, rhs, stderr = _fd_against_master(spec, STATES["M0"], 10**5, 4e-3, seed=7)
         tol = 5.0 * stderr + 4.0 * max(2.0, 0.4 * 4.0) ** 2 * 4e-3
         np.testing.assert_array_less(np.abs(fd - rhs), tol)
 
@@ -1010,7 +1006,7 @@ def test_heun_strong_order_one():
     fine = rng.normal(0.0, np.sqrt(h / refine), size=(n_paths, n_fine))
 
     def solve(increments, dt):
-        psi = np.tile(_M0_MASS, (n_paths, 1))
+        psi = np.tile(STATES["M0"], (n_paths, 1))
         for k in range(increments.shape[1]):
             psi = stratonovich_step(spec, psi, increments[:, k : k + 1], dt)
         return psi
@@ -1034,7 +1030,7 @@ def test_family_trajectory_norm_matches_induced_widths():
     spec = family_spec(meson, collapse)
     t_grid = _grid(2.0, 5)
     config = NoiseConfig(seed=55, dt=2.0 / 2000)
-    (stats,) = ensemble_evolve(spec, config, (QuantumState.mass_eigenstate(0),), t_grid, 2000)
+    (stats,) = ensemble_evolve(spec, config, [STATES["L"]], t_grid, 2000)
     mean, stderr = stats.column("P_L")
     expected = np.exp(-g_l * t_grid)
     np.testing.assert_array_less(np.abs(mean - expected), 4 * stderr + 1e-12)
