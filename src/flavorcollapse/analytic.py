@@ -5,21 +5,21 @@ quantum mechanics and under the two position-coupled collapse models,
 their asymmetry observables, the absolute-mass quadratic, and
 collapse-rate lower bounds.
 
-Every probability accepts a scalar time or an array of times; pure
-functions throughout, safe for concurrent grid evaluation.
+Every probability takes the meson and the collapse parameters, None for
+QM and otherwise a ``CollapseParams`` whose ``model`` picks QMUPL or CSL,
+and accepts a scalar time or an array of times; pure functions
+throughout, safe for concurrent grid evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     Convention,
     CollapseParams,
-    DynamicsModel,
     FlavorTarget,
     MesonParams,
     Model,
@@ -35,8 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DynamicsModel",
-    "AsymmetrySpec",
     "prob_lifetime",
     "prob_flavor",
     "asymmetry_closed_form",
@@ -56,26 +54,6 @@ GRW_COLLAPSE_RATE = 1e-16
 ADLER_COLLAPSE_RATE = 1e-8
 ADLER_COLLAPSE_RATE_BAND = (1e-10, 1e-6)
 ADLER_COHERENCE_LENGTH = 1e-7
-
-
-@dataclass(frozen=True)
-class AsymmetrySpec:
-    """Model selection plus the parameters the closed forms need."""
-
-    model: DynamicsModel
-    meson: MesonParams
-    collapse: CollapseParams | None = None
-
-    def __post_init__(self) -> None:
-        if self.model is DynamicsModel.QM:
-            if self.collapse is not None:
-                raise InvalidParams("QM asymmetry takes no collapse parameters")
-        else:
-            if self.collapse is None:
-                raise InvalidParams(f"{self.model.value} asymmetry requires collapse parameters")
-            expected = Model.QMUPL if self.model is DynamicsModel.QMUPL else Model.CSL
-            if self.collapse.model is not expected:
-                raise InvalidParams("collapse.model disagrees with the asymmetry model")
 
 
 def _times(t) -> tuple[np.ndarray, bool]:
@@ -106,16 +84,16 @@ def _ratio_terms(meson: MesonParams, collapse: CollapseParams):
     return collapse.effective_rate, ratios, sum_sq, diff_sq, sq_diff
 
 
-def _rates(spec: AsymmetrySpec) -> tuple[float, float, float]:
+def _rates(meson: MesonParams, collapse: CollapseParams | None) -> tuple[float, float, float]:
     """Decay rates (Gamma_L, Gamma_H, Gamma_LH) of the lifetime states and of their interference.
 
-    QM takes the measured widths; a collapse model induces
-    lambda (2 beta - 1) m~_i^2 and (lambda/2) ((2 beta - 1) sum m~^2 + (delta m~)^2).
+    QM (no collapse parameters) takes the measured widths; a collapse model
+    induces lambda (2 beta - 1) m~_i^2 and (lambda/2) ((2 beta - 1) sum m~^2 + (delta m~)^2).
     """
-    if spec.model is DynamicsModel.QM:
-        return spec.meson.gamma_L, spec.meson.gamma_H, spec.meson.gamma_bar
-    lam, ratios, sum_sq, diff_sq, _ = _ratio_terms(spec.meson, spec.collapse)
-    two_beta_m1 = 2.0 * spec.collapse.beta - 1.0
+    if collapse is None:
+        return meson.gamma_L, meson.gamma_H, meson.gamma_bar
+    lam, ratios, sum_sq, diff_sq, _ = _ratio_terms(meson, collapse)
+    two_beta_m1 = 2.0 * collapse.beta - 1.0
     return (
         lam * two_beta_m1 * float(ratios[0] ** 2),
         lam * two_beta_m1 * float(ratios[1] ** 2),
@@ -131,52 +109,55 @@ def _qmupl_base(rate: float, tt: np.ndarray, what: str) -> np.ndarray:
     return base
 
 
-def _damping(spec: AsymmetrySpec, rate: float, tt: np.ndarray, what: str) -> np.ndarray:
+def _damping(collapse: CollapseParams | None, rate: float, tt: np.ndarray, what: str) -> np.ndarray:
     """D(rate t): exp(-rate t) for QM and CSL, (1 + rate t)^(-d/2) for QMUPL."""
-    if spec.model is DynamicsModel.QMUPL:
-        return _qmupl_base(rate, tt, what) ** (-0.5 * spec.collapse.d)
+    if collapse is not None and collapse.model is Model.QMUPL:
+        return _qmupl_base(rate, tt, what) ** (-0.5 * collapse.d)
     return np.exp(-(rate * tt))
 
 
-def prob_lifetime(spec: AsymmetrySpec, i: int, j: int, t):
-    """Survival probability D(Gamma_i t) of lifetime eigenstate i; zero for j != i."""
+def prob_lifetime(meson: MesonParams, collapse: CollapseParams | None, i: int, j: int, t):
+    """Survival probability D(Gamma_i t) of lifetime eigenstate i; zero for j != i.
+
+    ``collapse`` None is QM; otherwise its ``model`` picks QMUPL or CSL.
+    """
     _check_eigenstate(i)
     _check_eigenstate(j)
     tt, scalar = _times(t)
     if i != j:
         return _out(np.zeros_like(tt), scalar)
-    return _out(_damping(spec, _rates(spec)[i], tt, "lifetime"), scalar)
+    return _out(_damping(collapse, _rates(meson, collapse)[i], tt, "lifetime"), scalar)
 
 
-def prob_flavor(spec: AsymmetrySpec, target: FlavorTarget, t):
-    """Flavor transition probability from M0.
+def prob_flavor(meson: MesonParams, collapse: CollapseParams | None, target: FlavorTarget, t):
+    """Flavor transition probability from M0, for QM (``collapse`` None), QMUPL or CSL.
 
     1/4 [D(Gamma_L t) + D(Gamma_H t) +- 2 cos(delta_m t) D(Gamma_LH t)],
     upper sign for M0, lower for M0bar.
     """
     tt, scalar = _times(t)
-    rate_l, rate_h, rate_lh = _rates(spec)
+    rate_l, rate_h, rate_lh = _rates(meson, collapse)
     sign = 1.0 if target is FlavorTarget.M0 else -1.0
-    diag = _damping(spec, rate_l, tt, "lifetime") + _damping(spec, rate_h, tt, "lifetime")
-    interference = 2.0 * _damping(spec, rate_lh, tt, "interference") * np.cos(tt * spec.meson.delta_m)
+    diag = _damping(collapse, rate_l, tt, "lifetime") + _damping(collapse, rate_h, tt, "lifetime")
+    interference = 2.0 * _damping(collapse, rate_lh, tt, "interference") * np.cos(tt * meson.delta_m)
     return _out(0.25 * (diag + sign * interference), scalar)
 
 
-def asymmetry_closed_form(spec: AsymmetrySpec, t):
-    """The model's closed-form flavor asymmetry (P_same - P_flip) / (P_same + P_flip)."""
+def asymmetry_closed_form(meson: MesonParams, collapse: CollapseParams | None, t):
+    """The closed-form flavor asymmetry (P_same - P_flip) / (P_same + P_flip) of QM (``collapse`` None),
+    QMUPL or CSL."""
     tt, scalar = _times(t)
-    meson = spec.meson
     osc = np.cos(tt * meson.delta_m)
-    if spec.model is DynamicsModel.QM:
+    if collapse is None:
         return _out(osc / np.cosh(0.5 * meson.delta_gamma * tt), scalar)
 
-    lam, _, _, diff_sq, sq_diff = _ratio_terms(meson, spec.collapse)
-    beta, d = spec.collapse.beta, spec.collapse.d
-    if spec.model is DynamicsModel.CSL:
+    lam, _, _, diff_sq, sq_diff = _ratio_terms(meson, collapse)
+    beta, d = collapse.beta, collapse.d
+    if collapse.model is Model.CSL:
         damping = np.exp(-0.5 * lam * diff_sq * tt)
         return _out(osc * damping / np.cosh(lam * (beta - 0.5) * sq_diff * tt), scalar)
 
-    base_l, base_h = (_qmupl_base(rate, tt, "lifetime") for rate in _rates(spec)[:2])
+    base_l, base_h = (_qmupl_base(rate, tt, "lifetime") for rate in _rates(meson, collapse)[:2])
     first = (1.0 - 0.5 * lam * ((1.0 - 2.0 * beta) * sq_diff - diff_sq) * tt / base_l) ** (0.5 * d)
     second = (1.0 + 0.5 * lam * ((1.0 - 2.0 * beta) * sq_diff + diff_sq) * tt / base_h) ** (0.5 * d)
     return _out(2.0 * osc / (first + second), scalar)

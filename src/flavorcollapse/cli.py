@@ -39,7 +39,6 @@ from .core import (
     STATES,
     CollapseParams,
     Convention,
-    DynamicsModel,
     FlavorTarget,
     MesonParams,
     Model,
@@ -99,13 +98,16 @@ def _meson_from_catalog(catalog: dict, key: str) -> tuple[MesonParams, list[str]
 
 @dataclass
 class RunSpec:
-    """Fully resolved parameters of one CLI run; a key the config omits takes its schema default."""
+    """Fully resolved parameters of one CLI run; a key the config omits takes its schema default.
+
+    A route command's model is stored once: ``collapse`` is None for QM and
+    otherwise names QMUPL or CSL in ``collapse.model``.
+    """
 
     command: str
     meson: MesonParams | None
     meson_label: str
     mesons: list[tuple[str, MesonParams]]
-    model: DynamicsModel | None
     collapse: CollapseParams | None
     t_max: float | None
     n_points: int
@@ -129,6 +131,11 @@ class RunSpec:
             else:
                 t_max = 10.0 * 2.0 * math.pi / self.meson.delta_m
         return np.linspace(0.0, t_max, self.n_points)
+
+    @property
+    def model_name(self) -> str:
+        """The header's model name: QM, QMUPL or CSL."""
+        return "QM" if self.collapse is None else self.collapse.model.value
 
 
 def _get(cfg: dict, props: dict, key: str, required: bool = False):
@@ -201,7 +208,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
     ignored = [key for key in cfg if command not in props[key]["commands"]]
     if ignored:
         raise InvalidParams(f"the {command} command takes no {', '.join(ignored)}")
-    catalog = _data("meson_catalog.json")
+    if any(key in cfg for key in ("meson", "mesons", "m0_MeV", "m0_min_MeV", "m0_max_MeV")):
+        catalog = _data("meson_catalog.json")
     meson, label, mesons, notes = None, "custom", [], []
     used_catalog = False
 
@@ -233,8 +241,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
         mesons = [(label, meson)]
 
     convention = Convention(_get(cfg, props, "ratio_convention"))
-    model_name = _get(cfg, props, "model")
-    model = None if model_name is None else DynamicsModel(model_name)
+    model = _get(cfg, props, "model")
 
     collapse = None
     if command in ("analytic", "master", "ensemble", "compare"):
@@ -242,7 +249,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
             raise InvalidParams(f"the {command} command needs meson parameters")
         if model is None:
             raise InvalidParams(f"the {command} command needs a 'model'")
-        if model is not DynamicsModel.QM:
+        if model != "QM":
             if "m0" in cfg and "m0_MeV" in cfg:
                 raise InvalidParams("give either m0 (1/s) or m0_MeV, not both")
             if "m0_MeV" in cfg:
@@ -252,7 +259,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
             else:
                 m0 = _get(cfg, props, "m0", required=True)
             collapse = CollapseParams(
-                model=Model(model.value),
+                model=Model(model),
                 rate=_get(cfg, props, "rate", required=True),
                 beta=_get(cfg, props, "beta", required=True),
                 m0=m0,
@@ -270,11 +277,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
             raise InvalidParams("model QM takes no equation: its ensemble runs the Wigner-Weisskopf equation")
 
     trajectories = command in ("ensemble", "compare")
-    if trajectories and model is DynamicsModel.QMUPL:
+    if trajectories and model == "QMUPL":
         raise InvalidParams("the ensemble route is undefined for QMUPL: its flavor-space reduction is not closed")
     equation = _get(cfg, props, "equation")
     # Only a stepped equation reads dt; QM runs the exactly sampled linear one.
-    stepped = trajectories and model is not DynamicsModel.QM and _EQUATIONS[equation] == "nonlinear"
+    stepped = trajectories and model != "QM" and _EQUATIONS[equation] == "nonlinear"
 
     m0_range = None
     if command == "bounds":
@@ -298,7 +305,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
         raise InvalidParams("the estimate command needs meson parameters")
 
     spec = RunSpec(
-        command=command, meson=meson, meson_label=label, mesons=mesons, model=model, collapse=collapse,
+        command=command, meson=meson, meson_label=label, mesons=mesons, collapse=collapse,
         t_max=_get(cfg, props, "t_max"), n_points=_get(cfg, props, "n_points"),
         n_trajectories=_get(cfg, props, "n_trajectories", required=trajectories), seed=_get(cfg, props, "seed"),
         dt=_get(cfg, props, "dt", required=stepped), equation=equation,
@@ -400,13 +407,13 @@ def _analytic_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     from . import analytic
 
     # Called through the module, so wrappers installed on it apply.
-    closed_form = analytic.AsymmetrySpec(spec.model, spec.meson, spec.collapse)
+    meson, collapse = spec.meson, spec.collapse
     out = {}
     for col, (initial, final) in _PROBS.items():
         if initial == "M0":
-            out[col] = analytic.prob_flavor(closed_form, FlavorTarget(final), times)
+            out[col] = analytic.prob_flavor(meson, collapse, FlavorTarget(final), times)
         else:  # lifetime index: L = 0, H = 1
-            out[col] = analytic.prob_lifetime(closed_form, "LH".index(initial), "LH".index(final), times)
+            out[col] = analytic.prob_lifetime(meson, collapse, "LH".index(initial), "LH".index(final), times)
     return out
 
 
@@ -414,7 +421,7 @@ def _route_master_spec(spec: RunSpec) -> lindblad.MasterSpec:
     """Master equation of the QM and CSL routes: measured or collapse-induced widths."""
     from . import lindblad
 
-    if spec.model is DynamicsModel.QM:
+    if spec.collapse is None:
         return lindblad.wigner_weisskopf_spec(spec.meson)
     return lindblad.family_master_spec(spec.meson, spec.collapse)
 
@@ -445,11 +452,9 @@ def _master_probs(spec: RunSpec, times: np.ndarray) -> dict[str, np.ndarray]:
     the final states."""
     from . import lindblad
 
-    if spec.model is DynamicsModel.QMUPL:
+    if spec.collapse is not None and spec.collapse.model is Model.QMUPL:
         def prob(initial: str, final: str) -> np.ndarray:
-            return lindblad.probs_from_kernels(
-                Model.QMUPL, spec.meson, spec.collapse, STATES[initial], STATES[final], times
-            )
+            return lindblad.probs_from_kernels(spec.meson, spec.collapse, STATES[initial], STATES[final], times)
     else:
         initial = dict.fromkeys(state for state, _ in _PROBS.values())
         stack = np.array([np.outer(STATES[name], STATES[name].conj()) for name in initial])
@@ -468,7 +473,7 @@ def _sde_spec(spec: RunSpec) -> sde.SdeSpec:
     from . import lindblad, sde
 
     master = _route_master_spec(spec)
-    if spec.model is DynamicsModel.QM:
+    if spec.collapse is None:
         # Wigner-Weisskopf evolution: the linear equation with one zero channel, sampled exactly.
         return sde.SdeSpec(sde.SdeEquation.LINEAR, replace(master, lindblads=(np.zeros((2, 2)),)))
     if spec.equation == "enlarged":
@@ -548,7 +553,7 @@ def _prob_table(spec: RunSpec, times: np.ndarray, probs: dict[str, np.ndarray], 
     """Time, the four probability columns and the flavor asymmetry, one row per grid point."""
     asym = _safe_asymmetry(probs["P_M0_M0"], probs["P_M0_M0bar"], times)
     meta = spec.header_notes + [
-        f"command={spec.command} model={spec.model.value} meson={spec.meson_label}{meta_tail}"
+        f"command={spec.command} model={spec.model_name} meson={spec.meson_label}{meta_tail}"
     ]
     columns = ["time", *_PROB_COLUMNS, "asymmetry"]
     return Table(meta, columns, [list(row) for row in zip(times, *(probs[c] for c in _PROB_COLUMNS), asym)])
@@ -567,17 +572,19 @@ def cmd_ensemble(spec: RunSpec) -> Table:
     stats, dt = _ensemble_stats(spec, eq_spec, times)
     means, errs = _ensemble_probs(stats)
     _require_cells("ensemble", times, means)
-    equation = "" if spec.model is DynamicsModel.QM else f" equation={spec.equation}"
+    equation = "" if spec.collapse is None else f" equation={spec.equation}"
     table = _prob_table(
         spec, times, means, f"{equation} N={spec.n_trajectories} seed={spec.seed} {_scheme_note(eq_spec, dt)}"
     )
 
     # Delta-method error on the asymmetry from the (P_M0, P_M0bar) covariance.
     # The means are first scaled by the power of two 2^-e that brings their
-    # total into [1/2, 1), so total**2 never underflows; the scaling is
-    # exact, and where nothing underflowed the bits are those of the
-    # unscaled formula.  A zero covariance gives exactly 0.
-    cov = stats["M0"].covariances
+    # total into [1/2, 1), so total**2 never underflows, and the covariance
+    # arrives scaled by 4^-s (``EnsembleStats.exponents``); the error is
+    # scaled back by 2^(s - e).  The scalings are exact, and where nothing
+    # underflowed the bits are those of the unscaled formula.  A zero
+    # covariance gives exactly 0.
+    cov = stats["M0"].scaled_covariances
     labels = stats["M0"].labels
     i0, i1 = labels.index("P_M0"), labels.index("P_M0bar")
     total, e = np.frexp(means["P_M0_M0"] + means["P_M0_M0bar"])
@@ -588,7 +595,7 @@ def cmd_ensemble(spec: RunSpec) -> Table:
     asym_var = (
         g0**2 * cov[:, i0, i0] + 2.0 * g0 * g1 * cov[:, i0, i1] + g1**2 * cov[:, i1, i1]
     ) / n
-    asym_err = np.ldexp(np.sqrt(np.maximum(asym_var, 0.0)), -e)
+    asym_err = np.ldexp(np.sqrt(np.maximum(asym_var, 0.0)), stats["M0"].exponents - e)
 
     stderrs = {f"stderr_{c}": errs[c] for c in _PROB_COLUMNS} | {"stderr_asymmetry": asym_err}
     _require_cells("ensemble", times, stderrs, _STDERR)
@@ -644,7 +651,7 @@ def cmd_compare(spec: RunSpec) -> tuple[Table, int]:
         times, analytic_probs, master_probs, means, errs, _discretization_floor(eq_spec, times, dt)
     )
     table.meta = spec.header_notes + [
-        f"command=compare model={spec.model.value} meson={spec.meson_label} "
+        f"command=compare model={spec.model_name} meson={spec.meson_label} "
         f"N={spec.n_trajectories} seed={spec.seed} {_scheme_note(eq_spec, dt)}"
     ] + table.meta
     ok = master_max < _MASTER_RESIDUAL_TOL and ratio_max < _ENSEMBLE_RATIO_TOL

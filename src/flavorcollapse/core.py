@@ -33,7 +33,6 @@ __all__ = [
     "STATES",
     "Convention",
     "Model",
-    "DynamicsModel",
     "FlavorTarget",
     "MesonParams",
     "CollapseParams",
@@ -55,14 +54,8 @@ class Convention(enum.Enum):
 
 
 class Model(enum.Enum):
-    QMUPL = "QMUPL"
-    CSL = "CSL"
+    """The collapse model of ``CollapseParams``; QM is the absence of collapse parameters."""
 
-
-class DynamicsModel(enum.Enum):
-    """Which dynamics generates the observables."""
-
-    QM = "QM"
     QMUPL = "QMUPL"
     CSL = "CSL"
 
@@ -225,20 +218,31 @@ class EnsembleStats:
     """Per-time ensemble means and standard errors over trajectories.
 
     Rows follow the time grid of the call that produced them, columns
-    ``labels``.  ``covariances`` holds the per-time sample covariance of
-    the scalar observables, used for error propagation.
+    ``labels``.  ``scaled_covariances`` holds the per-time sample
+    covariance of the scalar observables, used for error propagation,
+    divided by 4**``exponents`` (one integer per time), so a covariance
+    below the float range keeps its digits; ``covariances`` undoes the
+    scale.
     """
 
     means: np.ndarray
     stderrs: np.ndarray
     labels: tuple[str, ...]
-    covariances: np.ndarray | None = field(default=None, repr=False)
+    scaled_covariances: np.ndarray | None = field(default=None, repr=False)
+    exponents: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if np.any(np.asarray(self.stderrs) < 0.0):
             raise InvalidParams("standard errors must be nonnegative")
         if np.asarray(self.means).shape != np.asarray(self.stderrs).shape:
             raise InvalidParams("means and stderrs must have identical shape")
+
+    @property
+    def covariances(self) -> np.ndarray | None:
+        """The per-time sample covariance; an entry below the float range underflows."""
+        if self.scaled_covariances is None:
+            return None
+        return np.ldexp(self.scaled_covariances, 2 * self.exponents[:, None, None])
 
     def column(self, label: str) -> tuple[np.ndarray, np.ndarray]:
         k = self.labels.index(label)

@@ -245,16 +245,8 @@ def _gauss_convolution(collapse: CollapseParams, separation: np.ndarray) -> floa
     return _gauss_convolution_zero(collapse) * math.exp(-sep_sq / (4.0 * collapse.r_C**2))
 
 
-def kernel_rhs(
-    model: Model,
-    meson: MesonParams,
-    collapse: CollapseParams,
-    i: int,
-    j: int,
-    x,
-    y,
-) -> complex:
-    """Multiplicative rate of the (i, j) position-kernel matrix element."""
+def kernel_rhs(meson: MesonParams, collapse: CollapseParams, i: int, j: int, x, y) -> complex:
+    """Multiplicative rate of the (i, j) position-kernel matrix element under ``collapse.model``."""
     if i not in (0, 1) or j not in (0, 1):
         raise InvalidParams("eigenstate indices must be 0 (L) or 1 (H)")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -265,7 +257,7 @@ def kernel_rhs(
     mi, mj = meson.masses[i], meson.masses[j]
     ri, rj = float(ratios[i]), float(ratios[j])
     phase = -1j * (mi - mj)
-    if model is Model.QMUPL:
+    if collapse.model is Model.QMUPL:
         stretch = ri * xv - rj * yv
         damp = 0.5 * collapse.rate * (
             float(np.dot(stretch, stretch))
@@ -279,32 +271,17 @@ def kernel_rhs(
     return complex(phase - damp)
 
 
-def kernel_solution(
-    model: Model,
-    meson: MesonParams,
-    collapse: CollapseParams,
-    i: int,
-    j: int,
-    x,
-    y,
-    t: float,
-) -> complex:
+def kernel_solution(meson: MesonParams, collapse: CollapseParams, i: int, j: int, x, y, t: float) -> complex:
     """Kernel propagator rho_t^{ij}(x,y) / rho_0^{ij}(x,y) = exp(rate * t)."""
-    return complex(np.exp(kernel_rhs(model, meson, collapse, i, j, x, y) * t))
+    return complex(np.exp(kernel_rhs(meson, collapse, i, j, x, y) * t))
 
 
-def gaussian_partial_trace(
-    model: Model,
-    meson: MesonParams,
-    collapse: CollapseParams,
-    i: int,
-    j: int,
-    t,
-):
+def gaussian_partial_trace(meson: MesonParams, collapse: CollapseParams, i: int, j: int, t):
     """Position trace of the (i, j) kernel element for the Gaussian packet.
 
     Returns the complex amplitude factor multiplying the initial flavor
-    coefficient; closed forms for both models, vectorized over t.
+    coefficient; closed forms for both models, picked by ``collapse.model``,
+    vectorized over t.
     """
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
@@ -313,7 +290,7 @@ def gaussian_partial_trace(
     ri, rj = float(ratios[i]), float(ratios[j])
     coeff = (ri - rj) ** 2 - (1.0 - 2.0 * collapse.beta) * (ri**2 + rj**2)
     phase = np.exp(-1j * (meson.masses[i] - meson.masses[j]) * tt)
-    if model is Model.QMUPL:
+    if collapse.model is Model.QMUPL:
         base = 1.0 + 0.5 * collapse.rate * collapse.alpha * coeff * tt
         if np.any(base <= 0.0):
             raise SingularTime("Gaussian partial trace singular for the requested time")
@@ -324,15 +301,8 @@ def gaussian_partial_trace(
     return complex(values[0]) if scalar else values
 
 
-def probs_from_kernels(
-    model: Model,
-    meson: MesonParams,
-    collapse: CollapseParams,
-    state_in: np.ndarray,
-    state_out: np.ndarray,
-    t,
-):
-    """Transition probability assembled from the four partial-trace factors.
+def probs_from_kernels(meson: MesonParams, collapse: CollapseParams, state_in: np.ndarray, state_out: np.ndarray, t):
+    """Transition probability assembled from the four partial-trace factors of ``collapse.model``.
 
     The initial spatial state is the Gaussian packet of squared width
     alpha; ``state_in`` and ``state_out`` are the flavor-sector states as
@@ -350,6 +320,6 @@ def probs_from_kernels(
             weight = a[i] * np.conj(a[j]) * np.conj(b[i]) * b[j]
             if weight == 0.0:
                 continue
-            total += weight * gaussian_partial_trace(model, meson, collapse, i, j, tt)
+            total += weight * gaussian_partial_trace(meson, collapse, i, j, tt)
     values = total.real
     return float(values[0]) if scalar else values

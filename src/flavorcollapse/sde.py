@@ -588,7 +588,8 @@ def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_gr
 
 
 def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray, pairs: list[tuple[int, int]]):
-    """Batch runner (lo, hi) -> (count, means, m2) from the exact solution of the linear equation.
+    """Batch runner (lo, hi) -> (count, means, m2) from the exact solution of the linear equation, and the
+    per-grid-point exponents e of its scaled pair features.
 
     c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) with g_c = i l_c
     (Kloeden & Platen, Numerical Solution of SDEs, on linear SDEs) solves
@@ -609,6 +610,11 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
     r_ij R(omega_ij t) maps the batch's mean and centred second moments of
     u to those of the pair's Re and Im features.  The diagonal features
     have zero spread.  ``config.dt`` does not enter.
+    The pair features of grid point g are reduced scaled by 2^-e_g, e_g the
+    binary exponent of the largest r_ij(t_g), so their second moments
+    (of order r^2) stay in the float range where r^2 would underflow.  The
+    scaling is exact in the normal range: where nothing underflows the
+    bits are those of the unscaled reduction.
     """
     dim, n_grid, n_channels, n_pairs = spec.dim, len(t_grid), spec.n_channels, len(pairs)
     n_feat = dim + 2 * n_pairs
@@ -619,6 +625,8 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
     diag_means = np.exp(t * (d + d).real)
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     r = np.exp(t * (d[i] + d[j]).real)
+    exponents = np.frexp(r.max(axis=1, initial=0.0))[1]
+    r = np.ldexp(r, -exponents[:, None])
     phase = t * (d[i] - d[j]).imag
     # rot[g] maps (cos theta_p ..., sin theta_p ...) to (Re ..., Im ...) of c_i conj(c_j).
     rot = np.zeros((n_grid, 2 * n_pairs, 2 * n_pairs))
@@ -675,7 +683,7 @@ def _exact_linear_batches(spec: SdeSpec, config: NoiseConfig, t_grid: np.ndarray
         m2[:, 0, dim:, dim:] = rot @ u_m2 @ rot.transpose(0, 2, 1)
         return b, means, m2
 
-    return run_batch
+    return run_batch, exponents
 
 
 def ensemble_evolve(
@@ -703,7 +711,9 @@ def ensemble_evolve(
     ensemble reduces those entries per block to centred second moments,
     folds the batches by the pairwise update and maps them to the
     probabilities once; the spread is exactly zero while all trajectories
-    agree.  Results are bit-identical whatever ``n_threads``: the batch
+    agree; each ``EnsembleStats`` keeps its covariances scaled by a power
+    of two per grid point, with the exponents (``_exact_linear_batches``).
+    Results are bit-identical whatever ``n_threads``: the batch
     partition is fixed and partials are folded in index order.  The pool
     starts at most ``n_threads`` workers, one per batch and per core.
     """
@@ -730,9 +740,9 @@ def ensemble_evolve(
     q = np.concatenate([w_ij.real, -w_ij[..., dim:].imag], axis=-1)
 
     if exact:
-        run_batch = _exact_linear_batches(spec, config, t_grid, pairs)
+        run_batch, exponents = _exact_linear_batches(spec, config, t_grid, pairs)
     else:
-        run_batch = _stepped_batches(spec, config, amps0, t_grid, entries)
+        run_batch, exponents = _stepped_batches(spec, config, amps0, t_grid, entries), np.zeros(len(t_grid), int)
     batches = _batch_bounds(n_trajectories)
     # A running stepped batch holds its own noise block: no more workers than batches or cores.
     workers = min(n_threads, len(batches), os.cpu_count() or 1)
@@ -745,14 +755,20 @@ def ensemble_evolve(
     else:
         means, m2 = _fold_batches(map(run_batch, batches))
 
-    # Feature block b and row s of q broadcast to state max(b, s).
+    # Feature block b and row s of q broadcast to state max(b, s).  The pair
+    # features and m2 come scaled by 2^-e and 4^-e: unscale the means before
+    # the map, the standard errors after the square root.
     n = float(n_trajectories)
+    scale = exponents[:, None, None]
+    means[..., dim:] = np.ldexp(means[..., dim:], scale)
     means = (q @ means[..., None])[..., 0]
     cov = q @ (m2 / (n - 1.0)) @ q.transpose(0, 2, 1)
     # Rounding in q can leave a zero variance slightly negative; NaN passes.
-    stderrs = np.sqrt(np.maximum(np.diagonal(cov, axis1=2, axis2=3), 0.0) / n)
+    stderrs = np.ldexp(np.sqrt(np.maximum(np.diagonal(cov, axis1=2, axis2=3), 0.0) / n), scale)
     return tuple(
-        EnsembleStats(means=means[:, s], stderrs=stderrs[:, s], labels=labels, covariances=cov[:, s])
+        EnsembleStats(
+            means=means[:, s], stderrs=stderrs[:, s], labels=labels, scaled_covariances=cov[:, s], exponents=exponents
+        )
         for s in range(len(amps0))
     )
 

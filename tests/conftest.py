@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from flavorcollapse.analytic import AsymmetrySpec
-from flavorcollapse.core import CollapseParams, Convention, DynamicsModel, MesonParams, Model
+from flavorcollapse.core import CollapseParams, Convention, MesonParams, Model, mass_ratios
 
 
 @pytest.fixture
@@ -61,7 +60,18 @@ def random_collapse(rng: np.random.Generator, model: Model, beta_min: float = 0.
     return CollapseParams(model=model, rate=rng.uniform(0.0, 0.5), **common)
 
 
-def closed_form(meson: MesonParams, collapse: CollapseParams | None = None) -> AsymmetrySpec:
-    """Closed-form spec of QM (no collapse parameters) or of the model ``collapse`` belongs to."""
-    model = DynamicsModel.QM if collapse is None else DynamicsModel(collapse.model.value)
-    return AsymmetrySpec(model, meson, collapse)
+
+def csl_stderr_p_m0_m0(meson, collapse, times, p_l_l, p_h_h, n_trajectories) -> np.ndarray:
+    """Closed-form standard error of an exact CSL ensemble's P_M0_M0 mean over N trajectories.
+
+    One trajectory's P_M0_M0 is (P_L_L + P_H_H) / 4 + (r / 2) cos(delta_m t + theta)
+    with r = sqrt(P_L_L P_H_H) and theta = kappa W_t normal of variance
+    s = lambda_eff (delta m~)^2 t, so that, with phi = delta_m t,
+    Var cos(phi + theta) = cos^2 phi (1 - e^-s)^2 / 2 + sin^2 phi (1 - e^-2s) / 2.
+    """
+    ratios = mass_ratios(meson, collapse)
+    with np.errstate(over="ignore", under="ignore"):
+        s = collapse.effective_rate * (ratios[1] - ratios[0]) ** 2 * times
+        phi = meson.delta_m * times
+        var = 0.5 * np.cos(phi) ** 2 * np.expm1(-s) ** 2 - 0.5 * np.sin(phi) ** 2 * np.expm1(-2.0 * s)
+        return 0.5 * np.sqrt(p_l_l) * np.sqrt(p_h_h) * np.sqrt(var / n_trajectories)

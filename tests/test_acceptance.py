@@ -13,8 +13,6 @@ from scipy.integrate import quad
 
 from flavorcollapse import cli, sde
 from flavorcollapse.analytic import (
-    AsymmetrySpec,
-    DynamicsModel,
     asymmetry_closed_form,
     collapse_rate_lower_bound,
     prob_flavor,
@@ -50,8 +48,6 @@ from flavorcollapse.sde import (
     step,
     stratonovich_step,
 )
-
-from conftest import closed_form
 
 _M0, _M0BAR = STATES["M0"], STATES["M0bar"]
 _RHO_M0 = np.outer(_M0, _M0.conj())
@@ -101,11 +97,10 @@ def test_c1_triple_route_agreement_csl():
                 alpha=1.0, d=collapse.d, r_C=collapse.r_C, ratio_convention=convention,
             )
         p_same_m, p_flip_m = _master_flavor_probs(meson, collapse, grid)
-        closed = AsymmetrySpec(DynamicsModel.CSL, meson, collapse)
-        p_same_a = prob_flavor(closed, FlavorTarget.M0, grid)
-        p_flip_a = prob_flavor(closed, FlavorTarget.M0BAR, grid)
+        p_same_a = prob_flavor(meson, collapse, FlavorTarget.M0, grid)
+        p_flip_a = prob_flavor(meson, collapse, FlavorTarget.M0BAR, grid)
         asym_m = (p_same_m - p_flip_m) / (p_same_m + p_flip_m)
-        asym_a = asymmetry_closed_form(closed, grid)
+        asym_a = asymmetry_closed_form(meson, collapse, grid)
         worst = max(
             worst,
             np.abs(p_same_m - p_same_a).max(),
@@ -168,15 +163,15 @@ def test_c3_position_kernel_quadrature_oracle():
         for i, j, t in points:
             def integrand_re(x):
                 dens = np.exp(-(x**2) / collapse.alpha) / np.sqrt(np.pi * collapse.alpha)
-                return (dens * kernel_solution(model, meson, collapse, i, j, x, x, t)).real
+                return (dens * kernel_solution(meson, collapse, i, j, x, x, t)).real
 
             def integrand_im(x):
                 dens = np.exp(-(x**2) / collapse.alpha) / np.sqrt(np.pi * collapse.alpha)
-                return (dens * kernel_solution(model, meson, collapse, i, j, x, x, t)).imag
+                return (dens * kernel_solution(meson, collapse, i, j, x, x, t)).imag
 
             re, _ = quad(integrand_re, -lim, lim, epsabs=1e-10, epsrel=1e-10, limit=200)
             im, _ = quad(integrand_im, -lim, lim, epsabs=1e-10, epsrel=1e-10, limit=200)
-            closed = gaussian_partial_trace(model, meson, collapse, i, j, t)
+            closed = gaussian_partial_trace(meson, collapse, i, j, t)
             gap = abs(complex(re, im) - closed)
             worst = max(worst, gap)
             assert gap < 1e-8
@@ -288,14 +283,14 @@ def test_c7_degeneration_suite():
     quiet_csl = CollapseParams(model=Model.CSL, rate=0.0, beta=0.8, m0=1.0, alpha=1.0, d=2, r_C=0.5)
     quiet_qmupl = CollapseParams(model=Model.QMUPL, rate=0.0, beta=0.8, m0=1.0, alpha=1.0, d=2)
     cos_sq = np.cos(0.5 * grid * meson.delta_m) ** 2
-    np.testing.assert_allclose(prob_flavor(closed_form(meson, quiet_csl), FlavorTarget.M0, grid), cos_sq, atol=1e-12)
-    np.testing.assert_allclose(prob_flavor(closed_form(meson, quiet_qmupl), FlavorTarget.M0, grid), cos_sq, atol=1e-12)
+    np.testing.assert_allclose(prob_flavor(meson, quiet_csl, FlavorTarget.M0, grid), cos_sq, atol=1e-12)
+    np.testing.assert_allclose(prob_flavor(meson, quiet_qmupl, FlavorTarget.M0, grid), cos_sq, atol=1e-12)
     np.testing.assert_allclose(
-        probs_from_kernels(Model.CSL, meson, quiet_csl, STATES["M0"], STATES["M0"], grid),
+        probs_from_kernels(meson, quiet_csl, STATES["M0"], STATES["M0"], grid),
         cos_sq, atol=1e-12,
     )
     np.testing.assert_allclose(
-        prob_flavor(closed_form(meson), FlavorTarget.M0, grid), cos_sq, atol=1e-12
+        prob_flavor(meson, None, FlavorTarget.M0, grid), cos_sq, atol=1e-12
     )
 
     asym = CollapseParams(model=Model.CSL, rate=0.3, beta=0.85, m0=1.0, alpha=1.0, d=2, r_C=0.5)
@@ -303,8 +298,8 @@ def test_c7_degeneration_suite():
     dressed = MesonParams(m_L=1.0, m_H=2.0, gamma_L=g_l, gamma_H=g_h)
     for i in (0, 1):
         np.testing.assert_allclose(
-            prob_lifetime(closed_form(meson, asym), i, i, grid),
-            prob_lifetime(closed_form(dressed), i, i, grid),
+            prob_lifetime(meson, asym, i, i, grid),
+            prob_lifetime(dressed, None, i, i, grid),
             atol=1e-12,
         )
     _report(f"7 degeneration suite (trace drift {trace_drift:.1e})", start, 30.0)

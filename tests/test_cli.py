@@ -15,7 +15,7 @@ from flavorcollapse.analytic import prob_flavor, prob_lifetime
 from flavorcollapse.core import Convention, FlavorTarget, MesonParams
 from flavorcollapse.errors import CatalogMiss, InvalidParams, ParseError, UnknownKey
 
-from conftest import closed_form, make_csl
+from conftest import csl_stderr_p_m0_m0, make_csl
 
 
 def _schema():
@@ -126,7 +126,7 @@ def test_master_matches_analytic_csl(tmp_path):
     times = column(out, "time")
     np.testing.assert_allclose(
         column(out, "P_M0_M0"),
-        prob_flavor(closed_form(meson, collapse), FlavorTarget.M0, times),
+        prob_flavor(meson, collapse, FlavorTarget.M0, times),
         atol=1e-8,
     )
 
@@ -146,7 +146,7 @@ def test_master_qmupl_uses_kernel_route(tmp_path):
     times = column(out, "time")
     np.testing.assert_allclose(
         column(out, "P_M0_M0bar"),
-        prob_flavor(closed_form(meson, collapse), FlavorTarget.M0BAR, times),
+        prob_flavor(meson, collapse, FlavorTarget.M0BAR, times),
         atol=1e-12,
     )
     # All four columns of the kernel route against the analytic command.
@@ -246,10 +246,10 @@ def test_qm_ensemble_is_exact_wigner_weisskopf(tmp_path):
     assert "equation=" not in header[0]
     times = column(out, "time")
     expected = {
-        "P_M0_M0": prob_flavor(closed_form(meson), FlavorTarget.M0, times),
-        "P_M0_M0bar": prob_flavor(closed_form(meson), FlavorTarget.M0BAR, times),
-        "P_L_L": prob_lifetime(closed_form(meson), 0, 0, times),
-        "P_H_H": prob_lifetime(closed_form(meson), 1, 1, times),
+        "P_M0_M0": prob_flavor(meson, None, FlavorTarget.M0, times),
+        "P_M0_M0bar": prob_flavor(meson, None, FlavorTarget.M0BAR, times),
+        "P_L_L": prob_lifetime(meson, None, 0, 0, times),
+        "P_H_H": prob_lifetime(meson, None, 1, 1, times),
     }
     for name, probs in expected.items():
         np.testing.assert_allclose(column(out, name), probs, rtol=0.0, atol=1e-15)
@@ -798,6 +798,35 @@ def test_ensemble_asymmetry_stderr_stays_finite_where_probabilities_are_tiny(tmp
     assert np.array_equal(column(out, "stderr_asymmetry"), [0.0, 0.0])
 
 
+# The README CSL system with a heavier, faster-decaying meson: by t = 1,
+# P_M0_M0 is near 3e-167 and the spread of its trajectories, of order P^2,
+# lies below the float range.
+_TINY_CSL = dict(
+    command="ensemble", **dict(_README_CSL, m_L=10.0, m_H=10.5, rate=12.0, beta=1.0),
+    t_max=1.0, n_points=3, n_trajectories=50, seed=3,
+)
+
+
+def test_exact_ensemble_stderrs_keep_their_scale_where_probabilities_are_tiny(tmp_path, capsys):
+    # The exact kernel once reduced the second moments on the raw scale,
+    # and this run wrote stderr_P_M0_M0=0 and stderr_asymmetry=0 at t = 1
+    # although its 50 trajectories differ.
+    cfg = write_config(tmp_path, **_TINY_CSL)
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    times, p_m0 = column(out, "time"), column(out, "P_M0_M0")
+    assert 0.0 < p_m0[-1] < 1e-160
+    assert column(out, "stderr_asymmetry")[-1] > 0.0
+    spec = cli.load_config(cfg)
+    expected = csl_stderr_p_m0_m0(
+        spec.meson, spec.collapse, times, column(out, "P_L_L"), column(out, "P_H_H"), spec.n_trajectories
+    )
+    assert expected[-1] > 1e-180
+    # N = 50 draws estimate the spread to within about 10 %.
+    np.testing.assert_allclose(column(out, "stderr_P_M0_M0")[1:], expected[1:], rtol=0.3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
 @pytest.mark.parametrize("command", ["ensemble", "compare"])
 def test_ensemble_stderr_that_is_not_finite_exits_two(tmp_path, monkeypatch, capsys, command, bad):
@@ -919,8 +948,8 @@ def _beta_mismatch():
 
     def probs(collapse):
         return {
-            "P_M0_M0": prob_flavor(closed_form(meson, collapse), FlavorTarget.M0, times),
-            "P_M0_M0bar": prob_flavor(closed_form(meson, collapse), FlavorTarget.M0BAR, times),
+            "P_M0_M0": prob_flavor(meson, collapse, FlavorTarget.M0, times),
+            "P_M0_M0bar": prob_flavor(meson, collapse, FlavorTarget.M0BAR, times),
             "P_L_L": np.ones_like(times),
             "P_H_H": np.ones_like(times),
         }
@@ -1465,6 +1494,35 @@ def test_loading_a_config_imports_no_route_module(tmp_path, config):
     modules = set(json.loads(proc.stdout.splitlines()[-1]))
     routes = {"flavorcollapse.sde", "flavorcollapse.lindblad", "flavorcollapse.operators", "numpy.random"}
     assert not routes & modules
+
+
+_EXPLICIT_CSL_MEV = {key: value for key, value in _EXPLICIT_CSL.items() if key != "m0"}
+
+
+@pytest.mark.parametrize(
+    "config, reads",
+    [
+        (dict(command="compare", **_README_CSL, t_max=1.0, n_points=5, n_trajectories=16), False),
+        (dict(command="analytic", **_EXPLICIT_QM, t_max=1.0, n_points=5), False),
+        (dict(_BOUNDS_EXPLICIT, m0_min=1.0, m0_max=10.0), False),
+        (dict(command="estimate", m_L=3.0, m_H=4.0, gamma_L=0.9, gamma_H=1.6), False),
+        (dict(command="master", model="CSL", n_points=20, **_CATALOG_CSL), True),
+        (dict(command="bounds", mesons=["K0", "B0"], m0_min_MeV=100.0, m0_max_MeV=1e4, n_points=5), True),
+        (dict(command="analytic", **_EXPLICIT_CSL_MEV, m0_MeV=938.272), True),
+    ],
+    ids=["compare", "analytic_qm", "bounds", "estimate", "catalog_master", "catalog_bounds", "explicit_m0_MeV"],
+)
+def test_load_config_reads_the_catalog_only_for_a_key_that_needs_it(tmp_path, monkeypatch, config, reads):
+    read = []
+    data = cli._data
+    monkeypatch.setattr(cli, "_data", lambda name: read.append(name) or data(name))
+    path = write_config(tmp_path, **config)
+    if "m0_MeV" in config and "meson" not in config:
+        with pytest.raises(InvalidParams, match="^m0_MeV applies to catalog runs; explicit runs take m0 in 1/s$"):
+            cli.load_config(path)
+    else:
+        cli.load_config(path)
+    assert ("meson_catalog.json" in read) is reads
 
 
 def test_library_call_never_freezes_the_heap(tmp_path):

@@ -21,7 +21,7 @@ from flavorcollapse.lindblad import (
 )
 from flavorcollapse.operators import induced_decay_operator, reduced_mass_operator
 
-from conftest import closed_form, make_csl, make_qmupl, random_collapse, random_meson
+from conftest import make_csl, make_qmupl, random_collapse, random_meson
 
 
 
@@ -263,7 +263,7 @@ def test_superoperator_matches_rhs(meson, csl):
 def test_kernel_rhs_qmupl_diagonal_growth():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0)
     collapse = make_qmupl(rate=0.2, beta=0.3, d=1)
-    rate = kernel_rhs(Model.QMUPL, meson, collapse, 0, 0, 1.5, 1.5)
+    rate = kernel_rhs(meson, collapse, 0, 0, 1.5, 1.5)
     assert rate.imag == pytest.approx(0.0, abs=1e-15)
     assert rate.real == pytest.approx(0.2 * (1 - 2 * 0.3) * 9.0 * 1.5**2, rel=1e-12)
 
@@ -271,14 +271,13 @@ def test_kernel_rhs_qmupl_diagonal_growth():
 def test_kernel_rhs_csl_vanishes_symmetric_diagonal():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0)
     collapse = make_csl(beta=0.5, d=1)
-    rate = kernel_rhs(Model.CSL, meson, collapse, 0, 0, np.array([0.7]), np.array([0.7]))
+    rate = kernel_rhs(meson, collapse, 0, 0, np.array([0.7]), np.array([0.7]))
     assert rate == pytest.approx(0.0, abs=1e-15)
 
 
 def test_csl_convolution_at_zero_matches_effective_rate():
     collapse = make_csl(rate=1.0, d=3, r_C=0.5)
     rate = kernel_rhs(
-        Model.CSL,
         MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0),
         collapse,
         0,
@@ -295,12 +294,12 @@ def test_csl_convolution_at_zero_matches_effective_rate():
 
 def test_kernel_solution_basics(meson):
     collapse = make_qmupl(d=1, beta=0.7)
-    args = (Model.QMUPL, meson, collapse, 0, 1, 0.3, -0.4)
+    args = (meson, collapse, 0, 1, 0.3, -0.4)
     assert kernel_solution(*args, 0.0) == pytest.approx(1.0)
     h = 1e-6
     fd = (kernel_solution(*args, h) - kernel_solution(*args, -h)) / (2.0 * h)
     assert fd == pytest.approx(kernel_rhs(*args), abs=1e-8)
-    mirrored = kernel_solution(Model.QMUPL, meson, collapse, 1, 0, -0.4, 0.3, 0.8)
+    mirrored = kernel_solution(meson, collapse, 1, 0, -0.4, 0.3, 0.8)
     assert kernel_solution(*args, 0.8) == pytest.approx(np.conj(mirrored), rel=1e-14)
 
 
@@ -313,18 +312,18 @@ def test_kernel_element_hermiticity():
         t = rng.uniform(0.0, 2.0)
         for i in (0, 1):
             for j in (0, 1):
-                lhs = kernel_solution(Model.QMUPL, meson, collapse, i, j, x, y, t)
-                rhs = kernel_solution(Model.QMUPL, meson, collapse, j, i, y, x, t)
+                lhs = kernel_solution(meson, collapse, i, j, x, y, t)
+                rhs = kernel_solution(meson, collapse, j, i, y, x, t)
                 assert lhs == pytest.approx(np.conj(rhs), rel=1e-13)
 
 
 def test_partial_trace_basics():
     meson = MesonParams(m_L=3.0, m_H=4.0, gamma_L=0.0, gamma_H=0.0)
     collapse = make_qmupl(rate=0.1, alpha=1.0, beta=1.0, m0=1.0, d=2)
-    assert gaussian_partial_trace(Model.QMUPL, meson, collapse, 0, 1, 0.0) == pytest.approx(1.0)
+    assert gaussian_partial_trace(meson, collapse, 0, 1, 0.0) == pytest.approx(1.0)
     for t in (0.2, 1.0, 2.5):
-        diag = gaussian_partial_trace(Model.QMUPL, meson, collapse, 0, 0, t)
-        assert diag.real == pytest.approx(prob_lifetime(closed_form(meson, collapse), 0, 0, t), rel=1e-14)
+        diag = gaussian_partial_trace(meson, collapse, 0, 0, t)
+        assert diag.real == pytest.approx(prob_lifetime(meson, collapse, 0, 0, t), rel=1e-14)
         assert diag.imag == pytest.approx(0.0, abs=1e-15)
 
 
@@ -344,14 +343,14 @@ def test_partial_trace_against_quadrature_d1(model):
 
     for i, j, t in [(0, 0, 0.7), (1, 1, 1.3), (0, 1, 0.5), (1, 0, 2.0), (0, 1, 3.1)]:
         def integrand_re(x):
-            return (density(x) * kernel_solution(model, meson, collapse, i, j, x, x, t)).real
+            return (density(x) * kernel_solution(meson, collapse, i, j, x, x, t)).real
 
         def integrand_im(x):
-            return (density(x) * kernel_solution(model, meson, collapse, i, j, x, x, t)).imag
+            return (density(x) * kernel_solution(meson, collapse, i, j, x, x, t)).imag
 
         re, _ = quad(integrand_re, -lim, lim, epsabs=1e-10, epsrel=1e-10, limit=200)
         im, _ = quad(integrand_im, -lim, lim, epsabs=1e-10, epsrel=1e-10, limit=200)
-        closed = gaussian_partial_trace(model, meson, collapse, i, j, t)
+        closed = gaussian_partial_trace(meson, collapse, i, j, t)
         assert complex(re, im) == pytest.approx(closed, abs=1e-8)
 
 
@@ -363,32 +362,32 @@ def test_probs_from_kernels_match_closed_forms(meson_stable):
     for collapse in (csl, make_qmupl(beta=0.75, rate=0.05)):
         for state, target in ((m0_state, FlavorTarget.M0), (m0bar_state, FlavorTarget.M0BAR)):
             np.testing.assert_allclose(
-                probs_from_kernels(collapse.model, meson_stable, collapse, m0_state, state, t),
-                prob_flavor(closed_form(meson_stable, collapse), target, t),
+                probs_from_kernels(meson_stable, collapse, m0_state, state, t),
+                prob_flavor(meson_stable, collapse, target, t),
                 atol=1e-12,
             )
-    assert probs_from_kernels(Model.CSL, meson_stable, csl, m0_state, m0_state, 0.0) == pytest.approx(1.0)
+    assert probs_from_kernels(meson_stable, csl, m0_state, m0_state, 0.0) == pytest.approx(1.0)
 
 
 def test_probs_from_kernels_rejects_states_of_the_wrong_shape(meson_stable):
     collapse = make_csl(beta=0.75)
     for state_in, state_out in ((np.zeros(4), STATES["M0"]), (STATES["M0"], np.eye(2)), (STATES["M0"], 1.0)):
         with pytest.raises(DimensionMismatch, match="2-vectors of mass-basis amplitudes"):
-            probs_from_kernels(Model.CSL, meson_stable, collapse, state_in, state_out, 1.0)
+            probs_from_kernels(meson_stable, collapse, state_in, state_out, 1.0)
 
 
 def test_qmupl_rate_zero_reduces_to_qm(meson_stable):
     collapse = make_qmupl(rate=0.0)
     t = np.linspace(0.0, 9.0, 40)
-    got = probs_from_kernels(Model.QMUPL, meson_stable, collapse, STATES["M0"], STATES["M0"], t)
-    np.testing.assert_allclose(got, prob_flavor(closed_form(meson_stable), FlavorTarget.M0, t), atol=1e-12)
+    got = probs_from_kernels(meson_stable, collapse, STATES["M0"], STATES["M0"], t)
+    np.testing.assert_allclose(got, prob_flavor(meson_stable, None, FlavorTarget.M0, t), atol=1e-12)
 
 
 def test_triple_route_csl_small(meson_stable):
     collapse = make_csl(beta=0.8)
     grid = np.linspace(0.0, 8.0, 81)
-    analytic_p = prob_flavor(closed_form(meson_stable, collapse), FlavorTarget.M0, grid)
-    kernel_p = probs_from_kernels(Model.CSL, meson_stable, collapse, STATES["M0"], STATES["M0"], grid)
+    analytic_p = prob_flavor(meson_stable, collapse, FlavorTarget.M0, grid)
+    kernel_p = probs_from_kernels(meson_stable, collapse, STATES["M0"], STATES["M0"], grid)
     rhos = integrate_master(family_master_spec(meson_stable, collapse), _RHO_M0, grid)
     master_p, _ = _m0_probs(rhos)
     np.testing.assert_allclose(kernel_p, analytic_p, atol=1e-12)

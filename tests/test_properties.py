@@ -14,6 +14,9 @@ an exact ``ensemble`` (the default ``family`` equation under CSL) with 2 to
 * every probability written is in [0, 1], up to the 1e-12 of round-off
   that the CLI allows (``cli._PROB_TOL``);
 * every ``ensemble`` cell is finite and every standard error nonnegative;
+* a CSL ``ensemble`` never writes a zero ``stderr_P_M0_M0`` at t > 0 where
+  the closed-form standard error of that mean, from the normal law of the
+  phase theta = kappa W_t, exceeds 1e-300;
 * where both commands exit 0, master and analytic agree to 1e-12;
 * a command that exits 0 writes the same table as CSV and as JSON: the
   CSV cells parse to the JSON numbers exactly and its ``#`` lines are the
@@ -58,6 +61,8 @@ from hypothesis import strategies as st
 
 from flavorcollapse import cli
 from flavorcollapse.errors import FlavorCollapseError
+
+from conftest import csl_stderr_p_m0_m0
 
 # Settings shared with the long profile, which only raises max_examples.
 PROFILE = settings(
@@ -176,12 +181,26 @@ def check(config: dict, ensemble: dict) -> None:
     assert np.all(np.isfinite(rows)), rows
     stderrs = [j for j, col in enumerate(table["columns"]) if col.startswith("stderr_")]
     assert np.all(rows[:, stderrs] >= 0.0), rows[:, stderrs]
+    if config["model"] == "CSL":
+        check_stderr_keeps_its_scale(ensemble_config, table)
     toggled = {key: value for key, value in ensemble_config.items() if key != "dt"}
     if "dt" not in ensemble_config:
         toggled["dt"] = 1.0
     for again in (ensemble_config, toggled, dict(ensemble_config, threads=2)):
         assert run(again) == (0, "", out)
     check_compare(dict(ensemble_config, command="compare"))
+
+
+def check_stderr_keeps_its_scale(config: dict, table: dict) -> None:
+    """No t > 0 row of ``table``, the output of the exact CSL ``ensemble`` ``config``, writes a zero
+    ``stderr_P_M0_M0`` where the closed-form standard error of its mean exceeds 1e-300."""
+    spec = _load(config)
+    cells = dict(zip(table["columns"], np.array(table["rows"], dtype=float).T))
+    expected = csl_stderr_p_m0_m0(
+        spec.meson, spec.collapse, cells["time"], cells["P_L_L"], cells["P_H_H"], spec.n_trajectories
+    )
+    zero = (cells["time"] > 0.0) & (expected > 1e-300) & (cells["stderr_P_M0_M0"] == 0.0)
+    assert not np.any(zero), (expected, cells["stderr_P_M0_M0"])
 
 
 def check_compare(config: dict) -> None:
@@ -252,15 +271,20 @@ def violating_configs(draw) -> tuple[dict, str | None]:
     return config, key
 
 
-def _loads(config: dict) -> bool:
-    """Whether ``cli.load_config`` accepts ``config``."""
+def _load(config: dict) -> cli.RunSpec:
+    """``config`` as ``cli.load_config`` resolves it."""
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "run.json"
         path.write_text(json.dumps(config))
-        try:
-            cli.load_config(str(path))
-        except FlavorCollapseError:
-            return False
+        return cli.load_config(str(path))
+
+
+def _loads(config: dict) -> bool:
+    """Whether ``cli.load_config`` accepts ``config``."""
+    try:
+        _load(config)
+    except FlavorCollapseError:
+        return False
     return True
 
 
@@ -304,6 +328,12 @@ _TWO = dict(n_trajectories=2, seed=0)
     m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=1.0, beta=1.0, m0=1.47e-145,
     alpha=1.0, d=1, r_C=1e-19, ratio_convention="normal", t_max=1.0, n_points=2,
 ), _TWO)
+# P_M0_M0 near 3e-167 at t = 1: the exact kernel's second moments, of order
+# P^2, once underflowed and the run wrote stderr_P_M0_M0=0.
+@example(dict(
+    m_L=10.0, m_H=10.5, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=12.0, beta=1.0, m0=1.0,
+    alpha=1.0, d=2, r_C=0.5, ratio_convention="normal", t_max=1.0, n_points=3,
+), dict(n_trajectories=50, seed=3))
 # P_M0_M0 + P_M0_M0bar near 2e-174 at t = 0.4: the asymmetry's delta method
 # once squared it to 0 and wrote stderr_asymmetry=nan with exit 0.
 @example(dict(m_L=1.0, m_H=2.0, gamma_L=1000.0, gamma_H=1000.0, model="QM", t_max=0.4, n_points=2),

@@ -28,7 +28,7 @@ from flavorcollapse.sde import (
     wiener_increments,
 )
 
-from conftest import closed_form, make_csl
+from conftest import make_csl
 
 # stratonovich_family_spec is an alias of family_spec, so its __name__ cannot
 # tell the two cases apart: the alias case carries its own id.
@@ -555,7 +555,7 @@ def test_ensemble_unitary_limit_matches_oscillation():
     config = NoiseConfig(seed=5, dt=3.0 / 3000)
     (stats,) = ensemble_evolve(spec, config, [STATES["M0"]], t_grid, 10**4)
     mean, stderr = stats.column("P_M0")
-    expected = prob_flavor(closed_form(meson), FlavorTarget.M0, t_grid)
+    expected = prob_flavor(meson, None, FlavorTarget.M0, t_grid)
     np.testing.assert_array_less(np.abs(mean - expected), 3 * stderr + 1e-12)
 
 
@@ -827,6 +827,26 @@ def test_exact_ensemble_equals_closed_form(monkeypatch, factory, n_channels, row
         )
         cov = np.einsum("kto,ktp->top", obs - obs.mean(axis=0), obs - obs.mean(axis=0)) / (n_traj - 1)
         np.testing.assert_allclose(result.covariances, cov, rtol=1e-12, atol=1e-15)
+
+
+def test_exact_ensemble_keeps_its_scale_under_uniform_decay():
+    # A decay 2 gamma I added to K multiplies every trajectory by
+    # exp(-gamma t), so each mean and each standard error by exp(-2 gamma t).
+    # At gamma = 200 that is 2e-174 at t = 1, where second moments of order
+    # P^2 fall below the float range: the standard errors once underflowed
+    # to 0 there.
+    meson, collapse = _bare(0.5, 1.5), make_csl(beta=0.8, rate=0.3)
+    spec = family_spec(meson, collapse)
+    decay = spec.master.anticommutator + 400.0 * np.eye(2)
+    damped = replace(spec, master=replace(spec.master, anticommutator=decay))
+    t_grid = _grid(1.0, 5)
+    config = NoiseConfig(seed=3, dt=0.25)
+    factor = np.exp(-400.0 * t_grid)[:, None]
+    bases, damped_runs = (ensemble_evolve(s, config, _ALL_STATES, t_grid, 200) for s in (spec, damped))
+    assert np.all(damped_runs[0].stderrs[1:, :2] > 0.0)  # P_M0 and P_M0bar from M0 at t > 0
+    for base, scaled in zip(bases, damped_runs):
+        np.testing.assert_allclose(scaled.means, base.means * factor, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scaled.stderrs, base.stderrs * factor, rtol=1e-12, atol=0.0)
 
 
 def test_exact_mass_eigenstates_are_deterministic():
