@@ -322,9 +322,21 @@ def load_config(path: str, overrides: dict | None = None) -> RunSpec:
         interval = float(times[1] - times[0])
         if not math.isfinite(interval / spec.dt):
             raise InvalidParams(f"dt={_fmt(spec.dt)} leaves no finite number of steps in a grid interval")
-        steps = (spec.n_points - 1) * float(_substeps(interval, spec.dt))
+        n_sub = _substeps(interval, spec.dt)
+        steps = (spec.n_points - 1) * float(n_sub)
         if steps > _MAX_STEPS:
             raise InvalidParams(f"dt={_fmt(spec.dt)} asks for {steps:.4g} Euler steps per trajectory, more than 2**31")
+        # The fastest decay of the routes' master equation (``lindblad.family_master_spec``), the largest
+        # K_ii + sum_c (L_c^dag L_c)_ii = lambda_eff ((2 beta - 1) m~_i^2 + (m~_i - m~_L)^2): past h rate = 4
+        # an Euler step's real factor 1 - h rate / 2 leaves [-1, 1] and the stepped state grows.
+        lam, ratios = collapse.effective_rate, mass_ratios(meson, collapse).tolist()
+        rate = max(lam * r * r * (2.0 * collapse.beta - 1.0) + lam * (r - ratios[0]) * (r - ratios[0]) for r in ratios)
+        h = interval / n_sub
+        if h * rate > 4.0:
+            raise InvalidParams(
+                f"dt={_fmt(spec.dt)} steps h={_fmt(h)} at the fastest decay rate {_fmt(rate)}: h rate = "
+                f"{_fmt(h * rate)} > 4, so one Euler step's factor 1 - h rate/2 leaves [-1, 1]"
+            )
     return spec
 
 
@@ -427,15 +439,16 @@ def _route_master_spec(spec: RunSpec) -> lindblad.MasterSpec:
 
 
 def _require_density_matrices(initial: str, times: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """``rhos`` unchanged if every state has trace and eigenvalues in range up to round-off.
+    """``rhos`` unchanged if every 2x2 state has trace and eigenvalues in range up to round-off.
 
     The trace must lie in [0, 1] (decay only lowers it) and the smallest
-    eigenvalue must not be negative.  Otherwise raises
+    eigenvalue, tr/2 - hypot((a - d)/2, |b|) for the Hermitian state
+    [[a, b], [b*, d]], must not be negative.  Otherwise raises
     ``UnphysicalProbability`` naming the initial state and the first
     offending time.  NaN fails every comparison.
     """
     trace = np.einsum("tii->t", rhos).real
-    smallest = np.linalg.eigvalsh(rhos)[:, 0]
+    smallest = trace / 2 - np.hypot((rhos[:, 0, 0].real - rhos[:, 1, 1].real) / 2, np.abs(rhos[:, 0, 1]))
     bad = ~((trace >= -_PROB_TOL) & (trace <= 1.0 + _PROB_TOL) & (smallest >= -_PROB_TOL))
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -535,14 +548,15 @@ def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float) ->
     the base alone.  r is the fastest rate of the generator that is stepped,
     read off its master equation: the largest of ||H||_2 (the Hermitian mass
     term), ||K||_2 (the decay) and max_c ||L_c||_2^2, one rate per physics
-    whichever name built the equation.  H carries the gauge of
+    whichever name built the equation.  Each matrix is diagonal or
+    monomial, so its 2-norm is its largest |entry|.  H carries the gauge of
     ``operators.reduced_mass_operator``, so the absolute masses do not enter.
     """
     if _exact(eq_spec):
         return np.full(times.shape, 1e-12)
     master = eq_spec.master
-    norms = [np.linalg.norm(m, 2) for m in (master.hamiltonian, master.anticommutator) if m is not None]
-    noise = max(np.linalg.norm(op, 2) for op in master.lindblads) ** 2
+    norms = [np.abs(m).max() for m in (master.hamiltonian, master.anticommutator) if m is not None]
+    noise = max(np.abs(op).max() for op in master.lindblads) ** 2
     return 1e-12 + 4.0 * dt * times * max(*norms, noise) ** 2
 
 

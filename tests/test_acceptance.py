@@ -36,6 +36,7 @@ from flavorcollapse.lindblad import (
     gaussian_partial_trace,
     integrate_master,
     kernel_solution,
+    master_rhs,
     probs_from_kernels,
     project_enlarged_to_flavor,
     wigner_weisskopf_spec,
@@ -221,6 +222,11 @@ def test_c5_enlarged_space_consistency():
     min_eig, worst = np.inf, 0.0
     # Both route equations: the measured widths of QM and the induced K of the family.
     for flavor in (wigner_weisskopf_spec(meson), family_master_spec(meson, collapse)):
+        # The superoperators, assembled entry by entry, are the master equations' right-hand sides bit for bit.
+        for spec in (flavor, enlarged_master_spec(flavor)):
+            basis = np.eye(spec.dim**2).reshape(-1, spec.dim, spec.dim)
+            rhs = np.array([master_rhs(spec, e).reshape(-1) for e in basis]).T
+            assert build_superoperator(spec).tobytes() == rhs.tobytes()
         enlarged = integrate_master(enlarged_master_spec(flavor), rho0, grid)
         eigs = np.linalg.eigvalsh(enlarged)
         traces = np.einsum("tii->t", enlarged).real

@@ -1068,6 +1068,32 @@ def test_ensemble_probability_above_one_exits_two(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# The README CSL system at m_L 10, m_H 10.5, rate 12 and beta 1: the fastest
+# decay of its master equation, K_HH + (L^dag L)_HH, is about 422.
+_FAST_DECAY_CSL = dict(
+    _README_CSL, m_L=10.0, m_H=10.5, rate=12.0, beta=1.0, t_max=1.0, n_points=3, n_trajectories=50, seed=3,
+)
+
+
+@pytest.mark.parametrize("command", ["ensemble", "compare"])
+def test_stepped_decay_beyond_the_euler_bound_is_rejected_at_load(tmp_path, capsys, command):
+    # At dt 0.01 one Euler step multiplies the M_H component by about
+    # 1 - 0.01 * 422 / 2 < -1; the ensemble once ran and exited 2 with
+    # P_M0_M0=5699.76 at t = 0.5.
+    cfg = write_config(tmp_path, command=command, equation="nonlinear", dt=0.01, **_FAST_DECAY_CSL)
+    with pytest.raises(InvalidParams):
+        cli.load_config(cfg)
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: dt=0\.01 steps h=0\.01 at the fastest decay rate 422\.\d+: h rate = 4\.2\d* > 4, .*\n",
+                        err)
+    assert not out.exists()
+    # Within the bound (h rate = 0.21) the run goes through.
+    small = write_config(tmp_path, "small.json", command="ensemble", equation="nonlinear", dt=0.0005, **_FAST_DECAY_CSL)
+    assert cli.main([small, "--output", str(out)]) == 0
+
+
 @pytest.mark.parametrize(
     "route, command, bad",
     [
@@ -1096,6 +1122,36 @@ def test_route_probability_outside_unit_interval_exits_two(tmp_path, monkeypatch
     )
 
 
+def _unavailable(*args, **kwargs):
+    raise AssertionError("a route reached a dense routine its closed forms replace")
+
+
+def _without_dense_routines(monkeypatch):
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "norm"), (lindblad, "master_rhs")):
+        monkeypatch.setattr(owner, name, _unavailable)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(command="master", **_README_CSL),
+        dict(command="master", **dict(_EXPLICIT_QM, gamma_L=0.3, gamma_H=0.1)),
+        dict(command="compare", **_README_CSL, n_trajectories=200, seed=7),
+    ],
+    ids=["csl_master", "qm_master", "csl_exact_compare"],
+)
+def test_master_route_runs_without_lapack_or_master_rhs(tmp_path, monkeypatch, config):
+    # The mass-basis algebra of the master route is closed-form: the
+    # superoperator entry by entry, the propagation by a plain einsum and
+    # the density-matrix check by the 2x2 eigenvalue formula.
+    cfg = write_config(tmp_path, **config, t_max=6.0, n_points=61)
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert cli.main([cfg, "--output", str(want)]) == 0
+    _without_dense_routines(monkeypatch)
+    assert cli.main([cfg, "--output", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize(
     "bad, found",
     [
@@ -1119,6 +1175,7 @@ def test_master_state_that_is_not_a_density_matrix_exits_two(tmp_path, monkeypat
         return rhos
 
     monkeypatch.setattr(lindblad, "integrate_master", faulty)
+    _without_dense_routines(monkeypatch)
     out = tmp_path / "out.csv"
     assert cli.main([cfg, "--output", str(out)]) == 2
     err = capsys.readouterr().err

@@ -247,14 +247,37 @@ def test_trace_law_finite_difference(meson_stable):
     assert fd == pytest.approx(expected, rel=1e-6)
 
 
-def test_superoperator_matches_rhs(meson, csl):
-    spec = family_master_spec(meson, csl)
-    sup = build_superoperator(spec)
-    rng = np.random.default_rng(2)
-    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    np.testing.assert_allclose(
-        (sup @ mat.reshape(-1)).reshape(2, 2), master_rhs(spec, mat), atol=1e-14
+def _rhs_superoperator(spec):
+    """The reference S: column k is master_rhs on the k-th basis matrix."""
+    basis = np.eye(spec.dim**2).reshape(-1, spec.dim, spec.dim)
+    return np.array([master_rhs(spec, e).reshape(-1) for e in basis]).T
+
+
+def _moving_spec(amplitudes):
+    """A 4x4 spec whose monomial channels move mass states: 0 -> 2 -> 3 -> 0 with column 1 empty,
+    the swaps (0 1)(2 3) and a diagonal one; each column a of a channel takes amplitudes[c, a]."""
+    rng = np.random.default_rng(4)
+    cycle = np.zeros((4, 4))
+    cycle[[2, 3, 0], [0, 2, 3]] = 1.0
+    shapes = (cycle, np.eye(4)[[1, 0, 3, 2]], np.eye(4))
+    return MasterSpec(
+        hamiltonian=np.diag(rng.normal(size=4)),
+        lindblads=tuple(shape * amp for shape, amp in zip(shapes, amplitudes)),
+        anticommutator=np.diag(rng.random(4)),
     )
+
+
+def test_superoperator_matches_rhs():
+    # The entrywise S against the reference built from master_rhs, bit for
+    # bit with real amplitudes (every route's equation is real; C5 checks
+    # them).  With complex ones the reference's matrix products may fuse
+    # multiply-adds, so the two agree to a few ulp of the largest entry.
+    rng = np.random.default_rng(2)
+    real = _moving_spec(rng.normal(size=(3, 4)))
+    assert build_superoperator(real).tobytes() == _rhs_superoperator(real).tobytes()
+    complex_spec = _moving_spec(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+    own, reference = build_superoperator(complex_spec), _rhs_superoperator(complex_spec)
+    np.testing.assert_allclose(own, reference, rtol=0.0, atol=8 * np.finfo(float).eps * np.abs(reference).max())
 
 
 # ----------------------------------------------------------------------

@@ -68,3 +68,22 @@ def test_every_public_name_is_reached():
     )
     unreached = [key for key, name in public.items() if name not in reached]
     assert sorted(unreached) == []
+
+
+def test_linalg_is_reached_only_from_the_taylor_exponential():
+    # The routes' mass-basis algebra is closed-form; np.linalg serves only
+    # the 1-norm of the linked blocks of an enlarged superoperator, which
+    # only tests integrate.  So no LAPACK call creeps back onto a route.
+    users = set()
+    for path in (_ROOT / "src" / "flavorcollapse").glob("*.py"):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            name = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                aliases = node.names if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+                if (
+                    (isinstance(node, ast.Attribute) and node.attr == "linalg")
+                    or (isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""))
+                    or any("linalg" in alias.name for alias in aliases)
+                ):
+                    users.add(f"{path.stem}.{name}")
+    assert users == {"lindblad._expm_taylor"}
