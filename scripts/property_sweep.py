@@ -3,8 +3,8 @@
 
 Runs the strategies and the checks of ``tests/test_properties.py`` over
 ``--examples`` explicit-mass configs, each as ``analytic``, ``master`` and
-exact ``ensemble`` and, where that ensemble exits 0, as ``compare``
-(through the shared ``check``), and over as many configs that break the
+exact ``ensemble`` and, where that ensemble exits 0, as ``compare``, with
+one CSL draw in four also stepped (through the shared ``check``), and over as many configs that break the
 schema at one key, with the tier-1 tests' settings otherwise.  Exits 0 when every
 property held; a failing config is printed by hypothesis and the script
 exits 1.
@@ -28,7 +28,9 @@ def main() -> int:
     args = parser.parse_args()
     profile = settings(test_properties.PROFILE, max_examples=args.examples)
     sweeps = (
-        given(test_properties.configs(), test_properties.ensemble_keys())(test_properties.check),
+        given(test_properties.configs(), test_properties.ensemble_keys(), test_properties.stepped_keys())(
+            test_properties.check
+        ),
         given(test_properties.violating_configs())(lambda case: test_properties.check_rejected(*case)),
     )
     for sweep in sweeps:

@@ -546,18 +546,17 @@ def _discretization_floor(eq_spec: sde.SdeSpec, times: np.ndarray, dt: float) ->
 
     An exactly sampled linear equation has no discretization bias and gets
     the base alone.  r is the fastest rate of the generator that is stepped,
-    read off its master equation: the largest of ||H||_2 (the Hermitian mass
-    term), ||K||_2 (the decay) and max_c ||L_c||_2^2, one rate per physics
-    whichever name built the equation.  Each matrix is diagonal or
-    monomial, so its 2-norm is its largest |entry|.  H carries the gauge of
-    ``operators.reduced_mass_operator``, so the absolute masses do not enter.
+    read off its master equation: the larger of ||K||_2 (the decay) and
+    max_c ||L_c||_2^2, one rate per physics whichever name built the
+    equation.  H is not stepped: the kernel takes it exactly, as a phase
+    (``sde._stepped_batches``).  Each matrix is diagonal or monomial, so its
+    2-norm is its largest |entry|.
     """
     if _exact(eq_spec):
         return np.full(times.shape, 1e-12)
-    master = eq_spec.master
-    norms = [np.abs(m).max() for m in (master.hamiltonian, master.anticommutator) if m is not None]
-    noise = max(np.abs(op).max() for op in master.lindblads) ** 2
-    return 1e-12 + 4.0 * dt * times * max(*norms, noise) ** 2
+    k, ops = eq_spec.master.anticommutator, eq_spec.master.lindblads
+    rate = max([np.abs(op).max() ** 2 for op in ops] + ([] if k is None else [np.abs(k).max()]))
+    return 1e-12 + 4.0 * dt * times * rate**2
 
 
 # ----------------------------------------------------------------------

@@ -116,17 +116,19 @@ def wigner_weisskopf_spec(meson: MesonParams) -> MasterSpec:
 def enlarged_master_spec(flavor: MasterSpec) -> MasterSpec:
     """The 2x2 flavor equation on the 4-dim space (M_L, M_H, f_L, f_H), with its decay as a Lindblad channel.
 
-    H and each Lindblad operator act on the flavor block.  K becomes one
-    decay channel, last in channel order, that takes M_i to f_i with
-    amplitude sqrt(K_ii) (a zero channel without K), and the enlarged
-    equation has no anticommutator term.  The channel's L^dag L is K on the
-    flavor block, so the flavor block follows ``flavor``, and the trace it
-    loses arrives in the decay block: the enlarged trace is preserved.
+    Each Lindblad operator acts on the flavor block, and H is diag(H_F, H_F).
+    K becomes one decay channel, last in channel order, that takes M_i to
+    f_i with amplitude sqrt(K_ii) (a zero channel without K), and there is
+    no anticommutator term.  Its L^dag L is K on the flavor block, so the
+    flavor block follows ``flavor``, and the trace it loses arrives in the
+    decay block.  Giving f_i the energy of M_i makes the channel commute
+    with H, so the stepped kernel takes H as an exact phase (``sde``); the
+    gauge moves only the coherences rho_Mf and rho_fLfH, which no output reads.
     """
     if flavor.dim != 2:
         raise DimensionMismatch("the enlarged equation embeds a 2x2 flavor spec")
     ops = np.zeros((len(flavor.lindblads) + 2, 4, 4), dtype=complex)  # H, the flavor channels, the decay channel
-    ops[0, :2, :2] = flavor.hamiltonian
+    ops[0, :2, :2] = ops[0, 2:, 2:] = flavor.hamiltonian
     for op, lindblad in zip(ops[1:], flavor.lindblads):
         op[:2, :2] = lindblad
     if flavor.anticommutator is not None:

@@ -15,11 +15,13 @@ on the normalized state it reads
             - K/2] psi dt + sum_c (L_c - R_c) psi dW_c.
 
 H is Hermitian and decay enters through K.  The forms are the flavor
-equation of a flavor master equation; the enlarged-space equation, whose
-master equation is the flavor one with K turned into a decay channel that
-takes M_i to f_i with amplitude sqrt(K_ii)
-(``lindblad.enlarged_master_spec``); and the phase-transformation family
-e^{i phi} L.  It is stepped with Euler-Maruyama.
+equation of a flavor master equation, the enlarged-space equation
+(``lindblad.enlarged_master_spec``) and the phase-transformation family
+e^{i phi} L.  H commutes with K and every L_c (on the enlarged space f_i
+carries the energy of M_i), and R_c does not see a diagonal phase, so
+psi(t) = e^{-i H t} psi~(t), with psi~ the solution without H: the
+interaction picture.  Euler-Maruyama steps psi~, real from real states
+under real L_c, and the exact phase enters at the grid points.
 
 All of these share one master equation per physical system.  ``LINEAR``
 takes purely imaginary noise.  Its spec is the Stratonovich SDE
@@ -41,15 +43,15 @@ diagonal, and the decay channel maps each mass state to one decay state.
 Every spec takes A centred, diag(0, m~_H - m~_L): a gauge of every label
 on the flavor space.  On the enlarged space the shift changes the
 trajectories, but of the master equation only the flavor-decay
-coherences rho_Ff, which neither the flavor block nor the decay block
-reads.  ``MasterSpec`` requires H and K real-diagonal and every L_c
-monomial, and the linear label every L_c a real diagonal, so every step
-is elementwise.
+coherences rho_Ff, which no output reads.  ``MasterSpec`` requires H and
+K real-diagonal and every L_c monomial, and the linear label every L_c a
+real diagonal, so every step is elementwise.
 The linear equation has the closed-form solution
 c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass component,
 d = diag(-i H - K/2), g_c = i diag(L_c), which ``ensemble_evolve`` samples
-at the grid points.  One step of it is ``step`` (Euler-Maruyama on the Ito
-form) or ``stratonovich_step`` (Heun midpoint on the Stratonovich form).
+at the grid points.  ``step`` (Euler-Maruyama on the Ito form) and
+``stratonovich_step`` (Heun midpoint on the Stratonovich form) take one
+step of the linear equation only.
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
@@ -186,11 +188,10 @@ stratonovich_family_spec = family_spec
 def phase_transform_spec(spec: SdeSpec, phi: float) -> SdeSpec:
     """Member of the phase-transformation family of the nonlinear equation.
 
-    Each Lindblad operator L becomes e^{i phi} L, a general operator.
-    phi = 0 returns the equation unchanged; phi = pi/2 turns the noise
-    purely imaginary and reduces the drift to the linear -(1/2) L^2
-    form.  All members share one master equation: L rho L^dag and L^dag L
-    do not see the phase.
+    Each Lindblad operator L becomes e^{i phi} L, a general operator, and
+    phi = 0 returns the equation unchanged.  All members share one master
+    equation: L rho L^dag and L^dag L do not see the phase.  The stepped
+    kernel takes real L only, so it rejects a member with a complex L.
     """
     if spec.equation is not SdeEquation.NONLINEAR:
         raise UnsupportedEquation("phase transformation applies to the nonlinear equation")
@@ -371,44 +372,42 @@ def _linear_stepper(spec: SdeSpec, cols: tuple[int, ...], heun: bool):
 
 
 def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
-    """In-place Euler-Maruyama update psi, w, h of the (dim, *cols) columns of the nonlinear equation.
+    """In-place Euler-Maruyama update psi, w, h of the real (dim, *cols) columns of the nonlinear equation.
 
-    Every operator is monomial (``SdeSpec``), so the step is elementwise:
+    It steps psi~ of the interaction picture (module docstring), with no H
+    term.  Every operator is monomial and real, so the step is elementwise:
     L_c psi is the gather coeff_c psi[src_c] (a plain product for a
-    diagonal L_c), L_c^dag L_c is the diagonal
-    n_c, and R_c = Re<psi|L_c psi> / |psi|^2 is a sum over the components
-    of a column.  Grouped by what multiplies psi and L_c psi, the step is
+    diagonal L_c), L_c^dag L_c is the diagonal n_c, and
+    R_c = <psi|L_c psi> / |psi|^2 sums the components of a column.
+    Grouped by what multiplies psi and L_c psi, the step is
     dpsi = (h d - sum_c beta_c) psi + sum_c alpha_c L_c psi, with
-    d = -i H - K/2 - (1/2) sum_c n_c and the column scalars
+    d = -K/2 - (1/2) sum_c n_c and the column scalars
     alpha_c = h R_c + w_c and beta_c = R_c (h R_c / 2 + w_c).  Sums run in
     index order, and the work arrays are allocated once.
     """
     dim, n_channels = spec.dim, spec.n_channels
     expand = (slice(None),) + (None,) * len(cols)
-    d = np.diagonal(_stratonovich_drift(spec))
+    d = np.diagonal(_stratonovich_drift(spec)).real  # -K/2: -i H enters as the exact phase
     srcs, coeffs = [], []
     for op in spec.master.lindblads:
         src = np.argmax(op != 0.0, axis=1)  # the one nonzero of each row, if any
-        coeff = op[np.arange(dim), src]
-        d = d - 0.5 * np.bincount(src, weights=coeff.real**2 + coeff.imag**2, minlength=dim)
+        coeff = op[np.arange(dim), src].real
+        d = d - 0.5 * np.bincount(src, weights=coeff * coeff, minlength=dim)
         srcs.append(None if np.array_equal(src, np.arange(dim)) else src)  # None: diagonal, no gather
         coeffs.append(coeff[expand])
     d = d[expand]
-    l_psi = np.empty((n_channels, dim, *cols), dtype=complex)
+    l_psi = np.empty((n_channels, dim, *cols))
     alphas, betas = np.empty((2, n_channels, *cols))
-    m = np.empty((dim, *cols), dtype=complex)
-    re, im = np.empty((2, dim, *cols))
+    m, prod = np.empty((2, dim, *cols))
     n2, r = np.empty((2, *cols))
 
-    def re_dot(a, b, out):
-        # Re sum_i conj(a_i) b_i per column; the outer-axis sum adds components in index order.
-        np.multiply(a.real, b.real, out=re)
-        np.multiply(a.imag, b.imag, out=im)
-        np.add(re, im, out=re)
-        np.sum(re, axis=0, out=out)
+    def dot(a, b, out):
+        # sum_i a_i b_i per column; the outer-axis sum adds components in index order.
+        np.multiply(a, b, out=prod)
+        np.sum(prod, axis=0, out=out)
 
     def advance(psi, w, h):
-        re_dot(psi, psi, n2)
+        dot(psi, psi, n2)
         if not n2.min() >= _NORM_FLOOR:
             raise ZeroNorm("state norm underflowed or is not finite; normalized expectation undefined")
         half_h = 0.5 * h
@@ -418,7 +417,7 @@ def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
             else:
                 np.take(psi, src, axis=0, out=lp)
                 np.multiply(lp, coeff, out=lp)
-            re_dot(psi, lp, r)
+            dot(psi, lp, r)
             np.divide(r, n2, out=r)
             np.multiply(r, half_h, out=beta)
             np.add(beta, w_c, out=beta)
@@ -438,34 +437,25 @@ def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
 
 
 def _step_rows(spec: SdeSpec, state, dW, dt: float, heun: bool):
+    if spec.equation is not SdeEquation.LINEAR:
+        raise UnsupportedEquation("step and stratonovich_step apply to the linear equation")
     psi, single = _as_batch(state, spec.dim)
     w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    if spec.equation is SdeEquation.LINEAR:
-        advance = _linear_stepper(spec, psi.shape[:1], heun)
-    else:
-        advance = _collapse_stepper(spec, psi.shape[:1])
-    advance(psi.T, w.T, dt)
+    _linear_stepper(spec, psi.shape[:1], heun)(psi.T, w.T, dt)
     return psi[0] if single else psi
 
 
 def step(spec: SdeSpec, state, dW, dt: float):
-    """One Euler-Maruyama step of the Ito form of the equation.
+    """One Euler-Maruyama step of the Ito form of the linear equation, with its Ito conversion term.
 
-    The nonlinear equation is stated in Ito form; the linear one gains the
-    Ito conversion term.  Accepts a single state vector or a batch of rows;
-    ``dW`` must carry one increment per Wiener channel (and per row for
-    batches).
+    Accepts a single state vector or a batch of rows; ``dW`` must carry
+    one increment per Wiener channel (and per row for batches).
     """
     return _step_rows(spec, state, dW, dt, heun=False)
 
 
 def stratonovich_step(spec: SdeSpec, state, dW, dt: float):
-    """One Heun step of the Stratonovich form of the linear equation.
-
-    The midpoint predictor-corrector realizes the Stratonovich product.
-    """
-    if spec.equation is not SdeEquation.LINEAR:
-        raise UnsupportedEquation("stratonovich_step applies to the linear equation")
+    """One Heun step (the midpoint predictor-corrector) of the Stratonovich form of the linear equation."""
     return _step_rows(spec, state, dW, dt, heun=True)
 
 
@@ -519,18 +509,27 @@ def _fold_batches(partials) -> tuple[np.ndarray, np.ndarray]:
 def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_grid: np.ndarray, entries):
     """Batch runner (lo, hi) -> (count, means, m2) that steps the nonlinear equation at dt with Euler-Maruyama.
 
+    It steps the real psi~ of the interaction picture (module docstring;
+    Lawson, SIAM J. Numer. Anal. 4 (1967) 372), and pair (i, j) records
+    psi~_i psi~_j times the exact phase (cos, -sin)(omega_ij t), with
+    omega_ij = E_i - E_j, so a mass eigenstate keeps its norm at any dt.
     Column (s, k) of the (dim, state, batch) array holds trajectory k from
     state s, and every state reads the same noise.  Each trajectory keeps
     its own generator for the batch, and the batch draws blocks of steps of
     at most _NOISE_BLOCK entries, so no noise of the run's length is held.
     Each grid point is reduced to the features of ``ensemble_evolve``.
     """
+    energies, ops = np.diagonal(spec.master.hamiltonian).real, spec.master.lindblads
+    if amps0.imag.any() or any(op.imag.any() or (op * (energies[:, None] - energies)).any() for op in ops):
+        raise UnsupportedEquation("the stepped kernel takes real states and real L_c that commute with H")
     substeps = _grid_substeps(t_grid, config.dt)
     n_states, dim = len(amps0), spec.dim
     n_grid, n_channels, n_steps = len(t_grid), spec.n_channels, int(sum(substeps))
     n_entries = len(entries)
     n_feat = 2 * n_entries - dim
     sqrt_dt = math.sqrt(config.dt)
+    angles = np.outer(t_grid, [energies[i] - energies[j] for i, j in entries[dim:]])[:, None, :, None]
+    cosines, sines = np.cos(angles), -np.sin(angles)
 
     def run_batch(bounds: tuple[int, int]):
         lo, hi = bounds
@@ -554,18 +553,17 @@ def _stepped_batches(spec: SdeSpec, config: NoiseConfig, amps0: np.ndarray, t_gr
         # The step and the reduction run in place on arrays allocated here,
         # so the loop allocates nothing of the batch's size: no memory is
         # returned to the system and faulted back in.
-        psi = np.repeat(amps0.T[:, :, None], b, axis=2)
+        psi = np.repeat(amps0.real.T[:, :, None], b, axis=2)
         advance = _collapse_stepper(spec, psi.shape[1:])
         states = psi.transpose(1, 0, 2)  # (state, component, trajectory)
-        cc = np.empty((n_states, n_entries, b), dtype=complex)  # c_i conj(c_j)
         feats = np.empty((n_states, n_feat, b))  # (state, feature, trajectory)
+        re, im = feats[:, dim:n_entries], feats[:, n_entries:]  # the pairs' Re and Im of psi_i conj(psi_j)
 
         def record(g: int) -> None:
             for e, (i, j) in enumerate(entries):
-                np.conjugate(states[:, j], out=cc[:, e])
-                np.multiply(states[:, i], cc[:, e], out=cc[:, e])
-            feats[:, :n_entries] = cc.real
-            feats[:, n_entries:] = cc[:, dim:].imag
+                np.multiply(states[:, i], states[:, j], out=feats[:, e])
+            np.multiply(re, sines[g], out=im)
+            np.multiply(re, cosines[g], out=re)
             # Centre on the first trajectory, then on the batch mean: equal
             # trajectories (t = 0) give exactly zero spread.
             first = feats[:, :, 0].copy()
@@ -703,8 +701,8 @@ def ensemble_evolve(
     linear equation samples the closed-form solution at the grid points
     (``_exact_linear_batches``, no discretization bias, ``config.dt``
     unread), one block of mass-basis factors c serving every state as
-    a * c_k; the nonlinear label steps one block of columns per state at
-    ``config.dt`` with Euler-Maruyama (``_stepped_batches``), whose O(dt)
+    a * c_k; the nonlinear label steps one block of real columns per state
+    at ``config.dt`` (``_stepped_batches``, H an exact phase), whose O(dt)
     weak bias remains.  Either way state s of a stacked call equals a
     single-state call bit for bit.  Each probability |<v|psi>|^2 on the
     raw state is a fixed real form in the entries of psi psi^dag, so the

@@ -503,13 +503,41 @@ def test_compare_passes_when_masses_dwarf_their_splitting(tmp_path, capsys):
     assert float(re.search("master_max_residual=(\\S+)", summary).group(1)) <= 1e-15
 
 
+def _compare_ensemble_probs(cfg, out):
+    # The ensemble route's probabilities of a compare run: analytic plus the written residual.
+    spec = cli.load_config(cfg)
+    analytic = cli._analytic_probs(spec, spec.grid)
+    return {col: analytic[col] + column(out, f"res_ensemble_{col}") for col in cli._PROB_COLUMNS}
+
+
 def test_enlarged_compare_loads_when_masses_dwarf_their_splitting(tmp_path, capsys):
-    # The config loads and its run reaches the ensemble, where Euler-Maruyama
-    # grows the norm of the enlarged state from H past 1 (P_H_H 1 + 1.0e-2):
-    # a domain error of the stepping, still open, not a configuration error.
+    # The config loads and its stepped run keeps the norm of the enlarged
+    # state from H, since H is taken as an exact phase: Euler-Maruyama in H
+    # once grew P_H_H to 1 + 1.0e-2 here and exited 2.
     cfg = write_config(tmp_path, command="compare", **_DWARFED_SPLITTING, equation="enlarged")
-    assert cli.main([cfg, "--output", str(tmp_path / "out.csv")]) == 2
-    assert capsys.readouterr().err.startswith("domain error: ensemble route: P_H_H=1.01")
+    out = str(tmp_path / "out.csv")
+    assert cli.main([cfg, "--output", out]) == 0
+    assert capsys.readouterr().err.startswith("compare: ")
+    for col, probs in _compare_ensemble_probs(cfg, out).items():
+        assert np.all((probs >= 0.0) & (probs <= 1.0)), (col, probs)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.001])
+@pytest.mark.parametrize("equation", ["nonlinear", "enlarged"])
+@pytest.mark.parametrize(
+    "system",
+    [dict(_README_CSL, beta=0.5, t_max=1.0, n_points=3, n_trajectories=8, seed=7), _DWARFED_SPLITTING],
+    ids=["readme", "dwarfed_splitting"],
+)
+def test_stepped_mass_eigenstates_keep_their_norm_at_beta_half(tmp_path, system, equation, dt):
+    # At beta 1/2 with zero widths nothing decays, and a mass eigenstate is a
+    # fixed point of the collapse noise, so P_L_L and P_H_H are 1 at every t
+    # and dt.  An Euler-Maruyama step in H multiplied |psi|^2 by 1 + (h dm)^2.
+    cfg = write_config(tmp_path, command="ensemble", **dict(system, dt=dt), equation=equation)
+    out = str(tmp_path / "out.csv")
+    assert cli.main([cfg, "--output", out]) == 0
+    for col in ("P_L_L", "P_H_H"):
+        assert np.all(column(out, col) == 1.0), (col, column(out, col))
 
 
 @pytest.mark.parametrize(
@@ -1051,20 +1079,51 @@ def test_compare_exit_code_three_on_route_mismatch(tmp_path, monkeypatch):
     assert cli.main([cfg, "--output", str(tmp_path / "cmp.csv")]) == 3
 
 
+# The README system at beta 1/2: no collapse-induced width, so nothing decays.
+_UNDAMPED_STEPPED = dict(
+    _README_CSL, beta=0.5, t_max=6.0, n_points=121, n_trajectories=16, seed=7, dt=0.0015,
+)
+
+
+@pytest.mark.parametrize(
+    "command, equation", [("ensemble", "nonlinear"), ("compare", "nonlinear"), ("ensemble", "enlarged")]
+)
+def test_stepped_run_at_beta_half_keeps_every_probability(tmp_path, capsys, command, equation):
+    # Euler-Maruyama in H grew |psi|^2 by 1 + (dm h)^2 per step, and these
+    # runs exited 2 with P_H_H = 1.0000735 at t = 0.05.  With H taken as an
+    # exact phase every probability stays in [0, 1].  (An enlarged compare at
+    # N 16 meets the small-N size of the 4-sigma gate, README.)
+    cfg = write_config(tmp_path, command=command, **_UNDAMPED_STEPPED, equation=equation)
+    out = str(tmp_path / "out.csv")
+    assert cli.main([cfg, "--output", out]) == 0
+    capsys.readouterr()
+    if command == "ensemble":
+        probs = {col: column(out, col) for col in cli._PROB_COLUMNS}
+    else:
+        probs = _compare_ensemble_probs(cfg, out)
+    for col, values in probs.items():
+        assert np.all((values >= 0.0) & (values <= 1.0)), (col, values)
+
+
 @pytest.mark.parametrize("command", ["ensemble", "compare"])
-def test_ensemble_probability_above_one_exits_two(tmp_path, capsys, command):
-    # Each Euler step of the nonlinear equation grows |psi|^2 by
-    # 1 + (delta_m h)^2; with no collapse-induced width (beta = 1/2) nothing
-    # takes it back, and P_H_H passes 1 (1.0091 at t = 6).
-    cfg = write_config(
-        tmp_path, command=command, **dict(_README_CSL, beta=0.5), equation="nonlinear",
-        t_max=6.0, n_points=121, n_trajectories=16, seed=7, dt=0.0015,
-    )
+def test_ensemble_probability_above_one_exits_two(tmp_path, monkeypatch, capsys, command):
+    # A stepped ensemble mean above 1 is a domain error: one line, exit 2 and
+    # no output.  The means of the state from H are pushed past 1 for t > 0.
+    cfg = write_config(tmp_path, command=command, **_UNDAMPED_STEPPED, equation="nonlinear")
+    true_stats = cli._ensemble_stats
+
+    def inflated(spec, eq_spec, times):
+        stats, dt = true_stats(spec, eq_spec, times)
+        means = stats["H"].means.copy()
+        means[1:, stats["H"].labels.index("P_H")] *= 1.0001
+        return dict(stats, H=dataclasses.replace(stats["H"], means=means)), dt
+
+    monkeypatch.setattr(cli, "_ensemble_stats", inflated)
     out = tmp_path / "out.csv"
     assert cli.main([cfg, "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("domain error: ensemble route: P_H_H=1.0000")
-    assert "at time=0.05" in err
+    assert err.count("\n") == 1
+    assert err.startswith("domain error: ensemble route: P_H_H=1.0001 at time=0.05")
     assert not out.exists()
 
 

@@ -102,8 +102,9 @@ def test_enlarged_operator_blocks(meson, csl):
     flavor = family_master_spec(meson, csl)
     enlarged = enlarged_master_spec(flavor)
     h = enlarged.hamiltonian
+    # f_i carries the energy of M_i, so the decay channel commutes with H.
     np.testing.assert_array_equal(h[:2, :2], flavor.hamiltonian)
-    np.testing.assert_array_equal(h[2:, 2:], np.zeros((2, 2)))
+    np.testing.assert_array_equal(h[2:, 2:], flavor.hamiltonian)
     assert enlarged.anticommutator is None
     # Each flavor channel on the flavor block, in order, then the decay channel.
     assert len(enlarged.lindblads) == len(flavor.lindblads) + 1
@@ -112,6 +113,7 @@ def test_enlarged_operator_blocks(meson, csl):
         assert np.count_nonzero(big) == np.count_nonzero(small)
     channel, _ = _decay_channel(flavor)
     np.testing.assert_array_equal(channel @ channel, np.zeros((4, 4)))
+    np.testing.assert_array_equal(h @ channel, channel @ h)
     with pytest.raises(DimensionMismatch):
         enlarged_master_spec(enlarged)
 

@@ -31,7 +31,12 @@ an exact ``ensemble`` (the default ``family`` equation under CSL) with 2 to
   ``domain error:`` line.  A rerun writes the same bytes, and under CSL so
   do the ``imaginary`` and ``stratonovich`` names of the ``family``
   equation.  Exit 0 is not required: the exact gate fails about one run in
-  two hundred (README).
+  two hundred (README);
+* in one draw in four, a CSL config also runs stepped: ``nonlinear`` or
+  ``enlarged``, at most 3 grid points and 1 to 64 steps per interval, as
+  ``ensemble`` (exit 0, 1 or 2; every probability in [0, 1] at exit 0,
+  the same bytes when rerun) and, where that exits 0, as ``compare``
+  (exit 0, 2 or 3 with the lines above, the same bytes when rerun).
 
 A second property breaks one key of a drawn config, as ``analytic``,
 ``master``, ``ensemble`` or ``compare``, with a value that violates its
@@ -116,6 +121,14 @@ def ensemble_keys(draw) -> dict:
     return keys
 
 
+@st.composite
+def stepped_keys(draw) -> dict | None:
+    """In one draw in four, a stepped equation and its steps per grid interval; otherwise None."""
+    if draw(st.integers(0, 3)) != 0:
+        return None
+    return {"equation": draw(st.sampled_from(["nonlinear", "enlarged"])), "substeps": draw(st.integers(1, 64))}
+
+
 def run(config: dict, fmt: str | None = "json") -> tuple[int, str, str]:
     """Exit code, stderr and stdout of one ``cli.main`` run in format ``fmt`` (None: the config's);
     fails on any warning."""
@@ -158,9 +171,11 @@ def run_table(config: dict) -> tuple[int, str, dict | None]:
     return code, out, table
 
 
-def check(config: dict, ensemble: dict) -> None:
+def check(config: dict, ensemble: dict, stepped: dict | None) -> None:
     """Every property of the module docstring on ``config`` as ``analytic``, ``master``, ``ensemble`` and
-    ``compare``."""
+    ``compare``, and stepped unless ``stepped`` is None."""
+    if stepped is not None and config["model"] == "CSL":
+        check_stepped(config, ensemble, **stepped)
     probs = {}
     for command in ("analytic", "master"):
         _, _, table = run_table(dict(config, command=command))
@@ -191,6 +206,23 @@ def check(config: dict, ensemble: dict) -> None:
     check_compare(dict(ensemble_config, command="compare"))
 
 
+def check_stepped(config: dict, ensemble: dict, equation: str, substeps: int) -> None:
+    """The exit rules, probability range and rerun bytes of ``config`` as a small stepped ``ensemble`` of
+    ``equation`` at ``substeps`` steps per grid interval, and, where that exits 0, as ``compare``."""
+    n_points = min(config["n_points"], 3)
+    stepped = dict(
+        config, command="ensemble", n_points=n_points, equation=equation, seed=ensemble["seed"],
+        n_trajectories=min(ensemble["n_trajectories"], 8), dt=config["t_max"] / (n_points - 1) / substeps,
+    )
+    _, out, table = run_table(stepped)
+    if table is None:
+        return
+    probs = np.array(table["rows"], dtype=float)[:, [table["columns"].index(col) for col in cli._PROB_COLUMNS]]
+    assert np.all((probs >= 0.0) & (probs <= 1.0)), probs
+    assert run(stepped) == (0, "", out)
+    check_compare(dict(stepped, command="compare"))
+
+
 def check_stderr_keeps_its_scale(config: dict, table: dict) -> None:
     """No t > 0 row of ``table``, the output of the exact CSL ``ensemble`` ``config``, writes a zero
     ``stderr_P_M0_M0`` where the closed-form standard error of its mean exceeds 1e-300."""
@@ -215,7 +247,7 @@ def check_compare(config: dict) -> None:
         assert len(lines) == 2 and all(line.startswith("compare: ") for line in lines), err
         assert lines[0].endswith(" status=OK\n" if code == 0 else " status=FAIL\n"), err
     again = [config]
-    if config["model"] == "CSL":
+    if config["model"] == "CSL" and "equation" not in config:
         again += [dict(config, equation=equation) for equation in ("imaginary", "stratonovich")]
     for other in again:
         assert run(other) == result
@@ -313,33 +345,34 @@ _TWO = dict(n_trajectories=2, seed=0)
 
 
 @PROFILE
-@given(configs(), ensemble_keys())
-@example(_DWARFED_SPLITTING, _TWO)
-@example(dict(_DWARFED_SPLITTING, rate=1e10), _TWO)
+@given(configs(), ensemble_keys(), stepped_keys())
+# Stepped at 64 steps, where Euler-Maruyama in H once grew P_H_H past 1.
+@example(_DWARFED_SPLITTING, _TWO, dict(equation="enlarged", substeps=64))
+@example(dict(_DWARFED_SPLITTING, rate=1e10), _TWO, None)
 @example(dict(
     m_L=147.0, m_H=294.0, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=3.3e29, beta=1.0, m0=2.2e-16,
     alpha=1.0, d=3, r_C=1e-30, ratio_convention="normal", t_max=1.0, n_points=2,
-), _TWO)
+), _TWO, None)
 @example(dict(
     m_L=3.6e-19, m_H=1.3e28, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=0.0132, beta=0.97, m0=4.8e25,
     alpha=1.0, d=3, r_C=1.3e203, ratio_convention="normal", t_max=1.0, n_points=2,
-), _TWO)
+), _TWO, None)
 @example(dict(
     m_L=1.0, m_H=2.0, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=1.0, beta=1.0, m0=1.47e-145,
     alpha=1.0, d=1, r_C=1e-19, ratio_convention="normal", t_max=1.0, n_points=2,
-), _TWO)
+), _TWO, None)
 # P_M0_M0 near 3e-167 at t = 1: the exact kernel's second moments, of order
 # P^2, once underflowed and the run wrote stderr_P_M0_M0=0.
 @example(dict(
     m_L=10.0, m_H=10.5, gamma_L=0.0, gamma_H=0.0, model="CSL", rate=12.0, beta=1.0, m0=1.0,
     alpha=1.0, d=2, r_C=0.5, ratio_convention="normal", t_max=1.0, n_points=3,
-), dict(n_trajectories=50, seed=3))
+), dict(n_trajectories=50, seed=3), None)
 # P_M0_M0 + P_M0_M0bar near 2e-174 at t = 0.4: the asymmetry's delta method
 # once squared it to 0 and wrote stderr_asymmetry=nan with exit 0.
 @example(dict(m_L=1.0, m_H=2.0, gamma_L=1000.0, gamma_H=1000.0, model="QM", t_max=0.4, n_points=2),
-         dict(_TWO, dt=1.0))
-def test_route_commands_keep_the_cli_contract(config, ensemble):
-    check(config, ensemble)
+         dict(_TWO, dt=1.0), None)
+def test_route_commands_keep_the_cli_contract(config, ensemble, stepped):
+    check(config, ensemble, stepped)
 
 
 # One config of each violation, so that the small profile breaks the schema every way.

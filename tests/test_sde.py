@@ -74,10 +74,17 @@ def _with_channel(spec, op):
     return _with_master(spec, lindblads=(*spec.master.lindblads, op))
 
 
-def _gauged_rate(meson, collapse):
-    # Fastest rate of the generator on the gauged mass operator diag(0, delta_m).
-    ratio = float(np.max(mass_ratios(meson, collapse)))
-    return max(meson.delta_m, meson.gamma_L, meson.gamma_H, collapse.effective_rate * ratio**2)
+def _collapse_step(spec, psi, w, h):
+    # One Euler-Maruyama step of the nonlinear equation without H on a copy
+    # of real rows, as the stepped kernel takes it (``sde._collapse_stepper``).
+    rows = np.array(psi, dtype=float)
+    sde._collapse_stepper(spec, rows.shape[:1])(rows.T, np.asarray(w, dtype=float).T, h)
+    return rows
+
+
+def _phase(spec, t):
+    # The exact phase e^{-i E t} of each mass-basis component, which the stepped kernel applies at the grid points.
+    return np.exp(-1j * np.diagonal(spec.master.hamiltonian).real * t)
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +199,9 @@ def test_flavor_decay_norm_law():
     dt = 1e-3
     n = 10**4
     w = np.random.default_rng(3).normal(0.0, np.sqrt(dt), size=(n, 1))
-    psi0 = np.tile(STATES["M0"], (n, 1))
-    psi1 = step(spec, psi0, w, dt)
-    dn2 = np.einsum("bi,bi->b", psi1.conj(), psi1).real - 1.0
+    psi0 = np.tile(STATES["M0"].real, (n, 1))
+    psi1 = _collapse_step(spec, psi0, w, dt)  # the phase e^{-iHt} keeps the norm
+    dn2 = np.einsum("bi,bi->b", psi1, psi1) - 1.0
     want = -sum(_induced_widths(meson, collapse)[i] * abs(STATES["M0"][i]) ** 2 for i in (0, 1)) * dt
     stderr = dn2.std(ddof=1) / np.sqrt(n)
     assert np.mean(dn2) == pytest.approx(want, abs=4 * stderr + 1e-6)
@@ -204,7 +211,14 @@ def test_zero_norm_raises():
     spec = nonlinear_spec(_bare(), make_csl())
     for amplitude in (1e-200, np.nan):
         with pytest.raises(ZeroNorm):
-            step(spec, np.array([amplitude, 0.0], dtype=complex), 0.0, 1e-3)
+            _collapse_step(spec, [[amplitude, 0.0]], [[0.0]], 1e-3)
+
+
+def test_step_rejects_nonlinear_spec():
+    # The nonlinear equation is stepped inside its ensemble only, on real
+    # amplitudes with H taken as a phase.
+    with pytest.raises(UnsupportedEquation, match="linear equation"):
+        step(nonlinear_spec(_bare(), make_csl(beta=0.75)), STATES["M0"], 0.1, 1e-3)
 
 
 def test_stratonovich_step_rejects_nonlinear_spec():
@@ -410,11 +424,13 @@ def test_linear_specs_require_self_adjoint_collapse_operators(factory):
 
 
 def test_nonlinear_step_leaves_input_rows():
+    # The stepped ensemble steps copies of its initial states, and each column follows its own noise.
     spec = nonlinear_spec(_bare(), make_csl(rate=0.4))
-    psi = np.tile(STATES["M0"], (3, 1))
-    before = psi.copy()
-    out = step(spec, psi, np.array([[0.1], [0.0], [-0.2]]), 1e-3)
-    assert np.array_equal(psi, before)
+    states = np.array([STATES["M0"], STATES["M0bar"]])
+    before = states.copy()
+    ensemble_evolve(spec, NoiseConfig(seed=1, dt=1e-3), states, [0.0, 2e-3], 2)
+    assert np.array_equal(states, before)
+    out = _collapse_step(spec, np.tile(STATES["M0"].real, (3, 1)), [[0.1], [0.0], [-0.2]], 1e-3)
     assert not np.array_equal(out[0], out[2])
 
 
@@ -439,9 +455,9 @@ def test_family_is_imaginary_linear_with_induced_widths():
     assert np.array_equal(family.master.anticommutator, imaginary.master.anticommutator)
 
 
-def _re_dot(a, b):
-    # Re sum_i conj(a_i) b_i of each row, summed over the components in index order.
-    return sum((a.real * b.real + a.imag * b.imag).T)
+def _dot(a, b):
+    # sum_i a_i b_i of each real row, summed over the components in index order.
+    return sum((a * b).T)
 
 
 @pytest.mark.parametrize(
@@ -456,29 +472,30 @@ def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build):
     # The elementwise kernel must give the bits of its arithmetic written as
     # plain row expressions, in its order:
     #   psi + (h d - sum_c beta_c) psi + sum_c alpha_c L_c psi,
-    # with L_c psi a gather of the one nonzero of each row.  The dense matrix
-    # form of the Ito step agrees to within 8 ulp of each row's largest
-    # component.
+    # with L_c psi a gather of the one nonzero of each row, on real rows and
+    # without H, which the stepped kernel takes as a phase.  The dense matrix
+    # form of the Ito step without H agrees to within 8 ulp of each row's
+    # largest component.
     spec = build()
     dim = spec.dim
     rng = np.random.default_rng(9)
-    psi = rng.standard_normal((64, dim)) + 1j * rng.standard_normal((64, dim))
+    psi = rng.standard_normal((64, dim))
     # An O(1) step, so that a rounding change in the drift reaches psi.
     w = rng.standard_normal((64, spec.n_channels))
     h = 0.7
     master = spec.master
-    got = step(spec, psi, w, h)
+    got = _collapse_step(spec, psi, w, h)
 
-    n2 = _re_dot(psi, psi)
-    d = -1j * np.diagonal(master.hamiltonian)
+    n2 = _dot(psi, psi)
+    d = np.zeros(dim)
     if master.anticommutator is not None:
-        d = d - 0.5 * np.diagonal(master.anticommutator)
+        d = d - 0.5 * np.diagonal(master.anticommutator).real
     l_psis, alphas, betas = [], [], []
     for c, op in enumerate(master.lindblads):
         d = d - 0.5 * (np.abs(op) ** 2).sum(axis=0)  # the diagonal of L^dag L
         src = np.abs(op).argmax(axis=1)
-        l_psi = op[np.arange(dim), src] * psi[:, src]
-        r = _re_dot(psi, l_psi) / n2
+        l_psi = op[np.arange(dim), src].real * psi[:, src]
+        r = _dot(psi, l_psi) / n2
         l_psis.append(l_psi)
         betas.append((r * (0.5 * h) + w[:, c]) * r)
         alphas.append(r * h + w[:, c])
@@ -490,14 +507,15 @@ def test_nonlinear_step_equals_plain_expressions_bit_for_bit(build):
         m = m + l_psi * alpha[:, None]
     assert np.array_equal(got, psi + m)
 
-    drift = psi @ (-1j * master.hamiltonian).T
+    drift = np.zeros_like(psi)
     if master.anticommutator is not None:
-        drift = drift - 0.5 * (psi @ master.anticommutator.T)
+        drift = drift - 0.5 * (psi @ master.anticommutator.real.T)
     noise = np.zeros_like(psi)
     for c, op in enumerate(master.lindblads):
+        op = op.real
         op_psi = psi @ op.T
-        r = (np.einsum("bi,ij,bj->b", psi.conj(), op, psi).real / n2)[:, None]
-        drift = drift - 0.5 * (op_psi @ op.conj() - 2.0 * r * op_psi + r**2 * psi)
+        r = (np.einsum("bi,ij,bj->b", psi, op, psi) / n2)[:, None]
+        drift = drift - 0.5 * (op_psi @ op - 2.0 * r * op_psi + r**2 * psi)
         noise = noise + w[:, c : c + 1] * (op_psi - r * psi)
     dense = psi + drift * h + noise
     # Measured: at most 3 ulp of each row's largest component.
@@ -684,9 +702,10 @@ _ENLARGED_STACK = np.pad(_STACKED, ((0, 0), (0, 2)))
 # A complex superposition gives weights with Im(w_i conj(w_j)) != 0 on the
 # exact kernel.  The mass eigenstates are noise fixed points of the
 # nonlinear flavor equation (zero spread), so its case stacks states that
-# do spread.
+# do spread, real as the stepped kernel takes them.
 _COMPLEX = np.array([0.6, 0.8j])
-_SPREADING = np.array([STATES["M0"], STATES["M0bar"], _COMPLEX])
+_REAL = np.array([0.6, 0.8])
+_SPREADING = np.array([STATES["M0"], STATES["M0bar"], _REAL])
 
 
 @pytest.mark.parametrize(
@@ -702,6 +721,8 @@ def test_ensemble_moments_match_two_pass_over_manual_trajectories(monkeypatch, b
     # per state, on dim 2 and dim 4.  The 2048-trajectory batch draws its
     # 40 steps in noise blocks of 6 steps (3 with two channels), the last
     # one short; each trajectory's blocks must continue its one stream.
+    # The manual trajectories step without H and take the phase e^{-iHt}
+    # at each grid point.
     monkeypatch.setattr(sde, "_NOISE_BLOCK", 6 * 2048)
     spec = build(make_csl(beta=0.8, rate=0.3))
     t_grid = _grid(1.0, 5)
@@ -711,12 +732,12 @@ def test_ensemble_moments_match_two_pass_over_manual_trajectories(monkeypatch, b
     noise = np.array([wiener_increments(config, 40, k, spec.n_channels) for k in range(n_traj)])
     proj = observable_vectors(spec.dim)[0].conj()
     for state, result in zip(states, stats):
-        rows = np.tile(state, (n_traj, 1))
+        rows = np.tile(state.real, (n_traj, 1))
         for g in range(1, len(t_grid)):
             h = (t_grid[g] - t_grid[g - 1]) / n_sub
             for pos in range((g - 1) * n_sub, g * n_sub):
-                rows = step(spec, rows, noise[:, pos, :], h)
-            amps = rows @ proj.T
+                rows = _collapse_step(spec, rows, noise[:, pos, :], h)
+            amps = (rows * _phase(spec, t_grid[g])) @ proj.T
             obs = amps.real**2 + amps.imag**2
             np.testing.assert_allclose(result.means[g], obs.mean(axis=0), rtol=1e-13)
             np.testing.assert_allclose(
@@ -734,12 +755,12 @@ def test_ensemble_noise_matches_wiener_contract():
     spec = nonlinear_spec(_bare(), make_csl(beta=1.0, rate=0.5))
     t_grid = np.array([0.0, 0.01])
     config = NoiseConfig(seed=31, dt=0.01)
-    (stats,) = ensemble_evolve(spec, config, [_COMPLEX], t_grid, 2)
+    (stats,) = ensemble_evolve(spec, config, [_REAL], t_grid, 2)
     proj = observable_vectors(2)[0].conj()
     manual = np.zeros(len(proj))
     for traj in range(2):
         w = wiener_increments(config, 1, traj)
-        psi = step(spec, _COMPLEX, w[0], 0.01)
+        psi = _collapse_step(spec, [_REAL], w, 0.01)[0] * _phase(spec, 0.01)
         manual += np.abs(proj @ psi) ** 2 / 2.0
     np.testing.assert_allclose(stats.means[1], manual, atol=1e-15)
 
@@ -904,42 +925,20 @@ def test_stepped_ensemble_memory_stays_within_a_noise_block():
 # ----------------------------------------------------------------------
 # phase-transformation family
 
-def test_phase_transform_identity_and_imaginary_limit():
-    meson = _bare()
-    collapse = make_csl(beta=0.8, rate=0.3)
-    base = nonlinear_spec(meson, collapse)
+def test_stepped_kernel_rejects_what_it_cannot_step_as_real_amplitudes():
+    # The stepped kernel steps real amplitudes without H: a complex state, a
+    # complex L_c (a phase-family member at phi != 0) or an L_c that does not
+    # commute with H exits with one error, before any trajectory runs.
+    base = nonlinear_spec(_bare(), make_csl(beta=0.8, rate=0.3))
     assert phase_transform_spec(base, 0.0) == base
-    rotated = phase_transform_spec(base, np.pi / 2.0)
-    linear = family_spec(meson, collapse)
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        w = rng.normal(size=(1,)) * 0.03
-        np.testing.assert_allclose(
-            step(rotated, psi, w, 1e-3), step(linear, psi, w, 1e-3), atol=1e-14
-        )
-
-
-def test_phase_family_shares_ensemble_mean():
-    meson = _bare()
-    collapse = make_csl(beta=0.8, rate=0.3)
-    base = nonlinear_spec(meson, collapse)
-    t_grid = _grid(2.0, 6)
-    dt = 2.0 / 1000
-    stats = {}
-    for k, phi in enumerate((0.0, np.pi / 4.0, np.pi / 2.0)):
-        spec = phase_transform_spec(base, phi)
-        (stats[phi],) = ensemble_evolve(
-            spec, NoiseConfig(seed=100 + k, dt=dt), [STATES["M0"]], t_grid, 3000
-        )
-    budget = 2.0 * dt * t_grid * _gauged_rate(meson, collapse) ** 2
-    pairs = [(0.0, np.pi / 4.0), (0.0, np.pi / 2.0)]
-    for phi_a, phi_b in pairs:
-        for label in ("P_M0", "P_M0bar"):
-            mean_a, err_a = stats[phi_a].column(label)
-            mean_b, err_b = stats[phi_b].column(label)
-            tol = 4.0 * np.hypot(err_a, err_b) + budget + 1e-12
-            np.testing.assert_array_less(np.abs(mean_a - mean_b), tol)
+    general = sde.SdeSpec(
+        sde.SdeEquation.NONLINEAR, MasterSpec(np.diag([1.0, 2.0]), (np.array([[0.0, 1.0], [0.0, 0.0]]),))
+    )
+    config, t_grid = NoiseConfig(seed=1, dt=0.01), [0.0, 0.01]
+    for spec, states in [(base, [_COMPLEX]), (phase_transform_spec(base, 0.3), [STATES["M0"]]), (general, [_REAL])]:
+        with pytest.raises(UnsupportedEquation, match="the stepped kernel takes real states and real L_c"):
+            ensemble_evolve(spec, config, states, t_grid, 2)
+    ensemble_evolve(base, config, [STATES["M0"]], t_grid, 2)
 
 
 def test_phase_transform_rejects_other_equations():
@@ -955,10 +954,14 @@ def _with_extra_decay(spec):
 
 
 def _fd_against_master(spec, psi0, n, dt, seed):
+    # A nonlinear spec steps a real psi~ without H and takes the phase e^{-iH dt} after the step.
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, np.sqrt(dt), size=(n, spec.n_channels))
     psi_batch = np.tile(psi0, (n, 1))
-    psi1 = step(spec, psi_batch, w, dt)
+    if spec.equation is sde.SdeEquation.LINEAR:
+        psi1 = step(spec, psi_batch, w, dt)
+    else:
+        psi1 = _collapse_step(spec, psi_batch.real, w, dt) * _phase(spec, dt)
     mean_outer = np.einsum("bi,bj->ij", psi1, psi1.conj()) / n
     second = np.einsum("bi,bj->ij", np.abs(psi1) ** 2, np.abs(psi1) ** 2) / n
     var = np.maximum(second - np.abs(mean_outer) ** 2, 0.0)
