@@ -51,7 +51,8 @@ c_i(t) = exp(d_i t + sum_c g_ci W_c(t)) per mass component,
 d = diag(-i H - K/2), g_c = i diag(L_c), which ``ensemble_evolve`` samples
 at the grid points.  ``step`` (Euler-Maruyama on the Ito form) and
 ``stratonovich_step`` (Heun midpoint on the Stratonovich form) take one
-step of the linear equation only.
+step of the linear equation only, each one elementwise expression
+c + m c in the mass components (``_linear_step``).
 
 Trajectories are embarrassingly parallel: each owns a counter-based RNG
 substream keyed by (seed, trajectory), so ensembles are bit-identical
@@ -131,6 +132,8 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidParams("dt must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise InvalidParams("seed must be an integer")  # int() would truncate a float to another stream
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidParams("seed must fit in 64 bits")
 
@@ -303,72 +306,12 @@ def _keyed_generators(seed: int, trajectory_ids) -> list[Generator]:
     return generators
 
 
-def _as_batch(state, dim: int) -> tuple[np.ndarray, bool]:
-    """A complex copy of ``state`` as rows, and whether it was one vector."""
-    psi = np.array(state, dtype=complex)
-    single = psi.ndim == 1
-    psi = np.atleast_2d(psi)
-    if psi.shape[-1] != dim:
-        raise DimensionMismatch(f"state dimension {psi.shape[-1]} does not match the spec ({dim})")
-    return psi, single
-
-
-def _as_noise(dW, n_channels: int, n_rows: int) -> np.ndarray:
-    w = np.asarray(dW, dtype=float)
-    if w.ndim == 0:
-        w = w.reshape(1, 1)
-    elif w.ndim == 1:
-        w = w.reshape(1, -1) if n_rows == 1 else w.reshape(-1, 1)
-    if w.shape != (n_rows, n_channels):
-        raise DimensionMismatch(f"noise shape {w.shape} does not match ({n_rows} states, {n_channels} channels)")
-    return w
-
-
 def _stratonovich_drift(spec: SdeSpec) -> np.ndarray:
     """The drift -i H - K/2 without the collapse terms: the linear equations' Stratonovich drift."""
     drift = -1j * spec.master.hamiltonian
     if spec.master.anticommutator is not None:
         drift = drift - 0.5 * spec.master.anticommutator
     return drift
-
-
-def _linear_stepper(spec: SdeSpec, cols: tuple[int, ...], heun: bool):
-    """In-place update c, w, h of the (dim, *cols) mass-basis columns of the linear equation.
-
-    The generators are diagonal, so a step multiplies mass component i of
-    a column by f = 1 + m (Euler-Maruyama on the Ito form) or
-    f = 1 + m (1 + m/2) (Heun midpoint on the Stratonovich form), with
-    m = h d_i + sum_c g_ci w_c, g_c = i L_c and d the drift of the form:
-    the Stratonovich drift, plus for the Ito form the conversion term
-    (1/2) sum_c g_c^2 = -(1/2) sum_c L_c^2, from theta(0) = 1/2 to 0.  It
-    is applied as c += c (f - 1): rounding 1 + m would repeat one rounding
-    of the real part of h d at every step, a bias linear in the number of
-    steps.  The two work arrays are allocated once, so a loop of
-    steps allocates nothing of the columns' size.
-    """
-    drift = _stratonovich_drift(spec)
-    diffusions = [1j * op for op in spec.master.lindblads]
-    if not heun:
-        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
-    expand = (slice(None),) + (None,) * len(cols)
-    d = np.diagonal(drift)[expand]
-    gs = [np.diagonal(g)[expand] for g in diffusions]
-    m, f = np.empty((2, spec.dim, *cols), dtype=complex)
-
-    def advance(c, w, h):
-        np.multiply(gs[0], w[0], out=m)
-        for g, w_c in zip(gs[1:], w[1:]):
-            np.multiply(g, w_c, out=f)
-            np.add(m, f, out=m)
-        np.add(m, h * d, out=m)
-        if heun:
-            np.multiply(0.5, m, out=f)
-            np.add(1.0, f, out=f)
-            np.multiply(f, m, out=m)
-        np.multiply(m, c, out=m)
-        np.add(c, m, out=c)
-
-    return advance
 
 
 def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
@@ -436,13 +379,45 @@ def _collapse_stepper(spec: SdeSpec, cols: tuple[int, ...]):
     return advance
 
 
-def _step_rows(spec: SdeSpec, state, dW, dt: float, heun: bool):
+def _linear_step(spec: SdeSpec, state, dW, dt: float, heun: bool) -> np.ndarray:
+    """One step of the linear equation from one state vector or a stack of rows, as a new array.
+
+    The generators are diagonal, so Euler-Maruyama on the Ito form adds
+    m c_i to mass component i of a row, m = sum_c g_ci w_c + dt d_i with
+    g_c = i L_c and d the Stratonovich drift plus the conversion term
+    (1/2) sum_c g_c^2 (theta(0) = 1/2 to 0), and Heun on the Stratonovich
+    form adds m (1 + m/2) c_i with d the Stratonovich drift alone.  Adding,
+    not scaling by a rounded 1 + m, keeps a bias linear in the number of
+    steps out.  m is formed in the (dim, rows) layout, so each ufunc loops
+    over the rows.  A 0-d or 1-d ``dW`` is one row's channels if there is
+    one row, else one channel's rows.
+    """
     if spec.equation is not SdeEquation.LINEAR:
         raise UnsupportedEquation("step and stratonovich_step apply to the linear equation")
-    psi, single = _as_batch(state, spec.dim)
-    w = _as_noise(dW, spec.n_channels, psi.shape[0])
-    _linear_stepper(spec, psi.shape[:1], heun)(psi.T, w.T, dt)
-    return psi[0] if single else psi
+    psi = np.asarray(state, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != spec.dim:
+        raise DimensionMismatch(f"state shape {psi.shape} is not one vector or a stack of rows of size {spec.dim}")
+    c = np.atleast_2d(psi).T  # (dim, rows)
+    n_rows = c.shape[1]
+    w = np.asarray(dW, dtype=float)
+    if w.ndim < 2:
+        w = w.reshape((1, -1) if n_rows == 1 else (-1, 1))
+    if w.shape != (n_rows, spec.n_channels):
+        raise DimensionMismatch(f"noise shape {w.shape} does not match ({n_rows} states, {spec.n_channels} channels)")
+    drift = _stratonovich_drift(spec)
+    diffusions = [1j * op for op in spec.master.lindblads]
+    if not heun:
+        drift = drift + sum(ito_stratonovich_drift(g, 0.5, 0.0) for g in diffusions)
+    w = w.T  # (channel, rows)
+    m = np.diagonal(diffusions[0])[:, None] * w[0]
+    for g, w_c in zip(diffusions[1:], w[1:]):
+        m += np.diagonal(g)[:, None] * w_c
+    m += dt * np.diagonal(drift)[:, None]
+    if heun:
+        np.multiply(1.0 + 0.5 * m, m, out=m)  # this operand order: a SIMD complex product need not commute
+    m *= c
+    m += c
+    return m[:, 0] if psi.ndim == 1 else m.T
 
 
 def step(spec: SdeSpec, state, dW, dt: float):
@@ -451,12 +426,12 @@ def step(spec: SdeSpec, state, dW, dt: float):
     Accepts a single state vector or a batch of rows; ``dW`` must carry
     one increment per Wiener channel (and per row for batches).
     """
-    return _step_rows(spec, state, dW, dt, heun=False)
+    return _linear_step(spec, state, dW, dt, heun=False)
 
 
 def stratonovich_step(spec: SdeSpec, state, dW, dt: float):
     """One Heun step (the midpoint predictor-corrector) of the Stratonovich form of the linear equation."""
-    return _step_rows(spec, state, dW, dt, heun=True)
+    return _linear_step(spec, state, dW, dt, heun=True)
 
 
 def observable_vectors(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -150,10 +152,16 @@ def test_rekey_points_at_the_start_of_each_keyed_stream(seed):
 def test_noise_config_validation():
     with pytest.raises(InvalidParams):
         NoiseConfig(seed=1, dt=0.0)
-    with pytest.raises(InvalidParams):
-        NoiseConfig(seed=-1, dt=0.1)
+    for seed in (-1, 2**64, 1.5, 1.0, True, np.float64(1.0)):
+        # A float or bool seed would be truncated to the stream of another seed.
+        with pytest.raises(InvalidParams):
+            NoiseConfig(seed=seed, dt=0.1)
     with pytest.raises(InvalidParams):
         wiener_increments(NoiseConfig(seed=1, dt=0.1), 5, trajectory_id=0, n_channels=0)
+    for seed in (0, 1, np.int64(1), np.uint32(1), np.uint64(2**64 - 1)):
+        assert wiener_increments(NoiseConfig(seed=seed, dt=0.1), 2, trajectory_id=0).shape == (2, 1)
+    one = wiener_increments(NoiseConfig(seed=1, dt=0.1), 5, 0)
+    assert np.array_equal(wiener_increments(NoiseConfig(seed=np.int64(1), dt=0.1), 5, 0), one)
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +309,47 @@ def test_linear_steps_equal_plain_expressions_bit_for_bit(method):
         got = _linear_update(spec, psi, w, h, method)
         assert np.array_equal(got, psi + m * psi)
         assert np.array_equal(psi, before)
+        # One vector, with a 0-d increment or one increment per channel, is row 0 of the batch.
+        single = _linear_update(spec, psi[0], w[0, 0] if n_channels == 1 else w[0], h, method)
+        assert single.shape == (2,)
+        assert np.array_equal(single, got[0])
+        assert np.array_equal(psi, before)
+
+
+def test_linear_step_rejects_a_state_that_is_no_vector_or_rows():
+    spec = family_spec(_bare(), make_csl(beta=0.7, rate=0.4))
+    for state in (np.ones((2, 3, 2)), np.ones(()), np.ones((3, 4))):
+        for advance in (step, stratonovich_step):
+            with pytest.raises(DimensionMismatch, match=re.escape(str(state.shape))):
+                advance(spec, state, np.zeros((2, 1)), 1e-3)
+
+
+_NOISE_SHAPES = {
+    # name: (rows, channels, dW shape, the (rows, channels) noise it stands for, or None if rejected)
+    "0d_one_row_one_channel": (1, 1, (), (1, 1)),
+    "1d_one_row_channels": (1, 2, (2,), (1, 2)),
+    "1d_one_channel_rows": (3, 1, (3,), (3, 1)),
+    "2d_rows_channels": (3, 2, (3, 2), (3, 2)),
+    "3d_rows_1_1": (3, 1, (3, 1, 1), None),
+    "1d_rows_times_channels": (3, 2, (6,), None),
+    "2d_channels_rows": (3, 2, (2, 3), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOISE_SHAPES))
+def test_linear_step_noise_shape_contract(case):
+    # A 0-d or 1-d dW is one row's channels if there is one row and one
+    # channel's rows otherwise; anything else must be (rows, channels).
+    n_rows, n_channels, shape, canonical = _NOISE_SHAPES[case]
+    spec, psi, _, h = _linear_case(n_channels)
+    psi = psi[:n_rows]
+    dw = 0.01 * np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    for advance in (step, stratonovich_step):
+        if canonical is None:
+            with pytest.raises(DimensionMismatch):
+                advance(spec, psi, dw, h)
+        else:
+            assert np.array_equal(advance(spec, psi, dw, h), advance(spec, psi, dw.reshape(canonical), h))
 
 
 @pytest.mark.parametrize("n_channels", [1, 2])
