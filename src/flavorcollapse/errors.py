@@ -49,7 +49,7 @@ class ZeroNorm(FlavorCollapseError):
 
 
 class UnsupportedEquation(FlavorCollapseError):
-    """Stepping scheme does not apply to the selected equation."""
+    """A stepping scheme or the master propagator does not apply to the selected equation."""
 
 
 class ParseError(FlavorCollapseError, ValueError):

@@ -15,8 +15,8 @@ Two routes to density-matrix dynamics live here:
   equation is a flavor one whose decay K has become a Lindblad channel
   into the decay states (``enlarged_master_spec``).
   The equations are linear and autonomous, so vec(rho(t)) =
-  exp(t S) vec(rho(0)) holds exactly for the superoperator S, and the
-  matrix exponential is taken at each grid time;
+  exp(t S) vec(rho(0)) holds exactly for the superoperator S, whose
+  one-jump structure gives exp(t S) in closed form at each grid time;
 
 * the exact position (x) tensor flavor kernels: the per-element rates of
   the position-coupled master equations are time-independent multipliers,
@@ -42,7 +42,7 @@ from .core import (
     _time_grid,
     mass_ratios,
 )
-from .errors import DimensionMismatch, InvalidParams, SingularTime
+from .errors import DimensionMismatch, InvalidParams, SingularTime, UnsupportedEquation
 from .operators import (
     _mass_basis_generators,
     centred_collapse_operator,
@@ -187,48 +187,16 @@ def build_superoperator(spec: MasterSpec) -> np.ndarray:
     return sup
 
 
-def _expm_grid(a: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """exp(t a) at every t of the grid, shape (len(t_grid), n, n), one decoupled block at a time.
-
-    Indices linked through nonzero entries of a form blocks that the
-    exponential never mixes; each block is exponentiated on its own scale,
-    so a fast block forces no squarings on a slow one.  A 1x1 block is a
-    scalar exponential.
-    """
-    linked = (a != 0) | (a != 0).T | np.eye(len(a), dtype=bool)
-    for _ in range(len(a).bit_length()):  # close the links transitively
-        linked = (linked.astype(int) @ linked.astype(int)) > 0
-    out = np.zeros((len(t_grid), *a.shape), dtype=complex)
-    single = linked.sum(axis=1) == 1
-    out[:, single, single] = np.exp(t_grid[:, None] * a[single, single])
-    for block in {tuple(np.flatnonzero(row)) for row in linked[~single]}:
-        idx = np.ix_(block, block)
-        out[:, idx[0], idx[1]] = _expm_taylor(t_grid[:, None, None] * a[idx])
-    return out
-
-
-def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    """exp(a) of each matrix of a stack by scaling and squaring of the degree-14 Taylor polynomial.
-
-    Each matrix is scaled by its own 2^-s until its 1-norm is at most 1/4,
-    where the truncation error (1/4)^15 / 15! ~ 7e-22 lies far below
-    round-off; s squarings then undo the scaling.
-    """
-    norms = np.linalg.norm(a, 1, axis=(-2, -1))
-    s = np.ceil(np.log2(4.0 * np.maximum(norms, 0.25))).astype(int)
-    a = a / (2.0**s)[:, None, None]
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
-    out = eye
-    for k in range(14, 0, -1):
-        out = eye + (a @ out) / k
-    for i in range(s.max()):
-        squared = s > i
-        out[squared] = out[squared] @ out[squared]
-    return out
-
-
 def integrate_master(spec: MasterSpec, rho0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Exact solution rho(t) = exp(t S) rho0 at every grid time t.
+    """Exact solution rho(t) = exp(t S) rho0 at every grid time t, in closed form.
+
+    Write S = diag(r) + N (``build_superoperator``), N holding the channels'
+    jumps between entries of rho.  When no entry both receives and sends a
+    jump, N D N = 0 for every diagonal D, and rho_p(t) = e^(t r_p) rho0_p +
+    sum_q N_pq D_pq(t) rho0_q with D_pq(t) = (e^(t r_p) - e^(t r_q)) /
+    (r_p - r_q): each entry decays at its own rate, and one fed by a jump
+    (the decay block of an enlarged equation) collects the one-jump
+    integral.  Any other spec raises UnsupportedEquation.
 
     ``rho0`` is one (d, d) state, giving (len(t_grid), d, d), or a stack
     (n, d, d) of initial states, giving (n, len(t_grid), d, d); entry s
@@ -245,9 +213,21 @@ def integrate_master(spec: MasterSpec, rho0: np.ndarray, t_grid: np.ndarray) -> 
     if not np.all(np.isfinite(rho0)):
         raise InvalidParams("rho0 must be finite")
 
-    propagators = _expm_grid(build_superoperator(spec), t_grid)
-    # A plain einsum (no BLAS) sums each entry's products in order, so each state gets the bits of a single call.
-    rho = np.einsum("tij,sj->sti", propagators, rho0.reshape(-1, d * d)).reshape(-1, len(t_grid), d, d)
+    jumps = build_superoperator(spec)
+    rate = np.diagonal(jumps).copy()
+    np.fill_diagonal(jumps, 0.0)
+    if np.any(jumps.any(axis=0) & jumps.any(axis=1)):
+        raise UnsupportedEquation("the propagator takes no spec with an entry that both receives and sends a jump")
+    p, q = np.nonzero(jumps)
+    t = t_grid[:, None]
+    # D_pq = t e^(t a) phi1(t (b - a)), phi1(z) = expm1(z)/z, with a the rate of larger real part: Re z <= 0.
+    a, b = np.where(rate[p].real >= rate[q].real, (rate[p], rate[q]), (rate[q], rate[p]))
+    z = t * (b - a)
+    phi1 = np.where(z == 0, 1.0, np.expm1(z) / np.where(z == 0, 1.0, z))
+    states = rho0.reshape(-1, 1, d * d)
+    rho = np.exp(t * rate) * states
+    np.add.at(rho, (Ellipsis, p), jumps[p, q] * t * np.exp(t * a) * phi1 * states[..., q])
+    rho = rho.reshape(-1, len(t_grid), d, d)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return rho[0] if rho0.ndim == 2 else rho
 

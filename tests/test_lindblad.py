@@ -5,7 +5,7 @@ from scipy.linalg import expm
 
 from flavorcollapse.analytic import prob_flavor, prob_lifetime
 from flavorcollapse.core import STATES, FlavorTarget, MesonParams, Model
-from flavorcollapse.errors import DimensionMismatch, InvalidParams
+from flavorcollapse.errors import DimensionMismatch, InvalidParams, UnsupportedEquation
 from flavorcollapse.lindblad import (
     MasterSpec,
     build_superoperator,
@@ -18,6 +18,7 @@ from flavorcollapse.lindblad import (
     master_rhs,
     probs_from_kernels,
     project_enlarged_to_flavor,
+    wigner_weisskopf_spec,
 )
 from flavorcollapse.operators import induced_decay_operator, reduced_mass_operator
 
@@ -104,14 +105,13 @@ def test_stiff_propagation_stays_physical():
     # Splitting 1e6 against a grid step of 0.3125: one interval spans
     # ~5e4 oscillation periods, all taken by the exact propagator at once.
     big = MesonParams(m_L=1.0, m_H=1e6, gamma_L=0.0, gamma_H=0.0)
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    spec = MasterSpec(hamiltonian=reduced_mass_operator(big), lindblads=(flip,))
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    spec = MasterSpec(hamiltonian=reduced_mass_operator(big), lindblads=(lower,))
     rhos = integrate_master(spec, _RHO_M0, np.linspace(0.0, 10.0, 33))
     np.testing.assert_array_equal(rhos, rhos.conj().transpose(0, 2, 1))
     traces = np.einsum("tii->t", rhos).real
-    # The fast coherences and the slow populations are decoupled blocks of
-    # S, exponentiated separately: the populations see no squarings scaled
-    # by the splitting, and the trace stays at round-off.
+    # Only the fast coherences carry the splitting; the population that
+    # rho_11 hands to rho_00 never sees it, and the trace stays at round-off.
     assert np.abs(traces - 1.0).max() <= 1e-13
     assert np.all(np.diff(traces) <= 1e-14)
     assert np.linalg.eigvalsh(rhos).min() >= -1e-9
@@ -184,16 +184,48 @@ def test_integrate_master_rejects_a_stack_of_another_dimension(meson, csl):
                 integrate_master(spec, np.zeros(shape, dtype=complex), grid)
 
 
-def test_propagator_matches_reference_expm(meson, csl):
-    spec = _enlarged(meson, csl)
+def _enlarged_m0(meson, csl):
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[:2, :2] = _RHO_M0
-    grid = np.array([0.0, 0.3, 1.0, 7.5, 40.0])
+    return _enlarged(meson, csl), rho0, np.array([0.0, 0.3, 1.0, 7.5, 40.0]), None
+
+
+def _equal_rates(meson, csl):
+    # r_00 = r_11 = -1 and rho_00 feeds rho_11 with weight 1, so rho_11 = t e^-t.
+    feed = np.zeros((2, 2))
+    feed[1, 0] = 1.0
+    spec = MasterSpec(hamiltonian=np.zeros((2, 2)), lindblads=(feed,), anticommutator=np.diag([0.0, 1.0]))
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    return spec, rho0, np.array([0.0, 0.5, 2.0, 10.0]), np.exp(-10.0) * np.array([1.0, 10.0])
+
+
+def _long_times(meson, csl):
+    # The flavor block has decayed into the decay block, which keeps M0's populations;
+    # e^(t |r|) of the decay rates overflows long before t = 5000.
+    spec = enlarged_master_spec(wigner_weisskopf_spec(MesonParams(m_L=1.0, m_H=2.0, gamma_L=0.5, gamma_H=0.4)))
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[:2, :2] = _RHO_M0
+    return spec, rho0, np.linspace(0.0, 5000.0, 11), np.array([0.0, 0.0, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("case", [_enlarged_m0, _equal_rates, _long_times], ids=["enlarged", "equal_rates", "long_times"])
+def test_propagator_matches_reference_expm(meson, csl, case):
+    spec, rho0, grid, final_populations = case(meson, csl)
     rhos = integrate_master(spec, rho0, grid)
     sup = build_superoperator(spec)
     for t, rho in zip(grid, rhos):
-        want = (expm(t * sup) @ rho0.reshape(-1)).reshape(4, 4)
-        np.testing.assert_allclose(rho, want, rtol=0.0, atol=1e-13)
+        want = (expm(t * sup) @ rho0.reshape(-1)).reshape(spec.dim, spec.dim)
+        np.testing.assert_allclose(rho, want, rtol=0.0, atol=1e-15)
+    if spec.anticommutator is None:  # the enlarged equation loses no trace
+        np.testing.assert_allclose(np.einsum("tii->t", rhos).real, 1.0, rtol=0.0, atol=1e-15)
+    if final_populations is not None:
+        np.testing.assert_allclose(np.diagonal(rhos[-1]).real, final_populations, rtol=0.0, atol=1e-15)
+
+
+def test_integrate_master_rejects_an_entry_that_receives_and_sends_a_jump():
+    # The cycle 0 -> 2 -> 3 -> 0 feeds rho_00 into rho_22, which passes it on to rho_33.
+    with pytest.raises(UnsupportedEquation, match="an entry that both receives and sends a jump"):
+        integrate_master(_moving_spec(np.ones((3, 4))), np.eye(4) / 4, [0.0, 1.0])
 
 
 def test_project_enlarged_block(meson, csl):
@@ -216,7 +248,7 @@ def test_enlarged_projection_equals_direct_flavor_route():
     enlarged = integrate_master(_enlarged(meson, collapse), rho0, grid)
     direct = integrate_master(family_master_spec(meson, collapse), _RHO_M0, grid)
     residual = np.abs(project_enlarged_to_flavor(enlarged) - direct).max()
-    assert residual < 1e-9
+    assert residual < 1e-15
 
 
 def test_enlarged_evolution_stays_completely_positive():
@@ -231,8 +263,8 @@ def test_enlarged_evolution_stays_completely_positive():
         grid = np.linspace(0.0, 5.0, 21)
         rhos = integrate_master(spec, rho0, grid)
         eigs = np.linalg.eigvalsh(rhos)
-        assert eigs.min() >= -1e-9
-        np.testing.assert_allclose(np.einsum("tii->t", rhos).real, 1.0, atol=1e-9)
+        assert eigs.min() >= -1e-14
+        np.testing.assert_allclose(np.einsum("tii->t", rhos).real, 1.0, atol=1e-14)
 
 
 def test_trace_law_finite_difference(meson_stable):

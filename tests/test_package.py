@@ -70,10 +70,9 @@ def test_every_public_name_is_reached():
     assert sorted(unreached) == []
 
 
-def test_linalg_is_reached_only_from_the_taylor_exponential():
-    # The routes' mass-basis algebra is closed-form; np.linalg serves only
-    # the 1-norm of the linked blocks of an enlarged superoperator, which
-    # only tests integrate.  So no LAPACK call creeps back onto a route.
+def test_no_module_uses_linalg():
+    # The mass-basis algebra, the master propagator included, is closed-form,
+    # so no LAPACK call creeps back into the package.
     users = set()
     for path in (_ROOT / "src" / "flavorcollapse").glob("*.py"):
         for top in ast.parse(path.read_text(), str(path)).body:
@@ -86,4 +85,4 @@ def test_linalg_is_reached_only_from_the_taylor_exponential():
                     or any("linalg" in alias.name for alias in aliases)
                 ):
                     users.add(f"{path.stem}.{name}")
-    assert users == {"lindblad._expm_taylor"}
+    assert users == set()
